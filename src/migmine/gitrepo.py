@@ -1,18 +1,21 @@
-"""Git history ingestion through plumbing subprocesses.
+"""Git history ingestion through subprocesses.
 
-Only rev-list/log, diff-tree and cat-file are used; file contents come
-from the object store, never from per-commit checkouts.  History is
-first-parent only, oldest first, which gives every project a stable
-linear timeline for segment ordering.
+One `git log` per project reads the first-parent history, oldest first,
+together with every commit's raw changes; this gives every project a
+stable linear timeline for segment ordering.  File contents come from the
+object store through `cat-file --batch`, never from checkouts.  Every call
+goes through `run_git`, which never waits on a credential prompt.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import re
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import CommitRecord, FileChange, ProjectRef
 
@@ -37,6 +40,16 @@ class UnknownCommitError(LookupError):
     pass
 
 
+class RawChange(NamedTuple):
+    """One `--raw` diff entry; paths are equal unless renamed or copied."""
+
+    status: str  # A, M, D, T, or R/C with a similarity score
+    old_path: str
+    new_path: str
+    old_sha: str  # all zeros when there is no old side
+    new_sha: str
+
+
 def run_git(args: list[str], cwd: str | Path | None = None, data: bytes | None = None) -> bytes:
     proc = subprocess.run(
         [GIT, *args],
@@ -44,6 +57,8 @@ def run_git(args: list[str], cwd: str | Path | None = None, data: bytes | None =
         input=data,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        # a clone that needs credentials fails instead of blocking on a prompt
+        env={**os.environ, "GIT_TERMINAL_PROMPT": "0"},
     )
     if proc.returncode != 0:
         raise GitError(
@@ -55,32 +70,6 @@ def run_git(args: list[str], cwd: str | Path | None = None, data: bytes | None =
 
 def git_version() -> str:
     return run_git(["version"]).decode("ascii", "replace").strip()
-
-
-def path_glob_to_regex(pattern: str) -> re.Pattern[str]:
-    """Compile a path glob: ** crosses directories, * and ? do not."""
-    out = []
-    i = 0
-    n = len(pattern)
-    while i < n:
-        c = pattern[i]
-        if c == "*":
-            if pattern[i : i + 3] == "**/":
-                out.append("(?:.*/)?")
-                i += 3
-            elif pattern[i : i + 2] == "**":
-                out.append(".*")
-                i += 2
-            else:
-                out.append("[^/]*")
-                i += 1
-        elif c == "?":
-            out.append("[^/]")
-            i += 1
-        else:
-            out.append(re.escape(c))
-            i += 1
-    return re.compile("".join(out) + r"\Z")
 
 
 def derive_project_id(origin: str) -> str:
@@ -97,12 +86,12 @@ def _is_git_workdir(path: Path) -> bool:
 
 def ingest_project(
     origin: str, workdir_base: str | Path, project_id: str | None = None
-) -> tuple[ProjectRef, list[CommitRecord]]:
-    """Clone (or reuse) a repository and enumerate its first-parent history.
+) -> tuple[ProjectRef, list[CommitRecord], dict[str, list[RawChange]]]:
+    """Clone (or reuse) a repository and read its first-parent history.
 
     Local directory origins are read in place; URLs are cloned below
-    workdir_base and reused on later runs.  Returns commits oldest first
-    with 0-based ordinals.
+    workdir_base and reused on later runs.  Returns the reference plus
+    `read_history` of its HEAD.
     """
     project_id = project_id or derive_project_id(origin)
     origin_path = Path(origin)
@@ -117,120 +106,85 @@ def ingest_project(
             except GitError as exc:
                 raise IngestError(f"cannot clone {origin}: {exc}") from exc
     ref = ProjectRef(id=project_id, origin=origin, workdir=str(workdir))
-    return ref, first_parent_history(ref)
+    return (ref, *read_history(ref))
 
 
-def first_parent_history(ref: ProjectRef) -> list[CommitRecord]:
+def read_history(
+    ref: ProjectRef, tip: str = "HEAD"
+) -> tuple[list[CommitRecord], dict[str, list[RawChange]]]:
+    """Commits on tip's first-parent chain and each commit's raw changes.
+
+    One `git log` stream gives both.  Commits come oldest first with 0-based
+    ordinals.  Changes map each commit id to its entries against the first
+    parent (the empty tree for a root commit), recursive, renames detected;
+    the command line overrides any repository config that would change this.
+    """
     try:
         raw = run_git(
             [
-                "log",
-                "--first-parent",
-                "--reverse",
-                "--format=%H%x1f%an%x1f%aI%x1f%B%x1e",
-                "HEAD",
+                "log", "--first-parent", "--diff-merges=first-parent", "--root",
+                "-r", "-M", "--raw", "--no-abbrev", "-z", "--reverse",
+                "--format=%x1e%H%x1f%an%x1f%aI%x1f%B", tip, "--",
             ],
             cwd=ref.workdir,
         )
     except GitError as exc:
         raise NoHistoryError(f"no commit history in {ref.origin}: {exc}") from exc
-    records = []
-    for ordinal, chunk in enumerate(raw.decode("utf-8", "replace").split("\x1e")):
-        chunk = chunk.strip("\n")
-        if not chunk:
-            continue
-        commit_id, author, date_str, message = chunk.split("\x1f", 3)
-        date = datetime.fromisoformat(date_str).astimezone(timezone.utc)
-        records.append(
-            CommitRecord(
-                project=ref.id,
-                commit_id=commit_id.strip(),
-                date=date,
-                author=author,
-                message=message.rstrip("\n"),
-                ordinal=ordinal,
+    records: list[CommitRecord] = []
+    changes: dict[str, list[RawChange]] = {}
+    # -z stream: a "\x1e"-led header per commit, then for each raw entry its
+    # ":modes shas status" field and one path field (two for renames/copies)
+    fields = iter(raw.decode("utf-8", "replace").split("\0"))
+    for field in fields:
+        field = field.lstrip("\n")
+        if field.startswith("\x1e"):
+            commit_id, author, date_str, message = field[1:].split("\x1f", 3)
+            records.append(
+                CommitRecord(
+                    project=ref.id,
+                    commit_id=commit_id,
+                    date=datetime.fromisoformat(date_str).astimezone(timezone.utc),
+                    author=author,
+                    message=message.rstrip("\n"),
+                    ordinal=len(records),
+                )
             )
-        )
+            entries = changes[commit_id] = []
+        elif field.startswith(":"):
+            _, _, old_sha, new_sha, status = field[1:].split(" ", 4)
+            old_path = new_path = next(fields)
+            if status.startswith(("R", "C")):
+                new_path = next(fields)
+            entries.append(RawChange(status, old_path, new_path, old_sha, new_sha))
     if not records:
         raise NoHistoryError(f"no commit history in {ref.origin}")
-    return records
+    return records, changes
 
 
-_HEX_RE = re.compile(r"[0-9a-f]{40,64}\Z")
+def changed_files(ref: ProjectRef, commit_id: str, entries: list[RawChange]) -> list[FileChange]:
+    """One commit's raw changes with both blob versions read and decoded.
 
-
-def changed_files(
-    ref: ProjectRef, commit_id: str, pattern: str | None = None
-) -> list[FileChange]:
-    """Diff a commit against its first parent, blobs resolved and decoded.
-
-    Rename detection is on; binary blobs are skipped entirely.  `pattern`
-    is a path glob matched against either side of the change.
+    All blobs come from one cat-file --batch call, none when `entries` is
+    empty.  An entry with a binary blob on either side is skipped entirely.
     """
-    try:
-        parents_raw = run_git(["rev-list", "--parents", "-n", "1", commit_id], cwd=ref.workdir)
-    except GitError as exc:
-        raise UnknownCommitError(f"unknown commit {commit_id} in {ref.id}: {exc}") from exc
-    parts = parents_raw.decode("ascii", "replace").split()
-    first_parent = parts[1] if len(parts) > 1 else None
-    if first_parent:
-        raw = run_git(["diff-tree", "-r", "-M", "-z", first_parent, commit_id], cwd=ref.workdir)
-    else:
-        raw = run_git(["diff-tree", "-r", "-M", "-z", "--root", commit_id], cwd=ref.workdir)
-
-    matcher = path_glob_to_regex(pattern).match if pattern else None
-    fields = raw.decode("utf-8", "replace").split("\0")
-    entries = []  # (kind, old_path, new_path, old_sha, new_sha)
-    i = 0
-    while i < len(fields):
-        head = fields[i]
-        if not head:
-            i += 1
-            continue
-        if _HEX_RE.match(head):  # --root prints the commit id first
-            i += 1
-            continue
-        if not head.startswith(":"):
-            i += 1
-            continue
-        _, _, old_sha, new_sha, status = head[1:].split(" ", 4)
-        if status.startswith(("R", "C")):
-            old_path, new_path = fields[i + 1], fields[i + 2]
-            i += 3
-        else:
-            old_path = new_path = fields[i + 1]
-            i += 2
-        entries.append((status, old_path, new_path, old_sha, new_sha))
-
+    blobs = _read_blobs(
+        ref.workdir,
+        {sha for entry in entries for sha in (entry.old_sha, entry.new_sha) if sha.strip("0")},
+    )
     changes = []
-    sha_wanted = set()
-    kept = []
     for status, old_path, new_path, old_sha, new_sha in entries:
-        if matcher and not (matcher(new_path) or matcher(old_path)):
-            continue
-        kept.append((status, old_path, new_path, old_sha, new_sha))
-        for sha in (old_sha, new_sha):
-            if sha.strip("0"):
-                sha_wanted.add(sha)
-    blobs = _read_blobs(ref.workdir, sha_wanted)
-
-    for status, old_path, new_path, old_sha, new_sha in kept:
         before = blobs.get(old_sha)
         after = blobs.get(new_sha)
         if before is _BINARY or after is _BINARY:
             continue
         code = status[0]
-        if code == "A":
+        if code in ("A", "C"):
             changes.append(
                 FileChange(commit_id, new_path, "added", None, None, after, None, new_sha)
             )
         elif code == "D":
             changes.append(
                 FileChange(commit_id, old_path, "deleted", None, before, None, old_sha, None)
-            )
-        elif code == "C":
-            changes.append(
-                FileChange(commit_id, new_path, "added", None, None, after, None, new_sha)
             )
         elif code == "R":
             changes.append(

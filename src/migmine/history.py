@@ -1,13 +1,15 @@
 """Cached per-project view of a repository's history.
 
-Wraps the git plumbing with per-commit change caches, per-blob fact
-caches and the replayed manifest timeline, so segment and fragment
-detection never analyze the same blob twice.
+Holds the raw changes of one history read, resolves each commit's
+`pom.xml` and `.java` changes at most once, and caches per-blob facts and
+the replayed manifest timeline, so segment and fragment detection never
+analyze the same blob twice.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 from . import gitrepo, javafacts
 from .manifest import ManifestParseError, diff_dependencies, parse_manifest
@@ -24,17 +26,36 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-POM_GLOB = "**/pom.xml"
-JAVA_GLOB = "**/*.java"
+
+def _touches_pom(*paths: str | None) -> bool:
+    return any(p and p.rsplit("/", 1)[-1] == "pom.xml" for p in paths)
+
+
+def _touches_java(*paths: str | None) -> bool:
+    return any(p and p.endswith(".java") for p in paths)
+
+
+class CommitChanges(NamedTuple):
+    """A commit's manifest and source file changes; renames count by either path."""
+
+    pom: list[FileChange]
+    java: list[FileChange]
 
 
 class ProjectHistory:
-    def __init__(self, ref: ProjectRef, commits: list[CommitRecord]):
+    def __init__(
+        self,
+        ref: ProjectRef,
+        commits: list[CommitRecord],
+        raw_changes: dict[str, list[gitrepo.RawChange]] | None = None,
+    ):
+        """Without `raw_changes` (a history loaded from the store), they are
+        read on first use from the history ending at the last commit."""
         self.ref = ref
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
-        self._pom_changes: dict[str, list[FileChange]] = {}
-        self._java_changes: dict[str, list[FileChange]] = {}
+        self._raw_changes = raw_changes
+        self._file_changes: dict[str, CommitChanges] = {}
         self._facts: dict[str, SourceFacts] = {}
         self._uses: dict[tuple, list] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
@@ -44,19 +65,35 @@ class ProjectHistory:
     def ordinal_of(self, commit_id: str) -> int:
         return self.by_commit[commit_id].ordinal
 
-    def pom_changes(self, commit_id: str) -> list[FileChange]:
-        if commit_id not in self._pom_changes:
-            self._pom_changes[commit_id] = gitrepo.changed_files(
-                self.ref, commit_id, POM_GLOB
+    def changes(self, commit_id: str) -> CommitChanges:
+        """The commit's pom.xml and .java changes against its first parent."""
+        if commit_id not in self._file_changes:
+            entries = [
+                e
+                for e in self._raw_entries(commit_id)
+                if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
+            ]
+            files = gitrepo.changed_files(self.ref, commit_id, entries)
+            self._file_changes[commit_id] = CommitChanges(
+                [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
+                [fc for fc in files if _touches_java(fc.path, fc.old_path)],
             )
-        return self._pom_changes[commit_id]
+        return self._file_changes[commit_id]
 
-    def java_changes(self, commit_id: str) -> list[FileChange]:
-        if commit_id not in self._java_changes:
-            self._java_changes[commit_id] = gitrepo.changed_files(
-                self.ref, commit_id, JAVA_GLOB
+    def _raw_entries(self, commit_id: str) -> list[gitrepo.RawChange]:
+        if self._raw_changes is None:
+            tip = self.commits[-1].commit_id
+            try:
+                _, self._raw_changes = gitrepo.read_history(self.ref, tip)
+            except gitrepo.GitError as exc:
+                raise gitrepo.UnknownCommitError(
+                    f"cannot read {self.ref.id} history up to {tip}: {exc}"
+                ) from exc
+        if commit_id not in self._raw_changes:
+            raise gitrepo.UnknownCommitError(
+                f"commit {commit_id} is not in the first-parent history of {self.ref.id}"
             )
-        return self._java_changes[commit_id]
+        return self._raw_changes[commit_id]
 
     def facts_for(self, sha: str | None, text: str, path: str) -> SourceFacts:
         if sha is None:
@@ -98,7 +135,7 @@ class ProjectHistory:
         changes: list[DependencyChange] = []
         prev_declared: dict[LibraryId, LibraryCoordinate] = {}
         for commit in self.commits:
-            for fc in self.pom_changes(commit.commit_id):
+            for fc in self.changes(commit.commit_id).pom:
                 if fc.kind == "deleted":
                     per_path.pop(fc.path, None)
                     continue
@@ -157,7 +194,7 @@ class ProjectHistory:
         dependent: set[str] = set()
         flags = []
         for commit in self.commits:
-            for fc in self.java_changes(commit.commit_id):
+            for fc in self.changes(commit.commit_id).java:
                 if fc.kind == "deleted":
                     dependent.discard(fc.path)
                     continue

@@ -171,12 +171,11 @@ class Pipeline:
         def one(job):
             origin, project_id = job
             try:
-                ref, commits = gitrepo.ingest_project(origin, clones_dir, project_id)
-                hist = ProjectHistory(ref, commits)
-                changes = hist.dependency_changes()
-                return (project_id, ref, commits, changes, None)
+                history = ProjectHistory(*gitrepo.ingest_project(origin, clones_dir, project_id))
+                history.dependency_changes()
+                return (project_id, history, None)
             except (gitrepo.GitError, OSError) as exc:
-                return (project_id, None, None, None, f"{origin}: {exc}")
+                return (project_id, None, f"{origin}: {exc}")
 
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -185,20 +184,20 @@ class Pipeline:
             results = [one(job) for job in jobs]
 
         errors = []
-        for project_id, ref, commits, changes, error in sorted(results, key=lambda r: r[0]):
+        for project_id, history, error in sorted(results, key=lambda r: r[0]):
             if error is not None:
                 log.error("event=ingest_failed project=%s error=%s", project_id, error)
                 errors.append(error)
                 continue
-            self.store.upsert(ref)
-            for record in commits:
+            self.store.upsert(history.ref)
+            for record in history.commits:
                 self.store.upsert(record)
-            for change in changes:
+            for change in history.dependency_changes():
                 if change.added or change.removed or change.upgraded:
                     self.store.upsert(change)
-            self._histories[project_id] = ProjectHistory(ref, commits)
+            self._histories[project_id] = history
             log.info(
-                "event=ingested project=%s commits=%d", project_id, len(commits)
+                "event=ingested project=%s commits=%d", project_id, len(history.commits)
             )
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
@@ -276,7 +275,7 @@ class Pipeline:
                 self._rule_coordinates(history, segment.target)
             )
             for commit_id in segment.commits:
-                for fc in history.java_changes(commit_id):
+                for fc in history.changes(commit_id).java:
                     hunks = unified_diff(
                         fc.before or "",
                         fc.after or "",

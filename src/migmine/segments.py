@@ -74,7 +74,7 @@ class SegmentScanner:
             return self._deltas[ordinal]
         commit_id = self.history.commits[ordinal].commit_id
         removed_source = added_target = False
-        for fc in self.history.java_changes(commit_id):
+        for fc in self.history.changes(commit_id).java:
             src_before = self._use_counts(fc.before_sha, fc.before, fc.path, self.source_index)
             src_after = self._use_counts(fc.after_sha, fc.after, fc.path, self.source_index)
             if any(src_before[k] > src_after.get(k, 0) for k in src_before):

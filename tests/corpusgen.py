@@ -13,6 +13,7 @@ import io
 import subprocess
 import zipfile
 from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 JSON_LIB = ("org.json", "json", "20080701")
@@ -26,6 +27,8 @@ JSON_ID = JSON_LIB[:2]
 GSON_ID = GSON_LIB[:2]
 LANG_ID = LANG_LIB[:2]
 LANG3_ID = LANG3_LIB[:2]
+
+_FIRST_COMMIT_DATE = datetime(2015, 3, 1, 10, tzinfo=timezone.utc)
 
 _ENV_BASE = {
     "GIT_AUTHOR_NAME": "Dev One",
@@ -67,7 +70,7 @@ def build_repo(path: Path, commits: list[tuple[str, dict[str, str | None]]]) -> 
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(content, encoding="utf-8")
         _git(["add", "-A"], cwd=path)
-        date = f"2015-03-{i + 1:02d}T10:00:00+00:00"
+        date = (_FIRST_COMMIT_DATE + timedelta(days=i)).isoformat()
         _git(
             ["commit", "-q", "--allow-empty", "-m", message],
             cwd=path,

@@ -346,14 +346,15 @@ FOOTNOTE_COMMIT = "641ab94e7d014cdf4fd6a83554dcff57130143d3"
     reason="live clone needs network; set MIGMINE_NETWORK_TESTS=1 to run",
 )
 def test_criterion_7_live_commit_detection(tmp_path, capsys):
-    from migmine.gitrepo import changed_files, ingest_project
+    from migmine.gitrepo import ingest_project
+    from migmine.history import ProjectHistory
     from migmine.manifest import diff_dependencies, parse_manifest
 
-    ref, commits = ingest_project(
-        "https://github.com/vmi/selenese-runner-java.git", tmp_path
+    history = ProjectHistory(
+        *ingest_project("https://github.com/vmi/selenese-runner-java.git", tmp_path)
     )
-    assert any(c.commit_id == FOOTNOTE_COMMIT for c in commits)
-    changes = changed_files(ref, FOOTNOTE_COMMIT, "**/pom.xml")
+    assert FOOTNOTE_COMMIT in history.by_commit
+    changes = history.changes(FOOTNOTE_COMMIT).pom
     assert changes
     change = diff_dependencies(
         parse_manifest(changes[0].before or ""), parse_manifest(changes[0].after or "")

@@ -13,8 +13,7 @@ JUNIT_ID = ("junit", "junit")
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     build_repo(path, commits)
-    ref, records = ingest_project(str(path), tmp_path / "work", name)
-    return ProjectHistory(ref, records)
+    return ProjectHistory(*ingest_project(str(path), tmp_path / "work", name))
 
 
 def test_multi_module_dependencies_union_per_commit(tmp_path):

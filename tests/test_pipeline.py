@@ -8,27 +8,32 @@ from corpusgen import (
     JSON_LIB,
     SERIALIZER_GSON,
     SERIALIZER_JSON,
+    _git,
     build_fake_maven_repo,
     build_repo,
     pom,
 )
 
-from migmine.pipeline import RunConfig, run_all
-from migmine.store import Store
+from migmine.pipeline import Pipeline, RunConfig, run_all
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
 
-def run_single_repo(tmp_path, name, commits):
+def single_repo_config(tmp_path, name, commits) -> RunConfig:
     repo = tmp_path / "repos" / name
     build_repo(repo, commits)
     projects = tmp_path / "projects.txt"
     projects.write_text(f"{repo}\n")
     base = build_fake_maven_repo(tmp_path / "mavenrepo")
-    config = RunConfig(
+    return RunConfig(
         projects_file=str(projects),
         workdir=str(tmp_path / "work"),
         db_path=str(tmp_path / "m.db"),
         repo_base=base,
     )
+
+
+def run_single_repo(tmp_path, name, commits):
+    config = single_repo_config(tmp_path, name, commits)
     store = Store(config.db_path)
     code, summary = run_all(store, config)
     return store, code, summary
@@ -162,5 +167,43 @@ def test_import_only_residue_blocks_confirmation_until_removed(tmp_path):
         history = segments[0]
         assert history["start_commit"] != history["end_commit"]
         assert len(history["commits"]) >= 1
+    finally:
+        store.close()
+
+
+def test_commit_after_ingest_changes_no_export(tmp_path):
+    """Later stages read the history up to the last ingested commit, so a
+    commit that reverts the migration after ingest changes nothing."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "grows",
+        [
+            ("init", {"pom.xml": pom("grows", JSON_LIB), path: PADDED_JSON}),
+            ("migrate", {"pom.xml": pom("grows", GSON_LIB), path: PADDED_GSON}),
+        ],
+    )
+    store = Store(config.db_path)
+
+    def exports():
+        return {
+            (fmt, selector): store.export(fmt, selector)
+            for fmt in EXPORT_FORMATS
+            for selector in EXPORT_SELECTORS
+        }
+
+    try:
+        assert run_all(store, config)[0] == 0
+        before = exports()
+        assert json.loads(before["json", "segments"])
+        repo = tmp_path / "repos" / "grows"
+        (repo / "pom.xml").write_text(pom("grows", JSON_LIB))
+        (repo / path).write_text(PADDED_JSON)
+        _git(["commit", "-q", "-am", "revert"], cwd=repo)
+        pipeline = Pipeline(store, config)
+        pipeline.detect_segments()
+        pipeline.detect_fragments()
+        pipeline.collect_docs()
+        assert exports() == before
     finally:
         store.close()

@@ -23,16 +23,14 @@ def histories(corpus, tmp_path_factory):
     work = tmp_path_factory.mktemp("seg-work")
     out = {}
     for name in corpus.repos:
-        ref, commits = ingest_project(str(corpus.root / "repos" / name), work, name)
-        out[name] = ProjectHistory(ref, commits)
+        out[name] = ProjectHistory(*ingest_project(str(corpus.root / "repos" / name), work, name))
     return out
 
 
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     hashes = build_repo(path, commits)
-    ref, records = ingest_project(str(path), tmp_path / "work", name)
-    return ProjectHistory(ref, records), hashes
+    return ProjectHistory(*ingest_project(str(path), tmp_path / "work", name)), hashes
 
 
 class TestCorpusSegments:
