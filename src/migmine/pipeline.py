@@ -1,13 +1,16 @@
 """Stage orchestration: ingest, rules, segments, fragments, docs, reports.
 
 Each stage reads its input from the store and can be rerun in isolation;
-a full run is exactly the stage sequence.  One failing project never
+a full run is exactly the stage sequence.  A stage's writes commit together
+when it returns, or not at all when it raises.  One failing project never
 aborts a corpus run: errors are logged and reflected in the exit status.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -37,6 +40,29 @@ UNRESOLVED = "unresolved"
 
 class StageDataError(RuntimeError):
     """A stage's prerequisite data is missing from the store."""
+
+
+def stage(method):
+    """Run a pipeline stage as one store transaction and log its wall time.
+
+    sqlite3 begins the transaction at the stage's first write, and each stage
+    computes what it stores before it clears and writes: git reads, archive
+    downloads, parsing and diffing run outside the transaction and hold no
+    database lock.
+    """
+
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        start = time.perf_counter()
+        with self.store.transaction():
+            result = method(self, *args, **kwargs)
+        log.info(
+            "event=stage_done stage=%s seconds=%.3f",
+            method.__name__, time.perf_counter() - start,
+        )
+        return result
+
+    return run
 
 
 @dataclass
@@ -144,6 +170,7 @@ class Pipeline:
 
     # -- stages -----------------------------------------------------------------
 
+    @stage
     def ingest(self) -> list[str]:
         """Clone projects and record commits plus dependency changes.
 
@@ -204,6 +231,7 @@ class Pipeline:
         log.info("event=vcs_tool version=%r", version)
         return errors
 
+    @stage
     def detect_rules(self):
         """Cartesian-product graph over all stored changes, filtered by t_rel."""
         if not self.store.has_commits():
@@ -220,16 +248,11 @@ class Pipeline:
         log.info("event=rules_detected candidates=%d edges=%d", len(rules), len(graph))
         return rules
 
+    @stage
     def detect_segments(self) -> list[Segment]:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        # segments invalidate everything downstream, including confirmations
-        self.store.clear_segments_and_downstream()
-        for rule in rules:
-            if rule.status != "candidate":
-                rule.status = "candidate"
-                self.store.upsert(rule)
         segments = []
         for rule in rules:
             for ref in self.store.projects():
@@ -249,22 +272,29 @@ class Pipeline:
                     self.config.imports_count_as_use,
                 )
                 for segment in found:
-                    self.store.upsert(segment)
                     log.info(
                         "event=segment project=%s rule=%s start=%s end=%s commits=%d",
                         ref.id, rule, segment.start_commit[:12],
                         segment.end_commit[:12], len(segment.commits),
                     )
                 segments.extend(found)
+        # segments invalidate everything downstream, including confirmations
+        self.store.clear_segments_and_downstream()
+        for rule in rules:
+            if rule.status != "candidate":
+                rule.status = "candidate"
+                self.store.upsert(rule)
+        for segment in segments:
+            self.store.upsert(segment)
         return segments
 
+    @stage
     def detect_fragments(self) -> tuple[list[Fragment], list[MethodMapping]]:
         """Diff segment commits into fragments, then confirm or discard rules."""
         segments = self.store.segments(include_discarded=True)
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        self.store.clear_fragments_and_mappings()
         all_fragments: list[Fragment] = []
         for segment in segments:
             history = self.history(segment.project)
@@ -294,11 +324,13 @@ class Pipeline:
                         if fc.after is not None
                         else []
                     )
-                    found = filter_fragments(hunks, segment, commit_id, uses_before, uses_after)
-                    for fragment in found:
-                        self.store.upsert(fragment)
-                    all_fragments.extend(found)
+                    all_fragments.extend(
+                        filter_fragments(hunks, segment, commit_id, uses_before, uses_after)
+                    )
         mappings = extract_mappings(all_fragments)
+        self.store.clear_fragments_and_mappings()
+        for fragment in all_fragments:
+            self.store.upsert(fragment)
         for mapping in mappings:
             self.store.upsert(mapping)
         confirmed = confirm_rules(rules, self.store.fragment_counts())
@@ -311,13 +343,13 @@ class Pipeline:
         )
         return all_fragments, mappings
 
+    @stage
     def collect_docs(self) -> tuple[int, int]:
         """Fetch and parse javadoc for every confirmed rule's mapped methods."""
         confirmed = self.store.rules(("confirmed",))
         mappings = self.store.mappings()
         if not confirmed and not self.store.rules():
             raise StageDataError("no rules in store; run the pipeline through detect-fragments first")
-        self.store.clear_docs()
         # versions recorded on the confirmed rules' segments
         wanted: dict[LibraryId, set[str]] = {}
         for segment in self.store.segments():
@@ -330,21 +362,27 @@ class Pipeline:
             if version != UNRESOLVED
         ]
         archives = self.fetcher.fetch_many(coords)
+        parsed = []
         docs_by_identity: dict[LibraryId, list] = {}
         for (coordinate, _), data in archives.items():
             if data is None:
                 continue
             docs = parse_doc_archive(data, coordinate)
             docs_by_identity.setdefault(coordinate.identity, []).extend(docs)
-            for doc in docs:
-                self.store.upsert(doc)
-        attached = missing = 0
-        doc_ids: dict[tuple, int] = {}
+            parsed.extend(docs)
+        per_mapping = []
         for mapping_id, mapping in mappings:
             pool = docs_by_identity.get(mapping.source, []) + docs_by_identity.get(
                 mapping.target, []
             )
             (_, source_docs, target_docs), = attach_docs([mapping], pool)
+            per_mapping.append((mapping_id, source_docs, target_docs))
+        self.store.clear_docs()
+        for doc in parsed:
+            self.store.upsert(doc)
+        attached = missing = 0
+        doc_ids: dict[tuple, int] = {}
+        for mapping_id, source_docs, target_docs in per_mapping:
             for side, attachments in (("source", source_docs), ("target", target_docs)):
                 for attachment in attachments:
                     doc_id = None

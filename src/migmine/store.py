@@ -3,6 +3,11 @@
 The schema and the export formats are the contract; the engine is an
 implementation detail.  Exports are deterministic: identical inputs give
 byte-identical reports (no timestamps, stable ordering everywhere).
+
+Transaction policy: each pipeline stage runs its writes in one
+`Store.transaction()`, so a stage commits once, and a stage that raises
+rolls back and leaves the store as it was before the stage.  A write made
+outside any transaction (a test, `report`) commits on its own.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import csv
 import io
 import json
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
 
 from .fragments import render_hunk
@@ -181,6 +187,7 @@ class Store:
         self.path = str(path)
         Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self.db = sqlite3.connect(self.path)
+        self._in_transaction = False
         self.db.execute("PRAGMA foreign_keys = ON")
         self.db.executescript(_SCHEMA)
         row = self.db.execute(
@@ -207,8 +214,29 @@ class Store:
     def __exit__(self, *exc):
         self.close()
 
+    @contextmanager
+    def transaction(self):
+        """Commit every write inside the block once, or none if it raises.
+
+        A transaction opened inside another one joins it.  sqlite3 sends
+        BEGIN only before the first write, so a block that writes nothing
+        commits nothing.
+        """
+        if self._in_transaction:
+            yield
+            return
+        self._in_transaction = True
+        try:
+            yield
+            self.db.commit()
+        except BaseException:
+            self.db.rollback()
+            raise
+        finally:
+            self._in_transaction = False
+
     def set_meta(self, key: str, value: str) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute(
                 "INSERT INTO run_metadata (key, value) VALUES (?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
@@ -242,7 +270,7 @@ class Store:
             raise StoreError(f"integrity violation storing {entity!r}: {exc}") from exc
 
     def upsert_project(self, ref: ProjectRef) -> str:
-        with self.db:
+        with self.transaction():
             self.db.execute(
                 "INSERT INTO projects (id, origin, workdir) VALUES (?, ?, ?) "
                 "ON CONFLICT(id) DO UPDATE SET origin = excluded.origin, "
@@ -252,7 +280,7 @@ class Store:
         return ref.id
 
     def upsert_commit(self, record: CommitRecord) -> str:
-        with self.db:
+        with self.transaction():
             self.db.execute(
                 "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
                 "VALUES (?, ?, ?, ?, ?, ?) "
@@ -280,7 +308,7 @@ class Store:
         for old, new in sorted(change.upgraded):
             rows.append((change.project, change.commit, "upgraded", new.group,
                          new.artifact, new.version, old.version))
-        with self.db:
+        with self.transaction():
             self.db.executemany(
                 "INSERT INTO dependency_changes "
                 "(project, commit_id, direction, grp, artifact, version, prior_version) "
@@ -293,7 +321,7 @@ class Store:
         return (change.project, change.commit)
 
     def upsert_rule(self, rule: MigrationRule) -> tuple[str, str, str, str]:
-        with self.db:
+        with self.transaction():
             self.db.execute(
                 "INSERT INTO rules (source_group, source_artifact, target_group, "
                 "target_artifact, weight, normalized_weight, status) "
@@ -306,9 +334,8 @@ class Store:
         return rule.key
 
     def upsert_segment(self, segment: Segment) -> int:
-        key = (segment.project, *segment.source, *segment.target, segment.start_commit)
-        with self.db:
-            self.db.execute(
+        with self.transaction():
+            return self.db.execute(
                 "INSERT INTO segments (project, source_group, source_artifact, "
                 "target_group, target_artifact, start_commit, end_commit, "
                 "source_version, target_version, commits, weak_start) "
@@ -318,9 +345,12 @@ class Store:
                 "end_commit = excluded.end_commit, "
                 "source_version = excluded.source_version, "
                 "target_version = excluded.target_version, "
-                "commits = excluded.commits, weak_start = excluded.weak_start",
+                "commits = excluded.commits, weak_start = excluded.weak_start "
+                "RETURNING id",
                 (
-                    *key[:-1],
+                    segment.project,
+                    *segment.source,
+                    *segment.target,
                     segment.start_commit,
                     segment.end_commit,
                     segment.source_version,
@@ -328,14 +358,7 @@ class Store:
                     json.dumps(segment.commits, separators=(",", ":")),
                     int(segment.weak_start),
                 ),
-            )
-        row = self.db.execute(
-            "SELECT id FROM segments WHERE project = ? AND source_group = ? AND "
-            "source_artifact = ? AND target_group = ? AND target_artifact = ? AND "
-            "start_commit = ?",
-            key,
-        ).fetchone()
-        return row[0]
+            ).fetchone()[0]
 
     def _segment_id(self, fragment: Fragment) -> int:
         row = self.db.execute(
@@ -355,8 +378,8 @@ class Store:
     def upsert_fragment(self, fragment: Fragment) -> int:
         segment_id = self._segment_id(fragment)
         hunk = fragment.hunk
-        with self.db:
-            self.db.execute(
+        with self.transaction():
+            return self.db.execute(
                 "INSERT INTO fragments (segment_id, commit_id, file, before_start, "
                 "before_len, after_start, after_len, diff, removed_methods, added_methods) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
@@ -364,7 +387,8 @@ class Store:
                 "DO UPDATE SET before_len = excluded.before_len, "
                 "after_len = excluded.after_len, diff = excluded.diff, "
                 "removed_methods = excluded.removed_methods, "
-                "added_methods = excluded.added_methods",
+                "added_methods = excluded.added_methods "
+                "RETURNING id",
                 (
                     segment_id,
                     fragment.commit,
@@ -377,39 +401,25 @@ class Store:
                     _methods_json(fragment.removed_methods),
                     _methods_json(fragment.added_methods),
                 ),
-            )
-        row = self.db.execute(
-            "SELECT id FROM fragments WHERE segment_id = ? AND commit_id = ? AND "
-            "file = ? AND before_start = ? AND after_start = ?",
-            (segment_id, fragment.commit, hunk.file, hunk.before_start, hunk.after_start),
-        ).fetchone()
-        return row[0]
+            ).fetchone()[0]
 
     def upsert_mapping(self, mapping: MethodMapping) -> int:
         src_json = _keys_json(mapping.source_methods)
         dst_json = _keys_json(mapping.target_methods)
-        with self.db:
-            self.db.execute(
+        with self.transaction():
+            return self.db.execute(
                 "INSERT INTO method_mappings (source_group, source_artifact, "
                 "target_group, target_artifact, source_methods, target_methods, support) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(source_group, source_artifact, target_group, "
                 "target_artifact, source_methods, target_methods) "
-                "DO UPDATE SET support = excluded.support",
+                "DO UPDATE SET support = excluded.support RETURNING id",
                 (*mapping.source, *mapping.target, src_json, dst_json, mapping.support),
-            )
-        row = self.db.execute(
-            "SELECT id FROM method_mappings WHERE source_group = ? AND "
-            "source_artifact = ? AND target_group = ? AND target_artifact = ? AND "
-            "source_methods = ? AND target_methods = ?",
-            (*mapping.source, *mapping.target, src_json, dst_json),
-        ).fetchone()
-        return row[0]
+            ).fetchone()[0]
 
     def upsert_method_doc(self, doc: MethodDoc) -> int:
-        sig_json = json.dumps(list(doc.signature), separators=(",", ":"))
-        with self.db:
-            self.db.execute(
+        with self.transaction():
+            return self.db.execute(
                 "INSERT INTO method_docs (grp, artifact, version, package, class_name, "
                 "class_description, method, signature, description, param_docs, "
                 "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
@@ -417,7 +427,8 @@ class Store:
                 "DO UPDATE SET package = excluded.package, "
                 "class_description = excluded.class_description, "
                 "description = excluded.description, param_docs = excluded.param_docs, "
-                "return_doc = excluded.return_doc, since = excluded.since",
+                "return_doc = excluded.return_doc, since = excluded.since "
+                "RETURNING id",
                 (
                     doc.library.group,
                     doc.library.artifact,
@@ -426,26 +437,19 @@ class Store:
                     doc.class_name,
                     doc.class_description,
                     doc.method,
-                    sig_json,
+                    json.dumps(list(doc.signature), separators=(",", ":")),
                     doc.description,
                     json.dumps([list(p) for p in doc.param_docs], separators=(",", ":")),
                     doc.return_doc,
                     doc.since,
                 ),
-            )
-        row = self.db.execute(
-            "SELECT id FROM method_docs WHERE grp = ? AND artifact = ? AND "
-            "version = ? AND class_name = ? AND method = ? AND signature = ?",
-            (doc.library.group, doc.library.artifact, doc.library.version,
-             doc.class_name, doc.method, sig_json),
-        ).fetchone()
-        return row[0]
+            ).fetchone()[0]
 
     def upsert_doc_attachment(
         self, mapping_id: int, side: str, attachment: DocAttachment, doc_id: int | None
     ) -> None:
         cls, method, arity = attachment.method
-        with self.db:
+        with self.transaction():
             self.db.execute(
                 "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
                 "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
@@ -459,27 +463,27 @@ class Store:
     # -- stage lifecycle ---------------------------------------------------------
 
     def clear_rules_and_downstream(self) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute("DELETE FROM rules")
             self.db.execute("DELETE FROM graph_edges")
 
     def clear_segments_and_downstream(self) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute("DELETE FROM segments")
             self.db.execute("DELETE FROM method_mappings")
 
     def clear_fragments_and_mappings(self) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute("DELETE FROM fragments")
             self.db.execute("DELETE FROM method_mappings")
 
     def clear_docs(self) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute("DELETE FROM doc_attachments")
             self.db.execute("DELETE FROM method_docs")
 
     def replace_edges(self, edges: dict) -> None:
-        with self.db:
+        with self.transaction():
             self.db.execute("DELETE FROM graph_edges")
             self.db.executemany(
                 "INSERT INTO graph_edges (source_group, source_artifact, target_group, "

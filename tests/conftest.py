@@ -50,14 +50,18 @@ def corpus(tmp_path_factory):
     return build_corpus(tmp_path_factory.mktemp("corpus"))
 
 
-def run_corpus(corpus, workdir: Path, **overrides) -> SimpleNamespace:
-    config = RunConfig(
+def corpus_config(corpus, workdir: Path, **overrides) -> RunConfig:
+    return RunConfig(
         projects_file=str(corpus.projects_file),
         workdir=str(workdir),
         db_path=str(workdir / "migmine.db"),
         repo_base=corpus.repo_base,
         **overrides,
     )
+
+
+def run_corpus(corpus, workdir: Path, **overrides) -> SimpleNamespace:
+    config = corpus_config(corpus, workdir, **overrides)
     store = Store(config.db_path)
     code, summary = run_all(store, config)
     return SimpleNamespace(

@@ -1,8 +1,11 @@
 """Pipeline-level behaviors that only show up on purpose-built repos."""
 
 import json
+import logging
+import sqlite3
 
 import pytest
+from conftest import corpus_config
 from corpusgen import (
     GSON_LIB,
     JSON_LIB,
@@ -30,6 +33,14 @@ def single_repo_config(tmp_path, name, commits) -> RunConfig:
         db_path=str(tmp_path / "m.db"),
         repo_base=base,
     )
+
+
+def exports(store) -> dict:
+    return {
+        (fmt, selector): store.export(fmt, selector)
+        for fmt in EXPORT_FORMATS
+        for selector in EXPORT_SELECTORS
+    }
 
 
 def run_single_repo(tmp_path, name, commits):
@@ -184,17 +195,9 @@ def test_commit_after_ingest_changes_no_export(tmp_path):
         ],
     )
     store = Store(config.db_path)
-
-    def exports():
-        return {
-            (fmt, selector): store.export(fmt, selector)
-            for fmt in EXPORT_FORMATS
-            for selector in EXPORT_SELECTORS
-        }
-
     try:
         assert run_all(store, config)[0] == 0
-        before = exports()
+        before = exports(store)
         assert json.loads(before["json", "segments"])
         repo = tmp_path / "repos" / "grows"
         (repo / "pom.xml").write_text(pom("grows", JSON_LIB))
@@ -204,6 +207,104 @@ def test_commit_after_ingest_changes_no_export(tmp_path):
         pipeline.detect_segments()
         pipeline.detect_fragments()
         pipeline.collect_docs()
-        assert exports() == before
+        assert exports(store) == before
     finally:
         store.close()
+
+
+def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):
+    """detect-fragments clears fragments and mappings, then rewrites them;
+    a write failing halfway rolls the whole stage back."""
+    config = corpus_config(corpus, tmp_path)
+    store = Store(config.db_path)
+    try:
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        pipeline.detect_rules()
+        pipeline.detect_segments()
+        pipeline.detect_fragments()
+        before = exports(store)
+        assert json.loads(before["json", "fragments"])
+
+        calls = []
+        upsert_fragment = Store.upsert_fragment
+
+        def fail_on_second_call(self, fragment):
+            calls.append(fragment)
+            if len(calls) == 2:
+                raise sqlite3.OperationalError("disk I/O error")
+            return upsert_fragment(self, fragment)
+
+        monkeypatch.setattr(Store, "upsert_fragment", fail_on_second_call)
+        with pytest.raises(sqlite3.OperationalError):
+            pipeline.detect_fragments()
+        assert len(calls) == 2
+        assert exports(store) == before
+        with Store(config.db_path) as other:
+            assert exports(other) == before
+
+        monkeypatch.undo()
+        pipeline.detect_fragments()
+        assert exports(store) == before
+    finally:
+        store.close()
+
+
+STAGES = ["ingest", "detect_rules", "detect_segments", "detect_fragments", "collect_docs"]
+
+
+def test_each_stage_commits_once(corpus, tmp_path, monkeypatch, caplog):
+    """COMMITs stay bounded by the stage count however many rows are stored."""
+    statements = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(lambda sql: statements.append(sql.lstrip().split(None, 1)[0].upper()))
+        return db
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    config = corpus_config(corpus, tmp_path)
+    caplog.set_level(logging.INFO, logger="migmine.pipeline")
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+    # schema set-up, run_all's three set_meta writes, one per stage
+    assert statements.count("COMMIT") <= 1 + 3 + len(STAGES)
+    assert statements.count("INSERT") > 5 * statements.count("COMMIT")
+    done = [r.getMessage() for r in caplog.records if "event=stage_done" in r.getMessage()]
+    assert [m.split()[1] for m in done] == [f"stage={name}" for name in STAGES]
+    assert all(float(m.split("seconds=")[1]) >= 0 for m in done)
+
+
+def test_stage_work_runs_before_the_transaction(corpus, tmp_path, monkeypatch):
+    """Downloads, segment scans, diffs and doc parsing hold no database lock:
+    each stage computes first and only then clears and rewrites its tables."""
+    import migmine.pipeline as pipeline_module
+    from migmine.docs import ArchiveFetcher
+
+    config = corpus_config(corpus, tmp_path)
+    store = Store(config.db_path)
+    seen = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, store.db.in_transaction))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("find_segments", "unified_diff", "parse_doc_archive", "attach_docs"):
+        spy(pipeline_module, name)
+    spy(Pipeline, "package_index")
+    spy(ArchiveFetcher, "fetch_many")
+    try:
+        assert run_all(store, config)[0] == 0
+    finally:
+        store.close()
+    assert {name for name, _ in seen} == {
+        "find_segments", "unified_diff", "parse_doc_archive", "attach_docs",
+        "package_index", "fetch_many",
+    }
+    assert [name for name, locked in seen if locked] == []

@@ -1,5 +1,6 @@
 """Store idempotence, foreign keys, export shapes and determinism."""
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 
@@ -81,6 +82,21 @@ def make_fragment(project="demo", start="c1"):
     )
 
 
+def make_doc():
+    return MethodDoc(
+        library=LibraryCoordinate(*GSON_ID, "2.2.2"),
+        package="com.google.gson",
+        class_name="Gson",
+        class_description="Main.",
+        method="toJson",
+        signature=("JsonElement",),
+        description="Converts.",
+        param_docs=(("jsonElement", "root"),),
+        return_doc="JSON",
+        since="1.4",
+    )
+
+
 class TestUpserts:
     def test_commit_upsert_idempotent(self, store):
         seed_project(store)
@@ -102,16 +118,49 @@ class TestUpserts:
             store.upsert(make_segment())
 
     def test_full_chain_roundtrip(self, store):
+        """Insert returns the new row's id; the update path returns the same id."""
         seed_project(store)
         seed_rule(store)
-        segment_id = store.upsert(make_segment())
+        segment = make_segment()
+        segment_id = store.upsert(segment)
         assert isinstance(segment_id, int)
+        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"])
+        later_id = store.upsert(later)
+        assert later_id != segment_id
+        assert store.upsert(dataclasses.replace(segment, end_commit="c1")) == segment_id
+        assert store.upsert(segment) == segment_id
+        assert store.upsert(later) == later_id
         fragment_id = store.upsert(make_fragment())
         assert isinstance(fragment_id, int)
         assert store.upsert(make_fragment()) == fragment_id  # idempotent
+        assert store.db.execute(
+            "SELECT segment_id FROM fragments WHERE id = ?", (fragment_id,)
+        ).fetchone() == (segment_id,)
         segs = store.segments()
-        assert len(segs) == 1
+        assert len(segs) == 2
         assert segs[0].commits == ["c1", "c2"]
+
+        mapping = MethodMapping(
+            JSON_ID,
+            GSON_ID,
+            frozenset({("org.json.JSONObject", "toJSONString", 0)}),
+            frozenset({("com.google.gson.Gson", "toJson", 1)}),
+            support=1,
+        )
+        mapping_id = store.upsert(mapping)
+        other_id = store.upsert(dataclasses.replace(mapping, target_methods=frozenset()))
+        assert other_id != mapping_id
+        assert store.upsert(dataclasses.replace(mapping, support=5)) == mapping_id
+        assert dict(store.mappings())[mapping_id].support == 5
+
+        doc = make_doc()
+        doc_id = store.upsert(doc)
+        overload_id = store.upsert(dataclasses.replace(doc, signature=("Object",)))
+        assert overload_id != doc_id
+        assert store.upsert(dataclasses.replace(doc, description="Serializes.")) == doc_id
+        assert store.db.execute(
+            "SELECT description FROM method_docs WHERE id = ?", (doc_id,)
+        ).fetchone() == ("Serializes.",)
 
     def test_dependency_change_roundtrip(self, store):
         seed_project(store)
@@ -129,20 +178,41 @@ class TestUpserts:
         assert loaded[0].removed == change.removed
 
     def test_method_doc_upsert(self, store):
-        doc = MethodDoc(
-            library=LibraryCoordinate(*GSON_ID, "2.2.2"),
-            package="com.google.gson",
-            class_name="Gson",
-            class_description="Main.",
-            method="toJson",
-            signature=("JsonElement",),
-            description="Converts.",
-            param_docs=(("jsonElement", "root"),),
-            return_doc="JSON",
-            since="1.4",
-        )
+        doc = make_doc()
         first = store.upsert(doc)
         assert store.upsert(doc) == first
+
+
+class TestTransactions:
+    def test_write_outside_a_transaction_commits_on_its_own(self, store):
+        seed_project(store)
+        with Store(store.path) as other:
+            assert [ref.id for ref in other.projects()] == ["demo"]
+            assert len(other.commits_for("demo")) == 3
+
+    def test_nested_transaction_joins_the_outer_one(self, store):
+        with Store(store.path) as other:
+            with store.transaction():
+                seed_project(store)
+                with store.transaction():
+                    seed_rule(store)
+                assert other.rules() == []
+                assert other.projects() == []
+            assert len(other.rules()) == 1
+            assert len(other.projects()) == 1
+
+    def test_raising_block_rolls_back_every_write(self, store):
+        seed_rule(store)
+        with pytest.raises(StoreError):
+            with store.transaction():
+                store.clear_rules_and_downstream()
+                seed_project(store)
+                store.upsert(make_segment(project="absent"))
+        assert len(store.rules()) == 1
+        assert store.projects() == []
+        seed_project(store)  # the store still commits after a rollback
+        with Store(store.path) as other:
+            assert len(other.projects()) == 1
 
 
 class TestExports:
