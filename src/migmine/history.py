@@ -115,18 +115,6 @@ class ProjectHistory:
             self._uses[key] = uses
         return self._uses[key]
 
-    def depends(
-        self,
-        sha: str | None,
-        text: str,
-        path: str,
-        index: PackageIndex,
-        imports_count_as_use: bool,
-    ) -> bool:
-        return javafacts.facts_depend_on(
-            self.facts_for(sha, text, path), index, imports_count_as_use
-        )
-
     # -- manifest timeline ---------------------------------------------------
 
     def _replay_manifests(self) -> None:
@@ -200,8 +188,10 @@ class ProjectHistory:
                     continue
                 if fc.kind == "renamed" and fc.old_path:
                     dependent.discard(fc.old_path)
-                if fc.after is not None and self.depends(
-                    fc.after_sha, fc.after, fc.path, index, imports_count_as_use
+                if fc.after is not None and javafacts.facts_depend_on(
+                    self.facts_for(fc.after_sha, fc.after, fc.path),
+                    index,
+                    imports_count_as_use,
                 ):
                     dependent.add(fc.path)
                 else:

@@ -1,8 +1,10 @@
 """Lightweight static facts about Java sources.
 
-Extracts imports, typed declarations and method invocations from raw
-source text, and resolves invocations against a per-library class index.
-Resolution is intra-file and declared-type based: a conservative
+Extracts imports and method invocations from raw source text, and
+resolves invocations against a per-library class index.  Resolution is
+intra-file and declared-type based: the walker tracks the declared types
+of locals, fields and parameters in scope only to find an invocation's
+receiver type, and exports nothing else about them.  It is a conservative
 under-approximation that prefers missing a use over inventing one.
 """
 
@@ -12,7 +14,6 @@ import io
 import zipfile
 
 from ..model import (
-    Declaration,
     ImportDecl,
     Invocation,
     LibraryCoordinate,
@@ -20,10 +21,9 @@ from ..model import (
     PackageIndex,
     SourceFacts,
 )
-from .scanner import BACKEND, IDENT, PUNCT, tokenize
+from .scanner import IDENT, PUNCT, tokenize
 
 __all__ = [
-    "BACKEND",
     "IndexBuildError",
     "build_package_index",
     "fallback_package_index",
@@ -234,25 +234,22 @@ class _Walker:
         self.local_types: set[str] = set()
         self.static_import_names: set[str] = set()
         self.invocations: list[Invocation] = []
-        # each record: [name, type, decl_line, start_line, end_line|None]
-        self.decl_records: list[list] = []
         self.scopes: list[dict[str, str]] = [{}]
-        self.scope_records: list[list[list]] = [[]]
         self.paren_depth = 0
-        self.pending: list[tuple[str, str, int]] = []
-        self.carry: list[tuple[str, str, int]] = []
+        self.pending: list[tuple[str, str]] = []
+        self.carry: list[tuple[str, str]] = []
 
     def run(self) -> SourceFacts:
         toks, n = self.toks, self.n
         i = 0
         while i < n:
-            kind, val, line = toks[i]
+            kind, val, _ = toks[i]
             if kind == PUNCT:
                 if val == "{":
-                    self._push_scope(line)
+                    self._push_scope()
                     i += 1
                 elif val == "}":
-                    self._pop_scope(line)
+                    self._pop_scope()
                     i += 1
                 elif val == "(":
                     self.paren_depth += 1
@@ -266,7 +263,7 @@ class _Walker:
                     i += 1
                 elif val == ";":
                     if self.carry:
-                        self._merge_carry(line)
+                        self._merge_carry()
                     i += 1
                 elif val == "@":
                     i = self._skip_annotation(i)
@@ -323,68 +320,42 @@ class _Walker:
                 i = consumed
                 continue
             i += 1
-        # close remaining scopes at the last line
-        last_line = toks[-1][2] if toks else 1
-        while len(self.scopes) > 1:
-            self._pop_scope(last_line)
-        for rec in self.scope_records[0]:
-            rec[4] = last_line
-        declarations = tuple(
-            Declaration(r[0], r[1], r[2], r[3], r[4] if r[4] is not None else last_line)
-            for r in self.decl_records
-        )
         return SourceFacts(
             path=self.path,
             package=self.package,
             imports=tuple(self.imports),
-            declarations=declarations,
             invocations=tuple(self.invocations),
             local_types=frozenset(self.local_types),
         )
 
     # -- scope machinery ---------------------------------------------------
 
-    def _push_scope(self, line):
-        scope: dict[str, str] = {}
-        records: list[list] = []
-        if self.carry:
-            for name, type_name, decl_line in self.carry:
-                scope[name] = type_name
-                rec = [name, type_name, decl_line, decl_line, None]
-                self.decl_records.append(rec)
-                records.append(rec)
-            self.carry = []
-        self.scopes.append(scope)
-        self.scope_records.append(records)
-
-    def _pop_scope(self, line):
-        if len(self.scopes) == 1:
-            return
-        self.scopes.pop()
-        for rec in self.scope_records.pop():
-            rec[4] = line
-
-    def _merge_carry(self, line):
-        # paren declarations not followed by a block (bodyless for/try)
-        for name, type_name, decl_line in self.carry:
-            self._record_decl(name, type_name, decl_line)
+    def _push_scope(self):
+        self.scopes.append(dict(self.carry))
         self.carry = []
 
-    def _record_decl(self, name, type_name, line):
+    def _pop_scope(self):
+        if len(self.scopes) > 1:
+            self.scopes.pop()
+
+    def _merge_carry(self):
+        # paren declarations not followed by a block (bodyless for/try)
+        for name, type_name in self.carry:
+            self._record_decl(name, type_name)
+        self.carry = []
+
+    def _record_decl(self, name, type_name):
         if self.paren_depth > 0:
-            self.pending.append((name, type_name, line))
+            self.pending.append((name, type_name))
             return
         self.scopes[-1][name] = type_name
-        rec = [name, type_name, line, line, None]
-        self.decl_records.append(rec)
-        self.scope_records[-1].append(rec)
 
     def _lookup(self, name):
         for scope in reversed(self.scopes):
             t = scope.get(name)
             if t is not None:
                 return t
-        for name2, type_name, _ in self.pending:
+        for name2, type_name in self.pending:
             if name2 == name:
                 return type_name
         return None
@@ -488,7 +459,7 @@ class _Walker:
             return None  # method reference, not an enhanced-for declaration
         if toks[k][1] == "=" and k + 1 < n and toks[k + 1][0] == PUNCT and toks[k + 1][1] == "=":
             return None  # equality comparison
-        self._record_decl(name, type_name, toks[j][2])
+        self._record_decl(name, type_name)
         if toks[k][1] == ",":
             # direct multi-declarator form: Type a, b, c;
             m = k
@@ -502,7 +473,7 @@ class _Walker:
                 and toks[m + 2][0] == PUNCT
                 and toks[m + 2][1] in "=;,"
             ):
-                self._record_decl(toks[m + 1][1], type_name, toks[m + 1][2])
+                self._record_decl(toks[m + 1][1], type_name)
                 m += 2
             return m
         return k
@@ -553,7 +524,7 @@ class _Walker:
 
 
 def extract_facts(source: str, path: str = "<memory>") -> SourceFacts:
-    """Extract imports, declarations and invocations from Java text.
+    """Extract the package, imports, local types and invocations of Java text.
 
     Best-effort and total: syntactically broken files yield fewer facts,
     never an exception.

@@ -142,17 +142,6 @@ class ImportDecl:
 
 
 @dataclass(frozen=True, slots=True)
-class Declaration:
-    """A named, typed declaration (local, field or parameter)."""
-
-    name: str
-    type_name: str
-    line: int
-    scope_start_line: int
-    scope_end_line: int
-
-
-@dataclass(frozen=True, slots=True)
 class Invocation:
     line: int
     kind: str  # constructor | instance | static_call | static_imported
@@ -168,7 +157,6 @@ class SourceFacts:
     path: str
     package: str | None
     imports: tuple[ImportDecl, ...]
-    declarations: tuple[Declaration, ...]
     invocations: tuple[Invocation, ...]
     local_types: frozenset[str] = frozenset()
 

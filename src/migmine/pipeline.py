@@ -24,6 +24,7 @@ from .model import (
     Fragment,
     LibraryCoordinate,
     LibraryId,
+    MethodDoc,
     MethodMapping,
     PackageIndex,
     RuleFilterConfig,
@@ -370,32 +371,30 @@ class Pipeline:
             docs = parse_doc_archive(data, coordinate)
             docs_by_identity.setdefault(coordinate.identity, []).extend(docs)
             parsed.extend(docs)
-        per_mapping = []
+        # one attach_docs call per rule: its mappings share one pool of docs
+        by_rule: dict[tuple[LibraryId, LibraryId], list[tuple[int, MethodMapping]]] = {}
         for mapping_id, mapping in mappings:
-            pool = docs_by_identity.get(mapping.source, []) + docs_by_identity.get(
-                mapping.target, []
-            )
-            (_, source_docs, target_docs), = attach_docs([mapping], pool)
-            per_mapping.append((mapping_id, source_docs, target_docs))
+            by_rule.setdefault((mapping.source, mapping.target), []).append((mapping_id, mapping))
+        per_mapping = []
+        for (source, target), group in by_rule.items():
+            pool = docs_by_identity.get(source, []) + docs_by_identity.get(target, [])
+            results = attach_docs([mapping for _, mapping in group], pool)
+            for (mapping_id, _), (_, source_docs, target_docs) in zip(group, results):
+                per_mapping.append((mapping_id, source_docs, target_docs))
         self.store.clear_docs()
-        for doc in parsed:
-            self.store.upsert(doc)
-        attached = missing = 0
+        # the first doc parsed under a store key is also the one attach_docs picks
         doc_ids: dict[tuple, int] = {}
+        for doc in parsed:
+            key = _doc_key(doc)
+            if key not in doc_ids:
+                doc_ids[key] = self.store.upsert(doc)
+        attached = missing = 0
         for mapping_id, source_docs, target_docs in per_mapping:
             for side, attachments in (("source", source_docs), ("target", target_docs)):
                 for attachment in attachments:
                     doc_id = None
                     if attachment.doc is not None:
-                        key = (
-                            attachment.doc.library,
-                            attachment.doc.class_name,
-                            attachment.doc.method,
-                            attachment.doc.signature,
-                        )
-                        if key not in doc_ids:
-                            doc_ids[key] = self.store.upsert(attachment.doc)
-                        doc_id = doc_ids[key]
+                        doc_id = doc_ids[_doc_key(attachment.doc)]
                         attached += 1
                     else:
                         missing += 1
@@ -413,6 +412,11 @@ class Pipeline:
                 path.write_bytes(self.store.export(fmt, selector))
                 paths.append(path)
         return paths
+
+
+def _doc_key(doc: MethodDoc) -> tuple:
+    """The identity under which the store keeps one method doc."""
+    return (doc.library, doc.class_name, doc.method, doc.signature)
 
 
 def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:

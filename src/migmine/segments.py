@@ -145,9 +145,6 @@ class SegmentScanner:
             commits=commits,
             weak_start=weak_start,
         )
-        return self.record_versions(segment)
-
-    def record_versions(self, segment: Segment) -> Segment:
         return record_versions(self.history, segment)
 
 

@@ -77,14 +77,6 @@ class TestExtractFacts:
         facts = extract_facts("public class Empty {}\n")
         assert facts.imports == ()
         assert facts.invocations == ()
-        assert facts.declarations == ()
-
-    def test_declarations_carry_scope_spans(self):
-        facts = extract_facts(JSON_SOURCE)
-        decls = {d.name: d for d in facts.declarations}
-        assert decls["obj"].type_name == "JSONObject"
-        assert decls["obj"].line == 7
-        assert decls["obj"].scope_start_line <= 7 <= decls["obj"].scope_end_line
 
     def test_extraction_is_total_on_garbage(self):
         facts = extract_facts("]]]}{ class ) new ( import \x00\xff ;;;")

@@ -3,6 +3,7 @@
 import json
 import logging
 import sqlite3
+from dataclasses import replace
 
 import pytest
 from conftest import corpus_config
@@ -308,3 +309,96 @@ def test_stage_work_runs_before_the_transaction(corpus, tmp_path, monkeypatch):
         "package_index", "fetch_many",
     }
     assert [name for name, locked in seen if locked] == []
+
+
+# doc_attachments of the acceptance corpus when every mapping is attached on
+# its own: (mapping_id, side, class, method, arity, doc_id, found, ambiguous)
+ACCEPTANCE_ATTACHMENTS = [
+    (1, "source", "org.json.JSONObject", "<init>", 1, 4, 1, 0),
+    (1, "source", "org.json.JSONObject", "toJSONString", 0, 5, 1, 0),
+    (1, "target", "com.google.gson.Gson", "<init>", 0, 1, 1, 0),
+    (1, "target", "com.google.gson.Gson", "toJson", 1, 2, 1, 1),
+    (2, "source", "org.json.JSONObject", "<init>", 1, 4, 1, 0),
+    (2, "source", "org.json.JSONObject", "optString", 1, None, 0, 0),
+    (2, "source", "org.json.JSONObject", "quote", 1, 6, 1, 0),
+    (2, "source", "org.json.JSONObject", "toJSONString", 0, 5, 1, 0),
+    (2, "target", "com.google.gson.Gson", "<init>", 0, 1, 1, 0),
+    (2, "target", "com.google.gson.Gson", "toJson", 1, 2, 1, 1),
+]
+
+
+def test_collect_docs_writes_each_doc_once(corpus, tmp_path, monkeypatch):
+    inserts = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(
+            lambda sql: inserts.append(sql) if sql.lstrip().startswith("INSERT INTO method_docs") else None
+        )
+        return db
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        (stored,), = store.db.execute("SELECT COUNT(*) FROM method_docs").fetchall()
+    assert len(inserts) == stored > 0
+
+
+def test_collect_docs_attaches_once_per_rule(corpus, tmp_path, monkeypatch):
+    import migmine.pipeline as pipeline_module
+
+    calls = []
+    attach_docs = pipeline_module.attach_docs
+
+    def counted(mappings, docs):
+        calls.append(mappings)
+        return attach_docs(mappings, docs)
+
+    monkeypatch.setattr(pipeline_module, "attach_docs", counted)
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        rules = {(mapping.source, mapping.target) for _, mapping in store.mappings()}
+        rows = store.db.execute(
+            "SELECT * FROM doc_attachments ORDER BY mapping_id, side, class_name, method, arity"
+        ).fetchall()
+    assert len(calls) == len(rules) == 1
+    assert rows == ACCEPTANCE_ATTACHMENTS
+
+
+def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
+    """Docs sharing a store key (library, class simple name, method, signature)
+    keep the first one parsed, which is also the one attach_docs picks."""
+    import migmine.pipeline as pipeline_module
+
+    parse_doc_archive = pipeline_module.parse_doc_archive
+
+    def parse_with_twins(data, coordinate):
+        docs = parse_doc_archive(data, coordinate)
+        if coordinate.artifact != "json":
+            return docs
+        attached = next(doc for doc in docs if doc.method == "toJSONString")
+        unused = replace(attached, class_name="Foo", method="bar", signature=("int",))
+        return [
+            replace(attached, package="a.shadow"),
+            *docs,
+            replace(unused, package="a"),
+            replace(unused, package="b"),
+        ]
+
+    monkeypatch.setattr(pipeline_module, "parse_doc_archive", parse_with_twins)
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        stored = store.db.execute(
+            "SELECT method, package FROM method_docs "
+            "WHERE grp = 'org.json' AND method IN ('toJSONString', 'bar')"
+        ).fetchall()
+        attached = store.db.execute(
+            "SELECT DISTINCT d.package FROM doc_attachments a "
+            "JOIN method_docs d ON d.id = a.doc_id WHERE a.method = 'toJSONString'"
+        ).fetchall()
+    assert set(stored) == {("toJSONString", "a.shadow"), ("bar", "a")}
+    assert attached == [("a.shadow",)]

@@ -1,17 +1,12 @@
-"""Scanner backends must agree token for token and never crash."""
+"""The token scanner: total on arbitrary text, exact on kinds and lines."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migmine.javafacts import _scanner_py, scanner
-
-try:
-    from migmine.javafacts import _scanner as _scanner_c
-except ImportError:
-    _scanner_c = None
-
-needs_ext = pytest.mark.skipif(_scanner_c is None, reason="compiled scanner not built")
+from migmine.javafacts import scanner
 
 SAMPLES = [
     "",
@@ -29,17 +24,10 @@ SAMPLES = [
 ]
 
 
-@needs_ext
-@pytest.mark.parametrize("source", SAMPLES)
-def test_backends_agree_on_samples(source):
-    assert _scanner_py.tokenize(source) == _scanner_c.tokenize(source)
-
-
-@needs_ext
-@given(st.text(max_size=300))
-@settings(max_examples=300, deadline=None)
-def test_backends_agree_on_arbitrary_text(source):
-    assert _scanner_py.tokenize(source) == _scanner_c.tokenize(source)
+def assert_total(source):
+    for kind, value, line in scanner.tokenize(source):
+        assert kind in (1, 2, 3, 4, 5)
+        assert line >= 1
 
 
 @given(
@@ -50,9 +38,12 @@ def test_backends_agree_on_arbitrary_text(source):
 )
 @settings(max_examples=500, deadline=None)
 def test_tokenize_total_on_java_like_text(source):
-    for kind, value, line in _scanner_py.tokenize(source):
-        assert kind in (1, 2, 3, 4, 5)
-        assert line >= 1
+    assert_total(source)
+
+
+@pytest.mark.parametrize("source", SAMPLES)
+def test_tokenize_total_on_samples(source):
+    assert_total(source)
 
 
 def test_token_kinds_and_lines():
@@ -80,6 +71,11 @@ def test_line_numbers_across_multiline_constructs():
     assert by_value["c"] == 6
 
 
-def test_backend_selection_reports_a_backend():
-    assert scanner.BACKEND in ("c", "python")
-    assert callable(scanner.tokenize)
+def test_package_holds_a_single_tokenizer():
+    package = Path(scanner.__file__).parent
+    twins = [
+        entry.name
+        for entry in package.iterdir()
+        if entry.name.startswith("_scanner") or entry.suffix in (".pyx", ".c")
+    ]
+    assert twins == []
