@@ -20,6 +20,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 from .model import (
+    UNRESOLVED,
     DocAttachment,
     LibraryCoordinate,
     MethodDoc,
@@ -30,7 +31,6 @@ from .model import (
 log = logging.getLogger(__name__)
 
 DEFAULT_REPO_BASE = "https://repo1.maven.org/maven2"
-UNRESOLVED = "unresolved"
 
 ARCHIVE_KINDS = ("classes", "documentation")
 

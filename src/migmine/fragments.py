@@ -150,7 +150,6 @@ def filter_fragments(
                     source=segment.source,
                     target=segment.target,
                     start_commit=segment.start_commit,
-                    end_commit=segment.end_commit,
                     commit=commit,
                     hunk=hunk,
                     removed_methods=frozenset(removed),

@@ -161,7 +161,7 @@ def read_history(
     return records, changes
 
 
-def changed_files(ref: ProjectRef, commit_id: str, entries: list[RawChange]) -> list[FileChange]:
+def changed_files(ref: ProjectRef, entries: list[RawChange]) -> list[FileChange]:
     """One commit's raw changes with both blob versions read and decoded.
 
     All blobs come from one cat-file --batch call, none when `entries` is
@@ -179,22 +179,16 @@ def changed_files(ref: ProjectRef, commit_id: str, entries: list[RawChange]) -> 
             continue
         code = status[0]
         if code in ("A", "C"):
-            changes.append(
-                FileChange(commit_id, new_path, "added", None, None, after, None, new_sha)
-            )
+            changes.append(FileChange(new_path, "added", None, None, after, None, new_sha))
         elif code == "D":
-            changes.append(
-                FileChange(commit_id, old_path, "deleted", None, before, None, old_sha, None)
-            )
+            changes.append(FileChange(old_path, "deleted", None, before, None, old_sha, None))
         elif code == "R":
             changes.append(
-                FileChange(
-                    commit_id, new_path, "renamed", old_path, before, after, old_sha, new_sha
-                )
+                FileChange(new_path, "renamed", old_path, before, after, old_sha, new_sha)
             )
         else:  # M, T
             changes.append(
-                FileChange(commit_id, new_path, "modified", None, before, after, old_sha, new_sha)
+                FileChange(new_path, "modified", None, before, after, old_sha, new_sha)
             )
     return changes
 

@@ -1,9 +1,9 @@
 """Cached per-project view of a repository's history.
 
 Holds the raw changes of one history read, resolves each commit's
-`pom.xml` and `.java` changes at most once, and caches per-blob facts and
-the replayed manifest timeline, so segment and fragment detection never
-analyze the same blob twice.
+`pom.xml` and `.java` changes at most once, and caches per-blob facts,
+the replayed manifest timeline and the map of declared libraries, so
+segment and fragment detection never analyze the same blob twice.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import NamedTuple
 from . import gitrepo, javafacts
 from .manifest import ManifestParseError, diff_dependencies, parse_manifest
 from .model import (
+    UNRESOLVED,
     CommitRecord,
     DependencyChange,
     FileChange,
@@ -60,6 +61,7 @@ class ProjectHistory:
         self._uses: dict[tuple, list] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
         self._changes: list[DependencyChange] | None = None
+        self._declared: dict[LibraryId, LibraryCoordinate] | None = None
         self._dep_flags: dict[tuple, list[bool]] = {}
 
     def ordinal_of(self, commit_id: str) -> int:
@@ -73,7 +75,7 @@ class ProjectHistory:
                 for e in self._raw_entries(commit_id)
                 if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
             ]
-            files = gitrepo.changed_files(self.ref, commit_id, entries)
+            files = gitrepo.changed_files(self.ref, entries)
             self._file_changes[commit_id] = CommitChanges(
                 [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
                 [fc for fc in files if _touches_java(fc.path, fc.old_path)],
@@ -165,6 +167,22 @@ class ProjectHistory:
         if self._changes is None:
             self._replay_manifests()
         return self._changes
+
+    def declared_libraries(self) -> dict[LibraryId, LibraryCoordinate]:
+        """Every library the manifests ever declare -> its latest resolved
+        coordinate, or its unresolved one when no declaration names a version.
+
+        A library is in some added or removed set of `dependency_changes`
+        exactly when it is in this map.
+        """
+        if self._declared is None:
+            declared: dict[LibraryId, LibraryCoordinate] = {}
+            for snapshot in self.dependency_timeline():
+                for identity, coord in snapshot.items():
+                    if coord.version != UNRESOLVED or identity not in declared:
+                        declared[identity] = coord
+            self._declared = declared
+        return self._declared
 
     # -- source dependency tracking -------------------------------------------
 

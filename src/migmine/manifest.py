@@ -5,9 +5,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from .model import DependencyChange, LibraryCoordinate
-
-UNRESOLVED = "unresolved"
+from .model import UNRESOLVED, DependencyChange, LibraryCoordinate
 
 _PLACEHOLDER = re.compile(r"\$\{([^}]+)\}")
 

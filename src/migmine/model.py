@@ -13,6 +13,9 @@ LibraryId = tuple[str, str]
 # Constructors use "<init>" as the method name.
 MethodKey = tuple[str, str, int]
 
+# The version of a dependency whose manifest names no resolvable version.
+UNRESOLVED = "unresolved"
+
 
 def library_key(lib: LibraryId) -> str:
     return f"{lib[0]}:{lib[1]}"
@@ -28,15 +31,11 @@ class LibraryCoordinate:
 
     group: str
     artifact: str
-    version: str = "unresolved"
+    version: str = UNRESOLVED
 
     @property
     def identity(self) -> LibraryId:
         return (self.group, self.artifact)
-
-    @property
-    def key(self) -> str:
-        return f"{self.group}:{self.artifact}"
 
     def __str__(self) -> str:
         return f"{self.group}:{self.artifact}:{self.version}"
@@ -67,7 +66,6 @@ class FileChange:
     later stages cache per-blob analysis results.
     """
 
-    commit: str
     path: str
     kind: str
     old_path: str | None = None
@@ -128,8 +126,8 @@ class Segment:
     target: LibraryId
     start_commit: str
     end_commit: str
-    source_version: str = "unresolved"
-    target_version: str = "unresolved"
+    source_version: str = UNRESOLVED
+    target_version: str = UNRESOLVED
     commits: list[str] = field(default_factory=list)
     weak_start: bool = False  # start only adds target uses, no source removal
 
@@ -224,8 +222,7 @@ class Fragment:
     project: str
     source: LibraryId
     target: LibraryId
-    start_commit: str  # segment identity
-    end_commit: str
+    start_commit: str  # with project, source and target: the segment's identity
     commit: str
     hunk: Hunk
     removed_methods: frozenset[LibraryMethodUse]

@@ -12,7 +12,7 @@ import functools
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from .docs import DEFAULT_REPO_BASE, ArchiveFetcher, attach_docs, parse_doc_arch
 from .fragments import extract_mappings, filter_fragments, unified_diff
 from .history import ProjectHistory
 from .model import (
+    UNRESOLVED,
     Fragment,
     LibraryCoordinate,
     LibraryId,
@@ -35,8 +36,6 @@ from .segments import find_segments
 from .store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
 log = logging.getLogger(__name__)
-
-UNRESOLVED = "unresolved"
 
 
 class StageDataError(RuntimeError):
@@ -79,8 +78,6 @@ class RunConfig:
     repo_base: str = DEFAULT_REPO_BASE
     jobs: int = 1
     cache_dir: str | None = None
-    report_dir: str | None = None
-    extra_origins: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.t_rel <= 1.0:
@@ -96,7 +93,7 @@ class RunConfig:
 
     @property
     def report_path(self) -> Path:
-        return Path(self.report_dir) if self.report_dir else Path(self.workdir) / "reports"
+        return Path(self.workdir) / "reports"
 
 
 def read_projects_file(path: str) -> list[str]:
@@ -117,7 +114,7 @@ class Pipeline:
             cache_dir=config.cache_path,
             base=config.repo_base,
             offline=config.offline,
-            max_workers=min(config.jobs, 4),
+            max_workers=config.jobs,
         )
         self._histories: dict[str, ProjectHistory] = {}
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
@@ -158,17 +155,6 @@ class Pipeline:
         self._indices[coordinate] = index
         return index
 
-    def _rule_coordinates(
-        self, history: ProjectHistory, identity: LibraryId
-    ) -> LibraryCoordinate:
-        """Best coordinate (latest resolved version) of an identity in a project."""
-        best = LibraryCoordinate(*identity)
-        for declared in history.dependency_timeline():
-            coord = declared.get(identity)
-            if coord is not None and coord.version != UNRESOLVED:
-                best = coord
-        return best
-
     # -- stages -----------------------------------------------------------------
 
     @stage
@@ -178,10 +164,10 @@ class Pipeline:
         Returns per-project error strings; failures never abort the run.
         """
         cfg = self.config
-        origins = list(cfg.extra_origins)
+        origins = []
         if cfg.projects_file:
             try:
-                origins = read_projects_file(cfg.projects_file) + origins
+                origins = read_projects_file(cfg.projects_file)
             except OSError as exc:
                 raise StageDataError(f"cannot read projects file: {exc}") from exc
         if not origins:
@@ -218,6 +204,8 @@ class Pipeline:
                 errors.append(error)
                 continue
             self.store.upsert(history.ref)
+            # a re-ingested history may have lost or renumbered commits
+            self.store.clear_commits(project_id)
             for record in history.commits:
                 self.store.upsert(record)
             for change in history.dependency_changes():
@@ -251,31 +239,29 @@ class Pipeline:
 
     @stage
     def detect_segments(self) -> list[Segment]:
+        """Scan each project whose manifests declare both libraries of a rule."""
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
+        histories = [self.history(ref.id) for ref in self.store.projects()]
         segments = []
         for rule in rules:
-            for ref in self.store.projects():
-                history = self.history(ref.id)
-                source_index = self.package_index(
-                    self._rule_coordinates(history, rule.source)
-                )
-                target_index = self.package_index(
-                    self._rule_coordinates(history, rule.target)
-                )
+            for history in histories:
+                declared = history.declared_libraries()
+                if rule.source not in declared or rule.target not in declared:
+                    continue
                 found = find_segments(
                     history,
                     rule.source,
                     rule.target,
-                    source_index,
-                    target_index,
+                    self.package_index(declared[rule.source]),
+                    self.package_index(declared[rule.target]),
                     self.config.imports_count_as_use,
                 )
                 for segment in found:
                     log.info(
                         "event=segment project=%s rule=%s start=%s end=%s commits=%d",
-                        ref.id, rule, segment.start_commit[:12],
+                        history.ref.id, rule, segment.start_commit[:12],
                         segment.end_commit[:12], len(segment.commits),
                     )
                 segments.extend(found)
@@ -299,12 +285,9 @@ class Pipeline:
         all_fragments: list[Fragment] = []
         for segment in segments:
             history = self.history(segment.project)
-            source_index = self.package_index(
-                self._rule_coordinates(history, segment.source)
-            )
-            target_index = self.package_index(
-                self._rule_coordinates(history, segment.target)
-            )
+            declared = history.declared_libraries()
+            source_index = self.package_index(declared[segment.source])
+            target_index = self.package_index(declared[segment.target])
             for commit_id in segment.commits:
                 for fc in history.changes(commit_id).java:
                     hunks = unified_diff(

@@ -7,7 +7,7 @@ Normalization is per source node by its highest outgoing weight.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .model import (
     DependencyChange,
@@ -54,22 +54,17 @@ class MigrationGraph:
     def edges(self) -> dict[tuple[LibraryId, LibraryId], int]:
         return dict(self._edges)
 
-    @property
-    def nodes(self) -> set[LibraryId]:
-        out = set()
-        for src, dst in self._edges:
-            out.add(src)
-            out.add(dst)
-        return out
-
     def __len__(self) -> int:
         return len(self._edges)
 
 
-def accumulate(graph: MigrationGraph, changes: Iterable[DependencyChange]) -> MigrationGraph:
-    for change in changes:
-        graph.accumulate(change)
-    return graph
+def _max_out(edges: dict[tuple[LibraryId, LibraryId], int]) -> dict[LibraryId, int]:
+    """Highest outgoing edge weight of every source node."""
+    max_out: dict[LibraryId, int] = {}
+    for (src, _), weight in edges.items():
+        if weight > max_out.get(src, 0):
+            max_out[src] = weight
+    return max_out
 
 
 def normalize_and_filter(
@@ -83,10 +78,7 @@ def normalize_and_filter(
     """
     config = config or RuleFilterConfig()
     edges = graph.edges
-    max_out: dict[LibraryId, int] = {}
-    for (src, _), weight in edges.items():
-        if weight > max_out.get(src, 0):
-            max_out[src] = weight
+    max_out = _max_out(edges)
     rules = []
     for (src, dst), weight in edges.items():
         normalized = weight / max_out[src]
@@ -117,10 +109,7 @@ def confirm_rules(
 def format_edge_list(graph: MigrationGraph) -> str:
     """Edge-list text: one 'source -> target weight normalized' line per edge."""
     edges = graph.edges
-    max_out: dict[LibraryId, int] = {}
-    for (src, _), weight in edges.items():
-        if weight > max_out.get(src, 0):
-            max_out[src] = weight
+    max_out = _max_out(edges)
     lines = []
     for (src, dst), weight in sorted(edges.items()):
         normalized = weight / max_out[src]

@@ -1,6 +1,8 @@
 """Migration period detection.
 
-For one (project, rule) pair: the end commit is the earliest commit after
+Only a project whose manifests declare both libraries of a rule, at any
+commit, is scanned for that rule; any other project has no segment.  For
+one (project, rule) pair: the end commit is the earliest commit after
 which no source file depends on the retired library (with the target
 already in the manifest); the start commit is found scanning backward for
 the first code change related to the replacement, bounded below by the
@@ -10,9 +12,7 @@ commit that first added the target library to any manifest.
 from __future__ import annotations
 
 from .history import ProjectHistory
-from .model import LibraryId, PackageIndex, Segment
-
-UNRESOLVED = "unresolved"
+from .model import UNRESOLVED, LibraryId, PackageIndex, Segment
 
 
 class SegmentScanner:
@@ -37,19 +37,6 @@ class SegmentScanner:
         self.timeline = history.dependency_timeline()
         self._deltas: dict[int, tuple[bool, bool]] = {}
         self._dep_flags: list[bool] | None = None
-
-    def libraries_in_change_history(self) -> bool:
-        """Both rule endpoints appear among the project's added/removed sets."""
-        seen_source = seen_target = False
-        for change in self.changes:
-            idents = {c.identity for c in change.added} | {
-                c.identity for c in change.removed
-            }
-            seen_source = seen_source or self.source in idents
-            seen_target = seen_target or self.target in idents
-            if seen_source and seen_target:
-                return True
-        return False
 
     @property
     def dep_flags(self) -> list[bool]:
@@ -182,11 +169,12 @@ def find_segments(
     Repeated migrations (migrate, revert, migrate again) are found by
     rerunning the scan on the history prefix before each found start.
     """
+    declared = history.declared_libraries()
+    if source not in declared or target not in declared:
+        return []
     scanner = SegmentScanner(
         history, source, target, source_index, target_index, imports_count_as_use
     )
-    if not scanner.libraries_in_change_history():
-        return []
     segments = []
     hi = len(history.commits) - 1
     while hi >= 0:
@@ -199,37 +187,3 @@ def find_segments(
     segments.reverse()
     return segments
 
-
-def find_segment_end(
-    history: ProjectHistory,
-    source: LibraryId,
-    target: LibraryId,
-    source_index: PackageIndex,
-    target_index: PackageIndex,
-    imports_count_as_use: bool = True,
-) -> str | None:
-    """Spec operation: end commit of the latest migration, if any."""
-    scanner = SegmentScanner(
-        history, source, target, source_index, target_index, imports_count_as_use
-    )
-    if not scanner.libraries_in_change_history():
-        return None
-    end = scanner.find_end(len(history.commits) - 1)
-    return history.commits[end].commit_id if end is not None else None
-
-
-def find_segment_start(
-    history: ProjectHistory,
-    source: LibraryId,
-    target: LibraryId,
-    source_index: PackageIndex,
-    target_index: PackageIndex,
-    end_commit: str,
-    imports_count_as_use: bool = True,
-) -> str:
-    """Spec operation: start commit for a previously located end."""
-    scanner = SegmentScanner(
-        history, source, target, source_index, target_index, imports_count_as_use
-    )
-    start, _ = scanner.find_start(history.ordinal_of(end_commit))
-    return history.commits[start].commit_id

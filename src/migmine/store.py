@@ -462,6 +462,11 @@ class Store:
 
     # -- stage lifecycle ---------------------------------------------------------
 
+    def clear_commits(self, project: str) -> None:
+        """Drop a project's stored commits and, by cascade, their dependency changes."""
+        with self.transaction():
+            self.db.execute("DELETE FROM commits WHERE project = ?", (project,))
+
     def clear_rules_and_downstream(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM rules")

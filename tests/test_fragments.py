@@ -215,7 +215,6 @@ def make_fragment(removed_keys, added_keys, commit="c1"):
         source=seg.source,
         target=seg.target,
         start_commit=seg.start_commit,
-        end_commit=seg.end_commit,
         commit=commit,
         hunk=hunks[0],
         removed_methods=frozenset(

@@ -193,7 +193,7 @@ class TestChangedFiles:
         ref, records, raw = ingest_project(str(path), path.parent / "work")
         last_after: dict[str, str] = {}
         for record in records:
-            for change in changed_files(ref, record.commit_id, raw[record.commit_id]):
+            for change in changed_files(ref, raw[record.commit_id]):
                 if change.kind != "added":
                     previous = last_after.get(change.old_path or change.path)
                     if previous is not None:
@@ -217,7 +217,7 @@ class TestChangedFiles:
         _git(["add", "-A"], cwd=path)
         _git(["commit", "-q", "-m", "bin"], cwd=path, env=env)
         ref, records, raw = ingest_project(str(path), tmp_path / "w")
-        changes = changed_files(ref, records[0].commit_id, raw[records[0].commit_id])
+        changes = changed_files(ref, raw[records[0].commit_id])
         assert [c.path for c in changes] == ["ok.txt"]
 
 

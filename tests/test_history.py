@@ -4,6 +4,7 @@ from corpusgen import GSON_LIB, JSON_LIB, JUNIT_LIB, build_repo, pom
 
 from migmine.gitrepo import ingest_project
 from migmine.history import ProjectHistory
+from migmine.model import UNRESOLVED, LibraryCoordinate
 
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
@@ -112,3 +113,30 @@ def test_first_module_version_wins_on_identity_collision(tmp_path):
     declared = history.dependency_timeline()[0]
     # deterministic: the lexicographically first module path supplies the version
     assert declared[JSON_ID].version == "20080701"
+
+
+def test_declared_libraries_keep_the_latest_resolved_version(tmp_path):
+    """Each library ever declared maps to its latest resolved coordinate; a
+    later unresolvable version does not replace it, and a library whose
+    version never resolves maps to its unresolved coordinate."""
+    history = history_for(
+        tmp_path,
+        "declared",
+        [
+            ("init", {"pom.xml": pom("declared", ("org.json", "json", "20070101"))}),
+            ("upgrade", {"pom.xml": pom("declared", JSON_LIB, ("junit", "junit", "${junit.v}"))}),
+            ("unpin", {"pom.xml": pom("declared", ("org.json", "json", "${json.v}"), GSON_LIB)}),
+            ("drop json", {"pom.xml": pom("declared", GSON_LIB)}),
+        ],
+    )
+    assert history.declared_libraries() == {
+        JSON_ID: LibraryCoordinate(*JSON_LIB),
+        GSON_ID: LibraryCoordinate(*GSON_LIB),
+        JUNIT_ID: LibraryCoordinate(*JUNIT_ID, UNRESOLVED),
+    }
+    ever_changed = {
+        coord.identity
+        for change in history.dependency_changes()
+        for coord in change.added | change.removed
+    }
+    assert ever_changed == set(history.declared_libraries())

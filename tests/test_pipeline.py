@@ -3,11 +3,13 @@
 import json
 import logging
 import sqlite3
+import subprocess
 from dataclasses import replace
 
 import pytest
 from conftest import corpus_config
 from corpusgen import (
+    GSON_APP,
     GSON_LIB,
     JSON_LIB,
     SERIALIZER_GSON,
@@ -211,6 +213,113 @@ def test_commit_after_ingest_changes_no_export(tmp_path):
         assert exports(store) == before
     finally:
         store.close()
+
+
+def first_parent_commits(repo) -> list[str]:
+    out = subprocess.run(
+        ["git", "rev-list", "--first-parent", "--reverse", "HEAD"],
+        cwd=repo, check=True, capture_output=True, text=True,
+    )
+    return out.stdout.split()
+
+
+def test_reingest_after_amend_replaces_the_last_commit(tmp_path):
+    """The amended commit takes the old one's ordinal; ingest must not trip
+    over the (project, ordinal) key of the commit it replaces."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "amended",
+        [
+            ("init", {"pom.xml": pom("amended", JSON_LIB), path: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("amended", GSON_LIB), path: SERIALIZER_GSON}),
+        ],
+    )
+    repo = tmp_path / "repos" / "amended"
+    with Store(config.db_path) as store:
+        assert Pipeline(store, config).ingest() == []
+        _git(["commit", "-q", "--amend", "-m", "migrate to gson"], cwd=repo)
+        assert Pipeline(store, config).ingest() == []
+        stored = store.commits_for("amended")
+        assert [c.commit_id for c in stored] == first_parent_commits(repo)
+        assert stored[-1].message == "migrate to gson"
+        assert {c.commit for c in store.dependency_changes()} == {c.commit_id for c in stored}
+
+
+def test_reingest_after_reset_drops_the_lost_commit(tmp_path):
+    """A commit no longer in the history leaves the store with its
+    dependency changes, so no rule is mined from it."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "rewound",
+        [
+            ("init", {"pom.xml": pom("rewound", JSON_LIB), path: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("rewound", GSON_LIB), path: SERIALIZER_GSON}),
+        ],
+    )
+    repo = tmp_path / "repos" / "rewound"
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        assert [str(rule) for rule in pipeline.detect_rules()] == [
+            "org.json:json -> com.google.code.gson:gson"
+        ]
+        _git(["reset", "-q", "--hard", "HEAD~1"], cwd=repo)
+        pipeline = Pipeline(store, config)
+        assert pipeline.ingest() == []
+        assert [c.commit_id for c in store.commits_for("rewound")] == first_parent_commits(repo)
+        assert pipeline.detect_rules() == []
+        assert all(c.commit == first_parent_commits(repo)[0] for c in store.dependency_changes())
+
+
+def test_segments_skip_projects_that_never_declare_both_libraries(tmp_path, caplog):
+    """A project that only ever declares the target library gets no index
+    build or fetch for the source library, so disabling the prefix fallback
+    changes nothing when every declared library has a class jar."""
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    migrating = tmp_path / "repos" / "migrating"
+    build_repo(
+        migrating,
+        [
+            ("init", {"pom.xml": pom("migrating", JSON_LIB), serializer: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("migrating", GSON_LIB), serializer: SERIALIZER_GSON}),
+        ],
+    )
+    gson_only = tmp_path / "repos" / "gson-only"
+    build_repo(
+        gson_only,
+        [
+            ("init", {"pom.xml": pom("gson-only", GSON_LIB)}),
+            ("use gson", {"src/main/java/com/example/svc/App.java": GSON_APP}),
+        ],
+    )
+    projects = tmp_path / "projects.txt"
+    projects.write_text(f"{migrating}\n{gson_only}\n")
+    config = RunConfig(
+        projects_file=str(projects),
+        workdir=str(tmp_path / "work"),
+        db_path=str(tmp_path / "m.db"),
+        repo_base=build_fake_maven_repo(tmp_path / "mavenrepo"),
+    )
+    caplog.set_level(logging.WARNING, logger="migmine")
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        pipeline.detect_rules()
+        found = pipeline.detect_segments()
+        assert [s.project for s in found] == ["migrating"]
+        segments = store.export("json", "segments")
+        strict = Pipeline(store, replace(config, fallback_index=False))
+        assert strict.detect_segments() == found
+        assert store.export("json", "segments") == segments
+    noisy = [
+        r.getMessage()
+        for r in caplog.records
+        if "org.json:json" in r.getMessage()
+        and ("event=index_fallback" in r.getMessage() or "reason=unresolved_version" in r.getMessage())
+    ]
+    assert noisy == []
 
 
 def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from corpusgen import (
 
 from migmine.gitrepo import ingest_project
 from migmine.history import ProjectHistory
-from migmine.segments import find_segment_end, find_segment_start, find_segments
+from migmine.segments import find_segments
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,9 @@ class TestCorpusSegments:
     ):
         history = histories["mig-json-gson"]
         c = corpus.repos["mig-json-gson"]
-        end = find_segment_end(history, JSON_ID, GSON_ID, json_index, gson_index)
-        assert end == c[3]
-        start = find_segment_start(history, JSON_ID, GSON_ID, json_index, gson_index, end)
-        assert start == c[1]
+        latest = find_segments(history, JSON_ID, GSON_ID, json_index, gson_index)[-1]
+        assert latest.end_commit == c[3]
+        assert latest.start_commit == c[1]
 
 
 SERIALIZER_BOTH = """package com.example.app;
@@ -126,7 +125,6 @@ class TestEdgeCases:
                 ),
             ],
         )
-        assert find_segment_end(history, JSON_ID, GSON_ID, json_index, gson_index) is None
         assert find_segments(history, JSON_ID, GSON_ID, json_index, gson_index) == []
 
     def test_manifest_entry_may_outlive_the_migration(self, tmp_path, json_index, gson_index):
@@ -251,10 +249,8 @@ class TestEdgeCases:
             ],
         )
         # residual import blocks the end under the default
-        assert (
-            find_segment_end(history, JSON_ID, GSON_ID, json_index, gson_index) is None
-        )
-        relaxed = find_segment_end(
+        assert find_segments(history, JSON_ID, GSON_ID, json_index, gson_index) == []
+        relaxed = find_segments(
             history, JSON_ID, GSON_ID, json_index, gson_index, imports_count_as_use=False
         )
-        assert relaxed == hashes[1]
+        assert relaxed[-1].end_commit == hashes[1]

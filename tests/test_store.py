@@ -70,7 +70,6 @@ def make_fragment(project="demo", start="c1"):
         source=JSON_ID,
         target=GSON_ID,
         start_commit=start,
-        end_commit="c2",
         commit="c2",
         hunk=hunk,
         removed_methods=frozenset(
