@@ -39,18 +39,23 @@ class DocError(RuntimeError):
     pass
 
 
-def archive_url(coordinate: LibraryCoordinate, kind: str, base: str = DEFAULT_REPO_BASE) -> str:
-    """Repository URL of the classes jar or the -javadoc jar."""
+def archive_path(coordinate: LibraryCoordinate, kind: str) -> str:
+    """Maven-layout path of the classes jar or the -javadoc jar."""
     if kind not in ARCHIVE_KINDS:
         raise ValueError(f"unknown archive kind {kind!r}")
     if coordinate.version == UNRESOLVED:
-        raise ValueError(f"cannot build archive URL for unresolved version: {coordinate}")
+        raise ValueError(f"cannot locate an archive for unresolved version: {coordinate}")
     suffix = "-javadoc" if kind == "documentation" else ""
     group_path = coordinate.group.replace(".", "/")
     return (
-        f"{base.rstrip('/')}/{group_path}/{coordinate.artifact}/"
-        f"{coordinate.version}/{coordinate.artifact}-{coordinate.version}{suffix}.jar"
+        f"{group_path}/{coordinate.artifact}/{coordinate.version}/"
+        f"{coordinate.artifact}-{coordinate.version}{suffix}.jar"
     )
+
+
+def archive_url(coordinate: LibraryCoordinate, kind: str, base: str = DEFAULT_REPO_BASE) -> str:
+    """Repository URL of the classes jar or the -javadoc jar."""
+    return f"{base.rstrip('/')}/{archive_path(coordinate, kind)}"
 
 
 class ArchiveFetcher:
@@ -78,14 +83,7 @@ class ArchiveFetcher:
         self.backoff = backoff
 
     def cache_path(self, coordinate: LibraryCoordinate, kind: str) -> Path:
-        suffix = "-javadoc" if kind == "documentation" else ""
-        return (
-            self.cache_dir
-            / coordinate.group.replace(".", "/")
-            / coordinate.artifact
-            / coordinate.version
-            / f"{coordinate.artifact}-{coordinate.version}{suffix}.jar"
-        )
+        return self.cache_dir / archive_path(coordinate, kind)
 
     def fetch(self, coordinate: LibraryCoordinate, kind: str) -> bytes | None:
         """Archive bytes, or None when unavailable (never raises for misses)."""

@@ -18,7 +18,6 @@ from .model import (
     LibraryMethodUse,
     MethodMapping,
     Segment,
-    library_key,
 )
 
 DEFAULT_CONTEXT = 3
@@ -102,16 +101,6 @@ def render_hunk(hunk: Hunk) -> str:
         else:
             parts.append(prefix[line.tag] + text + "\n" + _NO_EOL)
     return "".join(parts)
-
-
-def render_fragment(fragment: Fragment) -> str:
-    """Fragment as reviewable diff text with an identifying header line."""
-    rule = f"{library_key(fragment.source)}->{library_key(fragment.target)}"
-    header = (
-        f"### fragment {fragment.project} {fragment.commit} "
-        f"{fragment.hunk.file} {rule}\n"
-    )
-    return header + render_hunk(fragment.hunk)
 
 
 def filter_fragments(

@@ -64,9 +64,6 @@ class ProjectHistory:
         self._declared: dict[LibraryId, LibraryCoordinate] | None = None
         self._dep_flags: dict[tuple, list[bool]] = {}
 
-    def ordinal_of(self, commit_id: str) -> int:
-        return self.by_commit[commit_id].ordinal
-
     def changes(self, commit_id: str) -> CommitChanges:
         """The commit's pom.xml and .java changes against its first parent."""
         if commit_id not in self._file_changes:

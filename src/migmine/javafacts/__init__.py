@@ -30,7 +30,6 @@ __all__ = [
     "extract_facts",
     "resolve_usages",
     "facts_depend_on",
-    "file_depends_on",
 ]
 
 _KEYWORDS = frozenset(
@@ -637,6 +636,11 @@ def resolve_usages(facts: SourceFacts, index: PackageIndex) -> list[LibraryMetho
 def facts_depend_on(
     facts: SourceFacts, index: PackageIndex, imports_count_as_use: bool = True
 ) -> bool:
+    """True when the file's facts still reference the indexed library.
+
+    Imports without calls count as residual dependency by default; pass
+    imports_count_as_use=False to require an actual resolved invocation.
+    """
     if resolve_usages(facts, index):
         return True
     if not imports_count_as_use:
@@ -655,14 +659,3 @@ def facts_depend_on(
             if qualified and _lookup_class(index, qualified):
                 return True
     return False
-
-
-def file_depends_on(
-    source: str, index: PackageIndex, imports_count_as_use: bool = True
-) -> bool:
-    """True when the source still references the indexed library.
-
-    Imports without calls count as residual dependency by default; pass
-    imports_count_as_use=False to require an actual resolved invocation.
-    """
-    return facts_depend_on(extract_facts(source), index, imports_count_as_use)

@@ -90,15 +90,6 @@ class DependencyChange:
     upgraded: frozenset[tuple[LibraryCoordinate, LibraryCoordinate]] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class RuleFilterConfig:
-    t_rel: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t_rel <= 1.0:
-            raise ValueError(f"t_rel must be in [0, 1], got {self.t_rel}")
-
-
 @dataclass(slots=True)
 class MigrationRule:
     """A directed source→target library pair with its observation weight."""

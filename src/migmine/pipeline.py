@@ -28,7 +28,7 @@ from .model import (
     MethodDoc,
     MethodMapping,
     PackageIndex,
-    RuleFilterConfig,
+    ProjectRef,
     Segment,
 )
 from .rulegraph import MigrationGraph, confirm_rules, normalize_and_filter
@@ -116,18 +116,25 @@ class Pipeline:
             offline=config.offline,
             max_workers=config.jobs,
         )
+        self._refs: dict[str, ProjectRef] | None = None
         self._histories: dict[str, ProjectHistory] = {}
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
 
     # -- shared state ---------------------------------------------------------
 
+    def _projects(self) -> dict[str, ProjectRef]:
+        """The stored projects by id, read once until the next ingest."""
+        if self._refs is None:
+            self._refs = {r.id: r for r in self.store.projects()}
+        return self._refs
+
     def history(self, project_id: str) -> ProjectHistory:
         if project_id not in self._histories:
-            refs = {r.id: r for r in self.store.projects()}
-            if project_id not in refs:
+            ref = self._projects().get(project_id)
+            if ref is None:
                 raise StageDataError(f"project {project_id} not ingested")
             self._histories[project_id] = ProjectHistory(
-                refs[project_id], self.store.commits_for(project_id)
+                ref, self.store.commits_for(project_id)
             )
         return self._histories[project_id]
 
@@ -197,6 +204,9 @@ class Pipeline:
         else:
             results = [one(job) for job in jobs]
 
+        # rules are mined from every project's history, so a new history voids them
+        if any(history is not None for _, history, _ in results):
+            self.store.clear_rules_and_downstream()
         errors = []
         for project_id, history, error in sorted(results, key=lambda r: r[0]):
             if error is not None:
@@ -215,6 +225,7 @@ class Pipeline:
             log.info(
                 "event=ingested project=%s commits=%d", project_id, len(history.commits)
             )
+        self._refs = None
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
         log.info("event=vcs_tool version=%r", version)
@@ -228,7 +239,7 @@ class Pipeline:
         graph = MigrationGraph()
         for change in self.store.dependency_changes():
             graph.accumulate(change)
-        rules = normalize_and_filter(graph, RuleFilterConfig(self.config.t_rel))
+        rules = normalize_and_filter(graph, self.config.t_rel)
         self.store.clear_rules_and_downstream()
         self.store.replace_edges(graph.edges)
         for rule in rules:
@@ -243,7 +254,7 @@ class Pipeline:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        histories = [self.history(ref.id) for ref in self.store.projects()]
+        histories = [self.history(project_id) for project_id in self._projects()]
         segments = []
         for rule in rules:
             for history in histories:
@@ -346,14 +357,12 @@ class Pipeline:
             if version != UNRESOLVED
         ]
         archives = self.fetcher.fetch_many(coords)
-        parsed = []
         docs_by_identity: dict[LibraryId, list] = {}
         for (coordinate, _), data in archives.items():
-            if data is None:
-                continue
-            docs = parse_doc_archive(data, coordinate)
-            docs_by_identity.setdefault(coordinate.identity, []).extend(docs)
-            parsed.extend(docs)
+            if data is not None:
+                docs_by_identity.setdefault(coordinate.identity, []).extend(
+                    parse_doc_archive(data, coordinate)
+                )
         # one attach_docs call per rule: its mappings share one pool of docs
         by_rule: dict[tuple[LibraryId, LibraryId], list[tuple[int, MethodMapping]]] = {}
         for mapping_id, mapping in mappings:
@@ -365,19 +374,19 @@ class Pipeline:
             for (mapping_id, _), (_, source_docs, target_docs) in zip(group, results):
                 per_mapping.append((mapping_id, source_docs, target_docs))
         self.store.clear_docs()
-        # the first doc parsed under a store key is also the one attach_docs picks
+        # only attached docs are stored, each once; attach_docs picks the first
+        # doc parsed under a store key, so each key stores one and the same doc
         doc_ids: dict[tuple, int] = {}
-        for doc in parsed:
-            key = _doc_key(doc)
-            if key not in doc_ids:
-                doc_ids[key] = self.store.upsert(doc)
         attached = missing = 0
         for mapping_id, source_docs, target_docs in per_mapping:
             for side, attachments in (("source", source_docs), ("target", target_docs)):
                 for attachment in attachments:
                     doc_id = None
                     if attachment.doc is not None:
-                        doc_id = doc_ids[_doc_key(attachment.doc)]
+                        key = _doc_key(attachment.doc)
+                        if key not in doc_ids:
+                            doc_ids[key] = self.store.upsert(attachment.doc)
+                        doc_id = doc_ids[key]
                         attached += 1
                     else:
                         missing += 1

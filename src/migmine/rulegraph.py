@@ -13,7 +13,6 @@ from .model import (
     DependencyChange,
     LibraryId,
     MigrationRule,
-    RuleFilterConfig,
     library_key,
 )
 
@@ -67,22 +66,19 @@ def _max_out(edges: dict[tuple[LibraryId, LibraryId], int]) -> dict[LibraryId, i
     return max_out
 
 
-def normalize_and_filter(
-    graph: MigrationGraph, config: RuleFilterConfig | None = None
-) -> list[MigrationRule]:
+def normalize_and_filter(graph: MigrationGraph, t_rel: float = 1.0) -> list[MigrationRule]:
     """Normalize edge weights per node and keep edges at or above t_rel.
 
     The comparison is >= so the default t_rel = 1.0 selects exactly the
     max-weight edges of every node.  Result is sorted by weight descending,
     then source, then target.
     """
-    config = config or RuleFilterConfig()
     edges = graph.edges
     max_out = _max_out(edges)
     rules = []
     for (src, dst), weight in edges.items():
         normalized = weight / max_out[src]
-        if normalized >= config.t_rel:
+        if normalized >= t_rel:
             rules.append(MigrationRule(src, dst, weight, normalized))
     rules.sort(key=lambda r: (-r.weight, r.source, r.target))
     return rules

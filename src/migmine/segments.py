@@ -36,15 +36,6 @@ class SegmentScanner:
         self.changes = history.dependency_changes()
         self.timeline = history.dependency_timeline()
         self._deltas: dict[int, tuple[bool, bool]] = {}
-        self._dep_flags: list[bool] | None = None
-
-    @property
-    def dep_flags(self) -> list[bool]:
-        if self._dep_flags is None:
-            self._dep_flags = self.history.source_dependency_flags(
-                self.source_index, self.imports_count_as_use
-            )
-        return self._dep_flags
 
     def target_present(self, ordinal: int) -> bool:
         return self.target in self.timeline[ordinal]
@@ -88,7 +79,9 @@ class SegmentScanner:
     def find_end(self, hi: int) -> int | None:
         """Earliest ordinal <= hi with the target declared and every commit
         from there to hi free of source-library dependency."""
-        flags = self.dep_flags
+        flags = self.history.source_dependency_flags(
+            self.source_index, self.imports_count_as_use
+        )
         end = None
         clean = True
         for i in range(hi, -1, -1):
@@ -116,6 +109,12 @@ class SegmentScanner:
         return start, (added and not removed)
 
     def segment_between(self, start: int, end: int, weak_start: bool) -> Segment:
+        """The segment from start to end, with the source version at the last
+        pre-start commit declaring it and the target version at end.
+
+        Either version degrades to "unresolved" when the manifest never names
+        a resolvable one; the docs stage skips such coordinates.
+        """
         commits = [
             self.history.commits[i].commit_id
             for i in range(start, end + 1)
@@ -123,37 +122,26 @@ class SegmentScanner:
         ]
         if not commits:
             commits = [self.history.commits[end].commit_id]
-        segment = Segment(
+        source_version = next(
+            (
+                self.timeline[i][self.source].version
+                for i in range(start - 1, -1, -1)
+                if self.source in self.timeline[i]
+            ),
+            UNRESOLVED,
+        )
+        target_coord = self.timeline[end].get(self.target)
+        return Segment(
             project=self.history.ref.id,
             source=self.source,
             target=self.target,
             start_commit=self.history.commits[start].commit_id,
             end_commit=self.history.commits[end].commit_id,
+            source_version=source_version,
+            target_version=target_coord.version if target_coord else UNRESOLVED,
             commits=commits,
             weak_start=weak_start,
         )
-        return record_versions(self.history, segment)
-
-
-def record_versions(history: ProjectHistory, segment: Segment) -> Segment:
-    """Source version at the last pre-start commit declaring it, target at end.
-
-    Either side degrades to "unresolved" when the manifest never names a
-    resolvable version; the docs stage skips such coordinates.
-    """
-    timeline = history.dependency_timeline()
-    start = history.ordinal_of(segment.start_commit)
-    end = history.ordinal_of(segment.end_commit)
-    source_version = UNRESOLVED
-    for i in range(start - 1, -1, -1):
-        coord = timeline[i].get(segment.source)
-        if coord is not None:
-            source_version = coord.version
-            break
-    target_coord = timeline[end].get(segment.target)
-    segment.source_version = source_version
-    segment.target_version = target_coord.version if target_coord else UNRESOLVED
-    return segment
 
 
 def find_segments(

@@ -8,6 +8,12 @@ Transaction policy: each pipeline stage runs its writes in one
 `Store.transaction()`, so a stage commits once, and a stage that raises
 rolls back and leaves the store as it was before the stage.  A write made
 outside any transaction (a test, `report`) commits on its own.
+
+Write rule: a stage deletes the rows it owns and everything downstream of
+them, then inserts.  So a stage's rows take plain INSERTs, and a row
+stored twice is a `StoreError`.  Only three tables update a stored row in
+place: `projects` (re-ingest), `rules` (status reset and confirmation) and
+`run_metadata`.  `method_docs` holds only the docs an attachment points to.
 """
 
 from __future__ import annotations
@@ -247,10 +253,14 @@ class Store:
         row = self.db.execute("SELECT value FROM run_metadata WHERE key = ?", (key,)).fetchone()
         return row[0] if row else None
 
-    # -- upserts ---------------------------------------------------------------
+    # -- writes ----------------------------------------------------------------
 
     def upsert(self, entity):
-        """Idempotent store-by-natural-key for any pipeline entity."""
+        """Store any pipeline entity; returns its key or new row id.
+
+        Projects and rules replace the stored row of the same key; every
+        other entity is inserted, and one already stored is a StoreError.
+        """
         handlers = {
             ProjectRef: self.upsert_project,
             CommitRecord: self.upsert_commit,
@@ -283,9 +293,7 @@ class Store:
         with self.transaction():
             self.db.execute(
                 "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
-                "VALUES (?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(project, commit_id) DO UPDATE SET ordinal = excluded.ordinal, "
-                "date = excluded.date, author = excluded.author, message = excluded.message",
+                "VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     record.project,
                     record.commit_id,
@@ -312,10 +320,7 @@ class Store:
             self.db.executemany(
                 "INSERT INTO dependency_changes "
                 "(project, commit_id, direction, grp, artifact, version, prior_version) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(project, commit_id, direction, grp, artifact) "
-                "DO UPDATE SET version = excluded.version, "
-                "prior_version = excluded.prior_version",
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
         return (change.project, change.commit)
@@ -339,14 +344,7 @@ class Store:
                 "INSERT INTO segments (project, source_group, source_artifact, "
                 "target_group, target_artifact, start_commit, end_commit, "
                 "source_version, target_version, commits, weak_start) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(project, source_group, source_artifact, target_group, "
-                "target_artifact, start_commit) DO UPDATE SET "
-                "end_commit = excluded.end_commit, "
-                "source_version = excluded.source_version, "
-                "target_version = excluded.target_version, "
-                "commits = excluded.commits, weak_start = excluded.weak_start "
-                "RETURNING id",
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     segment.project,
                     *segment.source,
@@ -358,7 +356,7 @@ class Store:
                     json.dumps(segment.commits, separators=(",", ":")),
                     int(segment.weak_start),
                 ),
-            ).fetchone()[0]
+            ).lastrowid
 
     def _segment_id(self, fragment: Fragment) -> int:
         row = self.db.execute(
@@ -382,13 +380,7 @@ class Store:
             return self.db.execute(
                 "INSERT INTO fragments (segment_id, commit_id, file, before_start, "
                 "before_len, after_start, after_len, diff, removed_methods, added_methods) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(segment_id, commit_id, file, before_start, after_start) "
-                "DO UPDATE SET before_len = excluded.before_len, "
-                "after_len = excluded.after_len, diff = excluded.diff, "
-                "removed_methods = excluded.removed_methods, "
-                "added_methods = excluded.added_methods "
-                "RETURNING id",
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     segment_id,
                     fragment.commit,
@@ -401,7 +393,7 @@ class Store:
                     _methods_json(fragment.removed_methods),
                     _methods_json(fragment.added_methods),
                 ),
-            ).fetchone()[0]
+            ).lastrowid
 
     def upsert_mapping(self, mapping: MethodMapping) -> int:
         src_json = _keys_json(mapping.source_methods)
@@ -410,25 +402,16 @@ class Store:
             return self.db.execute(
                 "INSERT INTO method_mappings (source_group, source_artifact, "
                 "target_group, target_artifact, source_methods, target_methods, support) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(source_group, source_artifact, target_group, "
-                "target_artifact, source_methods, target_methods) "
-                "DO UPDATE SET support = excluded.support RETURNING id",
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (*mapping.source, *mapping.target, src_json, dst_json, mapping.support),
-            ).fetchone()[0]
+            ).lastrowid
 
     def upsert_method_doc(self, doc: MethodDoc) -> int:
         with self.transaction():
             return self.db.execute(
                 "INSERT INTO method_docs (grp, artifact, version, package, class_name, "
                 "class_description, method, signature, description, param_docs, "
-                "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(grp, artifact, version, class_name, method, signature) "
-                "DO UPDATE SET package = excluded.package, "
-                "class_description = excluded.class_description, "
-                "description = excluded.description, param_docs = excluded.param_docs, "
-                "return_doc = excluded.return_doc, since = excluded.since "
-                "RETURNING id",
+                "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     doc.library.group,
                     doc.library.artifact,
@@ -443,7 +426,7 @@ class Store:
                     doc.return_doc,
                     doc.since,
                 ),
-            ).fetchone()[0]
+            ).lastrowid
 
     def upsert_doc_attachment(
         self, mapping_id: int, side: str, attachment: DocAttachment, doc_id: int | None
@@ -452,10 +435,7 @@ class Store:
         with self.transaction():
             self.db.execute(
                 "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
-                "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(mapping_id, side, class_name, method, arity) "
-                "DO UPDATE SET doc_id = excluded.doc_id, found = excluded.found, "
-                "ambiguous = excluded.ambiguous",
+                "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (mapping_id, side, cls, method, arity, doc_id,
                  int(attachment.found), int(attachment.ambiguous)),
             )
@@ -467,20 +447,26 @@ class Store:
         with self.transaction():
             self.db.execute("DELETE FROM commits WHERE project = ?", (project,))
 
+    # Deleting rules or mappings cascades to their attachments, which leaves
+    # the docs they pointed to unattached; those go too.
+
     def clear_rules_and_downstream(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM rules")
             self.db.execute("DELETE FROM graph_edges")
+            self.db.execute("DELETE FROM method_docs")
 
     def clear_segments_and_downstream(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM segments")
             self.db.execute("DELETE FROM method_mappings")
+            self.db.execute("DELETE FROM method_docs")
 
     def clear_fragments_and_mappings(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM fragments")
             self.db.execute("DELETE FROM method_mappings")
+            self.db.execute("DELETE FROM method_docs")
 
     def clear_docs(self) -> None:
         with self.transaction():

@@ -16,11 +16,7 @@ from corpusgen import GSON_ID, JSON_ID, LANG3_ID, LANG_ID
 
 from migmine.fragments import apply_hunks, unified_diff
 from migmine.manifest import diff_dependencies, parse_manifest
-from migmine.model import (
-    DependencyChange,
-    LibraryCoordinate,
-    RuleFilterConfig,
-)
+from migmine.model import DependencyChange, LibraryCoordinate
 from migmine.rulegraph import MigrationGraph, normalize_and_filter
 
 
@@ -163,13 +159,13 @@ def test_criterion_3_threshold_filtering(capsys):
 
     strict = {
         (r.source, r.target): r.normalized_weight
-        for r in normalize_and_filter(graph, RuleFilterConfig(1.0))
+        for r in normalize_and_filter(graph, t_rel=1.0)
     }
     assert strict == {(json_id, gson_id): 1.0}
 
     relaxed = {
         (r.source, r.target)
-        for r in normalize_and_filter(graph, RuleFilterConfig(0.2))
+        for r in normalize_and_filter(graph, t_rel=0.2)
     }
     assert relaxed == {(json_id, gson_id), (json_id, other)}
     with capsys.disabled():
@@ -241,7 +237,7 @@ class TestCriterion5Properties:
                 scaled.add_edge(src, dst, weight * factor)
             keep = lambda g: {
                 (r.source, r.target)
-                for r in normalize_and_filter(g, RuleFilterConfig(1.0))
+                for r in normalize_and_filter(g, t_rel=1.0)
             }
             assert keep(graph) == keep(scaled)
         with capsys.disabled():
@@ -254,13 +250,13 @@ class TestCriterion5Properties:
             thresholds = sorted(rng.random() for _ in range(3))
             kept = [
                 {(r.source, r.target)
-                 for r in normalize_and_filter(graph, RuleFilterConfig(t))}
+                 for r in normalize_and_filter(graph, t_rel=t)}
                 for t in thresholds
             ]
             assert kept[2] <= kept[1] <= kept[0]
             assert {
                 (r.source, r.target)
-                for r in normalize_and_filter(graph, RuleFilterConfig(0.0))
+                for r in normalize_and_filter(graph, t_rel=0.0)
             } == set(edges)
         with capsys.disabled():
             report("criterion 5c: t_rel monotonicity", "300 random graphs")

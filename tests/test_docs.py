@@ -172,6 +172,7 @@ class TestFetcher:
         assert data is not None
         assert zipfile.ZipFile(__import__("io").BytesIO(data)).namelist()
         cached = fetcher.cache_path(json_coord, "classes")
+        assert cached == tmp_path / "cache" / "org/json/json/20080701/json-20080701.jar"
         assert cached.is_file()
         # offline re-reads from cache
         offline = ArchiveFetcher(tmp_path / "cache", base="file:///nowhere", offline=True)

@@ -11,7 +11,6 @@ from migmine.fragments import (
     apply_hunks,
     extract_mappings,
     filter_fragments,
-    render_fragment,
     render_hunk,
     unified_diff,
 )
@@ -258,15 +257,12 @@ class TestExtractMappings:
         assert [m.support for m in mappings] == [3, 1]
 
 
-def test_render_fragment_header_and_diff():
+def test_render_hunk_header_and_diff():
     fragment = make_fragment(
         {("org.json.JSONObject", "toJSONString", 0)},
         {("com.google.gson.Gson", "toJson", 1)},
     )
-    text = render_fragment(fragment)
-    assert text.startswith(
-        "### fragment demo c1 F.java org.json:json->com.google.code.gson:gson\n"
-    )
+    text = render_hunk(fragment.hunk)
     assert "@@ -1,1 +1,1 @@" in text
     assert "-a" in text and "+b" in text
 

@@ -9,7 +9,6 @@ from migmine.javafacts import (
     extract_facts,
     facts_depend_on,
     fallback_package_index,
-    file_depends_on,
     resolve_usages,
 )
 from migmine.model import LibraryCoordinate
@@ -150,23 +149,20 @@ class TestResolveUsages:
 
 class TestFileDependsOn:
     def test_import_without_calls_counts(self, json_index):
-        source = "import org.json.JSONObject;\nclass A {}\n"
-        assert file_depends_on(source, json_index) is True
-        assert file_depends_on(source, json_index, imports_count_as_use=False) is False
+        facts = extract_facts("import org.json.JSONObject;\nclass A {}\n")
+        assert facts_depend_on(facts, json_index) is True
+        assert facts_depend_on(facts, json_index, imports_count_as_use=False) is False
 
     def test_no_reference_is_false(self, json_index):
-        assert file_depends_on("class A { int x; }", json_index) is False
+        assert facts_depend_on(extract_facts("class A { int x; }"), json_index) is False
 
     def test_resolved_call_is_true(self, json_index):
-        assert file_depends_on(JSON_SOURCE, json_index) is True
+        assert facts_depend_on(extract_facts(JSON_SOURCE), json_index) is True
 
     def test_wildcard_import_counts(self, json_index):
-        assert file_depends_on("import org.json.*;\nclass A {}", json_index) is True
+        facts = extract_facts("import org.json.*;\nclass A {}")
+        assert facts_depend_on(facts, json_index) is True
 
     def test_static_import_counts(self, json_index):
-        source = "import static org.json.JSONObject.quote;\nclass A {}"
-        assert file_depends_on(source, json_index) is True
-
-    def test_facts_variant_matches(self, json_index):
-        facts = extract_facts(JSON_SOURCE)
+        facts = extract_facts("import static org.json.JSONObject.quote;\nclass A {}")
         assert facts_depend_on(facts, json_index) is True

@@ -20,7 +20,7 @@ from corpusgen import (
     pom,
 )
 
-from migmine.pipeline import Pipeline, RunConfig, run_all
+from migmine.pipeline import Pipeline, RunConfig, StageDataError, run_all
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
 
@@ -273,6 +273,72 @@ def test_reingest_after_reset_drops_the_lost_commit(tmp_path):
         assert all(c.commit == first_parent_commits(repo)[0] for c in store.dependency_changes())
 
 
+def test_reingest_after_reset_voids_the_mined_rows(tmp_path):
+    """Re-ingest clears the rules and everything mined from them, so a later
+    stage reports the missing rules instead of reading a vanished history."""
+    from migmine.cli import main
+
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "stale",
+        [
+            ("init", {"pom.xml": pom("stale", JSON_LIB), path: PADDED_JSON}),
+            ("migrate", {"pom.xml": pom("stale", GSON_LIB), path: PADDED_GSON}),
+        ],
+    )
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        assert store.counts()["docs_attached"] > 0
+        _git(["reset", "-q", "--hard", "HEAD~1"], cwd=tmp_path / "repos" / "stale")
+        pipeline = Pipeline(store, config)
+        assert pipeline.ingest() == []
+        with pytest.raises(StageDataError):
+            pipeline.detect_fragments()
+        for table in ("rules", "segments", "fragments", "method_mappings",
+                      "method_docs", "doc_attachments"):
+            assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+    flags = ["--workdir", config.workdir, "--db", config.db_path, "--repo-base", config.repo_base]
+    assert main(["detect-fragments", *flags]) == 1
+
+
+def test_failed_reingest_keeps_the_mined_rows(tmp_path):
+    """An ingest that stores no history leaves every mined row in place."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "moved",
+        [
+            ("init", {"pom.xml": pom("moved", JSON_LIB), path: PADDED_JSON}),
+            ("migrate", {"pom.xml": pom("moved", GSON_LIB), path: PADDED_GSON}),
+        ],
+    )
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        before = exports(store), store.counts()
+        (tmp_path / "repos" / "moved").rename(tmp_path / "elsewhere")
+        assert len(Pipeline(store, config).ingest()) == 1
+        assert (exports(store), store.counts()) == before
+
+
+def test_segments_read_the_project_list_once(corpus, tmp_path, monkeypatch):
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        pipeline.detect_rules()
+        calls = []
+        projects = Store.projects
+
+        def counted(self):
+            calls.append(1)
+            return projects(self)
+
+        monkeypatch.setattr(Store, "projects", counted)
+        assert Pipeline(store, config).detect_segments()
+    assert len(calls) == 1
+
+
 def test_segments_skip_projects_that_never_declare_both_libraries(tmp_path, caplog):
     """A project that only ever declares the target library gets no index
     build or fetch for the source library, so disabling the prefix fallback
@@ -421,19 +487,34 @@ def test_stage_work_runs_before_the_transaction(corpus, tmp_path, monkeypatch):
 
 
 # doc_attachments of the acceptance corpus when every mapping is attached on
-# its own: (mapping_id, side, class, method, arity, doc_id, found, ambiguous)
+# its own: (mapping_id, side, class, method, arity, doc, found, ambiguous),
+# doc being the attached doc's (group, artifact, version, class, method,
+# signature) or None
+JSON_DOC = ("org.json", "json", "20080701", "JSONObject")
+GSON_DOC = ("com.google.code.gson", "gson", "2.3.1", "Gson")
 ACCEPTANCE_ATTACHMENTS = [
-    (1, "source", "org.json.JSONObject", "<init>", 1, 4, 1, 0),
-    (1, "source", "org.json.JSONObject", "toJSONString", 0, 5, 1, 0),
-    (1, "target", "com.google.gson.Gson", "<init>", 0, 1, 1, 0),
-    (1, "target", "com.google.gson.Gson", "toJson", 1, 2, 1, 1),
-    (2, "source", "org.json.JSONObject", "<init>", 1, 4, 1, 0),
+    (1, "source", "org.json.JSONObject", "<init>", 1, (*JSON_DOC, "<init>", '["Object"]'), 1, 0),
+    (1, "source", "org.json.JSONObject", "toJSONString", 0, (*JSON_DOC, "toJSONString", "[]"), 1, 0),
+    (1, "target", "com.google.gson.Gson", "<init>", 0, (*GSON_DOC, "<init>", "[]"), 1, 0),
+    (1, "target", "com.google.gson.Gson", "toJson", 1, (*GSON_DOC, "toJson", '["Object"]'), 1, 1),
+    (2, "source", "org.json.JSONObject", "<init>", 1, (*JSON_DOC, "<init>", '["Object"]'), 1, 0),
     (2, "source", "org.json.JSONObject", "optString", 1, None, 0, 0),
-    (2, "source", "org.json.JSONObject", "quote", 1, 6, 1, 0),
-    (2, "source", "org.json.JSONObject", "toJSONString", 0, 5, 1, 0),
-    (2, "target", "com.google.gson.Gson", "<init>", 0, 1, 1, 0),
-    (2, "target", "com.google.gson.Gson", "toJson", 1, 2, 1, 1),
+    (2, "source", "org.json.JSONObject", "quote", 1, (*JSON_DOC, "quote", '["String"]'), 1, 0),
+    (2, "source", "org.json.JSONObject", "toJSONString", 0, (*JSON_DOC, "toJSONString", "[]"), 1, 0),
+    (2, "target", "com.google.gson.Gson", "<init>", 0, (*GSON_DOC, "<init>", "[]"), 1, 0),
+    (2, "target", "com.google.gson.Gson", "toJson", 1, (*GSON_DOC, "toJson", '["Object"]'), 1, 1),
 ]
+
+
+def stored_attachments(store) -> list[tuple]:
+    rows = store.db.execute(
+        "SELECT a.mapping_id, a.side, a.class_name, a.method, a.arity, a.doc_id, "
+        "d.grp, d.artifact, d.version, d.class_name, d.method, d.signature, "
+        "a.found, a.ambiguous FROM doc_attachments a "
+        "LEFT JOIN method_docs d ON d.id = a.doc_id "
+        "ORDER BY a.mapping_id, a.side, a.class_name, a.method, a.arity"
+    ).fetchall()
+    return [(*row[:5], None if row[5] is None else row[6:12], *row[12:]) for row in rows]
 
 
 def test_collect_docs_writes_each_doc_once(corpus, tmp_path, monkeypatch):
@@ -470,16 +551,15 @@ def test_collect_docs_attaches_once_per_rule(corpus, tmp_path, monkeypatch):
     with Store(config.db_path) as store:
         assert run_all(store, config)[0] == 0
         rules = {(mapping.source, mapping.target) for _, mapping in store.mappings()}
-        rows = store.db.execute(
-            "SELECT * FROM doc_attachments ORDER BY mapping_id, side, class_name, method, arity"
-        ).fetchall()
+        rows = stored_attachments(store)
     assert len(calls) == len(rules) == 1
     assert rows == ACCEPTANCE_ATTACHMENTS
 
 
 def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
     """Docs sharing a store key (library, class simple name, method, signature)
-    keep the first one parsed, which is also the one attach_docs picks."""
+    keep the first one parsed, which is also the one attach_docs picks.  Docs
+    no mapping uses are not stored at all."""
     import migmine.pipeline as pipeline_module
 
     parse_doc_archive = pipeline_module.parse_doc_archive
@@ -509,5 +589,5 @@ def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
             "SELECT DISTINCT d.package FROM doc_attachments a "
             "JOIN method_docs d ON d.id = a.doc_id WHERE a.method = 'toJSONString'"
         ).fetchall()
-    assert set(stored) == {("toJSONString", "a.shadow"), ("bar", "a")}
+    assert stored == [("toJSONString", "a.shadow")]
     assert attached == [("a.shadow",)]

@@ -93,4 +93,4 @@ def test_dependency_classification_matches_annotations(json_index):
         got = facts_depend_on(facts, json_index, imports_count_as_use=True)
         if got != should_depend:
             mismatches.append((path.name, got, should_depend))
-    assert mismatches == [], f"file_depends_on mismatches: {mismatches}"
+    assert mismatches == [], f"facts_depend_on mismatches: {mismatches}"

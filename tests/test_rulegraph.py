@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migmine.model import DependencyChange, LibraryCoordinate, RuleFilterConfig
+from migmine.model import DependencyChange, LibraryCoordinate
+from migmine.pipeline import RunConfig
 from migmine.rulegraph import (
     MigrationGraph,
     confirm_rules,
@@ -80,7 +81,7 @@ class TestAccumulate:
 
 class TestNormalizeAndFilter:
     def test_default_threshold_keeps_only_max_edges(self):
-        rules = normalize_and_filter(paper_graph(), RuleFilterConfig(1.0))
+        rules = normalize_and_filter(paper_graph(), t_rel=1.0)
         assert {(r.source, r.target) for r in rules} == {
             (JSON, GSON),
             (EASYMOCK, MOCKITO),
@@ -95,7 +96,7 @@ class TestNormalizeAndFilter:
         graph.add_edge(JSON, OTHER, 3)
         rules = {
             (r.source, r.target): r.normalized_weight
-            for r in normalize_and_filter(graph, RuleFilterConfig(0.0))
+            for r in normalize_and_filter(graph, t_rel=0.0)
         }
         assert rules[(JSON, GSON)] == 1.0
         assert rules[(JSON, OTHER)] == 0.25
@@ -103,7 +104,7 @@ class TestNormalizeAndFilter:
     def test_lower_threshold_admits_competitors(self):
         kept = {
             (r.source, r.target)
-            for r in normalize_and_filter(paper_graph(), RuleFilterConfig(0.2))
+            for r in normalize_and_filter(paper_graph(), t_rel=0.2)
         }
         # both 0.25-normalized edges clear the 0.2 bar, nothing else changes
         assert kept == {
@@ -115,23 +116,23 @@ class TestNormalizeAndFilter:
     def test_single_edge_always_kept(self):
         graph = MigrationGraph()
         graph.add_edge(JSON, GSON, 1)
-        rules = normalize_and_filter(graph, RuleFilterConfig(1.0))
+        rules = normalize_and_filter(graph, t_rel=1.0)
         assert len(rules) == 1
         assert rules[0].normalized_weight == 1.0
 
     def test_empty_graph_yields_no_rules(self):
-        assert normalize_and_filter(MigrationGraph(), RuleFilterConfig(1.0)) == []
+        assert normalize_and_filter(MigrationGraph(), t_rel=1.0) == []
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            RuleFilterConfig(1.5)
+            RunConfig(t_rel=1.5)
         with pytest.raises(ValueError):
-            RuleFilterConfig(-0.1)
+            RunConfig(t_rel=-0.1)
 
 
 class TestConfirmRules:
     def test_fragments_confirm_and_absence_discards(self):
-        rules = normalize_and_filter(paper_graph(), RuleFilterConfig(1.0))
+        rules = normalize_and_filter(paper_graph(), t_rel=1.0)
         confirmed = confirm_rules(rules, {(JSON, GSON): 7})
         by_key = {(r.source, r.target): r.status for r in confirmed}
         assert by_key[(JSON, GSON)] == "confirmed"
@@ -173,16 +174,16 @@ def graph_from(edges):
 @given(edge_sets, st.integers(min_value=1, max_value=9))
 @settings(max_examples=300, deadline=None)
 def test_argmax_set_invariant_under_uniform_scaling(edges, factor):
-    base = normalize_and_filter(graph_from(edges), RuleFilterConfig(1.0))
+    base = normalize_and_filter(graph_from(edges), t_rel=1.0)
     scaled_edges = {e: w * factor for e, w in edges.items()}
-    scaled = normalize_and_filter(graph_from(scaled_edges), RuleFilterConfig(1.0))
+    scaled = normalize_and_filter(graph_from(scaled_edges), t_rel=1.0)
     assert {(r.source, r.target) for r in base} == {(r.source, r.target) for r in scaled}
 
 
 @given(edge_sets)
 @settings(max_examples=300, deadline=None)
 def test_exactly_max_edges_have_normalized_one(edges):
-    rules = normalize_and_filter(graph_from(edges), RuleFilterConfig(0.0))
+    rules = normalize_and_filter(graph_from(edges), t_rel=0.0)
     max_out = {}
     for (src, _), weight in edges.items():
         max_out[src] = max(max_out.get(src, 0), weight)
@@ -197,10 +198,10 @@ def test_exactly_max_edges_have_normalized_one(edges):
 def test_threshold_monotonicity(edges, t1, t2):
     lo, hi = sorted((t1, t2))
     graph = graph_from(edges)
-    kept_lo = {(r.source, r.target) for r in normalize_and_filter(graph, RuleFilterConfig(lo))}
-    kept_hi = {(r.source, r.target) for r in normalize_and_filter(graph, RuleFilterConfig(hi))}
+    kept_lo = {(r.source, r.target) for r in normalize_and_filter(graph, t_rel=lo)}
+    kept_hi = {(r.source, r.target) for r in normalize_and_filter(graph, t_rel=hi)}
     assert kept_hi <= kept_lo
-    assert {(r.source, r.target) for r in normalize_and_filter(graph, RuleFilterConfig(0.0))} == set(
+    assert {(r.source, r.target) for r in normalize_and_filter(graph, t_rel=0.0)} == set(
         (("g", f"n{s}"), ("g", f"n{t}")) for (s, t) in edges
     )
 

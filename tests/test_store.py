@@ -1,4 +1,4 @@
-"""Store idempotence, foreign keys, export shapes and determinism."""
+"""Store write rules, foreign keys, export shapes and determinism."""
 
 import dataclasses
 import json
@@ -97,11 +97,12 @@ def make_doc():
 
 
 class TestUpserts:
-    def test_commit_upsert_idempotent(self, store):
+    def test_commit_stored_twice_is_store_error(self, store):
         seed_project(store)
         record = store.commits_for("demo")[0]
         before = store.counts()["commits"]
-        store.upsert(record)
+        with pytest.raises(StoreError):
+            store.upsert(record)
         assert store.counts()["commits"] == before
 
     def test_fragment_with_unknown_segment_is_store_error(self, store):
@@ -117,7 +118,7 @@ class TestUpserts:
             store.upsert(make_segment())
 
     def test_full_chain_roundtrip(self, store):
-        """Insert returns the new row's id; the update path returns the same id."""
+        """Each insert returns a new row id; storing a row again is an error."""
         seed_project(store)
         seed_rule(store)
         segment = make_segment()
@@ -125,19 +126,20 @@ class TestUpserts:
         assert isinstance(segment_id, int)
         later = dataclasses.replace(segment, start_commit="c2", commits=["c2"])
         later_id = store.upsert(later)
-        assert later_id != segment_id
-        assert store.upsert(dataclasses.replace(segment, end_commit="c1")) == segment_id
-        assert store.upsert(segment) == segment_id
-        assert store.upsert(later) == later_id
+        assert isinstance(later_id, int) and later_id != segment_id
+        with pytest.raises(StoreError):
+            store.upsert(dataclasses.replace(segment, end_commit="c1"))
         fragment_id = store.upsert(make_fragment())
         assert isinstance(fragment_id, int)
-        assert store.upsert(make_fragment()) == fragment_id  # idempotent
+        with pytest.raises(StoreError):
+            store.upsert(make_fragment())
         assert store.db.execute(
             "SELECT segment_id FROM fragments WHERE id = ?", (fragment_id,)
         ).fetchone() == (segment_id,)
         segs = store.segments()
         assert len(segs) == 2
         assert segs[0].commits == ["c1", "c2"]
+        assert segs[0].end_commit == "c2"
 
         mapping = MethodMapping(
             JSON_ID,
@@ -148,18 +150,10 @@ class TestUpserts:
         )
         mapping_id = store.upsert(mapping)
         other_id = store.upsert(dataclasses.replace(mapping, target_methods=frozenset()))
-        assert other_id != mapping_id
-        assert store.upsert(dataclasses.replace(mapping, support=5)) == mapping_id
-        assert dict(store.mappings())[mapping_id].support == 5
-
-        doc = make_doc()
-        doc_id = store.upsert(doc)
-        overload_id = store.upsert(dataclasses.replace(doc, signature=("Object",)))
-        assert overload_id != doc_id
-        assert store.upsert(dataclasses.replace(doc, description="Serializes.")) == doc_id
-        assert store.db.execute(
-            "SELECT description FROM method_docs WHERE id = ?", (doc_id,)
-        ).fetchone() == ("Serializes.",)
+        assert isinstance(other_id, int) and other_id != mapping_id
+        with pytest.raises(StoreError):
+            store.upsert(dataclasses.replace(mapping, support=5))
+        assert dict(store.mappings())[mapping_id].support == 1
 
     def test_dependency_change_roundtrip(self, store):
         seed_project(store)
@@ -170,7 +164,8 @@ class TestUpserts:
             removed=frozenset({LibraryCoordinate(*JSON_ID, "20080701")}),
         )
         store.upsert(change)
-        store.upsert(change)
+        with pytest.raises(StoreError):
+            store.upsert(change)
         loaded = store.dependency_changes()
         assert len(loaded) == 1
         assert loaded[0].added == change.added
@@ -179,7 +174,21 @@ class TestUpserts:
     def test_method_doc_upsert(self, store):
         doc = make_doc()
         first = store.upsert(doc)
-        assert store.upsert(doc) == first
+        overload = store.upsert(dataclasses.replace(doc, signature=("Object",)))
+        assert isinstance(first, int) and isinstance(overload, int) and overload != first
+        with pytest.raises(StoreError):
+            store.upsert(dataclasses.replace(doc, description="Serializes."))
+        assert store.db.execute(
+            "SELECT description FROM method_docs WHERE id = ?", (first,)
+        ).fetchone() == ("Converts.",)
+
+    def test_project_and_rule_update_in_place(self, store):
+        seed_project(store)
+        store.upsert(ProjectRef("demo", "/src/demo", "/elsewhere/demo"))
+        assert store.projects() == [ProjectRef("demo", "/src/demo", "/elsewhere/demo")]
+        seed_rule(store)
+        seed_rule(store, status="confirmed")
+        assert [r.status for r in store.rules()] == ["confirmed"]
 
 
 class TestTransactions:
