@@ -3,8 +3,9 @@
 One `git log` per project reads the first-parent history, oldest first,
 together with every commit's raw changes; this gives every project a
 stable linear timeline for segment ordering.  File contents come from the
-object store through `cat-file --batch`, never from checkouts.  Every call
-goes through `run_git`, which never waits on a credential prompt.
+object store, never from checkouts: one `cat-file --batch` process per
+history read, fed one object id at a time.  No git call, neither
+`run_git` nor that reader, waits on a credential prompt.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import logging
 import os
 import re
 import subprocess
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -50,15 +53,18 @@ class RawChange(NamedTuple):
     new_sha: str
 
 
-def run_git(args: list[str], cwd: str | Path | None = None, data: bytes | None = None) -> bytes:
+def _git_env() -> dict[str, str]:
+    # a clone that needs credentials fails instead of blocking on a prompt
+    return {**os.environ, "GIT_TERMINAL_PROMPT": "0"}
+
+
+def run_git(args: list[str], cwd: str | Path | None = None) -> bytes:
     proc = subprocess.run(
         [GIT, *args],
         cwd=cwd,
-        input=data,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        # a clone that needs credentials fails instead of blocking on a prompt
-        env={**os.environ, "GIT_TERMINAL_PROMPT": "0"},
+        env=_git_env(),
     )
     if proc.returncode != 0:
         raise GitError(
@@ -161,61 +167,108 @@ def read_history(
     return records, changes
 
 
-def changed_files(ref: ProjectRef, entries: list[RawChange]) -> list[FileChange]:
-    """One commit's raw changes with both blob versions read and decoded.
+def changed_files(
+    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]]
+) -> dict[str, list[FileChange]]:
+    """Each commit's raw changes with both blob versions read and decoded.
 
-    All blobs come from one cat-file --batch call, none when `entries` is
-    empty.  An entry with a binary blob on either side is skipped entirely.
+    One `cat-file --batch` process serves the whole history, one object at
+    a time, so a single raw blob is in memory at once.  Each distinct blob
+    is read and decoded once: a commit's "after" text is the same string
+    as the next change's "before" text.  An entry with a binary blob on
+    either side is skipped entirely; a missing blob reads as None.
     """
-    blobs = _read_blobs(
-        ref.workdir,
-        {sha for entry in entries for sha in (entry.old_sha, entry.new_sha) if sha.strip("0")},
-    )
-    changes = []
-    for status, old_path, new_path, old_sha, new_sha in entries:
-        before = blobs.get(old_sha)
-        after = blobs.get(new_sha)
-        if before is _BINARY or after is _BINARY:
-            continue
-        code = status[0]
-        if code in ("A", "C"):
-            changes.append(FileChange(new_path, "added", None, None, after, None, new_sha))
-        elif code == "D":
-            changes.append(FileChange(old_path, "deleted", None, before, None, old_sha, None))
-        elif code == "R":
-            changes.append(
-                FileChange(new_path, "renamed", old_path, before, after, old_sha, new_sha)
-            )
-        else:  # M, T
-            changes.append(
-                FileChange(new_path, "modified", None, before, after, old_sha, new_sha)
-            )
-    return changes
+    texts: dict[str, str | object | None] = {}
+    out: dict[str, list[FileChange]] = {}
+    with _cat_file(ref.workdir) as read:
+
+        def text(sha: str) -> str | object | None:
+            if not sha.strip("0"):
+                return None
+            if sha not in texts:
+                raw = read(sha)
+                texts[sha] = (
+                    raw if raw is None
+                    else _BINARY if b"\0" in raw
+                    else raw.decode("utf-8", "replace")
+                )
+            return texts[sha]
+
+        for commit_id, entries in entries_by_commit.items():
+            changes = out[commit_id] = []
+            for status, old_path, new_path, old_sha, new_sha in entries:
+                before = text(old_sha)
+                after = text(new_sha)
+                if before is _BINARY or after is _BINARY:
+                    continue
+                code = status[0]
+                if code in ("A", "C"):
+                    changes.append(FileChange(new_path, "added", None, None, after, None, new_sha))
+                elif code == "D":
+                    changes.append(FileChange(old_path, "deleted", None, before, None, old_sha, None))
+                elif code == "R":
+                    changes.append(
+                        FileChange(new_path, "renamed", old_path, before, after, old_sha, new_sha)
+                    )
+                else:  # M, T
+                    changes.append(
+                        FileChange(new_path, "modified", None, before, after, old_sha, new_sha)
+                    )
+    return out
 
 
 _BINARY = object()
 
 
-def _read_blobs(workdir: str | Path, shas: set[str]) -> dict[str, str | object]:
-    """Bulk-read blobs via one cat-file --batch call; binary marked, not decoded."""
-    if not shas:
-        return {}
-    ordered = sorted(shas)
-    data = run_git(
-        ["cat-file", "--batch"],
+@contextmanager
+def _cat_file(workdir: str | Path) -> Iterator[Callable[[str], bytes | None]]:
+    """A reader from object id to its bytes (None when missing), served by one
+    `git cat-file --batch` process that lives as long as the block.
+
+    Without `--buffer` git flushes each reply, so each id is written only
+    after the previous object has been read.  A reader that dies raises
+    `GitError` with git's stderr; the process is always waited for.
+    """
+    with subprocess.Popen(
+        [GIT, "cat-file", "--batch"],
         cwd=workdir,
-        data=("\n".join(ordered) + "\n").encode("ascii"),
-    )
-    out: dict[str, str | object] = {}
-    pos = 0
-    for sha in ordered:
-        nl = data.index(b"\n", pos)
-        header = data[pos:nl].decode("ascii", "replace").split()
-        pos = nl + 1
-        if len(header) < 3 or header[1] == "missing":
-            continue
-        size = int(header[2])
-        raw = data[pos : pos + size]
-        pos += size + 1  # trailing newline after the blob
-        out[header[0]] = _BINARY if b"\0" in raw else raw.decode("utf-8", "replace")
-    return out
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_git_env(),
+    ) as proc:
+
+        def failed() -> GitError:
+            try:
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass
+            rc = proc.wait()
+            stderr = proc.stderr.read().decode("utf-8", "replace").strip()
+            return GitError(f"git cat-file --batch failed (rc={rc}): {stderr}")
+
+        def read(sha: str) -> bytes | None:
+            try:
+                proc.stdin.write(f"{sha}\n".encode("ascii"))
+                proc.stdin.flush()
+            except BrokenPipeError:
+                raise failed() from None
+            header = proc.stdout.readline().split()
+            if header[1:] == [b"missing"]:
+                return None
+            if len(header) != 3:
+                raise failed()
+            size = int(header[2])
+            data = proc.stdout.read(size)
+            if len(data) != size or proc.stdout.read(1) != b"\n":
+                raise failed()
+            return data
+
+        try:
+            yield read
+            proc.stdin.close()
+            if proc.wait() != 0:
+                raise failed()
+        except BaseException:
+            proc.kill()
+            raise

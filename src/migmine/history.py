@@ -1,9 +1,10 @@
 """Cached per-project view of a repository's history.
 
-Holds the raw changes of one history read, resolves each commit's
-`pom.xml` and `.java` changes at most once, and caches per-blob facts,
-the replayed manifest timeline and the map of declared libraries, so
-segment and fragment detection never analyze the same blob twice.
+Holds the raw changes of one history read and, on first use, resolves
+every commit's `pom.xml` and `.java` changes through one blob reader that
+streams the history one object at a time.  Caches per-blob facts, the
+replayed manifest timeline and the map of declared libraries, so segment
+and fragment detection never analyze the same blob twice.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ProjectHistory:
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
         self._raw_changes = raw_changes
-        self._file_changes: dict[str, CommitChanges] = {}
+        self._file_changes: dict[str, CommitChanges] | None = None
         self._facts: dict[str, SourceFacts] = {}
         self._uses: dict[tuple, list] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
@@ -65,34 +66,42 @@ class ProjectHistory:
         self._dep_flags: dict[tuple, list[bool]] = {}
 
     def changes(self, commit_id: str) -> CommitChanges:
-        """The commit's pom.xml and .java changes against its first parent."""
-        if commit_id not in self._file_changes:
-            entries = [
-                e
-                for e in self._raw_entries(commit_id)
-                if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
-            ]
-            files = gitrepo.changed_files(self.ref, entries)
-            self._file_changes[commit_id] = CommitChanges(
-                [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
-                [fc for fc in files if _touches_java(fc.path, fc.old_path)],
-            )
-        return self._file_changes[commit_id]
+        """The commit's pom.xml and .java changes against its first parent.
 
-    def _raw_entries(self, commit_id: str) -> list[gitrepo.RawChange]:
-        if self._raw_changes is None:
-            tip = self.commits[-1].commit_id
-            try:
-                _, self._raw_changes = gitrepo.read_history(self.ref, tip)
-            except gitrepo.GitError as exc:
-                raise gitrepo.UnknownCommitError(
-                    f"cannot read {self.ref.id} history up to {tip}: {exc}"
-                ) from exc
-        if commit_id not in self._raw_changes:
+        The first call resolves every commit of the history through one blob
+        reader: each caller walks the whole history anyway.
+        """
+        if self._file_changes is None:
+            selected = {
+                cid: [
+                    e for e in entries
+                    if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
+                ]
+                for cid, entries in self._read_raw_changes().items()
+            }
+            self._file_changes = {
+                cid: CommitChanges(
+                    [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
+                    [fc for fc in files if _touches_java(fc.path, fc.old_path)],
+                )
+                for cid, files in gitrepo.changed_files(self.ref, selected).items()
+            }
+        if commit_id not in self._file_changes:
             raise gitrepo.UnknownCommitError(
                 f"commit {commit_id} is not in the first-parent history of {self.ref.id}"
             )
-        return self._raw_changes[commit_id]
+        return self._file_changes[commit_id]
+
+    def _read_raw_changes(self) -> dict[str, list[gitrepo.RawChange]]:
+        if self._raw_changes is not None:
+            return self._raw_changes
+        tip = self.commits[-1].commit_id
+        try:
+            return gitrepo.read_history(self.ref, tip)[1]
+        except gitrepo.GitError as exc:
+            raise gitrepo.UnknownCommitError(
+                f"cannot read {self.ref.id} history up to {tip}: {exc}"
+            ) from exc
 
     def facts_for(self, sha: str | None, text: str, path: str) -> SourceFacts:
         if sha is None:

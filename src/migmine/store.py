@@ -431,14 +431,20 @@ class Store:
     def upsert_doc_attachment(
         self, mapping_id: int, side: str, attachment: DocAttachment, doc_id: int | None
     ) -> None:
+        """Insert one attachment; one already stored is a StoreError."""
         cls, method, arity = attachment.method
-        with self.transaction():
-            self.db.execute(
-                "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
-                "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (mapping_id, side, cls, method, arity, doc_id,
-                 int(attachment.found), int(attachment.ambiguous)),
-            )
+        try:
+            with self.transaction():
+                self.db.execute(
+                    "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
+                    "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (mapping_id, side, cls, method, arity, doc_id,
+                     int(attachment.found), int(attachment.ambiguous)),
+                )
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(
+                f"integrity violation storing {attachment!r} for mapping {mapping_id}: {exc}"
+            ) from exc
 
     # -- stage lifecycle ---------------------------------------------------------
 

@@ -221,3 +221,4 @@ class TestFetcher:
             assert len(attempts) == 3
         finally:
             server.shutdown()
+            server.server_close()

@@ -1,5 +1,6 @@
 """History ingestion against scripted repositories."""
 
+import shutil
 import subprocess
 
 import pytest
@@ -7,6 +8,7 @@ from corpusgen import GSON_LIB, JSON_LIB, _git, build_repo, pom
 
 from migmine import gitrepo
 from migmine.gitrepo import (
+    GitError,
     IngestError,
     NoHistoryError,
     RawChange,
@@ -95,7 +97,7 @@ class TestIngest:
     def test_git_version_reports(self):
         assert git_version().startswith("git version")
 
-    def test_git_never_waits_on_a_credential_prompt(self, monkeypatch):
+    def test_git_never_waits_on_a_credential_prompt(self, small_repo, monkeypatch):
         seen = {}
 
         def fake_run(cmd, **kwargs):
@@ -107,6 +109,21 @@ class TestIngest:
         git_version()
         assert seen["env"]["GIT_TERMINAL_PROMPT"] == "0"
         assert seen["env"]["MIGMINE_PROBE"] == "kept"
+
+        # the blob reader is started with the same environment
+        reader = {}
+        popen = subprocess.Popen
+
+        def spy_popen(cmd, **kwargs):
+            reader.update(kwargs, cmd=cmd)
+            return popen(cmd, **kwargs)
+
+        monkeypatch.setattr(gitrepo.subprocess, "Popen", spy_popen)
+        path, _ = small_repo
+        assert changed_files(ProjectRef("p", str(path), str(path)), {}) == {}
+        assert reader["cmd"][1:] == ["cat-file", "--batch"]
+        assert reader["env"]["GIT_TERMINAL_PROMPT"] == "0"
+        assert reader["env"]["MIGMINE_PROBE"] == "kept"
 
     def test_scripted_five_commit_fixture(self, corpus, tmp_path):
         ref, records, _ = ingest_project(
@@ -191,13 +208,17 @@ class TestChangedFiles:
     def test_replay_invariant_before_equals_previous_after(self, small_repo):
         path, hashes = small_repo
         ref, records, raw = ingest_project(str(path), path.parent / "work")
+        by_commit = changed_files(ref, raw)
+        assert list(by_commit) == [r.commit_id for r in records]
         last_after: dict[str, str] = {}
         for record in records:
-            for change in changed_files(ref, raw[record.commit_id]):
+            for change in by_commit[record.commit_id]:
                 if change.kind != "added":
                     previous = last_after.get(change.old_path or change.path)
                     if previous is not None:
                         assert change.before == previous
+                        # each distinct blob is decoded once
+                        assert change.before is previous
                 if change.after is not None:
                     last_after[change.path] = change.after
                 if change.kind == "renamed":
@@ -217,8 +238,27 @@ class TestChangedFiles:
         _git(["add", "-A"], cwd=path)
         _git(["commit", "-q", "-m", "bin"], cwd=path, env=env)
         ref, records, raw = ingest_project(str(path), tmp_path / "w")
-        changes = changed_files(ref, raw[records[0].commit_id])
+        changes = changed_files(ref, raw)[records[0].commit_id]
         assert [c.path for c in changes] == ["ok.txt"]
+
+    def test_dead_reader_is_git_error_not_empty_changes(self, tmp_path, monkeypatch):
+        path = tmp_path / "vanishing"
+        hashes = build_repo(path, [("first", {"pom.xml": "<project/>"})])
+        history = history_of(path, tmp_path / "work")
+        shutil.rmtree(path / ".git")
+        # git must not find an enclosing repository above the test directory
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        with pytest.raises(GitError, match=r"cat-file --batch failed \(rc=128\)"):
+            history.changes(hashes[0])
+
+    def test_missing_blob_reads_as_none(self, small_repo):
+        path, hashes = small_repo
+        ref, _, raw = ingest_project(str(path), path.parent / "work")
+        gone = "f" * 40
+        entry = RawChange("M", "pom.xml", "pom.xml", gone, raw[hashes[1]][0].new_sha)
+        [change] = changed_files(ref, {hashes[1]: [entry]})[hashes[1]]
+        assert change.before is None
+        assert change.after == "<project><x/></project>"
 
 
 # -- the one-stream reader against per-commit diff-tree ------------------------

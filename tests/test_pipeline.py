@@ -5,6 +5,7 @@ import logging
 import sqlite3
 import subprocess
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import corpus_config
@@ -591,3 +592,34 @@ def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
         ).fetchall()
     assert stored == [("toJSONString", "a.shadow")]
     assert attached == [("a.shadow",)]
+
+
+def test_one_blob_reader_per_project_per_pass(corpus, tmp_path, monkeypatch):
+    """Each pass reads a project's blobs through one `git cat-file` process,
+    however many commits touch a pom.xml or a .java file."""
+    from migmine import gitrepo
+
+    readers = []
+    popen = subprocess.Popen
+
+    def spy(cmd, **kwargs):
+        if "cat-file" in cmd:
+            readers.append(str(Path(kwargs["cwd"]).resolve()))
+        return popen(cmd, **kwargs)
+
+    # subprocess.run, and so run_git, starts its processes through Popen too
+    monkeypatch.setattr(gitrepo.subprocess, "Popen", spy)
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        workdirs = sorted(str(Path(ref.workdir).resolve()) for ref in store.projects())
+        assert len(workdirs) == len(corpus.repos)
+        assert sorted(readers) == workdirs
+        readers.clear()
+        pipeline = Pipeline(store, config)
+        pipeline.detect_rules()
+        pipeline.detect_segments()
+        pipeline.detect_fragments()
+        pipeline.collect_docs()
+        pipeline.export_reports()
+    assert sorted(readers) == workdirs

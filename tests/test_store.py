@@ -10,6 +10,7 @@ from migmine.fragments import unified_diff
 from migmine.model import (
     CommitRecord,
     DependencyChange,
+    DocAttachment,
     Fragment,
     LibraryCoordinate,
     LibraryMethodUse,
@@ -181,6 +182,23 @@ class TestUpserts:
         assert store.db.execute(
             "SELECT description FROM method_docs WHERE id = ?", (first,)
         ).fetchone() == ("Converts.",)
+
+    def test_doc_attachment_stored_twice_is_store_error(self, store):
+        seed_rule(store)
+        mapping_id = store.upsert(
+            MethodMapping(
+                JSON_ID,
+                GSON_ID,
+                frozenset({("org.json.JSONObject", "toJSONString", 0)}),
+                frozenset({("com.google.gson.Gson", "toJson", 1)}),
+                support=1,
+            )
+        )
+        attachment = DocAttachment(("com.google.gson.Gson", "toJson", 1), None, False)
+        store.upsert_doc_attachment(mapping_id, "target", attachment, None)
+        with pytest.raises(StoreError):
+            store.upsert_doc_attachment(mapping_id, "target", attachment, None)
+        assert store.db.execute("SELECT COUNT(*) FROM doc_attachments").fetchone() == (1,)
 
     def test_project_and_rule_update_in_place(self, store):
         seed_project(store)
