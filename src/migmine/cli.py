@@ -6,7 +6,7 @@ import argparse
 import logging
 import sys
 
-from . import __version__
+from . import __version__, gitrepo
 from .docs import DEFAULT_REPO_BASE
 from .pipeline import Pipeline, RunConfig, StageDataError, run_all
 from .store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FATAL
     except StoreError as exc:
         log.error("event=store_error detail=%r", str(exc))
+        return EXIT_FATAL
+    except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
+        log.error("event=git_error detail=%r", str(exc))
         return EXIT_FATAL
 
 

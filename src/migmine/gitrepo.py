@@ -59,13 +59,16 @@ def _git_env() -> dict[str, str]:
 
 
 def run_git(args: list[str], cwd: str | Path | None = None) -> bytes:
-    proc = subprocess.run(
-        [GIT, *args],
-        cwd=cwd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=_git_env(),
-    )
+    try:
+        proc = subprocess.run(
+            [GIT, *args],
+            cwd=cwd,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_git_env(),
+        )
+    except OSError as exc:  # no git binary, or cwd is gone
+        raise GitError(f"git {' '.join(args[:2])} could not start: {exc}") from exc
     if proc.returncode != 0:
         raise GitError(
             f"git {' '.join(args[:2])} failed (rc={proc.returncode}): "

@@ -4,7 +4,10 @@ Holds the raw changes of one history read and, on first use, resolves
 every commit's `pom.xml` and `.java` changes through one blob reader that
 streams the history one object at a time.  Caches per-blob facts, the
 replayed manifest timeline and the map of declared libraries, so segment
-and fragment detection never analyze the same blob twice.
+and fragment detection never analyze the same blob twice.  A blob whose
+text contains none of a library's class simple names or package last
+segments (`javafacts.may_reference`) counts as not using that library and
+is not tokenized for it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ class ProjectHistory:
                 f"cannot read {self.ref.id} history up to {tip}: {exc}"
             ) from exc
 
+    @property
+    def blobs_tokenized(self) -> int:
+        """Distinct blobs whose facts this history has extracted."""
+        return len(self._facts)
+
     def facts_for(self, sha: str | None, text: str, path: str) -> SourceFacts:
         if sha is None:
             return javafacts.extract_facts(text, path)
@@ -117,7 +125,11 @@ class ProjectHistory:
     def uses_for(self, sha: str | None, text: str, path: str, index: PackageIndex):
         key = (sha, self._index_key(index))
         if sha is None or key not in self._uses:
-            uses = javafacts.resolve_usages(self.facts_for(sha, text, path), index)
+            uses = (
+                javafacts.resolve_usages(self.facts_for(sha, text, path), index)
+                if javafacts.may_reference(text, index)
+                else []
+            )
             if sha is None:
                 return uses
             self._uses[key] = uses
@@ -212,10 +224,14 @@ class ProjectHistory:
                     continue
                 if fc.kind == "renamed" and fc.old_path:
                     dependent.discard(fc.old_path)
-                if fc.after is not None and javafacts.facts_depend_on(
-                    self.facts_for(fc.after_sha, fc.after, fc.path),
-                    index,
-                    imports_count_as_use,
+                if (
+                    fc.after is not None
+                    and javafacts.may_reference(fc.after, index)
+                    and javafacts.facts_depend_on(
+                        self.facts_for(fc.after_sha, fc.after, fc.path),
+                        index,
+                        imports_count_as_use,
+                    )
                 ):
                     dependent.add(fc.path)
                 else:

@@ -6,6 +6,11 @@ intra-file and declared-type based: the walker tracks the declared types
 of locals, fields and parameters in scope only to find an invocation's
 receiver type, and exports nothing else about them.  It is a conservative
 under-approximation that prefers missing a use over inventing one.
+
+`may_reference` is a text check in front of all of that: a source whose
+text contains none of a library's class simple names or package last
+segments cannot use or depend on the library, so it need not be tokenized
+for it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "build_package_index",
     "fallback_package_index",
     "extract_facts",
+    "may_reference",
     "resolve_usages",
     "facts_depend_on",
 ]
@@ -529,6 +535,29 @@ def extract_facts(source: str, path: str = "<memory>") -> SourceFacts:
     never an exception.
     """
     return _Walker(tokenize(source), path).run()
+
+
+def may_reference(text: str, index: PackageIndex) -> bool:
+    """False only when no facts of `text` can reference the indexed library.
+
+    Every identifier the scanner yields is a verbatim slice of the text, and
+    every reference that `resolve_usages` or `facts_depend_on` finds ends in
+    one of two things:
+
+    - a class of `index.classes` whose simple name is an identifier of the
+      file.  Explicit, wildcard, static and fully qualified references,
+      same-package references and inner-class folding all look up a dotted
+      name of identifiers whose last kept segment is that simple name;
+    - a package in, or under, one of `index.packages` whose segments are
+      identifiers of the file: wildcard imports, and every class of a
+      prefix-mode index.
+
+    So when the text contains none of those simple names and none of the
+    packages' last segments (`index.reference_words`), `resolve_usages` of
+    its facts is empty and `facts_depend_on` is false for either value of
+    `imports_count_as_use`.
+    """
+    return any(word in text for word in index.reference_words)
 
 
 def _lookup_class(index: PackageIndex, fqcn: str) -> str | None:

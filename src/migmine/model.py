@@ -162,6 +162,16 @@ class PackageIndex:
     classes: frozenset[str]
     packages: frozenset[str]
     prefix_mode: bool = False
+    # class simple names and package last segments: a source text that
+    # contains none of them cannot reference the library (javafacts.may_reference)
+    reference_words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # package segments first: a source that uses the library usually imports
+        # it, so the check stops at its first word
+        packages = sorted({p.rpartition(".")[2] for p in self.packages})
+        classes = sorted({c.rpartition(".")[2] for c in self.classes} - set(packages))
+        object.__setattr__(self, "reference_words", (*packages, *classes))
 
     def contains_class(self, fqcn: str) -> bool:
         if not self.prefix_mode:

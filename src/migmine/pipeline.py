@@ -138,6 +138,9 @@ class Pipeline:
             )
         return self._histories[project_id]
 
+    def _blobs_tokenized(self) -> int:
+        return sum(history.blobs_tokenized for history in self._histories.values())
+
     def package_index(self, coordinate: LibraryCoordinate) -> PackageIndex:
         """Class index for a library, from its archive or the prefix fallback."""
         if coordinate in self._indices:
@@ -256,11 +259,13 @@ class Pipeline:
             raise StageDataError("no rules in store; run detect-rules first")
         histories = [self.history(project_id) for project_id in self._projects()]
         segments = []
+        pairs = 0
         for rule in rules:
             for history in histories:
                 declared = history.declared_libraries()
                 if rule.source not in declared or rule.target not in declared:
                     continue
+                pairs += 1
                 found = find_segments(
                     history,
                     rule.source,
@@ -284,6 +289,10 @@ class Pipeline:
                 self.store.upsert(rule)
         for segment in segments:
             self.store.upsert(segment)
+        log.info(
+            "event=segments_detected pairs=%d segments=%d blobs_tokenized=%d",
+            pairs, len(segments), self._blobs_tokenized(),
+        )
         return segments
 
     @stage
@@ -332,9 +341,10 @@ class Pipeline:
         for rule in confirmed:
             self.store.upsert(rule)
         log.info(
-            "event=fragments_detected fragments=%d mappings=%d confirmed=%d",
+            "event=fragments_detected fragments=%d mappings=%d confirmed=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
+            self._blobs_tokenized(),
         )
         return all_fragments, mappings
 

@@ -358,31 +358,16 @@ class Store:
                 ),
             ).lastrowid
 
-    def _segment_id(self, fragment: Fragment) -> int:
-        row = self.db.execute(
-            "SELECT id FROM segments WHERE project = ? AND source_group = ? AND "
-            "source_artifact = ? AND target_group = ? AND target_artifact = ? AND "
-            "start_commit = ?",
-            (fragment.project, *fragment.source, *fragment.target, fragment.start_commit),
-        ).fetchone()
-        if row is None:
-            raise StoreError(
-                "fragment references unknown segment "
-                f"({fragment.project}, {library_key(fragment.source)} -> "
-                f"{library_key(fragment.target)}, start {fragment.start_commit})"
-            )
-        return row[0]
-
     def upsert_fragment(self, fragment: Fragment) -> int:
-        segment_id = self._segment_id(fragment)
         hunk = fragment.hunk
         with self.transaction():
-            return self.db.execute(
+            cursor = self.db.execute(
                 "INSERT INTO fragments (segment_id, commit_id, file, before_start, "
                 "before_len, after_start, after_len, diff, removed_methods, added_methods) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "SELECT id, ?, ?, ?, ?, ?, ?, ?, ?, ? FROM segments WHERE project = ? "
+                "AND source_group = ? AND source_artifact = ? AND target_group = ? "
+                "AND target_artifact = ? AND start_commit = ?",
                 (
-                    segment_id,
                     fragment.commit,
                     hunk.file,
                     hunk.before_start,
@@ -392,8 +377,19 @@ class Store:
                     render_hunk(hunk),
                     _methods_json(fragment.removed_methods),
                     _methods_json(fragment.added_methods),
+                    fragment.project,
+                    *fragment.source,
+                    *fragment.target,
+                    fragment.start_commit,
                 ),
-            ).lastrowid
+            )
+        if cursor.rowcount == 0:
+            raise StoreError(
+                "fragment references unknown segment "
+                f"({fragment.project}, {library_key(fragment.source)} -> "
+                f"{library_key(fragment.target)}, start {fragment.start_commit})"
+            )
+        return cursor.lastrowid
 
     def upsert_mapping(self, mapping: MethodMapping) -> int:
         src_json = _keys_json(mapping.source_methods)

@@ -1,8 +1,11 @@
 """CLI exit codes, stage composition and report delegation."""
 
 import json
+import logging
+import shutil
 
 import pytest
+from corpusgen import GSON_LIB, JSON_LIB, SERIALIZER_GSON, SERIALIZER_JSON, build_repo, pom
 
 from migmine.cli import main
 from migmine.store import Store
@@ -150,3 +153,28 @@ class TestStagedPipeline:
         assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
         assert run_cli("detect-rules", *flags) == 0
         assert run_cli("detect-segments", "--no-fallback-index", *flags) == 1
+
+
+class TestGitFailures:
+    @pytest.mark.parametrize("deleted", [".git", "."], ids=["git-dir", "whole-clone"])
+    def test_deleted_clone_is_git_error_not_traceback(
+        self, deleted, corpus, tmp_path, monkeypatch, caplog
+    ):
+        repo = tmp_path / "vanishing"
+        serializer = "src/main/java/com/example/app/Serializer.java"
+        build_repo(repo, [
+            ("init", {"pom.xml": pom("vanishing", JSON_LIB), serializer: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("vanishing", GSON_LIB), serializer: SERIALIZER_GSON}),
+        ])
+        projects = tmp_path / "projects.txt"
+        projects.write_text(f"{repo}\n")
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("ingest", "--projects", projects, *flags) == 0
+        assert run_cli("detect-rules", *flags) == 0
+        shutil.rmtree(repo / deleted)
+        # git must not find an enclosing repository above the test directory
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        caplog.set_level(logging.ERROR, logger="migmine")
+        assert run_cli("detect-segments", *flags) == 1
+        assert [r.getMessage().split()[0] for r in caplog.records] == ["event=git_error"]
+        assert "vanishing" in caplog.records[0].getMessage()

@@ -1,7 +1,13 @@
 """Fact extraction, package indexing and conservative resolution."""
 
+import re
+
 import pytest
+from conftest import FIXTURES
 from corpusgen import class_jar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_resolver_precision import load_ground_truth
 
 from migmine.javafacts import (
     IndexBuildError,
@@ -9,9 +15,10 @@ from migmine.javafacts import (
     extract_facts,
     facts_depend_on,
     fallback_package_index,
+    may_reference,
     resolve_usages,
 )
-from migmine.model import LibraryCoordinate
+from migmine.model import LibraryCoordinate, PackageIndex
 
 JSON_SOURCE = """package com.example;
 
@@ -166,3 +173,105 @@ class TestFileDependsOn:
     def test_static_import_counts(self, json_index):
         facts = extract_facts("import static org.json.JSONObject.quote;\nclass A {}")
         assert facts_depend_on(facts, json_index) is True
+
+
+RESOLVER_FIXTURES = sorted((FIXTURES / "resolver").glob("*.java"))
+FIXTURE_TEXTS = [path.read_text() for path in RESOLVER_FIXTURES]
+JSON_FALLBACK = fallback_package_index(LibraryCoordinate("org.json", "json", "1"))
+_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+SOUP_WORDS = [
+    "package", "import", "static", "new", "class", "var", "org", "com", "example",
+    "x", "value", ".", "*", ";", "(", ")", "{", "}", "=", ",", "<", ">", "//", '"',
+]
+
+
+def fragments(word: str) -> list[str]:
+    """Near misses of an index word: what a scrubbed text may still contain."""
+    return [word[:-1], word[1:], word[: len(word) // 2], word.swapcase(), "x", ""]
+
+
+@st.composite
+def small_indexes(draw) -> PackageIndex:
+    segments = st.sampled_from(["org", "json", "com", "google", "gson", "a"])
+    packages = draw(
+        st.lists(st.lists(segments, min_size=1, max_size=3).map(".".join), min_size=1, max_size=3)
+    )
+    coordinate = LibraryCoordinate("g", "a", "1")
+    if draw(st.booleans()):
+        return PackageIndex(coordinate, frozenset(), frozenset(packages), prefix_mode=True)
+    names = st.sampled_from(["JSONObject", "JSONArray", "Gson", "Builder", "A"])
+    classes = draw(
+        st.sets(st.tuples(st.sampled_from(packages), names).map(".".join), min_size=1, max_size=4)
+    )
+    return build_package_index(
+        coordinate, class_jar([c.replace(".", "/") + ".class" for c in classes])
+    )
+
+
+@st.composite
+def fixture_mutations(draw, words: tuple[str, ...]) -> str:
+    """A resolver fixture with lines dropped and identifiers renamed."""
+    lines = draw(st.sampled_from(FIXTURE_TEXTS)).splitlines(keepends=True)
+    dropped = draw(st.sets(st.integers(0, len(lines) - 1)))
+    drop_imports = draw(st.booleans())
+    text = "".join(
+        line for i, line in enumerate(lines)
+        if i not in dropped and not (drop_imports and line.startswith("import "))
+    )
+    names = sorted(set(_IDENTIFIER.findall(text)) | set(words))
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=12)):
+        replacement = draw(st.sampled_from(fragments(name)))
+        text = re.sub(rf"(?<![\w$]){re.escape(name)}(?![\w$])", replacement, text)
+    if draw(st.booleans()):
+        # scrub every index word, inside other identifiers too
+        for word in words:
+            text = text.replace(word, draw(st.sampled_from(fragments(word))))
+    return text
+
+
+@st.composite
+def identifier_soup(draw, words: tuple[str, ...]) -> str:
+    pool = sorted({*words, *(f for w in words for f in fragments(w)), *SOUP_WORDS})
+    separator = draw(st.sampled_from([" ", "", "\n"]))
+    return separator.join(draw(st.lists(st.sampled_from(pool), max_size=40)))
+
+
+class TestMayReference:
+    def test_rejected_texts_reference_nothing(self, json_index):
+        """A text the check rejects yields no use and no dependency, for
+        class, prefix-mode and random indexes alike; both outcomes occur."""
+        outcomes = set()
+
+        @given(st.data())
+        @settings(max_examples=400, deadline=None)
+        def check(data):
+            label, index = data.draw(
+                st.sampled_from([("json", json_index), ("fallback", JSON_FALLBACK)])
+                | small_indexes().map(lambda index: ("random", index))
+            )
+            text = data.draw(
+                fixture_mutations(index.reference_words) | identifier_soup(index.reference_words)
+            )
+            accepted = may_reference(text, index)
+            outcomes.add((label, accepted))
+            if not accepted:
+                facts = extract_facts(text)
+                assert resolve_usages(facts, index) == []
+                assert facts_depend_on(facts, index, imports_count_as_use=True) is False
+                assert facts_depend_on(facts, index, imports_count_as_use=False) is False
+
+        check()
+        assert outcomes == {(label, accepted) for label in ("json", "fallback", "random")
+                            for accepted in (True, False)}
+
+    def test_accepts_every_dependent_fixture(self, json_index):
+        dependent = [path for path in RESOLVER_FIXTURES if load_ground_truth(path)[1]]
+        assert len(dependent) >= 15
+        for index in (json_index, JSON_FALLBACK):
+            assert [p.name for p in dependent if not may_reference(p.read_text(), index)] == []
+
+    def test_word_set_holds_simple_names_and_package_last_segments(self, json_index):
+        assert set(json_index.reference_words) == {
+            "JSONObject", "JSONArray", "JSONException", "JSONTokener", "CDL", "json"
+        }
+        assert JSON_FALLBACK.reference_words == ("json",)

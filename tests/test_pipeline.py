@@ -623,3 +623,69 @@ def test_one_blob_reader_per_project_per_pass(corpus, tmp_path, monkeypatch):
         pipeline.collect_docs()
         pipeline.export_reports()
     assert sorted(readers) == workdirs
+
+
+PLAIN_SOURCE = """package com.example.app;
+
+public class %s {
+    private int count;
+
+    public int next(int step) {
+        count = count + step;
+        return Math.max(count, 0);
+    }
+}
+"""
+
+
+def test_plain_files_are_never_tokenized(tmp_path, monkeypatch, caplog):
+    """A file that names neither library is not tokenized for either, in
+    any stage; the stage logs count the blobs that were."""
+    from migmine import javafacts
+
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    plain = {
+        f"src/main/java/com/example/app/{name}.java": PLAIN_SOURCE % name
+        for name in ("Counter", "Stepper", "Ledger")
+    }
+    config = single_repo_config(
+        tmp_path,
+        "mostly-plain",
+        [
+            (
+                "init",
+                {"pom.xml": pom("mostly-plain", JSON_LIB), serializer: SERIALIZER_JSON, **plain},
+            ),
+            ("tweak", {path: text + "// tweaked\n" for path, text in plain.items()}),
+            (
+                "migrate",
+                {
+                    "pom.xml": pom("mostly-plain", GSON_LIB),
+                    serializer: SERIALIZER_GSON,
+                    **{path: text + "// migrated\n" for path, text in plain.items()},
+                },
+            ),
+        ],
+    )
+    tokenized = []
+    extract = javafacts.extract_facts
+
+    def spy(text, path="<memory>"):
+        tokenized.append(path)
+        return extract(text, path)
+
+    monkeypatch.setattr(javafacts, "extract_facts", spy)
+    caplog.set_level(logging.INFO, logger="migmine")
+    with Store(config.db_path) as store:
+        code, summary = run_all(store, config)
+    assert code == 0
+    assert summary["rules_confirmed"] == 1
+    assert tokenized and set(tokenized) == {serializer}
+    logged = {
+        r.getMessage().split()[0]: int(r.getMessage().rsplit("blobs_tokenized=", 1)[1])
+        for r in caplog.records
+        if "blobs_tokenized=" in r.getMessage()
+    }
+    # the serializer's two versions, each tokenized once across both stages
+    assert logged == {"event=segments_detected": 2, "event=fragments_detected": 2}
+    assert len(tokenized) == 2

@@ -113,6 +113,21 @@ class TestUpserts:
             store.upsert(make_fragment(start="nonexistent"))
         assert "unknown segment" in str(err.value)
 
+    def test_fragment_insert_finds_its_segment_itself(self, store):
+        """One statement per fragment: no separate segment id lookup."""
+        seed_project(store)
+        seed_rule(store)
+        store.upsert(make_segment())
+        statements = []
+        store.db.set_trace_callback(statements.append)
+        try:
+            store.upsert(make_fragment())
+        finally:
+            store.db.set_trace_callback(None)
+        assert [s.split()[0] for s in statements if s.split()[0] not in ("BEGIN", "COMMIT")] == [
+            "INSERT"
+        ]
+
     def test_segment_requires_existing_rule(self, store):
         seed_project(store)
         with pytest.raises(StoreError):
