@@ -138,7 +138,9 @@ def read_history(
             cwd=ref.workdir,
         )
     except GitError as exc:
-        raise NoHistoryError(f"no commit history in {ref.origin}: {exc}") from exc
+        if _has_no_commits(ref.workdir):
+            raise NoHistoryError(f"no commit history in {ref.origin}") from exc
+        raise IngestError(f"cannot read the history of {ref.origin}: {exc}") from exc
     records: list[CommitRecord] = []
     changes: dict[str, list[RawChange]] = {}
     # -z stream: a "\x1e"-led header per commit, then for each raw entry its
@@ -168,6 +170,19 @@ def read_history(
     if not records:
         raise NoHistoryError(f"no commit history in {ref.origin}")
     return records, changes
+
+
+def _has_no_commits(workdir: str) -> bool:
+    """Whether workdir is a repository whose HEAD names no commit yet."""
+    try:
+        run_git(["rev-parse", "--git-dir"], cwd=workdir)
+    except GitError:
+        return False
+    try:
+        run_git(["rev-parse", "--verify", "--quiet", "HEAD"], cwd=workdir)
+    except GitError:
+        return True
+    return False
 
 
 def changed_files(

@@ -8,6 +8,14 @@ and fragment detection never analyze the same blob twice.  A blob whose
 text contains none of a library's class simple names or package last
 segments (`javafacts.may_reference`) counts as not using that library and
 is not tokenized for it.
+
+The last commit whose sources depend on a library is found by walking
+back from an upper bound `hi`: the java changes are recorded once per
+history (which version each commit replaced at each path, no blob
+analyzed), the files present at `hi` are judged, and then, commit by
+commit, only the versions each commit replaced.  The walk stops at the
+first commit with a dependent file, so versions superseded before that
+commit, and versions written after `hi`, are never judged.
 """
 
 from __future__ import annotations
@@ -66,7 +74,11 @@ class ProjectHistory:
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
         self._changes: list[DependencyChange] | None = None
         self._declared: dict[LibraryId, LibraryCoordinate] | None = None
-        self._dep_flags: dict[tuple, list[bool]] = {}
+        # per commit: each path its java changes touch -> the change whose
+        # version the path held before the commit (None: absent)
+        self._replaced: list[dict[str, FileChange | None]] | None = None
+        self._tip_files: dict[str, FileChange] = {}
+        self._depends: dict[tuple, bool] = {}
 
     def changes(self, commit_id: str) -> CommitChanges:
         """The commit's pom.xml and .java changes against its first parent.
@@ -204,38 +216,69 @@ class ProjectHistory:
 
     # -- source dependency tracking -------------------------------------------
 
-    def source_dependency_flags(
-        self, index: PackageIndex, imports_count_as_use: bool = True
-    ) -> list[bool]:
-        """Per commit: does any file present at that commit depend on the library.
-
-        Replays java file changes once, evaluating only changed blobs; files
-        deleted at a commit stop counting from that commit on.
-        """
-        key = (self._index_key(index), imports_count_as_use)
-        if key in self._dep_flags:
-            return self._dep_flags[key]
-        dependent: set[str] = set()
-        flags = []
+    def _record_replaced(self) -> None:
+        files: dict[str, FileChange] = {}
+        replaced: list[dict[str, FileChange | None]] = []
         for commit in self.commits:
+            held: dict[str, FileChange | None] = {}
             for fc in self.changes(commit.commit_id).java:
+                gone = fc.old_path if fc.kind == "renamed" else None
+                for path in (gone, fc.path):
+                    if path:
+                        held.setdefault(path, files.get(path))
+                if gone:
+                    files.pop(gone, None)
                 if fc.kind == "deleted":
-                    dependent.discard(fc.path)
-                    continue
-                if fc.kind == "renamed" and fc.old_path:
-                    dependent.discard(fc.old_path)
-                if (
-                    fc.after is not None
-                    and javafacts.may_reference(fc.after, index)
-                    and javafacts.facts_depend_on(
-                        self.facts_for(fc.after_sha, fc.after, fc.path),
-                        index,
-                        imports_count_as_use,
-                    )
-                ):
-                    dependent.add(fc.path)
+                    files.pop(fc.path, None)
                 else:
-                    dependent.discard(fc.path)
-            flags.append(bool(dependent))
-        self._dep_flags[key] = flags
-        return flags
+                    files[fc.path] = fc
+            replaced.append(held)
+        self._replaced = replaced
+        self._tip_files = files
+
+    def _depends_on(
+        self, fc: FileChange | None, index: PackageIndex, imports_count_as_use: bool
+    ) -> bool:
+        """Whether the version `fc` leaves at its path depends on the library;
+        judged once per blob id."""
+        if fc is None or fc.after is None:
+            return False
+        key = (fc.after_sha, self._index_key(index), imports_count_as_use)
+        if key not in self._depends:
+            self._depends[key] = javafacts.may_reference(fc.after, index) and (
+                javafacts.facts_depend_on(
+                    self.facts_for(fc.after_sha, fc.after, fc.path), index, imports_count_as_use
+                )
+            )
+        return self._depends[key]
+
+    def last_dependent_commit(
+        self, index: PackageIndex, hi: int, imports_count_as_use: bool = True
+    ) -> int | None:
+        """Latest ordinal <= hi after which some file present depends on the
+        library, or None when no commit up to hi has such a file.
+
+        Undoes the recorded java changes from the tip down to hi and counts
+        the dependent files present there.  While that count is zero, every
+        file present at a commit is free of the library, so the count one
+        commit earlier is that of the versions the commit replaced: the walk
+        judges those and nothing else.
+        """
+        if self._replaced is None:
+            self._record_replaced()
+        files = dict(self._tip_files)
+        for ordinal in range(len(self.commits) - 1, hi, -1):
+            for path, before in self._replaced[ordinal].items():
+                if before is None:
+                    files.pop(path, None)
+                else:
+                    files[path] = before
+        count = sum(self._depends_on(fc, index, imports_count_as_use) for fc in files.values())
+        for ordinal in range(hi, -1, -1):
+            if count:
+                return ordinal
+            count = sum(
+                self._depends_on(before, index, imports_count_as_use)
+                for before in self._replaced[ordinal].values()
+            )
+        return None

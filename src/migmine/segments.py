@@ -7,6 +7,12 @@ which no source file depends on the retired library (with the target
 already in the manifest); the start commit is found scanning backward for
 the first code change related to the replacement, bounded below by the
 commit that first added the target library to any manifest.
+
+The end search walks back from its upper bound
+(`ProjectHistory.last_dependent_commit`).  It analyzes the files present
+at that bound and the earlier versions of files changed after the last
+commit that still depends on the retired library; versions superseded
+before that commit are never analyzed.
 """
 
 from __future__ import annotations
@@ -79,16 +85,11 @@ class SegmentScanner:
     def find_end(self, hi: int) -> int | None:
         """Earliest ordinal <= hi with the target declared and every commit
         from there to hi free of source-library dependency."""
-        flags = self.history.source_dependency_flags(
-            self.source_index, self.imports_count_as_use
+        last = self.history.last_dependent_commit(
+            self.source_index, hi, self.imports_count_as_use
         )
-        end = None
-        clean = True
-        for i in range(hi, -1, -1):
-            clean = clean and not flags[i]
-            if clean and self.target_present(i):
-                end = i
-        return end
+        lo = 0 if last is None else last + 1
+        return next((i for i in range(lo, hi + 1) if self.target_present(i)), None)
 
     def find_start(self, end: int) -> tuple[int, bool]:
         """Scan backward from end for the first replacement-related commit.

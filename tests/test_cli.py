@@ -178,3 +178,4 @@ class TestGitFailures:
         assert run_cli("detect-segments", *flags) == 1
         assert [r.getMessage().split()[0] for r in caplog.records] == ["event=git_error"]
         assert "vanishing" in caplog.records[0].getMessage()
+        assert "no commit history" not in caplog.records[0].getMessage()

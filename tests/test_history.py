@@ -1,10 +1,17 @@
-"""Manifest timeline replay: multi-module unions and parse resilience."""
+"""Manifest timeline replay (multi-module unions, parse resilience) and the
+backward search for the last commit whose sources use a library."""
 
-from corpusgen import GSON_LIB, JSON_LIB, JUNIT_LIB, build_repo, pom
+import hashlib
+from datetime import datetime, timezone
 
+from corpusgen import GSON_LIB, JSON_LIB, JUNIT_LIB, SERIALIZER_GSON, build_repo, pom
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from migmine import javafacts
 from migmine.gitrepo import ingest_project
-from migmine.history import ProjectHistory
-from migmine.model import UNRESOLVED, LibraryCoordinate
+from migmine.history import CommitChanges, ProjectHistory
+from migmine.model import UNRESOLVED, CommitRecord, FileChange, LibraryCoordinate, ProjectRef
 
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
@@ -140,3 +147,149 @@ def test_declared_libraries_keep_the_latest_resolved_version(tmp_path):
         for coord in change.added | change.removed
     }
     assert ever_changed == set(history.declared_libraries())
+
+
+# -- last_dependent_commit against a forward replay ------------------------------
+
+JSON_USER = """package com.example;
+
+import org.json.JSONObject;
+
+public class User {
+    public String dump(Object value) {
+        return new JSONObject(value).toJSONString();
+    }
+}
+"""
+IMPORT_ONLY = """package com.example;
+
+import org.json.JSONObject;
+
+public class Lingering {
+}
+"""
+NAMED_IN_COMMENT = """package com.example;
+
+// once built a JSONObject here
+public class Quiet {
+}
+"""
+PLAIN = """package com.example;
+
+public class Plain {
+}
+"""
+# None: a blob the reader could not find, read as having no text
+VERSIONS = [JSON_USER, IMPORT_ONLY, NAMED_IN_COMMENT, PLAIN, SERIALIZER_GSON, None]
+PATHS = ["A.java", "B.java", "C.java", "D.java"]
+
+
+class ScriptedHistory(ProjectHistory):
+    """A history whose java changes are given, not read from a repository."""
+
+    def __init__(self, java_changes: list[list[FileChange]]):
+        ref = ProjectRef("scripted", "scripted", "scripted")
+        date = datetime(2015, 1, 1, tzinfo=timezone.utc)
+        super().__init__(
+            ref,
+            [CommitRecord(ref.id, f"c{i}", date, "dev", "", i) for i in range(len(java_changes))],
+        )
+        self.scripted = {f"c{i}": CommitChanges([], fcs) for i, fcs in enumerate(java_changes)}
+
+    def changes(self, commit_id: str) -> CommitChanges:
+        return self.scripted[commit_id]
+
+
+def forward_dependency_flags(history, index, imports_count_as_use):
+    """The forward, whole-history replay that `last_dependent_commit` replaced."""
+    dependent: set[str] = set()
+    flags = []
+    for commit in history.commits:
+        for fc in history.changes(commit.commit_id).java:
+            if fc.kind == "deleted":
+                dependent.discard(fc.path)
+                continue
+            if fc.kind == "renamed" and fc.old_path:
+                dependent.discard(fc.old_path)
+            if (
+                fc.after is not None
+                and javafacts.may_reference(fc.after, index)
+                and javafacts.facts_depend_on(
+                    history.facts_for(fc.after_sha, fc.after, fc.path),
+                    index,
+                    imports_count_as_use,
+                )
+            ):
+                dependent.add(fc.path)
+            else:
+                dependent.discard(fc.path)
+        flags.append(bool(dependent))
+    return flags
+
+
+def draw_version(data) -> tuple[str | None, str]:
+    """A text and its blob id; equal ids always carry equal texts."""
+    text = data.draw(st.sampled_from(VERSIONS))
+    if text is not None:
+        text += f"// v{data.draw(st.integers(0, 2))}\n"
+    return text, hashlib.sha1(repr(text).encode()).hexdigest()
+
+
+def draw_java_changes(data) -> list[list[FileChange]]:
+    """Adds, modifies, deletes and renames that git could report, commit by
+    commit; paths may be deleted, re-added and renamed onto again."""
+    present: dict[str, tuple[str | None, str]] = {}
+    commits = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        changes = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            absent = [p for p in PATHS if p not in present]
+            kinds = ["added"] if absent else []
+            if present:
+                kinds += ["modified", "deleted"] + (["renamed"] if absent else [])
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "added":
+                path = data.draw(st.sampled_from(absent))
+                text, sha = present[path] = draw_version(data)
+                changes.append(FileChange(path, kind, None, None, text, None, sha))
+                continue
+            old = data.draw(st.sampled_from(sorted(present)))
+            before, before_sha = present.pop(old)
+            if kind == "deleted":
+                changes.append(FileChange(old, kind, None, before, None, before_sha, None))
+                continue
+            path = old if kind == "modified" else data.draw(st.sampled_from(absent))
+            text, sha = present[path] = draw_version(data)
+            changes.append(
+                FileChange(
+                    path, kind, old if kind == "renamed" else None, before, text, before_sha, sha
+                )
+            )
+        commits.append(changes)
+    return commits
+
+
+def test_last_dependent_commit_matches_a_forward_replay(json_index):
+    seen = set()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def check(data):
+        java_changes = draw_java_changes(data)
+        reference = ScriptedHistory(java_changes)
+        # one history answers for both settings, so its caches must keep them apart
+        history = ScriptedHistory(java_changes)
+        answers = {}
+        for imports_count_as_use in (True, False):
+            flags = forward_dependency_flags(reference, json_index, imports_count_as_use)
+            for hi in data.draw(st.permutations(range(len(java_changes)))):
+                expected = max((i for i in range(hi + 1) if flags[i]), default=None)
+                got = history.last_dependent_commit(json_index, hi, imports_count_as_use)
+                assert got == expected
+                answers[imports_count_as_use, hi] = got
+                seen.add("none" if got is None else "at hi" if got == hi else "below hi")
+        if any(answers[True, hi] != answers[False, hi] for hi in range(len(java_changes))):
+            seen.add("imports decide")
+
+    check()
+    assert seen == {"none", "at hi", "below hi", "imports decide"}

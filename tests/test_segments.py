@@ -11,8 +11,10 @@ from corpusgen import (
     build_repo,
     pom,
     simple_gson_user,
+    simple_json_user,
 )
 
+from migmine import javafacts
 from migmine.gitrepo import ingest_project
 from migmine.history import ProjectHistory
 from migmine.segments import find_segments
@@ -254,3 +256,100 @@ class TestEdgeCases:
             history, JSON_ID, GSON_ID, json_index, gson_index, imports_count_as_use=False
         )
         assert relaxed[-1].end_commit == hashes[1]
+
+    def test_end_follows_the_last_json_user_through_rename_and_delete(
+        self, tmp_path, json_index, gson_index
+    ):
+        legacy = "src/main/java/com/example/app/Legacy.java"
+        moved = "src/main/java/com/example/old/Legacy.java"
+        legacy_json = simple_json_user("com.example.app", "Legacy")
+        history, hashes = history_for(
+            tmp_path,
+            "renamed-user",
+            [
+                (
+                    "init",
+                    {
+                        "pom.xml": pom("renamed-user", JSON_LIB),
+                        self.SERIALIZER: SERIALIZER_JSON,
+                        legacy: legacy_json,
+                    },
+                ),
+                (
+                    "migrate the serializer",
+                    {
+                        "pom.xml": pom("renamed-user", JSON_LIB, GSON_LIB),
+                        self.SERIALIZER: SERIALIZER_GSON,
+                    },
+                ),
+                ("move the legacy user", {legacy: None, moved: legacy_json}),
+                ("drop the legacy user", {moved: None}),
+                ("drop json", {"pom.xml": pom("renamed-user", GSON_LIB)}),
+            ],
+        )
+        [move] = history.changes(hashes[2]).java
+        assert (move.kind, move.old_path, move.path) == ("renamed", legacy, moved)
+        segments = find_segments(history, JSON_ID, GSON_ID, json_index, gson_index)
+        assert [seg.end_commit for seg in segments] == [hashes[3]]
+
+    def test_end_waits_for_a_re_added_json_user(self, tmp_path, json_index, gson_index):
+        legacy = "src/main/java/com/example/app/Legacy.java"
+        legacy_json = simple_json_user("com.example.app", "Legacy")
+        history, hashes = history_for(
+            tmp_path,
+            "readded-user",
+            [
+                (
+                    "init",
+                    {
+                        "pom.xml": pom("readded-user", JSON_LIB),
+                        self.SERIALIZER: SERIALIZER_JSON,
+                        legacy: legacy_json,
+                    },
+                ),
+                (
+                    "migrate the serializer",
+                    {
+                        "pom.xml": pom("readded-user", JSON_LIB, GSON_LIB),
+                        self.SERIALIZER: SERIALIZER_GSON,
+                    },
+                ),
+                ("drop the legacy user", {legacy: None}),
+                ("bring the legacy user back", {legacy: legacy_json}),
+                ("drop it again", {legacy: None}),
+                ("drop json", {"pom.xml": pom("readded-user", GSON_LIB)}),
+            ],
+        )
+        segments = find_segments(history, JSON_ID, GSON_ID, json_index, gson_index)
+        assert [seg.end_commit for seg in segments] == [hashes[4]]
+
+
+def test_versions_replaced_before_the_target_arrives_are_never_tokenized(
+    tmp_path, monkeypatch, json_index, gson_index
+):
+    """The end search stops at the last json user; the start search looks no
+    earlier than the commit adding gson.  Json versions replaced before that
+    commit decide neither and are not analyzed."""
+    serializer = TestEdgeCases.SERIALIZER
+    versions = [SERIALIZER_JSON.replace("toText", f"toText{n}") for n in range(4)]
+    commits = [("init", {"pom.xml": pom("early", JSON_LIB), serializer: versions[0]})]
+    commits += [(f"rework {n}", {serializer: v}) for n, v in enumerate(versions[1:], 1)]
+    commits += [
+        ("adopt gson", {"pom.xml": pom("early", JSON_LIB, GSON_LIB)}),
+        ("migrate", {serializer: SERIALIZER_GSON}),
+        ("drop json", {"pom.xml": pom("early", GSON_LIB)}),
+    ]
+    history, hashes = history_for(tmp_path, "early", commits)
+    tokenized = []
+    extract_facts = javafacts.extract_facts
+
+    def spy(source, *args):
+        tokenized.append(source)
+        return extract_facts(source, *args)
+
+    monkeypatch.setattr(javafacts, "extract_facts", spy)
+    [seg] = find_segments(history, JSON_ID, GSON_ID, json_index, gson_index)
+    assert (seg.start_commit, seg.end_commit) == (hashes[5], hashes[5])
+    # versions[-1] is still present when gson is added; the others are not
+    assert not set(versions[:-1]) & set(tokenized)
+    assert versions[-1] in tokenized
