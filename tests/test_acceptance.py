@@ -5,10 +5,12 @@ Criterion 7 needs network access and a live clone; it is gated behind
 MIGMINE_NETWORK_TESTS=1 and skips cleanly otherwise.
 """
 
+import difflib
 import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURES, run_corpus
@@ -18,6 +20,7 @@ from migmine.fragments import apply_hunks, unified_diff
 from migmine.manifest import diff_dependencies, parse_manifest
 from migmine.model import DependencyChange, LibraryCoordinate
 from migmine.rulegraph import MigrationGraph, normalize_and_filter
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS
 
 
 def report(criterion: str, detail: str = ""):
@@ -300,6 +303,39 @@ class TestCriterion5Properties:
             second.store.close()
         with capsys.disabled():
             report("criterion 5e: store determinism", "two full runs, byte-identical exports")
+
+
+GOLDEN = Path(__file__).parent / "golden" / "acceptance"
+
+
+def test_corpus_exports_match_golden_files(corpus_run):
+    """The 8 exports of the corpus run are byte-identical to tests/golden/acceptance.
+
+    Regenerate the golden files only for a deliberate output change, and
+    record that change in CHANGES.md.  From the repository root:
+
+        PYTHONPATH=src python -c "
+        import shutil, sys, tempfile; from pathlib import Path
+        sys.path.insert(0, 'tests')
+        from conftest import run_corpus; from corpusgen import build_corpus
+        tmp = Path(tempfile.mkdtemp()); (tmp / 'run').mkdir()
+        run = run_corpus(build_corpus(tmp / 'corpus'), tmp / 'run'); run.store.close()
+        for p in run.config.report_path.iterdir():
+            shutil.copyfile(p, Path('tests/golden/acceptance') / p.name)"
+    """
+    expected = sorted(f"{s}.{f}" for s in EXPORT_SELECTORS for f in EXPORT_FORMATS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == expected
+    diffs = []
+    for name in expected:
+        want = (GOLDEN / name).read_bytes()
+        got = (corpus_run.config.report_path / name).read_bytes()
+        if got != want:
+            diffs.extend(difflib.unified_diff(
+                want.decode().splitlines(keepends=True),
+                got.decode().splitlines(keepends=True),
+                f"golden/{name}", f"reports/{name}",
+            ))
+    assert not diffs, "exports differ from the golden files:\n" + "".join(diffs)
 
 
 # -- criterion 6: resolver precision ----------------------------------------------
