@@ -119,9 +119,6 @@ def main(argv: list[str] | None = None) -> int:
             pipeline = Pipeline(store, config)
             if args.command == "ingest":
                 errors = pipeline.ingest()
-                if not store.projects():
-                    log.error("event=fatal detail='every project failed to ingest'")
-                    return EXIT_FATAL
                 return EXIT_PARTIAL if errors else EXIT_OK
             if args.command == "detect-rules":
                 pipeline.detect_rules()

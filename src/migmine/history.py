@@ -32,6 +32,7 @@ from .model import (
     FileChange,
     LibraryCoordinate,
     LibraryId,
+    LibraryMethodUse,
     PackageIndex,
     ProjectRef,
     SourceFacts,
@@ -70,7 +71,7 @@ class ProjectHistory:
         self._raw_changes = raw_changes
         self._file_changes: dict[str, CommitChanges] | None = None
         self._facts: dict[str, SourceFacts] = {}
-        self._uses: dict[tuple, list] = {}
+        self._uses: dict[tuple, list[LibraryMethodUse]] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
         self._changes: list[DependencyChange] | None = None
         self._declared: dict[LibraryId, LibraryCoordinate] | None = None
@@ -123,28 +124,29 @@ class ProjectHistory:
         """Distinct blobs whose facts this history has extracted."""
         return len(self._facts)
 
-    def facts_for(self, sha: str | None, text: str, path: str) -> SourceFacts:
-        if sha is None:
-            return javafacts.extract_facts(text, path)
+    def facts_for(self, sha: str, text: str) -> SourceFacts:
         if sha not in self._facts:
-            self._facts[sha] = javafacts.extract_facts(text, path)
+            self._facts[sha] = javafacts.extract_facts(text)
         return self._facts[sha]
 
     @staticmethod
     def _index_key(index: PackageIndex):
         return (index.library.identity, index.prefix_mode)
 
-    def uses_for(self, sha: str | None, text: str, path: str, index: PackageIndex):
+    def uses_for(
+        self, sha: str | None, text: str | None, index: PackageIndex
+    ) -> list[LibraryMethodUse]:
+        """The library's method uses in one file version; none in an absent
+        version (`text` None)."""
+        if text is None:
+            return []
         key = (sha, self._index_key(index))
-        if sha is None or key not in self._uses:
-            uses = (
-                javafacts.resolve_usages(self.facts_for(sha, text, path), index)
+        if key not in self._uses:
+            self._uses[key] = (
+                javafacts.resolve_usages(self.facts_for(sha, text), index)
                 if javafacts.may_reference(text, index)
                 else []
             )
-            if sha is None:
-                return uses
-            self._uses[key] = uses
         return self._uses[key]
 
     # -- manifest timeline ---------------------------------------------------
@@ -247,7 +249,7 @@ class ProjectHistory:
         if key not in self._depends:
             self._depends[key] = javafacts.may_reference(fc.after, index) and (
                 javafacts.facts_depend_on(
-                    self.facts_for(fc.after_sha, fc.after, fc.path), index, imports_count_as_use
+                    self.facts_for(fc.after_sha, fc.after), index, imports_count_as_use
                 )
             )
         return self._depends[key]

@@ -230,10 +230,9 @@ def _parse_qualified(toks, i, n):
 class _Walker:
     """Single linear pass over the token stream collecting facts."""
 
-    def __init__(self, toks, path):
+    def __init__(self, toks):
         self.toks = toks
         self.n = len(toks)
-        self.path = path
         self.package = None
         self.imports: list[ImportDecl] = []
         self.local_types: set[str] = set()
@@ -326,7 +325,6 @@ class _Walker:
                 continue
             i += 1
         return SourceFacts(
-            path=self.path,
             package=self.package,
             imports=tuple(self.imports),
             invocations=tuple(self.invocations),
@@ -423,7 +421,6 @@ class _Walker:
                 method=simple,
                 arity=_count_arity(toks, j, n),
                 receiver=type_name,
-                receiver_type=type_name,
             )
         )
         close = _matching_paren(toks, j, n)
@@ -443,7 +440,6 @@ class _Walker:
                     method=toks[close + 2][1],
                     arity=_count_arity(toks, close + 3, n),
                     receiver=type_name,
-                    receiver_type=type_name,
                 )
             )
         return j
@@ -511,8 +507,7 @@ class _Walker:
                         kind="instance",
                         method=method,
                         arity=arity,
-                        receiver=prefix[0],
-                        receiver_type=declared,
+                        receiver=declared,
                     )
                 )
                 return j
@@ -528,13 +523,13 @@ class _Walker:
         return j
 
 
-def extract_facts(source: str, path: str = "<memory>") -> SourceFacts:
+def extract_facts(source: str) -> SourceFacts:
     """Extract the package, imports, local types and invocations of Java text.
 
     Best-effort and total: syntactically broken files yield fewer facts,
     never an exception.
     """
-    return _Walker(tokenize(source), path).run()
+    return _Walker(tokenize(source)).run()
 
 
 def may_reference(text: str, index: PackageIndex) -> bool:
@@ -634,27 +629,17 @@ def resolve_usages(facts: SourceFacts, index: PackageIndex) -> list[LibraryMetho
     under-approximation with no invented uses.
     """
     res = _Resolver(facts, index)
-    lib = index.library.identity
     uses = []
     for inv in facts.invocations:
-        if inv.kind == "constructor":
-            cls = res.resolve_type(inv.receiver)
-            method = "<init>"
-        elif inv.kind == "instance":
-            cls = res.resolve_type(inv.receiver_type)
-            method = inv.method
-        elif inv.kind == "static_call":
-            cls = res.resolve_type(inv.receiver)
-            method = inv.method
-        else:  # static_imported
+        if inv.kind == "static_imported":
             cls = res.resolve_static_import(inv.method)
-            method = inv.method
+        else:
+            cls = res.resolve_type(inv.receiver)
         if cls is not None:
             uses.append(
                 LibraryMethodUse(
-                    library=lib,
                     class_name=cls,
-                    method=method,
+                    method="<init>" if inv.kind == "constructor" else inv.method,
                     arity=inv.arity,
                     line=inv.line,
                 )

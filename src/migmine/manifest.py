@@ -99,8 +99,8 @@ def diff_dependencies(
 ) -> DependencyChange:
     """Added/removed library identities between two manifest versions.
 
-    Identities present on both sides with differing versions are version
-    upgrades: recorded in `upgraded` and excluded from added/removed.
+    An identity present on both sides is in neither set, whatever its
+    versions.
     """
     b: dict[tuple[str, str], LibraryCoordinate] = {}
     for coord in before:
@@ -110,7 +110,4 @@ def diff_dependencies(
         a.setdefault(coord.identity, coord)
     added = frozenset(a[k] for k in a.keys() - b.keys())
     removed = frozenset(b[k] for k in b.keys() - a.keys())
-    upgraded = frozenset(
-        (b[k], a[k]) for k in a.keys() & b.keys() if b[k].version != a[k].version
-    )
-    return DependencyChange(project, commit, added, removed, upgraded)
+    return DependencyChange(project, commit, added, removed)

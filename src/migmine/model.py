@@ -77,17 +77,16 @@ class FileChange:
 
 @dataclass(frozen=True, slots=True)
 class DependencyChange:
-    """Per-commit library additions/removals, upgrades excluded.
+    """Per-commit library additions and removals.
 
     A (group, artifact) identity never appears in both added and removed:
-    such pairs are same-library version upgrades and land in `upgraded`.
+    a version change of a library that stays declared is neither.
     """
 
     project: str
     commit: str
     added: frozenset[LibraryCoordinate]
     removed: frozenset[LibraryCoordinate]
-    upgraded: frozenset[tuple[LibraryCoordinate, LibraryCoordinate]] = frozenset()
 
 
 @dataclass(slots=True)
@@ -136,14 +135,14 @@ class Invocation:
     kind: str  # constructor | instance | static_call | static_imported
     method: str  # for constructors: the class simple name
     arity: int
+    # the type name the resolver looks up: the constructed class, the declared
+    # type of an instance receiver, or a static call's qualifier (None for
+    # static_imported)
     receiver: str | None = None
-    # declared (or constructed) type of the receiver, when locally evident
-    receiver_type: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class SourceFacts:
-    path: str
     package: str | None
     imports: tuple[ImportDecl, ...]
     invocations: tuple[Invocation, ...]
@@ -187,7 +186,6 @@ class PackageIndex:
 
 @dataclass(frozen=True, slots=True)
 class LibraryMethodUse:
-    library: LibraryId
     class_name: str  # fully qualified
     method: str  # "<init>" for constructors
     arity: int
@@ -261,13 +259,12 @@ class MethodDoc:
 
 @dataclass(frozen=True, slots=True)
 class DocAttachment:
-    """Resolution of one mapped method against the parsed documentation."""
+    """Resolution of one mapped method against the parsed documentation.
+
+    An attachment with `found` false is the explicit not-found marker.
+    """
 
     method: MethodKey
     doc: MethodDoc | None
     found: bool
     ambiguous: bool = False
-
-    @property
-    def marker(self) -> str:
-        return "ok" if self.found else "no documentation found"

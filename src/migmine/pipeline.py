@@ -171,7 +171,8 @@ class Pipeline:
     def ingest(self) -> list[str]:
         """Clone projects and record commits plus dependency changes.
 
-        Returns per-project error strings; failures never abort the run.
+        Returns per-project error strings; one project's failure never aborts
+        the run, but a run that leaves no project stored is a StageDataError.
         """
         cfg = self.config
         origins = []
@@ -182,12 +183,15 @@ class Pipeline:
                 raise StageDataError(f"cannot read projects file: {exc}") from exc
         if not origins:
             raise StageDataError("no project origins (empty or missing projects file)")
-        ids: dict[str, int] = {}
+        taken: set[str] = set()
         jobs = []
         for origin in origins:
-            base = gitrepo.derive_project_id(origin)
-            ids[base] = ids.get(base, 0) + 1
-            project_id = base if ids[base] == 1 else f"{base}-{ids[base]}"
+            base = project_id = gitrepo.derive_project_id(origin)
+            suffix = 1
+            while project_id in taken:
+                suffix += 1
+                project_id = f"{base}-{suffix}"
+            taken.add(project_id)
             jobs.append((origin, project_id))
 
         clones_dir = Path(cfg.workdir) / "repos"
@@ -201,11 +205,8 @@ class Pipeline:
             except (gitrepo.GitError, OSError) as exc:
                 return (project_id, None, f"{origin}: {exc}")
 
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                results = list(pool.map(one, jobs))
-        else:
-            results = [one(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            results = list(pool.map(one, jobs))
 
         # rules are mined from every project's history, so a new history voids them
         if any(history is not None for _, history, _ in results):
@@ -222,7 +223,7 @@ class Pipeline:
             for record in history.commits:
                 self.store.upsert(record)
             for change in history.dependency_changes():
-                if change.added or change.removed or change.upgraded:
+                if change.added or change.removed:
                     self.store.upsert(change)
             self._histories[project_id] = history
             log.info(
@@ -232,6 +233,8 @@ class Pipeline:
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
         log.info("event=vcs_tool version=%r", version)
+        if not self._projects():
+            raise StageDataError("every project failed to ingest")
         return errors
 
     @stage
@@ -318,16 +321,8 @@ class Pipeline:
                     )
                     if not hunks:
                         continue
-                    uses_before = (
-                        history.uses_for(fc.before_sha, fc.before, fc.path, source_index)
-                        if fc.before is not None
-                        else []
-                    )
-                    uses_after = (
-                        history.uses_for(fc.after_sha, fc.after, fc.path, target_index)
-                        if fc.after is not None
-                        else []
-                    )
+                    uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
+                    uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
                     all_fragments.extend(
                         filter_fragments(hunks, segment, commit_id, uses_before, uses_after)
                     )
@@ -427,8 +422,6 @@ def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:
     store.set_meta("run_started_at", datetime.now(timezone.utc).isoformat())
     pipeline = Pipeline(store, config)
     errors = pipeline.ingest()
-    if not store.projects():
-        raise StageDataError("every project failed to ingest")
     pipeline.detect_rules()
     pipeline.detect_segments()
     pipeline.detect_fragments()

@@ -39,7 +39,6 @@ class SegmentScanner:
         self.source_index = source_index
         self.target_index = target_index
         self.imports_count_as_use = imports_count_as_use
-        self.changes = history.dependency_changes()
         self.timeline = history.dependency_timeline()
         self._deltas: dict[int, tuple[bool, bool]] = {}
 
@@ -47,10 +46,9 @@ class SegmentScanner:
         return self.target in self.timeline[ordinal]
 
     def first_target_addition(self, hi: int) -> int | None:
-        for i in range(hi + 1):
-            if any(c.identity == self.target for c in self.changes[i].added):
-                return i
-        return None
+        """The first commit whose manifests declare the target: the one that
+        first adds it."""
+        return next((i for i in range(hi + 1) if self.target_present(i)), None)
 
     def deltas(self, ordinal: int) -> tuple[bool, bool]:
         """(source use removed, target use added) by this commit's java changes."""
@@ -59,12 +57,12 @@ class SegmentScanner:
         commit_id = self.history.commits[ordinal].commit_id
         removed_source = added_target = False
         for fc in self.history.changes(commit_id).java:
-            src_before = self._use_counts(fc.before_sha, fc.before, fc.path, self.source_index)
-            src_after = self._use_counts(fc.after_sha, fc.after, fc.path, self.source_index)
+            src_before = self._use_counts(fc.before_sha, fc.before, self.source_index)
+            src_after = self._use_counts(fc.after_sha, fc.after, self.source_index)
             if any(src_before[k] > src_after.get(k, 0) for k in src_before):
                 removed_source = True
-            dst_before = self._use_counts(fc.before_sha, fc.before, fc.path, self.target_index)
-            dst_after = self._use_counts(fc.after_sha, fc.after, fc.path, self.target_index)
+            dst_before = self._use_counts(fc.before_sha, fc.before, self.target_index)
+            dst_after = self._use_counts(fc.after_sha, fc.after, self.target_index)
             if any(dst_after[k] > dst_before.get(k, 0) for k in dst_after):
                 added_target = True
             if removed_source and added_target:
@@ -72,11 +70,9 @@ class SegmentScanner:
         self._deltas[ordinal] = (removed_source, added_target)
         return self._deltas[ordinal]
 
-    def _use_counts(self, sha, text, path, index) -> dict[tuple, int]:
-        if text is None:
-            return {}
+    def _use_counts(self, sha, text, index) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
-        for use in self.history.uses_for(sha, text, path, index):
+        for use in self.history.uses_for(sha, text, index):
             counts[use.method_key] = counts.get(use.method_key, 0) + 1
         return counts
 

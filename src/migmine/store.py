@@ -14,6 +14,8 @@ them, then inserts.  So a stage's rows take plain INSERTs, and a row
 stored twice is a `StoreError`.  Only three tables update a stored row in
 place: `projects` (re-ingest), `rules` (status reset and confirmation) and
 `run_metadata`.  `method_docs` holds only the docs an attachment points to.
+`dependency_changes` rows are additions and removals only: a version change
+of a library that stays declared is not stored.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ CREATE TABLE IF NOT EXISTS commits (
 CREATE TABLE IF NOT EXISTS dependency_changes (
   project TEXT NOT NULL,
   commit_id TEXT NOT NULL,
-  direction TEXT NOT NULL CHECK (direction IN ('added','removed','upgraded')),
+  direction TEXT NOT NULL CHECK (direction IN ('added','removed')),
   grp TEXT NOT NULL,
   artifact TEXT NOT NULL,
   version TEXT NOT NULL,
-  prior_version TEXT,
   PRIMARY KEY (project, commit_id, direction, grp, artifact),
   FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
 );
@@ -306,21 +307,16 @@ class Store:
         return record.commit_id
 
     def upsert_dependency_change(self, change: DependencyChange) -> tuple[str, str]:
-        rows = []
-        for coord in sorted(change.added):
-            rows.append((change.project, change.commit, "added", coord.group,
-                         coord.artifact, coord.version, None))
-        for coord in sorted(change.removed):
-            rows.append((change.project, change.commit, "removed", coord.group,
-                         coord.artifact, coord.version, None))
-        for old, new in sorted(change.upgraded):
-            rows.append((change.project, change.commit, "upgraded", new.group,
-                         new.artifact, new.version, old.version))
+        rows = [
+            (change.project, change.commit, direction, coord.group, coord.artifact, coord.version)
+            for direction, coords in (("added", change.added), ("removed", change.removed))
+            for coord in sorted(coords)
+        ]
         with self.transaction():
             self.db.executemany(
                 "INSERT INTO dependency_changes "
-                "(project, commit_id, direction, grp, artifact, version, prior_version) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "(project, commit_id, direction, grp, artifact, version) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
                 rows,
             )
         return (change.project, change.commit)
@@ -520,6 +516,8 @@ class Store:
             "SELECT d.project, d.commit_id, d.direction, d.grp, d.artifact, d.version "
             "FROM dependency_changes d JOIN commits c "
             "ON c.project = d.project AND c.commit_id = d.commit_id "
+            # a database written before upgrade rows were dropped still holds
+            # 'upgraded' rows until its next ingest
             "WHERE d.direction IN ('added', 'removed') "
             "ORDER BY d.project, c.ordinal, d.direction, d.grp, d.artifact"
         ).fetchall()

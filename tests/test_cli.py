@@ -53,6 +53,17 @@ class TestUsageErrors:
                        *common_flags(corpus, tmp_path)) == 0
         assert run_cli("detect-segments", *common_flags(corpus, tmp_path)) == 1
 
+    @pytest.mark.parametrize("command", ["run", "ingest"])
+    def test_all_projects_failing_is_exit_1(self, tmp_path, caplog, command):
+        projects = tmp_path / "projects.txt"
+        projects.write_text(f"{tmp_path / 'no-such-repo'}\n")
+        caplog.set_level(logging.ERROR, logger="migmine")
+        db = tmp_path / "m.db"
+        assert run_cli(command, "--projects", projects, "--workdir", tmp_path, "--db", db) == 1
+        assert any("event=missing_stage_data" in r.getMessage() for r in caplog.records)
+        with Store(db) as store:
+            assert store.projects() == []
+
 
 class TestStagedPipeline:
     def test_stage_sequence_matches_run_all(self, corpus, tmp_path):

@@ -141,8 +141,7 @@ class TestAttachDocs:
     def test_missing_method_gets_marker(self, fig4_docs):
         mapping = self._mapping({("com.google.gson.Gson", "fromJson", 2)})
         (_, source, target) = attach_docs([mapping], fig4_docs)[0]
-        assert not target[0].found
-        assert target[0].marker == "no documentation found"
+        assert not target[0].found and target[0].doc is None
         # the source side has no json docs in the pool either
         assert not source[0].found
 
@@ -160,7 +159,7 @@ class TestAttachDocs:
         (_, source, target) = attach_docs([mapping], fig4_docs)[0]
         assert len(source) == len(mapping.source_methods)
         assert len(target) == len(mapping.target_methods)
-        assert all(a.found or a.marker for a in source + target)
+        assert all(a.found == (a.doc is not None) for a in source + target)
 
 
 class TestFetcher:

@@ -217,10 +217,10 @@ def make_fragment(removed_keys, added_keys, commit="c1"):
         commit=commit,
         hunk=hunks[0],
         removed_methods=frozenset(
-            LibraryMethodUse(seg.source, c, m, a, 1) for c, m, a in removed_keys
+            LibraryMethodUse(c, m, a, 1) for c, m, a in removed_keys
         ),
         added_methods=frozenset(
-            LibraryMethodUse(seg.target, c, m, a, 1) for c, m, a in added_keys
+            LibraryMethodUse(c, m, a, 1) for c, m, a in added_keys
         ),
     )
 

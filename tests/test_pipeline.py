@@ -322,6 +322,27 @@ def test_failed_reingest_keeps_the_mined_rows(tmp_path):
         assert (exports(store), store.counts()) == before
 
 
+def test_repeated_project_ids_take_the_next_free_suffix(tmp_path):
+    """b/foo is suffixed to foo-2, so c/foo-2 must not take that id too."""
+    origins = [tmp_path / "a" / "foo", tmp_path / "b" / "foo", tmp_path / "c" / "foo-2"]
+    for size, repo in enumerate(origins, start=1):
+        build_repo(repo, [(f"step {i}", {"pom.xml": pom(f"p{i}", JSON_LIB)}) for i in range(size)])
+    projects = tmp_path / "projects.txt"
+    projects.write_text("".join(f"{repo}\n" for repo in origins))
+    config = RunConfig(
+        projects_file=str(projects),
+        workdir=str(tmp_path / "work"),
+        db_path=str(tmp_path / "m.db"),
+    )
+    with Store(config.db_path) as store:
+        assert Pipeline(store, config).ingest() == []
+        stored = {p.id: p.origin for p in store.projects()}
+        assert stored == {
+            "foo": str(origins[0]), "foo-2": str(origins[1]), "foo-2-2": str(origins[2])
+        }
+        assert [len(store.commits_for(pid)) for pid in ("foo", "foo-2", "foo-2-2")] == [1, 2, 3]
+
+
 def test_segments_read_the_project_list_once(corpus, tmp_path, monkeypatch):
     config = corpus_config(corpus, tmp_path)
     with Store(config.db_path) as store:
@@ -670,9 +691,9 @@ def test_plain_files_are_never_tokenized(tmp_path, monkeypatch, caplog):
     tokenized = []
     extract = javafacts.extract_facts
 
-    def spy(text, path="<memory>"):
-        tokenized.append(path)
-        return extract(text, path)
+    def spy(text):
+        tokenized.append(text)
+        return extract(text)
 
     monkeypatch.setattr(javafacts, "extract_facts", spy)
     caplog.set_level(logging.INFO, logger="migmine")
@@ -680,7 +701,7 @@ def test_plain_files_are_never_tokenized(tmp_path, monkeypatch, caplog):
         code, summary = run_all(store, config)
     assert code == 0
     assert summary["rules_confirmed"] == 1
-    assert tokenized and set(tokenized) == {serializer}
+    assert sorted(tokenized) == sorted([SERIALIZER_JSON, SERIALIZER_GSON])
     logged = {
         r.getMessage().split()[0]: int(r.getMessage().rsplit("blobs_tokenized=", 1)[1])
         for r in caplog.records

@@ -50,7 +50,7 @@ def test_resolver_precision_is_total(json_index):
     inventions = []
     for path in fixture_files():
         expected, _ = load_ground_truth(path)
-        facts = extract_facts(path.read_text(), str(path))
+        facts = extract_facts(path.read_text())
         detected = {
             (u.class_name, u.method, u.arity, u.line)
             for u in resolve_usages(facts, json_index)
@@ -66,7 +66,7 @@ def test_resolver_recall_reported(json_index, capsys):
         expected, _ = load_ground_truth(path)
         if not expected:
             continue
-        facts = extract_facts(path.read_text(), str(path))
+        facts = extract_facts(path.read_text())
         detected = {
             (u.class_name, u.method, u.arity, u.line)
             for u in resolve_usages(facts, json_index)
@@ -89,7 +89,7 @@ def test_dependency_classification_matches_annotations(json_index):
     mismatches = []
     for path in fixture_files():
         _, should_depend = load_ground_truth(path)
-        facts = extract_facts(path.read_text(), str(path))
+        facts = extract_facts(path.read_text())
         got = facts_depend_on(facts, json_index, imports_count_as_use=True)
         if got != should_depend:
             mismatches.append((path.name, got, should_depend))

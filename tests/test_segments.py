@@ -343,9 +343,9 @@ def test_versions_replaced_before_the_target_arrives_are_never_tokenized(
     tokenized = []
     extract_facts = javafacts.extract_facts
 
-    def spy(source, *args):
+    def spy(source):
         tokenized.append(source)
-        return extract_facts(source, *args)
+        return extract_facts(source)
 
     monkeypatch.setattr(javafacts, "extract_facts", spy)
     [seg] = find_segments(history, JSON_ID, GSON_ID, json_index, gson_index)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sqlite3
 from datetime import datetime, timezone
 
 import pytest
@@ -74,10 +75,10 @@ def make_fragment(project="demo", start="c1"):
         commit="c2",
         hunk=hunk,
         removed_methods=frozenset(
-            {LibraryMethodUse(JSON_ID, "org.json.JSONObject", "toJSONString", 0, 2)}
+            {LibraryMethodUse("org.json.JSONObject", "toJSONString", 0, 2)}
         ),
         added_methods=frozenset(
-            {LibraryMethodUse(GSON_ID, "com.google.gson.Gson", "toJson", 1, 2)}
+            {LibraryMethodUse("com.google.gson.Gson", "toJson", 1, 2)}
         ),
     )
 
@@ -333,6 +334,51 @@ class TestExports:
 def test_upsert_rejects_unknown_entity(store):
     with pytest.raises(StoreError):
         store.upsert(object())
+
+
+# the dependency_changes DDL of schema version 1 before upgrade rows were dropped
+LEGACY_DEPENDENCY_CHANGES = """
+CREATE TABLE dependency_changes (
+  project TEXT NOT NULL,
+  commit_id TEXT NOT NULL,
+  direction TEXT NOT NULL CHECK (direction IN ('added','removed','upgraded')),
+  grp TEXT NOT NULL,
+  artifact TEXT NOT NULL,
+  version TEXT NOT NULL,
+  prior_version TEXT,
+  PRIMARY KEY (project, commit_id, direction, grp, artifact),
+  FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
+);
+"""
+
+
+def test_store_with_upgrade_rows_still_loads(tmp_path):
+    path = tmp_path / "legacy.db"
+    db = sqlite3.connect(path)
+    db.executescript(LEGACY_DEPENDENCY_CHANGES)
+    db.close()
+    with Store(path) as store:
+        seed_project(store)
+        with store.transaction():
+            store.db.executemany(
+                "INSERT INTO dependency_changes VALUES ('demo', 'c1', ?, ?, ?, ?, ?)",
+                [
+                    ("added", *GSON_ID, "2.3.1", None),
+                    ("removed", *JSON_ID, "20080701", None),
+                    ("upgraded", "junit", "junit", "4.12", "4.11"),
+                ],
+            )
+        [loaded] = store.dependency_changes()
+        assert loaded.added == {LibraryCoordinate(*GSON_ID, "2.3.1")}
+        assert loaded.removed == {LibraryCoordinate(*JSON_ID, "20080701")}
+
+        later = DependencyChange(
+            "demo", "c2",
+            added=frozenset({LibraryCoordinate(*JSON_ID, "20140107")}),
+            removed=frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
+        )
+        store.upsert(later)
+        assert store.dependency_changes()[1] == later
 
 
 def test_schema_version_mismatch_fails(tmp_path):
