@@ -2,12 +2,22 @@
 
 Holds the raw changes of one history read and, on first use, resolves
 every commit's `pom.xml` and `.java` changes through one blob reader that
-streams the history one object at a time.  Caches per-blob facts, the
-replayed manifest timeline and the map of declared libraries, so segment
-and fragment detection never analyze the same blob twice.  A blob whose
-text contains none of a library's class simple names or package last
-segments (`javafacts.may_reference`) counts as not using that library and
-is not tokenized for it.
+streams the history one object at a time.  Caches the replayed manifest
+timeline, the map of declared libraries and per-blob uses, so segment and
+fragment detection never analyze the same blob twice.  A blob whose text
+contains none of a library's class simple names or package last segments
+(`javafacts.may_reference`) counts as not using that library and is not
+tokenized for it.
+
+A blob's facts come from a `FactsCache` that every history of a pipeline
+shares: memory first, then the store's `blob_facts` table, and only then
+the tokenizer.  So a blob is tokenized once per database, not once per
+history or per process; a stage stores what it tokenized with
+`FactsCache.save`.
+
+The manifest replay builds only the timeline of declared dependencies;
+the per-commit added and removed sets (`dependency_changes`), which only
+ingest stores, are computed from it when first asked for.
 
 The last commit whose sources depend on a library is found by walking
 back from an upper bound `hi`: the java changes are recorded once per
@@ -37,6 +47,7 @@ from .model import (
     ProjectRef,
     SourceFacts,
 )
+from .store import Store
 
 log = logging.getLogger(__name__)
 
@@ -56,21 +67,80 @@ class CommitChanges(NamedTuple):
     java: list[FileChange]
 
 
+class FactsCache:
+    """Facts by blob id: in memory, then stored, then tokenized.
+
+    Without a store it is a memory cache.  With one, a miss reads the
+    store's `blob_facts` row, unless the table held no row when first
+    looked at: then everything stored since came from this cache, and
+    misses go straight to the tokenizer.  `save` stores what was tokenized
+    since the last save, in one insert.
+    """
+
+    def __init__(self, store: Store | None = None):
+        self._store = store
+        self._facts: dict[str, SourceFacts] = {}
+        self._unsaved: dict[str, SourceFacts] = {}
+        self._store_has_more: bool | None = None  # None: not looked at yet
+        self.tokenized = 0
+        self.loaded = 0
+
+    def get(self, sha: str, text: str) -> SourceFacts:
+        facts = self._facts.get(sha)
+        if facts is not None:
+            return facts
+        stored = self._stored(sha)
+        if stored is not None:
+            facts = javafacts.decode_facts(stored)
+            self.loaded += 1
+        else:
+            facts = javafacts.extract_facts(text)
+            self.tokenized += 1
+            self._unsaved[sha] = facts
+        self._facts[sha] = facts
+        return facts
+
+    def _stored(self, sha: str) -> str | None:
+        if self._store is None:
+            return None
+        if self._store_has_more is None:
+            self._store_has_more = self._store.has_blob_facts()
+        return self._store.blob_facts(sha) if self._store_has_more else None
+
+    def save(self) -> None:
+        if self._store is not None and self._unsaved:
+            self._store.insert_blob_facts(
+                [(sha, javafacts.encode_facts(facts)) for sha, facts in self._unsaved.items()]
+            )
+        self._unsaved.clear()
+
+    def clear(self) -> None:
+        """Empty the stored table and forget everything: the next miss looks
+        at the store again, whether or not the clear commits."""
+        if self._store is not None:
+            self._store.clear_blob_facts()
+        self._facts.clear()
+        self._unsaved.clear()
+        self._store_has_more = None
+
+
 class ProjectHistory:
     def __init__(
         self,
         ref: ProjectRef,
         commits: list[CommitRecord],
         raw_changes: dict[str, list[gitrepo.RawChange]] | None = None,
+        facts: FactsCache | None = None,
     ):
         """Without `raw_changes` (a history loaded from the store), they are
-        read on first use from the history ending at the last commit."""
+        read on first use from the history ending at the last commit.
+        Without `facts`, the history keeps its own memory cache."""
         self.ref = ref
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
         self._raw_changes = raw_changes
         self._file_changes: dict[str, CommitChanges] | None = None
-        self._facts: dict[str, SourceFacts] = {}
+        self._facts = facts if facts is not None else FactsCache()
         self._uses: dict[tuple, list[LibraryMethodUse]] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
         self._changes: list[DependencyChange] | None = None
@@ -119,15 +189,8 @@ class ProjectHistory:
                 f"cannot read {self.ref.id} history up to {tip}: {exc}"
             ) from exc
 
-    @property
-    def blobs_tokenized(self) -> int:
-        """Distinct blobs whose facts this history has extracted."""
-        return len(self._facts)
-
     def facts_for(self, sha: str, text: str) -> SourceFacts:
-        if sha not in self._facts:
-            self._facts[sha] = javafacts.extract_facts(text)
-        return self._facts[sha]
+        return self._facts.get(sha, text)
 
     @staticmethod
     def _index_key(index: PackageIndex):
@@ -154,8 +217,6 @@ class ProjectHistory:
     def _replay_manifests(self) -> None:
         per_path: dict[str, list[LibraryCoordinate]] = {}
         timeline: list[dict[LibraryId, LibraryCoordinate]] = []
-        changes: list[DependencyChange] = []
-        prev_declared: dict[LibraryId, LibraryCoordinate] = {}
         for commit in self.commits:
             for fc in self.changes(commit.commit_id).pom:
                 if fc.kind == "deleted":
@@ -176,17 +237,7 @@ class ProjectHistory:
                 for coord in per_path[path]:
                     declared.setdefault(coord.identity, coord)
             timeline.append(declared)
-            changes.append(
-                diff_dependencies(
-                    list(prev_declared.values()),
-                    list(declared.values()),
-                    project=self.ref.id,
-                    commit=commit.commit_id,
-                )
-            )
-            prev_declared = declared
         self._timeline = timeline
-        self._changes = changes
 
     def dependency_timeline(self) -> list[dict[LibraryId, LibraryCoordinate]]:
         """Declared dependencies after each commit, identity -> coordinate."""
@@ -197,7 +248,19 @@ class ProjectHistory:
     def dependency_changes(self) -> list[DependencyChange]:
         """Per-commit added/removed sets, aligned with self.commits."""
         if self._changes is None:
-            self._replay_manifests()
+            changes = []
+            before: dict[LibraryId, LibraryCoordinate] = {}
+            for commit, declared in zip(self.commits, self.dependency_timeline()):
+                changes.append(
+                    diff_dependencies(
+                        list(before.values()),
+                        list(declared.values()),
+                        project=self.ref.id,
+                        commit=commit.commit_id,
+                    )
+                )
+                before = declared
+            self._changes = changes
         return self._changes
 
     def declared_libraries(self) -> dict[LibraryId, LibraryCoordinate]:

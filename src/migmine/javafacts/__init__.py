@@ -11,11 +11,18 @@ under-approximation that prefers missing a use over inventing one.
 text contains none of a library's class simple names or package last
 segments cannot use or depend on the library, so it need not be tokenized
 for it.
+
+Facts are a pure function of the text, so a blob's facts can be stored
+and reused: `encode_facts` writes them as compact JSON, and
+`decode_facts` gives back exactly what `extract_facts` returned.
+`FACTS_VERSION` names the extractor's output; bump it whenever that output
+changes, so that facts stored by an older extractor are dropped.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import zipfile
 
 from ..model import (
@@ -33,6 +40,9 @@ __all__ = [
     "build_package_index",
     "fallback_package_index",
     "extract_facts",
+    "FACTS_VERSION",
+    "encode_facts",
+    "decode_facts",
     "may_reference",
     "resolve_usages",
     "facts_depend_on",
@@ -530,6 +540,34 @@ def extract_facts(source: str) -> SourceFacts:
     never an exception.
     """
     return _Walker(tokenize(source)).run()
+
+
+FACTS_VERSION = "1"
+
+
+def encode_facts(facts: SourceFacts) -> str:
+    """Compact JSON of `facts`: [package, imports, invocations, local types],
+    each import and invocation a list of its fields in declaration order."""
+    return json.dumps(
+        [
+            facts.package,
+            [[i.qualified, i.is_static, i.is_wildcard] for i in facts.imports],
+            [[v.line, v.kind, v.method, v.arity, v.receiver] for v in facts.invocations],
+            sorted(facts.local_types),
+        ],
+        separators=(",", ":"),
+    )
+
+
+def decode_facts(data: str) -> SourceFacts:
+    """The facts `encode_facts` wrote; plain JSON, so decoding runs no code."""
+    package, imports, invocations, local_types = json.loads(data)
+    return SourceFacts(
+        package=package,
+        imports=tuple(ImportDecl(*fields) for fields in imports),
+        invocations=tuple(Invocation(*fields) for fields in invocations),
+        local_types=frozenset(local_types),
+    )
 
 
 def may_reference(text: str, index: PackageIndex) -> bool:

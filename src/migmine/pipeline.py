@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, gitrepo, javafacts
 from .docs import DEFAULT_REPO_BASE, ArchiveFetcher, attach_docs, parse_doc_archive
 from .fragments import extract_mappings, filter_fragments, unified_diff
-from .history import ProjectHistory
+from .history import FactsCache, ProjectHistory
 from .model import (
     UNRESOLVED,
     Fragment,
@@ -118,6 +118,8 @@ class Pipeline:
         )
         self._refs: dict[str, ProjectRef] | None = None
         self._histories: dict[str, ProjectHistory] = {}
+        # every history's blob facts, backed by the store's blob_facts table
+        self.facts = FactsCache(store)
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
 
     # -- shared state ---------------------------------------------------------
@@ -134,12 +136,9 @@ class Pipeline:
             if ref is None:
                 raise StageDataError(f"project {project_id} not ingested")
             self._histories[project_id] = ProjectHistory(
-                ref, self.store.commits_for(project_id)
+                ref, self.store.commits_for(project_id), facts=self.facts
             )
         return self._histories[project_id]
-
-    def _blobs_tokenized(self) -> int:
-        return sum(history.blobs_tokenized for history in self._histories.values())
 
     def package_index(self, coordinate: LibraryCoordinate) -> PackageIndex:
         """Class index for a library, from its archive or the prefix fallback."""
@@ -199,7 +198,9 @@ class Pipeline:
         def one(job):
             origin, project_id = job
             try:
-                history = ProjectHistory(*gitrepo.ingest_project(origin, clones_dir, project_id))
+                history = ProjectHistory(
+                    *gitrepo.ingest_project(origin, clones_dir, project_id), facts=self.facts
+                )
                 history.dependency_changes()
                 return (project_id, history, None)
             except (gitrepo.GitError, OSError) as exc:
@@ -208,9 +209,11 @@ class Pipeline:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(one, jobs))
 
-        # rules are mined from every project's history, so a new history voids them
+        # rules are mined from every project's history, so a new history voids
+        # them; stored blob facts go too, as the blobs may no longer be read
         if any(history is not None for _, history, _ in results):
             self.store.clear_rules_and_downstream()
+            self.facts.clear()
         errors = []
         for project_id, history, error in sorted(results, key=lambda r: r[0]):
             if error is not None:
@@ -292,9 +295,10 @@ class Pipeline:
                 self.store.upsert(rule)
         for segment in segments:
             self.store.upsert(segment)
+        self.facts.save()
         log.info(
-            "event=segments_detected pairs=%d segments=%d blobs_tokenized=%d",
-            pairs, len(segments), self._blobs_tokenized(),
+            "event=segments_detected pairs=%d segments=%d blobs_loaded=%d blobs_tokenized=%d",
+            pairs, len(segments), self.facts.loaded, self.facts.tokenized,
         )
         return segments
 
@@ -313,16 +317,22 @@ class Pipeline:
             target_index = self.package_index(declared[segment.target])
             for commit_id in segment.commits:
                 for fc in history.changes(commit_id).java:
+                    # a fragment needs a source use before and a target use
+                    # after, so ask for those (cached) before diffing
+                    if fc.before_sha == fc.after_sha:
+                        continue
+                    uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
+                    if not uses_before:
+                        continue
+                    uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
+                    if not uses_after:
+                        continue
                     hunks = unified_diff(
                         fc.before or "",
                         fc.after or "",
                         self.config.context_lines,
                         path=fc.path,
                     )
-                    if not hunks:
-                        continue
-                    uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
-                    uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
                     all_fragments.extend(
                         filter_fragments(hunks, segment, commit_id, uses_before, uses_after)
                     )
@@ -335,11 +345,13 @@ class Pipeline:
         confirmed = confirm_rules(rules, self.store.fragment_counts())
         for rule in confirmed:
             self.store.upsert(rule)
+        self.facts.save()
         log.info(
-            "event=fragments_detected fragments=%d mappings=%d confirmed=%d blobs_tokenized=%d",
+            "event=fragments_detected fragments=%d mappings=%d confirmed=%d "
+            "blobs_loaded=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
-            self._blobs_tokenized(),
+            self.facts.loaded, self.facts.tokenized,
         )
         return all_fragments, mappings
 

@@ -16,6 +16,14 @@ place: `projects` (re-ingest), `rules` (status reset and confirmation) and
 `run_metadata`.  `method_docs` holds only the docs an attachment points to.
 `dependency_changes` rows are additions and removals only: a version change
 of a library that stays declared is not stored.
+
+`blob_facts` is a cache, not a result: each tokenized blob's
+`SourceFacts` as JSON (`javafacts.encode_facts`, never pickle, so opening a
+database runs no stored code), keyed by blob id.  Ingest owns it and clears
+it with everything downstream; `detect_segments` and `detect_fragments`
+each add the facts they tokenized.  It is never exported.  Opening a
+database whose `facts_version` differs from `javafacts.FACTS_VERSION`
+empties it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .fragments import render_hunk
+from .javafacts import FACTS_VERSION
 from .model import (
     CommitRecord,
     DependencyChange,
@@ -175,6 +184,10 @@ CREATE TABLE IF NOT EXISTS doc_attachments (
   ambiguous INTEGER NOT NULL DEFAULT 0,
   PRIMARY KEY (mapping_id, side, class_name, method, arity)
 );
+CREATE TABLE IF NOT EXISTS blob_facts (
+  blob_id TEXT PRIMARY KEY,
+  facts TEXT NOT NULL
+);
 """
 
 
@@ -197,20 +210,19 @@ class Store:
         self._in_transaction = False
         self.db.execute("PRAGMA foreign_keys = ON")
         self.db.executescript(_SCHEMA)
-        row = self.db.execute(
-            "SELECT value FROM run_metadata WHERE key = 'schema_version'"
-        ).fetchone()
-        if row is None:
-            self.db.execute(
-                "INSERT INTO run_metadata (key, value) VALUES ('schema_version', ?)",
-                (SCHEMA_VERSION,),
-            )
-            self.db.commit()
-        elif row[0] != SCHEMA_VERSION:
-            raise StoreError(
-                f"database schema version {row[0]} != supported {SCHEMA_VERSION}; "
-                "use a fresh --db path"
-            )
+        with self.transaction():
+            schema = self.get_meta("schema_version")
+            if schema is None:
+                self.set_meta("schema_version", SCHEMA_VERSION)
+            elif schema != SCHEMA_VERSION:
+                raise StoreError(
+                    f"database schema version {schema} != supported {SCHEMA_VERSION}; "
+                    "use a fresh --db path"
+                )
+            if self.get_meta("facts_version") != FACTS_VERSION:
+                # facts stored by another extractor version may differ from this one's
+                self.clear_blob_facts()
+                self.set_meta("facts_version", FACTS_VERSION)
 
     def close(self):
         self.db.close()
@@ -471,6 +483,18 @@ class Store:
             self.db.execute("DELETE FROM doc_attachments")
             self.db.execute("DELETE FROM method_docs")
 
+    def clear_blob_facts(self) -> None:
+        with self.transaction():
+            self.db.execute("DELETE FROM blob_facts")
+
+    def insert_blob_facts(self, rows: list[tuple[str, str]]) -> None:
+        """Store (blob id, encoded facts) rows; a blob already stored is a StoreError."""
+        try:
+            with self.transaction():
+                self.db.executemany("INSERT INTO blob_facts (blob_id, facts) VALUES (?, ?)", rows)
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(f"integrity violation storing blob facts: {exc}") from exc
+
     def replace_edges(self, edges: dict) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM graph_edges")
@@ -506,6 +530,16 @@ class Store:
             )
             for p, c, o, d, a, m in rows
         ]
+
+    def has_blob_facts(self) -> bool:
+        return self.db.execute("SELECT 1 FROM blob_facts LIMIT 1").fetchone() is not None
+
+    def blob_facts(self, blob_id: str) -> str | None:
+        """The encoded facts stored for a blob, or None."""
+        row = self.db.execute(
+            "SELECT facts FROM blob_facts WHERE blob_id = ?", (blob_id,)
+        ).fetchone()
+        return row[0] if row else None
 
     def commit_count(self) -> int:
         return self.db.execute("SELECT COUNT(*) FROM commits").fetchone()[0]

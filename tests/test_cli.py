@@ -2,11 +2,16 @@
 
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from corpusgen import GSON_LIB, JSON_LIB, SERIALIZER_GSON, SERIALIZER_JSON, build_repo, pom
 
+import migmine
 from migmine.cli import main
 from migmine.store import Store
 
@@ -155,6 +160,27 @@ class TestStagedPipeline:
         with Store(tmp_path / "m.db") as store:
             for sel, payload in first.items():
                 assert store.export("json", sel) == payload
+
+    def test_separate_detect_fragments_process_tokenizes_nothing(self, corpus, tmp_path):
+        """detect-fragments in a process of its own reads the facts that
+        detect-segments stored instead of tokenizing the blobs again."""
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
+        assert run_cli("detect-rules", *flags) == 0
+        assert run_cli("detect-segments", *flags) == 0
+        src = str(Path(migmine.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "migmine.cli", "detect-fragments", *map(str, flags)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        [line] = [x for x in done.stderr.splitlines() if "event=fragments_detected" in x]
+        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        assert fields["blobs_tokenized"] == "0"
+        assert int(fields["blobs_loaded"]) > 0
 
     def test_no_fallback_index_fails_segments(self, corpus, tmp_path):
         flags = [

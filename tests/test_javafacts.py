@@ -1,6 +1,8 @@
 """Fact extraction, package indexing and conservative resolution."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURES
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from test_resolver_precision import load_ground_truth
 
 from migmine.javafacts import (
+    FACTS_VERSION,
     IndexBuildError,
     build_package_index,
+    decode_facts,
+    encode_facts,
     extract_facts,
     facts_depend_on,
     fallback_package_index,
@@ -274,3 +279,55 @@ class TestMayReference:
             "JSONObject", "JSONArray", "JSONException", "JSONTokener", "CDL", "json"
         }
         assert JSON_FALLBACK.reference_words == ("json",)
+
+
+class TestStoredFacts:
+    def test_decoding_the_encoded_facts_gives_the_extracted_facts(self, json_index):
+        @given(st.data())
+        @settings(max_examples=300, deadline=None)
+        def check(data):
+            words = json_index.reference_words
+            text = data.draw(fixture_mutations(words) | identifier_soup(words))
+            facts = extract_facts(text)
+            decoded = decode_facts(encode_facts(facts))
+            assert decoded == facts
+            # equality alone lets 1 stand for True
+            assert repr((decoded.package, decoded.imports, decoded.invocations)) == repr(
+                (facts.package, facts.imports, facts.invocations)
+            )
+
+        check()
+
+
+FACTS_GOLDEN = Path(__file__).parent / "golden" / "facts" / "resolver.json"
+
+
+def test_stored_facts_format_is_pinned():
+    """The encoded facts of every resolver fixture match tests/golden/facts.
+
+    A database keeps facts across extractor versions unless FACTS_VERSION
+    changes.  When the extractor's output changes on purpose, bump
+    FACTS_VERSION in migmine/javafacts and regenerate the file from the
+    repository root:
+
+        PYTHONPATH=src python -c "
+        import json; from pathlib import Path
+        from migmine.javafacts import FACTS_VERSION, encode_facts, extract_facts
+        files = sorted(Path('tests/fixtures/resolver').glob('*.java'))
+        golden = {'facts_version': FACTS_VERSION,
+                  'facts': {p.name: encode_facts(extract_facts(p.read_text())) for p in files}}
+        Path('tests/golden/facts/resolver.json').write_text(json.dumps(golden, indent=1) + '\\n')"
+    """
+    golden = json.loads(FACTS_GOLDEN.read_text())
+    got = {p.name: encode_facts(extract_facts(p.read_text())) for p in RESOLVER_FIXTURES}
+    assert sorted(golden["facts"]) == sorted(got)
+    assert golden["facts_version"] == FACTS_VERSION, (
+        f"FACTS_VERSION is {FACTS_VERSION!r} but {FACTS_GOLDEN.name} was written at "
+        f"{golden['facts_version']!r}: regenerate it (see this test's docstring)"
+    )
+    changed = sorted(name for name in got if got[name] != golden["facts"][name])
+    assert not changed, (
+        f"extract_facts output changed for {changed} while FACTS_VERSION stayed "
+        f"{FACTS_VERSION!r}: bump FACTS_VERSION and regenerate {FACTS_GOLDEN.name} "
+        "(see this test's docstring)"
+    )

@@ -710,3 +710,100 @@ def test_plain_files_are_never_tokenized(tmp_path, monkeypatch, caplog):
     # the serializer's two versions, each tokenized once across both stages
     assert logged == {"event=segments_detected": 2, "event=fragments_detected": 2}
     assert len(tokenized) == 2
+
+
+GOLDEN = Path(__file__).parent / "golden" / "acceptance"
+
+
+def stored_corpus_copy(corpus_run, corpus, tmp_path) -> RunConfig:
+    """A config whose database is a copy of the acceptance corpus run's."""
+    config = corpus_config(corpus, tmp_path)
+    copy = sqlite3.connect(config.db_path)
+    try:
+        corpus_run.store.db.backup(copy)
+    finally:
+        copy.close()
+    return config
+
+
+def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A new Pipeline over a stored run reads every blob's facts from the
+    store, and its exports still match the golden files."""
+    from migmine import javafacts
+
+    tokenized = []
+    extract = javafacts.extract_facts
+
+    def spy(text):
+        tokenized.append(text)
+        return extract(text)
+
+    monkeypatch.setattr(javafacts, "extract_facts", spy)
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    caplog.set_level(logging.INFO, logger="migmine")
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        pipeline.detect_rules()
+        pipeline.detect_segments()
+        pipeline.detect_fragments()
+        pipeline.collect_docs()
+        paths = pipeline.export_reports()
+    assert tokenized == []
+    assert pipeline.facts.loaded > 0
+    logged = [r.getMessage() for r in caplog.records if "blobs_tokenized=" in r.getMessage()]
+    assert len(logged) == 2
+    assert all(m.endswith("blobs_tokenized=0") and "blobs_loaded=0" not in m for m in logged)
+    assert sorted(p.name for p in paths) == sorted(p.name for p in GOLDEN.iterdir())
+    assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
+
+
+def test_segments_over_a_stored_history_diff_no_dependencies(
+    corpus_run, corpus, tmp_path, monkeypatch
+):
+    """Only ingest stores the per-commit dependency changes; a later stage
+    replays the manifest timeline without diffing it."""
+    import migmine.history as history_module
+
+    diffs = []
+    diff = history_module.diff_dependencies
+
+    def spy(*args, **kwargs):
+        diffs.append(kwargs.get("commit"))
+        return diff(*args, **kwargs)
+
+    monkeypatch.setattr(history_module, "diff_dependencies", spy)
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert Pipeline(store, config).detect_segments()
+    assert diffs == []
+
+
+def test_ingest_empties_blob_facts_and_detect_rules_keeps_them(tmp_path):
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "cached",
+        [
+            ("init", {"pom.xml": pom("cached", JSON_LIB), path: PADDED_JSON}),
+            ("migrate", {"pom.xml": pom("cached", GSON_LIB), path: PADDED_GSON}),
+        ],
+    )
+
+    def stored(store):
+        return store.db.execute("SELECT blob_id FROM blob_facts ORDER BY blob_id").fetchall()
+
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        cached = stored(store)
+        assert len(cached) == 2
+        pipeline = Pipeline(store, config)
+        pipeline.detect_rules()
+        assert stored(store) == cached
+        assert pipeline.ingest() == []
+        assert stored(store) == []
+        # the same Pipeline tokenizes again and stores each blob once
+        pipeline.detect_rules()
+        pipeline.detect_segments()
+        pipeline.detect_fragments()
+        assert stored(store) == cached
+        assert pipeline.facts.loaded == 0

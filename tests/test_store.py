@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from migmine.fragments import unified_diff
+from migmine.javafacts import FACTS_VERSION
 from migmine.model import (
     CommitRecord,
     DependencyChange,
@@ -21,7 +22,7 @@ from migmine.model import (
     ProjectRef,
     Segment,
 )
-from migmine.store import Store, StoreError
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
 
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
@@ -387,3 +388,35 @@ def test_schema_version_mismatch_fails(tmp_path):
         s.set_meta("schema_version", "999")
     with pytest.raises(StoreError):
         Store(path)
+
+
+class TestBlobFacts:
+    def test_same_blob_stored_twice_is_store_error(self, store):
+        store.insert_blob_facts([("b1", "[]")])
+        with pytest.raises(StoreError):
+            store.insert_blob_facts([("b2", "[]"), ("b1", "[]")])
+        # the failed insert stored nothing
+        assert store.blob_facts("b1") == "[]"
+        assert store.blob_facts("b2") is None
+
+    def test_other_facts_version_empties_the_table_at_open(self, tmp_path):
+        path = tmp_path / "facts.db"
+        with Store(path) as s:
+            s.insert_blob_facts([("b1", "[]")])
+        with Store(path) as s:
+            assert s.has_blob_facts()
+            s.set_meta("facts_version", "0")
+        with Store(path) as s:
+            assert not s.has_blob_facts()
+            assert s.get_meta("facts_version") == FACTS_VERSION
+
+    def test_no_export_holds_blob_facts(self, corpus_run):
+        rows = corpus_run.store.db.execute("SELECT blob_id, facts FROM blob_facts").fetchall()
+        assert rows
+        exported = b"".join(
+            corpus_run.store.export(fmt, selector)
+            for fmt in EXPORT_FORMATS for selector in EXPORT_SELECTORS
+        )
+        assert [blob for blob, facts in rows
+                if blob.encode() in exported or facts.encode() in exported] == []
+        assert "blob_facts" not in EXPORT_SELECTORS
