@@ -3,20 +3,35 @@
 Downloads class and -javadoc jars from a Maven-repository-layout server
 into a local cache, parses the doclet-generated HTML (JDK 7/8 era method
 detail structure) and attaches per-method documentation to method
-mappings.  Unknown HTML layouts degrade to zero docs, never a failure.
+mappings.
+
+A class page is read by one compiled regex that stops only at the start
+and end tags of a, div, h1, h2, h4, pre, dt and dd, the only tags the
+page parser acts on.  Comments, declarations and processing instructions
+are skipped (an unclosed one runs to the end of the page, as in HTML5),
+and so are the bodies of script and style, as raw text.  Text
+between those stops is read only inside a field being captured.  A
+layout the parser does not know yields zero docs and no failure.
+
+The class name is the last word of the page title before any type
+parameters ("Class Map.Entry<K,V>" gives Entry).  A method's parameter
+types are read from the parameter list after its own name in the
+signature, with generic arguments dropped, so an annotation or type
+parameters before the name are not read as parameters.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import re
 import time
 import urllib.error
 import urllib.request
 import zipfile
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from html.parser import HTMLParser
+from html import unescape
 from pathlib import Path
 
 from .model import (
@@ -161,11 +176,65 @@ _LABELS = {
 }
 
 
-class _ClassPageParser(HTMLParser):
+# The scanner reads tags as Python's HTMLParser does: names are lowercased
+# and end at whitespace, "/", ">" or NUL ("<a-b>" is tag "a-b", not "a"); a
+# quoted attribute value may hold ">" and is unescaped; "<x/>" opens and
+# closes x.  It stops only at start and end tags of _EVENT_TAGS, which are
+# all _ClassPageParser acts on, and at markup whose extent it must know to
+# find them: comments, declarations, processing instructions and the raw
+# text of script and style.  It does not read the attributes of other tags,
+# so a "<" inside one of their quoted values (javadoc escapes it) starts
+# markup.
+_EVENT_TAGS = "a|div|h1|h2|h4|pre|dt|dd"
+_NAME_END = r"(?=[\t\n\r\f />\x00])"
+# attributes of a start tag, up to its closing ">" or "/>"; each use wraps
+# them in a lookahead, which keeps their first match as HTMLParser does
+# and so cannot backtrack exponentially on a tag that lacks its ">"
+_ATTRS = (
+    r"""(?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
+    r"""(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*"""
+)
+_RAW_TEXT = "script|style"
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in _RAW_TEXT.split("|")}
+_SCAN = re.compile(
+    rf"""
+      <!--.*?(?:--\s*>|\Z)      # comment; an unclosed one runs to the end
+    | <[!?][^>]*>?              # declaration or processing instruction, likewise
+    | </(?:\s*(?P<end>{_EVENT_TAGS})\s*>|(?P<end_>{_EVENT_TAGS}){_NAME_END}[^>]*>)
+    | <(?P<start>{_EVENT_TAGS}|{_RAW_TEXT}){_NAME_END}(?=(?P<attrs>{_ATTRS}))(?P=attrs)/?>
+    """,
+    re.I | re.S | re.X,
+)
+# any other complete tag, removed from captured text
+_MARKUP = re.compile(rf"<[a-zA-Z][^\t\n\r\f />\x00]*(?=({_ATTRS}))\1/?>|</[^>]*>")
+_ATTR_GAP = re.compile(r"(?:\s|/(?!>))*")
+_ATTR = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*"""
+)
+
+
+def _attributes(text: str, pos: int, end: int) -> tuple[list[tuple[str, str | None]], bool]:
+    """(name, value) pairs of the start tag text[:end] whose name ends at pos,
+    and whether the tag closes itself with "/>"."""
+    attrs = []
+    pos = _ATTR_GAP.match(text, pos).end()
+    while pos < end and (m := _ATTR.match(text, pos)):
+        name, assigned, value = m.groups()
+        if not assigned:
+            value = None
+        elif value[:1] == value[-1:] and value[:1] in ("'", '"'):
+            value = value[1:-1]
+        if value:
+            value = unescape(value)
+        attrs.append((name.lower(), value))
+        pos = m.end()
+    return attrs, text[pos:end].strip() == "/>"
+
+
+class _ClassPageParser:
     """Event parser for one doclet-generated class page (JDK 7/8 layout)."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.package: str | None = None
         self.class_name: str | None = None
         self.class_description: str | None = None
@@ -194,9 +263,10 @@ class _ClassPageParser(HTMLParser):
             if self.package is None and text:
                 self.package = text
         elif what == "title":
-            # "Class Gson", "Interface Foo", "Enum Bar.Baz"
-            name = text.split()[-1] if text else ""
-            self.class_name = name.rpartition(".")[2] or None
+            # "Class Gson", "Annotation Type Foo", "Class Map.Entry<K,V>":
+            # the name after the kind words, without type parameters
+            words = text.partition("<")[0].split() or [""]
+            self.class_name = words[-1].rpartition(".")[2] or None
         elif what == "class_desc":
             if self.class_description is None:
                 self.class_description = text
@@ -238,7 +308,7 @@ class _ClassPageParser(HTMLParser):
         if rec and rec.get("name") and rec.get("signature") is not None:
             self.records.append(rec)
 
-    # HTMLParser hooks
+    # event handlers
 
     def handle_starttag(self, tag, attrs):
         attrs = dict(attrs)
@@ -312,45 +382,104 @@ class _ClassPageParser(HTMLParser):
             self._buf.append(data)
 
     def close(self):
-        super().close()
         self._flush_record()
 
+    def method_docs(self, library: LibraryCoordinate) -> list[MethodDoc]:
+        """The page's MethodDocs, once its text has been fed and closed."""
+        if not self.class_name:
+            return []
+        docs = []
+        for rec in self.records:
+            signature = _parse_signature_types(rec["signature"], rec["name"])
+            if signature is None:
+                continue
+            method = "<init>" if rec["kind"] == "constructor" else rec["name"]
+            docs.append(
+                MethodDoc(
+                    library=library,
+                    package=self.package or "",
+                    class_name=self.class_name,
+                    class_description=self.class_description or "",
+                    method=method,
+                    signature=signature,
+                    description=rec["description"] or "",
+                    param_docs=tuple(rec["params"]),
+                    return_doc=rec["return_doc"],
+                    since=rec["since"],
+                )
+            )
+        return docs
 
-def _parse_signature_types(signature: str) -> tuple[str, ...] | None:
-    """Parameter type list (simple names) from a method detail <pre> text."""
-    open_idx = signature.find("(")
-    close_idx = signature.rfind(")")
-    if open_idx < 0 or close_idx <= open_idx:
+    def feed(self, text: str):
+        """Scan a whole page, calling the handlers at each event.
+
+        Text between events is read only while a capture is open: other
+        tags are removed from it and each remaining piece is unescaped on
+        its own, so "&amp<code>;" reads "&;" as in HTMLParser.  Text an
+        unclosed capture holds at the end of the page is never used.
+        """
+        pos = 0
+        while (m := _SCAN.search(text, pos)) is not None:
+            if self._capture is not None and pos < m.start():
+                # odd items of the split are the attributes _MARKUP captures
+                for piece in _MARKUP.split(text[pos : m.start()])[::2]:
+                    self.handle_data(unescape(piece))
+            pos = m.end()
+            end_tag = m["end"] or m["end_"]
+            if end_tag is not None:
+                self.handle_endtag(end_tag.lower())
+                continue
+            tag = m["start"]
+            if tag is None:
+                continue  # a comment, declaration or processing instruction
+            tag = tag.lower()
+            attrs, closed = _attributes(text, m.end("start"), pos)
+            if tag in _RAW_TEXT_END:
+                if closed:
+                    continue
+                body = _RAW_TEXT_END[tag].search(text, pos)
+                if body is None:
+                    return  # unclosed: the rest of the page is its raw text
+                self.handle_data(text[pos : body.start()])
+                pos = body.end()
+                continue
+            self.handle_starttag(tag, attrs)
+            if closed:
+                self.handle_endtag(tag)
+
+
+_CALL = re.compile(r"([\w$]+)\s*\(")
+_ANNOTATION = re.compile(r"@[\w.$]+(?:\s*\([^()]*\))?")
+_TYPE_ARGUMENTS = re.compile(r"<[^<>]*>")
+
+
+def _parse_signature_types(signature: str, name: str) -> tuple[str, ...] | None:
+    """Parameter types (simple names) of method `name` from its <pre> text.
+
+    The parameter list is the one after the method's own name, so an
+    annotation or type parameters before it are not read as parameters.
+    """
+    start = next((m for m in _CALL.finditer(signature) if m[1] == name), None)
+    if start is None:
         return None
-    inner = signature[open_idx + 1 : close_idx].strip()
-    if not inner:
-        return ()
-    chunks = []
-    depth = 0
-    cur = []
-    for ch in inner:
-        if ch in "<[(":
-            depth += 1
-        elif ch in ">])":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append("".join(cur))
+    inner, closed, _ = _ANNOTATION.sub(" ", signature[start.end() :]).partition(")")
+    if not closed:
+        return None
+    # drop generic arguments, innermost first, so their commas and
+    # spaces do not split a parameter
+    while (stripped := _TYPE_ARGUMENTS.sub("", inner)) != inner:
+        inner = stripped
     types = []
-    for chunk in chunks:
-        tokens = [t for t in _clean(chunk).split(" ") if t and not t.startswith("@")]
+    for param in inner.split(","):
+        tokens = _clean(param).split()
         if not tokens:
             continue
         type_part = tokens[-2] if len(tokens) >= 2 else tokens[0]
         varargs = "..." in type_part
         base = type_part.replace("...", "")
-        # drop generics, keep array suffix, strip the package prefix
+        # keep the array suffix, strip the package prefix
         array = "[]" * base.count("[")
-        base = base.split("<", 1)[0].split("[", 1)[0]
-        simple = base.rpartition(".")[2]
+        simple = base.split("[", 1)[0].rpartition(".")[2]
         types.append(simple + array + ("..." if varargs else ""))
     return tuple(types)
 
@@ -387,35 +516,9 @@ def _is_class_page(entry_name: str) -> bool:
 def parse_class_page(html_text: str, library: LibraryCoordinate) -> list[MethodDoc]:
     """MethodDocs from one class page; empty when the layout is unknown."""
     parser = _ClassPageParser()
-    try:
-        parser.feed(html_text)
-        parser.close()
-    except Exception as exc:  # malformed HTML: degrade, never crash
-        log.warning("event=doc_parse_error library=%s error=%s", library, exc)
-        return []
-    if not parser.class_name:
-        return []
-    docs = []
-    for rec in parser.records:
-        signature = _parse_signature_types(rec["signature"])
-        if signature is None:
-            continue
-        method = "<init>" if rec["kind"] == "constructor" else rec["name"]
-        docs.append(
-            MethodDoc(
-                library=library,
-                package=parser.package or "",
-                class_name=parser.class_name,
-                class_description=parser.class_description or "",
-                method=method,
-                signature=signature,
-                description=rec["description"] or "",
-                param_docs=tuple(rec["params"]),
-                return_doc=rec["return_doc"],
-                since=rec["since"],
-            )
-        )
-    return docs
+    parser.feed(html_text)
+    parser.close()
+    return parser.method_docs(library)
 
 
 def parse_doc_archive(archive: bytes, library: LibraryCoordinate) -> list[MethodDoc]:

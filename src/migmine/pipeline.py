@@ -375,11 +375,15 @@ class Pipeline:
         ]
         archives = self.fetcher.fetch_many(coords)
         docs_by_identity: dict[LibraryId, list] = {}
+        parsed_archives = pages = methods_parsed = 0
         for (coordinate, _), data in archives.items():
             if data is not None:
-                docs_by_identity.setdefault(coordinate.identity, []).extend(
-                    parse_doc_archive(data, coordinate)
-                )
+                parsed = parse_doc_archive(data, coordinate)
+                docs_by_identity.setdefault(coordinate.identity, []).extend(parsed)
+                parsed_archives += 1
+                # class pages that documented at least one method
+                pages += len({(doc.package, doc.class_name) for doc in parsed})
+                methods_parsed += len(parsed)
         # one attach_docs call per rule: its mappings share one pool of docs
         by_rule: dict[tuple[LibraryId, LibraryId], list[tuple[int, MethodMapping]]] = {}
         for mapping_id, mapping in mappings:
@@ -408,7 +412,10 @@ class Pipeline:
                     else:
                         missing += 1
                     self.store.upsert_doc_attachment(mapping_id, side, attachment, doc_id)
-        log.info("event=docs_collected attached=%d missing=%d", attached, missing)
+        log.info(
+            "event=docs_collected archives=%d pages=%d methods_parsed=%d attached=%d missing=%d",
+            parsed_archives, pages, methods_parsed, attached, missing,
+        )
         return attached, missing
 
     def export_reports(self) -> list[Path]:

@@ -2,15 +2,20 @@
 
 import threading
 import zipfile
+from html.parser import HTMLParser
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from conftest import FIXTURES
 from corpusgen import build_fake_maven_repo, javadoc_jar, javadoc_page
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migmine.docs import (
     ArchiveFetcher,
     DocError,
+    _ClassPageParser,
+    _parse_signature_types,
     archive_url,
     attach_docs,
     parse_class_page,
@@ -75,6 +80,200 @@ class TestFig4Parsing:
     def test_overloads_distinguished_by_signature(self, fig4_docs):
         overloads = [d for d in fig4_docs if d.method == "toJson"]
         assert {d.signature for d in overloads} == {("JsonElement",), ("Object",)}
+
+
+TYPE_ADAPTER_PAGE = javadoc_page(
+    "com.google.gson", "TypeAdapter", "Converts Java objects to and from JSON.",
+    [{"name": "TypeAdapter", "sig": [], "description": "Creates an adapter."}],
+    [{"name": "read", "sig": [("com.google.gson.stream.JsonReader", "in")],
+      "ret": "T", "description": "Reads one JSON value.",
+      "params": [("in", "the reader")], "returns": "the value read"}],
+)
+
+
+@pytest.mark.parametrize(
+    "title, class_name",
+    [
+        ("Class TypeAdapter&lt;T&gt;", "TypeAdapter"),
+        ("Class Map.Entry&lt;K,V&gt;", "Entry"),
+        ("Class Table&lt;R, C, V&gt;", "Table"),
+        ("Annotation Type Beta", "Beta"),
+    ],
+)
+def test_generic_class_title_gives_the_simple_name(title, class_name):
+    page = TYPE_ADAPTER_PAGE.replace(">Class TypeAdapter</h2>", f">{title}</h2>")
+    assert {d.class_name for d in parse_class_page(page, GSON_222)} == {class_name}
+
+
+def test_generic_class_page_docs_attach():
+    page = TYPE_ADAPTER_PAGE.replace(">Class TypeAdapter</h2>", ">Class TypeAdapter&lt;T&gt;</h2>")
+    mapping = MethodMapping(
+        source=("org.json", "json"),
+        target=("com.google.code.gson", "gson"),
+        source_methods=frozenset({("org.json.JSONObject", "get", 1)}),
+        target_methods=frozenset({("com.google.gson.TypeAdapter", "read", 1)}),
+        support=1,
+    )
+    (_, _, target) = attach_docs([mapping], parse_class_page(page, GSON_222))[0]
+    assert target[0].found
+    assert target[0].doc.description == "Reads one JSON value."
+
+
+@pytest.mark.parametrize(
+    "signature, name, types",
+    [
+        (
+            '@GwtIncompatible(value="NavigableMap")\npublic static <K,V> NavigableMap<K,V> '
+            "unmodifiableNavigableMap(NavigableMap<K,? extends V> map)",
+            "unmodifiableNavigableMap",
+            ("NavigableMap",),
+        ),
+        (
+            "public void bar(java.util.Map<java.lang.String, java.util.List<int[]>> m, byte[][] b)",
+            "bar",
+            ("Map", "byte[][]"),
+        ),
+        ("public static String join(String sep, Object... parts)", "join", ("String", "Object...")),
+        ("public int[][] grid(int[][] cells, long[] row)", "grid", ("int[][]", "long[]")),
+        ("public Object get(@Nullable java.lang.Object key)", "get", ("Object",)),
+        ("public Gson()", "Gson", ()),
+    ],
+)
+def test_signature_types(signature, name, types):
+    assert _parse_signature_types(signature, name) == types
+
+
+class _ReferenceParser(HTMLParser):
+    """The stdlib HTML parser driving a page parser's handlers: the
+    reference the event scanner of `_ClassPageParser.feed` must match."""
+
+    def __init__(self, target):
+        super().__init__(convert_charrefs=True)
+        self.target = target
+
+    def handle_starttag(self, tag, attrs):
+        self.target.handle_starttag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        self.target.handle_endtag(tag)
+
+    def handle_data(self, data):
+        self.target.handle_data(data)
+
+
+def reference_parse(html, library):
+    target = _ClassPageParser()
+    reference = _ReferenceParser(target)
+    reference.feed(html)
+    reference.close()
+    target.close()
+    return target.method_docs(library)
+
+
+# markup that a scanner stopping only at the parser's own tags can misread
+SCANNER_TRAPS = [
+    '<!-- <a name="method.detail"> -->',
+    "<!-- <h4>ghost</h4><pre>ghost(int x)</pre> -->",
+    '<script type="text/javascript">var s = \'<div class="block">fake</div>\';</script>',
+    "<style>h4 { color: red }</style>",
+    '<span title="x>y">quoted</span>',
+    '<a title="1>0" href="#x">link</a>',
+    '<DIV CLASS="block">Upper</DIV>',
+    '<A NAME="method&#95;detail"></A>',
+    '<div class="bl&#111;ck">escaped</div>',
+    "<PRE>upper(int a)</PRE>",
+    "<br/>",
+    "<address>addr</address>",
+    "<a-b>dash</a-b>",
+    "<div-x>dash</div-x>",
+    "<dd2>two</dd2>",
+    "<div/>",
+    "&amp<code>;</code>",
+    "&lt<b>;</b>&#60<i>;</i>",
+    "<noscript><div>JavaScript is disabled.</div></noscript>",
+    "1 < 2 &amp; 3 > 2",
+    '<?xml version="1.0"?>',
+    "<!DOCTYPE html>",
+    "</ dd>",
+    '</pre class="x">',
+]
+UNCLOSED_ENDINGS = ["", '<div class="block', '<a name="method_detail', "<span title='x", "</dd"]
+TEXT = st.text(alphabet="abcXY19 &;#x'\"=/-.", max_size=24)
+
+
+def tag_boundaries(page):
+    """Offsets just before or after a tag: where a trap can go without
+    landing inside a tag."""
+    return [i for i, ch in enumerate(page) if ch == "<" or page[i - 1] == ">"]
+
+
+@pytest.mark.parametrize("trap", SCANNER_TRAPS)
+def test_scanner_parses_like_html_parser_with_one_trap_anywhere(trap):
+    for pos in tag_boundaries(TYPE_ADAPTER_PAGE):
+        page = TYPE_ADAPTER_PAGE[:pos] + trap + TYPE_ADAPTER_PAGE[pos:]
+        assert parse_class_page(page, GSON_222) == reference_parse(page, GSON_222), pos
+
+
+@st.composite
+def trapped_pages(draw):
+    def detail(name):
+        return {
+            "name": name,
+            "sig": draw(st.lists(st.tuples(
+                st.sampled_from(["java.lang.Object", "int[]", "java.util.Map&lt;K,V&gt;"]),
+                st.sampled_from(["a", "b"]),
+            ), max_size=2)),
+            "ret": "java.lang.Object",
+            "description": draw(TEXT),
+            "params": draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), TEXT), max_size=2)),
+            "returns": draw(TEXT),
+            "since": draw(TEXT),
+        }
+
+    names = draw(st.lists(st.sampled_from(["toJson", "fromJson", "get"]), max_size=3))
+    page = javadoc_page("com.example", "Widget", draw(TEXT), [detail("Widget")],
+                        [detail(n) for n in names])
+    traps = draw(st.lists(
+        st.tuples(st.sampled_from(tag_boundaries(page)), st.sampled_from(SCANNER_TRAPS)),
+        min_size=4, max_size=12,
+    ))
+    for pos, trap in sorted(traps, reverse=True):
+        page = page[:pos] + trap + page[pos:]
+    return page + draw(st.sampled_from(UNCLOSED_ENDINGS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trapped_pages())
+def test_scanner_parses_like_html_parser(page):
+    assert parse_class_page(page, GSON_222) == reference_parse(page, GSON_222)
+
+
+@pytest.mark.parametrize(
+    "html",
+    [
+        (FIXTURES / "javadoc" / "Gson.html").read_text(),
+        # an unclosed script hides the rest of the page
+        TYPE_ADAPTER_PAGE.replace("<h4>read</h4>", "<script>var x = 1;<h4>read</h4>"),
+    ],
+    ids=["committed-page", "unclosed-script"],
+)
+def test_scanner_matches_html_parser_on_whole_pages(html):
+    docs = parse_class_page(html, GSON_222)
+    assert docs
+    assert docs == reference_parse(html, GSON_222)
+
+
+def test_self_closing_event_tag_opens_and_closes():
+    page = TYPE_ADAPTER_PAGE.replace('<div class="block">Reads', '<div class="block"/>Reads')
+    read = next(d for d in parse_class_page(page, GSON_222) if d.method == "read")
+    assert read.description == ""
+
+
+def test_unclosed_comment_runs_to_the_end():
+    # as in HTML5 and newer HTMLParser releases; Python 3.11.7's reads it
+    # as text up to the next ">", so the differential tests leave it out
+    page =TYPE_ADAPTER_PAGE.replace("<h4>read</h4>", "<!-- never closed > <h4>read</h4>")
+    assert [d.method for d in parse_class_page(page, GSON_222)] == ["<init>"]
 
 
 class TestParseDocArchive:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import corpus_config
+from conftest import corpus_config, run_corpus
 from corpusgen import (
     GSON_APP,
     GSON_LIB,
@@ -408,6 +408,19 @@ def test_segments_skip_projects_that_never_declare_both_libraries(tmp_path, capl
         and ("event=index_fallback" in r.getMessage() or "reason=unresolved_version" in r.getMessage())
     ]
     assert noisy == []
+
+
+def test_docs_collected_logs_parse_work(corpus, tmp_path, caplog):
+    """The acceptance corpus has one javadoc jar per library of its one
+    confirmed rule, each with one class page (JSONObject, Gson) that
+    documents a constructor and two methods."""
+    caplog.set_level(logging.INFO, logger="migmine.pipeline")
+    run = run_corpus(corpus, tmp_path)
+    run.store.close()
+    collected = [r.getMessage() for r in caplog.records if "event=docs_collected" in r.getMessage()]
+    assert collected == [
+        "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1"
+    ]
 
 
 def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):
