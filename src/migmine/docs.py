@@ -3,7 +3,9 @@
 Downloads class and -javadoc jars from a Maven-repository-layout server
 into a local cache, parses the doclet-generated HTML (JDK 7/8 era method
 detail structure) and attaches per-method documentation to method
-mappings.
+mappings.  Only the pages of the mapped classes are parsed, each found by
+its fully qualified name, and a mapped method is matched only against the
+docs of its own library and class, never by class simple name.
 
 A class page is read by one compiled regex that stops only at the start
 and end tags of a, div, h1, h2, h4, pre, dt and dd, the only tags the
@@ -29,6 +31,7 @@ import time
 import urllib.error
 import urllib.request
 import zipfile
+import zlib
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from html import unescape
@@ -38,6 +41,7 @@ from .model import (
     UNRESOLVED,
     DocAttachment,
     LibraryCoordinate,
+    LibraryId,
     MethodDoc,
     MethodKey,
     MethodMapping,
@@ -182,17 +186,19 @@ _LABELS = {
 # closes x.  It stops only at start and end tags of _EVENT_TAGS, which are
 # all _ClassPageParser acts on, and at markup whose extent it must know to
 # find them: comments, declarations, processing instructions and the raw
-# text of script and style.  It does not read the attributes of other tags,
-# so a "<" inside one of their quoted values (javadoc escapes it) starts
-# markup.
+# text of script and style.  Unlike HTMLParser, no tag spans a "<": a tag
+# name, an attribute name or value, quoted or not, and an end tag's body all
+# stop at one, so a tag holding a "<" (javadoc escapes it) is read as text.
+# A page of unterminated tags ("<div a" repeated) thus scans in linear time,
+# where HTMLParser reads the rest of the page again at each of them.
 _EVENT_TAGS = "a|div|h1|h2|h4|pre|dt|dd"
 _NAME_END = r"(?=[\t\n\r\f />\x00])"
 # attributes of a start tag, up to its closing ">" or "/>"; each use wraps
 # them in a lookahead, which keeps their first match as HTMLParser does
 # and so cannot backtrack exponentially on a tag that lacks its ">"
 _ATTRS = (
-    r"""(?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
-    r"""(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?(?:\s|/(?!>))*)*)?\s*"""
+    r"""(?:[\s/]*(?:(?<=['"\s/])[^\s/><][^\s/=><]*"""
+    r"""(?:\s*=+\s*(?:'[^'<]*'|"[^"<]*"|(?!['"])[^>\s<]*)\s*)?(?:\s|/(?!>))*)*)?\s*"""
 )
 _RAW_TEXT = "script|style"
 _RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in _RAW_TEXT.split("|")}
@@ -200,16 +206,16 @@ _SCAN = re.compile(
     rf"""
       <!--.*?(?:--\s*>|\Z)      # comment; an unclosed one runs to the end
     | <[!?][^>]*>?              # declaration or processing instruction, likewise
-    | </(?:\s*(?P<end>{_EVENT_TAGS})\s*>|(?P<end_>{_EVENT_TAGS}){_NAME_END}[^>]*>)
+    | </(?:\s*(?P<end>{_EVENT_TAGS})\s*>|(?P<end_>{_EVENT_TAGS}){_NAME_END}[^><]*>)
     | <(?P<start>{_EVENT_TAGS}|{_RAW_TEXT}){_NAME_END}(?=(?P<attrs>{_ATTRS}))(?P=attrs)/?>
     """,
     re.I | re.S | re.X,
 )
 # any other complete tag, removed from captured text
-_MARKUP = re.compile(rf"<[a-zA-Z][^\t\n\r\f />\x00]*(?=({_ATTRS}))\1/?>|</[^>]*>")
+_MARKUP = re.compile(rf"<[a-zA-Z][^\t\n\r\f />\x00<]*(?=({_ATTRS}))\1/?>|</[^><]*>")
 _ATTR_GAP = re.compile(r"(?:\s|/(?!>))*")
 _ATTR = re.compile(
-    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*"""
+    r"""((?<=['"\s/])[^\s/><][^\s/=><]*)(\s*=+\s*('[^'<]*'|"[^"<]*"|(?!['"])[^>\s<]*))?(?:\s|/(?!>))*"""
 )
 
 
@@ -384,7 +390,7 @@ class _ClassPageParser:
     def close(self):
         self._flush_record()
 
-    def method_docs(self, library: LibraryCoordinate) -> list[MethodDoc]:
+    def docs(self, library: LibraryCoordinate) -> list[MethodDoc]:
         """The page's MethodDocs, once its text has been fed and closed."""
         if not self.class_name:
             return []
@@ -484,59 +490,37 @@ def _parse_signature_types(signature: str, name: str) -> tuple[str, ...] | None:
     return tuple(types)
 
 
-_SKIP_PAGES = {
-    "index.html",
-    "help-doc.html",
-    "deprecated-list.html",
-    "constant-values.html",
-    "serialized-form.html",
-    "overview-summary.html",
-    "overview-frame.html",
-    "overview-tree.html",
-    "allclasses.html",
-    "allclasses-frame.html",
-    "allclasses-noframe.html",
-    "allclasses-index.html",
-    "allpackages-index.html",
-}
-
-
-def _is_class_page(entry_name: str) -> bool:
-    parts = entry_name.split("/")
-    base = parts[-1]
-    if not base.endswith(".html") or base in _SKIP_PAGES:
-        return False
-    if base.startswith(("package-", "index-", "class-use")):
-        return False
-    if any(p in ("class-use", "doc-files", "src-html", "resources", "META-INF") for p in parts[:-1]):
-        return False
-    return bool(base) and (base[0].isupper() or base[0] == "_")
-
-
 def parse_class_page(html_text: str, library: LibraryCoordinate) -> list[MethodDoc]:
     """MethodDocs from one class page; empty when the layout is unknown."""
     parser = _ClassPageParser()
     parser.feed(html_text)
     parser.close()
-    return parser.method_docs(library)
+    return parser.docs(library)
 
 
-def parse_doc_archive(archive: bytes, library: LibraryCoordinate) -> list[MethodDoc]:
-    """Parse every class page of a -javadoc jar into MethodDocs.
+def parse_doc_archive(
+    archive: bytes, library: LibraryCoordinate, classes: Iterable[str]
+) -> list[MethodDoc]:
+    """Parse the pages of the named classes in a -javadoc jar into MethodDocs.
 
-    Published -javadoc jars already contain the doclet HTML, so no
-    conversion step is needed before parsing.
+    Classes are named fully qualified, and org.json.JSONObject's page is
+    org/json/JSONObject.html (method keys name top-level classes, as the
+    class index folds inner classes into their outer class).  A class
+    without a page in the archive gives no docs.  An unreadable archive or
+    page is a DocError.  Published -javadoc jars already contain the doclet
+    HTML, so no conversion step is needed before parsing.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(archive))
-        names = zf.namelist()
+        names = set(zf.namelist())
     except (zipfile.BadZipFile, OSError) as exc:
         raise DocError(f"unreadable documentation archive for {library}: {exc}") from exc
     docs: list[MethodDoc] = []
-    for name in sorted(names):
-        if not _is_class_page(name):
-            continue
-        text = zf.read(name).decode("utf-8", "replace")
+    for page in sorted({cls.replace(".", "/") + ".html" for cls in classes} & names):
+        try:
+            text = zf.read(page).decode("utf-8", "replace")
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            raise DocError(f"unreadable page {page} of {library}: {exc}") from exc
         docs.extend(parse_class_page(text, library))
     if not docs:
         log.warning("event=doc_format_warning library=%s reason=no_method_details", library)
@@ -546,32 +530,34 @@ def parse_doc_archive(archive: bytes, library: LibraryCoordinate) -> list[Method
 def attach_docs(
     mappings: Iterable[MethodMapping], docs: Iterable[MethodDoc]
 ) -> list[tuple[MethodMapping, list[DocAttachment], list[DocAttachment]]]:
-    """Match every mapped method to its documentation.
+    """Match every mapped method to the documentation of its own library.
 
-    Matching is by (class simple name, method name, arity).  Methods with
-    no matching doc get an explicit not-found marker; several overloads at
-    the same arity resolve to the first in page order, flagged ambiguous.
+    A method of a mapping's source (target) side matches the docs of the
+    source (target) library whose page is its class, by fully qualified
+    name, with the same method name and arity.  `docs` lists a library's
+    versions in lookup order: the first version with a match gives the doc,
+    and several same-arity overloads on that one page resolve to the first
+    in page order, flagged ambiguous.  Methods with no match get an
+    explicit not-found marker.
     """
-    by_key: dict[tuple[str, str, int], list[MethodDoc]] = {}
+    by_key: dict[tuple[LibraryId, str, str, int], list[MethodDoc]] = {}
     for doc in docs:
-        by_key.setdefault((doc.class_name, doc.method, doc.arity), []).append(doc)
+        key = (doc.library.identity, f"{doc.package}.{doc.class_name}", doc.method, doc.arity)
+        by_key.setdefault(key, []).append(doc)
 
-    def attach(method: MethodKey) -> DocAttachment:
-        cls, name, arity = method
-        simple = cls.rpartition(".")[2]
-        candidates = by_key.get((simple, name, arity), [])
+    def attach(library: LibraryId, method: MethodKey) -> DocAttachment:
+        candidates = by_key.get((library, *method))
         if not candidates:
             return DocAttachment(method=method, doc=None, found=False)
-        return DocAttachment(
-            method=method,
-            doc=candidates[0],
-            found=True,
-            ambiguous=len(candidates) > 1,
-        )
+        first = candidates[0]
+        overloads = sum(doc.library == first.library for doc in candidates)
+        return DocAttachment(method=method, doc=first, found=True, ambiguous=overloads > 1)
 
-    out = []
-    for mapping in mappings:
-        source_docs = [attach(m) for m in sorted(mapping.source_methods)]
-        target_docs = [attach(m) for m in sorted(mapping.target_methods)]
-        out.append((mapping, source_docs, target_docs))
-    return out
+    return [
+        (
+            mapping,
+            [attach(mapping.source, m) for m in sorted(mapping.source_methods)],
+            [attach(mapping.target, m) for m in sorted(mapping.target_methods)],
+        )
+        for mapping in mappings
+    ]

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, gitrepo, javafacts
-from .docs import DEFAULT_REPO_BASE, ArchiveFetcher, attach_docs, parse_doc_archive
+from .docs import DEFAULT_REPO_BASE, ArchiveFetcher, DocError, attach_docs, parse_doc_archive
 from .fragments import extract_mappings, filter_fragments, unified_diff
 from .history import FactsCache, ProjectHistory
 from .model import (
@@ -357,64 +357,66 @@ class Pipeline:
 
     @stage
     def collect_docs(self) -> tuple[int, int]:
-        """Fetch and parse javadoc for every confirmed rule's mapped methods."""
-        confirmed = self.store.rules(("confirmed",))
-        mappings = self.store.mappings()
-        if not confirmed and not self.store.rules():
+        """Look up the javadoc of every mapped method on its class's page.
+
+        Each side of a rule looks in its own library, at the versions its
+        segments record, in segment order; the first version whose page
+        documents the method's name at its arity gives the doc.
+        """
+        if not self.store.rules():
             raise StageDataError("no rules in store; run the pipeline through detect-fragments first")
-        # versions recorded on the confirmed rules' segments
-        wanted: dict[LibraryId, set[str]] = {}
-        for segment in self.store.segments():
-            wanted.setdefault(segment.source, set()).add(segment.source_version)
-            wanted.setdefault(segment.target, set()).add(segment.target_version)
-        coords = [
-            (LibraryCoordinate(*identity, version), "documentation")
-            for identity, versions in sorted(wanted.items())
-            for version in sorted(versions)
-            if version != UNRESOLVED
-        ]
-        archives = self.fetcher.fetch_many(coords)
-        docs_by_identity: dict[LibraryId, list] = {}
-        parsed_archives = pages = methods_parsed = 0
-        for (coordinate, _), data in archives.items():
-            if data is not None:
-                parsed = parse_doc_archive(data, coordinate)
-                docs_by_identity.setdefault(coordinate.identity, []).extend(parsed)
-                parsed_archives += 1
-                # class pages that documented at least one method
-                pages += len({(doc.package, doc.class_name) for doc in parsed})
-                methods_parsed += len(parsed)
-        # one attach_docs call per rule: its mappings share one pool of docs
         by_rule: dict[tuple[LibraryId, LibraryId], list[tuple[int, MethodMapping]]] = {}
-        for mapping_id, mapping in mappings:
+        for mapping_id, mapping in self.store.mappings():
             by_rule.setdefault((mapping.source, mapping.target), []).append((mapping_id, mapping))
-        per_mapping = []
+        # the coordinates each rule's sides look in: their versions in segment order
+        lookups: dict[tuple[LibraryId, LibraryId], dict[LibraryCoordinate, None]] = {}
+        for segment in self.store.segments():
+            coordinates = lookups.setdefault((segment.source, segment.target), {})
+            for library, version in (
+                (segment.source, segment.source_version), (segment.target, segment.target_version)
+            ):
+                if version != UNRESOLVED:
+                    coordinates[LibraryCoordinate(*library, version)] = None
+        classes: dict[LibraryCoordinate, set[str]] = {}
         for (source, target), group in by_rule.items():
-            pool = docs_by_identity.get(source, []) + docs_by_identity.get(target, [])
-            results = attach_docs([mapping for _, mapping in group], pool)
+            wanted = {
+                source: {cls for _, m in group for cls, _, _ in m.source_methods},
+                target: {cls for _, m in group for cls, _, _ in m.target_methods},
+            }
+            for coordinate in lookups.get((source, target), ()):
+                classes.setdefault(coordinate, set()).update(wanted[coordinate.identity])
+        archives = self.fetcher.fetch_many((c, "documentation") for c in classes)
+        parsed: dict[LibraryCoordinate, list[MethodDoc]] = {}
+        for (coordinate, _), data in archives.items():
+            if data is None:
+                continue
+            try:
+                parsed[coordinate] = parse_doc_archive(data, coordinate, classes[coordinate])
+            except DocError as exc:
+                log.warning("event=doc_archive_error library=%s error=%s", coordinate, exc)
+        per_mapping = []
+        for rule, group in by_rule.items():
+            docs = [doc for c in lookups.get(rule, ()) for doc in parsed.get(c, [])]
+            results = attach_docs([mapping for _, mapping in group], docs)
             for (mapping_id, _), (_, source_docs, target_docs) in zip(group, results):
                 per_mapping.append((mapping_id, source_docs, target_docs))
         self.store.clear_docs()
-        # only attached docs are stored, each once; attach_docs picks the first
-        # doc parsed under a store key, so each key stores one and the same doc
-        doc_ids: dict[tuple, int] = {}
-        attached = missing = 0
+        attached = missing = ambiguous = 0
         for mapping_id, source_docs, target_docs in per_mapping:
             for side, attachments in (("source", source_docs), ("target", target_docs)):
                 for attachment in attachments:
-                    doc_id = None
-                    if attachment.doc is not None:
-                        key = _doc_key(attachment.doc)
-                        if key not in doc_ids:
-                            doc_ids[key] = self.store.upsert(attachment.doc)
-                        doc_id = doc_ids[key]
-                        attached += 1
-                    else:
-                        missing += 1
-                    self.store.upsert_doc_attachment(mapping_id, side, attachment, doc_id)
+                    self.store.upsert_doc_attachment(mapping_id, side, attachment)
+                    attached += attachment.found
+                    missing += not attachment.found
+                    ambiguous += attachment.ambiguous
         log.info(
-            "event=docs_collected archives=%d pages=%d methods_parsed=%d attached=%d missing=%d",
-            parsed_archives, pages, methods_parsed, attached, missing,
+            "event=docs_collected archives=%d pages=%d methods_parsed=%d "
+            "attached=%d missing=%d ambiguous=%d",
+            len(parsed),
+            # looked-up class pages that documented at least one method
+            sum(len({(d.package, d.class_name) for d in docs}) for docs in parsed.values()),
+            sum(map(len, parsed.values())),
+            attached, missing, ambiguous,
         )
         return attached, missing
 
@@ -428,11 +430,6 @@ class Pipeline:
                 path.write_bytes(self.store.export(fmt, selector))
                 paths.append(path)
         return paths
-
-
-def _doc_key(doc: MethodDoc) -> tuple:
-    """The identity under which the store keeps one method doc."""
-    return (doc.library, doc.class_name, doc.method, doc.signature)
 
 
 def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:

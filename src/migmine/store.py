@@ -13,9 +13,8 @@ Write rule: a stage deletes the rows it owns and everything downstream of
 them, then inserts.  So a stage's rows take plain INSERTs, and a row
 stored twice is a `StoreError`.  Only three tables update a stored row in
 place: `projects` (re-ingest), `rules` (status reset and confirmation) and
-`run_metadata`.  `method_docs` holds only the docs an attachment points to.
-`dependency_changes` rows are additions and removals only: a version change
-of a library that stays declared is not stored.
+`run_metadata`.  `dependency_changes` rows are additions and removals
+only: a version change of a library that stays declared is not stored.
 
 `blob_facts` is a cache, not a result: each tokenized blob's
 `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle, so opening a
@@ -24,6 +23,12 @@ it with everything downstream; `detect_segments` and `detect_fragments`
 each add the facts they tokenized.  It is never exported.  Opening a
 database whose `facts_version` differs from `javafacts.FACTS_VERSION`
 empties it.
+
+Each `doc_attachments` row carries the columns of its mapped method's doc,
+all NULL when none was found; the doc's library is the one on that side of
+the mapping, and its class and method are the attachment's own.  Opening a
+database whose attachments lack those columns drops its docs tables, which
+hold only `collect-docs` output, and creates them again, empty.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .model import (
     DocAttachment,
     Fragment,
     LibraryCoordinate,
-    MethodDoc,
     MethodMapping,
     MigrationRule,
     ProjectRef,
@@ -157,31 +161,21 @@ CREATE TABLE IF NOT EXISTS method_mappings (
     REFERENCES rules(source_group, source_artifact, target_group, target_artifact)
     ON DELETE CASCADE
 );
-CREATE TABLE IF NOT EXISTS method_docs (
-  id INTEGER PRIMARY KEY,
-  grp TEXT NOT NULL,
-  artifact TEXT NOT NULL,
-  version TEXT NOT NULL,
-  package TEXT NOT NULL,
-  class_name TEXT NOT NULL,
-  class_description TEXT NOT NULL,
-  method TEXT NOT NULL,
-  signature TEXT NOT NULL,
-  description TEXT NOT NULL,
-  param_docs TEXT NOT NULL,
-  return_doc TEXT,
-  since TEXT,
-  UNIQUE (grp, artifact, version, class_name, method, signature)
-);
 CREATE TABLE IF NOT EXISTS doc_attachments (
   mapping_id INTEGER NOT NULL REFERENCES method_mappings(id) ON DELETE CASCADE,
   side TEXT NOT NULL CHECK (side IN ('source','target')),
   class_name TEXT NOT NULL,
   method TEXT NOT NULL,
   arity INTEGER NOT NULL,
-  doc_id INTEGER REFERENCES method_docs(id),
   found INTEGER NOT NULL,
   ambiguous INTEGER NOT NULL DEFAULT 0,
+  version TEXT,
+  class_description TEXT,
+  signature TEXT,
+  description TEXT,
+  param_docs TEXT,
+  return_doc TEXT,
+  since TEXT,
   PRIMARY KEY (mapping_id, side, class_name, method, arity)
 );
 CREATE TABLE IF NOT EXISTS blob_facts (
@@ -209,6 +203,10 @@ class Store:
         self.db = sqlite3.connect(self.path)
         self._in_transaction = False
         self.db.execute("PRAGMA foreign_keys = ON")
+        columns = {row[1] for row in self.db.execute("PRAGMA table_info(doc_attachments)")}
+        if columns and "description" not in columns:
+            # an earlier version stored the docs apart from their attachments
+            self.db.executescript("DROP TABLE doc_attachments; DROP TABLE IF EXISTS method_docs;")
         self.db.executescript(_SCHEMA)
         with self.transaction():
             schema = self.get_meta("schema_version")
@@ -282,7 +280,6 @@ class Store:
             Segment: self.upsert_segment,
             Fragment: self.upsert_fragment,
             MethodMapping: self.upsert_mapping,
-            MethodDoc: self.upsert_method_doc,
         }
         handler = handlers.get(type(entity))
         if handler is None:
@@ -410,40 +407,27 @@ class Store:
                 (*mapping.source, *mapping.target, src_json, dst_json, mapping.support),
             ).lastrowid
 
-    def upsert_method_doc(self, doc: MethodDoc) -> int:
-        with self.transaction():
-            return self.db.execute(
-                "INSERT INTO method_docs (grp, artifact, version, package, class_name, "
-                "class_description, method, signature, description, param_docs, "
-                "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    doc.library.group,
-                    doc.library.artifact,
-                    doc.library.version,
-                    doc.package,
-                    doc.class_name,
-                    doc.class_description,
-                    doc.method,
-                    json.dumps(list(doc.signature), separators=(",", ":")),
-                    doc.description,
-                    json.dumps([list(p) for p in doc.param_docs], separators=(",", ":")),
-                    doc.return_doc,
-                    doc.since,
-                ),
-            ).lastrowid
-
-    def upsert_doc_attachment(
-        self, mapping_id: int, side: str, attachment: DocAttachment, doc_id: int | None
-    ) -> None:
-        """Insert one attachment; one already stored is a StoreError."""
-        cls, method, arity = attachment.method
+    def upsert_doc_attachment(self, mapping_id: int, side: str, attachment: DocAttachment) -> None:
+        """Insert one attachment with its doc; one already stored is a StoreError."""
+        doc = attachment.doc
+        doc_columns = (None,) * 7 if doc is None else (
+            doc.library.version,
+            doc.class_description,
+            json.dumps(list(doc.signature), separators=(",", ":")),
+            doc.description,
+            json.dumps([list(p) for p in doc.param_docs], separators=(",", ":")),
+            doc.return_doc,
+            doc.since,
+        )
         try:
             with self.transaction():
                 self.db.execute(
                     "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
-                    "arity, doc_id, found, ambiguous) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (mapping_id, side, cls, method, arity, doc_id,
-                     int(attachment.found), int(attachment.ambiguous)),
+                    "arity, found, ambiguous, version, class_description, signature, "
+                    "description, param_docs, return_doc, since) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (mapping_id, side, *attachment.method, int(attachment.found),
+                     int(attachment.ambiguous), *doc_columns),
                 )
         except sqlite3.IntegrityError as exc:
             raise StoreError(
@@ -457,31 +441,26 @@ class Store:
         with self.transaction():
             self.db.execute("DELETE FROM commits WHERE project = ?", (project,))
 
-    # Deleting rules or mappings cascades to their attachments, which leaves
-    # the docs they pointed to unattached; those go too.
+    # Deleting rules or mappings cascades to their doc attachments.
 
     def clear_rules_and_downstream(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM rules")
             self.db.execute("DELETE FROM graph_edges")
-            self.db.execute("DELETE FROM method_docs")
 
     def clear_segments_and_downstream(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM segments")
             self.db.execute("DELETE FROM method_mappings")
-            self.db.execute("DELETE FROM method_docs")
 
     def clear_fragments_and_mappings(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM fragments")
             self.db.execute("DELETE FROM method_mappings")
-            self.db.execute("DELETE FROM method_docs")
 
     def clear_docs(self) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM doc_attachments")
-            self.db.execute("DELETE FROM method_docs")
 
     def clear_blob_facts(self) -> None:
         with self.transaction():

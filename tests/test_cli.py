@@ -9,7 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from corpusgen import GSON_LIB, JSON_LIB, SERIALIZER_GSON, SERIALIZER_JSON, build_repo, pom
+from corpusgen import (
+    GSON_LIB,
+    JSON_LIB,
+    SERIALIZER_GSON,
+    SERIALIZER_JSON,
+    build_fake_maven_repo,
+    build_repo,
+    pom,
+)
 
 import migmine
 from migmine.cli import main
@@ -181,6 +189,30 @@ class TestStagedPipeline:
         fields = dict(f.split("=", 1) for f in line.split()[1:])
         assert fields["blobs_tokenized"] == "0"
         assert int(fields["blobs_loaded"]) > 0
+
+    def test_corrupt_javadoc_jar_is_logged_not_fatal(self, corpus, tmp_path, caplog):
+        """An unreadable javadoc jar gives not-found markers, as a missing one
+        does, and the run still writes its reports."""
+        base = build_fake_maven_repo(tmp_path / "mavenrepo")
+        jars = sorted((tmp_path / "mavenrepo").rglob("*-javadoc.jar"))
+        for jar in jars:
+            jar.write_bytes(b"not a zip")
+        caplog.set_level(logging.WARNING, logger="migmine")
+        code = run_cli(
+            "run", "--projects", corpus.projects_file,
+            "--workdir", tmp_path / "work", "--db", tmp_path / "m.db", "--repo-base", base,
+        )
+        assert code == 0
+        errors = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("event=doc_archive_error library=")
+        ]
+        assert len(errors) == len(jars) == 2
+        assert all(" error=" in message for message in errors)
+        with Store(tmp_path / "m.db") as store:
+            counts = store.counts()
+        assert (counts["docs_attached"], counts["docs_missing"]) == (0, 10)
+        assert (tmp_path / "work" / "reports" / "mappings.json").is_file()
 
     def test_no_fallback_index_fails_segments(self, corpus, tmp_path):
         flags = [

@@ -5,6 +5,7 @@ import logging
 import sqlite3
 import subprocess
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,19 @@ from corpusgen import (
     _git,
     build_fake_maven_repo,
     build_repo,
+    javadoc_jar,
+    javadoc_page,
     pom,
 )
 
+from migmine.model import (
+    CommitRecord,
+    LibraryCoordinate,
+    MethodMapping,
+    MigrationRule,
+    ProjectRef,
+    Segment,
+)
 from migmine.pipeline import Pipeline, RunConfig, StageDataError, run_all
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
@@ -296,8 +307,7 @@ def test_reingest_after_reset_voids_the_mined_rows(tmp_path):
         assert pipeline.ingest() == []
         with pytest.raises(StageDataError):
             pipeline.detect_fragments()
-        for table in ("rules", "segments", "fragments", "method_mappings",
-                      "method_docs", "doc_attachments"):
+        for table in ("rules", "segments", "fragments", "method_mappings", "doc_attachments"):
             assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
     flags = ["--workdir", config.workdir, "--db", config.db_path, "--repo-base", config.repo_base]
     assert main(["detect-fragments", *flags]) == 1
@@ -413,13 +423,14 @@ def test_segments_skip_projects_that_never_declare_both_libraries(tmp_path, capl
 def test_docs_collected_logs_parse_work(corpus, tmp_path, caplog):
     """The acceptance corpus has one javadoc jar per library of its one
     confirmed rule, each with one class page (JSONObject, Gson) that
-    documents a constructor and two methods."""
+    documents a constructor and two methods.  Gson has two one-argument
+    toJson overloads, and both mappings attach one of them."""
     caplog.set_level(logging.INFO, logger="migmine.pipeline")
     run = run_corpus(corpus, tmp_path)
     run.store.close()
     collected = [r.getMessage() for r in caplog.records if "event=docs_collected" in r.getMessage()]
     assert collected == [
-        "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1"
+        "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1 ambiguous=2"
     ]
 
 
@@ -542,33 +553,25 @@ ACCEPTANCE_ATTACHMENTS = [
 
 
 def stored_attachments(store) -> list[tuple]:
+    """The doc of an attachment is that of its side's library, and of its
+    own class and method."""
     rows = store.db.execute(
-        "SELECT a.mapping_id, a.side, a.class_name, a.method, a.arity, a.doc_id, "
-        "d.grp, d.artifact, d.version, d.class_name, d.method, d.signature, "
-        "a.found, a.ambiguous FROM doc_attachments a "
-        "LEFT JOIN method_docs d ON d.id = a.doc_id "
+        "SELECT a.mapping_id, a.side, a.class_name, a.method, a.arity, "
+        "CASE a.side WHEN 'source' THEN m.source_group ELSE m.target_group END, "
+        "CASE a.side WHEN 'source' THEN m.source_artifact ELSE m.target_artifact END, "
+        "a.version, a.signature, a.found, a.ambiguous "
+        "FROM doc_attachments a JOIN method_mappings m ON m.id = a.mapping_id "
         "ORDER BY a.mapping_id, a.side, a.class_name, a.method, a.arity"
     ).fetchall()
-    return [(*row[:5], None if row[5] is None else row[6:12], *row[12:]) for row in rows]
-
-
-def test_collect_docs_writes_each_doc_once(corpus, tmp_path, monkeypatch):
-    inserts = []
-    connect = sqlite3.connect
-
-    def traced_connect(*args, **kwargs):
-        db = connect(*args, **kwargs)
-        db.set_trace_callback(
-            lambda sql: inserts.append(sql) if sql.lstrip().startswith("INSERT INTO method_docs") else None
+    return [
+        (
+            *row[:5],
+            None if row[7] is None
+            else (*row[5:8], row[2].rpartition(".")[2], row[3], row[8]),
+            *row[9:],
         )
-        return db
-
-    monkeypatch.setattr(sqlite3, "connect", traced_connect)
-    config = corpus_config(corpus, tmp_path)
-    with Store(config.db_path) as store:
-        assert run_all(store, config)[0] == 0
-        (stored,), = store.db.execute("SELECT COUNT(*) FROM method_docs").fetchall()
-    assert len(inserts) == stored > 0
+        for row in rows
+    ]
 
 
 def test_collect_docs_attaches_once_per_rule(corpus, tmp_path, monkeypatch):
@@ -592,40 +595,33 @@ def test_collect_docs_attaches_once_per_rule(corpus, tmp_path, monkeypatch):
 
 
 def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
-    """Docs sharing a store key (library, class simple name, method, signature)
-    keep the first one parsed, which is also the one attach_docs picks.  Docs
-    no mapping uses are not stored at all."""
+    """Docs of one class page sharing a method name and arity attach the
+    first one parsed, flagged ambiguous.  A doc of another package's class
+    of the same simple name is never attached."""
     import migmine.pipeline as pipeline_module
 
     parse_doc_archive = pipeline_module.parse_doc_archive
 
-    def parse_with_twins(data, coordinate):
-        docs = parse_doc_archive(data, coordinate)
+    def parse_with_twins(data, coordinate, classes):
+        docs = parse_doc_archive(data, coordinate, classes)
         if coordinate.artifact != "json":
             return docs
         attached = next(doc for doc in docs if doc.method == "toJSONString")
-        unused = replace(attached, class_name="Foo", method="bar", signature=("int",))
         return [
-            replace(attached, package="a.shadow"),
+            replace(attached, package="a.shadow", description="Shadow."),
+            replace(attached, description="Twin."),
             *docs,
-            replace(unused, package="a"),
-            replace(unused, package="b"),
         ]
 
     monkeypatch.setattr(pipeline_module, "parse_doc_archive", parse_with_twins)
     config = corpus_config(corpus, tmp_path)
     with Store(config.db_path) as store:
         assert run_all(store, config)[0] == 0
-        stored = store.db.execute(
-            "SELECT method, package FROM method_docs "
-            "WHERE grp = 'org.json' AND method IN ('toJSONString', 'bar')"
-        ).fetchall()
         attached = store.db.execute(
-            "SELECT DISTINCT d.package FROM doc_attachments a "
-            "JOIN method_docs d ON d.id = a.doc_id WHERE a.method = 'toJSONString'"
+            "SELECT DISTINCT description, ambiguous FROM doc_attachments "
+            "WHERE method = 'toJSONString'"
         ).fetchall()
-    assert stored == [("toJSONString", "a.shadow")]
-    assert attached == [("a.shadow",)]
+    assert attached == [("Twin.", 1)]
 
 
 def test_one_blob_reader_per_project_per_pass(corpus, tmp_path, monkeypatch):
@@ -820,3 +816,176 @@ def test_ingest_empties_blob_facts_and_detect_rules_keeps_them(tmp_path):
         pipeline.detect_fragments()
         assert stored(store) == cached
         assert pipeline.facts.loaded == 0
+
+
+def get_page(package, class_name, description):
+    """A class page documenting one `get(Object)` method."""
+    return javadoc_page(
+        package, class_name, f"{class_name} of {package}.", [],
+        [{"name": "get", "sig": [("java.lang.Object", "key")], "ret": "java.lang.Object",
+          "description": description}],
+    )
+
+
+def collect_docs_over(tmp_path, source, target, segments, mapping, jars) -> list[tuple]:
+    """Run collect-docs over one confirmed rule, its segments and one mapping.
+
+    `segments` gives (project, source version, target version) per segment,
+    in segment order; `jars` gives a javadoc jar's pages per coordinate.
+    Returns (side, method, version, description, found, ambiguous) per
+    stored attachment.
+    """
+    config = RunConfig(
+        workdir=str(tmp_path / "work"), db_path=str(tmp_path / "m.db"), offline=True
+    )
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        for (group, artifact, version), pages in jars.items():
+            path = pipeline.fetcher.cache_path(
+                LibraryCoordinate(group, artifact, version), "documentation"
+            )
+            path.parent.mkdir(parents=True)
+            path.write_bytes(javadoc_jar(pages))
+        store.upsert(MigrationRule(source, target, 1, 1.0, "confirmed"))
+        for project, source_version, target_version in segments:
+            store.upsert(ProjectRef(project, project, project))
+            store.upsert(CommitRecord(project, "c1", datetime(2020, 1, 1), "a", "m", 0))
+            store.upsert(Segment(project, source, target, "c1", "c1",
+                                 source_version, target_version, ["c1"]))
+        store.upsert(replace(mapping, source=source, target=target))
+        pipeline.collect_docs()
+        return store.db.execute(
+            "SELECT side, class_name || '.' || method, version, description, found, ambiguous "
+            "FROM doc_attachments ORDER BY side, class_name, method"
+        ).fetchall()
+
+
+def test_same_class_in_two_libraries_gets_each_sides_own_doc(tmp_path):
+    """org.json:json and android-json both ship org.json.JSONObject; each
+    side of a migration between them is documented by its own library."""
+    android = ("com.vaadin.external.google", "android-json")
+    get = frozenset({("org.json.JSONObject", "get", 1)})
+    rows = collect_docs_over(
+        tmp_path, JSON_LIB[:2], android, [("p", "20140107", "0.0.20131108.vaadin1")],
+        MethodMapping(JSON_LIB[:2], android, get, get, 1),
+        {
+            (*JSON_LIB[:2], "20140107"): {
+                "org/json/JSONObject.html": get_page("org.json", "JSONObject", "From org.json."),
+            },
+            (*android, "0.0.20131108.vaadin1"): {
+                "org/json/JSONObject.html": get_page("org.json", "JSONObject", "From android."),
+            },
+        },
+    )
+    assert rows == [
+        ("source", "org.json.JSONObject.get", "20140107", "From org.json.", 1, 0),
+        ("target", "org.json.JSONObject.get", "0.0.20131108.vaadin1", "From android.", 1, 0),
+    ]
+
+
+def test_doc_comes_from_the_first_version_in_segment_order(tmp_path):
+    """A method documented in both versions a rule's segments record is
+    documented by the version of the first segment, and is not ambiguous."""
+    gson = GSON_LIB[:2]
+    rows = collect_docs_over(
+        tmp_path, JSON_LIB[:2], gson, [("a", "20140107", "1.9"), ("b", "20140107", "1.10")],
+        MethodMapping(JSON_LIB[:2], gson, frozenset({("org.json.JSONObject", "get", 1)}),
+                      frozenset({("com.google.gson.JsonObject", "get", 1)}), 1),
+        {
+            (*gson, version): {
+                "com/google/gson/JsonObject.html":
+                    get_page("com.google.gson", "JsonObject", f"From {version}."),
+            }
+            for version in ("1.9", "1.10")
+        },
+    )
+    assert rows == [
+        ("source", "org.json.JSONObject.get", None, None, 0, 0),
+        ("target", "com.google.gson.JsonObject.get", "1.9", "From 1.9.", 1, 0),
+    ]
+
+
+def test_later_version_documents_what_the_first_lacks(tmp_path):
+    """A version whose page lacks the method, or that has no page for the
+    class, is passed over for the next one."""
+    gson = GSON_LIB[:2]
+    rows = collect_docs_over(
+        tmp_path, JSON_LIB[:2], gson,
+        [("a", "20140107", "1.8"), ("b", "20140107", "1.9"), ("c", "20140107", "1.10")],
+        MethodMapping(JSON_LIB[:2], gson, frozenset({("org.json.JSONObject", "get", 1)}),
+                      frozenset({("com.google.gson.JsonObject", "get", 1)}), 1),
+        {
+            (*gson, "1.8"): {},
+            (*gson, "1.9"): {"com/google/gson/JsonObject.html": javadoc_page(
+                "com.google.gson", "JsonObject", "No get yet.", [], [])},
+            (*gson, "1.10"): {"com/google/gson/JsonObject.html":
+                              get_page("com.google.gson", "JsonObject", "From 1.10.")},
+        },
+    )
+    assert rows[1] == ("target", "com.google.gson.JsonObject.get", "1.10", "From 1.10.", 1, 0)
+
+
+# doc_attachments and method_docs as a database written before each
+# attachment carried its doc stored them
+PARENT_DOCS_DDL = """
+DROP TABLE doc_attachments;
+CREATE TABLE method_docs (
+  id INTEGER PRIMARY KEY,
+  grp TEXT NOT NULL,
+  artifact TEXT NOT NULL,
+  version TEXT NOT NULL,
+  package TEXT NOT NULL,
+  class_name TEXT NOT NULL,
+  class_description TEXT NOT NULL,
+  method TEXT NOT NULL,
+  signature TEXT NOT NULL,
+  description TEXT NOT NULL,
+  param_docs TEXT NOT NULL,
+  return_doc TEXT,
+  since TEXT,
+  UNIQUE (grp, artifact, version, class_name, method, signature)
+);
+CREATE TABLE doc_attachments (
+  mapping_id INTEGER NOT NULL REFERENCES method_mappings(id) ON DELETE CASCADE,
+  side TEXT NOT NULL CHECK (side IN ('source','target')),
+  class_name TEXT NOT NULL,
+  method TEXT NOT NULL,
+  arity INTEGER NOT NULL,
+  doc_id INTEGER REFERENCES method_docs(id),
+  found INTEGER NOT NULL,
+  ambiguous INTEGER NOT NULL DEFAULT 0,
+  PRIMARY KEY (mapping_id, side, class_name, method, arity)
+);
+INSERT INTO method_docs VALUES
+  (1, 'com.google.code.gson', 'gson', '2.3.1', 'com.google.gson', 'Gson', 'Main.',
+   'toJson', '["Object"]', 'Serializes.', '[]', NULL, NULL);
+INSERT INTO doc_attachments VALUES (1, 'target', 'com.google.gson.Gson', 'toJson', 1, 1, 1, 1);
+"""
+
+
+def table_rows(db, skip=("doc_attachments", "method_docs")) -> dict[str, list]:
+    names = [row[0] for row in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
+    return {
+        name: sorted(db.execute(f"SELECT * FROM {name}").fetchall(), key=repr)
+        for name in names
+        if name not in skip
+    }
+
+
+def test_database_with_separate_doc_table_opens_and_refills(corpus_run, corpus, tmp_path):
+    """Opening a database whose docs live in a method_docs table drops both
+    docs tables and leaves every other table as it was; collect-docs then
+    stores the attachments again."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    db = sqlite3.connect(config.db_path)
+    db.executescript(PARENT_DOCS_DDL)
+    before = table_rows(db)
+    db.close()
+    with Store(config.db_path) as store:
+        assert table_rows(store.db) == before
+        assert store.db.execute(
+            "SELECT name FROM sqlite_master WHERE name = 'method_docs'"
+        ).fetchall() == []
+        assert store.counts()["docs_attached"] == 0
+        Pipeline(store, config).collect_docs()
+        assert stored_attachments(store) == ACCEPTANCE_ATTACHMENTS

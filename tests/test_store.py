@@ -189,20 +189,9 @@ class TestUpserts:
         assert loaded[0].added == change.added
         assert loaded[0].removed == change.removed
 
-    def test_method_doc_upsert(self, store):
-        doc = make_doc()
-        first = store.upsert(doc)
-        overload = store.upsert(dataclasses.replace(doc, signature=("Object",)))
-        assert isinstance(first, int) and isinstance(overload, int) and overload != first
-        with pytest.raises(StoreError):
-            store.upsert(dataclasses.replace(doc, description="Serializes."))
-        assert store.db.execute(
-            "SELECT description FROM method_docs WHERE id = ?", (first,)
-        ).fetchone() == ("Converts.",)
-
-    def test_doc_attachment_stored_twice_is_store_error(self, store):
+    def _mapping_id(self, store):
         seed_rule(store)
-        mapping_id = store.upsert(
+        return store.upsert(
             MethodMapping(
                 JSON_ID,
                 GSON_ID,
@@ -211,10 +200,28 @@ class TestUpserts:
                 support=1,
             )
         )
+
+    def test_doc_attachment_carries_its_doc(self, store):
+        mapping_id = self._mapping_id(store)
+        found = DocAttachment(("com.google.gson.Gson", "toJson", 1), make_doc(), True, True)
+        missing = DocAttachment(("org.json.JSONObject", "toJSONString", 0), None, False)
+        store.upsert_doc_attachment(mapping_id, "target", found)
+        store.upsert_doc_attachment(mapping_id, "source", missing)
+        assert store.db.execute(
+            "SELECT side, found, ambiguous, version, class_description, signature, "
+            "description, param_docs, return_doc, since FROM doc_attachments ORDER BY side"
+        ).fetchall() == [
+            ("source", 0, 0, None, None, None, None, None, None, None),
+            ("target", 1, 1, "2.2.2", "Main.", '["JsonElement"]', "Converts.",
+             '[["jsonElement","root"]]', "JSON", "1.4"),
+        ]
+
+    def test_doc_attachment_stored_twice_is_store_error(self, store):
+        mapping_id = self._mapping_id(store)
         attachment = DocAttachment(("com.google.gson.Gson", "toJson", 1), None, False)
-        store.upsert_doc_attachment(mapping_id, "target", attachment, None)
+        store.upsert_doc_attachment(mapping_id, "target", attachment)
         with pytest.raises(StoreError):
-            store.upsert_doc_attachment(mapping_id, "target", attachment, None)
+            store.upsert_doc_attachment(mapping_id, "target", attachment)
         assert store.db.execute("SELECT COUNT(*) FROM doc_attachments").fetchone() == (1,)
 
     def test_project_and_rule_update_in_place(self, store):
@@ -335,6 +342,9 @@ class TestExports:
 def test_upsert_rejects_unknown_entity(store):
     with pytest.raises(StoreError):
         store.upsert(object())
+    # a method doc is stored only on its attachment
+    with pytest.raises(StoreError):
+        store.upsert(make_doc())
 
 
 # the dependency_changes DDL of schema version 1 before upgrade rows were dropped
