@@ -20,13 +20,22 @@ parameters ("Class Map.Entry<K,V>" gives Entry).  A method's parameter
 types are read from the parameter list after its own name in the
 signature, with generic arguments dropped, so an annotation or type
 parameters before the name are not read as parameters.
+
+`encode_docs` and `decode_docs` store an archive's parsed docs as plain
+JSON, keyed by `docs_key`: the archive's content digest and the classes
+asked of it.  `DOCS_VERSION` names the parser's output; bump it whenever
+that output changes, so that docs stored by an older parser are dropped.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import logging
+import os
 import re
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -52,6 +61,8 @@ log = logging.getLogger(__name__)
 DEFAULT_REPO_BASE = "https://repo1.maven.org/maven2"
 
 ARCHIVE_KINDS = ("classes", "documentation")
+
+DOCS_VERSION = "1"
 
 
 class DocError(RuntimeError):
@@ -118,9 +129,16 @@ class ArchiveFetcher:
         data = self._download(archive_url(coordinate, kind, self.base))
         if data is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)
+            # a temporary file of its own, so that processes sharing the
+            # cache never write or move one another's
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as out:
+                    out.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                Path(tmp).unlink(missing_ok=True)
+                raise
         return data
 
     def fetch_many(
@@ -525,6 +543,39 @@ def parse_doc_archive(
     if not docs:
         log.warning("event=doc_format_warning library=%s reason=no_method_details", library)
     return docs
+
+
+def docs_key(archive: bytes, classes: Iterable[str]) -> str:
+    """The stored docs' key: the archive's sha256, then the sorted class
+    names, NUL-separated.  It names the content, not the coordinate, so a
+    jar replaced in the cache is parsed again."""
+    return "\0".join([hashlib.sha256(archive).hexdigest(), *sorted(classes)])
+
+
+def encode_docs(docs: Iterable[MethodDoc]) -> str:
+    """Compact JSON of `docs`, one list of a doc's fields in declaration
+    order per doc, without its library."""
+    # one dumps per doc: dumping the whole list holds every piece of its
+    # output until the end, several times the size of the output
+    return "[" + ",".join(
+        json.dumps(
+            [d.package, d.class_name, d.class_description, d.method, d.signature,
+             d.description, d.param_docs, d.return_doc, d.since],
+            separators=(",", ":"),
+        )
+        for d in docs
+    ) + "]"
+
+
+def decode_docs(data: str, library: LibraryCoordinate) -> list[MethodDoc]:
+    """The docs `encode_docs` wrote, each of `library`; plain JSON, so
+    decoding runs no code."""
+    return [
+        MethodDoc(library, package, class_name, class_description, method, tuple(signature),
+                  description, tuple(map(tuple, param_docs)), return_doc, since)
+        for (package, class_name, class_description, method, signature,
+             description, param_docs, return_doc, since) in json.loads(data)
+    ]
 
 
 def attach_docs(

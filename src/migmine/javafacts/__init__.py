@@ -542,7 +542,7 @@ def extract_facts(source: str) -> SourceFacts:
     return _Walker(tokenize(source)).run()
 
 
-FACTS_VERSION = "1"
+FACTS_VERSION = "2"
 
 
 def encode_facts(facts: SourceFacts) -> str:

@@ -13,11 +13,12 @@ def tokenize(text):
     Comments and whitespace are skipped.  String and char literals become
     single tokens with empty values so later passes never look inside them.
     Total on arbitrary text: unknown bytes degrade to PUNCT tokens, never an
-    exception.  Lines are 1-based and refer to the token start.
+    exception.  Lines are 1-based and refer to the token start.  A byte
+    order mark at the start is skipped like whitespace.
     """
     toks = []
     n = len(text)
-    i = 0
+    i = 1 if text[:1] == "\ufeff" else 0
     line = 1
     while i < n:
         c = text[i]

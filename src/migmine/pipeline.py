@@ -17,7 +17,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, gitrepo, javafacts
-from .docs import DEFAULT_REPO_BASE, ArchiveFetcher, DocError, attach_docs, parse_doc_archive
+from .docs import (
+    DEFAULT_REPO_BASE,
+    ArchiveFetcher,
+    DocError,
+    attach_docs,
+    decode_docs,
+    docs_key,
+    encode_docs,
+    parse_doc_archive,
+)
 from .fragments import extract_mappings, filter_fragments, unified_diff
 from .history import FactsCache, ProjectHistory
 from .model import (
@@ -361,7 +370,10 @@ class Pipeline:
 
         Each side of a rule looks in its own library, at the versions its
         segments record, in segment order; the first version whose page
-        documents the method's name at its arity gives the doc.
+        documents the method's name at its arity gives the doc.  An
+        archive's docs are parsed once per database: they are stored by
+        the archive's digest and the classes asked of it, and read back
+        on a later pass.
         """
         if not self.store.rules():
             raise StageDataError("no rules in store; run the pipeline through detect-fragments first")
@@ -386,21 +398,37 @@ class Pipeline:
             for coordinate in lookups.get((source, target), ()):
                 classes.setdefault(coordinate, set()).update(wanted[coordinate.identity])
         archives = self.fetcher.fetch_many((c, "documentation") for c in classes)
-        parsed: dict[LibraryCoordinate, list[MethodDoc]] = {}
-        for (coordinate, _), data in archives.items():
-            if data is None:
+        keys = {
+            coordinate: docs_key(data, classes[coordinate])
+            for (coordinate, _), data in archives.items()
+            if data is not None
+        }
+        stored = self.store.archive_docs(set(keys.values()))
+        docs_by: dict[LibraryCoordinate, list[MethodDoc]] = {}
+        parsed: dict[LibraryCoordinate, list[MethodDoc]] = {}  # what this pass parsed
+        for coordinate, key in keys.items():
+            if key in stored:
+                docs_by[coordinate] = decode_docs(stored[key], coordinate)
                 continue
             try:
-                parsed[coordinate] = parse_doc_archive(data, coordinate, classes[coordinate])
+                docs_by[coordinate] = parsed[coordinate] = parse_doc_archive(
+                    archives[coordinate, "documentation"], coordinate, classes[coordinate]
+                )
             except DocError as exc:
                 log.warning("event=doc_archive_error library=%s error=%s", coordinate, exc)
         per_mapping = []
         for rule, group in by_rule.items():
-            docs = [doc for c in lookups.get(rule, ()) for doc in parsed.get(c, [])]
+            docs = [doc for c in lookups.get(rule, ()) for doc in docs_by.get(c, [])]
             results = attach_docs([mapping for _, mapping in group], docs)
             for (mapping_id, _), (_, source_docs, target_docs) in zip(group, results):
                 per_mapping.append((mapping_id, source_docs, target_docs))
         self.store.clear_docs()
+        # the cache keeps exactly the archives this pass used
+        self.store.keep_archive_docs(stored)
+        # encoded one archive at a time, as the insert asks for each row
+        self.store.insert_archive_docs(
+            (key, encode_docs(parsed[c])) for key, c in {keys[c]: c for c in parsed}.items()
+        )
         attached = missing = ambiguous = 0
         for mapping_id, source_docs, target_docs in per_mapping:
             for side, attachments in (("source", source_docs), ("target", target_docs)):
@@ -411,12 +439,13 @@ class Pipeline:
                     ambiguous += attachment.ambiguous
         log.info(
             "event=docs_collected archives=%d pages=%d methods_parsed=%d "
-            "attached=%d missing=%d ambiguous=%d",
+            "attached=%d missing=%d ambiguous=%d archives_loaded=%d",
             len(parsed),
             # looked-up class pages that documented at least one method
             sum(len({(d.package, d.class_name) for d in docs}) for docs in parsed.values()),
             sum(map(len, parsed.values())),
             attached, missing, ambiguous,
+            sum(key in stored for key in keys.values()),
         )
         return attached, missing
 

@@ -24,6 +24,16 @@ each add the facts they tokenized.  It is never exported.  Opening a
 database whose `facts_version` differs from `javafacts.FACTS_VERSION`
 empties it.
 
+`archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
+from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
+their library, which a reader stamps back on.  Its key is the jar's sha256
+and the class names asked of it (`docs.docs_key`), so a jar replaced under
+the same coordinate is parsed again.  `collect_docs` owns it: each pass
+keeps exactly the rows of the archives it used and adds the ones it
+parsed.  Ingest leaves it alone, as the key holds no project data.  It is
+never exported.  Opening a database whose `docs_version` differs from
+`docs.DOCS_VERSION` empties it.
+
 Each `doc_attachments` row carries the columns of its mapped method's doc,
 all NULL when none was found; the doc's library is the one on that side of
 the mapping, and its class and method are the attachment's own.  Opening a
@@ -37,9 +47,11 @@ import csv
 import io
 import json
 import sqlite3
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
+from .docs import DOCS_VERSION
 from .fragments import render_hunk
 from .javafacts import FACTS_VERSION
 from .model import (
@@ -182,6 +194,10 @@ CREATE TABLE IF NOT EXISTS blob_facts (
   blob_id TEXT PRIMARY KEY,
   facts TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS archive_docs (
+  key TEXT PRIMARY KEY,
+  docs TEXT NOT NULL
+);
 """
 
 
@@ -221,6 +237,10 @@ class Store:
                 # facts stored by another extractor version may differ from this one's
                 self.clear_blob_facts()
                 self.set_meta("facts_version", FACTS_VERSION)
+            if self.get_meta("docs_version") != DOCS_VERSION:
+                # likewise docs stored by another parser version
+                self.keep_archive_docs(())
+                self.set_meta("docs_version", DOCS_VERSION)
 
     def close(self):
         self.db.close()
@@ -474,6 +494,22 @@ class Store:
         except sqlite3.IntegrityError as exc:
             raise StoreError(f"integrity violation storing blob facts: {exc}") from exc
 
+    def keep_archive_docs(self, keys: Iterable[str]) -> None:
+        """Delete every stored archive's docs but those of `keys`."""
+        keys = list(keys)
+        with self.transaction():
+            self.db.execute(
+                f"DELETE FROM archive_docs WHERE key NOT IN ({','.join('?' * len(keys))})", keys
+            )
+
+    def insert_archive_docs(self, rows: Iterable[tuple[str, str]]) -> None:
+        """Store (key, encoded docs) rows; a key already stored is a StoreError."""
+        try:
+            with self.transaction():
+                self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(f"integrity violation storing archive docs: {exc}") from exc
+
     def replace_edges(self, edges: dict) -> None:
         with self.transaction():
             self.db.execute("DELETE FROM graph_edges")
@@ -519,6 +555,13 @@ class Store:
             "SELECT facts FROM blob_facts WHERE blob_id = ?", (blob_id,)
         ).fetchone()
         return row[0] if row else None
+
+    def archive_docs(self, keys: Iterable[str]) -> dict[str, str]:
+        """The encoded docs stored under each of `keys` that has a row."""
+        keys = list(keys)
+        return dict(self.db.execute(
+            f"SELECT key, docs FROM archive_docs WHERE key IN ({','.join('?' * len(keys))})", keys
+        ))
 
     def commit_count(self) -> int:
         return self.db.execute("SELECT COUNT(*) FROM commits").fetchone()[0]

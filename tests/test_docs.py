@@ -3,6 +3,7 @@
 import threading
 import time
 import zipfile
+from dataclasses import replace
 from html.parser import HTMLParser
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -19,10 +20,13 @@ from migmine.docs import (
     _parse_signature_types,
     archive_url,
     attach_docs,
+    decode_docs,
+    docs_key,
+    encode_docs,
     parse_class_page,
     parse_doc_archive,
 )
-from migmine.model import LibraryCoordinate, MethodMapping
+from migmine.model import LibraryCoordinate, MethodDoc, MethodMapping
 
 GSON_222 = LibraryCoordinate("com.google.code.gson", "gson", "2.2.2")
 JSON_LIB = LibraryCoordinate("org.json", "json", "20140107")
@@ -453,6 +457,34 @@ class TestFetcher:
         fetcher = ArchiveFetcher(tmp_path / "cache", offline=True)
         assert fetcher.fetch(LibraryCoordinate("g", "a"), "classes") is None
 
+    def test_each_download_writes_its_own_temporary_file(self, tmp_path):
+        """Two fetchers sharing a cache, one downloading while the other
+        fetches the same jar, both give its bytes; a stale temporary file
+        of the old fixed name is neither read nor moved."""
+        base = build_fake_maven_repo(tmp_path / "repo")
+        coordinate = LibraryCoordinate("org.json", "json", "20080701")
+        first = ArchiveFetcher(tmp_path / "cache", base=base)
+        second = ArchiveFetcher(tmp_path / "cache", base=base)
+        path = first.cache_path(coordinate, "documentation")
+        path.parent.mkdir(parents=True)
+        stale = path.with_suffix(".tmp")
+        stale.write_bytes(b"stale")
+        download = first._download
+        during = []
+
+        def racing(url):
+            data = download(url)
+            during.append(second.fetch(coordinate, "documentation"))
+            return data
+
+        first._download = racing
+        jar = (tmp_path / "repo" / archive_url(coordinate, "documentation", "")[1:]).read_bytes()
+        assert first.fetch(coordinate, "documentation") == jar
+        assert during == [jar]
+        assert path.read_bytes() == jar
+        assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, stale.name])
+        assert stale.read_bytes() == b"stale"
+
     def test_http_backoff_then_success(self, tmp_path):
         attempts = []
 
@@ -484,3 +516,47 @@ class TestFetcher:
         finally:
             server.shutdown()
             server.server_close()
+
+
+DOC_TEXT = st.text(max_size=12)
+METHOD_DOCS = st.builds(
+    MethodDoc,
+    library=st.just(GSON_222),
+    package=DOC_TEXT,
+    class_name=DOC_TEXT,
+    class_description=DOC_TEXT,
+    method=DOC_TEXT,
+    signature=st.lists(DOC_TEXT, max_size=3).map(tuple),
+    description=DOC_TEXT,
+    param_docs=st.lists(st.tuples(DOC_TEXT, DOC_TEXT), max_size=3).map(tuple),
+    return_doc=st.none() | DOC_TEXT,
+    since=st.none() | DOC_TEXT,
+)
+
+
+class TestStoredDocs:
+    @given(st.lists(METHOD_DOCS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_decoding_the_encoded_docs_gives_the_parsed_docs(self, docs):
+        decoded = decode_docs(encode_docs(docs), GSON_222)
+        assert decoded == docs
+        # equality alone lets a list stand for a tuple
+        assert repr(decoded) == repr(docs)
+
+    def test_decoding_stamps_the_looked_up_library(self):
+        docs = parse_doc_archive(
+            javadoc_jar({"com/google/gson/TypeAdapter.html": TYPE_ADAPTER_PAGE}),
+            GSON_222, ["com.google.gson.TypeAdapter"],
+        )
+        assert len(docs) == 2
+        other = LibraryCoordinate("com.google.code.gson", "gson", "2.3.1")
+        assert decode_docs(encode_docs(docs), other) == [replace(d, library=other) for d in docs]
+        assert GSON_222.version not in encode_docs(docs)
+
+    def test_key_names_the_content_and_the_class_set(self):
+        jar = javadoc_jar({"com/google/gson/TypeAdapter.html": TYPE_ADAPTER_PAGE})
+        key = docs_key(jar, ["b.B", "a.A"])
+        assert key == docs_key(jar, {"a.A", "b.B"})
+        assert key.split("\0")[1:] == ["a.A", "b.B"]
+        assert docs_key(jar, ["a.A"]) != key
+        assert docs_key(jar + b"\0", ["a.A", "b.B"]) != key

@@ -88,6 +88,17 @@ class TestExtractFacts:
         assert facts.imports == ()
         assert facts.invocations == ()
 
+    def test_leading_byte_order_mark_keeps_the_imports(self, json_index):
+        source = JSON_SOURCE.partition("\n\n")[2]
+        assert source.startswith("import org.json.JSONObject;")
+        facts = extract_facts("\ufeff" + source)
+        assert [i.qualified for i in facts.imports] == ["org.json.JSONObject"]
+        uses = resolve_usages(facts, json_index)
+        assert uses and uses == resolve_usages(extract_facts(source), json_index)
+
+    def test_leading_byte_order_mark_keeps_the_package(self):
+        assert extract_facts("\ufeffpackage a.b;").package == "a.b"
+
     def test_extraction_is_total_on_garbage(self):
         facts = extract_facts("]]]}{ class ) new ( import \x00\xff ;;;")
         assert facts is not None

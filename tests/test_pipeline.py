@@ -430,7 +430,8 @@ def test_docs_collected_logs_parse_work(corpus, tmp_path, caplog):
     run.store.close()
     collected = [r.getMessage() for r in caplog.records if "event=docs_collected" in r.getMessage()]
     assert collected == [
-        "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1 ambiguous=2"
+        "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1 ambiguous=2 "
+        "archives_loaded=0"
     ]
 
 
@@ -989,3 +990,149 @@ def test_database_with_separate_doc_table_opens_and_refills(corpus_run, corpus, 
         assert store.counts()["docs_attached"] == 0
         Pipeline(store, config).collect_docs()
         assert stored_attachments(store) == ACCEPTANCE_ATTACHMENTS
+
+
+JSON_COORD = LibraryCoordinate(*JSON_LIB)
+GSON_COORD = LibraryCoordinate(*GSON_LIB)
+
+
+def spy_parses(monkeypatch) -> list[LibraryCoordinate]:
+    """The coordinates collect-docs parses a javadoc jar of, in call order."""
+    import migmine.pipeline as pipeline_module
+
+    parsed = []
+    parse = pipeline_module.parse_doc_archive
+
+    def spy(data, coordinate, classes):
+        parsed.append(coordinate)
+        return parse(data, coordinate, classes)
+
+    monkeypatch.setattr(pipeline_module, "parse_doc_archive", spy)
+    return parsed
+
+
+def cached_keys(store) -> list[str]:
+    return [key for (key,) in store.db.execute("SELECT key FROM archive_docs ORDER BY key")]
+
+
+def collect_docs_again(config, caplog) -> tuple[list[str], list[tuple], list[str]]:
+    """collect-docs on a new Pipeline over a stored run: the docs lines it
+    logs, the attachments it stores and the archive keys left cached."""
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="migmine")
+    with Store(config.db_path) as store:
+        Pipeline(store, config).collect_docs()
+        attachments = stored_attachments(store)
+        keys = cached_keys(store)
+    logged = [r.getMessage() for r in caplog.records if "event=doc" in r.getMessage()]
+    return logged, attachments, keys
+
+
+def test_rerun_parses_no_javadoc_page(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A full run over a stored run, ingest included, reads every archive's
+    docs from the store and stores the same attachments."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    parsed = spy_parses(monkeypatch)
+    caplog.set_level(logging.INFO, logger="migmine.pipeline")
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        assert stored_attachments(store) == ACCEPTANCE_ATTACHMENTS
+        assert cached_keys(store) == cached_keys(corpus_run.store)
+    assert parsed == []
+    assert [r.getMessage() for r in caplog.records if "event=docs_collected" in r.getMessage()] == [
+        "event=docs_collected archives=0 pages=0 methods_parsed=0 attached=9 missing=1 ambiguous=2 "
+        "archives_loaded=2"
+    ]
+
+
+def test_changed_class_set_is_parsed_again(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A mapping that names another class of a library asks its jar for
+    another class set: that jar is parsed again, and its old row goes."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    before = cached_keys(corpus_run.store)
+    db = sqlite3.connect(config.db_path)
+    with db:
+        (methods,) = db.execute("SELECT source_methods FROM method_mappings WHERE id = 1").fetchone()
+        db.execute(
+            "UPDATE method_mappings SET source_methods = ? WHERE id = 1",
+            (json.dumps(sorted([*json.loads(methods), ["org.json.JSONArray", "length", 0]])),),
+        )
+    db.close()
+    parsed = spy_parses(monkeypatch)
+    logged, attachments, keys = collect_docs_again(config, caplog)
+    assert parsed == [JSON_COORD]
+    assert logged[-1].startswith("event=docs_collected archives=1 pages=1 methods_parsed=3 ")
+    assert logged[-1].endswith(" archives_loaded=1")
+    assert len(keys) == 2
+    assert [key for key in keys if key in before] == [
+        key for key in before if key.endswith("\0com.google.gson.Gson")
+    ]
+    assert ("org.json.JSONArray", "length") in {(row[2], row[3]) for row in attachments}
+
+
+def test_jar_replaced_under_its_coordinate_is_parsed_again(
+    corpus_run, corpus, tmp_path, monkeypatch, caplog
+):
+    """The fetcher's cache never revalidates a jar; a jar whose bytes
+    changed still gives its own docs, not the ones stored for the old jar."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    path = Pipeline(corpus_run.store, config).fetcher.cache_path(GSON_COORD, "documentation")
+    path.parent.mkdir(parents=True)
+    path.write_bytes(javadoc_jar({"com/google/gson/Gson.html": javadoc_page(
+        "com.google.gson", "Gson", "Replaced.",
+        [{"name": "Gson", "sig": [], "description": "Replaced constructor."}], [],
+    )}))
+    parsed = spy_parses(monkeypatch)
+    logged, attachments, keys = collect_docs_again(config, caplog)
+    assert parsed == [GSON_COORD]
+    assert logged[-1].endswith(" archives_loaded=1")
+    assert len(keys) == 2
+    with Store(config.db_path) as store:
+        assert store.db.execute(
+            "SELECT DISTINCT method, description, found FROM doc_attachments "
+            "WHERE side = 'target' ORDER BY method"
+        ).fetchall() == [("<init>", "Replaced constructor.", 1), ("toJson", None, 0)]
+
+
+def test_corrupt_javadoc_jar_is_never_cached(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A jar that cannot be read is logged on every pass, never stored."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "documentation")
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"not a zip")
+    parsed = spy_parses(monkeypatch)
+    for _ in range(2):
+        parsed.clear()
+        logged, attachments, keys = collect_docs_again(config, caplog)
+        assert parsed == [JSON_COORD]
+        assert [m.split()[:2] for m in logged] == [
+            ["event=doc_archive_error", f"library={JSON_COORD}"], ["event=docs_collected", "archives=0"]
+        ]
+        assert logged[-1].endswith(" archives_loaded=1")
+        assert [key.split("\0")[1:] for key in keys] == [["com.google.gson.Gson"]]
+        assert {row[6] for row in attachments if row[1] == "source"} == {0}
+
+
+def test_database_without_archive_docs_opens_and_fills_it(
+    corpus_run, corpus, tmp_path, monkeypatch, caplog
+):
+    """A database written before docs were cached opens with an empty
+    archive_docs table, which collect-docs fills; the next pass parses
+    nothing."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    db = sqlite3.connect(config.db_path)
+    db.executescript(
+        "DROP TABLE archive_docs; DELETE FROM run_metadata WHERE key = 'docs_version';"
+    )
+    before = table_rows(db, skip=("run_metadata",))
+    db.close()
+    with Store(config.db_path) as store:
+        assert cached_keys(store) == []
+        assert table_rows(store.db, skip=("archive_docs", "run_metadata")) == before
+    parsed = spy_parses(monkeypatch)
+    for expected in ([GSON_COORD, JSON_COORD], []):
+        parsed.clear()
+        _, attachments, keys = collect_docs_again(config, caplog)
+        assert sorted(parsed) == expected
+        assert attachments == ACCEPTANCE_ATTACHMENTS
+        assert keys == cached_keys(corpus_run.store)

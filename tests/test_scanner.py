@@ -56,6 +56,11 @@ def test_token_kinds_and_lines():
     assert (scanner.PUNCT, ";", 3) in kinds
 
 
+def test_byte_order_mark_is_skipped_only_at_the_start():
+    assert scanner.tokenize("\ufeffimport a;") == scanner.tokenize("import a;")
+    assert scanner.tokenize("a\ufeff")[0] == (scanner.IDENT, "a\ufeff", 1)
+
+
 def test_comments_and_strings_do_not_leak_identifiers():
     source = '/* new JSONObject(x) */ String s = "obj.toJSONString()"; // more()\n'
     idents = [v for k, v, _ in scanner.tokenize(source) if k == scanner.IDENT]

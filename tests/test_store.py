@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from migmine.docs import DOCS_VERSION
 from migmine.fragments import unified_diff
 from migmine.javafacts import FACTS_VERSION
 from migmine.model import (
@@ -430,3 +431,43 @@ class TestBlobFacts:
         assert [blob for blob, facts in rows
                 if blob.encode() in exported or facts.encode() in exported] == []
         assert "blob_facts" not in EXPORT_SELECTORS
+
+
+class TestArchiveDocs:
+    def test_same_key_stored_twice_is_store_error(self, store):
+        store.insert_archive_docs([("k1", "[]")])
+        with pytest.raises(StoreError):
+            store.insert_archive_docs([("k2", "[]"), ("k1", "[]")])
+        # the failed insert stored nothing
+        assert store.archive_docs(["k1", "k2", "k3"]) == {"k1": "[]"}
+
+    def test_keep_deletes_every_other_key(self, store):
+        store.insert_archive_docs([("k1", "[1]"), ("k2", "[2]"), ("k3", "[3]")])
+        store.keep_archive_docs(["k3", "k1", "k9"])
+        assert store.archive_docs(["k1", "k2", "k3"]) == {"k1": "[1]", "k3": "[3]"}
+        store.keep_archive_docs([])
+        assert store.archive_docs(["k1", "k3"]) == {}
+
+    def test_other_docs_version_empties_the_table_at_open(self, tmp_path):
+        path = tmp_path / "docs.db"
+        with Store(path) as s:
+            s.insert_archive_docs([("k1", "[]")])
+        with Store(path) as s:
+            assert s.archive_docs(["k1"]) == {"k1": "[]"}
+            s.set_meta("docs_version", "0")
+        with Store(path) as s:
+            assert s.archive_docs(["k1"]) == {}
+            assert s.get_meta("docs_version") == DOCS_VERSION
+
+    def test_no_export_holds_archive_docs(self, corpus_run):
+        rows = corpus_run.store.db.execute("SELECT key, docs FROM archive_docs").fetchall()
+        assert len(rows) == 2
+        exported = b"".join(
+            corpus_run.store.export(fmt, selector)
+            for fmt in EXPORT_FORMATS for selector in EXPORT_SELECTORS
+        )
+        assert [key for key, docs in rows
+                if key.encode() in exported or docs.encode() in exported] == []
+        # nor any class or method description it holds
+        texts = {text for _, docs in rows for doc in json.loads(docs) for text in (doc[2], doc[5])}
+        assert [text for text in texts if text and text.encode() in exported] == []
