@@ -1,5 +1,6 @@
 """The token scanner: total on arbitrary text, exact on kinds and lines."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,86 @@ SAMPLES = [
     "weird \x00 bytes \x7f here",
     "int e = 1e+; float f = 2.5f;",
 ]
+
+# Inputs at the edges of the token grammar, pinned in tests/golden/tokens.json.
+EDGE_INPUTS = [
+    "a /* x\ny",
+    'a "x\ny',
+    "a 'x\ny",
+    'a """x\ny "" z',
+    "a \\",
+    '"abc\\',
+    "'\\",
+    '"""\\',
+    '"a\\\nb" c\nd',
+    "'\\\n' c\nd",
+    '"""\\\nx""" c\nd',
+    '"a\\"\nb',
+    "\ufeffa b",
+    "a \ufeff b",
+    "\ufeff\ufeffa",
+    "1e+5",
+    "0x1p-3",
+    "1E-",
+    "1e+-2 1ee+3 1-2 0xe+1 .5 1..2 1.e5 1_000L 9a",
+    "a\x00b\x7fc \x00",
+    "a\xa0b \xa0",
+    "\u00e9l\u00e8ve \u65e5\u672c \u8a9e \u2028x \U0001f600y \x1c",
+    "/*/",
+    "/*/ x */ y /**/ z",
+    "$",
+    "$ $a a$ _ a1b2",
+    "a\r\nb\rc\x0b\fd",
+    "// x",
+    "a //",
+    "a//b\nc",
+    '"" """ """" """""',
+    '""""',
+    "' ''",
+    "a   ",
+    "a \t\n  ",
+    '"""\n a \\""" b\n"""c',
+    "a/b*c",
+]
+
+
+TOKENS_GOLDEN = Path(__file__).parent / "golden" / "tokens.json"
+RESOLVER_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "resolver").glob("*.java"))
+
+
+def golden_text():
+    """The text of tests/golden/tokens.json as the current `tokenize` gives it:
+    one token stream a line, keyed by its source under "sources" and by its
+    file name under "fixtures"."""
+    sections = {
+        "sources": {s: scanner.tokenize(s) for s in SAMPLES + EDGE_INPUTS},
+        "fixtures": {p.name: scanner.tokenize(p.read_text()) for p in RESOLVER_FIXTURES},
+    }
+    parts = []
+    for name, streams in sections.items():
+        entries = ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(toks, separators=(',', ':'))}"
+            for key, toks in streams.items()
+        )
+        parts.append(f" {json.dumps(name)}: {{\n{entries}\n }}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def test_token_streams_match_golden_file():
+    """`tokenize` gives exactly the token streams in tests/golden/tokens.json.
+
+    Regenerate the file only for a deliberate change to the token streams,
+    from the repository root:
+
+        PYTHONPATH=src:tests python -c "
+        import test_scanner as t; t.TOKENS_GOLDEN.write_text(t.golden_text())"
+    """
+    golden = json.loads(TOKENS_GOLDEN.read_text())
+    got = json.loads(golden_text())
+    for section in ("sources", "fixtures"):
+        assert sorted(got[section]) == sorted(golden[section])
+        changed = [key for key in got[section] if got[section][key] != golden[section][key]]
+        assert not changed, f"token streams differ from {TOKENS_GOLDEN.name} for {changed}"
 
 
 def assert_total(source):
