@@ -92,8 +92,9 @@ class ArchiveFetcher:
     """Cached archive downloads with bounded concurrency and backoff.
 
     The cache directory mirrors the repository path layout, so re-runs
-    perform zero network calls for cached coordinates.  In offline mode
-    only the cache is consulted.
+    perform zero network calls for cached coordinates.  A cached file that
+    is not a zip archive (one cut short, say) is deleted and counts as a
+    miss.  In offline mode only the cache is consulted.
     """
 
     def __init__(
@@ -122,7 +123,11 @@ class ArchiveFetcher:
             return None
         path = self.cache_path(coordinate, kind)
         if path.is_file():
-            return path.read_bytes()
+            data = path.read_bytes()
+            if zipfile.is_zipfile(io.BytesIO(data)):
+                return data
+            log.warning("event=fetch_cache_invalid library=%s kind=%s", coordinate, kind)
+            path.unlink(missing_ok=True)
         if self.offline:
             log.warning("event=fetch_skipped reason=offline library=%s kind=%s", coordinate, kind)
             return None

@@ -4,6 +4,7 @@ import json
 import logging
 import sqlite3
 import subprocess
+import zipfile
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -1095,22 +1096,34 @@ def test_jar_replaced_under_its_coordinate_is_parsed_again(
 
 
 def test_corrupt_javadoc_jar_is_never_cached(corpus_run, corpus, tmp_path, monkeypatch, caplog):
-    """A jar that cannot be read is logged on every pass, never stored."""
+    """A cached jar that is not a zip archive is deleted: online the jar is
+    fetched again and its stored docs attach; offline it is a miss on every
+    pass."""
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "documentation")
     path.parent.mkdir(parents=True)
-    path.write_bytes(b"not a zip")
     parsed = spy_parses(monkeypatch)
-    for _ in range(2):
-        parsed.clear()
-        logged, attachments, keys = collect_docs_again(config, caplog)
-        assert parsed == [JSON_COORD]
-        assert [m.split()[:2] for m in logged] == [
-            ["event=doc_archive_error", f"library={JSON_COORD}"], ["event=docs_collected", "archives=0"]
-        ]
-        assert logged[-1].endswith(" archives_loaded=1")
-        assert [key.split("\0")[1:] for key in keys] == [["com.google.gson.Gson"]]
-        assert {row[6] for row in attachments if row[1] == "source"} == {0}
+    for offline in (False, True):
+        config = replace(config, offline=offline)
+        path.write_bytes(b"not a zip")
+        for _ in range(2):
+            parsed.clear()
+            logged, attachments, keys = collect_docs_again(config, caplog)
+            assert parsed == []
+            if offline:
+                assert not path.exists()
+                assert logged[-1].startswith("event=docs_collected archives=0 ")
+                assert logged[-1].endswith(" archives_loaded=1")
+                assert [key.split("\0")[1:] for key in keys] == [["com.google.gson.Gson"]]
+                assert {row[6] for row in attachments if row[1] == "source"} == {0}
+            else:
+                assert zipfile.is_zipfile(path)
+                assert logged == [
+                    "event=docs_collected archives=0 pages=0 methods_parsed=0 attached=9 "
+                    "missing=1 ambiguous=2 archives_loaded=2"
+                ]
+                assert attachments == ACCEPTANCE_ATTACHMENTS
+                assert keys == cached_keys(corpus_run.store)
 
 
 def test_database_without_archive_docs_opens_and_fills_it(

@@ -1,6 +1,7 @@
 """The token scanner: total on arbitrary text, exact on kinds and lines."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -106,14 +107,20 @@ def test_token_streams_match_golden_file():
 
 
 def assert_total(source):
+    """Valid kinds; identifiers that are verbatim slices of the text, as
+    `may_reference` relies on; lines that never fall and never pass the
+    text's last line."""
+    last = 1
     for kind, value, line in scanner.tokenize(source):
         assert kind in (1, 2, 3, 4, 5)
-        assert line >= 1
+        assert kind != scanner.IDENT or value in source
+        assert last <= line <= 1 + source.count("\n")
+        last = line
 
 
 @given(
     st.text(
-        alphabet='abcXY_$09 \t\n"\'/*.(){}<>;,+-=@\\',
+        alphabet='abcXY_$09 \t\n"\'/*.(){}<>;,+-=@\\\r\x0b\f\x00\u00e9\ufeffeEpPx',
         max_size=400,
     )
 )
@@ -125,6 +132,19 @@ def test_tokenize_total_on_java_like_text(source):
 @pytest.mark.parametrize("source", SAMPLES)
 def test_tokenize_total_on_samples(source):
     assert_total(source)
+
+
+# Each would be read again to the end of the text from every point in it if
+# a token or skipped stretch could fail after scanning ahead.  "/*" repeated
+# closes itself ("/*/*/" is one comment); "/* " repeated never does.
+LINEAR_TRAPS = ["/*", "/* ", '"a\\\n', '"""', "'\\", "1e+", "\\", " "]
+
+
+def test_traps_tokenize_in_linear_time():
+    start = time.perf_counter()
+    for pattern in LINEAR_TRAPS:
+        scanner.tokenize("a" + pattern * (200_000 // len(pattern)))
+    assert time.perf_counter() - start < 2
 
 
 def test_token_kinds_and_lines():
