@@ -125,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             if args.command == "detect-segments":
                 pipeline.detect_segments()
-                return EXIT_OK
+                return EXIT_PARTIAL if pipeline.project_errors else EXIT_OK
             if args.command == "detect-fragments":
                 pipeline.detect_fragments()
-                return EXIT_OK
+                return EXIT_PARTIAL if pipeline.project_errors else EXIT_OK
             if args.command == "collect-docs":
                 pipeline.collect_docs()
                 return EXIT_OK

@@ -5,9 +5,9 @@ every commit's `pom.xml` and `.java` changes through one blob reader that
 streams the history one object at a time.  Caches the replayed manifest
 timeline, the map of declared libraries and per-blob uses, so segment and
 fragment detection never analyze the same blob twice.  A blob whose text
-contains none of a library's class simple names or package last segments
-(`javafacts.may_reference`) counts as not using that library and is not
-tokenized for it.
+contains none of a library's class simple names, and not every segment of
+any of its packages (`javafacts.may_reference`), counts as not using that
+library and is not tokenized for it.
 
 A blob's facts come from a `FactsCache` that every history of a pipeline
 shares: memory first, then the store's `blob_facts` table, and only then

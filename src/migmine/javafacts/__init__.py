@@ -7,10 +7,16 @@ of locals, fields and parameters in scope only to find an invocation's
 receiver type, and exports nothing else about them.  It is a conservative
 under-approximation that prefers missing a use over inventing one.
 
+The walker reads the scanner's (kind, value, offset) tokens and counts
+lines only for the invocations it records.  It takes time linear in the
+text: each bracket's match and each call's argument count is found once
+and kept, and a name's declared types are a stack per name, not a search
+through every open scope.
+
 `may_reference` is a text check in front of all of that: a source whose
-text contains none of a library's class simple names or package last
-segments cannot use or depend on the library, so it need not be tokenized
-for it.
+text contains none of a library's class simple names, and not every
+segment of any of its packages, cannot use or depend on the library, so it
+need not be tokenized for it.
 
 Facts are a pure function of the text, so a blob's facts can be stored
 and reused: `encode_facts` writes them as compact JSON, and
@@ -33,7 +39,7 @@ from ..model import (
     PackageIndex,
     SourceFacts,
 )
-from .scanner import IDENT, PUNCT, tokenize
+from .scanner import IDENT, PUNCT, scan
 
 __all__ = [
     "IndexBuildError",
@@ -61,6 +67,18 @@ _PRIMITIVES = frozenset(
 )
 
 _GENERIC_PUNCT = frozenset(".,?[]&@")
+
+# Sets of token values.  A punctuation value is a character that starts no
+# identifier and a literal's value is empty, so testing a value needs no
+# kind test; but "" is in every string, hence sets.
+_STRUCTURAL = frozenset("{}();@")  # the punctuation the walker acts on
+_AFTER_NAME = frozenset(".(<[")
+_TYPE_DECLARATIONS = frozenset(("class", "interface", "enum"))
+_RECORD_OPENERS = frozenset("(<")
+_DECLARATOR_ENDS = frozenset("=;,):")
+_NEXT_DECLARATOR = frozenset("=;,")
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
 
 
 class IndexBuildError(RuntimeError):
@@ -112,7 +130,7 @@ def _skip_generics(toks, i, n, limit=80):
     Only type-like contents qualify; anything else means '<' was the
     less-than operator.
     """
-    if i >= n or toks[i][0] != PUNCT or toks[i][1] != "<":
+    if i >= n or toks[i][1] != "<":
         return None
     depth = 0
     j = i
@@ -153,85 +171,26 @@ def _parse_type(toks, i, n):
     j = i + 1
     while (
         j + 1 < n
-        and toks[j][0] == PUNCT
         and toks[j][1] == "."
         and toks[j + 1][0] == IDENT
         and toks[j + 1][1] not in _KEYWORDS
     ):
         parts.append(toks[j + 1][1])
         j += 2
-    g = _skip_generics(toks, j, n)
-    if g is not None:
-        j = g
-    while (
-        j + 1 < n
-        and toks[j][0] == PUNCT
-        and toks[j][1] == "["
-        and toks[j + 1][0] == PUNCT
-        and toks[j + 1][1] == "]"
-    ):
+    if j < n and toks[j][1] == "<":
+        g = _skip_generics(toks, j, n)
+        if g is not None:
+            j = g
+    while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
         j += 2
     return ".".join(parts), j
-
-
-def _count_arity(toks, open_idx, n):
-    """Count the top-level arguments of the call whose '(' is at open_idx."""
-    depth = 1
-    count = 0
-    has_content = False
-    j = open_idx + 1
-    while j < n:
-        kind, v, _ = toks[j]
-        if kind == PUNCT:
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif v == "," and depth == 1:
-                count += 1
-                j += 1
-                continue
-            elif v == "<":
-                g = _skip_generics(toks, j, n)
-                if g is not None:
-                    has_content = True
-                    j = g
-                    continue
-        has_content = True
-        j += 1
-    if count:
-        return count + 1
-    return 1 if has_content else 0
-
-
-def _matching_paren(toks, open_idx, n):
-    depth = 0
-    j = open_idx
-    while j < n:
-        kind, v, _ = toks[j]
-        if kind == PUNCT:
-            if v in "([{":
-                depth += 1
-            elif v in ")]}":
-                depth -= 1
-                if depth == 0:
-                    return j
-        j += 1
-    return n - 1
 
 
 def _parse_qualified(toks, i, n):
     """Read a dotted identifier chain starting at token i (an IDENT)."""
     parts = [toks[i][1]]
     j = i + 1
-    while (
-        j + 1 < n
-        and toks[j][0] == PUNCT
-        and toks[j][1] == "."
-        and toks[j + 1][0] == IDENT
-    ):
+    while j + 1 < n and toks[j][1] == "." and toks[j + 1][0] == IDENT:
         parts.append(toks[j + 1][1])
         j += 2
     return parts, j
@@ -240,17 +199,27 @@ def _parse_qualified(toks, i, n):
 class _Walker:
     """Single linear pass over the token stream collecting facts."""
 
-    def __init__(self, toks):
-        self.toks = toks
-        self.n = len(toks)
+    def __init__(self, text):
+        self.text = text
+        self.toks = scan(text)
+        self.n = len(self.toks)
+        # the line of offset `counted`, moved on demand by `_line`
+        self.line, self.counted = 1, 0
+        # what `_matching_paren` and `_count_arity` found, by open bracket
+        self._close: dict[int, int] = {}
+        self._arity: dict[int, tuple[int, int]] = {}
         self.package = None
         self.imports: list[ImportDecl] = []
         self.local_types: set[str] = set()
         self.static_import_names: set[str] = set()
         self.invocations: list[Invocation] = []
-        self.scopes: list[dict[str, str]] = [{}]
+        # each name's declared types, innermost last; each open scope lists
+        # the names it declared, to take back when it closes
+        self.bindings: dict[str, list[str]] = {}
+        self.scopes: list[set[str]] = [set()]
         self.paren_depth = 0
         self.pending: list[tuple[str, str]] = []
+        self.pending_types: dict[str, str] = {}  # first pending type of each name
         self.carry: list[tuple[str, str]] = []
 
     def run(self) -> SourceFacts:
@@ -258,8 +227,10 @@ class _Walker:
         i = 0
         while i < n:
             kind, val, _ = toks[i]
-            if kind == PUNCT:
-                if val == "{":
+            if kind != IDENT:
+                if val not in _STRUCTURAL:
+                    i += 1
+                elif val == "{":
                     self._push_scope()
                     i += 1
                 elif val == "}":
@@ -274,38 +245,36 @@ class _Walker:
                         if self.paren_depth == 0 and self.pending:
                             self.carry = self.pending
                             self.pending = []
+                            self.pending_types = {}
                     i += 1
                 elif val == ";":
                     if self.carry:
                         self._merge_carry()
                     i += 1
-                elif val == "@":
-                    i = self._skip_annotation(i)
                 else:
-                    i += 1
+                    i = self._skip_annotation(i)
                 continue
-            if kind != IDENT:
+            if i and toks[i - 1][1] == ".":
                 i += 1
                 continue
-            prev_dot = i > 0 and toks[i - 1][0] == PUNCT and toks[i - 1][1] == "."
-            if prev_dot:
-                i += 1
-                continue
-            if val == "package" and self.package is None:
-                parts, j = (
-                    _parse_qualified(toks, i + 1, n) if i + 1 < n and toks[i + 1][0] == IDENT else ([], i + 1)
-                )
-                if parts:
-                    self.package = ".".join(parts)
-                i = j + 1
-                continue
-            if val == "import":
-                i = self._parse_import(i)
-                continue
-            if val in ("class", "interface", "enum"):
-                if i + 1 < n and toks[i + 1][0] == IDENT:
-                    self.local_types.add(toks[i + 1][1])
-                    i += 2
+            if val in _KEYWORDS:
+                if val == "package" and self.package is None:
+                    parts, j = (
+                        _parse_qualified(toks, i + 1, n) if i + 1 < n and toks[i + 1][0] == IDENT else ([], i + 1)
+                    )
+                    if parts:
+                        self.package = ".".join(parts)
+                    i = j + 1
+                elif val == "import":
+                    i = self._parse_import(i)
+                elif val in _TYPE_DECLARATIONS:
+                    if i + 1 < n and toks[i + 1][0] == IDENT:
+                        self.local_types.add(toks[i + 1][1])
+                        i += 2
+                    else:
+                        i += 1
+                elif val == "new":
+                    i = self._handle_new(i)
                 else:
                     i += 1
                 continue
@@ -313,26 +282,21 @@ class _Walker:
                 val == "record"
                 and i + 2 < n
                 and toks[i + 1][0] == IDENT
-                and toks[i + 2][0] == PUNCT
-                and toks[i + 2][1] in "(<"
+                and toks[i + 2][1] in _RECORD_OPENERS
             ):
                 self.local_types.add(toks[i + 1][1])
                 i += 2
                 continue
-            if val == "new":
-                i = self._handle_new(i)
-                continue
-            if val in _KEYWORDS:
-                i += 1
-                continue
-            consumed = self._try_declaration(i)
-            if consumed is not None:
-                i = consumed
-                continue
-            consumed = self._try_call_chain(i)
-            if consumed is not None:
-                i = consumed
-                continue
+            # a declaration or a call needs an identifier or one of . ( < [ next
+            if i + 1 < n and (toks[i + 1][0] == IDENT or toks[i + 1][1] in _AFTER_NAME):
+                consumed = self._try_declaration(i)
+                if consumed is not None:
+                    i = consumed
+                    continue
+                consumed = self._try_call_chain(i)
+                if consumed is not None:
+                    i = consumed
+                    continue
             i += 1
         return SourceFacts(
             package=self.package,
@@ -341,15 +305,111 @@ class _Walker:
             local_types=frozenset(self.local_types),
         )
 
+    def _line(self, i):
+        """The line of token i, counted on from the last line asked for."""
+        offset = self.toks[i][2]
+        if offset >= self.counted:
+            self.line += self.text.count("\n", self.counted, offset)
+        else:
+            self.line -= self.text.count("\n", offset, self.counted)
+        self.counted = offset
+        return self.line
+
+    def _matching_paren(self, open_idx):
+        """The index of the bracket of any kind that brings the depth of
+        ([{ against )]} back to zero from open_idx, or n - 1 if none does.
+
+        A stack pass from open_idx that records the close of every bracket
+        it opens, and steps over the brackets recorded before: each token
+        is read once per file, whatever the calls ask.
+        """
+        close = self._close
+        if open_idx in close:
+            return close[open_idx]
+        toks, n = self.toks, self.n
+        stack = []
+        j = open_idx
+        while j < n:
+            v = toks[j][1]
+            if v in _OPENERS:
+                if j in close:
+                    j = close[j] + 1
+                    continue
+                stack.append(j)
+            elif v in _CLOSERS:
+                close[stack.pop()] = j
+                if not stack:
+                    return j
+            j += 1
+        for p in stack:
+            close[p] = n - 1
+        return n - 1
+
+    def _count_arity(self, open_idx):
+        """The top-level argument count of the call whose '(' is at open_idx.
+
+        Reads on from the '(' as `_matching_paren` does, but jumps over each
+        type-argument list (`_skip_generics`): a comma counts when '(' is the
+        innermost open bracket, and without commas the call has one argument
+        if anything stands between '(' and its close (or the end).  A jumped
+        list holds no '(' and no brace, so every '(' lies on the one path
+        these jumps make through the file, and a bracket's count recorded
+        by an earlier call holds for every later one.
+        """
+        arity = self._arity  # open index -> (its close or n, its count)
+        if open_idx in arity:
+            return arity[open_idx][1]
+        toks, n = self.toks, self.n
+        stack = []  # [index, commas] of each open bracket
+        j = open_idx
+        while j < n:
+            v = toks[j][1]
+            if v in _OPENERS:
+                if j in arity:
+                    j = arity[j][0] + 1
+                    continue
+                stack.append([j, 0])
+            elif v in _CLOSERS:
+                p, commas = stack.pop()
+                arity[p] = (j, commas + 1 if commas else int(j - p > 1))
+                if not stack:
+                    return arity[p][1]
+            elif v == ",":
+                stack[-1][1] += 1
+            elif v == "<":
+                g = _skip_generics(toks, j, n)
+                if g is not None:
+                    j = g
+                    continue
+            j += 1
+        for p, commas in stack:
+            arity[p] = (n, commas + 1 if commas else int(n - p > 1))
+        return arity[open_idx][1]
+
     # -- scope machinery ---------------------------------------------------
 
     def _push_scope(self):
-        self.scopes.append(dict(self.carry))
+        self.scopes.append(set())
+        for name, type_name in self.carry:
+            self._bind(name, type_name)
         self.carry = []
 
     def _pop_scope(self):
         if len(self.scopes) > 1:
-            self.scopes.pop()
+            for name in self.scopes.pop():
+                types = self.bindings[name]
+                types.pop()
+                if not types:
+                    del self.bindings[name]
+
+    def _bind(self, name, type_name):
+        """Declare name in the innermost scope; a second declaration there wins."""
+        scope = self.scopes[-1]
+        if name in scope:
+            self.bindings[name][-1] = type_name
+        else:
+            scope.add(name)
+            self.bindings.setdefault(name, []).append(type_name)
 
     def _merge_carry(self):
         # paren declarations not followed by a block (bodyless for/try)
@@ -360,37 +420,34 @@ class _Walker:
     def _record_decl(self, name, type_name):
         if self.paren_depth > 0:
             self.pending.append((name, type_name))
+            self.pending_types.setdefault(name, type_name)
             return
-        self.scopes[-1][name] = type_name
+        self._bind(name, type_name)
 
     def _lookup(self, name):
-        for scope in reversed(self.scopes):
-            t = scope.get(name)
-            if t is not None:
-                return t
-        for name2, type_name in self.pending:
-            if name2 == name:
-                return type_name
-        return None
+        types = self.bindings.get(name)
+        if types:
+            return types[-1]
+        return self.pending_types.get(name)
 
     # -- constructs ----------------------------------------------------------
 
     def _skip_annotation(self, i):
         toks, n = self.toks, self.n
         j = i + 1
-        if j < n and toks[j][0] == IDENT and toks[j][1] == "interface":
+        if j < n and toks[j][1] == "interface":
             return i + 1  # @interface declaration, let the main loop handle it
         if j < n and toks[j][0] == IDENT:
             _, j = _parse_qualified(toks, j, n)
-        if j < n and toks[j][0] == PUNCT and toks[j][1] == "(":
-            return _matching_paren(toks, j, n) + 1
+        if j < n and toks[j][1] == "(":
+            return self._matching_paren(j) + 1
         return j
 
     def _parse_import(self, i):
         toks, n = self.toks, self.n
         j = i + 1
         is_static = False
-        if j < n and toks[j][0] == IDENT and toks[j][1] == "static":
+        if j < n and toks[j][1] == "static":
             is_static = True
             j += 1
         parts = []
@@ -398,9 +455,9 @@ class _Walker:
         while j < n and toks[j][0] == IDENT:
             parts.append(toks[j][1])
             j += 1
-            if j < n and toks[j][0] == PUNCT and toks[j][1] == ".":
+            if j < n and toks[j][1] == ".":
                 j += 1
-                if j < n and toks[j][0] == PUNCT and toks[j][1] == "*":
+                if j < n and toks[j][1] == "*":
                     wildcard = True
                     j += 1
                     break
@@ -410,7 +467,7 @@ class _Walker:
             self.imports.append(ImportDecl(".".join(parts), is_static, wildcard))
             if is_static and not wildcard:
                 self.static_import_names.add(parts[-1])
-        while j < n and not (toks[j][0] == PUNCT and toks[j][1] == ";"):
+        while j < n and toks[j][1] != ";":
             j += 1
         return j + 1
 
@@ -420,35 +477,32 @@ class _Walker:
         if t is None:
             return i + 1
         type_name, j = t
-        if not (j < n and toks[j][0] == PUNCT and toks[j][1] == "("):
+        if not (j < n and toks[j][1] == "("):
             return i + 1  # array creation or malformed
         simple = type_name.rpartition(".")[2]
-        type_line = toks[i + 1][2]
         self.invocations.append(
             Invocation(
-                line=type_line,
+                line=self._line(i + 1),
                 kind="constructor",
                 method=simple,
-                arity=_count_arity(toks, j, n),
+                arity=self._count_arity(j),
                 receiver=type_name,
             )
         )
-        close = _matching_paren(toks, j, n)
+        close = self._matching_paren(j)
         # constructor-chained call: the receiver type is locally evident
         if (
             close + 3 < n
-            and toks[close + 1][0] == PUNCT
             and toks[close + 1][1] == "."
             and toks[close + 2][0] == IDENT
-            and toks[close + 3][0] == PUNCT
             and toks[close + 3][1] == "("
         ):
             self.invocations.append(
                 Invocation(
-                    line=toks[close + 2][2],
+                    line=self._line(close + 2),
                     kind="instance",
                     method=toks[close + 2][1],
-                    arity=_count_arity(toks, close + 3, n),
+                    arity=self._count_arity(close + 3),
                     receiver=type_name,
                 )
             )
@@ -464,25 +518,22 @@ class _Walker:
             return None
         name = toks[j][1]
         k = j + 1
-        if not (k < n and toks[k][0] == PUNCT and toks[k][1] in "=;,):"):
+        if not (k < n and toks[k][1] in _DECLARATOR_ENDS):
             return None
-        if toks[k][1] == ":" and k + 1 < n and toks[k + 1][0] == PUNCT and toks[k + 1][1] == ":":
+        if toks[k][1] == ":" and k + 1 < n and toks[k + 1][1] == ":":
             return None  # method reference, not an enhanced-for declaration
-        if toks[k][1] == "=" and k + 1 < n and toks[k + 1][0] == PUNCT and toks[k + 1][1] == "=":
+        if toks[k][1] == "=" and k + 1 < n and toks[k + 1][1] == "=":
             return None  # equality comparison
         self._record_decl(name, type_name)
         if toks[k][1] == ",":
             # direct multi-declarator form: Type a, b, c;
             m = k
             while (
-                m + 1 < n
-                and toks[m][0] == PUNCT
+                m + 2 < n
                 and toks[m][1] == ","
                 and toks[m + 1][0] == IDENT
                 and toks[m + 1][1] not in _KEYWORDS
-                and m + 2 < n
-                and toks[m + 2][0] == PUNCT
-                and toks[m + 2][1] in "=;,"
+                and toks[m + 2][1] in _NEXT_DECLARATOR
             ):
                 self._record_decl(toks[m + 1][1], type_name)
                 m += 2
@@ -492,42 +543,31 @@ class _Walker:
     def _try_call_chain(self, i):
         toks, n = self.toks, self.n
         parts, j = _parse_qualified(toks, i, n)
-        if not (j < n and toks[j][0] == PUNCT and toks[j][1] == "("):
+        if not (j < n and toks[j][1] == "("):
             return None
         method = parts[-1]
         prefix = parts[:-1]
-        line = toks[j - 1][2] if len(parts) > 1 else toks[i][2]
-        arity = _count_arity(toks, j, n)
         if not prefix:
             # resolvable only through an explicit static import; wildcard
             # static imports could attribute local helpers to the library
-            if method in self.static_import_names:
-                self.invocations.append(
-                    Invocation(line=line, kind="static_imported", method=method, arity=arity)
-                )
-            return j
-        if "this" in prefix or "super" in prefix:
-            return j
-        if len(prefix) == 1:
-            declared = self._lookup(prefix[0])
-            if declared is not None:
-                self.invocations.append(
-                    Invocation(
-                        line=line,
-                        kind="instance",
-                        method=method,
-                        arity=arity,
-                        receiver=declared,
-                    )
-                )
+            if method not in self.static_import_names:
                 return j
+            kind, receiver = "static_imported", None
+        elif "this" in prefix or "super" in prefix:
+            return j
+        else:
+            declared = self._lookup(prefix[0]) if len(prefix) == 1 else None
+            if declared is not None:
+                kind, receiver = "instance", declared
+            else:
+                kind, receiver = "static_call", ".".join(prefix)
         self.invocations.append(
             Invocation(
-                line=line,
-                kind="static_call",
+                line=self._line(j - 1),
+                kind=kind,
                 method=method,
-                arity=arity,
-                receiver=".".join(prefix),
+                arity=self._count_arity(j),
+                receiver=receiver,
             )
         )
         return j
@@ -539,7 +579,7 @@ def extract_facts(source: str) -> SourceFacts:
     Best-effort and total: syntactically broken files yield fewer facts,
     never an exception.
     """
-    return _Walker(tokenize(source)).run()
+    return _Walker(source).run()
 
 
 FACTS_VERSION = "2"
@@ -582,15 +622,20 @@ def may_reference(text: str, index: PackageIndex) -> bool:
       same-package references and inner-class folding all look up a dotted
       name of identifiers whose last kept segment is that simple name;
     - a package in, or under, one of `index.packages` whose segments are
-      identifiers of the file: wildcard imports, and every class of a
+      all identifiers of the file: wildcard imports, and every class of a
       prefix-mode index.
 
-    So when the text contains none of those simple names and none of the
-    packages' last segments (`index.reference_words`), `resolve_usages` of
-    its facts is empty and `facts_depend_on` is false for either value of
-    `imports_count_as_use`.
+    So the text passes only if it holds a class simple name, or every
+    segment of some indexed package; otherwise `resolve_usages` of its
+    facts is empty and `facts_depend_on` is false for either value of
+    `imports_count_as_use`.  A text that holds no class simple name and
+    no package's last segment (`index.reference_words`) fails first.
     """
-    return any(word in text for word in index.reference_words)
+    if not any(word in text for word in index.reference_words):
+        return False
+    if any(all(segment in text for segment in segments) for segments in index.package_segments):
+        return True
+    return index.class_pattern is not None and index.class_pattern.search(text) is not None
 
 
 def _lookup_class(index: PackageIndex, fqcn: str) -> str | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -161,16 +162,27 @@ class PackageIndex:
     classes: frozenset[str]
     packages: frozenset[str]
     prefix_mode: bool = False
-    # class simple names and package last segments: a source text that
-    # contains none of them cannot reference the library (javafacts.may_reference)
+    # what javafacts.may_reference looks for in a source text: the class
+    # simple names and package last segments, one of which any text that
+    # references the library holds; then each package's segments, and a
+    # pattern that finds any class simple name (None without classes)
     reference_words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    package_segments: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    class_pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # package segments first: a source that uses the library usually imports
         # it, so the check stops at its first word
         packages = sorted({p.rpartition(".")[2] for p in self.packages})
-        classes = sorted({c.rpartition(".")[2] for c in self.classes} - set(packages))
-        object.__setattr__(self, "reference_words", (*packages, *classes))
+        classes = sorted({c.rpartition(".")[2] for c in self.classes})
+        words = (*packages, *(c for c in classes if c not in packages))
+        object.__setattr__(self, "reference_words", words)
+        # last segment first: the rarest, so a text without the package
+        # fails soonest
+        segments = sorted({tuple(reversed(p.split("."))) for p in self.packages})
+        object.__setattr__(self, "package_segments", tuple(segments))
+        pattern = re.compile("|".join(map(re.escape, classes))) if classes else None
+        object.__setattr__(self, "class_pattern", pattern)
 
     def contains_class(self, fqcn: str) -> bool:
         if not self.prefix_mode:

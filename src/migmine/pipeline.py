@@ -36,6 +36,7 @@ from .model import (
     LibraryId,
     MethodDoc,
     MethodMapping,
+    MigrationRule,
     PackageIndex,
     ProjectRef,
     Segment,
@@ -130,6 +131,8 @@ class Pipeline:
         # every history's blob facts, backed by the store's blob_facts table
         self.facts = FactsCache(store)
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
+        # "project: error" of each project a stage after ingest skipped
+        self.project_errors: list[str] = []
 
     # -- shared state ---------------------------------------------------------
 
@@ -268,34 +271,51 @@ class Pipeline:
 
     @stage
     def detect_segments(self) -> list[Segment]:
-        """Scan each project whose manifests declare both libraries of a rule."""
+        """Scan each project whose manifests declare both libraries of a rule.
+
+        A project whose history cannot be read is logged and skipped; when
+        every project fails, the first failure is raised.
+        """
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
         histories = [self.history(project_id) for project_id in self._projects()]
-        segments = []
-        pairs = 0
+        found_by_pair: list[tuple[str, MigrationRule, list[Segment]]] = []
+        failed: dict[str, Exception] = {}
         for rule in rules:
             for history in histories:
-                declared = history.declared_libraries()
-                if rule.source not in declared or rule.target not in declared:
+                if history.ref.id in failed:
                     continue
-                pairs += 1
-                found = find_segments(
-                    history,
-                    rule.source,
-                    rule.target,
-                    self.package_index(declared[rule.source]),
-                    self.package_index(declared[rule.target]),
-                    self.config.imports_count_as_use,
-                )
-                for segment in found:
-                    log.info(
-                        "event=segment project=%s rule=%s start=%s end=%s commits=%d",
-                        history.ref.id, rule, segment.start_commit[:12],
-                        segment.end_commit[:12], len(segment.commits),
+                try:
+                    declared = history.declared_libraries()
+                    if rule.source not in declared or rule.target not in declared:
+                        continue
+                    found = find_segments(
+                        history,
+                        rule.source,
+                        rule.target,
+                        self.package_index(declared[rule.source]),
+                        self.package_index(declared[rule.target]),
+                        self.config.imports_count_as_use,
                     )
-                segments.extend(found)
+                except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
+                    failed[history.ref.id] = exc
+                    continue
+                found_by_pair.append((history.ref.id, rule, found))
+        self._skip_failed_projects("detect_segments", failed, len(histories))
+        segments = []
+        pairs = 0
+        for project_id, rule, found in found_by_pair:
+            if project_id in failed:
+                continue
+            pairs += 1
+            for segment in found:
+                log.info(
+                    "event=segment project=%s rule=%s start=%s end=%s commits=%d",
+                    project_id, rule, segment.start_commit[:12],
+                    segment.end_commit[:12], len(segment.commits),
+                )
+            segments.extend(found)
         # segments invalidate everything downstream, including confirmations
         self.store.clear_segments_and_downstream()
         for rule in rules:
@@ -313,38 +333,35 @@ class Pipeline:
 
     @stage
     def detect_fragments(self) -> tuple[list[Fragment], list[MethodMapping]]:
-        """Diff segment commits into fragments, then confirm or discard rules."""
+        """Diff segment commits into fragments, then confirm or discard rules.
+
+        A project whose history cannot be read is logged and skipped; when
+        every project with a segment fails, the first failure is raised.
+        """
         segments = self.store.segments(include_discarded=True)
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        all_fragments: list[Fragment] = []
+        found_by_segment: list[tuple[str, list[Fragment]]] = []
+        failed: dict[str, Exception] = {}
         for segment in segments:
-            history = self.history(segment.project)
-            declared = history.declared_libraries()
-            source_index = self.package_index(declared[segment.source])
-            target_index = self.package_index(declared[segment.target])
-            for commit_id in segment.commits:
-                for fc in history.changes(commit_id).java:
-                    # a fragment needs a source use before and a target use
-                    # after, so ask for those (cached) before diffing
-                    if fc.before_sha == fc.after_sha:
-                        continue
-                    uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
-                    if not uses_before:
-                        continue
-                    uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
-                    if not uses_after:
-                        continue
-                    hunks = unified_diff(
-                        fc.before or "",
-                        fc.after or "",
-                        self.config.context_lines,
-                        path=fc.path,
-                    )
-                    all_fragments.extend(
-                        filter_fragments(hunks, segment, commit_id, uses_before, uses_after)
-                    )
+            if segment.project in failed:
+                continue
+            try:
+                found = self._segment_fragments(segment)
+            except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
+                failed[segment.project] = exc
+                continue
+            found_by_segment.append((segment.project, found))
+        self._skip_failed_projects(
+            "detect_fragments", failed, len({segment.project for segment in segments})
+        )
+        all_fragments = [
+            fragment
+            for project_id, found in found_by_segment
+            if project_id not in failed
+            for fragment in found
+        ]
         mappings = extract_mappings(all_fragments)
         self.store.clear_fragments_and_mappings()
         for fragment in all_fragments:
@@ -363,6 +380,42 @@ class Pipeline:
             self.facts.loaded, self.facts.tokenized,
         )
         return all_fragments, mappings
+
+    def _segment_fragments(self, segment: Segment) -> list[Fragment]:
+        history = self.history(segment.project)
+        declared = history.declared_libraries()
+        source_index = self.package_index(declared[segment.source])
+        target_index = self.package_index(declared[segment.target])
+        fragments: list[Fragment] = []
+        for commit_id in segment.commits:
+            for fc in history.changes(commit_id).java:
+                # a fragment needs a source use before and a target use
+                # after, so ask for those (cached) before diffing
+                if fc.before_sha == fc.after_sha:
+                    continue
+                uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
+                if not uses_before:
+                    continue
+                uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
+                if not uses_after:
+                    continue
+                hunks = unified_diff(
+                    fc.before or "",
+                    fc.after or "",
+                    self.config.context_lines,
+                    path=fc.path,
+                )
+                fragments.extend(filter_fragments(hunks, segment, commit_id, uses_before, uses_after))
+        return fragments
+
+    def _skip_failed_projects(self, stage_name: str, failed: dict[str, Exception], tried: int) -> None:
+        """Log each project a stage had to skip, or raise the first failure
+        when all `tried` projects failed."""
+        if failed and len(failed) == tried:
+            raise next(iter(failed.values()))
+        for project_id, exc in failed.items():
+            log.error("event=project_failed stage=%s project=%s error=%s", stage_name, project_id, exc)
+            self.project_errors.append(f"{project_id}: {exc}")
 
     @stage
     def collect_docs(self) -> tuple[int, int]:
@@ -478,4 +531,4 @@ def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:
         "event=summary %s",
         " ".join(f"{key}={value}" for key, value in sorted(summary.items())),
     )
-    return (2 if errors else 0), summary
+    return (2 if errors or pipeline.project_errors else 0), summary

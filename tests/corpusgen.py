@@ -465,18 +465,17 @@ FILETWO_REMOVED = frozenset(
 )
 
 
-def build_corpus(root: Path) -> Corpus:
-    """Five scripted repositories: three json->gson migrations, two churn."""
-    root = Path(root)
-    repos_dir = root / "repos"
-    corpus = Corpus(
-        root=root,
-        projects_file=root / "projects.txt",
-        repo_base=build_fake_maven_repo(root / "mavenrepo"),
-        repos={},
-        messages={},
-    )
+SERIALIZER_PATH = "src/main/java/com/example/app/Serializer.java"
+FILE_ONE = "src/main/java/com/example/io/FileOne.java"
+FILE_TWO = "src/main/java/com/example/io/FileTwo.java"
+FILE_THREE = "src/main/java/com/example/io/FileThree.java"
+RENDERER = "src/main/java/com/example/ui/Renderer.java"
+WIDGET = "src/main/java/com/example/ui/Widget.java"
+HELPER = "src/main/java/com/example/ui/Helper.java"
 
+
+def corpus_scripts() -> dict[str, list[tuple[str, dict[str, str | None]]]]:
+    """The scripted commits of the five corpus projects, by project name."""
     scripts: dict[str, list[tuple[str, dict[str, str | None]]]] = {}
 
     # single-commit migration
@@ -485,73 +484,67 @@ def build_corpus(root: Path) -> Corpus:
             "initial import",
             {
                 "pom.xml": pom("mig-single", JSON_LIB, JUNIT_LIB),
-                "src/main/java/com/example/app/Serializer.java": SERIALIZER_JSON,
+                SERIALIZER_PATH: SERIALIZER_JSON,
             },
         ),
         (
             "migrate json to gson",
             {
                 "pom.xml": pom("mig-single", GSON_LIB, JUNIT_LIB),
-                "src/main/java/com/example/app/Serializer.java": SERIALIZER_GSON,
+                SERIALIZER_PATH: SERIALIZER_GSON,
             },
         ),
     ]
 
     # three-commit migration (plus a trailing doc commit), 5 commits total
-    f1 = "src/main/java/com/example/io/FileOne.java"
-    f2 = "src/main/java/com/example/io/FileTwo.java"
-    f3 = "src/main/java/com/example/io/FileThree.java"
     scripts["mig-json-gson"] = [
         (
             "initial import",
             {
                 "pom.xml": pom("mig-json-gson", JSON_LIB, JUNIT_LIB),
-                f1: simple_json_user("com.example.io", "FileOne"),
-                f2: FILETWO_JSON,
-                f3: simple_json_user("com.example.io", "FileThree"),
+                FILE_ONE: simple_json_user("com.example.io", "FileOne"),
+                FILE_TWO: FILETWO_JSON,
+                FILE_THREE: simple_json_user("com.example.io", "FileThree"),
             },
         ),
         (
             "adopt gson for FileOne",
             {
                 "pom.xml": pom("mig-json-gson", JSON_LIB, GSON_LIB, JUNIT_LIB),
-                f1: simple_gson_user("com.example.io", "FileOne"),
+                FILE_ONE: simple_gson_user("com.example.io", "FileOne"),
             },
         ),
-        ("migrate FileTwo to gson", {f2: FILETWO_GSON}),
+        ("migrate FileTwo to gson", {FILE_TWO: FILETWO_GSON}),
         (
             "finish migration, drop json dependency",
             {
                 "pom.xml": pom("mig-json-gson", GSON_LIB, JUNIT_LIB),
-                f3: simple_gson_user("com.example.io", "FileThree"),
+                FILE_THREE: simple_gson_user("com.example.io", "FileThree"),
             },
         ),
         ("describe the tool", {"README.md": README_V2}),
     ]
 
     # migration with interleaved unrelated commits
-    renderer = "src/main/java/com/example/ui/Renderer.java"
-    widget = "src/main/java/com/example/ui/Widget.java"
-    helper = "src/main/java/com/example/ui/Helper.java"
     scripts["mig-noise"] = [
         (
             "initial import",
             {
                 "pom.xml": pom("mig-noise", JSON_LIB, JUNIT_LIB),
-                renderer: simple_json_user("com.example.ui", "Renderer"),
-                widget: simple_json_user("com.example.ui", "Widget"),
-                helper: HELPER_V1,
+                RENDERER: simple_json_user("com.example.ui", "Renderer"),
+                WIDGET: simple_json_user("com.example.ui", "Widget"),
+                HELPER: HELPER_V1,
             },
         ),
         (
             "swap dependency and migrate Renderer",
             {
                 "pom.xml": pom("mig-noise", GSON_LIB, JUNIT_LIB),
-                renderer: simple_gson_user("com.example.ui", "Renderer"),
+                RENDERER: simple_gson_user("com.example.ui", "Renderer"),
             },
         ),
-        ("refactor helper padding", {helper: HELPER_V2}),
-        ("migrate Widget to gson", {widget: simple_gson_user("com.example.ui", "Widget")}),
+        ("refactor helper padding", {HELPER: HELPER_V2}),
+        ("migrate Widget to gson", {WIDGET: simple_gson_user("com.example.ui", "Widget")}),
     ]
 
     # churn: a dependency swap with no code evidence
@@ -603,6 +596,21 @@ def build_corpus(root: Path) -> Corpus:
         ),
     ]
 
+    return scripts
+
+
+def build_corpus(root: Path) -> Corpus:
+    """Five scripted repositories: three json->gson migrations, two churn."""
+    root = Path(root)
+    repos_dir = root / "repos"
+    corpus = Corpus(
+        root=root,
+        projects_file=root / "projects.txt",
+        repo_base=build_fake_maven_repo(root / "mavenrepo"),
+        repos={},
+        messages={},
+    )
+    scripts = corpus_scripts()
     for name, commits in scripts.items():
         corpus.repos[name] = build_repo(repos_dir / name, commits)
         corpus.messages[name] = [message for message, _ in commits]
@@ -626,14 +634,13 @@ def build_corpus(root: Path) -> Corpus:
         ExpectedSegment("mig-single", single[1], single[1], [single[1]], "20080701", "2.3.1"),
     ]
 
-    serializer = "src/main/java/com/example/app/Serializer.java"
     corpus.fragments = {
-        ("mig-single", single[1], serializer): (SIMPLE_REMOVED, SIMPLE_ADDED),
-        ("mig-json-gson", steps[1], f1): (SIMPLE_REMOVED, SIMPLE_ADDED),
-        ("mig-json-gson", steps[2], f2): (FILETWO_REMOVED, SIMPLE_ADDED),
-        ("mig-json-gson", steps[3], f3): (SIMPLE_REMOVED, SIMPLE_ADDED),
-        ("mig-noise", noise[1], renderer): (SIMPLE_REMOVED, SIMPLE_ADDED),
-        ("mig-noise", noise[3], widget): (SIMPLE_REMOVED, SIMPLE_ADDED),
+        ("mig-single", single[1], SERIALIZER_PATH): (SIMPLE_REMOVED, SIMPLE_ADDED),
+        ("mig-json-gson", steps[1], FILE_ONE): (SIMPLE_REMOVED, SIMPLE_ADDED),
+        ("mig-json-gson", steps[2], FILE_TWO): (FILETWO_REMOVED, SIMPLE_ADDED),
+        ("mig-json-gson", steps[3], FILE_THREE): (SIMPLE_REMOVED, SIMPLE_ADDED),
+        ("mig-noise", noise[1], RENDERER): (SIMPLE_REMOVED, SIMPLE_ADDED),
+        ("mig-noise", noise[3], WIDGET): (SIMPLE_REMOVED, SIMPLE_ADDED),
     }
     corpus.mappings = {
         (SIMPLE_REMOVED, SIMPLE_ADDED): 5,

@@ -248,3 +248,40 @@ class TestGitFailures:
         assert [r.getMessage().split()[0] for r in caplog.records] == ["event=git_error"]
         assert "vanishing" in caplog.records[0].getMessage()
         assert "no commit history" not in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("stage", ["detect-segments", "detect-fragments"])
+    def test_one_deleted_clone_of_two_is_exit_2(
+        self, stage, corpus, tmp_path, monkeypatch, caplog
+    ):
+        """A project whose clone vanishes after ingest is logged and skipped;
+        the other project's results are stored and the stage exits 2."""
+        repo = tmp_path / "vanishing"
+        serializer = "src/main/java/com/example/app/Serializer.java"
+        build_repo(repo, [
+            ("init", {"pom.xml": pom("vanishing", JSON_LIB), serializer: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("vanishing", GSON_LIB), serializer: SERIALIZER_GSON}),
+        ])
+        projects = tmp_path / "projects.txt"
+        projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("ingest", "--projects", projects, *flags) == 0
+        assert run_cli("detect-rules", *flags) == 0
+        if stage == "detect-fragments":
+            assert run_cli("detect-segments", *flags) == 0
+        shutil.rmtree(repo)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        caplog.set_level(logging.ERROR, logger="migmine")
+        assert run_cli(stage, *flags) == 2
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(
+            f"event=project_failed stage={stage.replace('-', '_')} project=vanishing error="
+        )
+        with Store(tmp_path / "m.db") as store:
+            assert {s.project for s in store.segments()} == (
+                {"mig-single"} if stage == "detect-segments" else {"mig-single", "vanishing"}
+            )
+        if stage == "detect-segments":
+            assert run_cli("detect-fragments", *flags) == 0
+        with Store(tmp_path / "m.db") as store:
+            fragments = json.loads(store.export("json", "fragments"))
+        assert [f["project"] for f in fragments] == ["mig-single"]

@@ -1,12 +1,13 @@
 """Fact extraction, package indexing and conservative resolution."""
 
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 from conftest import FIXTURES
-from corpusgen import class_jar
+from corpusgen import class_jar, corpus_scripts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_resolver_precision import load_ground_truth
@@ -285,6 +286,21 @@ class TestMayReference:
         for index in (json_index, JSON_FALLBACK):
             assert [p.name for p in dependent if not may_reference(p.read_text(), index)] == []
 
+    def test_a_sibling_package_with_the_same_last_segment_is_rejected(self):
+        index = build_package_index(
+            LibraryCoordinate("io.oldkit", "oldkit", "1"),
+            class_jar(["io/oldkit/core/Old1.class"]),
+        )
+        migrated = (
+            "package app;\n\nimport io.newkit.core.New1;\n\n"
+            "class A {\n    Object f() { return new New1().run(); }\n}\n"
+        )
+        assert "core" in index.reference_words and "core" in migrated
+        assert not may_reference(migrated, index)
+        wildcard = migrated.replace("\n\nclass", "\nimport io.oldkit.core.*;\n\nclass")
+        assert may_reference(wildcard, index)
+        assert facts_depend_on(extract_facts(wildcard), index)
+
     def test_word_set_holds_simple_names_and_package_last_segments(self, json_index):
         assert set(json_index.reference_words) == {
             "JSONObject", "JSONArray", "JSONException", "JSONTokener", "CDL", "json"
@@ -342,3 +358,114 @@ def test_stored_facts_format_is_pinned():
         f"{FACTS_VERSION!r}: bump FACTS_VERSION and regenerate {FACTS_GOLDEN.name} "
         "(see this test's docstring)"
     )
+
+
+_TOKENISH = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[0-9]+|[^\sA-Za-z0-9_$]")
+
+# Bracket, generic and scope shapes where a walker shortcut could go wrong.
+EDGE_TEXTS = [
+    "f(a < b [ c > );",
+    "f(x, List<Map<K, V>> y, z); g(a<b, c>d); h(a < b);",
+    "new A(b, new C<D>(e), f[0]).g(h, i); new A<B>().c(); new A[] {x.y()};",
+    "a.b(c(d[e), f); x.y(,); z.w(( )); v.u(,,);",
+    "@Ann(x = {1, 2}) void m() { foo.bar(a -> { return b.c(d, e); }, f); }",
+    "for (A a : xs) a.m(1); try (B b = new B()) { b.n(); } catch (C c) { c.o(); } a.p(); b.q();",
+    "{ A a; { A b; a.m(); B a; a.k(); } b.n(); a.o(); } a.z();",
+    "void f(A a, B b) { a.x(); } void g() { a.y(); } (A c) c.w(); { c.v(); }",
+    ") ] } a.b( ( [ { c.d(1,2 } e.f(3)",
+    "f(a<" + "b," * 50 + "c>); g(a<b>, c);",
+    "A a, b, c; b.m(); A d = e, f; f.n(); g.h().i(j.k(), l).m(n);",
+    "x = a < b ? c.d(e) : f.g(h < i, j > k);",
+    "import static a.B.c; c(1, 2); c(); d(3);",
+    "record R(A a) { void m() { a.n(); } } new R(x).m();",
+]
+
+
+def fixture_mutants(count=200, seed=16) -> dict[str, str]:
+    """`count` seeded mutations of the resolver fixtures, by name: each drops
+    a line, deletes a token or renames an identifier, one to six times.
+
+    Draws only `random.Random.random`, whose sequence for a seed stays the
+    same across Python versions."""
+    rng = random.Random(seed)
+
+    def below(n):
+        return int(rng.random() * n)
+
+    mutants = {}
+    for k in range(count):
+        path = RESOLVER_FIXTURES[k % len(RESOLVER_FIXTURES)]
+        text = path.read_text()
+        for _ in range(1 + below(6)):
+            op = below(3)
+            if op == 0:
+                lines = text.splitlines(keepends=True)
+                if lines:
+                    del lines[below(len(lines))]
+                text = "".join(lines)
+            elif op == 1:
+                spans = [m.span() for m in _TOKENISH.finditer(text)]
+                if spans:
+                    start, end = spans[below(len(spans))]
+                    text = text[:start] + text[end:]
+            else:
+                names = sorted(set(_IDENTIFIER.findall(text)))
+                if names:
+                    old = names[below(len(names))]
+                    new = names[below(len(names))] + ("_" if below(2) else "")
+                    text = re.sub(rf"(?<![\w$]){re.escape(old)}(?![\w$])", lambda _: new, text)
+        mutants[f"{path.stem}~{k}"] = text
+    return mutants
+
+
+def extended_texts() -> dict[str, dict[str, str]]:
+    """The texts tests/golden/facts/extended.json pins, by section and name:
+    the fixture mutants, every java text of the acceptance corpus, and the
+    edge shapes."""
+    corpus = {
+        f"{project}/{n}/{path}": text
+        for project, commits in corpus_scripts().items()
+        for n, (_, files) in enumerate(commits)
+        for path, text in files.items()
+        if path.endswith(".java") and text is not None
+    }
+    return {"mutants": fixture_mutants(), "corpus": corpus, "edges": {t: t for t in EDGE_TEXTS}}
+
+
+EXTENDED_GOLDEN = FACTS_GOLDEN.with_name("extended.json")
+
+
+def test_facts_beyond_the_fixtures_are_pinned():
+    """The encoded facts of mutated fixtures, of the acceptance corpus's java
+    texts and of bracket edge shapes match tests/golden/facts/extended.json.
+
+    As for `test_stored_facts_format_is_pinned`: when the extractor's output
+    changes on purpose, bump FACTS_VERSION in migmine/javafacts and
+    regenerate the file from the repository root:
+
+        PYTHONPATH=src:tests python -c "
+        import json; import test_javafacts as t
+        from migmine.javafacts import FACTS_VERSION, encode_facts, extract_facts
+        golden = {'facts_version': FACTS_VERSION, **{
+            section: {name: encode_facts(extract_facts(text)) for name, text in texts.items()}
+            for section, texts in t.extended_texts().items()}}
+        t.EXTENDED_GOLDEN.write_text(json.dumps(golden, indent=1) + '\\n')"
+    """
+    golden = json.loads(EXTENDED_GOLDEN.read_text())
+    assert golden["facts_version"] == FACTS_VERSION, (
+        f"FACTS_VERSION is {FACTS_VERSION!r} but {EXTENDED_GOLDEN.name} was written at "
+        f"{golden['facts_version']!r}: regenerate it (see this test's docstring)"
+    )
+    texts = extended_texts()
+    assert len(texts["mutants"]) == 200 and len(texts["corpus"]) >= 15
+    for section, named in texts.items():
+        assert sorted(golden[section]) == sorted(named)
+        changed = sorted(
+            name for name, text in named.items()
+            if encode_facts(extract_facts(text)) != golden[section][name]
+        )
+        assert not changed, (
+            f"extract_facts output changed for {section} {changed[:5]} while FACTS_VERSION "
+            f"stayed {FACTS_VERSION!r}: bump FACTS_VERSION and regenerate "
+            f"{EXTENDED_GOLDEN.name} (see this test's docstring)"
+        )

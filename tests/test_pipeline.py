@@ -723,6 +723,51 @@ def test_plain_files_are_never_tokenized(tmp_path, monkeypatch, caplog):
     assert len(tokenized) == 2
 
 
+SIBLING_SOURCE = """package com.example.app;
+
+import com.acme.json.Reader;
+
+public class Loader {
+    public Object load(String text) {
+        return new Reader(text).read();
+    }
+}
+"""
+
+
+def test_a_file_naming_only_a_sibling_package_is_never_tokenized(tmp_path, monkeypatch):
+    """A file that spells the last segment of the library's package, but in
+    another package and beside no class of the library, is not tokenized."""
+    from migmine import javafacts
+
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    loader = "src/main/java/com/example/app/Loader.java"
+    config = single_repo_config(
+        tmp_path,
+        "sibling",
+        [
+            ("init", {"pom.xml": pom("sibling", JSON_LIB), serializer: SERIALIZER_JSON,
+                      loader: SIBLING_SOURCE}),
+            ("tweak", {loader: SIBLING_SOURCE + "// tweaked\n"}),
+            ("migrate", {"pom.xml": pom("sibling", GSON_LIB), serializer: SERIALIZER_GSON,
+                         loader: SIBLING_SOURCE + "// migrated\n"}),
+        ],
+    )
+    tokenized = []
+    extract = javafacts.extract_facts
+
+    def spy(text):
+        tokenized.append(text)
+        return extract(text)
+
+    monkeypatch.setattr(javafacts, "extract_facts", spy)
+    with Store(config.db_path) as store:
+        code, summary = run_all(store, config)
+    assert code == 0
+    assert summary["rules_confirmed"] == 1
+    assert sorted(tokenized) == sorted([SERIALIZER_JSON, SERIALIZER_GSON])
+
+
 GOLDEN = Path(__file__).parent / "golden" / "acceptance"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migmine.javafacts import scanner
+from migmine.javafacts import extract_facts, scanner
 
 SAMPLES = [
     "",
@@ -145,6 +145,19 @@ def test_traps_tokenize_in_linear_time():
     for pattern in LINEAR_TRAPS:
         scanner.tokenize("a" + pattern * (200_000 // len(pattern)))
     assert time.perf_counter() - start < 2
+
+
+# Unbalanced brackets and unclosed scopes: each would be read again to the
+# end of the text from every '(' or through every open scope if the fact
+# walker matched brackets or looked names up by scanning.
+EXTRACT_TRAPS = ["x = new A(b.c(", "new A(", "a.b(", "{a.b();", "f(A a, a.b(), "]
+
+
+def test_traps_extract_in_linear_time():
+    start = time.perf_counter()
+    for pattern in EXTRACT_TRAPS:
+        extract_facts(pattern * (100_000 // len(pattern)))
+    assert time.perf_counter() - start < 6
 
 
 def test_token_kinds_and_lines():
