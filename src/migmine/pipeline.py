@@ -43,7 +43,8 @@ from .model import (
 )
 from .rulegraph import MigrationGraph, confirm_rules, normalize_and_filter
 from .segments import find_segments
-from .store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
+from .reports import EXPORT_SELECTORS, write_reports
+from .store import Store
 
 log = logging.getLogger(__name__)
 
@@ -227,6 +228,7 @@ class Pipeline:
             self.store.clear_rules_and_downstream()
             self.facts.clear()
         errors = []
+        ingested = []
         for project_id, history, error in sorted(results, key=lambda r: r[0]):
             if error is not None:
                 log.error("event=ingest_failed project=%s error=%s", project_id, error)
@@ -235,15 +237,18 @@ class Pipeline:
             self.store.upsert(history.ref)
             # a re-ingested history may have lost or renumbered commits
             self.store.clear_commits(project_id)
-            for record in history.commits:
-                self.store.upsert(record)
-            for change in history.dependency_changes():
-                if change.added or change.removed:
-                    self.store.upsert(change)
             self._histories[project_id] = history
+            ingested.append(history)
             log.info(
                 "event=ingested project=%s commits=%d", project_id, len(history.commits)
             )
+        self.store.insert_commits(record for history in ingested for record in history.commits)
+        self.store.insert_dependency_changes(
+            change
+            for history in ingested
+            for change in history.dependency_changes()
+            if change.added or change.removed
+        )
         self._refs = None
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
@@ -263,8 +268,7 @@ class Pipeline:
         rules = normalize_and_filter(graph, self.config.t_rel)
         self.store.clear_rules_and_downstream()
         self.store.replace_edges(graph.edges)
-        for rule in rules:
-            self.store.upsert(rule)
+        self.store.upsert_rules(rules)
         self.store.set_meta("t_rel", repr(self.config.t_rel))
         log.info("event=rules_detected candidates=%d edges=%d", len(rules), len(graph))
         return rules
@@ -318,12 +322,11 @@ class Pipeline:
             segments.extend(found)
         # segments invalidate everything downstream, including confirmations
         self.store.clear_segments_and_downstream()
-        for rule in rules:
-            if rule.status != "candidate":
-                rule.status = "candidate"
-                self.store.upsert(rule)
-        for segment in segments:
-            self.store.upsert(segment)
+        reset = [rule for rule in rules if rule.status != "candidate"]
+        for rule in reset:
+            rule.status = "candidate"
+        self.store.upsert_rules(reset)
+        self.store.insert_segments(segments)
         self.facts.save()
         log.info(
             "event=segments_detected pairs=%d segments=%d blobs_loaded=%d blobs_tokenized=%d",
@@ -364,13 +367,10 @@ class Pipeline:
         ]
         mappings = extract_mappings(all_fragments)
         self.store.clear_fragments_and_mappings()
-        for fragment in all_fragments:
-            self.store.upsert(fragment)
-        for mapping in mappings:
-            self.store.upsert(mapping)
+        self.store.insert_fragments(all_fragments)
+        self.store.insert_mappings(mappings)
         confirmed = confirm_rules(rules, self.store.fragment_counts())
-        for rule in confirmed:
-            self.store.upsert(rule)
+        self.store.upsert_rules(confirmed)
         self.facts.save()
         log.info(
             "event=fragments_detected fragments=%d mappings=%d confirmed=%d "
@@ -482,14 +482,16 @@ class Pipeline:
         self.store.insert_archive_docs(
             (key, encode_docs(parsed[c])) for key, c in {keys[c]: c for c in parsed}.items()
         )
-        attached = missing = ambiguous = 0
-        for mapping_id, source_docs, target_docs in per_mapping:
-            for side, attachments in (("source", source_docs), ("target", target_docs)):
-                for attachment in attachments:
-                    self.store.upsert_doc_attachment(mapping_id, side, attachment)
-                    attached += attachment.found
-                    missing += not attachment.found
-                    ambiguous += attachment.ambiguous
+        rows = [
+            (mapping_id, side, attachment)
+            for mapping_id, source_docs, target_docs in per_mapping
+            for side, attachments in (("source", source_docs), ("target", target_docs))
+            for attachment in attachments
+        ]
+        self.store.insert_doc_attachments(rows)
+        attached = sum(attachment.found for _, _, attachment in rows)
+        missing = len(rows) - attached
+        ambiguous = sum(attachment.ambiguous for _, _, attachment in rows)
         log.info(
             "event=docs_collected archives=%d pages=%d methods_parsed=%d "
             "attached=%d missing=%d ambiguous=%d archives_loaded=%d",
@@ -505,13 +507,11 @@ class Pipeline:
     def export_reports(self) -> list[Path]:
         outdir = self.config.report_path
         outdir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for selector in EXPORT_SELECTORS:
-            for fmt in EXPORT_FORMATS:
-                path = outdir / f"{selector}.{fmt}"
-                path.write_bytes(self.store.export(fmt, selector))
-                paths.append(path)
-        return paths
+        return [
+            path
+            for selector in EXPORT_SELECTORS
+            for path in write_reports(self.store, selector, outdir)
+        ]
 
 
 def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:

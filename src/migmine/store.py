@@ -1,13 +1,23 @@
 """SQLite-backed system of record between pipeline stages.
 
 The schema and the export formats are the contract; the engine is an
-implementation detail.  Exports are deterministic: identical inputs give
-byte-identical reports (no timestamps, stable ordering everywhere).
+implementation detail.  `reports` renders the exports from the readers
+here.
 
 Transaction policy: each pipeline stage runs its writes in one
 `Store.transaction()`, so a stage commits once, and a stage that raises
 rolls back and leaves the store as it was before the stage.  A write made
 outside any transaction (a test, `report`) commits on its own.
+
+Journal: the database keeps a write-ahead log (`PRAGMA journal_mode =
+WAL`), so a commit appends the stage's pages to `migmine.db-wal` and
+fsyncs that one file, where a rollback journal syncs a journal and the
+database.  `synchronous` stays FULL: every commit is on disk when it
+returns, as before; NORMAL would save the fsync and could lose the last
+stages on power loss.  While a database is open, `migmine.db-wal` and
+`migmine.db-shm` (the log's index) sit beside it; the last connection to
+close folds the log into the database and removes both.  So even a reader
+needs write access to the database's directory.
 
 Write rule: a stage deletes the rows it owns and everything downstream of
 them, then inserts.  So a stage's rows take plain INSERTs, and a row
@@ -15,6 +25,12 @@ stored twice is a `StoreError`.  Only three tables update a stored row in
 place: `projects` (re-ingest), `rules` (status reset and confirmation) and
 `run_metadata`.  `dependency_changes` rows are additions and removals
 only: a version change of a library that stays declared is not stored.
+Each table a stage fills has one statement and one row builder: the
+stage stores all its rows of a table in one `executemany` (the
+`insert_*` methods and `upsert_rules`), and the one-row `upsert` runs the
+same statement through `execute`.  A fragment finds its segment's id in
+the same INSERT; a batch whose fragments did not all find theirs is a
+`StoreError`.
 
 `blob_facts` is a cache, not a result: each tokenized blob's
 `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle, so opening a
@@ -43,12 +59,12 @@ hold only `collect-docs` output, and creates them again, empty.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 import json
 import sqlite3
 from collections.abc import Iterable
 from contextlib import contextmanager
+from datetime import datetime
 from pathlib import Path
 
 from .docs import DOCS_VERSION
@@ -65,13 +81,10 @@ from .model import (
     ProjectRef,
     Segment,
     library_key,
-    method_key_str,
 )
+from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
 SCHEMA_VERSION = "1"
-
-EXPORT_SELECTORS = ("rules", "segments", "fragments", "mappings")
-EXPORT_FORMATS = ("json", "csv")
 
 
 class StoreError(RuntimeError):
@@ -201,15 +214,87 @@ CREATE TABLE IF NOT EXISTS archive_docs (
 """
 
 
+# compact JSON, as stored in a row's columns
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+# One statement per table a stage fills, and the row it binds for one
+# entity: a stage's batch runs the statement once through executemany,
+# the one-row `upsert` through execute.
+_INSERT_COMMIT = (
+    "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
+    "VALUES (?, ?, ?, ?, ?, ?)"
+)
+_UPSERT_RULE = (
+    "INSERT INTO rules (source_group, source_artifact, target_group, "
+    "target_artifact, weight, normalized_weight, status) VALUES (?, ?, ?, ?, ?, ?, ?) "
+    "ON CONFLICT(source_group, source_artifact, target_group, target_artifact) "
+    "DO UPDATE SET weight = excluded.weight, "
+    "normalized_weight = excluded.normalized_weight, status = excluded.status"
+)
+_INSERT_SEGMENT = (
+    "INSERT INTO segments (project, source_group, source_artifact, target_group, "
+    "target_artifact, start_commit, end_commit, source_version, target_version, commits, "
+    "weak_start) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+# a fragment finds its segment's id by the segment's identity
+_INSERT_FRAGMENT = (
+    "INSERT INTO fragments (segment_id, commit_id, file, before_start, before_len, "
+    "after_start, after_len, diff, removed_methods, added_methods) "
+    "SELECT id, ?, ?, ?, ?, ?, ?, ?, ?, ? FROM segments WHERE project = ? "
+    "AND source_group = ? AND source_artifact = ? AND target_group = ? "
+    "AND target_artifact = ? AND start_commit = ?"
+)
+_INSERT_MAPPING = (
+    "INSERT INTO method_mappings (source_group, source_artifact, target_group, "
+    "target_artifact, source_methods, target_methods, support) VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+_INSERT_DOC_ATTACHMENT = (
+    "INSERT INTO doc_attachments (mapping_id, side, class_name, method, arity, found, "
+    "ambiguous, version, class_description, signature, description, param_docs, "
+    "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+def _commit_row(record: CommitRecord) -> tuple:
+    return (record.project, record.commit_id, record.ordinal, record.date.isoformat(),
+            record.author, record.message)
+
+
+def _rule_row(rule: MigrationRule) -> tuple:
+    return (*rule.key, rule.weight, rule.normalized_weight, rule.status)
+
+
+def _segment_row(segment: Segment) -> tuple:
+    return (segment.project, *segment.source, *segment.target, segment.start_commit,
+            segment.end_commit, segment.source_version, segment.target_version,
+            _compact_json(segment.commits), int(segment.weak_start))
+
+
 def _methods_json(uses) -> str:
-    rows = sorted(
-        {(u.class_name, u.method, u.arity, u.line) for u in uses}
+    return _compact_json(sorted({(u.class_name, u.method, u.arity, u.line) for u in uses}))
+
+
+def _fragment_row(fragment: Fragment) -> tuple:
+    hunk = fragment.hunk
+    return (fragment.commit, hunk.file, hunk.before_start, hunk.before_len, hunk.after_start,
+            hunk.after_len, render_hunk(hunk), _methods_json(fragment.removed_methods),
+            _methods_json(fragment.added_methods), fragment.project, *fragment.source,
+            *fragment.target, fragment.start_commit)
+
+
+def _mapping_row(mapping: MethodMapping) -> tuple:
+    return (*mapping.source, *mapping.target, _compact_json(sorted(mapping.source_methods)),
+            _compact_json(sorted(mapping.target_methods)), mapping.support)
+
+
+def _doc_attachment_row(mapping_id: int, side: str, attachment: DocAttachment) -> tuple:
+    doc = attachment.doc
+    doc_columns = (None,) * 7 if doc is None else (
+        doc.library.version, doc.class_description, _compact_json(doc.signature),
+        doc.description, _compact_json(doc.param_docs), doc.return_doc, doc.since,
     )
-    return json.dumps(rows, separators=(",", ":"))
-
-
-def _keys_json(keys) -> str:
-    return json.dumps(sorted(keys), separators=(",", ":"))
+    return (mapping_id, side, *attachment.method, int(attachment.found),
+            int(attachment.ambiguous), *doc_columns)
 
 
 class Store:
@@ -218,6 +303,7 @@ class Store:
         Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self.db = sqlite3.connect(self.path)
         self._in_transaction = False
+        self.db.execute("PRAGMA journal_mode = WAL")
         self.db.execute("PRAGMA foreign_keys = ON")
         columns = {row[1] for row in self.db.execute("PRAGMA table_info(doc_attachments)")}
         if columns and "description" not in columns:
@@ -272,6 +358,15 @@ class Store:
         finally:
             self._in_transaction = False
 
+    @contextmanager
+    def _writing(self, what):
+        """A transaction in which a violated constraint is a StoreError naming `what`."""
+        try:
+            with self.transaction():
+                yield
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(f"integrity violation storing {what}: {exc}") from exc
+
     def set_meta(self, key: str, value: str) -> None:
         with self.transaction():
             self.db.execute(
@@ -287,128 +382,28 @@ class Store:
     # -- writes ----------------------------------------------------------------
 
     def upsert(self, entity):
-        """Store any pipeline entity; returns its key or new row id.
+        """Store one pipeline entity through its stage's statement; returns
+        the row id of a new segment, fragment or mapping.
 
         Projects and rules replace the stored row of the same key; every
         other entity is inserted, and one already stored is a StoreError.
         """
-        handlers = {
-            ProjectRef: self.upsert_project,
-            CommitRecord: self.upsert_commit,
-            DependencyChange: self.upsert_dependency_change,
-            MigrationRule: self.upsert_rule,
-            Segment: self.upsert_segment,
-            Fragment: self.upsert_fragment,
-            MethodMapping: self.upsert_mapping,
-        }
-        handler = handlers.get(type(entity))
-        if handler is None:
+        write = self._UPSERTS.get(type(entity))
+        if write is None:
             raise StoreError(f"no store handler for {type(entity).__name__}")
-        try:
-            return handler(entity)
-        except sqlite3.IntegrityError as exc:
-            raise StoreError(f"integrity violation storing {entity!r}: {exc}") from exc
+        with self._writing(entity):
+            return write(self, entity)
 
-    def upsert_project(self, ref: ProjectRef) -> str:
-        with self.transaction():
-            self.db.execute(
-                "INSERT INTO projects (id, origin, workdir) VALUES (?, ?, ?) "
-                "ON CONFLICT(id) DO UPDATE SET origin = excluded.origin, "
-                "workdir = excluded.workdir",
-                (ref.id, ref.origin, ref.workdir),
-            )
-        return ref.id
+    def _upsert_project(self, ref: ProjectRef) -> None:
+        self.db.execute(
+            "INSERT INTO projects (id, origin, workdir) VALUES (?, ?, ?) ON CONFLICT(id) "
+            "DO UPDATE SET origin = excluded.origin, workdir = excluded.workdir",
+            (ref.id, ref.origin, ref.workdir),
+        )
 
-    def upsert_commit(self, record: CommitRecord) -> str:
-        with self.transaction():
-            self.db.execute(
-                "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    record.project,
-                    record.commit_id,
-                    record.ordinal,
-                    record.date.isoformat(),
-                    record.author,
-                    record.message,
-                ),
-            )
-        return record.commit_id
-
-    def upsert_dependency_change(self, change: DependencyChange) -> tuple[str, str]:
-        rows = [
-            (change.project, change.commit, direction, coord.group, coord.artifact, coord.version)
-            for direction, coords in (("added", change.added), ("removed", change.removed))
-            for coord in sorted(coords)
-        ]
-        with self.transaction():
-            self.db.executemany(
-                "INSERT INTO dependency_changes "
-                "(project, commit_id, direction, grp, artifact, version) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-        return (change.project, change.commit)
-
-    def upsert_rule(self, rule: MigrationRule) -> tuple[str, str, str, str]:
-        with self.transaction():
-            self.db.execute(
-                "INSERT INTO rules (source_group, source_artifact, target_group, "
-                "target_artifact, weight, normalized_weight, status) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(source_group, source_artifact, target_group, target_artifact) "
-                "DO UPDATE SET weight = excluded.weight, "
-                "normalized_weight = excluded.normalized_weight, status = excluded.status",
-                (*rule.key, rule.weight, rule.normalized_weight, rule.status),
-            )
-        return rule.key
-
-    def upsert_segment(self, segment: Segment) -> int:
-        with self.transaction():
-            return self.db.execute(
-                "INSERT INTO segments (project, source_group, source_artifact, "
-                "target_group, target_artifact, start_commit, end_commit, "
-                "source_version, target_version, commits, weak_start) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    segment.project,
-                    *segment.source,
-                    *segment.target,
-                    segment.start_commit,
-                    segment.end_commit,
-                    segment.source_version,
-                    segment.target_version,
-                    json.dumps(segment.commits, separators=(",", ":")),
-                    int(segment.weak_start),
-                ),
-            ).lastrowid
-
-    def upsert_fragment(self, fragment: Fragment) -> int:
-        hunk = fragment.hunk
-        with self.transaction():
-            cursor = self.db.execute(
-                "INSERT INTO fragments (segment_id, commit_id, file, before_start, "
-                "before_len, after_start, after_len, diff, removed_methods, added_methods) "
-                "SELECT id, ?, ?, ?, ?, ?, ?, ?, ?, ? FROM segments WHERE project = ? "
-                "AND source_group = ? AND source_artifact = ? AND target_group = ? "
-                "AND target_artifact = ? AND start_commit = ?",
-                (
-                    fragment.commit,
-                    hunk.file,
-                    hunk.before_start,
-                    hunk.before_len,
-                    hunk.after_start,
-                    hunk.after_len,
-                    render_hunk(hunk),
-                    _methods_json(fragment.removed_methods),
-                    _methods_json(fragment.added_methods),
-                    fragment.project,
-                    *fragment.source,
-                    *fragment.target,
-                    fragment.start_commit,
-                ),
-            )
-        if cursor.rowcount == 0:
+    def _upsert_fragment(self, fragment: Fragment) -> int:
+        cursor = self.db.execute(_INSERT_FRAGMENT, _fragment_row(fragment))
+        if not cursor.rowcount:
             raise StoreError(
                 "fragment references unknown segment "
                 f"({fragment.project}, {library_key(fragment.source)} -> "
@@ -416,43 +411,76 @@ class Store:
             )
         return cursor.lastrowid
 
-    def upsert_mapping(self, mapping: MethodMapping) -> int:
-        src_json = _keys_json(mapping.source_methods)
-        dst_json = _keys_json(mapping.target_methods)
-        with self.transaction():
-            return self.db.execute(
-                "INSERT INTO method_mappings (source_group, source_artifact, "
-                "target_group, target_artifact, source_methods, target_methods, support) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (*mapping.source, *mapping.target, src_json, dst_json, mapping.support),
-            ).lastrowid
+    _UPSERTS = {
+        ProjectRef: _upsert_project,
+        CommitRecord: lambda self, record: self.insert_commits([record]),
+        DependencyChange: lambda self, change: self.insert_dependency_changes([change]),
+        MigrationRule: lambda self, rule: self.upsert_rules([rule]),
+        Segment: lambda self, segment: (
+            self.db.execute(_INSERT_SEGMENT, _segment_row(segment)).lastrowid
+        ),
+        Fragment: _upsert_fragment,
+        MethodMapping: lambda self, mapping: (
+            self.db.execute(_INSERT_MAPPING, _mapping_row(mapping)).lastrowid
+        ),
+    }
 
     def upsert_doc_attachment(self, mapping_id: int, side: str, attachment: DocAttachment) -> None:
         """Insert one attachment with its doc; one already stored is a StoreError."""
-        doc = attachment.doc
-        doc_columns = (None,) * 7 if doc is None else (
-            doc.library.version,
-            doc.class_description,
-            json.dumps(list(doc.signature), separators=(",", ":")),
-            doc.description,
-            json.dumps([list(p) for p in doc.param_docs], separators=(",", ":")),
-            doc.return_doc,
-            doc.since,
+        self.insert_doc_attachments([(mapping_id, side, attachment)])
+
+    # Each batch is one executemany.  A row already stored, or stored twice
+    # in the batch, is a StoreError; outside a stage's transaction the
+    # batch then stores none of its rows.
+
+    def insert_commits(self, records: Iterable[CommitRecord]) -> None:
+        with self._writing("commits"):
+            self.db.executemany(_INSERT_COMMIT, map(_commit_row, records))
+
+    def insert_dependency_changes(self, changes: Iterable[DependencyChange]) -> None:
+        rows = (
+            (change.project, change.commit, direction, coord.group, coord.artifact, coord.version)
+            for change in changes
+            for direction, coords in (("added", change.added), ("removed", change.removed))
+            for coord in sorted(coords)
         )
-        try:
-            with self.transaction():
-                self.db.execute(
-                    "INSERT INTO doc_attachments (mapping_id, side, class_name, method, "
-                    "arity, found, ambiguous, version, class_description, signature, "
-                    "description, param_docs, return_doc, since) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (mapping_id, side, *attachment.method, int(attachment.found),
-                     int(attachment.ambiguous), *doc_columns),
+        with self._writing("dependency changes"):
+            self.db.executemany(
+                "INSERT INTO dependency_changes (project, commit_id, direction, grp, artifact, "
+                "version) VALUES (?, ?, ?, ?, ?, ?)",
+                rows,
+            )
+
+    def upsert_rules(self, rules: Iterable[MigrationRule]) -> None:
+        """Store rules, each replacing the stored rule of its key."""
+        with self.transaction():
+            self.db.executemany(_UPSERT_RULE, map(_rule_row, rules))
+
+    def insert_segments(self, segments: Iterable[Segment]) -> None:
+        with self._writing("segments"):
+            self.db.executemany(_INSERT_SEGMENT, map(_segment_row, segments))
+
+    def insert_fragments(self, fragments: list[Fragment]) -> None:
+        """Store fragments, each under its stored segment; one whose segment
+        is missing is a StoreError too."""
+        with self._writing("fragments"):
+            stored = self.db.executemany(_INSERT_FRAGMENT, map(_fragment_row, fragments)).rowcount
+            if stored < len(fragments):
+                raise StoreError(
+                    f"{len(fragments) - stored} of {len(fragments)} fragments reference an "
+                    "unknown segment"
                 )
-        except sqlite3.IntegrityError as exc:
-            raise StoreError(
-                f"integrity violation storing {attachment!r} for mapping {mapping_id}: {exc}"
-            ) from exc
+
+    def insert_mappings(self, mappings: Iterable[MethodMapping]) -> None:
+        with self._writing("mappings"):
+            self.db.executemany(_INSERT_MAPPING, map(_mapping_row, mappings))
+
+    def insert_doc_attachments(self, rows: Iterable[tuple[int, str, DocAttachment]]) -> None:
+        """Store (mapping id, side, attachment) rows."""
+        with self._writing("doc attachments"):
+            self.db.executemany(
+                _INSERT_DOC_ATTACHMENT, itertools.starmap(_doc_attachment_row, rows)
+            )
 
     # -- stage lifecycle ---------------------------------------------------------
 
@@ -488,11 +516,8 @@ class Store:
 
     def insert_blob_facts(self, rows: list[tuple[str, str]]) -> None:
         """Store (blob id, encoded facts) rows; a blob already stored is a StoreError."""
-        try:
-            with self.transaction():
-                self.db.executemany("INSERT INTO blob_facts (blob_id, facts) VALUES (?, ?)", rows)
-        except sqlite3.IntegrityError as exc:
-            raise StoreError(f"integrity violation storing blob facts: {exc}") from exc
+        with self._writing("blob facts"):
+            self.db.executemany("INSERT INTO blob_facts (blob_id, facts) VALUES (?, ?)", rows)
 
     def keep_archive_docs(self, keys: Iterable[str]) -> None:
         """Delete every stored archive's docs but those of `keys`."""
@@ -504,11 +529,8 @@ class Store:
 
     def insert_archive_docs(self, rows: Iterable[tuple[str, str]]) -> None:
         """Store (key, encoded docs) rows; a key already stored is a StoreError."""
-        try:
-            with self.transaction():
-                self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
-        except sqlite3.IntegrityError as exc:
-            raise StoreError(f"integrity violation storing archive docs: {exc}") from exc
+        with self._writing("archive docs"):
+            self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
 
     def replace_edges(self, edges: dict) -> None:
         with self.transaction():
@@ -531,8 +553,6 @@ class Store:
         return self.db.execute("SELECT 1 FROM commits LIMIT 1").fetchone() is not None
 
     def commits_for(self, project: str) -> list[CommitRecord]:
-        from datetime import datetime
-
         rows = self.db.execute(
             "SELECT project, commit_id, ordinal, date, author, message "
             "FROM commits WHERE project = ? ORDER BY ordinal",
@@ -694,56 +714,10 @@ class Store:
             "docs_missing": one("SELECT COUNT(*) FROM doc_attachments WHERE found = 0"),
         }
 
-    # -- exports -------------------------------------------------------------
-
-    def export(self, fmt: str, selector: str) -> bytes:
-        """Deterministic report bytes; discarded rules never leave the store."""
-        if fmt not in EXPORT_FORMATS:
-            raise StoreError(f"unknown export format {fmt!r} (use json or csv)")
-        if selector not in EXPORT_SELECTORS:
-            raise StoreError(
-                f"unknown export selector {selector!r} (use one of {', '.join(EXPORT_SELECTORS)})"
-            )
-        rows = getattr(self, f"_export_{selector}")()
-        if fmt == "json":
-            return (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        columns = _CSV_COLUMNS[selector]
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[col]) for col in columns])
-        return buf.getvalue().encode("utf-8")
-
-    def _export_rules(self) -> list[dict]:
-        return [
-            {
-                "source": library_key(rule.source),
-                "target": library_key(rule.target),
-                "weight": rule.weight,
-                "normalized_weight": rule.normalized_weight,
-                "status": rule.status,
-            }
-            for rule in self.rules(("candidate", "confirmed"))
-        ]
-
-    def _export_segments(self) -> list[dict]:
-        return [
-            {
-                "project": seg.project,
-                "rule": f"{library_key(seg.source)}->{library_key(seg.target)}",
-                "start_commit": seg.start_commit,
-                "end_commit": seg.end_commit,
-                "source_version": seg.source_version,
-                "target_version": seg.target_version,
-                "commits": seg.commits,
-                "weak_start": seg.weak_start,
-            }
-            for seg in self.segments()
-        ]
-
-    def _export_fragments(self) -> list[dict]:
-        rows = self.db.execute(
+    def fragment_rows(self) -> list[tuple]:
+        """The kept rules' fragments with their segment's project and rule,
+        in report order."""
+        return self.db.execute(
             "SELECT s.project, s.source_group, s.source_artifact, s.target_group, "
             "s.target_artifact, f.commit_id, f.file, f.before_start, f.before_len, "
             "f.after_start, f.after_len, f.removed_methods, f.added_methods, f.diff "
@@ -757,68 +731,15 @@ class Store:
             "(SELECT ordinal FROM commits c WHERE c.project = s.project "
             " AND c.commit_id = f.commit_id), f.file, f.before_start"
         ).fetchall()
-        out = []
-        for row in rows:
-            out.append(
-                {
-                    "project": row[0],
-                    "rule": f"{row[1]}:{row[2]}->{row[3]}:{row[4]}",
-                    "commit": row[5],
-                    "file": row[6],
-                    "before_range": [row[7], row[8]],
-                    "after_range": [row[9], row[10]],
-                    "removed_methods": [
-                        {"class": c, "method": m, "arity": a, "line": ln}
-                        for c, m, a, ln in json.loads(row[11])
-                    ],
-                    "added_methods": [
-                        {"class": c, "method": m, "arity": a, "line": ln}
-                        for c, m, a, ln in json.loads(row[12])
-                    ],
-                    "diff": row[13],
-                }
+
+    # -- exports -------------------------------------------------------------
+
+    def export(self, fmt: str, selector: str) -> bytes:
+        """The report bytes of one selector in one format."""
+        if fmt not in EXPORT_FORMATS:
+            raise StoreError(f"unknown export format {fmt!r} (use json or csv)")
+        if selector not in EXPORT_SELECTORS:
+            raise StoreError(
+                f"unknown export selector {selector!r} (use one of {', '.join(EXPORT_SELECTORS)})"
             )
-        return out
-
-    def _export_mappings(self) -> list[dict]:
-        return [
-            {
-                "rule": f"{library_key(m.source)}->{library_key(m.target)}",
-                "source_methods": [
-                    {"class": c, "method": mm, "arity": a}
-                    for c, mm, a in sorted(m.source_methods)
-                ],
-                "target_methods": [
-                    {"class": c, "method": mm, "arity": a}
-                    for c, mm, a in sorted(m.target_methods)
-                ],
-                "support": m.support,
-            }
-            for _, m in self.mappings()
-        ]
-
-
-_CSV_COLUMNS = {
-    "rules": ["source", "target", "weight", "normalized_weight", "status"],
-    "segments": [
-        "project", "rule", "start_commit", "end_commit",
-        "source_version", "target_version", "commits", "weak_start",
-    ],
-    "fragments": [
-        "project", "rule", "commit", "file", "before_range", "after_range",
-        "removed_methods", "added_methods",
-    ],
-    "mappings": ["rule", "source_methods", "target_methods", "support"],
-}
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, list):
-        if value and isinstance(value[0], dict):
-            return ";".join(
-                method_key_str((d["class"], d["method"], d["arity"])) for d in value
-            )
-        return ";".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+        return render_report(self, fmt, selector)

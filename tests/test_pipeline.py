@@ -5,6 +5,7 @@ import logging
 import sqlite3
 import subprocess
 import zipfile
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -436,6 +437,26 @@ def test_docs_collected_logs_parse_work(corpus, tmp_path, caplog):
     ]
 
 
+def fail_on_second_row(monkeypatch, store, builder: str, table: str) -> tuple[list, list]:
+    """Make the store's row builder `builder` raise a disk error at its
+    second row; returns the rows asked for and the row count `table` held
+    when it raised."""
+    import migmine.store as store_module
+
+    calls, stored = [], []
+    build = getattr(store_module, builder)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            stored.append(store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
+            raise sqlite3.OperationalError("disk I/O error")
+        return build(*args)
+
+    monkeypatch.setattr(store_module, builder, failing)
+    return calls, stored
+
+
 def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):
     """detect-fragments clears fragments and mappings, then rewrites them;
     a write failing halfway rolls the whole stage back."""
@@ -450,19 +471,11 @@ def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):
         before = exports(store)
         assert json.loads(before["json", "fragments"])
 
-        calls = []
-        upsert_fragment = Store.upsert_fragment
-
-        def fail_on_second_call(self, fragment):
-            calls.append(fragment)
-            if len(calls) == 2:
-                raise sqlite3.OperationalError("disk I/O error")
-            return upsert_fragment(self, fragment)
-
-        monkeypatch.setattr(Store, "upsert_fragment", fail_on_second_call)
+        calls, stored = fail_on_second_row(monkeypatch, store, "_fragment_row", "fragments")
         with pytest.raises(sqlite3.OperationalError):
             pipeline.detect_fragments()
         assert len(calls) == 2
+        assert stored == [1]  # the batch had stored its first row
         assert exports(store) == before
         with Store(config.db_path) as other:
             assert exports(other) == before
@@ -470,6 +483,36 @@ def test_failing_stage_leaves_store_unchanged(corpus, tmp_path, monkeypatch):
         monkeypatch.undo()
         pipeline.detect_fragments()
         assert exports(store) == before
+    finally:
+        store.close()
+
+
+def test_failing_docs_write_keeps_the_previous_attachments(
+    corpus_run, corpus, tmp_path, monkeypatch
+):
+    """collect-docs clears the attachments, then rewrites them; a write
+    failing halfway leaves the previous pass's attachments in place."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    store = Store(config.db_path)
+    try:
+        pipeline = Pipeline(store, config)
+        before = stored_attachments(store)
+        assert before == ACCEPTANCE_ATTACHMENTS
+
+        calls, stored = fail_on_second_row(
+            monkeypatch, store, "_doc_attachment_row", "doc_attachments"
+        )
+        with pytest.raises(sqlite3.OperationalError):
+            pipeline.collect_docs()
+        assert len(calls) == 2
+        assert stored == [1]  # the batch had stored its first row
+        assert stored_attachments(store) == before
+        with Store(config.db_path) as other:
+            assert stored_attachments(other) == before
+
+        monkeypatch.undo()
+        pipeline.collect_docs()
+        assert stored_attachments(store) == before
     finally:
         store.close()
 
@@ -498,6 +541,73 @@ def test_each_stage_commits_once(corpus, tmp_path, monkeypatch, caplog):
     done = [r.getMessage() for r in caplog.records if "event=stage_done" in r.getMessage()]
     assert [m.split()[1] for m in done] == [f"stage={name}" for name in STAGES]
     assert all(float(m.split("seconds=")[1]) >= 0 for m in done)
+
+
+class CountingConnection:
+    """A sqlite3 connection that records the SQL of each Python-level
+    execute and executemany call; a trace callback cannot tell them apart,
+    as it fires once per executemany row."""
+
+    def __init__(self, db, calls: list[str]):
+        self._db = db
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def execute(self, sql, *args):
+        self._calls.append(sql)
+        return self._db.execute(sql, *args)
+
+    def executemany(self, sql, rows):
+        self._calls.append(sql)
+        return self._db.executemany(sql, rows)
+
+
+# statements a stage runs once per project or per stored blob: re-ingest
+# writes each project and clears its commits, a new Pipeline loads each
+# project's commits, and a re-run reads each blob's stored facts
+PER_PROJECT = ("INSERT INTO projects ", "DELETE FROM commits WHERE project = ?",
+               "SELECT project, commit_id, ordinal, date, author, message FROM commits")
+PER_BLOB = ("SELECT facts FROM blob_facts WHERE blob_id = ?",)
+# detect-rules clears the edges with the rules, then replace_edges clears them again
+TWICE = ("DELETE FROM graph_edges",)
+
+
+def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
+    """Each stage of a run and of a re-run calls each of its statements
+    once, so the calls do not grow with the rows it stores: one batch per
+    table, not one call per row."""
+    calls: list[str] = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *a, **k: CountingConnection(connect(*a, **k), calls)
+    )
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        repeated = {}
+        for label, stages in (("run", STAGES), ("rerun", STAGES[1:])):
+            pipeline = Pipeline(store, config)
+            for name in [*stages, "export_reports"]:
+                calls.clear()
+                getattr(pipeline, name)()
+                counts = Counter(calls)
+                repeated[label, name] = {sql for sql, n in counts.items() if n > 1}
+                for sql in repeated[label, name]:
+                    if sql.startswith(PER_PROJECT):
+                        assert counts[sql] == len(corpus.repos), (label, name, sql)
+                    elif sql in TWICE:
+                        assert counts[sql] == 2, (label, name, sql)
+                    else:
+                        assert sql.startswith(PER_BLOB), (label, name, sql)
+        # every table a stage writes holds rows enough for a per-row call to repeat
+        for table in ("commits", "dependency_changes", "rules", "segments", "fragments",
+                      "method_mappings", "doc_attachments"):
+            assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] >= 2, table
+    assert {key: len(sqls) for key, sqls in repeated.items() if sqls} == {
+        ("run", "ingest"): 2, ("run", "detect_rules"): 1, ("rerun", "detect_rules"): 1,
+        ("rerun", "detect_segments"): 2,
+    }
 
 
 def test_stage_work_runs_before_the_transaction(corpus, tmp_path, monkeypatch):

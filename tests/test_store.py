@@ -234,6 +234,113 @@ class TestUpserts:
         assert [r.status for r in store.rules()] == ["confirmed"]
 
 
+class TestBatches:
+    """A stage stores each table's rows in one batch; the write rule holds
+    for the batch as a whole."""
+
+    def test_duplicate_row_in_a_batch_stores_none_of_it(self, store):
+        seed_project(store)
+        seed_rule(store)
+        segment = make_segment()
+        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"])
+        with pytest.raises(StoreError):
+            store.insert_segments([segment, later, segment])
+        assert store.segments() == []
+        records = store.commits_for("demo")
+        with pytest.raises(StoreError):
+            store.insert_commits([dataclasses.replace(records[0], commit_id="c3", ordinal=3),
+                                  records[1]])
+        assert store.commits_for("demo") == records
+
+    def test_fragment_with_unknown_segment_stores_none_of_the_batch(self, store):
+        seed_project(store)
+        seed_rule(store)
+        store.upsert(make_segment())
+        with pytest.raises(StoreError) as err:
+            store.insert_fragments([make_fragment(), make_fragment(start="nonexistent")])
+        assert "unknown segment" in str(err.value)
+        assert store.db.execute("SELECT COUNT(*) FROM fragments").fetchone() == (0,)
+        store.insert_fragments([make_fragment()])
+        assert store.db.execute("SELECT COUNT(*) FROM fragments").fetchone() == (1,)
+
+    def test_batch_rows_match_one_row_upserts(self, tmp_path):
+        """A batch stores the same rows as one upsert per entity."""
+        tables = ("commits", "dependency_changes", "rules", "segments", "fragments",
+                  "method_mappings", "doc_attachments")
+        mapping = MethodMapping(JSON_ID, GSON_ID, frozenset({("org.json.JSONObject", "quote", 1)}),
+                                frozenset({("com.google.gson.Gson", "toJson", 1)}), support=2)
+        change = DependencyChange("demo", "c1", frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
+                                  frozenset({LibraryCoordinate(*JSON_ID, "20080701")}))
+        attachment = DocAttachment(("com.google.gson.Gson", "toJson", 1), make_doc(), True)
+        stored = []
+        for batched in (False, True):
+            with Store(tmp_path / f"{batched}.db") as s:
+                s.upsert(ProjectRef("demo", "/src/demo", "/work/demo"))
+                records = [CommitRecord("demo", f"c{i}", datetime(2015, 3, i + 1), "a", "m", i)
+                           for i in range(3)]
+                rule = MigrationRule(JSON_ID, GSON_ID, 2, 1.0, "confirmed")
+                if batched:
+                    s.insert_commits(records)
+                    s.insert_dependency_changes([change])
+                    s.upsert_rules([rule])
+                    s.insert_segments([make_segment()])
+                    s.insert_fragments([make_fragment()])
+                    s.insert_mappings([mapping])
+                    s.insert_doc_attachments([(1, "target", attachment)])
+                else:
+                    for entity in (*records, change, rule, make_segment(), make_fragment(),
+                                   mapping):
+                        s.upsert(entity)
+                    s.upsert_doc_attachment(1, "target", attachment)
+                stored.append({t: s.db.execute(f"SELECT * FROM {t}").fetchall() for t in tables})
+        assert all(stored[0].values())
+        assert stored[0] == stored[1]
+
+
+class TestJournal:
+    """The store keeps a write-ahead log and fsyncs it at every commit."""
+
+    @staticmethod
+    def pragmas(db) -> tuple:
+        return (db.execute("PRAGMA journal_mode").fetchone()[0],
+                db.execute("PRAGMA synchronous").fetchone()[0])
+
+    def test_every_connection_logs_ahead_and_syncs_fully(self, store):
+        assert self.pragmas(store.db) == ("wal", 2)
+        with Store(store.path) as other:
+            assert self.pragmas(other.db) == ("wal", 2)
+
+    def test_rollback_journal_database_converts_and_keeps_its_rows(self, tmp_path):
+        path = tmp_path / "old.db"
+        with Store(path) as s:
+            seed_project(s)
+        db = sqlite3.connect(path)
+        assert db.execute("PRAGMA journal_mode = DELETE").fetchone() == ("delete",)
+        db.close()
+        with Store(path) as s:
+            assert self.pragmas(s.db) == ("wal", 2)
+            assert [c.commit_id for c in s.commits_for("demo")] == ["c0", "c1", "c2"]
+        db = sqlite3.connect(path)
+        assert db.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        db.close()
+
+    def test_second_store_reads_what_the_first_committed(self, store):
+        with Store(store.path) as other:
+            assert other.projects() == []
+            seed_project(store)
+            assert [ref.id for ref in other.projects()] == ["demo"]
+            seed_rule(other)
+            assert len(store.rules()) == 1
+
+    def test_log_files_live_beside_an_open_database(self, tmp_path):
+        path = tmp_path / "m.db"
+        with Store(path) as s:
+            seed_project(s)
+            assert (tmp_path / "m.db-wal").exists() and (tmp_path / "m.db-shm").exists()
+        # the last connection to close folds the log into the database
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.db"]
+
+
 class TestTransactions:
     def test_write_outside_a_transaction_commits_on_its_own(self, store):
         seed_project(store)
@@ -324,6 +431,23 @@ class TestExports:
         assert row["before_range"] == [1, 2]
         assert row["removed_methods"][0]["method"] == "toJSONString"
         assert row["diff"].startswith("@@ ")
+
+    def test_json_exports_are_the_standard_encoding(self, store, corpus_run):
+        """Each JSON report is what `json.dumps(rows, indent=2)` writes, for
+        multi-line diffs, text outside ASCII and empty reports too."""
+        seed_project(store)
+        seed_rule(store, status="confirmed")
+        store.upsert(make_segment())
+        fragment = make_fragment()
+        hunk = unified_diff("a\nb \u00e9\n", "a\n\tc \u2028\n", 1, path="src/\u00c9.java")[0]
+        store.upsert(dataclasses.replace(fragment, hunk=hunk))
+        with Store(store.path.replace("test.db", "empty.db")) as empty:
+            for s in (store, corpus_run.store, empty):
+                for selector in EXPORT_SELECTORS:
+                    report = s.export("json", selector)
+                    standard = json.dumps(json.loads(report), indent=2, ensure_ascii=False)
+                    assert report == (standard + "\n").encode("utf-8")
+            assert empty.export("json", "rules") == b"[]\n"
 
     def test_identical_content_gives_identical_bytes(self, tmp_path):
         outputs = []
