@@ -8,10 +8,15 @@ receiver type, and exports nothing else about them.  It is a conservative
 under-approximation that prefers missing a use over inventing one.
 
 The walker reads the scanner's (kind, value, offset) tokens and counts
-lines only for the invocations it records.  It takes time linear in the
-text: each bracket's match and each call's argument count is found once
-and kept, and a name's declared types are a stack per name, not a search
-through every open scope.
+lines only for the invocations it records.  One reader, `_dotted`, reads
+every dotted name, once, from its first identifier: a name followed by
+'(' is a call, any other may start a declaration.  A name qualified
+through a keyword (`X.class.getName()`, `Outer.this.m()`, `Outer.super.m()`)
+calls a method of `Class` or of an enclosing instance, not of the class
+it names, so it is neither a call nor a type.  The walker takes time
+linear in the text: one record keeps each bracket's close and each
+call's argument count, found once, and a name's declared types are a
+stack per name, not a search through every open scope.
 
 `may_reference` is a text check in front of all of that: a source whose
 text contains none of a library's class simple names, and not every
@@ -65,6 +70,7 @@ _KEYWORDS = frozenset(
 _PRIMITIVES = frozenset(
     "boolean byte char short int long float double void".split()
 )
+_NON_TYPES = _KEYWORDS - _PRIMITIVES  # the keywords that start no type
 
 _GENERIC_PUNCT = frozenset(".,?[]&@")
 
@@ -147,7 +153,7 @@ def _skip_generics(toks, i, n, limit=80):
             elif v not in _GENERIC_PUNCT:
                 return None
         elif kind == IDENT:
-            if v in _KEYWORDS and v not in _PRIMITIVES and v not in ("extends", "super"):
+            if v in _NON_TYPES and v not in ("extends", "super"):
                 return None
         else:
             return None
@@ -156,44 +162,30 @@ def _skip_generics(toks, i, n, limit=80):
     return None
 
 
-def _parse_type(toks, i, n):
-    """Try to read a (possibly qualified, generic, array) type at token i.
+def _dotted(toks, i, n):
+    """Read the dotted name whose first identifier is token i.
 
-    Returns (dotted_base_name, next_index) or None.  Generic arguments and
-    array brackets are consumed but not part of the returned name.
+    Returns (its identifiers, the index after them, typed): `typed` is
+    false when an identifier after the first is a keyword, as in
+    `X.class` or `Outer.this`, so the name names no type or receiver.
     """
-    if i >= n or toks[i][0] != IDENT:
-        return None
-    val = toks[i][1]
-    if val in _KEYWORDS and val not in _PRIMITIVES:
-        return None
-    parts = [val]
-    j = i + 1
-    while (
-        j + 1 < n
-        and toks[j][1] == "."
-        and toks[j + 1][0] == IDENT
-        and toks[j + 1][1] not in _KEYWORDS
-    ):
-        parts.append(toks[j + 1][1])
-        j += 2
-    if j < n and toks[j][1] == "<":
-        g = _skip_generics(toks, j, n)
-        if g is not None:
-            j = g
-    while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
-        j += 2
-    return ".".join(parts), j
-
-
-def _parse_qualified(toks, i, n):
-    """Read a dotted identifier chain starting at token i (an IDENT)."""
     parts = [toks[i][1]]
+    typed = True
     j = i + 1
     while j + 1 < n and toks[j][1] == "." and toks[j + 1][0] == IDENT:
-        parts.append(toks[j + 1][1])
+        v = toks[j + 1][1]
+        parts.append(v)
+        typed = typed and v not in _KEYWORDS
         j += 2
-    return parts, j
+    return parts, j, typed
+
+
+def _type_suffix(toks, j, n):
+    """The index after the type arguments and `[]` pairs at token j, if any."""
+    j = _skip_generics(toks, j, n) or j
+    while j + 1 < n and toks[j][1] == "[" and toks[j + 1][1] == "]":
+        j += 2
+    return j
 
 
 class _Walker:
@@ -205,9 +197,8 @@ class _Walker:
         self.n = len(self.toks)
         # the line of offset `counted`, moved on demand by `_line`
         self.line, self.counted = 1, 0
-        # what `_matching_paren` and `_count_arity` found, by open bracket
-        self._close: dict[int, int] = {}
-        self._arity: dict[int, tuple[int, int]] = {}
+        # what `_bracket` found, by open bracket
+        self._brackets: dict[int, tuple[int, int]] = {}
         self.package = None
         self.imports: list[ImportDecl] = []
         self.local_types: set[str] = set()
@@ -259,12 +250,11 @@ class _Walker:
                 continue
             if val in _KEYWORDS:
                 if val == "package" and self.package is None:
-                    parts, j = (
-                        _parse_qualified(toks, i + 1, n) if i + 1 < n and toks[i + 1][0] == IDENT else ([], i + 1)
-                    )
-                    if parts:
+                    i += 1
+                    if i < n and toks[i][0] == IDENT:
+                        parts, i, _ = _dotted(toks, i, n)
                         self.package = ".".join(parts)
-                    i = j + 1
+                    i += 1
                 elif val == "import":
                     i = self._parse_import(i)
                 elif val in _TYPE_DECLARATIONS:
@@ -289,14 +279,8 @@ class _Walker:
                 continue
             # a declaration or a call needs an identifier or one of . ( < [ next
             if i + 1 < n and (toks[i + 1][0] == IDENT or toks[i + 1][1] in _AFTER_NAME):
-                consumed = self._try_declaration(i)
-                if consumed is not None:
-                    i = consumed
-                    continue
-                consumed = self._try_call_chain(i)
-                if consumed is not None:
-                    i = consumed
-                    continue
+                i = self._try_name(i)
+                continue
             i += 1
         return SourceFacts(
             package=self.package,
@@ -315,65 +299,41 @@ class _Walker:
         self.counted = offset
         return self.line
 
-    def _matching_paren(self, open_idx):
-        """The index of the bracket of any kind that brings the depth of
-        ([{ against )]} back to zero from open_idx, or n - 1 if none does.
+    def _bracket(self, open_idx):
+        """(close, argument count) of the bracket at open_idx: the index of
+        the bracket of any kind that brings the depth of ([{ against )]}
+        back to zero from open_idx, or n - 1 if none does, and the
+        top-level argument count of a call whose '(' is there.
 
-        A stack pass from open_idx that records the close of every bracket
-        it opens, and steps over the brackets recorded before: each token
-        is read once per file, whatever the calls ask.
+        A stack pass from open_idx that records every bracket it closes,
+        or runs to the end, and steps over the brackets recorded before.
+        It jumps over each type-argument list (`_skip_generics`): a comma
+        counts when its bracket is the innermost open one, and without
+        commas the call has one argument if anything stands between '('
+        and its close (or the end).  A jumped list holds no '(' and no
+        brace, so every '(' lies on the one path these jumps make through
+        the file, and a bracket's record made by an earlier pass holds for
+        every later one: each token is read once per file.  A '[' or ']'
+        in a jumped list is not matched; compilable Java has none unpaired.
         """
-        close = self._close
-        if open_idx in close:
-            return close[open_idx]
-        toks, n = self.toks, self.n
-        stack = []
-        j = open_idx
-        while j < n:
-            v = toks[j][1]
-            if v in _OPENERS:
-                if j in close:
-                    j = close[j] + 1
-                    continue
-                stack.append(j)
-            elif v in _CLOSERS:
-                close[stack.pop()] = j
-                if not stack:
-                    return j
-            j += 1
-        for p in stack:
-            close[p] = n - 1
-        return n - 1
-
-    def _count_arity(self, open_idx):
-        """The top-level argument count of the call whose '(' is at open_idx.
-
-        Reads on from the '(' as `_matching_paren` does, but jumps over each
-        type-argument list (`_skip_generics`): a comma counts when '(' is the
-        innermost open bracket, and without commas the call has one argument
-        if anything stands between '(' and its close (or the end).  A jumped
-        list holds no '(' and no brace, so every '(' lies on the one path
-        these jumps make through the file, and a bracket's count recorded
-        by an earlier call holds for every later one.
-        """
-        arity = self._arity  # open index -> (its close or n, its count)
-        if open_idx in arity:
-            return arity[open_idx][1]
+        brackets = self._brackets
+        if open_idx in brackets:
+            return brackets[open_idx]
         toks, n = self.toks, self.n
         stack = []  # [index, commas] of each open bracket
         j = open_idx
         while j < n:
             v = toks[j][1]
             if v in _OPENERS:
-                if j in arity:
-                    j = arity[j][0] + 1
+                if j in brackets:
+                    j = brackets[j][0] + 1
                     continue
                 stack.append([j, 0])
             elif v in _CLOSERS:
                 p, commas = stack.pop()
-                arity[p] = (j, commas + 1 if commas else int(j - p > 1))
+                brackets[p] = (j, commas + 1 if commas else int(j - p > 1))
                 if not stack:
-                    return arity[p][1]
+                    return brackets[p]
             elif v == ",":
                 stack[-1][1] += 1
             elif v == "<":
@@ -383,8 +343,8 @@ class _Walker:
                     continue
             j += 1
         for p, commas in stack:
-            arity[p] = (n, commas + 1 if commas else int(n - p > 1))
-        return arity[open_idx][1]
+            brackets[p] = (n - 1, commas + 1 if commas else int(n - p > 1))
+        return brackets[open_idx]
 
     # -- scope machinery ---------------------------------------------------
 
@@ -432,38 +392,32 @@ class _Walker:
 
     # -- constructs ----------------------------------------------------------
 
+    def _record_call(self, at, kind, method, open_idx, receiver):
+        """Record a call dated by token `at` whose '(' is token open_idx."""
+        self.invocations.append(
+            Invocation(self._line(at), kind, method, self._bracket(open_idx)[1], receiver)
+        )
+
     def _skip_annotation(self, i):
         toks, n = self.toks, self.n
         j = i + 1
         if j < n and toks[j][1] == "interface":
             return i + 1  # @interface declaration, let the main loop handle it
         if j < n and toks[j][0] == IDENT:
-            _, j = _parse_qualified(toks, j, n)
+            _, j, _ = _dotted(toks, j, n)
         if j < n and toks[j][1] == "(":
-            return self._matching_paren(j) + 1
+            return self._bracket(j)[0] + 1
         return j
 
     def _parse_import(self, i):
         toks, n = self.toks, self.n
         j = i + 1
-        is_static = False
-        if j < n and toks[j][1] == "static":
-            is_static = True
+        is_static = j < n and toks[j][1] == "static"
+        if is_static:
             j += 1
-        parts = []
-        wildcard = False
-        while j < n and toks[j][0] == IDENT:
-            parts.append(toks[j][1])
-            j += 1
-            if j < n and toks[j][1] == ".":
-                j += 1
-                if j < n and toks[j][1] == "*":
-                    wildcard = True
-                    j += 1
-                    break
-                continue
-            break
-        if parts:
+        if j < n and toks[j][0] == IDENT:
+            parts, j, _ = _dotted(toks, j, n)
+            wildcard = j + 1 < n and toks[j][1] == "." and toks[j + 1][1] == "*"
             self.imports.append(ImportDecl(".".join(parts), is_static, wildcard))
             if is_static and not wildcard:
                 self.static_import_names.add(parts[-1])
@@ -473,23 +427,16 @@ class _Walker:
 
     def _handle_new(self, i):
         toks, n = self.toks, self.n
-        t = _parse_type(toks, i + 1, n)
-        if t is None:
+        j = i + 1
+        if not (j < n and toks[j][0] == IDENT) or toks[j][1] in _NON_TYPES:
             return i + 1
-        type_name, j = t
-        if not (j < n and toks[j][1] == "("):
+        parts, j, typed = _dotted(toks, j, n)
+        j = _type_suffix(toks, j, n)
+        if not (typed and j < n and toks[j][1] == "("):
             return i + 1  # array creation or malformed
-        simple = type_name.rpartition(".")[2]
-        self.invocations.append(
-            Invocation(
-                line=self._line(i + 1),
-                kind="constructor",
-                method=simple,
-                arity=self._count_arity(j),
-                receiver=type_name,
-            )
-        )
-        close = self._matching_paren(j)
+        type_name = ".".join(parts)
+        self._record_call(i + 1, "constructor", parts[-1], j, type_name)
+        close = self._bracket(j)[0]
         # constructor-chained call: the receiver type is locally evident
         if (
             close + 3 < n
@@ -497,80 +444,57 @@ class _Walker:
             and toks[close + 2][0] == IDENT
             and toks[close + 3][1] == "("
         ):
-            self.invocations.append(
-                Invocation(
-                    line=self._line(close + 2),
-                    kind="instance",
-                    method=toks[close + 2][1],
-                    arity=self._count_arity(close + 3),
-                    receiver=type_name,
-                )
-            )
+            self._record_call(close + 2, "instance", toks[close + 2][1], close + 3, type_name)
         return j
 
-    def _try_declaration(self, i):
+    def _try_name(self, i):
+        """Read the dotted name at token i once, and the call or the
+        declaration it starts; returns the index to go on from.
+
+        A call is a name followed by '(': one name is a call only through an
+        explicit static import (a wildcard one could attribute local helpers
+        to the library), and a qualified one is on a declared variable or a
+        class.  A name qualified through a keyword (`X.class.getName()`,
+        `Outer.this.m()`) starts no call and no declaration the walker can
+        type.
+        """
         toks, n = self.toks, self.n
-        t = _parse_type(toks, i, n)
-        if t is None:
-            return None
-        type_name, j = t
+        parts, j, typed = _dotted(toks, i, n)
+        if not typed:
+            return j
+        if j < n and toks[j][1] == "(":
+            method = parts.pop()
+            declared = self._lookup(parts[0]) if len(parts) == 1 else None
+            if declared is not None:
+                self._record_call(j - 1, "instance", method, j, declared)
+            elif parts:
+                self._record_call(j - 1, "static_call", method, j, ".".join(parts))
+            elif method in self.static_import_names:
+                self._record_call(j - 1, "static_imported", method, j, None)
+            return j
+        j = _type_suffix(toks, j, n)
         if not (j < n and toks[j][0] == IDENT and toks[j][1] not in _KEYWORDS):
-            return None
-        name = toks[j][1]
+            return i + 1
         k = j + 1
         if not (k < n and toks[k][1] in _DECLARATOR_ENDS):
-            return None
+            return i + 1
         if toks[k][1] == ":" and k + 1 < n and toks[k + 1][1] == ":":
-            return None  # method reference, not an enhanced-for declaration
+            return i + 1  # method reference, not an enhanced-for declaration
         if toks[k][1] == "=" and k + 1 < n and toks[k + 1][1] == "=":
-            return None  # equality comparison
-        self._record_decl(name, type_name)
-        if toks[k][1] == ",":
-            # direct multi-declarator form: Type a, b, c;
-            m = k
-            while (
-                m + 2 < n
-                and toks[m][1] == ","
-                and toks[m + 1][0] == IDENT
-                and toks[m + 1][1] not in _KEYWORDS
-                and toks[m + 2][1] in _NEXT_DECLARATOR
-            ):
-                self._record_decl(toks[m + 1][1], type_name)
-                m += 2
-            return m
+            return i + 1  # equality comparison
+        type_name = ".".join(parts)
+        self._record_decl(toks[j][1], type_name)
+        # direct multi-declarator form: Type a, b, c;
+        while (
+            k + 2 < n
+            and toks[k][1] == ","
+            and toks[k + 1][0] == IDENT
+            and toks[k + 1][1] not in _KEYWORDS
+            and toks[k + 2][1] in _NEXT_DECLARATOR
+        ):
+            self._record_decl(toks[k + 1][1], type_name)
+            k += 2
         return k
-
-    def _try_call_chain(self, i):
-        toks, n = self.toks, self.n
-        parts, j = _parse_qualified(toks, i, n)
-        if not (j < n and toks[j][1] == "("):
-            return None
-        method = parts[-1]
-        prefix = parts[:-1]
-        if not prefix:
-            # resolvable only through an explicit static import; wildcard
-            # static imports could attribute local helpers to the library
-            if method not in self.static_import_names:
-                return j
-            kind, receiver = "static_imported", None
-        elif "this" in prefix or "super" in prefix:
-            return j
-        else:
-            declared = self._lookup(prefix[0]) if len(prefix) == 1 else None
-            if declared is not None:
-                kind, receiver = "instance", declared
-            else:
-                kind, receiver = "static_call", ".".join(prefix)
-        self.invocations.append(
-            Invocation(
-                line=self._line(j - 1),
-                kind=kind,
-                method=method,
-                arity=self._count_arity(j),
-                receiver=receiver,
-            )
-        )
-        return j
 
 
 def extract_facts(source: str) -> SourceFacts:
@@ -582,7 +506,7 @@ def extract_facts(source: str) -> SourceFacts:
     return _Walker(source).run()
 
 
-FACTS_VERSION = "2"
+FACTS_VERSION = "3"
 
 
 def encode_facts(facts: SourceFacts) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -284,34 +285,15 @@ class Pipeline:
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
         histories = [self.history(project_id) for project_id in self._projects()]
-        found_by_pair: list[tuple[str, MigrationRule, list[Segment]]] = []
-        failed: dict[str, Exception] = {}
-        for rule in rules:
-            for history in histories:
-                if history.ref.id in failed:
-                    continue
-                try:
-                    declared = history.declared_libraries()
-                    if rule.source not in declared or rule.target not in declared:
-                        continue
-                    found = find_segments(
-                        history,
-                        rule.source,
-                        rule.target,
-                        self.package_index(declared[rule.source]),
-                        self.package_index(declared[rule.target]),
-                        self.config.imports_count_as_use,
-                    )
-                except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
-                    failed[history.ref.id] = exc
-                    continue
-                found_by_pair.append((history.ref.id, rule, found))
-        self._skip_failed_projects("detect_segments", failed, len(histories))
+        found_by_pair = self._per_project(
+            "detect_segments",
+            ((history.ref.id, functools.partial(self._rule_segments, history, rule))
+             for rule in rules for history in histories),
+            len(histories),
+        )
         segments = []
         pairs = 0
-        for project_id, rule, found in found_by_pair:
-            if project_id in failed:
-                continue
+        for project_id, (rule, found) in found_by_pair:
             pairs += 1
             for segment in found:
                 log.info(
@@ -345,26 +327,13 @@ class Pipeline:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        found_by_segment: list[tuple[str, list[Fragment]]] = []
-        failed: dict[str, Exception] = {}
-        for segment in segments:
-            if segment.project in failed:
-                continue
-            try:
-                found = self._segment_fragments(segment)
-            except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
-                failed[segment.project] = exc
-                continue
-            found_by_segment.append((segment.project, found))
-        self._skip_failed_projects(
-            "detect_fragments", failed, len({segment.project for segment in segments})
+        found_by_segment = self._per_project(
+            "detect_fragments",
+            ((segment.project, functools.partial(self._segment_fragments, segment))
+             for segment in segments),
+            len({segment.project for segment in segments}),
         )
-        all_fragments = [
-            fragment
-            for project_id, found in found_by_segment
-            if project_id not in failed
-            for fragment in found
-        ]
+        all_fragments = [fragment for _, found in found_by_segment for fragment in found]
         mappings = extract_mappings(all_fragments)
         self.store.clear_fragments_and_mappings()
         self.store.insert_fragments(all_fragments)
@@ -380,6 +349,23 @@ class Pipeline:
             self.facts.loaded, self.facts.tokenized,
         )
         return all_fragments, mappings
+
+    def _rule_segments(
+        self, history: ProjectHistory, rule: MigrationRule
+    ) -> tuple[MigrationRule, list[Segment]] | None:
+        """The rule's segments in the project, or None when its manifests
+        never declare both of the rule's libraries."""
+        declared = history.declared_libraries()
+        if rule.source not in declared or rule.target not in declared:
+            return None
+        return rule, find_segments(
+            history,
+            rule.source,
+            rule.target,
+            self.package_index(declared[rule.source]),
+            self.package_index(declared[rule.target]),
+            self.config.imports_count_as_use,
+        )
 
     def _segment_fragments(self, segment: Segment) -> list[Fragment]:
         history = self.history(segment.project)
@@ -408,14 +394,35 @@ class Pipeline:
                 fragments.extend(filter_fragments(hunks, segment, commit_id, uses_before, uses_after))
         return fragments
 
-    def _skip_failed_projects(self, stage_name: str, failed: dict[str, Exception], tried: int) -> None:
-        """Log each project a stage had to skip, or raise the first failure
-        when all `tried` projects failed."""
+    def _per_project(
+        self, stage_name: str, jobs: Iterable[tuple[str, Callable[[], object]]], tried: int
+    ) -> list:
+        """Run each (project id, job) in order and return (project id, result)
+        for each job whose result is not None, leaving out the projects whose
+        history could not be read.
+
+        A project's first git failure skips its later jobs; each failed
+        project is logged and kept in `project_errors`, and when all `tried`
+        projects failed, the first failure is raised.
+        """
+        failed: dict[str, Exception] = {}
+        results = []
+        for project_id, job in jobs:
+            if project_id in failed:
+                continue
+            try:
+                result = job()
+            except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
+                failed[project_id] = exc
+                continue
+            if result is not None:
+                results.append((project_id, result))
         if failed and len(failed) == tried:
             raise next(iter(failed.values()))
         for project_id, exc in failed.items():
             log.error("event=project_failed stage=%s project=%s error=%s", stage_name, project_id, exc)
             self.project_errors.append(f"{project_id}: {exc}")
+        return [(project_id, result) for project_id, result in results if project_id not in failed]
 
     @stage
     def collect_docs(self) -> tuple[int, int]:

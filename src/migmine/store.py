@@ -533,8 +533,9 @@ class Store:
             self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
 
     def replace_edges(self, edges: dict) -> None:
+        """Fill graph_edges, which `clear_rules_and_downstream` emptied, with
+        the graph's weighted (source, target) edges."""
         with self.transaction():
-            self.db.execute("DELETE FROM graph_edges")
             self.db.executemany(
                 "INSERT INTO graph_edges (source_group, source_artifact, target_group, "
                 "target_artifact, weight) VALUES (?, ?, ?, ?, ?)",

@@ -162,6 +162,21 @@ class TestResolveUsages:
         uses = resolve_usages(extract_facts(source), json_index)
         assert ("org.json.JSONObject", "toJSONString", 0) in use_keys(uses)
 
+    def test_calls_qualified_through_a_keyword_are_not_uses(self, json_index):
+        """`X.class.getName()` calls a method of Class and `Outer.this.m()`
+        one of the enclosing instance: neither is a call on the class named."""
+        source = (
+            "import org.json.JSONObject;\n"
+            "class Outer {\n"
+            "    Object o = new JSONObject();\n"
+            "    String name() { return JSONObject.class.getName(); }\n"
+            "    class Inner { void n() { Outer.this.name(); } }\n"
+            "}\n"
+        )
+        facts = extract_facts(source)
+        assert [(i.kind, i.method) for i in facts.invocations] == [("constructor", "JSONObject")]
+        assert use_keys(resolve_usages(facts, json_index)) == {("org.json.JSONObject", "<init>", 0)}
+
     def test_output_projects_into_invocations(self, json_index):
         facts = extract_facts(JSON_SOURCE)
         inv_keys = {(i.method, i.arity, i.line) for i in facts.invocations}
@@ -378,6 +393,9 @@ EDGE_TEXTS = [
     "x = a < b ? c.d(e) : f.g(h < i, j > k);",
     "import static a.B.c; c(1, 2); c(); d(3);",
     "record R(A a) { void m() { a.n(); } } new R(x).m();",
+    "new A(x<a]>y).b();",
+    "new A(f(x<a[>y)).b();",
+    "K.class.getName(); O.this.m(); a.class();",
 ]
 
 

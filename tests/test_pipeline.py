@@ -570,8 +570,6 @@ class CountingConnection:
 PER_PROJECT = ("INSERT INTO projects ", "DELETE FROM commits WHERE project = ?",
                "SELECT project, commit_id, ordinal, date, author, message FROM commits")
 PER_BLOB = ("SELECT facts FROM blob_facts WHERE blob_id = ?",)
-# detect-rules clears the edges with the rules, then replace_edges clears them again
-TWICE = ("DELETE FROM graph_edges",)
 
 
 def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
@@ -596,8 +594,6 @@ def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
                 for sql in repeated[label, name]:
                     if sql.startswith(PER_PROJECT):
                         assert counts[sql] == len(corpus.repos), (label, name, sql)
-                    elif sql in TWICE:
-                        assert counts[sql] == 2, (label, name, sql)
                     else:
                         assert sql.startswith(PER_BLOB), (label, name, sql)
         # every table a stage writes holds rows enough for a per-row call to repeat
@@ -605,8 +601,7 @@ def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
                       "method_mappings", "doc_attachments"):
             assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] >= 2, table
     assert {key: len(sqls) for key, sqls in repeated.items() if sqls} == {
-        ("run", "ingest"): 2, ("run", "detect_rules"): 1, ("rerun", "detect_rules"): 1,
-        ("rerun", "detect_segments"): 2,
+        ("run", "ingest"): 2, ("rerun", "detect_segments"): 2,
     }
 
 

@@ -149,7 +149,9 @@ def test_traps_tokenize_in_linear_time():
 
 # Unbalanced brackets and unclosed scopes: each would be read again to the
 # end of the text from every '(' or through every open scope if the fact
-# walker matched brackets or looked names up by scanning.
+# walker matched brackets or looked names up by scanning.  A long dotted
+# name would be read again from each of its segments if the walker read a
+# name anywhere but at its first identifier.
 EXTRACT_TRAPS = ["x = new A(b.c(", "new A(", "a.b(", "{a.b();", "f(A a, a.b(), "]
 
 
@@ -157,6 +159,7 @@ def test_traps_extract_in_linear_time():
     start = time.perf_counter()
     for pattern in EXTRACT_TRAPS:
         extract_facts(pattern * (100_000 // len(pattern)))
+    extract_facts("a" + ".b" * 50_000 + " x;")
     assert time.perf_counter() - start < 6
 
 
