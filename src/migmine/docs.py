@@ -37,14 +37,13 @@ import os
 import re
 import tempfile
 import time
-import urllib.error
-import urllib.request
 import zipfile
 import zlib
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from html import unescape
 from pathlib import Path
+from urllib.parse import unquote, urlsplit
 
 from .model import (
     UNRESOLVED,
@@ -95,6 +94,12 @@ class ArchiveFetcher:
     perform zero network calls for cached coordinates.  A cached file that
     is not a zip archive (one cut short, say) is deleted and counts as a
     miss.  In offline mode only the cache is consulted.
+
+    The base URL's scheme picks the transport.  A `file:` repository (a
+    local `~/.m2/repository`, say) is read in place, its URL path
+    percent-decoded as urllib does on POSIX; any read error is a miss,
+    never retried.  Only other schemes load urllib, at the first download,
+    and back off on transient failures.
     """
 
     def __init__(
@@ -155,6 +160,18 @@ class ArchiveFetcher:
         return dict(zip(wants, results))
 
     def _download(self, url: str) -> bytes | None:
+        parts = urlsplit(url)
+        if parts.scheme == "file":
+            try:
+                return Path(unquote(parts.path)).read_bytes()
+            except OSError:  # not transient: no retry
+                log.warning("event=fetch_missing url=%s", url)
+                return None
+        # imported here: urllib.request loads http.client, email and ssl,
+        # which a run over a local repository never needs
+        import urllib.error
+        import urllib.request
+
         delay = self.backoff
         for attempt in range(self.retries + 1):
             try:
@@ -169,10 +186,6 @@ class ArchiveFetcher:
                 log.warning("event=fetch_failed url=%s status=%s", url, exc.code)
                 return None
             except (urllib.error.URLError, OSError) as exc:
-                reason = getattr(exc, "reason", exc)
-                if isinstance(reason, (FileNotFoundError, IsADirectoryError, PermissionError)):
-                    log.warning("event=fetch_missing url=%s", url)
-                    return None  # file:// miss: not transient, no retry
                 if attempt < self.retries:
                     time.sleep(delay)
                     delay *= 2

@@ -1,10 +1,23 @@
-"""Data model shared across the mining pipeline stages."""
+"""Data model shared across the mining pipeline stages.
+
+The immutable value records are `typing.NamedTuple`s, because
+`@dataclass` compiles each generated method with `exec` on every import,
+which made this module the costliest one to import.  A record hashes as
+the tuple of its fields, as a frozen dataclass did, so every set and dict
+iterates in the order it did; it also compares and orders as that tuple,
+so a record must never share a dict or set with plain tuples of its
+length.  `PackageIndex` stays a frozen dataclass because `__post_init__`
+computes its derived fields, and `MigrationRule`, `Segment` and
+`MethodMapping` stay mutable dataclasses because the stages change them
+in place.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 # A library identity: (group, artifact).  Versions never participate in
 # identity comparisons.
@@ -26,8 +39,7 @@ def method_key_str(key: MethodKey) -> str:
     return f"{key[0]}#{key[1]}/{key[2]}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class LibraryCoordinate:
+class LibraryCoordinate(NamedTuple):
     """A build dependency: the (group, artifact, version) manifest triple."""
 
     group: str
@@ -42,15 +54,13 @@ class LibraryCoordinate:
         return f"{self.group}:{self.artifact}:{self.version}"
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectRef:
+class ProjectRef(NamedTuple):
     id: str
     origin: str
     workdir: str
 
 
-@dataclass(frozen=True, slots=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     project: str
     commit_id: str
     date: datetime
@@ -59,8 +69,7 @@ class CommitRecord:
     ordinal: int  # 0-based position in first-parent history, 0 = oldest
 
 
-@dataclass(frozen=True, slots=True)
-class FileChange:
+class FileChange(NamedTuple):
     """One file touched by a commit, with both content versions resolved.
 
     kind is one of added / modified / deleted / renamed.  The blob ids let
@@ -76,8 +85,7 @@ class FileChange:
     after_sha: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyChange:
+class DependencyChange(NamedTuple):
     """Per-commit library additions and removals.
 
     A (group, artifact) identity never appears in both added and removed:
@@ -123,15 +131,13 @@ class Segment:
     weak_start: bool = False  # start only adds target uses, no source removal
 
 
-@dataclass(frozen=True, slots=True)
-class ImportDecl:
+class ImportDecl(NamedTuple):
     qualified: str
     is_static: bool = False
     is_wildcard: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class Invocation:
+class Invocation(NamedTuple):
     line: int
     kind: str  # constructor | instance | static_call | static_imported
     method: str  # for constructors: the class simple name
@@ -142,8 +148,7 @@ class Invocation:
     receiver: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class SourceFacts:
+class SourceFacts(NamedTuple):
     package: str | None
     imports: tuple[ImportDecl, ...]
     invocations: tuple[Invocation, ...]
@@ -196,8 +201,7 @@ class PackageIndex:
         return any(pkg == p or pkg.startswith(p + ".") for p in self.packages)
 
 
-@dataclass(frozen=True, slots=True)
-class LibraryMethodUse:
+class LibraryMethodUse(NamedTuple):
     class_name: str  # fully qualified
     method: str  # "<init>" for constructors
     arity: int
@@ -208,16 +212,14 @@ class LibraryMethodUse:
         return (self.class_name, self.method, self.arity)
 
 
-@dataclass(frozen=True, slots=True)
-class HunkLine:
+class HunkLine(NamedTuple):
     tag: str  # context | removed | added
     text: str  # includes the line terminator when present
     before_no: int | None = None  # 1-based line in the before file
     after_no: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Hunk:
+class Hunk(NamedTuple):
     file: str
     before_start: int
     before_len: int
@@ -226,8 +228,7 @@ class Hunk:
     lines: tuple[HunkLine, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Fragment:
+class Fragment(NamedTuple):
     """A diff hunk witnessing at least one method mapping."""
 
     project: str
@@ -249,8 +250,7 @@ class MethodMapping:
     support: int
 
 
-@dataclass(frozen=True, slots=True)
-class MethodDoc:
+class MethodDoc(NamedTuple):
     """Parsed API documentation for one method or constructor."""
 
     library: LibraryCoordinate
@@ -269,8 +269,7 @@ class MethodDoc:
         return len(self.signature)
 
 
-@dataclass(frozen=True, slots=True)
-class DocAttachment:
+class DocAttachment(NamedTuple):
     """Resolution of one mapped method against the parsed documentation.
 
     An attachment with `found` false is the explicit not-found marker.

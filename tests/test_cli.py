@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,14 @@ from migmine.store import Store
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def package_env() -> dict[str, str]:
+    """The environment with this migmine's sources first on PYTHONPATH."""
+    src = str(Path(migmine.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
 
 
 def common_flags(corpus, workdir, *, db=None):
@@ -176,19 +185,46 @@ class TestStagedPipeline:
         assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
         assert run_cli("detect-rules", *flags) == 0
         assert run_cli("detect-segments", *flags) == 0
-        src = str(Path(migmine.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
         done = subprocess.run(
             [sys.executable, "-m", "migmine.cli", "detect-fragments", *map(str, flags)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         [line] = [x for x in done.stderr.splitlines() if "event=fragments_detected" in x]
         fields = dict(f.split("=", 1) for f in line.split()[1:])
         assert fields["blobs_tokenized"] == "0"
         assert int(fields["blobs_loaded"]) > 0
+
+    def test_local_run_loads_no_network_modules(self, corpus, tmp_path):
+        """Importing the CLI loads no HTTP or TLS module, and neither does a
+        whole run whose repository base is a file: URL."""
+        script = textwrap.dedent("""
+            import json, sys
+            import migmine.cli
+            from migmine.pipeline import RunConfig, run_all
+            from migmine.store import Store
+
+            def loaded():
+                return [m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules]
+
+            after_import = loaded()
+            projects, workdir, base = sys.argv[1:]
+            config = RunConfig(projects_file=projects, workdir=workdir,
+                               db_path=workdir + "/m.db", repo_base=base)
+            with Store(config.db_path) as store:
+                code, summary = run_all(store, config)
+            print(json.dumps([after_import, code, summary["docs_attached"], loaded()]))
+        """)
+        assert corpus.repo_base.startswith("file:")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(corpus.projects_file), str(tmp_path),
+             corpus.repo_base],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        after_import, code, docs_attached, after_run = json.loads(done.stdout)
+        assert (code, after_import, after_run) == (0, [], [])
+        assert docs_attached > 0  # the jars were read
 
     def test_corrupt_javadoc_jar_is_logged_not_fatal(self, corpus, tmp_path, caplog):
         """An unreadable javadoc jar gives not-found markers, as a missing one

@@ -1,11 +1,12 @@
 """Archive URLs, cached fetching, javadoc parsing and doc attachment."""
 
+import logging
 import threading
 import time
 import zipfile
-from dataclasses import replace
 from html.parser import HTMLParser
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 from conftest import FIXTURES
@@ -13,11 +14,13 @@ from corpusgen import build_fake_maven_repo, javadoc_jar, javadoc_page
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import migmine.docs as docs_module
 from migmine.docs import (
     ArchiveFetcher,
     DocError,
     _ClassPageParser,
     _parse_signature_types,
+    archive_path,
     archive_url,
     attach_docs,
     decode_docs,
@@ -431,23 +434,43 @@ def test_unterminated_tags_scan_in_linear_time():
 
 class TestFetcher:
     def test_file_base_fetch_and_cache(self, tmp_path):
-        base = build_fake_maven_repo(tmp_path / "repo")
-        fetcher = ArchiveFetcher(tmp_path / "cache", base=base)
-        json_coord = LibraryCoordinate("org.json", "json", "20080701")
-        data = fetcher.fetch(json_coord, "classes")
-        assert data is not None
-        assert zipfile.ZipFile(__import__("io").BytesIO(data)).namelist()
-        cached = fetcher.cache_path(json_coord, "classes")
-        assert cached == tmp_path / "cache" / "org/json/json/20080701/json-20080701.jar"
-        assert cached.is_file()
-        # offline re-reads from cache
-        offline = ArchiveFetcher(tmp_path / "cache", base="file:///nowhere", offline=True)
-        assert offline.fetch(json_coord, "classes") == data
+        # as_uri() percent-encodes the space and the "%" of the second name
+        for repo_dir in ("repo", "maven repo 100%"):
+            base = build_fake_maven_repo(tmp_path / repo_dir)
+            cache = tmp_path / "cache" / repo_dir  # a cold cache for each base
+            fetcher = ArchiveFetcher(cache, base=base)
+            json_coord = LibraryCoordinate("org.json", "json", "20080701")
+            data = fetcher.fetch(json_coord, "classes")
+            assert data is not None
+            assert zipfile.ZipFile(__import__("io").BytesIO(data)).namelist()
+            cached = fetcher.cache_path(json_coord, "classes")
+            assert cached == cache / "org/json/json/20080701/json-20080701.jar"
+            assert cached.is_file()
+            # offline re-reads from cache
+            offline = ArchiveFetcher(cache, base="file:///nowhere", offline=True)
+            assert offline.fetch(json_coord, "classes") == data
 
     def test_missing_artifact_returns_none(self, tmp_path):
         base = build_fake_maven_repo(tmp_path / "repo")
         fetcher = ArchiveFetcher(tmp_path / "cache", base=base, retries=1, backoff=0.01)
         assert fetcher.fetch(LibraryCoordinate("no.such", "thing", "1"), "classes") is None
+        # a directory where the jar should be
+        coordinate = LibraryCoordinate("no.such", "thing", "2")
+        (tmp_path / "repo" / archive_path(coordinate, "classes")).mkdir(parents=True)
+        assert fetcher.fetch(coordinate, "classes") is None
+        assert not fetcher.cache_path(coordinate, "classes").exists()
+
+    def test_local_read_error_is_a_miss_without_backoff(self, tmp_path, monkeypatch, caplog):
+        """A file: base with a file where a directory should be fails every
+        read with NotADirectoryError: a miss at once, never retried."""
+        (tmp_path / "repo").write_bytes(b"")
+        sleeps = []
+        monkeypatch.setattr(docs_module, "time", SimpleNamespace(sleep=sleeps.append))
+        fetcher = ArchiveFetcher(tmp_path / "cache", base=(tmp_path / "repo").as_uri())
+        with caplog.at_level(logging.WARNING, logger="migmine.docs"):
+            assert fetcher.fetch(GSON_222, "classes") is None
+        assert sleeps == []
+        assert [r.getMessage().split()[0] for r in caplog.records] == ["event=fetch_missing"]
 
     def test_offline_cold_cache_returns_none(self, tmp_path):
         fetcher = ArchiveFetcher(tmp_path / "cache", offline=True)
@@ -550,7 +573,7 @@ class TestStoredDocs:
         )
         assert len(docs) == 2
         other = LibraryCoordinate("com.google.code.gson", "gson", "2.3.1")
-        assert decode_docs(encode_docs(docs), other) == [replace(d, library=other) for d in docs]
+        assert decode_docs(encode_docs(docs), other) == [d._replace(library=other) for d in docs]
         assert GSON_222.version not in encode_docs(docs)
 
     def test_key_names_the_content_and_the_class_set(self):

@@ -715,8 +715,8 @@ def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
             return docs
         attached = next(doc for doc in docs if doc.method == "toJSONString")
         return [
-            replace(attached, package="a.shadow", description="Shadow."),
-            replace(attached, description="Twin."),
+            attached._replace(package="a.shadow", description="Shadow."),
+            attached._replace(description="Twin."),
             *docs,
         ]
 

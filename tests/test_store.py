@@ -248,7 +248,7 @@ class TestBatches:
         assert store.segments() == []
         records = store.commits_for("demo")
         with pytest.raises(StoreError):
-            store.insert_commits([dataclasses.replace(records[0], commit_id="c3", ordinal=3),
+            store.insert_commits([records[0]._replace(commit_id="c3", ordinal=3),
                                   records[1]])
         assert store.commits_for("demo") == records
 
@@ -440,7 +440,7 @@ class TestExports:
         store.upsert(make_segment())
         fragment = make_fragment()
         hunk = unified_diff("a\nb \u00e9\n", "a\n\tc \u2028\n", 1, path="src/\u00c9.java")[0]
-        store.upsert(dataclasses.replace(fragment, hunk=hunk))
+        store.upsert(fragment._replace(hunk=hunk))
         with Store(store.path.replace("test.db", "empty.db")) as empty:
             for s in (store, corpus_run.store, empty):
                 for selector in EXPORT_SELECTORS:
