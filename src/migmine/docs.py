@@ -22,14 +22,14 @@ signature, with generic arguments dropped, so an annotation or type
 parameters before the name are not read as parameters.
 
 `encode_docs` and `decode_docs` store an archive's parsed docs as plain
-JSON, keyed by `docs_key`: the archive's content digest and the classes
-asked of it.  `DOCS_VERSION` names the parser's output; bump it whenever
-that output changes, so that docs stored by an older parser are dropped.
+JSON, keyed by `docs_key`: the archive's length and CRC-32 and the
+classes asked of it.  `DOCS_VERSION` names the parser's output; bump it
+whenever that output changes, so that docs stored by an older parser are
+dropped.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import logging
@@ -564,10 +564,14 @@ def parse_doc_archive(
 
 
 def docs_key(archive: bytes, classes: Iterable[str]) -> str:
-    """The stored docs' key: the archive's sha256, then the sorted class
-    names, NUL-separated.  It names the content, not the coordinate, so a
-    jar replaced in the cache is parsed again."""
-    return "\0".join([hashlib.sha256(archive).hexdigest(), *sorted(classes)])
+    """The stored docs' key: the archive's length and CRC-32, then the
+    sorted class names, NUL-separated.  It names the content, not the
+    coordinate, so a jar replaced in the cache is parsed again.
+
+    The key only has to tell apart the jars one database sees under the
+    same class set; a hostile jar could carry hostile docs anyway.  CRC-32
+    needs no OpenSSL, whose library `hashlib` would map into every run."""
+    return "\0".join([f"{len(archive)}-{zlib.crc32(archive):08x}", *sorted(classes)])
 
 
 def encode_docs(docs: Iterable[MethodDoc]) -> str:

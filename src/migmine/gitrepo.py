@@ -1,11 +1,13 @@
 """Git history ingestion through subprocesses.
 
-One `git log` per project reads the first-parent history, oldest first,
-together with every commit's raw changes; this gives every project a
-stable linear timeline for segment ordering.  File contents come from the
-object store, never from checkouts: one `cat-file --batch` process per
-history read, fed one object id at a time.  No git call, neither
-`run_git` nor that reader, waits on a credential prompt.
+One `git log` per project and ingest reads the first-parent history,
+oldest first, together with every commit's raw changes; this gives every
+project a stable linear timeline for segment ordering.  Ingest stores the
+raw changes a history reads, so a later stage runs no `git log`.  File
+contents come from the object store, never from checkouts: one
+`cat-file --batch` process per history read, fed one object id at a time.
+No git call, neither `run_git` nor that reader, waits on a credential
+prompt.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
 
-from .model import CommitRecord, FileChange, ProjectRef
+from .model import CommitRecord, FileChange, ProjectRef, RawChange
 
 log = logging.getLogger(__name__)
 
@@ -41,16 +42,6 @@ class NoHistoryError(IngestError):
 
 class UnknownCommitError(LookupError):
     pass
-
-
-class RawChange(NamedTuple):
-    """One `--raw` diff entry; paths are equal unless renamed or copied."""
-
-    status: str  # A, M, D, T, or R/C with a similarity score
-    old_path: str
-    new_path: str
-    old_sha: str  # all zeros when there is no old side
-    new_sha: str
 
 
 def _git_env() -> dict[str, str]:
@@ -118,10 +109,8 @@ def ingest_project(
     return (ref, *read_history(ref))
 
 
-def read_history(
-    ref: ProjectRef, tip: str = "HEAD"
-) -> tuple[list[CommitRecord], dict[str, list[RawChange]]]:
-    """Commits on tip's first-parent chain and each commit's raw changes.
+def read_history(ref: ProjectRef) -> tuple[list[CommitRecord], dict[str, list[RawChange]]]:
+    """Commits on HEAD's first-parent chain and each commit's raw changes.
 
     One `git log` stream gives both.  Commits come oldest first with 0-based
     ordinals.  Changes map each commit id to its entries against the first
@@ -133,7 +122,7 @@ def read_history(
             [
                 "log", "--first-parent", "--diff-merges=first-parent", "--root",
                 "-r", "-M", "--raw", "--no-abbrev", "-z", "--reverse",
-                "--format=%x1e%H%x1f%an%x1f%aI%x1f%B", tip, "--",
+                "--format=%x1e%H%x1f%an%x1f%aI%x1f%B", "HEAD", "--",
             ],
             cwd=ref.workdir,
         )
@@ -186,7 +175,7 @@ def _has_no_commits(workdir: str) -> bool:
 
 
 def changed_files(
-    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]]
+    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]], tip: str | None = None
 ) -> dict[str, list[FileChange]]:
     """Each commit's raw changes with both blob versions read and decoded.
 
@@ -194,11 +183,15 @@ def changed_files(
     a time, so a single raw blob is in memory at once.  Each distinct blob
     is read and decoded once: a commit's "after" text is the same string
     as the next change's "before" text.  An entry with a binary blob on
-    either side is skipped entirely; a missing blob reads as None.
+    either side is skipped entirely; a missing blob reads as None.  The
+    `tip` commit, when given, is asked for before any blob: a repository
+    that no longer has it raises `UnknownCommitError`.
     """
     texts: dict[str, str | object | None] = {}
     out: dict[str, list[FileChange]] = {}
     with _cat_file(ref.workdir) as read:
+        if tip is not None and read(tip) is None:
+            raise UnknownCommitError(f"commit {tip} of {ref.id} is not in {ref.workdir}")
 
         def text(sha: str) -> str | object | None:
             if not sha.strip("0"):
@@ -245,16 +238,21 @@ def _cat_file(workdir: str | Path) -> Iterator[Callable[[str], bytes | None]]:
 
     Without `--buffer` git flushes each reply, so each id is written only
     after the previous object has been read.  A reader that dies raises
-    `GitError` with git's stderr; the process is always waited for.
+    `GitError` with git's stderr, and so does one that cannot start; the
+    process is always waited for.
     """
-    with subprocess.Popen(
-        [GIT, "cat-file", "--batch"],
-        cwd=workdir,
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=_git_env(),
-    ) as proc:
+    try:
+        proc = subprocess.Popen(
+            [GIT, "cat-file", "--batch"],
+            cwd=workdir,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_git_env(),
+        )
+    except OSError as exc:  # no git binary, or workdir is gone
+        raise GitError(f"git cat-file --batch could not start: {exc}") from exc
+    with proc:
 
         def failed() -> GitError:
             try:
@@ -263,7 +261,7 @@ def _cat_file(workdir: str | Path) -> Iterator[Callable[[str], bytes | None]]:
                 pass
             rc = proc.wait()
             stderr = proc.stderr.read().decode("utf-8", "replace").strip()
-            return GitError(f"git cat-file --batch failed (rc={rc}): {stderr}")
+            return GitError(f"git cat-file --batch failed (rc={rc}) in {workdir}: {stderr}")
 
         def read(sha: str) -> bytes | None:
             try:

@@ -1,13 +1,15 @@
 """Cached per-project view of a repository's history.
 
-Holds the raw changes of one history read and, on first use, resolves
-every commit's `pom.xml` and `.java` changes through one blob reader that
-streams the history one object at a time.  Caches the replayed manifest
-timeline, the map of declared libraries and per-blob uses, so segment and
-fragment detection never analyze the same blob twice.  A blob whose text
-contains none of a library's class simple names, and not every segment of
-any of its packages (`javafacts.may_reference`), counts as not using that
-library and is not tokenized for it.
+Holds each commit's raw `pom.xml` and `.java` changes (`select_changes`
+picks them, once, from ingest's history read; later stages read them back
+from the store) and, on first use, resolves them through one blob reader
+that streams the history one object at a time.  That reader first checks
+that the repository still has the last commit.  Caches the replayed
+manifest timeline, the map of declared libraries and per-blob uses, so
+segment and fragment detection never analyze the same blob twice.  A blob
+whose text contains none of a library's class simple names, and not every
+segment of any of its packages (`javafacts.may_reference`), counts as not
+using that library and is not tokenized for it.
 
 A blob's facts come from a `FactsCache` that every history of a pipeline
 shares: memory first, then the store's `blob_facts` table, and only then
@@ -45,6 +47,7 @@ from .model import (
     LibraryMethodUse,
     PackageIndex,
     ProjectRef,
+    RawChange,
     SourceFacts,
 )
 from .store import Store
@@ -58,6 +61,18 @@ def _touches_pom(*paths: str | None) -> bool:
 
 def _touches_java(*paths: str | None) -> bool:
     return any(p and p.endswith(".java") for p in paths)
+
+
+def select_changes(raw_changes: dict[str, list[RawChange]]) -> dict[str, list[RawChange]]:
+    """Each commit's entries that touch a pom.xml or a .java file by either
+    path, in git's order: the changes a history reads and ingest stores."""
+    return {
+        commit_id: [
+            e for e in entries
+            if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
+        ]
+        for commit_id, entries in raw_changes.items()
+    }
 
 
 class CommitChanges(NamedTuple):
@@ -129,16 +144,17 @@ class ProjectHistory:
         self,
         ref: ProjectRef,
         commits: list[CommitRecord],
-        raw_changes: dict[str, list[gitrepo.RawChange]] | None = None,
+        raw_changes: dict[str, list[RawChange]],
         facts: FactsCache | None = None,
     ):
-        """Without `raw_changes` (a history loaded from the store), they are
-        read on first use from the history ending at the last commit.
+        """`raw_changes` maps each commit id, in history order, to its
+        entries; entries that touch neither a pom.xml nor a .java file
+        are read and then dropped, so pass `select_changes`'s output.
         Without `facts`, the history keeps its own memory cache."""
         self.ref = ref
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
-        self._raw_changes = raw_changes
+        self.raw_changes = raw_changes
         self._file_changes: dict[str, CommitChanges] | None = None
         self._facts = facts if facts is not None else FactsCache()
         self._uses: dict[tuple, list[LibraryMethodUse]] = {}
@@ -155,39 +171,24 @@ class ProjectHistory:
         """The commit's pom.xml and .java changes against its first parent.
 
         The first call resolves every commit of the history through one blob
-        reader: each caller walks the whole history anyway.
+        reader, which first checks that the repository still has the last
+        commit: each caller walks the whole history anyway.
         """
         if self._file_changes is None:
-            selected = {
-                cid: [
-                    e for e in entries
-                    if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
-                ]
-                for cid, entries in self._read_raw_changes().items()
-            }
             self._file_changes = {
                 cid: CommitChanges(
                     [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
                     [fc for fc in files if _touches_java(fc.path, fc.old_path)],
                 )
-                for cid, files in gitrepo.changed_files(self.ref, selected).items()
+                for cid, files in gitrepo.changed_files(
+                    self.ref, self.raw_changes, tip=self.commits[-1].commit_id
+                ).items()
             }
         if commit_id not in self._file_changes:
             raise gitrepo.UnknownCommitError(
                 f"commit {commit_id} is not in the first-parent history of {self.ref.id}"
             )
         return self._file_changes[commit_id]
-
-    def _read_raw_changes(self) -> dict[str, list[gitrepo.RawChange]]:
-        if self._raw_changes is not None:
-            return self._raw_changes
-        tip = self.commits[-1].commit_id
-        try:
-            return gitrepo.read_history(self.ref, tip)[1]
-        except gitrepo.GitError as exc:
-            raise gitrepo.UnknownCommitError(
-                f"cannot read {self.ref.id} history up to {tip}: {exc}"
-            ) from exc
 
     def facts_for(self, sha: str, text: str) -> SourceFacts:
         return self._facts.get(sha, text)

@@ -69,6 +69,16 @@ class CommitRecord(NamedTuple):
     ordinal: int  # 0-based position in first-parent history, 0 = oldest
 
 
+class RawChange(NamedTuple):
+    """One `--raw` diff entry; paths are equal unless renamed or copied."""
+
+    status: str  # A, M, D, T, or R/C with a similarity score
+    old_path: str
+    new_path: str
+    old_sha: str  # all zeros when there is no old side
+    new_sha: str
+
+
 class FileChange(NamedTuple):
     """One file touched by a commit, with both content versions resolved.
 

@@ -29,7 +29,7 @@ from .docs import (
     parse_doc_archive,
 )
 from .fragments import extract_mappings, filter_fragments, unified_diff
-from .history import FactsCache, ProjectHistory
+from .history import FactsCache, ProjectHistory, select_changes
 from .model import (
     UNRESOLVED,
     Fragment,
@@ -40,6 +40,7 @@ from .model import (
     MigrationRule,
     PackageIndex,
     ProjectRef,
+    RawChange,
     Segment,
 )
 from .rulegraph import MigrationGraph, confirm_rules, normalize_and_filter
@@ -130,6 +131,8 @@ class Pipeline:
         )
         self._refs: dict[str, ProjectRef] | None = None
         self._histories: dict[str, ProjectHistory] = {}
+        # every stored project's raw changes, read at the first stored history
+        self._stored_changes: dict[str, dict[str, list[RawChange]]] | None = None
         # every history's blob facts, backed by the store's blob_facts table
         self.facts = FactsCache(store)
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
@@ -145,12 +148,21 @@ class Pipeline:
         return self._refs
 
     def history(self, project_id: str) -> ProjectHistory:
+        """The project's history: ingest's, or one built from the stored
+        commits and file changes, which reads no `git log`."""
         if project_id not in self._histories:
             ref = self._projects().get(project_id)
             if ref is None:
                 raise StageDataError(f"project {project_id} not ingested")
+            if self._stored_changes is None:
+                self._stored_changes = self.store.file_changes()
+            stored = self._stored_changes.pop(project_id, {})
+            commits = self.store.commits_for(project_id)
             self._histories[project_id] = ProjectHistory(
-                ref, self.store.commits_for(project_id), facts=self.facts
+                ref,
+                commits,
+                {c.commit_id: stored.get(c.commit_id, []) for c in commits},
+                facts=self.facts,
             )
         return self._histories[project_id]
 
@@ -182,7 +194,8 @@ class Pipeline:
 
     @stage
     def ingest(self) -> list[str]:
-        """Clone projects and record commits plus dependency changes.
+        """Clone projects and record commits plus their file and dependency
+        changes.
 
         Returns per-project error strings; one project's failure never aborts
         the run, but a run that leaves no project stored is a StageDataError.
@@ -212,8 +225,9 @@ class Pipeline:
         def one(job):
             origin, project_id = job
             try:
+                ref, commits, raw_changes = gitrepo.ingest_project(origin, clones_dir, project_id)
                 history = ProjectHistory(
-                    *gitrepo.ingest_project(origin, clones_dir, project_id), facts=self.facts
+                    ref, commits, select_changes(raw_changes), facts=self.facts
                 )
                 history.dependency_changes()
                 return (project_id, history, None)
@@ -244,13 +258,14 @@ class Pipeline:
                 "event=ingested project=%s commits=%d", project_id, len(history.commits)
             )
         self.store.insert_commits(record for history in ingested for record in history.commits)
+        self.store.insert_file_changes((h.ref.id, h.raw_changes) for h in ingested)
         self.store.insert_dependency_changes(
             change
             for history in ingested
             for change in history.dependency_changes()
             if change.added or change.removed
         )
-        self._refs = None
+        self._refs = self._stored_changes = None
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
         log.info("event=vcs_tool version=%r", version)

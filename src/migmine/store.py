@@ -42,19 +42,29 @@ empties it.
 
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
-their library, which a reader stamps back on.  Its key is the jar's sha256
-and the class names asked of it (`docs.docs_key`), so a jar replaced under
-the same coordinate is parsed again.  `collect_docs` owns it: each pass
-keeps exactly the rows of the archives it used and adds the ones it
-parsed.  Ingest leaves it alone, as the key holds no project data.  It is
-never exported.  Opening a database whose `docs_version` differs from
-`docs.DOCS_VERSION` empties it.
+their library, which a reader stamps back on.  Its key is the jar's length
+and CRC-32 and the class names asked of it (`docs.docs_key`), so a jar
+replaced under the same coordinate is parsed again.  `collect_docs` owns
+it: each pass keeps exactly the rows of the archives it used and adds the
+ones it parsed.  Ingest leaves it alone, as the key holds no project data.
+It is never exported.  Opening a database whose `docs_version` differs
+from `docs.DOCS_VERSION` empties it.
 
 Each `doc_attachments` row carries the columns of its mapped method's doc,
 all NULL when none was found; the doc's library is the one on that side of
-the mapping, and its class and method are the attachment's own.  Opening a
-database whose attachments lack those columns drops its docs tables, which
-hold only `collect-docs` output, and creates them again, empty.
+the mapping, and its class and method are the attachment's own.
+
+`file_changes` holds, for each stored commit, the raw `pom.xml` and
+`.java` entries of ingest's history read, in git's order: status, both
+paths and both blob ids.  A commit's rows go with it, by cascade.  So a
+history that a later stage builds from the store needs no `git log`,
+only the blob reader.
+
+Open rule: a database whose `schema_version` differs from
+`SCHEMA_VERSION` is refused with a `StoreError` before anything writes to
+it; there is no migration.  Version 1 had no `file_changes`, so its
+commits would read as histories without changes.  A database with no
+`schema_version` is new and gets this one.
 """
 
 from __future__ import annotations
@@ -79,12 +89,13 @@ from .model import (
     MethodMapping,
     MigrationRule,
     ProjectRef,
+    RawChange,
     Segment,
     library_key,
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class StoreError(RuntimeError):
@@ -121,6 +132,18 @@ CREATE TABLE IF NOT EXISTS dependency_changes (
   PRIMARY KEY (project, commit_id, direction, grp, artifact),
   FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
 );
+CREATE TABLE IF NOT EXISTS file_changes (
+  project TEXT NOT NULL,
+  commit_id TEXT NOT NULL,
+  seq INTEGER NOT NULL,
+  status TEXT NOT NULL,
+  old_path TEXT NOT NULL,
+  new_path TEXT NOT NULL,
+  old_blob TEXT NOT NULL,
+  new_blob TEXT NOT NULL,
+  PRIMARY KEY (project, commit_id, seq),
+  FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS graph_edges (
   source_group TEXT NOT NULL,
   source_artifact TEXT NOT NULL,
@@ -303,22 +326,22 @@ class Store:
         Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self.db = sqlite3.connect(self.path)
         self._in_transaction = False
+        try:
+            schema = self.get_meta("schema_version")
+        except sqlite3.OperationalError:  # a new database: no run_metadata table yet
+            schema = None
+        if schema not in (None, SCHEMA_VERSION):
+            self.db.close()
+            raise StoreError(
+                f"database schema version {schema} != supported {SCHEMA_VERSION}; "
+                "use a fresh --db path"
+            )
         self.db.execute("PRAGMA journal_mode = WAL")
         self.db.execute("PRAGMA foreign_keys = ON")
-        columns = {row[1] for row in self.db.execute("PRAGMA table_info(doc_attachments)")}
-        if columns and "description" not in columns:
-            # an earlier version stored the docs apart from their attachments
-            self.db.executescript("DROP TABLE doc_attachments; DROP TABLE IF EXISTS method_docs;")
         self.db.executescript(_SCHEMA)
         with self.transaction():
-            schema = self.get_meta("schema_version")
             if schema is None:
                 self.set_meta("schema_version", SCHEMA_VERSION)
-            elif schema != SCHEMA_VERSION:
-                raise StoreError(
-                    f"database schema version {schema} != supported {SCHEMA_VERSION}; "
-                    "use a fresh --db path"
-                )
             if self.get_meta("facts_version") != FACTS_VERSION:
                 # facts stored by another extractor version may differ from this one's
                 self.clear_blob_facts()
@@ -437,6 +460,24 @@ class Store:
         with self._writing("commits"):
             self.db.executemany(_INSERT_COMMIT, map(_commit_row, records))
 
+    def insert_file_changes(
+        self, histories: Iterable[tuple[str, dict[str, list[RawChange]]]]
+    ) -> None:
+        """Store each (project, raw changes by commit id) pair's entries, in
+        order, under their stored commits."""
+        rows = (
+            (project, commit_id, seq, *entry)
+            for project, by_commit in histories
+            for commit_id, entries in by_commit.items()
+            for seq, entry in enumerate(entries)
+        )
+        with self._writing("file changes"):
+            self.db.executemany(
+                "INSERT INTO file_changes (project, commit_id, seq, status, old_path, new_path, "
+                "old_blob, new_blob) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                rows,
+            )
+
     def insert_dependency_changes(self, changes: Iterable[DependencyChange]) -> None:
         rows = (
             (change.project, change.commit, direction, coord.group, coord.artifact, coord.version)
@@ -485,7 +526,8 @@ class Store:
     # -- stage lifecycle ---------------------------------------------------------
 
     def clear_commits(self, project: str) -> None:
-        """Drop a project's stored commits and, by cascade, their dependency changes."""
+        """Drop a project's stored commits and, by cascade, their file and
+        dependency changes."""
         with self.transaction():
             self.db.execute("DELETE FROM commits WHERE project = ?", (project,))
 
@@ -566,6 +608,17 @@ class Store:
             )
             for p, c, o, d, a, m in rows
         ]
+
+    def file_changes(self) -> dict[str, dict[str, list[RawChange]]]:
+        """Every project's stored raw changes: project -> commit id -> its
+        entries in git's order.  A commit without entries is absent."""
+        out: dict[str, dict[str, list[RawChange]]] = {}
+        for project, commit_id, *entry in self.db.execute(
+            "SELECT project, commit_id, status, old_path, new_path, old_blob, new_blob "
+            "FROM file_changes ORDER BY project, commit_id, seq"
+        ):
+            out.setdefault(project, {}).setdefault(commit_id, []).append(RawChange(*entry))
+        return out
 
     def has_blob_facts(self) -> bool:
         return self.db.execute("SELECT 1 FROM blob_facts LIMIT 1").fetchone() is not None

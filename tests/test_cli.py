@@ -15,12 +15,14 @@ from corpusgen import (
     JSON_LIB,
     SERIALIZER_GSON,
     SERIALIZER_JSON,
+    _git,
     build_fake_maven_repo,
     build_repo,
     pom,
 )
 
 import migmine
+from migmine import gitrepo
 from migmine.cli import main
 from migmine.store import Store
 
@@ -205,7 +207,8 @@ class TestStagedPipeline:
             from migmine.store import Store
 
             def loaded():
-                return [m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules]
+                return [m for m in ("urllib.request", "http.client", "ssl", "_hashlib")
+                        if m in sys.modules]
 
             after_import = loaded()
             projects, workdir, base = sys.argv[1:]
@@ -258,6 +261,26 @@ class TestStagedPipeline:
         assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
         assert run_cli("detect-rules", *flags) == 0
         assert run_cli("detect-segments", "--no-fallback-index", *flags) == 1
+
+
+def test_stages_after_ingest_run_no_git_log(corpus, tmp_path, monkeypatch):
+    """A detect-* stage run as its own process builds each history from the
+    stored file changes: it starts no `git log`, only the blob reader."""
+    flags = common_flags(corpus, tmp_path)
+    assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
+    commands = []
+    run_git = gitrepo.run_git
+
+    def spy(args, cwd=None):
+        commands.append(args)
+        return run_git(args, cwd)
+
+    monkeypatch.setattr(gitrepo, "run_git", spy)
+    for stage in ("detect-rules", "detect-segments", "detect-fragments"):
+        assert run_cli(stage, *flags) == 0
+    assert [args for args in commands if args[0] == "log"] == []
+    with Store(tmp_path / "m.db") as store:
+        assert store.counts()["fragments"] > 0
 
 
 class TestGitFailures:
@@ -321,3 +344,31 @@ class TestGitFailures:
         with Store(tmp_path / "m.db") as store:
             fragments = json.loads(store.export("json", "fragments"))
         assert [f["project"] for f in fragments] == ["mig-single"]
+
+    def test_vanished_last_commit_fails_its_project_alone(self, corpus, tmp_path, caplog):
+        """A repository that lost the project's stored last commit (amended
+        and pruned after ingest, its files unchanged) fails that project
+        with event=project_failed; the other project's segments are stored."""
+        repo = tmp_path / "rewritten"
+        serializer = "src/main/java/com/example/app/Serializer.java"
+        stored_tip = build_repo(repo, [
+            ("init", {"pom.xml": pom("rewritten", JSON_LIB), serializer: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("rewritten", GSON_LIB), serializer: SERIALIZER_GSON}),
+        ])[-1]
+        projects = tmp_path / "projects.txt"
+        projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("ingest", "--projects", projects, *flags) == 0
+        assert run_cli("detect-rules", *flags) == 0
+        _git(["commit", "-q", "--amend", "-m", "rewritten"], cwd=repo)
+        _git(["reflog", "expire", "--expire=now", "--all"], cwd=repo)
+        _git(["gc", "-q", "--prune=now"], cwd=repo)
+        caplog.set_level(logging.ERROR, logger="migmine")
+        assert run_cli("detect-segments", *flags) == 2
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(
+            "event=project_failed stage=detect_segments project=rewritten "
+            f"error=commit {stored_tip} "
+        )
+        with Store(tmp_path / "m.db") as store:
+            assert {s.project for s in store.segments()} == {"mig-single"}

@@ -20,6 +20,8 @@ from migmine.gitrepo import (
 )
 from migmine.history import CommitChanges, ProjectHistory
 from migmine.model import CommitRecord, ProjectRef
+from migmine.pipeline import Pipeline, RunConfig
+from migmine.store import Store
 
 
 @pytest.fixture(scope="module")
@@ -176,20 +178,34 @@ class TestChangedFiles:
         assert changes[0].before is None
         assert changes[0].after == "class A {}\n"
 
-    def test_unknown_commit_raises_lookup_error(self, small_repo):
+    def test_unknown_commit_raises_lookup_error(self, small_repo, tmp_path):
+        """A history built from the store, as every stage after ingest builds
+        it, knows only its stored commits and needs the repository to still
+        have its last one."""
         path, hashes = small_repo
-        ref, records, _ = ingest_project(str(path), path.parent / "work")
+        ref, records, raw = ingest_project(str(path), path.parent / "work")
+
+        def stored_history(name: str, commits: list[CommitRecord]) -> ProjectHistory:
+            config = RunConfig(workdir=str(tmp_path), db_path=str(tmp_path / f"{name}.db"))
+            with Store(config.db_path) as store:
+                store.upsert(ref)
+                store.insert_commits(commits)
+                store.insert_file_changes(
+                    [(ref.id, {c.commit_id: raw.get(c.commit_id, []) for c in commits})]
+                )
+                return Pipeline(store, config).history(ref.id)
+
         with pytest.raises(UnknownCommitError):
-            ProjectHistory(ref, records).changes("0" * 40)
-        # a stored history reads up to its own last commit, not HEAD
-        stored = ProjectHistory(ref, records[:2])
+            stored_history("all", records).changes("0" * 40)
+        # a stored history holds its own commits, not HEAD's
+        stored = stored_history("two", records[:2])
         assert stored.changes(hashes[1]).pom
         with pytest.raises(UnknownCommitError):
             stored.changes(hashes[2])
-        # a stored commit the repository no longer has
+        # a stored last commit the repository no longer has
         gone = records[:1] + [CommitRecord(ref.id, "f" * 40, records[1].date, "", "", 1)]
-        with pytest.raises(UnknownCommitError):
-            ProjectHistory(ref, gone).changes(hashes[0])
+        with pytest.raises(UnknownCommitError, match="f{40}"):
+            stored_history("gone", gone).changes(hashes[0])
 
     def test_rename_detection(self, tmp_path):
         path = tmp_path / "renamer"

@@ -193,6 +193,7 @@ class ScriptedHistory(ProjectHistory):
         super().__init__(
             ref,
             [CommitRecord(ref.id, f"c{i}", date, "dev", "", i) for i in range(len(java_changes))],
+            {},
         )
         self.scripted = {f"c{i}": CommitChanges([], fcs) for i, fcs in enumerate(java_changes)}
 

@@ -35,7 +35,7 @@ from migmine.model import (
     Segment,
 )
 from migmine.pipeline import Pipeline, RunConfig, StageDataError, run_all
-from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
 
 
 def single_repo_config(tmp_path, name, commits) -> RunConfig:
@@ -285,6 +285,91 @@ def test_reingest_after_reset_drops_the_lost_commit(tmp_path):
         assert [c.commit_id for c in store.commits_for("rewound")] == first_parent_commits(repo)
         assert pipeline.detect_rules() == []
         assert all(c.commit == first_parent_commits(repo)[0] for c in store.dependency_changes())
+
+
+def test_reingest_after_reset_drops_the_lost_commits_file_changes(tmp_path):
+    """The stored file changes are those of the stored commits: a commit no
+    longer in the history takes its file changes with it."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "rewound",
+        [
+            ("init", {"pom.xml": pom("rewound", JSON_LIB), path: SERIALIZER_JSON}),
+            ("migrate", {"pom.xml": pom("rewound", GSON_LIB), path: SERIALIZER_GSON}),
+        ],
+    )
+    repo = tmp_path / "repos" / "rewound"
+    init, migrate = first_parent_commits(repo)
+    with Store(config.db_path) as store:
+        Pipeline(store, config).ingest()
+        assert set(store.file_changes()["rewound"]) == {init, migrate}
+        _git(["reset", "-q", "--hard", "HEAD~1"], cwd=repo)
+        assert Pipeline(store, config).ingest() == []
+        assert set(store.file_changes()["rewound"]) == {init}
+        assert store.db.execute(
+            "SELECT COUNT(*) FROM file_changes WHERE commit_id = ?", (migrate,)
+        ).fetchone() == (0,)
+
+
+# large enough for git to pair a delete and an add as a rename
+MOVED = "class Moved {\n" + "".join(f"  int f{i};\n" for i in range(30)) + "}\n"
+
+
+def assert_same_history(stored, ingested) -> None:
+    assert stored.commits == ingested.commits
+    for commit in ingested.commits:
+        assert stored.changes(commit.commit_id) == ingested.changes(commit.commit_id)
+    assert stored.dependency_timeline() == ingested.dependency_timeline()
+    assert stored.declared_libraries() == ingested.declared_libraries()
+
+
+def test_stored_history_reads_as_ingests(corpus, tmp_path):
+    """A later stage's history, built from the stored commits and file
+    changes, is the one ingest built from its `git log`."""
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        ingest = Pipeline(store, config)
+        assert ingest.ingest() == []
+        later = Pipeline(store, config)
+        for project_id in corpus.repos:
+            assert_same_history(later.history(project_id), ingest.history(project_id))
+
+
+def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
+    """A rename, a deletion, a binary .java file, the root commit and a
+    commit that touches neither a pom.xml nor a .java file read back from
+    the store as ingest read them; the quiet commit has no changes, and is
+    no unknown commit."""
+    config = single_repo_config(
+        tmp_path,
+        "mixed",
+        [
+            ("root", {"pom.xml": pom("mixed", JSON_LIB), "old/Moved.java": MOVED,
+                      "src/A.java": SERIALIZER_JSON, "res/Data.java": "\0\1binary\n"}),
+            ("notes", {"notes.txt": "hi\n"}),
+            ("move", {"old/Moved.java": None, "new/Moved.java": MOVED}),
+            ("drop", {"src/A.java": None, "pom.xml": pom("mixed", GSON_LIB)}),
+        ],
+    )
+    root, notes, move, drop = first_parent_commits(tmp_path / "repos" / "mixed")
+    with Store(config.db_path) as store:
+        ingest = Pipeline(store, config)
+        assert ingest.ingest() == []
+        stored = Pipeline(store, config).history("mixed")
+        assert_same_history(stored, ingest.history("mixed"))
+        assert [c.path for c in stored.changes(root).java] == ["old/Moved.java", "src/A.java"]
+        assert stored.changes(notes) == ([], [])
+        assert [(c.kind, c.old_path) for c in stored.changes(move).java] == [
+            ("renamed", "old/Moved.java")
+        ]
+        assert [c.kind for c in stored.changes(drop).java] == ["deleted"]
+        assert [c.path for c in stored.changes(drop).pom] == ["pom.xml"]
+        # the quiet commit stores no row, the binary file's row stays
+        assert set(store.file_changes()["mixed"]) == {root, move, drop}
+        assert [e.new_path for e in store.file_changes()["mixed"][root]] == [
+            "old/Moved.java", "pom.xml", "res/Data.java", "src/A.java"
+        ]
 
 
 def test_reingest_after_reset_voids_the_mined_rows(tmp_path):
@@ -1077,8 +1162,8 @@ def test_later_version_documents_what_the_first_lacks(tmp_path):
     assert rows[1] == ("target", "com.google.gson.JsonObject.get", "1.10", "From 1.10.", 1, 0)
 
 
-# doc_attachments and method_docs as a database written before each
-# attachment carried its doc stored them
+# doc_attachments and method_docs as a schema-1 database written before
+# each attachment carried its doc stored them
 PARENT_DOCS_DDL = """
 DROP TABLE doc_attachments;
 CREATE TABLE method_docs (
@@ -1115,7 +1200,7 @@ INSERT INTO doc_attachments VALUES (1, 'target', 'com.google.gson.Gson', 'toJson
 """
 
 
-def table_rows(db, skip=("doc_attachments", "method_docs")) -> dict[str, list]:
+def table_rows(db, skip=()) -> dict[str, list]:
     names = [row[0] for row in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
     return {
         name: sorted(db.execute(f"SELECT * FROM {name}").fetchall(), key=repr)
@@ -1124,23 +1209,25 @@ def table_rows(db, skip=("doc_attachments", "method_docs")) -> dict[str, list]:
     }
 
 
-def test_database_with_separate_doc_table_opens_and_refills(corpus_run, corpus, tmp_path):
-    """Opening a database whose docs live in a method_docs table drops both
-    docs tables and leaves every other table as it was; collect-docs then
-    stores the attachments again."""
+@pytest.mark.parametrize("docs", ["attached", "separate"])
+def test_schema_1_database_is_refused_and_left_as_it_was(docs, corpus_run, corpus, tmp_path):
+    """A database written before file changes were stored has commits that
+    would read as histories without changes: opening it is a StoreError,
+    raised before anything writes to it, whether its docs sit on their
+    attachments or in a method_docs table."""
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     db = sqlite3.connect(config.db_path)
-    db.executescript(PARENT_DOCS_DDL)
-    before = table_rows(db)
+    db.executescript(
+        (PARENT_DOCS_DDL if docs == "separate" else "")
+        + "DROP TABLE file_changes; "
+        "UPDATE run_metadata SET value = '1' WHERE key = 'schema_version';"
+    )
     db.close()
-    with Store(config.db_path) as store:
-        assert table_rows(store.db) == before
-        assert store.db.execute(
-            "SELECT name FROM sqlite_master WHERE name = 'method_docs'"
-        ).fetchall() == []
-        assert store.counts()["docs_attached"] == 0
-        Pipeline(store, config).collect_docs()
-        assert stored_attachments(store) == ACCEPTANCE_ATTACHMENTS
+    before = Path(config.db_path).read_bytes()
+    with pytest.raises(StoreError, match="schema version 1 != supported 2"):
+        Store(config.db_path)
+    assert Path(config.db_path).read_bytes() == before
+    assert [p.name for p in tmp_path.glob("migmine.db*")] == ["migmine.db"]
 
 
 JSON_COORD = LibraryCoordinate(*JSON_LIB)
