@@ -4,10 +4,12 @@ One `git log` per project and ingest reads the first-parent history,
 oldest first, together with every commit's raw changes; this gives every
 project a stable linear timeline for segment ordering.  Ingest stores the
 raw changes a history reads, so a later stage runs no `git log`.  File
-contents come from the object store, never from checkouts: one
-`cat-file --batch` process per history read, fed one object id at a time.
-No git call, neither `run_git` nor that reader, waits on a credential
-prompt.
+contents come from the object store, never from checkouts: a
+`BlobReader` runs one `cat-file --batch` process, started at its first
+read and fed one object id at a time.  Ingest reads every blob through one
+(`changed_files`); a later stage's history reads only the texts it uses,
+through at most one per stage.  No git call, neither `run_git` nor that
+reader, waits on a credential prompt.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import logging
 import os
 import re
 import subprocess
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .model import CommitRecord, FileChange, ProjectRef, RawChange
+from .model import CommitRecord, ProjectRef, RawChange
 
 log = logging.getLogger(__name__)
 
@@ -175,116 +175,124 @@ def _has_no_commits(workdir: str) -> bool:
 
 
 def changed_files(
-    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]], tip: str | None = None
-) -> dict[str, list[FileChange]]:
-    """Each commit's raw changes with both blob versions read and decoded.
+    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]]
+) -> tuple[dict[str, list[RawChange]], dict[str, str | None]]:
+    """Each commit's entries without a binary blob on either side, and the
+    decoded text of every blob those entries name.
 
-    One `cat-file --batch` process serves the whole history, one object at
-    a time, so a single raw blob is in memory at once.  Each distinct blob
-    is read and decoded once: a commit's "after" text is the same string
-    as the next change's "before" text.  An entry with a binary blob on
-    either side is skipped entirely; a missing blob reads as None.  The
-    `tip` commit, when given, is asked for before any blob: a repository
-    that no longer has it raises `UnknownCommitError`.
+    Ingest reads every blob once, as only its bytes tell a binary entry
+    apart.  One `BlobReader` serves the whole history, one object at a
+    time, so a single raw blob is in memory at once, and each distinct
+    blob is read and decoded once.  A missing blob reads as None; an
+    all-zero id names no blob and gets no text.
     """
-    texts: dict[str, str | object | None] = {}
-    out: dict[str, list[FileChange]] = {}
-    with _cat_file(ref.workdir) as read:
-        if tip is not None and read(tip) is None:
-            raise UnknownCommitError(f"commit {tip} of {ref.id} is not in {ref.workdir}")
-
-        def text(sha: str) -> str | object | None:
-            if not sha.strip("0"):
-                return None
-            if sha not in texts:
-                raw = read(sha)
-                texts[sha] = (
-                    raw if raw is None
-                    else _BINARY if b"\0" in raw
-                    else raw.decode("utf-8", "replace")
-                )
-            return texts[sha]
-
+    texts: dict[str, str | None] = {}
+    binary: set[str] = set()
+    kept: dict[str, list[RawChange]] = {}
+    with BlobReader(ref) as reader:
         for commit_id, entries in entries_by_commit.items():
-            changes = out[commit_id] = []
-            for status, old_path, new_path, old_sha, new_sha in entries:
-                before = text(old_sha)
-                after = text(new_sha)
-                if before is _BINARY or after is _BINARY:
-                    continue
-                code = status[0]
-                if code in ("A", "C"):
-                    changes.append(FileChange(new_path, "added", None, None, after, None, new_sha))
-                elif code == "D":
-                    changes.append(FileChange(old_path, "deleted", None, before, None, old_sha, None))
-                elif code == "R":
-                    changes.append(
-                        FileChange(new_path, "renamed", old_path, before, after, old_sha, new_sha)
-                    )
-                else:  # M, T
-                    changes.append(
-                        FileChange(new_path, "modified", None, before, after, old_sha, new_sha)
-                    )
-    return out
+            kept[commit_id] = []
+            for entry in entries:
+                for sha in (entry.old_sha, entry.new_sha):
+                    if sha.strip("0") and sha not in texts and sha not in binary:
+                        raw = reader.read(sha)
+                        if raw is not None and b"\0" in raw:
+                            binary.add(sha)
+                        else:
+                            texts[sha] = raw if raw is None else raw.decode("utf-8", "replace")
+                if entry.old_sha not in binary and entry.new_sha not in binary:
+                    kept[commit_id].append(entry)
+    return kept, texts
 
 
-_BINARY = object()
+class BlobReader:
+    """Object id -> its bytes (None when missing), served by one `git
+    cat-file --batch` process that starts at the first read.
 
-
-@contextmanager
-def _cat_file(workdir: str | Path) -> Iterator[Callable[[str], bytes | None]]:
-    """A reader from object id to its bytes (None when missing), served by one
-    `git cat-file --batch` process that lives as long as the block.
-
-    Without `--buffer` git flushes each reply, so each id is written only
-    after the previous object has been read.  A reader that dies raises
-    `GitError` with git's stderr, and so does one that cannot start; the
-    process is always waited for.
+    With a `tip` commit, the first read asks for it before anything else: a
+    repository that no longer has it raises `UnknownCommitError`.  Without
+    `--buffer` git flushes each reply, so each id is written only after the
+    previous object has been read.  A reader that dies raises `GitError`
+    with git's stderr, and so does one that cannot start.  A process that
+    failed, or found no tip, is ended at once, so the next read starts
+    another and checks the tip again.  `objects_read` counts the ids asked
+    since the last `close`, the tip included.
     """
-    try:
-        proc = subprocess.Popen(
-            [GIT, "cat-file", "--batch"],
-            cwd=workdir,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=_git_env(),
-        )
-    except OSError as exc:  # no git binary, or workdir is gone
-        raise GitError(f"git cat-file --batch could not start: {exc}") from exc
-    with proc:
 
-        def failed() -> GitError:
-            try:
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass
-            rc = proc.wait()
-            stderr = proc.stderr.read().decode("utf-8", "replace").strip()
-            return GitError(f"git cat-file --batch failed (rc={rc}) in {workdir}: {stderr}")
+    def __init__(self, ref: ProjectRef, tip: str | None = None):
+        self.ref = ref
+        self.tip = tip
+        self.objects_read = 0
+        self._proc: subprocess.Popen | None = None
 
-        def read(sha: str) -> bytes | None:
-            try:
-                proc.stdin.write(f"{sha}\n".encode("ascii"))
-                proc.stdin.flush()
-            except BrokenPipeError:
-                raise failed() from None
-            header = proc.stdout.readline().split()
-            if header[1:] == [b"missing"]:
-                return None
-            if len(header) != 3:
-                raise failed()
-            size = int(header[2])
-            data = proc.stdout.read(size)
-            if len(data) != size or proc.stdout.read(1) != b"\n":
-                raise failed()
-            return data
+    def __enter__(self) -> BlobReader:
+        return self
 
-        try:
-            yield read
-            proc.stdin.close()
-            if proc.wait() != 0:
-                raise failed()
-        except BaseException:
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, sha: str) -> bytes | None:
+        if self._proc is None:
+            self._start()
+            if self.tip is not None and self._ask(self.tip) is None:
+                self._end()
+                raise UnknownCommitError(
+                    f"commit {self.tip} of {self.ref.id} is not in {self.ref.workdir}"
+                )
+        return self._ask(sha)
+
+    def close(self) -> None:
+        """End the process, if one runs, and wait for it; zero `objects_read`."""
+        self._end()
+        self.objects_read = 0
+
+    def _end(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            # every wanted reply is in: a process blocked on writing one must not hang the close
             proc.kill()
-            raise
+            with proc:  # closes the pipes and waits
+                pass
+
+    def _start(self) -> None:
+        try:
+            self._proc = subprocess.Popen(
+                [GIT, "cat-file", "--batch"],
+                cwd=self.ref.workdir,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=_git_env(),
+            )
+        except OSError as exc:  # no git binary, or workdir is gone
+            raise GitError(f"git cat-file --batch could not start: {exc}") from exc
+
+    def _failed(self) -> GitError:
+        proc = self._proc
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        rc = proc.wait()
+        stderr = proc.stderr.read().decode("utf-8", "replace").strip()
+        self._end()
+        return GitError(f"git cat-file --batch failed (rc={rc}) in {self.ref.workdir}: {stderr}")
+
+    def _ask(self, sha: str) -> bytes | None:
+        proc = self._proc
+        self.objects_read += 1
+        try:
+            proc.stdin.write(f"{sha}\n".encode("ascii"))
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise self._failed() from None
+        header = proc.stdout.readline().split()
+        if header[1:] == [b"missing"]:
+            return None
+        if len(header) != 3:
+            raise self._failed()
+        size = int(header[2])
+        data = proc.stdout.read(size)
+        if len(data) != size or proc.stdout.read(1) != b"\n":
+            raise self._failed()
+        return data

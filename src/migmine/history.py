@@ -2,20 +2,30 @@
 
 Holds each commit's raw `pom.xml` and `.java` changes (`select_changes`
 picks them, once, from ingest's history read; later stages read them back
-from the store) and, on first use, resolves them through one blob reader
-that streams the history one object at a time.  That reader first checks
-that the repository still has the last commit.  Caches the replayed
-manifest timeline, the map of declared libraries and per-blob uses, so
-segment and fragment detection never analyze the same blob twice.  A blob
-whose text contains none of a library's class simple names, and not every
-segment of any of its packages (`javafacts.may_reference`), counts as not
-using that library and is not tokenized for it.
+from the store).  A file change names its two versions by blob id; a
+text is read when first asked for, through one blob reader per history
+that starts at its first read and first checks that the repository still
+has the last commit.  The pipeline closes every reader when a stage ends,
+so a stored history starts at most one reader per stage.  Ingest reads
+every blob anyway, to drop the binary entries (`ProjectHistory.ingested`),
+and its history keeps those texts.  Caches the replayed manifest timeline,
+the map of declared libraries and per-blob uses, so segment and fragment
+detection never analyze the same blob twice.
+
+A blob whose text contains none of a library's class simple names, and
+not every segment of any of its packages (`javafacts.may_reference`),
+counts as not using that library and is not tokenized for it.  That "no"
+is a screen verdict, kept under the index's `screen_key` and stored, so a
+re-run answers it without reading the blob.  A blob whose facts are
+already known needs no screen: it cannot change what they resolve to.  So
+a re-run reads from git only the pom.xml texts it replays and the texts
+it diffs.
 
 A blob's facts come from a `FactsCache` that every history of a pipeline
 shares: memory first, then the store's `blob_facts` table, and only then
 the tokenizer.  So a blob is tokenized once per database, not once per
-history or per process; a stage stores what it tokenized with
-`FactsCache.save`.
+history or per process; a stage stores what it tokenized, and the
+verdicts it reached, with `FactsCache.save`.
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
@@ -83,13 +93,16 @@ class CommitChanges(NamedTuple):
 
 
 class FactsCache:
-    """Facts by blob id: in memory, then stored, then tokenized.
+    """Facts and screen verdicts by blob id: in memory, then stored, then
+    computed.
 
-    Without a store it is a memory cache.  With one, a miss reads the
+    Without a store it is a memory cache.  With one, a facts miss reads the
     store's `blob_facts` row, unless the table held no row when first
     looked at: then everything stored since came from this cache, and
-    misses go straight to the tokenizer.  `save` stores what was tokenized
-    since the last save, in one insert.
+    misses go straight to the tokenizer.  A verdict is a (blob id, screen
+    key) pair that `javafacts.may_reference` rejected; the stored ones are
+    read in one query, at the first question.  `save` stores what was
+    tokenized or rejected since the last save, one insert per table.
     """
 
     def __init__(self, store: Store | None = None):
@@ -97,22 +110,27 @@ class FactsCache:
         self._facts: dict[str, SourceFacts] = {}
         self._unsaved: dict[str, SourceFacts] = {}
         self._store_has_more: bool | None = None  # None: not looked at yet
+        self._rejected: set[tuple[str, str]] | None = None  # None: not read yet
+        self._unsaved_rejected: list[tuple[str, str]] = []
         self.tokenized = 0
         self.loaded = 0
+        self.screens_hit = 0
 
     def get(self, sha: str, text: str) -> SourceFacts:
-        facts = self._facts.get(sha)
-        if facts is not None:
-            return facts
-        stored = self._stored(sha)
-        if stored is not None:
-            facts = javafacts.decode_facts(stored)
-            self.loaded += 1
-        else:
-            facts = javafacts.extract_facts(text)
+        facts = self.known(sha)
+        if facts is None:
+            facts = self._facts[sha] = self._unsaved[sha] = javafacts.extract_facts(text)
             self.tokenized += 1
-            self._unsaved[sha] = facts
-        self._facts[sha] = facts
+        return facts
+
+    def known(self, sha: str) -> SourceFacts | None:
+        """The blob's facts from memory or the store, or None."""
+        facts = self._facts.get(sha)
+        if facts is None:
+            stored = self._stored(sha)
+            if stored is not None:
+                facts = self._facts[sha] = javafacts.decode_facts(stored)
+                self.loaded += 1
         return facts
 
     def _stored(self, sha: str) -> str | None:
@@ -122,21 +140,57 @@ class FactsCache:
             self._store_has_more = self._store.has_blob_facts()
         return self._store.blob_facts(sha) if self._store_has_more else None
 
+    def rejected(self, sha: str, screen: str) -> bool:
+        """Whether the screen `screen` is known to reject the blob."""
+        if self._rejected is None:
+            self._rejected = self._store.blob_screens() if self._store is not None else set()
+        if (sha, screen) in self._rejected:
+            self.screens_hit += 1
+            return True
+        return False
+
+    def reject(self, sha: str, screen: str) -> None:
+        """Keep a "no" that `rejected` did not know yet."""
+        self._rejected.add((sha, screen))
+        self._unsaved_rejected.append((sha, screen))
+
     def save(self) -> None:
-        if self._store is not None and self._unsaved:
-            self._store.insert_blob_facts(
-                [(sha, javafacts.encode_facts(facts)) for sha, facts in self._unsaved.items()]
-            )
+        if self._store is not None:
+            if self._unsaved:
+                self._store.insert_blob_facts(
+                    [(sha, javafacts.encode_facts(facts)) for sha, facts in self._unsaved.items()]
+                )
+            if self._unsaved_rejected:
+                self._store.insert_blob_screens(self._unsaved_rejected)
         self._unsaved.clear()
+        self._unsaved_rejected.clear()
 
     def clear(self) -> None:
-        """Empty the stored table and forget everything: the next miss looks
+        """Empty the stored tables and forget everything: the next miss looks
         at the store again, whether or not the clear commits."""
         if self._store is not None:
             self._store.clear_blob_facts()
         self._facts.clear()
         self._unsaved.clear()
+        self._unsaved_rejected.clear()
         self._store_has_more = None
+        self._rejected = None
+
+
+# a blob text not read yet
+_UNREAD = object()
+
+
+def _file_change(entry: RawChange) -> FileChange:
+    status, old_path, new_path, old_sha, new_sha = entry
+    code = status[0]
+    if code in ("A", "C"):
+        return FileChange(new_path, "added", None, None, new_sha)
+    if code == "D":
+        return FileChange(old_path, "deleted", None, old_sha, None)
+    if code == "R":
+        return FileChange(new_path, "renamed", old_path, old_sha, new_sha)
+    return FileChange(new_path, "modified", None, old_sha, new_sha)  # M, T
 
 
 class ProjectHistory:
@@ -146,16 +200,20 @@ class ProjectHistory:
         commits: list[CommitRecord],
         raw_changes: dict[str, list[RawChange]],
         facts: FactsCache | None = None,
+        texts: dict[str, str | None] | None = None,
     ):
         """`raw_changes` maps each commit id, in history order, to its
-        entries; entries that touch neither a pom.xml nor a .java file
-        are read and then dropped, so pass `select_changes`'s output.
-        Without `facts`, the history keeps its own memory cache."""
+        entries without a binary side; entries that touch neither a pom.xml
+        nor a .java file are dropped.  `texts` holds blob texts already read
+        (None: a missing blob); any other is read on first use.  Without
+        `facts`, the history keeps its own memory cache."""
         self.ref = ref
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
         self.raw_changes = raw_changes
         self._file_changes: dict[str, CommitChanges] | None = None
+        self._texts: dict[str, str | None] = texts if texts is not None else {}
+        self._reader = gitrepo.BlobReader(ref, tip=commits[-1].commit_id if commits else None)
         self._facts = facts if facts is not None else FactsCache()
         self._uses: dict[tuple, list[LibraryMethodUse]] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
@@ -167,28 +225,58 @@ class ProjectHistory:
         self._tip_files: dict[str, FileChange] = {}
         self._depends: dict[tuple, bool] = {}
 
-    def changes(self, commit_id: str) -> CommitChanges:
-        """The commit's pom.xml and .java changes against its first parent.
+    @classmethod
+    def ingested(
+        cls,
+        ref: ProjectRef,
+        commits: list[CommitRecord],
+        raw_changes: dict[str, list[RawChange]],
+        facts: FactsCache | None = None,
+    ) -> ProjectHistory:
+        """The history of `gitrepo.read_history`'s output: its pom.xml and
+        .java entries without the binary ones, with every text they name
+        already read."""
+        kept, texts = gitrepo.changed_files(ref, select_changes(raw_changes))
+        return cls(ref, commits, kept, facts=facts, texts=texts)
 
-        The first call resolves every commit of the history through one blob
-        reader, which first checks that the repository still has the last
-        commit: each caller walks the whole history anyway.
-        """
+    def changes(self, commit_id: str) -> CommitChanges:
+        """The commit's pom.xml and .java changes against its first parent."""
         if self._file_changes is None:
-            self._file_changes = {
-                cid: CommitChanges(
+            self._file_changes = {}
+            for cid, entries in self.raw_changes.items():
+                files = [_file_change(entry) for entry in entries]
+                self._file_changes[cid] = CommitChanges(
                     [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
                     [fc for fc in files if _touches_java(fc.path, fc.old_path)],
                 )
-                for cid, files in gitrepo.changed_files(
-                    self.ref, self.raw_changes, tip=self.commits[-1].commit_id
-                ).items()
-            }
         if commit_id not in self._file_changes:
             raise gitrepo.UnknownCommitError(
                 f"commit {commit_id} is not in the first-parent history of {self.ref.id}"
             )
         return self._file_changes[commit_id]
+
+    def text(self, sha: str | None) -> str | None:
+        """A blob's text; None for no blob, or one the repository lacks.
+
+        A text not read yet is read through the history's one `BlobReader`,
+        which first checks that the repository still has the last commit.
+        """
+        if sha is None:
+            return None
+        text = self._texts.get(sha, _UNREAD)
+        if text is _UNREAD:
+            raw = self._reader.read(sha)
+            text = self._texts[sha] = raw if raw is None else raw.decode("utf-8", "replace")
+        return text
+
+    @property
+    def blobs_read(self) -> int:
+        """The objects read from git since the last `close`."""
+        return self._reader.objects_read
+
+    def close(self) -> None:
+        """End the blob reader's process; a later read starts another."""
+        self._reader.close()
 
     def facts_for(self, sha: str, text: str) -> SourceFacts:
         return self._facts.get(sha, text)
@@ -197,20 +285,41 @@ class ProjectHistory:
     def _index_key(index: PackageIndex):
         return (index.library.identity, index.prefix_mode)
 
-    def uses_for(
-        self, sha: str | None, text: str | None, index: PackageIndex
-    ) -> list[LibraryMethodUse]:
-        """The library's method uses in one file version; none in an absent
-        version (`text` None)."""
+    def _screened_facts(self, sha: str, index: PackageIndex) -> SourceFacts | None:
+        """The blob's facts, or None when none of them can reference the
+        library.
+
+        Asks, in turn: a verdict of the index's screen, from memory or the
+        store; the blob's text, when it is in memory, screened and any "no"
+        kept; facts already known, whose uses need no screen, by
+        `javafacts.may_reference`'s contract; and only then the text, read
+        from git and screened.
+        """
+        screen = index.screen_key
+        if self._facts.rejected(sha, screen):
+            return None
+        text = self._texts.get(sha, _UNREAD)
+        if text is _UNREAD:
+            facts = self._facts.known(sha)
+            if facts is not None:
+                return facts
+            text = self.text(sha)
         if text is None:
+            return None
+        if not javafacts.may_reference(text, index):
+            self._facts.reject(sha, screen)
+            return None
+        return self.facts_for(sha, text)
+
+    def uses_for(self, sha: str | None, index: PackageIndex) -> list[LibraryMethodUse]:
+        """The library's method uses in one blob; none in an absent version
+        (`sha` None) or a missing blob."""
+        if sha is None:
             return []
         key = (sha, self._index_key(index))
         if key not in self._uses:
-            self._uses[key] = (
-                javafacts.resolve_usages(self.facts_for(sha, text), index)
-                if javafacts.may_reference(text, index)
-                else []
-            )
+            facts = self._screened_facts(sha, index)
+            self._uses[key] = [] if facts is None else javafacts.resolve_usages(facts, index)
         return self._uses[key]
 
     # -- manifest timeline ---------------------------------------------------
@@ -226,7 +335,7 @@ class ProjectHistory:
                 if fc.kind == "renamed" and fc.old_path:
                     per_path.pop(fc.old_path, None)
                 try:
-                    per_path[fc.path] = parse_manifest(fc.after or "")
+                    per_path[fc.path] = parse_manifest(self.text(fc.after_sha) or "")
                 except ManifestParseError as exc:
                     log.warning(
                         "event=manifest_parse_error project=%s commit=%s path=%s error=%s",
@@ -307,14 +416,13 @@ class ProjectHistory:
     ) -> bool:
         """Whether the version `fc` leaves at its path depends on the library;
         judged once per blob id."""
-        if fc is None or fc.after is None:
+        if fc is None or fc.after_sha is None:
             return False
         key = (fc.after_sha, self._index_key(index), imports_count_as_use)
         if key not in self._depends:
-            self._depends[key] = javafacts.may_reference(fc.after, index) and (
-                javafacts.facts_depend_on(
-                    self.facts_for(fc.after_sha, fc.after), index, imports_count_as_use
-                )
+            facts = self._screened_facts(fc.after_sha, index)
+            self._depends[key] = facts is not None and javafacts.facts_depend_on(
+                facts, index, imports_count_as_use
             )
         return self._depends[key]
 

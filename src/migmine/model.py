@@ -15,6 +15,7 @@ in place.
 from __future__ import annotations
 
 import re
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import NamedTuple
@@ -80,17 +81,16 @@ class RawChange(NamedTuple):
 
 
 class FileChange(NamedTuple):
-    """One file touched by a commit, with both content versions resolved.
+    """One file touched by a commit, by the blob ids of its two versions.
 
-    kind is one of added / modified / deleted / renamed.  The blob ids let
-    later stages cache per-blob analysis results.
+    kind is one of added / modified / deleted / renamed; an absent version
+    has no blob id.  `ProjectHistory.text` reads a version's text, and the
+    blob ids let later stages cache per-blob analysis results.
     """
 
     path: str
     kind: str
     old_path: str | None = None
-    before: str | None = None
-    after: str | None = None
     before_sha: str | None = None
     after_sha: str | None = None
 
@@ -180,10 +180,14 @@ class PackageIndex:
     # what javafacts.may_reference looks for in a source text: the class
     # simple names and package last segments, one of which any text that
     # references the library holds; then each package's segments, and a
-    # pattern that finds any class simple name (None without classes)
+    # pattern that finds any class simple name (None without classes).  The
+    # screen key names all three: the length and CRC-32 of the sorted
+    # packages and class simple names, so two indexes that share it get
+    # the same answer from may_reference for every text
     reference_words: tuple[str, ...] = field(init=False, repr=False, compare=False)
     package_segments: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     class_pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
+    screen_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # package segments first: a source that uses the library usually imports
@@ -198,6 +202,8 @@ class PackageIndex:
         object.__setattr__(self, "package_segments", tuple(segments))
         pattern = re.compile("|".join(map(re.escape, classes))) if classes else None
         object.__setattr__(self, "class_pattern", pattern)
+        named = "\n".join([*sorted(self.packages), "", *classes]).encode("utf-8")
+        object.__setattr__(self, "screen_key", f"{len(named)}-{zlib.crc32(named):08x}")
 
     def contains_class(self, fqcn: str) -> bool:
         if not self.prefix_mode:

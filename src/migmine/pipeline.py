@@ -29,7 +29,7 @@ from .docs import (
     parse_doc_archive,
 )
 from .fragments import extract_mappings, filter_fragments, unified_diff
-from .history import FactsCache, ProjectHistory, select_changes
+from .history import FactsCache, ProjectHistory
 from .model import (
     UNRESOLVED,
     Fragment,
@@ -61,14 +61,19 @@ def stage(method):
     sqlite3 begins the transaction at the stage's first write, and each stage
     computes what it stores before it clears and writes: git reads, archive
     downloads, parsing and diffing run outside the transaction and hold no
-    database lock.
+    database lock.  When the stage ends or raises, every history's blob
+    reader is closed, so no `cat-file` process outlives a stage.
     """
 
     @functools.wraps(method)
     def run(self, *args, **kwargs):
         start = time.perf_counter()
-        with self.store.transaction():
-            result = method(self, *args, **kwargs)
+        try:
+            with self.store.transaction():
+                result = method(self, *args, **kwargs)
+        finally:
+            for history in self._histories.values():
+                history.close()
         log.info(
             "event=stage_done stage=%s seconds=%.3f",
             method.__name__, time.perf_counter() - start,
@@ -225,9 +230,8 @@ class Pipeline:
         def one(job):
             origin, project_id = job
             try:
-                ref, commits, raw_changes = gitrepo.ingest_project(origin, clones_dir, project_id)
-                history = ProjectHistory(
-                    ref, commits, select_changes(raw_changes), facts=self.facts
+                history = ProjectHistory.ingested(
+                    *gitrepo.ingest_project(origin, clones_dir, project_id), facts=self.facts
                 )
                 history.dependency_changes()
                 return (project_id, history, None)
@@ -299,6 +303,7 @@ class Pipeline:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
+        screens_hit = self.facts.screens_hit
         histories = [self.history(project_id) for project_id in self._projects()]
         found_by_pair = self._per_project(
             "detect_segments",
@@ -326,8 +331,10 @@ class Pipeline:
         self.store.insert_segments(segments)
         self.facts.save()
         log.info(
-            "event=segments_detected pairs=%d segments=%d blobs_loaded=%d blobs_tokenized=%d",
-            pairs, len(segments), self.facts.loaded, self.facts.tokenized,
+            "event=segments_detected pairs=%d segments=%d blobs_read=%d screens_hit=%d "
+            "blobs_loaded=%d blobs_tokenized=%d",
+            pairs, len(segments), self._blobs_read(), self.facts.screens_hit - screens_hit,
+            self.facts.loaded, self.facts.tokenized,
         )
         return segments
 
@@ -342,6 +349,7 @@ class Pipeline:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
+        screens_hit = self.facts.screens_hit
         found_by_segment = self._per_project(
             "detect_fragments",
             ((segment.project, functools.partial(self._segment_fragments, segment))
@@ -358,12 +366,17 @@ class Pipeline:
         self.facts.save()
         log.info(
             "event=fragments_detected fragments=%d mappings=%d confirmed=%d "
-            "blobs_loaded=%d blobs_tokenized=%d",
+            "blobs_read=%d screens_hit=%d blobs_loaded=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
+            self._blobs_read(), self.facts.screens_hit - screens_hit,
             self.facts.loaded, self.facts.tokenized,
         )
         return all_fragments, mappings
+
+    def _blobs_read(self) -> int:
+        """The objects this stage has read from git so far."""
+        return sum(history.blobs_read for history in self._histories.values())
 
     def _rule_segments(
         self, history: ProjectHistory, rule: MigrationRule
@@ -394,15 +407,15 @@ class Pipeline:
                 # after, so ask for those (cached) before diffing
                 if fc.before_sha == fc.after_sha:
                     continue
-                uses_before = history.uses_for(fc.before_sha, fc.before, source_index)
+                uses_before = history.uses_for(fc.before_sha, source_index)
                 if not uses_before:
                     continue
-                uses_after = history.uses_for(fc.after_sha, fc.after, target_index)
+                uses_after = history.uses_for(fc.after_sha, target_index)
                 if not uses_after:
                     continue
                 hunks = unified_diff(
-                    fc.before or "",
-                    fc.after or "",
+                    history.text(fc.before_sha) or "",
+                    history.text(fc.after_sha) or "",
                     self.config.context_lines,
                     path=fc.path,
                 )

@@ -57,12 +57,12 @@ class SegmentScanner:
         commit_id = self.history.commits[ordinal].commit_id
         removed_source = added_target = False
         for fc in self.history.changes(commit_id).java:
-            src_before = self._use_counts(fc.before_sha, fc.before, self.source_index)
-            src_after = self._use_counts(fc.after_sha, fc.after, self.source_index)
+            src_before = self._use_counts(fc.before_sha, self.source_index)
+            src_after = self._use_counts(fc.after_sha, self.source_index)
             if any(src_before[k] > src_after.get(k, 0) for k in src_before):
                 removed_source = True
-            dst_before = self._use_counts(fc.before_sha, fc.before, self.target_index)
-            dst_after = self._use_counts(fc.after_sha, fc.after, self.target_index)
+            dst_before = self._use_counts(fc.before_sha, self.target_index)
+            dst_after = self._use_counts(fc.after_sha, self.target_index)
             if any(dst_after[k] > dst_before.get(k, 0) for k in dst_after):
                 added_target = True
             if removed_source and added_target:
@@ -70,9 +70,9 @@ class SegmentScanner:
         self._deltas[ordinal] = (removed_source, added_target)
         return self._deltas[ordinal]
 
-    def _use_counts(self, sha, text, index) -> dict[tuple, int]:
+    def _use_counts(self, sha, index) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
-        for use in self.history.uses_for(sha, text, index):
+        for use in self.history.uses_for(sha, index):
             counts[use.method_key] = counts.get(use.method_key, 0) + 1
         return counts
 

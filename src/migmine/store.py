@@ -40,6 +40,13 @@ each add the facts they tokenized.  It is never exported.  Opening a
 database whose `facts_version` differs from `javafacts.FACTS_VERSION`
 empties it.
 
+`blob_screens` is the same kind of cache and goes with `blob_facts`:
+whenever one is emptied, so is the other.  Each row is a (blob id, screen
+key) pair that `javafacts.may_reference` rejected, so a re-run need not
+read that blob to reject it again.  The screen key names what the screen
+reads of a package index (`PackageIndex.screen_key`), not its coordinate,
+so a class jar replaced under the same coordinate is screened again.
+
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
 their library, which a reader stamps back on.  Its key is the jar's length
@@ -55,15 +62,18 @@ all NULL when none was found; the doc's library is the one on that side of
 the mapping, and its class and method are the attachment's own.
 
 `file_changes` holds, for each stored commit, the raw `pom.xml` and
-`.java` entries of ingest's history read, in git's order: status, both
-paths and both blob ids.  A commit's rows go with it, by cascade.  So a
-history that a later stage builds from the store needs no `git log`,
-only the blob reader.
+`.java` entries of ingest's history read that have no binary side, in
+git's order: status, both paths and both blob ids.  The new path is NULL
+when it equals the old one, and a side without a blob is NULL, not git's
+all-zero id; both read back as git gave them.  A commit's rows go with
+it, by cascade.  So a history that a later stage builds from the store
+needs no `git log`, only the blob reader, and only for the texts it uses.
 
 Open rule: a database whose `schema_version` differs from
 `SCHEMA_VERSION` is refused with a `StoreError` before anything writes to
 it; there is no migration.  Version 1 had no `file_changes`, so its
-commits would read as histories without changes.  A database with no
+commits would read as histories without changes; version 2 had no
+`blob_screens` and stored `file_changes` in full.  A database with no
 `schema_version` is new and gets this one.
 """
 
@@ -95,7 +105,7 @@ from .model import (
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class StoreError(RuntimeError):
@@ -138,9 +148,9 @@ CREATE TABLE IF NOT EXISTS file_changes (
   seq INTEGER NOT NULL,
   status TEXT NOT NULL,
   old_path TEXT NOT NULL,
-  new_path TEXT NOT NULL,
-  old_blob TEXT NOT NULL,
-  new_blob TEXT NOT NULL,
+  new_path TEXT,
+  old_blob TEXT,
+  new_blob TEXT,
   PRIMARY KEY (project, commit_id, seq),
   FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
 ) WITHOUT ROWID;
@@ -230,6 +240,11 @@ CREATE TABLE IF NOT EXISTS blob_facts (
   blob_id TEXT PRIMARY KEY,
   facts TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS blob_screens (
+  blob_id TEXT NOT NULL,
+  screen TEXT NOT NULL,
+  PRIMARY KEY (blob_id, screen)
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS archive_docs (
   key TEXT PRIMARY KEY,
   docs TEXT NOT NULL
@@ -281,6 +296,14 @@ _INSERT_DOC_ATTACHMENT = (
 def _commit_row(record: CommitRecord) -> tuple:
     return (record.project, record.commit_id, record.ordinal, record.date.isoformat(),
             record.author, record.message)
+
+
+def _file_change_columns(entry: RawChange) -> tuple:
+    """status, old path, new path (NULL: the old path), old and new blob
+    (NULL: git's all-zero id of an absent side)."""
+    status, old_path, new_path, old_sha, new_sha = entry
+    return (status, old_path, None if new_path == old_path else new_path,
+            old_sha if old_sha.strip("0") else None, new_sha if new_sha.strip("0") else None)
 
 
 def _rule_row(rule: MigrationRule) -> tuple:
@@ -466,7 +489,7 @@ class Store:
         """Store each (project, raw changes by commit id) pair's entries, in
         order, under their stored commits."""
         rows = (
-            (project, commit_id, seq, *entry)
+            (project, commit_id, seq, *_file_change_columns(entry))
             for project, by_commit in histories
             for commit_id, entries in by_commit.items()
             for seq, entry in enumerate(entries)
@@ -553,13 +576,20 @@ class Store:
             self.db.execute("DELETE FROM doc_attachments")
 
     def clear_blob_facts(self) -> None:
+        """Empty `blob_facts` and, with it, `blob_screens`."""
         with self.transaction():
             self.db.execute("DELETE FROM blob_facts")
+            self.db.execute("DELETE FROM blob_screens")
 
     def insert_blob_facts(self, rows: list[tuple[str, str]]) -> None:
         """Store (blob id, encoded facts) rows; a blob already stored is a StoreError."""
         with self._writing("blob facts"):
             self.db.executemany("INSERT INTO blob_facts (blob_id, facts) VALUES (?, ?)", rows)
+
+    def insert_blob_screens(self, rows: list[tuple[str, str]]) -> None:
+        """Store (blob id, screen key) verdicts; one already stored is a StoreError."""
+        with self._writing("blob screens"):
+            self.db.executemany("INSERT INTO blob_screens (blob_id, screen) VALUES (?, ?)", rows)
 
     def keep_archive_docs(self, keys: Iterable[str]) -> None:
         """Delete every stored archive's docs but those of `keys`."""
@@ -613,11 +643,16 @@ class Store:
         """Every project's stored raw changes: project -> commit id -> its
         entries in git's order.  A commit without entries is absent."""
         out: dict[str, dict[str, list[RawChange]]] = {}
-        for project, commit_id, *entry in self.db.execute(
+        for project, commit_id, status, old_path, new_path, old_blob, new_blob in self.db.execute(
             "SELECT project, commit_id, status, old_path, new_path, old_blob, new_blob "
             "FROM file_changes ORDER BY project, commit_id, seq"
         ):
-            out.setdefault(project, {}).setdefault(commit_id, []).append(RawChange(*entry))
+            # an entry has a blob on at least one side; no blob is all zeros
+            zeros = "0" * len(old_blob or new_blob)
+            out.setdefault(project, {}).setdefault(commit_id, []).append(RawChange(
+                status, old_path, old_path if new_path is None else new_path,
+                old_blob or zeros, new_blob or zeros,
+            ))
         return out
 
     def has_blob_facts(self) -> bool:
@@ -629,6 +664,10 @@ class Store:
             "SELECT facts FROM blob_facts WHERE blob_id = ?", (blob_id,)
         ).fetchone()
         return row[0] if row else None
+
+    def blob_screens(self) -> set[tuple[str, str]]:
+        """Every stored (blob id, screen key) verdict."""
+        return set(self.db.execute("SELECT blob_id, screen FROM blob_screens"))
 
     def archive_docs(self, keys: Iterable[str]) -> dict[str, str]:
         """The encoded docs stored under each of `keys` that has a row."""

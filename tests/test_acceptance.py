@@ -381,14 +381,15 @@ def test_criterion_7_live_commit_detection(tmp_path, capsys):
     from migmine.history import ProjectHistory
     from migmine.manifest import diff_dependencies, parse_manifest
 
-    history = ProjectHistory(
+    history = ProjectHistory.ingested(
         *ingest_project("https://github.com/vmi/selenese-runner-java.git", tmp_path)
     )
     assert FOOTNOTE_COMMIT in history.by_commit
     changes = history.changes(FOOTNOTE_COMMIT).pom
     assert changes
     change = diff_dependencies(
-        parse_manifest(changes[0].before or ""), parse_manifest(changes[0].after or "")
+        parse_manifest(history.text(changes[0].before_sha) or ""),
+        parse_manifest(history.text(changes[0].after_sha) or ""),
     )
     assert ("org.json", "json") in {c.identity for c in change.removed}
     assert ("com.google.code.gson", "gson") in {c.identity for c in change.added}

@@ -12,6 +12,7 @@ from migmine.gitrepo import (
     IngestError,
     NoHistoryError,
     RawChange,
+    BlobReader,
     UnknownCommitError,
     changed_files,
     git_version,
@@ -43,7 +44,7 @@ MOVED = "class Moved {\n" + "".join(f"  int f{i};\n" for i in range(30)) + "}\n"
 
 
 def history_of(path, work) -> ProjectHistory:
-    return ProjectHistory(*ingest_project(str(path), work))
+    return ProjectHistory.ingested(*ingest_project(str(path), work))
 
 
 class TestIngest:
@@ -121,8 +122,9 @@ class TestIngest:
             return popen(cmd, **kwargs)
 
         monkeypatch.setattr(gitrepo.subprocess, "Popen", spy_popen)
-        path, _ = small_repo
-        assert changed_files(ProjectRef("p", str(path), str(path)), {}) == {}
+        path, hashes = small_repo
+        with BlobReader(ProjectRef("p", str(path), str(path))) as blobs:
+            assert blobs.read(hashes[0]).startswith(b"tree ")
         assert reader["cmd"][1:] == ["cat-file", "--batch"]
         assert reader["env"]["GIT_TERMINAL_PROMPT"] == "0"
         assert reader["env"]["MIGMINE_PROBE"] == "kept"
@@ -139,12 +141,13 @@ class TestIngest:
 class TestChangedFiles:
     def test_pom_filter_single_modification(self, small_repo):
         path, hashes = small_repo
-        changes = history_of(path, path.parent / "work").changes(hashes[1]).pom
+        history = history_of(path, path.parent / "work")
+        changes = history.changes(hashes[1]).pom
         assert len(changes) == 1
         change = changes[0]
         assert change.kind == "modified"
-        assert change.before == "<project/>"
-        assert change.after == "<project><x/></project>"
+        assert history.text(change.before_sha) == "<project/>"
+        assert history.text(change.after_sha) == "<project><x/></project>"
 
     def test_no_matching_path_is_empty(self, small_repo):
         path, hashes = small_repo
@@ -172,16 +175,17 @@ class TestChangedFiles:
 
     def test_root_commit_adds_have_no_before(self, small_repo):
         path, hashes = small_repo
-        changes = history_of(path, path.parent / "work").changes(hashes[0]).java
+        history = history_of(path, path.parent / "work")
+        changes = history.changes(hashes[0]).java
         assert len(changes) == 1
         assert changes[0].kind == "added"
-        assert changes[0].before is None
-        assert changes[0].after == "class A {}\n"
+        assert changes[0].before_sha is None
+        assert history.text(changes[0].after_sha) == "class A {}\n"
 
     def test_unknown_commit_raises_lookup_error(self, small_repo, tmp_path):
         """A history built from the store, as every stage after ingest builds
-        it, knows only its stored commits and needs the repository to still
-        have its last one."""
+        it, knows only its stored commits, and its first text read needs the
+        repository to still have its last one."""
         path, hashes = small_repo
         ref, records, raw = ingest_project(str(path), path.parent / "work")
 
@@ -199,13 +203,26 @@ class TestChangedFiles:
             stored_history("all", records).changes("0" * 40)
         # a stored history holds its own commits, not HEAD's
         stored = stored_history("two", records[:2])
-        assert stored.changes(hashes[1]).pom
+        [pom_change] = stored.changes(hashes[1]).pom
         with pytest.raises(UnknownCommitError):
             stored.changes(hashes[2])
-        # a stored last commit the repository no longer has
+        try:
+            assert stored.text(pom_change.after_sha) == "<project><x/></project>"
+        finally:
+            stored.close()
+        # a stored last commit the repository no longer has: its changes
+        # read from the store, its first text read fails
         gone = records[:1] + [CommitRecord(ref.id, "f" * 40, records[1].date, "", "", 1)]
-        with pytest.raises(UnknownCommitError, match="f{40}"):
-            stored_history("gone", gone).changes(hashes[0])
+        history = stored_history("gone", gone)
+        [java] = history.changes(hashes[0]).java
+        try:
+            with pytest.raises(UnknownCommitError, match="f{40}"):
+                history.text(java.after_sha)
+            # the failed reader is gone: the next read checks again
+            with pytest.raises(UnknownCommitError, match="f{40}"):
+                history.text(java.after_sha)
+        finally:
+            history.close()
 
     def test_rename_detection(self, tmp_path):
         path = tmp_path / "renamer"
@@ -224,23 +241,22 @@ class TestChangedFiles:
     def test_replay_invariant_before_equals_previous_after(self, small_repo):
         path, hashes = small_repo
         ref, records, raw = ingest_project(str(path), path.parent / "work")
-        by_commit = changed_files(ref, raw)
-        assert list(by_commit) == [r.commit_id for r in records]
+        kept, texts = changed_files(ref, raw)
+        assert kept == raw
         last_after: dict[str, str] = {}
         for record in records:
-            for change in by_commit[record.commit_id]:
-                if change.kind != "added":
-                    previous = last_after.get(change.old_path or change.path)
+            for status, old_path, new_path, old_sha, new_sha in kept[record.commit_id]:
+                if status[0] not in "AC":
+                    previous = last_after.get(old_path)
                     if previous is not None:
-                        assert change.before == previous
+                        assert texts[old_sha] == previous
                         # each distinct blob is decoded once
-                        assert change.before is previous
-                if change.after is not None:
-                    last_after[change.path] = change.after
-                if change.kind == "renamed":
-                    last_after.pop(change.old_path, None)
-                elif change.kind == "deleted":
-                    last_after.pop(change.path, None)
+                        assert texts[old_sha] is previous
+                if status[0] == "D":
+                    last_after.pop(old_path, None)
+                else:
+                    last_after.pop(old_path, None)
+                    last_after[new_path] = texts[new_sha]
         assert last_after["notes.txt"] == "hi\n"
 
     def test_binary_blobs_are_skipped(self, tmp_path):
@@ -254,27 +270,34 @@ class TestChangedFiles:
         _git(["add", "-A"], cwd=path)
         _git(["commit", "-q", "-m", "bin"], cwd=path, env=env)
         ref, records, raw = ingest_project(str(path), tmp_path / "w")
-        changes = changed_files(ref, raw)[records[0].commit_id]
-        assert [c.path for c in changes] == ["ok.txt"]
+        kept, texts = changed_files(ref, raw)
+        assert [e.new_path for e in kept[records[0].commit_id]] == ["ok.txt"]
+        assert list(texts.values()) == ["text\n"]
 
     def test_dead_reader_is_git_error_not_empty_changes(self, tmp_path, monkeypatch):
         path = tmp_path / "vanishing"
         hashes = build_repo(path, [("first", {"pom.xml": "<project/>"})])
-        history = history_of(path, tmp_path / "work")
+        ref, records, raw = ingest_project(str(path), tmp_path / "work")
+        history = ProjectHistory(ref, records, raw)
+        [pom_change] = history.changes(hashes[0]).pom
         shutil.rmtree(path / ".git")
         # git must not find an enclosing repository above the test directory
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-        with pytest.raises(GitError, match=r"cat-file --batch failed \(rc=128\)"):
-            history.changes(hashes[0])
+        try:
+            for _ in range(2):  # a dead reader is replaced, and fails again
+                with pytest.raises(GitError, match=r"cat-file --batch failed \(rc=128\)"):
+                    history.text(pom_change.after_sha)
+        finally:
+            history.close()
 
     def test_missing_blob_reads_as_none(self, small_repo):
         path, hashes = small_repo
         ref, _, raw = ingest_project(str(path), path.parent / "work")
         gone = "f" * 40
         entry = RawChange("M", "pom.xml", "pom.xml", gone, raw[hashes[1]][0].new_sha)
-        [change] = changed_files(ref, {hashes[1]: [entry]})[hashes[1]]
-        assert change.before is None
-        assert change.after == "<project><x/></project>"
+        kept, texts = changed_files(ref, {hashes[1]: [entry]})
+        assert kept == {hashes[1]: [entry]}
+        assert texts == {gone: None, entry.new_sha: "<project><x/></project>"}
 
 
 # -- the one-stream reader against per-commit diff-tree ------------------------
@@ -346,7 +369,9 @@ class TestReadHistory:
         merge = list(changes)[-1]
         assert {e.new_path for e in changes[merge]} == {"pom.xml", "src/A.java"}
         history = history_of(path, tmp_path / "work")
-        assert [c.after for c in history.changes(merge).pom] == [pom("app", GSON_LIB)]
+        assert [history.text(c.after_sha) for c in history.changes(merge).pom] == [
+            pom("app", GSON_LIB)
+        ]
         assert [c.path for c in history.changes(merge).java] == ["src/A.java"]
 
     def test_repository_config_does_not_change_the_stream(self, tmp_path):

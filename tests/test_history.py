@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from migmine import javafacts
 from migmine.gitrepo import ingest_project
-from migmine.history import CommitChanges, ProjectHistory
+from migmine.history import CommitChanges, FactsCache, ProjectHistory
 from migmine.model import UNRESOLVED, CommitRecord, FileChange, LibraryCoordinate, ProjectRef
 
 JSON_ID = ("org.json", "json")
@@ -21,7 +21,7 @@ JUNIT_ID = ("junit", "junit")
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     build_repo(path, commits)
-    return ProjectHistory(*ingest_project(str(path), tmp_path / "work", name))
+    return ProjectHistory.ingested(*ingest_project(str(path), tmp_path / "work", name))
 
 
 def test_multi_module_dependencies_union_per_commit(tmp_path):
@@ -185,15 +185,24 @@ PATHS = ["A.java", "B.java", "C.java", "D.java"]
 
 
 class ScriptedHistory(ProjectHistory):
-    """A history whose java changes are given, not read from a repository."""
+    """A history whose java changes and blob texts are given, not read from
+    a repository."""
 
-    def __init__(self, java_changes: list[list[FileChange]]):
+    def __init__(
+        self,
+        java_changes: list[list[FileChange]],
+        texts: dict[str, str | None],
+        facts: FactsCache | None = None,
+    ):
+        # no repository: a text not given cannot be read
         ref = ProjectRef("scripted", "scripted", "scripted")
         date = datetime(2015, 1, 1, tzinfo=timezone.utc)
         super().__init__(
             ref,
             [CommitRecord(ref.id, f"c{i}", date, "dev", "", i) for i in range(len(java_changes))],
             {},
+            facts=facts,
+            texts=texts,
         )
         self.scripted = {f"c{i}": CommitChanges([], fcs) for i, fcs in enumerate(java_changes)}
 
@@ -212,11 +221,12 @@ def forward_dependency_flags(history, index, imports_count_as_use):
                 continue
             if fc.kind == "renamed" and fc.old_path:
                 dependent.discard(fc.old_path)
+            after = history.text(fc.after_sha)
             if (
-                fc.after is not None
-                and javafacts.may_reference(fc.after, index)
+                after is not None
+                and javafacts.may_reference(after, index)
                 and javafacts.facts_depend_on(
-                    history.facts_for(fc.after_sha, fc.after),
+                    history.facts_for(fc.after_sha, after),
                     index,
                     imports_count_as_use,
                 )
@@ -236,10 +246,12 @@ def draw_version(data) -> tuple[str | None, str]:
     return text, hashlib.sha1(repr(text).encode()).hexdigest()
 
 
-def draw_java_changes(data) -> list[list[FileChange]]:
+def draw_java_changes(data) -> tuple[list[list[FileChange]], dict[str, str | None]]:
     """Adds, modifies, deletes and renames that git could report, commit by
-    commit; paths may be deleted, re-added and renamed onto again."""
+    commit, and the text of each blob; paths may be deleted, re-added and
+    renamed onto again."""
     present: dict[str, tuple[str | None, str]] = {}
+    texts: dict[str, str | None] = {}
     commits = []
     for _ in range(data.draw(st.integers(1, 8))):
         changes = []
@@ -252,22 +264,22 @@ def draw_java_changes(data) -> list[list[FileChange]]:
             if kind == "added":
                 path = data.draw(st.sampled_from(absent))
                 text, sha = present[path] = draw_version(data)
-                changes.append(FileChange(path, kind, None, None, text, None, sha))
+                texts[sha] = text
+                changes.append(FileChange(path, kind, None, None, sha))
                 continue
             old = data.draw(st.sampled_from(sorted(present)))
-            before, before_sha = present.pop(old)
+            _, before_sha = present.pop(old)
             if kind == "deleted":
-                changes.append(FileChange(old, kind, None, before, None, before_sha, None))
+                changes.append(FileChange(old, kind, None, before_sha, None))
                 continue
             path = old if kind == "modified" else data.draw(st.sampled_from(absent))
             text, sha = present[path] = draw_version(data)
+            texts[sha] = text
             changes.append(
-                FileChange(
-                    path, kind, old if kind == "renamed" else None, before, text, before_sha, sha
-                )
+                FileChange(path, kind, old if kind == "renamed" else None, before_sha, sha)
             )
         commits.append(changes)
-    return commits
+    return commits, texts
 
 
 def test_last_dependent_commit_matches_a_forward_replay(json_index):
@@ -276,10 +288,10 @@ def test_last_dependent_commit_matches_a_forward_replay(json_index):
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def check(data):
-        java_changes = draw_java_changes(data)
-        reference = ScriptedHistory(java_changes)
+        java_changes, texts = draw_java_changes(data)
+        reference = ScriptedHistory(java_changes, texts)
         # one history answers for both settings, so its caches must keep them apart
-        history = ScriptedHistory(java_changes)
+        history = ScriptedHistory(java_changes, texts)
         answers = {}
         for imports_count_as_use in (True, False):
             flags = forward_dependency_flags(reference, json_index, imports_count_as_use)
@@ -294,3 +306,30 @@ def test_last_dependent_commit_matches_a_forward_replay(json_index):
 
     check()
     assert seen == {"none", "at hi", "below hi", "imports decide"}
+
+
+def test_a_rerun_answers_from_verdicts_and_facts_without_reading(json_index):
+    """A history that shares a first history's facts cache but holds none of
+    its texts answers every question alike and reads no blob: a screen's
+    "no" or the blob's known facts answer each one.  Only a blob the first
+    history could not find is read again."""
+    indexes = [json_index, javafacts.fallback_package_index(LibraryCoordinate(*JSON_LIB))]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        java_changes, texts = draw_java_changes(data)
+        facts = FactsCache()
+        first = ScriptedHistory(java_changes, texts, facts)
+        missing = {sha: None for sha, text in texts.items() if text is None}
+        rerun = ScriptedHistory(java_changes, missing, facts)
+        for index in indexes:
+            for imports_count_as_use in (True, False):
+                for hi in range(len(java_changes)):
+                    expected = first.last_dependent_commit(index, hi, imports_count_as_use)
+                    assert rerun.last_dependent_commit(index, hi, imports_count_as_use) == expected
+            for sha in texts:
+                expected = first.uses_for(sha, index)
+                assert rerun.uses_for(sha, index) == expected
+
+    check()

@@ -322,6 +322,25 @@ class TestMayReference:
         }
         assert JSON_FALLBACK.reference_words == ("json",)
 
+    def test_screen_key_names_packages_and_class_simple_names(self):
+        """Indexes with the same packages and class simple names share a
+        screen key, whatever their coordinate or mode and whichever package
+        holds which class; one more class or package changes the key."""
+
+        def index(classes, version="1", prefix_mode=False):
+            return PackageIndex(
+                LibraryCoordinate("g", "a", version),
+                frozenset(classes),
+                frozenset(c.rpartition(".")[0] for c in classes),
+                prefix_mode,
+            )
+
+        key = index(["a.b.X", "a.c.Y"]).screen_key
+        assert index(["a.b.Y", "a.c.X"], version="2").screen_key == key
+        assert index(["a.c.Y", "a.b.X"], prefix_mode=True).screen_key == key
+        assert index(["a.b.X", "a.c.Y", "a.c.Z"]).screen_key != key
+        assert index(["a.b.X", "a.c.Y", "a.d.Y"]).screen_key != key
+
 
 class TestStoredFacts:
     def test_decoding_the_encoded_facts_gives_the_extracted_facts(self, json_index):

@@ -31,7 +31,7 @@ RECORDS = [
     COORDINATE,
     ProjectRef("demo", "origin", "work/demo"),
     CommitRecord("demo", "c1", datetime(2020, 1, 1, tzinfo=timezone.utc), "a", "m", 0),
-    FileChange("A.java", "added", after="class A {}"),
+    FileChange("A.java", "added", after_sha="1" * 40),
     DependencyChange("demo", "c1", frozenset({COORDINATE}), frozenset()),
     ImportDecl("org.json.JSONObject"),
     Invocation(1, "constructor", "JSONObject", 0, "JSONObject"),

@@ -1,5 +1,6 @@
 """Pipeline-level behaviors that only show up on purpose-built repos."""
 
+import hashlib
 import json
 import logging
 import sqlite3
@@ -21,6 +22,7 @@ from corpusgen import (
     _git,
     build_fake_maven_repo,
     build_repo,
+    class_jar,
     javadoc_jar,
     javadoc_page,
     pom,
@@ -317,11 +319,16 @@ MOVED = "class Moved {\n" + "".join(f"  int f{i};\n" for i in range(30)) + "}\n"
 
 
 def assert_same_history(stored, ingested) -> None:
-    assert stored.commits == ingested.commits
-    for commit in ingested.commits:
-        assert stored.changes(commit.commit_id) == ingested.changes(commit.commit_id)
-    assert stored.dependency_timeline() == ingested.dependency_timeline()
-    assert stored.declared_libraries() == ingested.declared_libraries()
+    """The stored history's changes, and the manifest texts it reads through
+    its own blob reader, are ingest's."""
+    try:
+        assert stored.commits == ingested.commits
+        for commit in ingested.commits:
+            assert stored.changes(commit.commit_id) == ingested.changes(commit.commit_id)
+        assert stored.dependency_timeline() == ingested.dependency_timeline()
+        assert stored.declared_libraries() == ingested.declared_libraries()
+    finally:
+        stored.close()
 
 
 def test_stored_history_reads_as_ingests(corpus, tmp_path):
@@ -337,10 +344,10 @@ def test_stored_history_reads_as_ingests(corpus, tmp_path):
 
 
 def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
-    """A rename, a deletion, a binary .java file, the root commit and a
-    commit that touches neither a pom.xml nor a .java file read back from
-    the store as ingest read them; the quiet commit has no changes, and is
-    no unknown commit."""
+    """A rename, a deletion, the root commit and a commit that touches
+    neither a pom.xml nor a .java file read back from the store as ingest
+    read them; the quiet commit has no changes, and is no unknown commit.
+    A binary .java file is not stored."""
     config = single_repo_config(
         tmp_path,
         "mixed",
@@ -365,11 +372,26 @@ def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
         ]
         assert [c.kind for c in stored.changes(drop).java] == ["deleted"]
         assert [c.path for c in stored.changes(drop).pom] == ["pom.xml"]
-        # the quiet commit stores no row, the binary file's row stays
+        # neither the quiet commit nor the binary file stores a row
         assert set(store.file_changes()["mixed"]) == {root, move, drop}
         assert [e.new_path for e in store.file_changes()["mixed"][root]] == [
-            "old/Moved.java", "pom.xml", "res/Data.java", "src/A.java"
+            "old/Moved.java", "pom.xml", "src/A.java"
         ]
+        # an unchanged path and a side without a blob are stored as NULL,
+        # and read back as git gave them
+        assert store.db.execute(
+            "SELECT commit_id, substr(status, 1, 1), new_path, old_blob IS NULL, "
+            "new_blob IS NULL FROM file_changes ORDER BY commit_id, seq"
+        ).fetchall() == sorted([
+            *[(root, "A", None, 1, 0)] * 3,
+            (move, "R", "new/Moved.java", 0, 0),
+            (drop, "M", None, 0, 0),
+            (drop, "D", None, 0, 1),
+        ], key=lambda row: row[0])
+        assert store.file_changes()["mixed"] == {
+            commit_id: entries
+            for commit_id, entries in ingest.history("mixed").raw_changes.items() if entries
+        }
 
 
 def test_reingest_after_reset_voids_the_mined_rows(tmp_path):
@@ -816,35 +838,154 @@ def test_colliding_docs_store_the_first_parsed(corpus, tmp_path, monkeypatch):
     assert attached == [("Twin.", 1)]
 
 
-def test_one_blob_reader_per_project_per_pass(corpus, tmp_path, monkeypatch):
-    """Each pass reads a project's blobs through one `git cat-file` process,
-    however many commits touch a pom.xml or a .java file."""
+class RecordingPipe:
+    """A process's stdin that records each object id written to it."""
+
+    def __init__(self, pipe, ids: list[str]):
+        self._pipe = pipe
+        self._ids = ids
+
+    def __getattr__(self, name):
+        return getattr(self._pipe, name)
+
+    def write(self, data: bytes) -> int:
+        self._ids.append(data.decode("ascii").strip())
+        return self._pipe.write(data)
+
+
+def spy_blob_readers(monkeypatch) -> list[tuple[str, list[str], subprocess.Popen]]:
+    """Every `git cat-file` process started from now on, in start order:
+    its resolved workdir, the object ids asked of it, and the process."""
     from migmine import gitrepo
 
     readers = []
     popen = subprocess.Popen
 
     def spy(cmd, **kwargs):
+        proc = popen(cmd, **kwargs)
         if "cat-file" in cmd:
-            readers.append(str(Path(kwargs["cwd"]).resolve()))
-        return popen(cmd, **kwargs)
+            ids: list[str] = []
+            proc.stdin = RecordingPipe(proc.stdin, ids)
+            readers.append((str(Path(kwargs["cwd"]).resolve()), ids, proc))
+        return proc
 
     # subprocess.run, and so run_git, starts its processes through Popen too
     monkeypatch.setattr(gitrepo.subprocess, "Popen", spy)
-    config = corpus_config(corpus, tmp_path)
+    return readers
+
+
+def git_blob_id(text: str) -> str:
+    data = text.encode("utf-8")
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+def rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """Re-run a copy of the acceptance corpus run from detect-rules to the
+    exports.  Returns the blob readers each stage started, the ids of the
+    texts it diffed, its histories and the stage logs."""
+    import migmine.pipeline as pipeline_module
+
+    readers = spy_blob_readers(monkeypatch)
+    diffed = set()
+    diff = pipeline_module.unified_diff
+
+    def spy_diff(before, after, *args, **kwargs):
+        diffed.update(map(git_blob_id, (before, after)))
+        return diff(before, after, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "unified_diff", spy_diff)
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    caplog.set_level(logging.INFO, logger="migmine")
+    by_stage = {}
     with Store(config.db_path) as store:
-        assert run_all(store, config)[0] == 0
-        workdirs = sorted(str(Path(ref.workdir).resolve()) for ref in store.projects())
-        assert len(workdirs) == len(corpus.repos)
-        assert sorted(readers) == workdirs
-        readers.clear()
+        pipeline = Pipeline(store, config)
+        for name in [*STAGES[1:], "export_reports"]:
+            started = len(readers)
+            paths = getattr(pipeline, name)()
+            by_stage[name] = readers[started:]
+            # no reader outlives its stage
+            assert all(proc.poll() is not None for _, _, proc in readers), name
+        histories = [pipeline.history(project_id) for project_id in corpus.repos]
+    assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
+    logs = {
+        r.getMessage().split()[0]: r.getMessage() for r in caplog.records
+        if "blobs_read=" in r.getMessage()
+    }
+    return by_stage, diffed, histories, logs
+
+
+def test_rerun_reads_only_pom_and_diffed_blobs(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A re-run over a stored run asks git only for the pom.xml texts the
+    manifest replay parses and the texts it diffs: every other blob is
+    answered by a stored screen verdict or by stored facts.  A stage starts
+    at most one reader per project, which first asks for the project's
+    last commit."""
+    by_stage, diffed, histories, _ = rerun_reading(
+        corpus_run, corpus, tmp_path, monkeypatch, caplog
+    )
+    tips = {str(Path(h.ref.workdir).resolve()): h.commits[-1].commit_id for h in histories}
+    poms = {
+        fc.after_sha
+        for h in histories for c in h.commits for fc in h.changes(c.commit_id).pom
+        if fc.after_sha
+    }
+    assert {name for name, started in by_stage.items() if started} == {
+        "detect_segments", "detect_fragments"
+    }
+    # every project replays its manifests; only a project with a diff reads again
+    assert sorted(workdir for workdir, _, _ in by_stage["detect_segments"]) == sorted(tips)
+    asked = set()
+    for started in by_stage.values():
+        workdirs = [workdir for workdir, _, _ in started]
+        assert len(workdirs) == len(set(workdirs))
+        for workdir, ids, _ in started:
+            assert ids[0] == tips[workdir]
+            assert len(ids[1:]) == len(set(ids[1:]))
+            asked.update(ids[1:])
+    assert diffed and poms
+    assert asked == poms | diffed
+
+
+def test_stage_logs_count_blob_reads_and_screen_hits(
+    corpus_run, corpus, tmp_path, monkeypatch, caplog
+):
+    """`blobs_read` counts the objects a stage asked of git, the last-commit
+    checks included; `screens_hit` counts the stored or remembered screen
+    verdicts that answered in that stage."""
+    by_stage, _, _, logs = rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog)
+
+    def logged(event, key):
+        return int(logs[event].split(f" {key}=")[1].split()[0])
+
+    for event, stage_name in (("event=segments_detected", "detect_segments"),
+                              ("event=fragments_detected", "detect_fragments")):
+        read = sum(len(ids) for _, ids, _ in by_stage[stage_name])
+        assert logged(event, "blobs_read") == read > 0
+    # the segment stage's rejections are all stored verdicts; fragments ask
+    # only of blobs the segment stage already answered
+    assert logged("event=segments_detected", "screens_hit") > 0
+    assert logged("event=fragments_detected", "screens_hit") == 0
+
+
+def test_a_stage_that_raises_leaves_no_blob_reader_running(
+    corpus_run, corpus, tmp_path, monkeypatch
+):
+    """A stage that raises after its histories opened their blob readers
+    still ends every reader's process."""
+    readers = spy_blob_readers(monkeypatch)
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+
+    def full_disk(segments):
+        raise sqlite3.OperationalError("database or disk is full")
+
+    with Store(config.db_path) as store:
+        monkeypatch.setattr(store, "insert_segments", full_disk)
         pipeline = Pipeline(store, config)
         pipeline.detect_rules()
-        pipeline.detect_segments()
-        pipeline.detect_fragments()
-        pipeline.collect_docs()
-        pipeline.export_reports()
-    assert sorted(readers) == workdirs
+        with pytest.raises(sqlite3.OperationalError):
+            pipeline.detect_segments()
+    assert len(readers) == len(corpus.repos)
+    assert all(proc.poll() is not None for _, _, proc in readers)
 
 
 PLAIN_SOURCE = """package com.example.app;
@@ -1022,6 +1163,48 @@ def test_segments_over_a_stored_history_diff_no_dependencies(
     with Store(config.db_path) as store:
         assert Pipeline(store, config).detect_segments()
     assert diffs == []
+
+
+INSERT_SCREENS = "INSERT INTO blob_screens (blob_id, screen) VALUES (?, ?)"
+
+
+def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
+    corpus, tmp_path, monkeypatch
+):
+    """A stage stores its verdicts in one insert.  They are emptied whenever
+    `blob_facts` is: by a re-ingest, and on opening a database whose
+    facts version differs."""
+    calls: list[str] = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *a, **k: CountingConnection(connect(*a, **k), calls)
+    )
+    config = corpus_config(corpus, tmp_path)
+
+    def rows(store):
+        return [
+            store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("blob_facts", "blob_screens")
+        ]
+
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        inserts = {}
+        for name in STAGES:
+            calls.clear()
+            getattr(pipeline, name)()
+            inserts[name] = calls.count(INSERT_SCREENS)
+        assert inserts["detect_segments"] == 1
+        assert max(inserts.values()) == 1
+        assert all(rows(store))
+        pipeline.ingest()
+        assert rows(store) == [0, 0]
+        pipeline.detect_rules()
+        pipeline.detect_segments()
+        assert all(rows(store))
+        store.set_meta("facts_version", "0")
+    with Store(config.db_path) as store:
+        assert rows(store) == [0, 0]
 
 
 def test_ingest_empties_blob_facts_and_detect_rules_keeps_them(tmp_path):
@@ -1209,22 +1392,30 @@ def table_rows(db, skip=()) -> dict[str, list]:
     }
 
 
-@pytest.mark.parametrize("docs", ["attached", "separate"])
-def test_schema_1_database_is_refused_and_left_as_it_was(docs, corpus_run, corpus, tmp_path):
-    """A database written before file changes were stored has commits that
-    would read as histories without changes: opening it is a StoreError,
-    raised before anything writes to it, whether its docs sit on their
-    attachments or in a method_docs table."""
+# the schema version each shape was written with, and how to write it
+OLD_SCHEMAS = {
+    "attached": ("1", "DROP TABLE file_changes; DROP TABLE blob_screens;"),
+    "separate": ("1", PARENT_DOCS_DDL + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
+    "schema-2": ("2", "DROP TABLE blob_screens;"),
+}
+
+
+@pytest.mark.parametrize("shape", OLD_SCHEMAS)
+def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corpus, tmp_path):
+    """A database of an older schema is refused with a StoreError, raised
+    before anything writes to it.  Version 1 stored no file changes, so its
+    commits would read as histories without changes, whether its docs sit
+    on their attachments or in a method_docs table; version 2 stored no
+    screen verdicts and wrote every file change column in full."""
+    version, script = OLD_SCHEMAS[shape]
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     db = sqlite3.connect(config.db_path)
     db.executescript(
-        (PARENT_DOCS_DDL if docs == "separate" else "")
-        + "DROP TABLE file_changes; "
-        "UPDATE run_metadata SET value = '1' WHERE key = 'schema_version';"
+        script + f"UPDATE run_metadata SET value = '{version}' WHERE key = 'schema_version';"
     )
     db.close()
     before = Path(config.db_path).read_bytes()
-    with pytest.raises(StoreError, match="schema version 1 != supported 2"):
+    with pytest.raises(StoreError, match=f"schema version {version} != supported 3"):
         Store(config.db_path)
     assert Path(config.db_path).read_bytes() == before
     assert [p.name for p in tmp_path.glob("migmine.db*")] == ["migmine.db"]
@@ -1330,6 +1521,33 @@ def test_jar_replaced_under_its_coordinate_is_parsed_again(
             "SELECT DISTINCT method, description, found FROM doc_attachments "
             "WHERE side = 'target' ORDER BY method"
         ).fetchall() == [("<init>", "Replaced constructor.", 1), ("toJson", None, 0)]
+
+
+def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, corpus, tmp_path):
+    """A screen verdict names what the screen reads of an index, not the
+    index's coordinate: after a class jar is replaced in the cache, a
+    re-run over the stored run exports what a fresh run exports."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "classes")
+    path.parent.mkdir(parents=True)
+    # texts the old jar's screen rejected name gson's main class, which the
+    # replaced jar holds too
+    path.write_bytes(class_jar([
+        "org/json/JSONObject.class", "org/json/JSONArray.class",
+        "org/json/JSONException.class", "org/json/JSONTokener.class",
+        "com/google/gson/Gson.class",
+    ]))
+    with Store(config.db_path) as store:
+        assert store.blob_screens()
+        pipeline = Pipeline(store, config)
+        for name in STAGES[1:]:
+            getattr(pipeline, name)()
+        rerun = exports(store)
+    fresh = replace(config, db_path=str(tmp_path / "fresh.db"))
+    with Store(fresh.db_path) as store:
+        run_all(store, fresh)
+        assert exports(store) == rerun
+    assert rerun != exports(corpus_run.store)
 
 
 def test_corrupt_javadoc_jar_is_never_cached(corpus_run, corpus, tmp_path, monkeypatch, caplog):

@@ -25,14 +25,16 @@ def histories(corpus, tmp_path_factory):
     work = tmp_path_factory.mktemp("seg-work")
     out = {}
     for name in corpus.repos:
-        out[name] = ProjectHistory(*ingest_project(str(corpus.root / "repos" / name), work, name))
+        out[name] = ProjectHistory.ingested(
+            *ingest_project(str(corpus.root / "repos" / name), work, name)
+        )
     return out
 
 
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     hashes = build_repo(path, commits)
-    return ProjectHistory(*ingest_project(str(path), tmp_path / "work", name)), hashes
+    return ProjectHistory.ingested(*ingest_project(str(path), tmp_path / "work", name)), hashes
 
 
 class TestCorpusSegments:
