@@ -1,15 +1,14 @@
 """Git history ingestion through subprocesses.
 
 One `git log` per project and ingest reads the first-parent history,
-oldest first, together with every commit's raw changes; this gives every
+oldest first, together with every commit's file changes; this gives every
 project a stable linear timeline for segment ordering.  Ingest stores the
-raw changes a history reads, so a later stage runs no `git log`.  File
-contents come from the object store, never from checkouts: a
-`BlobReader` runs one `cat-file --batch` process, started at its first
-read and fed one object id at a time.  Ingest reads every blob through one
-(`changed_files`); a later stage's history reads only the texts it uses,
-through at most one per stage.  No git call, neither `run_git` nor that
-reader, waits on a credential prompt.
+pom.xml and .java changes (`changed_files` picks them), so a later stage
+runs no `git log`.  File contents come from the object store, never from
+checkouts: a `BlobReader` runs one `cat-file --batch` process, started at
+its first read and fed one object id at a time, and a history reads its
+texts through at most one per stage.  No git call, neither `run_git` nor
+that reader, waits on a credential prompt.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .model import CommitRecord, ProjectRef, RawChange
+from .model import CommitRecord, FileChange, ProjectRef
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +85,7 @@ def _is_git_workdir(path: Path) -> bool:
 
 def ingest_project(
     origin: str, workdir_base: str | Path, project_id: str | None = None
-) -> tuple[ProjectRef, list[CommitRecord], dict[str, list[RawChange]]]:
+) -> tuple[ProjectRef, list[CommitRecord], dict[str, list[FileChange]]]:
     """Clone (or reuse) a repository and read its first-parent history.
 
     Local directory origins are read in place; URLs are cloned below
@@ -109,8 +108,12 @@ def ingest_project(
     return (ref, *read_history(ref))
 
 
-def read_history(ref: ProjectRef) -> tuple[list[CommitRecord], dict[str, list[RawChange]]]:
-    """Commits on HEAD's first-parent chain and each commit's raw changes.
+# a raw entry's status letter -> its kind; M and T (a type change) modify
+_KINDS = {"A": "added", "C": "added", "D": "deleted", "R": "renamed"}
+
+
+def read_history(ref: ProjectRef) -> tuple[list[CommitRecord], dict[str, list[FileChange]]]:
+    """Commits on HEAD's first-parent chain and each commit's file changes.
 
     One `git log` stream gives both.  Commits come oldest first with 0-based
     ordinals.  Changes map each commit id to its entries against the first
@@ -131,7 +134,7 @@ def read_history(ref: ProjectRef) -> tuple[list[CommitRecord], dict[str, list[Ra
             raise NoHistoryError(f"no commit history in {ref.origin}") from exc
         raise IngestError(f"cannot read the history of {ref.origin}: {exc}") from exc
     records: list[CommitRecord] = []
-    changes: dict[str, list[RawChange]] = {}
+    changes: dict[str, list[FileChange]] = {}
     # -z stream: a "\x1e"-led header per commit, then for each raw entry its
     # ":modes shas status" field and one path field (two for renames/copies)
     fields = iter(raw.decode("utf-8", "replace").split("\0"))
@@ -152,10 +155,14 @@ def read_history(ref: ProjectRef) -> tuple[list[CommitRecord], dict[str, list[Ra
             entries = changes[commit_id] = []
         elif field.startswith(":"):
             _, _, old_sha, new_sha, status = field[1:].split(" ", 4)
-            old_path = new_path = next(fields)
+            old_path = path = next(fields)
             if status.startswith(("R", "C")):
-                new_path = next(fields)
-            entries.append(RawChange(status, old_path, new_path, old_sha, new_sha))
+                path = next(fields)
+            kind = _KINDS.get(status[0], "modified")
+            entries.append(FileChange(
+                path, kind, old_path if kind == "renamed" else None,
+                None if kind == "added" else old_sha, None if kind == "deleted" else new_sha,
+            ))
     if not records:
         raise NoHistoryError(f"no commit history in {ref.origin}")
     return records, changes
@@ -174,35 +181,24 @@ def _has_no_commits(workdir: str) -> bool:
     return False
 
 
-def changed_files(
-    ref: ProjectRef, entries_by_commit: dict[str, list[RawChange]]
-) -> tuple[dict[str, list[RawChange]], dict[str, str | None]]:
-    """Each commit's entries without a binary blob on either side, and the
-    decoded text of every blob those entries name.
+def touches_pom(fc: FileChange) -> bool:
+    """Whether the change's path, or a rename's old path, names a pom.xml."""
+    return any(p and p.rsplit("/", 1)[-1] == "pom.xml" for p in (fc.path, fc.old_path))
 
-    Ingest reads every blob once, as only its bytes tell a binary entry
-    apart.  One `BlobReader` serves the whole history, one object at a
-    time, so a single raw blob is in memory at once, and each distinct
-    blob is read and decoded once.  A missing blob reads as None; an
-    all-zero id names no blob and gets no text.
-    """
-    texts: dict[str, str | None] = {}
-    binary: set[str] = set()
-    kept: dict[str, list[RawChange]] = {}
-    with BlobReader(ref) as reader:
-        for commit_id, entries in entries_by_commit.items():
-            kept[commit_id] = []
-            for entry in entries:
-                for sha in (entry.old_sha, entry.new_sha):
-                    if sha.strip("0") and sha not in texts and sha not in binary:
-                        raw = reader.read(sha)
-                        if raw is not None and b"\0" in raw:
-                            binary.add(sha)
-                        else:
-                            texts[sha] = raw if raw is None else raw.decode("utf-8", "replace")
-                if entry.old_sha not in binary and entry.new_sha not in binary:
-                    kept[commit_id].append(entry)
-    return kept, texts
+
+def touches_java(fc: FileChange) -> bool:
+    """Whether the change's path, or a rename's old path, names a .java file."""
+    return any(p and p.endswith(".java") for p in (fc.path, fc.old_path))
+
+
+def changed_files(changes: dict[str, list[FileChange]]) -> dict[str, list[FileChange]]:
+    """Each commit's changes that touch a pom.xml or a .java file, in git's
+    order: the changes a history reads and ingest stores.  A binary
+    version is kept; it reads as no text (`ProjectHistory.text`)."""
+    return {
+        commit_id: [fc for fc in entries if touches_pom(fc) or touches_java(fc)]
+        for commit_id, entries in changes.items()
+    }
 
 
 class BlobReader:

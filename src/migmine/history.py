@@ -1,16 +1,18 @@
 """Cached per-project view of a repository's history.
 
-Holds each commit's raw `pom.xml` and `.java` changes (`select_changes`
-picks them, once, from ingest's history read; later stages read them back
-from the store).  A file change names its two versions by blob id; a
-text is read when first asked for, through one blob reader per history
-that starts at its first read and first checks that the repository still
-has the last commit.  The pipeline closes every reader when a stage ends,
-so a stored history starts at most one reader per stage.  Ingest reads
-every blob anyway, to drop the binary entries (`ProjectHistory.ingested`),
-and its history keeps those texts.  Caches the replayed manifest timeline,
-the map of declared libraries and per-blob uses, so segment and fragment
-detection never analyze the same blob twice.
+Holds each commit's `pom.xml` and `.java` changes (`gitrepo.changed_files`
+picks them from ingest's history read; later stages read them back from
+the store).  A file change names its two versions by blob id; a text is
+read when first asked for, through one blob reader per history that
+starts at its first read and first checks that the repository still has
+the last commit.  A blob that holds a NUL byte is binary and, like a
+missing one, reads as no text, so it has no facts and no uses, and a
+binary pom.xml declares nothing.  The pipeline closes every reader when a
+stage ends, so a stored history starts at most one reader per stage.
+Ingest reads every text (`read_texts`) in its worker pool, and its
+history keeps them for the later stages of the run.  Caches the replayed
+manifest timeline, the map of declared libraries and per-blob uses, so
+segment and fragment detection never analyze the same blob twice.
 
 A blob whose text contains none of a library's class simple names, and
 not every segment of any of its packages (`javafacts.may_reference`),
@@ -57,32 +59,11 @@ from .model import (
     LibraryMethodUse,
     PackageIndex,
     ProjectRef,
-    RawChange,
     SourceFacts,
 )
 from .store import Store
 
 log = logging.getLogger(__name__)
-
-
-def _touches_pom(*paths: str | None) -> bool:
-    return any(p and p.rsplit("/", 1)[-1] == "pom.xml" for p in paths)
-
-
-def _touches_java(*paths: str | None) -> bool:
-    return any(p and p.endswith(".java") for p in paths)
-
-
-def select_changes(raw_changes: dict[str, list[RawChange]]) -> dict[str, list[RawChange]]:
-    """Each commit's entries that touch a pom.xml or a .java file by either
-    path, in git's order: the changes a history reads and ingest stores."""
-    return {
-        commit_id: [
-            e for e in entries
-            if _touches_pom(e.old_path, e.new_path) or _touches_java(e.old_path, e.new_path)
-        ]
-        for commit_id, entries in raw_changes.items()
-    }
 
 
 class CommitChanges(NamedTuple):
@@ -181,38 +162,23 @@ class FactsCache:
 _UNREAD = object()
 
 
-def _file_change(entry: RawChange) -> FileChange:
-    status, old_path, new_path, old_sha, new_sha = entry
-    code = status[0]
-    if code in ("A", "C"):
-        return FileChange(new_path, "added", None, None, new_sha)
-    if code == "D":
-        return FileChange(old_path, "deleted", None, old_sha, None)
-    if code == "R":
-        return FileChange(new_path, "renamed", old_path, old_sha, new_sha)
-    return FileChange(new_path, "modified", None, old_sha, new_sha)  # M, T
-
-
 class ProjectHistory:
     def __init__(
         self,
         ref: ProjectRef,
         commits: list[CommitRecord],
-        raw_changes: dict[str, list[RawChange]],
+        file_changes: dict[str, list[FileChange]],
         facts: FactsCache | None = None,
-        texts: dict[str, str | None] | None = None,
     ):
-        """`raw_changes` maps each commit id, in history order, to its
-        entries without a binary side; entries that touch neither a pom.xml
-        nor a .java file are dropped.  `texts` holds blob texts already read
-        (None: a missing blob); any other is read on first use.  Without
+        """`file_changes` maps each commit id, in history order, to its
+        pom.xml and .java changes (`gitrepo.changed_files`).  Without
         `facts`, the history keeps its own memory cache."""
         self.ref = ref
         self.commits = commits
         self.by_commit = {c.commit_id: c for c in commits}
-        self.raw_changes = raw_changes
-        self._file_changes: dict[str, CommitChanges] | None = None
-        self._texts: dict[str, str | None] = texts if texts is not None else {}
+        self.file_changes = file_changes
+        self._split: dict[str, CommitChanges] | None = None
+        self._texts: dict[str, str | None] = {}
         self._reader = gitrepo.BlobReader(ref, tip=commits[-1].commit_id if commits else None)
         self._facts = facts if facts is not None else FactsCache()
         self._uses: dict[tuple, list[LibraryMethodUse]] = {}
@@ -225,38 +191,25 @@ class ProjectHistory:
         self._tip_files: dict[str, FileChange] = {}
         self._depends: dict[tuple, bool] = {}
 
-    @classmethod
-    def ingested(
-        cls,
-        ref: ProjectRef,
-        commits: list[CommitRecord],
-        raw_changes: dict[str, list[RawChange]],
-        facts: FactsCache | None = None,
-    ) -> ProjectHistory:
-        """The history of `gitrepo.read_history`'s output: its pom.xml and
-        .java entries without the binary ones, with every text they name
-        already read."""
-        kept, texts = gitrepo.changed_files(ref, select_changes(raw_changes))
-        return cls(ref, commits, kept, facts=facts, texts=texts)
-
     def changes(self, commit_id: str) -> CommitChanges:
         """The commit's pom.xml and .java changes against its first parent."""
-        if self._file_changes is None:
-            self._file_changes = {}
-            for cid, entries in self.raw_changes.items():
-                files = [_file_change(entry) for entry in entries]
-                self._file_changes[cid] = CommitChanges(
-                    [fc for fc in files if _touches_pom(fc.path, fc.old_path)],
-                    [fc for fc in files if _touches_java(fc.path, fc.old_path)],
+        if self._split is None:
+            self._split = {
+                cid: CommitChanges(
+                    [fc for fc in files if gitrepo.touches_pom(fc)],
+                    [fc for fc in files if gitrepo.touches_java(fc)],
                 )
-        if commit_id not in self._file_changes:
+                for cid, files in self.file_changes.items()
+            }
+        if commit_id not in self._split:
             raise gitrepo.UnknownCommitError(
                 f"commit {commit_id} is not in the first-parent history of {self.ref.id}"
             )
-        return self._file_changes[commit_id]
+        return self._split[commit_id]
 
     def text(self, sha: str | None) -> str | None:
-        """A blob's text; None for no blob, or one the repository lacks.
+        """A blob's text; None for no blob, one the repository lacks, or a
+        binary one (a NUL byte in its bytes).
 
         A text not read yet is read through the history's one `BlobReader`,
         which first checks that the repository still has the last commit.
@@ -266,8 +219,18 @@ class ProjectHistory:
         text = self._texts.get(sha, _UNREAD)
         if text is _UNREAD:
             raw = self._reader.read(sha)
-            text = self._texts[sha] = raw if raw is None else raw.decode("utf-8", "replace")
+            text = self._texts[sha] = (
+                None if raw is None or b"\0" in raw else raw.decode("utf-8", "replace")
+            )
         return text
+
+    def read_texts(self) -> None:
+        """Read the text of every version the changes name, as ingest does,
+        so that no later stage of the run reads one."""
+        for files in self.file_changes.values():
+            for fc in files:
+                self.text(fc.before_sha)
+                self.text(fc.after_sha)
 
     @property
     def blobs_read(self) -> int:

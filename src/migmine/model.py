@@ -70,22 +70,14 @@ class CommitRecord(NamedTuple):
     ordinal: int  # 0-based position in first-parent history, 0 = oldest
 
 
-class RawChange(NamedTuple):
-    """One `--raw` diff entry; paths are equal unless renamed or copied."""
-
-    status: str  # A, M, D, T, or R/C with a similarity score
-    old_path: str
-    new_path: str
-    old_sha: str  # all zeros when there is no old side
-    new_sha: str
-
-
 class FileChange(NamedTuple):
     """One file touched by a commit, by the blob ids of its two versions.
 
-    kind is one of added / modified / deleted / renamed; an absent version
-    has no blob id.  `ProjectHistory.text` reads a version's text, and the
-    blob ids let later stages cache per-blob analysis results.
+    kind is one of added / modified / deleted / renamed; only a rename has
+    an `old_path`, and an absent version has no blob id (None).
+    `gitrepo.read_history` builds it from git's raw diff entry and the
+    store keeps it as it is.  `ProjectHistory.text` reads a version's text,
+    and the blob ids let later stages cache per-blob analysis results.
     """
 
     path: str

@@ -32,6 +32,7 @@ from .fragments import extract_mappings, filter_fragments, unified_diff
 from .history import FactsCache, ProjectHistory
 from .model import (
     UNRESOLVED,
+    FileChange,
     Fragment,
     LibraryCoordinate,
     LibraryId,
@@ -40,7 +41,6 @@ from .model import (
     MigrationRule,
     PackageIndex,
     ProjectRef,
-    RawChange,
     Segment,
 )
 from .rulegraph import MigrationGraph, confirm_rules, normalize_and_filter
@@ -136,8 +136,8 @@ class Pipeline:
         )
         self._refs: dict[str, ProjectRef] | None = None
         self._histories: dict[str, ProjectHistory] = {}
-        # every stored project's raw changes, read at the first stored history
-        self._stored_changes: dict[str, dict[str, list[RawChange]]] | None = None
+        # every stored project's file changes, read at the first stored history
+        self._stored_changes: dict[str, dict[str, list[FileChange]]] | None = None
         # every history's blob facts, backed by the store's blob_facts table
         self.facts = FactsCache(store)
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
@@ -228,27 +228,36 @@ class Pipeline:
         clones_dir = Path(cfg.workdir) / "repos"
 
         def one(job):
+            """Read one project's history and every text it names, here in
+            the pool, so the later stages of this run read none; the
+            history's reader is closed when the job returns or fails."""
             origin, project_id = job
+            history = None
             try:
-                history = ProjectHistory.ingested(
-                    *gitrepo.ingest_project(origin, clones_dir, project_id), facts=self.facts
+                ref, commits, changes = gitrepo.ingest_project(origin, clones_dir, project_id)
+                history = ProjectHistory(
+                    ref, commits, gitrepo.changed_files(changes), facts=self.facts
                 )
+                history.read_texts()
                 history.dependency_changes()
-                return (project_id, history, None)
-            except (gitrepo.GitError, OSError) as exc:
-                return (project_id, None, f"{origin}: {exc}")
+                return (project_id, history, history.blobs_read, None)
+            except (gitrepo.GitError, gitrepo.UnknownCommitError, OSError) as exc:
+                return (project_id, None, 0, f"{origin}: {exc}")
+            finally:
+                if history is not None:
+                    history.close()
 
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(one, jobs))
 
         # rules are mined from every project's history, so a new history voids
         # them; stored blob facts go too, as the blobs may no longer be read
-        if any(history is not None for _, history, _ in results):
+        if any(history is not None for _, history, _, _ in results):
             self.store.clear_rules_and_downstream()
             self.facts.clear()
         errors = []
         ingested = []
-        for project_id, history, error in sorted(results, key=lambda r: r[0]):
+        for project_id, history, blobs_read, error in sorted(results, key=lambda r: r[0]):
             if error is not None:
                 log.error("event=ingest_failed project=%s error=%s", project_id, error)
                 errors.append(error)
@@ -259,10 +268,11 @@ class Pipeline:
             self._histories[project_id] = history
             ingested.append(history)
             log.info(
-                "event=ingested project=%s commits=%d", project_id, len(history.commits)
+                "event=ingested project=%s commits=%d blobs_read=%d",
+                project_id, len(history.commits), blobs_read,
             )
         self.store.insert_commits(record for history in ingested for record in history.commits)
-        self.store.insert_file_changes((h.ref.id, h.raw_changes) for h in ingested)
+        self.store.insert_file_changes((h.ref.id, h.file_changes) for h in ingested)
         self.store.insert_dependency_changes(
             change
             for history in ingested

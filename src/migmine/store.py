@@ -61,20 +61,21 @@ Each `doc_attachments` row carries the columns of its mapped method's doc,
 all NULL when none was found; the doc's library is the one on that side of
 the mapping, and its class and method are the attachment's own.
 
-`file_changes` holds, for each stored commit, the raw `pom.xml` and
-`.java` entries of ingest's history read that have no binary side, in
-git's order: status, both paths and both blob ids.  The new path is NULL
-when it equals the old one, and a side without a blob is NULL, not git's
-all-zero id; both read back as git gave them.  A commit's rows go with
-it, by cascade.  So a history that a later stage builds from the store
-needs no `git log`, only the blob reader, and only for the texts it uses.
+`file_changes` holds, for each stored commit, the `FileChange`s of its
+`pom.xml` and `.java` entries in ingest's history read (binary versions
+included), in git's order (`seq`): path, kind, a rename's old path and
+the two blob ids, NULL for an absent side.  They read back unchanged.  A
+commit's rows go with it, by cascade.  So a history that a later stage
+builds from the store needs no `git log`, only the blob reader, and only
+for the texts it uses.
 
 Open rule: a database whose `schema_version` differs from
 `SCHEMA_VERSION` is refused with a `StoreError` before anything writes to
 it; there is no migration.  Version 1 had no `file_changes`, so its
 commits would read as histories without changes; version 2 had no
-`blob_screens` and stored `file_changes` in full.  A database with no
-`schema_version` is new and gets this one.
+`blob_screens` and stored `file_changes` in full; version 3 stored git's
+raw entries (status, old and new path) without their binary ones.  A
+database with no `schema_version` is new and gets this one.
 """
 
 from __future__ import annotations
@@ -94,18 +95,18 @@ from .model import (
     CommitRecord,
     DependencyChange,
     DocAttachment,
+    FileChange,
     Fragment,
     LibraryCoordinate,
     MethodMapping,
     MigrationRule,
     ProjectRef,
-    RawChange,
     Segment,
     library_key,
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 class StoreError(RuntimeError):
@@ -146,11 +147,11 @@ CREATE TABLE IF NOT EXISTS file_changes (
   project TEXT NOT NULL,
   commit_id TEXT NOT NULL,
   seq INTEGER NOT NULL,
-  status TEXT NOT NULL,
-  old_path TEXT NOT NULL,
-  new_path TEXT,
-  old_blob TEXT,
-  new_blob TEXT,
+  path TEXT NOT NULL,
+  kind TEXT NOT NULL CHECK (kind IN ('added','modified','deleted','renamed')),
+  old_path TEXT,
+  before_sha TEXT,
+  after_sha TEXT,
   PRIMARY KEY (project, commit_id, seq),
   FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
 ) WITHOUT ROWID;
@@ -296,14 +297,6 @@ _INSERT_DOC_ATTACHMENT = (
 def _commit_row(record: CommitRecord) -> tuple:
     return (record.project, record.commit_id, record.ordinal, record.date.isoformat(),
             record.author, record.message)
-
-
-def _file_change_columns(entry: RawChange) -> tuple:
-    """status, old path, new path (NULL: the old path), old and new blob
-    (NULL: git's all-zero id of an absent side)."""
-    status, old_path, new_path, old_sha, new_sha = entry
-    return (status, old_path, None if new_path == old_path else new_path,
-            old_sha if old_sha.strip("0") else None, new_sha if new_sha.strip("0") else None)
 
 
 def _rule_row(rule: MigrationRule) -> tuple:
@@ -484,20 +477,20 @@ class Store:
             self.db.executemany(_INSERT_COMMIT, map(_commit_row, records))
 
     def insert_file_changes(
-        self, histories: Iterable[tuple[str, dict[str, list[RawChange]]]]
+        self, histories: Iterable[tuple[str, dict[str, list[FileChange]]]]
     ) -> None:
-        """Store each (project, raw changes by commit id) pair's entries, in
+        """Store each (project, file changes by commit id) pair's changes, in
         order, under their stored commits."""
         rows = (
-            (project, commit_id, seq, *_file_change_columns(entry))
+            (project, commit_id, seq, *change)
             for project, by_commit in histories
-            for commit_id, entries in by_commit.items()
-            for seq, entry in enumerate(entries)
+            for commit_id, changes in by_commit.items()
+            for seq, change in enumerate(changes)
         )
         with self._writing("file changes"):
             self.db.executemany(
-                "INSERT INTO file_changes (project, commit_id, seq, status, old_path, new_path, "
-                "old_blob, new_blob) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO file_changes (project, commit_id, seq, path, kind, old_path, "
+                "before_sha, after_sha) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
 
@@ -639,20 +632,15 @@ class Store:
             for p, c, o, d, a, m in rows
         ]
 
-    def file_changes(self) -> dict[str, dict[str, list[RawChange]]]:
-        """Every project's stored raw changes: project -> commit id -> its
-        entries in git's order.  A commit without entries is absent."""
-        out: dict[str, dict[str, list[RawChange]]] = {}
-        for project, commit_id, status, old_path, new_path, old_blob, new_blob in self.db.execute(
-            "SELECT project, commit_id, status, old_path, new_path, old_blob, new_blob "
+    def file_changes(self) -> dict[str, dict[str, list[FileChange]]]:
+        """Every project's stored file changes: project -> commit id -> its
+        changes in git's order.  A commit without changes is absent."""
+        out: dict[str, dict[str, list[FileChange]]] = {}
+        for project, commit_id, *change in self.db.execute(
+            "SELECT project, commit_id, path, kind, old_path, before_sha, after_sha "
             "FROM file_changes ORDER BY project, commit_id, seq"
         ):
-            # an entry has a blob on at least one side; no blob is all zeros
-            zeros = "0" * len(old_blob or new_blob)
-            out.setdefault(project, {}).setdefault(commit_id, []).append(RawChange(
-                status, old_path, old_path if new_path is None else new_path,
-                old_blob or zeros, new_blob or zeros,
-            ))
+            out.setdefault(project, {}).setdefault(commit_id, []).append(FileChange(*change))
         return out
 
     def has_blob_facts(self) -> bool:
@@ -685,9 +673,6 @@ class Store:
             "SELECT d.project, d.commit_id, d.direction, d.grp, d.artifact, d.version "
             "FROM dependency_changes d JOIN commits c "
             "ON c.project = d.project AND c.commit_id = d.commit_id "
-            # a database written before upgrade rows were dropped still holds
-            # 'upgraded' rows until its next ingest
-            "WHERE d.direction IN ('added', 'removed') "
             "ORDER BY d.project, c.ordinal, d.direction, d.grp, d.artifact"
         ).fetchall()
         grouped: dict[tuple[str, str], dict[str, set]] = {}

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from corpusgen import build_corpus, class_jar  # noqa: E402
 
+from migmine.gitrepo import changed_files, ingest_project  # noqa: E402
+from migmine.history import ProjectHistory  # noqa: E402
 from migmine.javafacts import build_package_index  # noqa: E402
 from migmine.model import LibraryCoordinate  # noqa: E402
 from migmine.pipeline import RunConfig, run_all  # noqa: E402
@@ -48,6 +50,18 @@ def gson_index():
 @pytest.fixture(scope="session")
 def corpus(tmp_path_factory):
     return build_corpus(tmp_path_factory.mktemp("corpus"))
+
+
+def ingested_history(origin, workdir, project_id=None) -> ProjectHistory:
+    """A project's history as ingest leaves it: its pom.xml and .java
+    changes, every text they name read, and its blob reader closed."""
+    ref, commits, changes = ingest_project(str(origin), workdir, project_id)
+    history = ProjectHistory(ref, commits, changed_files(changes))
+    try:
+        history.read_texts()
+    finally:
+        history.close()
+    return history
 
 
 def corpus_config(corpus, workdir: Path, **overrides) -> RunConfig:

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import FIXTURES, run_corpus
+from conftest import FIXTURES, ingested_history, run_corpus
 from corpusgen import GSON_ID, JSON_ID, LANG3_ID, LANG_ID
 
 from migmine.fragments import apply_hunks, unified_diff
@@ -377,13 +377,7 @@ FOOTNOTE_COMMIT = "641ab94e7d014cdf4fd6a83554dcff57130143d3"
     reason="live clone needs network; set MIGMINE_NETWORK_TESTS=1 to run",
 )
 def test_criterion_7_live_commit_detection(tmp_path, capsys):
-    from migmine.gitrepo import ingest_project
-    from migmine.history import ProjectHistory
-    from migmine.manifest import diff_dependencies, parse_manifest
-
-    history = ProjectHistory.ingested(
-        *ingest_project("https://github.com/vmi/selenese-runner-java.git", tmp_path)
-    )
+    history = ingested_history("https://github.com/vmi/selenese-runner-java.git", tmp_path)
     assert FOOTNOTE_COMMIT in history.by_commit
     changes = history.changes(FOOTNOTE_COMMIT).pom
     assert changes

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 
 import pytest
+from conftest import ingested_history
 from corpusgen import GSON_LIB, JSON_LIB, _git, build_repo, pom
 
 from migmine import gitrepo
@@ -11,7 +12,6 @@ from migmine.gitrepo import (
     GitError,
     IngestError,
     NoHistoryError,
-    RawChange,
     BlobReader,
     UnknownCommitError,
     changed_files,
@@ -19,8 +19,9 @@ from migmine.gitrepo import (
     ingest_project,
     read_history,
 )
-from migmine.history import CommitChanges, ProjectHistory
-from migmine.model import CommitRecord, ProjectRef
+from migmine.history import CommitChanges, FactsCache, ProjectHistory
+from migmine.javafacts import fallback_package_index
+from migmine.model import CommitRecord, FileChange, LibraryCoordinate, ProjectRef
 from migmine.pipeline import Pipeline, RunConfig
 from migmine.store import Store
 
@@ -41,10 +42,6 @@ def small_repo(tmp_path_factory):
 
 # large enough for git to pair a delete and an add as a rename
 MOVED = "class Moved {\n" + "".join(f"  int f{i};\n" for i in range(30)) + "}\n"
-
-
-def history_of(path, work) -> ProjectHistory:
-    return ProjectHistory.ingested(*ingest_project(str(path), work))
 
 
 class TestIngest:
@@ -141,7 +138,7 @@ class TestIngest:
 class TestChangedFiles:
     def test_pom_filter_single_modification(self, small_repo):
         path, hashes = small_repo
-        history = history_of(path, path.parent / "work")
+        history = ingested_history(path, path.parent / "work")
         changes = history.changes(hashes[1]).pom
         assert len(changes) == 1
         change = changes[0]
@@ -151,7 +148,7 @@ class TestChangedFiles:
 
     def test_no_matching_path_is_empty(self, small_repo):
         path, hashes = small_repo
-        history = history_of(path, path.parent / "work")
+        history = ingested_history(path, path.parent / "work")
         assert history.changes(hashes[1]).java == []
         assert [c.path for c in history.changes(hashes[2]).java] == ["src/A.java"]
         assert history.changes(hashes[2]).pom == []
@@ -166,7 +163,7 @@ class TestChangedFiles:
                 ("rename away from .java", {"old/Moved.java": None, "old/Moved.txt": MOVED}),
             ],
         )
-        history = history_of(path, tmp_path / "work")
+        history = ingested_history(path, tmp_path / "work")
         added = history.changes(hashes[0])
         assert [c.path for c in added.pom] == ["module/sub/pom.xml"]
         assert [c.path for c in added.java] == ["old/Moved.java", "src/A.java"]
@@ -175,7 +172,7 @@ class TestChangedFiles:
 
     def test_root_commit_adds_have_no_before(self, small_repo):
         path, hashes = small_repo
-        history = history_of(path, path.parent / "work")
+        history = ingested_history(path, path.parent / "work")
         changes = history.changes(hashes[0]).java
         assert len(changes) == 1
         assert changes[0].kind == "added"
@@ -188,6 +185,7 @@ class TestChangedFiles:
         repository to still have its last one."""
         path, hashes = small_repo
         ref, records, raw = ingest_project(str(path), path.parent / "work")
+        selected = changed_files(raw)
 
         def stored_history(name: str, commits: list[CommitRecord]) -> ProjectHistory:
             config = RunConfig(workdir=str(tmp_path), db_path=str(tmp_path / f"{name}.db"))
@@ -195,7 +193,7 @@ class TestChangedFiles:
                 store.upsert(ref)
                 store.insert_commits(commits)
                 store.insert_file_changes(
-                    [(ref.id, {c.commit_id: raw.get(c.commit_id, []) for c in commits})]
+                    [(ref.id, {c.commit_id: selected.get(c.commit_id, []) for c in commits})]
                 )
                 return Pipeline(store, config).history(ref.id)
 
@@ -233,7 +231,7 @@ class TestChangedFiles:
                 ("move", {"old/Moved.java": None, "new/Moved.java": MOVED}),
             ],
         )
-        changes = history_of(path, tmp_path / "work").changes(hashes[1]).java
+        changes = ingested_history(path, tmp_path / "work").changes(hashes[1]).java
         assert [c.kind for c in changes] == ["renamed"]
         assert changes[0].old_path == "old/Moved.java"
         assert changes[0].path == "new/Moved.java"
@@ -241,38 +239,57 @@ class TestChangedFiles:
     def test_replay_invariant_before_equals_previous_after(self, small_repo):
         path, hashes = small_repo
         ref, records, raw = ingest_project(str(path), path.parent / "work")
-        kept, texts = changed_files(ref, raw)
-        assert kept == raw
+        kept = changed_files(raw)
+        # notes.txt touches neither a pom.xml nor a .java file
+        assert kept == {
+            cid: [fc for fc in entries if fc.path != "notes.txt"] for cid, entries in raw.items()
+        }
+        history = ProjectHistory(ref, records, raw)
         last_after: dict[str, str] = {}
-        for record in records:
-            for status, old_path, new_path, old_sha, new_sha in kept[record.commit_id]:
-                if status[0] not in "AC":
-                    previous = last_after.get(old_path)
-                    if previous is not None:
-                        assert texts[old_sha] == previous
-                        # each distinct blob is decoded once
-                        assert texts[old_sha] is previous
-                if status[0] == "D":
-                    last_after.pop(old_path, None)
-                else:
-                    last_after.pop(old_path, None)
-                    last_after[new_path] = texts[new_sha]
+        try:
+            for record in records:
+                for fc in raw[record.commit_id]:
+                    if fc.kind != "added":
+                        previous = last_after.get(fc.old_path or fc.path)
+                        if previous is not None:
+                            assert history.text(fc.before_sha) == previous
+                            # each distinct blob is read and decoded once
+                            assert history.text(fc.before_sha) is previous
+                    last_after.pop(fc.old_path or fc.path, None)
+                    if fc.kind != "deleted":
+                        last_after[fc.path] = history.text(fc.after_sha)
+        finally:
+            history.close()
         assert last_after["notes.txt"] == "hi\n"
 
-    def test_binary_blobs_are_skipped(self, tmp_path):
+    def test_binary_blobs_are_stored_and_read_as_no_text(self, tmp_path):
+        """A binary version is kept with its change and reads as no text, so
+        it yields no facts, no uses and no dependence."""
         path = tmp_path / "binrepo"
         path.mkdir()
         subprocess.run(["git", "init", "-q", "-b", "main", str(path)], check=True)
         (path / "blob.bin").write_bytes(b"\x00\x01\x02binary")
+        (path / "Data.java").write_bytes(b"\x00\x01import org.json.JSONObject;\n")
         (path / "ok.txt").write_text("text\n")
         env = {"GIT_AUTHOR_DATE": "2015-03-01T10:00:00+00:00",
                "GIT_COMMITTER_DATE": "2015-03-01T10:00:00+00:00"}
         _git(["add", "-A"], cwd=path)
         _git(["commit", "-q", "-m", "bin"], cwd=path, env=env)
         ref, records, raw = ingest_project(str(path), tmp_path / "w")
-        kept, texts = changed_files(ref, raw)
-        assert [e.new_path for e in kept[records[0].commit_id]] == ["ok.txt"]
-        assert list(texts.values()) == ["text\n"]
+        assert [fc.path for fc in raw[records[0].commit_id]] == ["Data.java", "blob.bin", "ok.txt"]
+        [java] = changed_files(raw)[records[0].commit_id]
+        assert (java.path, java.kind) == ("Data.java", "added")
+        facts = FactsCache()
+        history = ProjectHistory(ref, records, changed_files(raw), facts=facts)
+        index = fallback_package_index(LibraryCoordinate("org.json", "json", "1"))
+        try:
+            assert history.text(java.after_sha) is None
+            assert history.uses_for(java.after_sha, index) == []
+            assert history.last_dependent_commit(index, 0) is None
+        finally:
+            history.close()
+        assert facts.known(java.after_sha) is None
+        assert facts.tokenized == 0
 
     def test_dead_reader_is_git_error_not_empty_changes(self, tmp_path, monkeypatch):
         path = tmp_path / "vanishing"
@@ -292,18 +309,20 @@ class TestChangedFiles:
 
     def test_missing_blob_reads_as_none(self, small_repo):
         path, hashes = small_repo
-        ref, _, raw = ingest_project(str(path), path.parent / "work")
-        gone = "f" * 40
-        entry = RawChange("M", "pom.xml", "pom.xml", gone, raw[hashes[1]][0].new_sha)
-        kept, texts = changed_files(ref, {hashes[1]: [entry]})
-        assert kept == {hashes[1]: [entry]}
-        assert texts == {gone: None, entry.new_sha: "<project><x/></project>"}
+        ref, records, raw = ingest_project(str(path), path.parent / "work")
+        [pom_change] = raw[hashes[1]]
+        history = ProjectHistory(ref, records, raw)
+        try:
+            assert history.text("f" * 40) is None
+            assert history.text(pom_change.after_sha) == "<project><x/></project>"
+        finally:
+            history.close()
 
 
 # -- the one-stream reader against per-commit diff-tree ------------------------
 
 
-def reference_history(path) -> dict[str, list[RawChange]]:
+def reference_history(path) -> dict[str, list[FileChange]]:
     """Per-commit `git diff-tree -r -M` against the first parent, oldest first."""
 
     def git(*args):
@@ -320,13 +339,20 @@ def reference_history(path) -> dict[str, list[RawChange]]:
         while fields[i]:
             _, _, old_sha, new_sha, status = fields[i][1:].split(" ")
             paths = fields[i + 1 : i + (3 if status[0] in "RC" else 2)]
-            entries.append(RawChange(status, paths[0], paths[-1], old_sha, new_sha))
+            if status[0] == "R":
+                entries.append(FileChange(paths[1], "renamed", paths[0], old_sha, new_sha))
+            elif status[0] in "AC":
+                entries.append(FileChange(paths[-1], "added", None, None, new_sha))
+            elif status[0] == "D":
+                entries.append(FileChange(paths[0], "deleted", None, old_sha, None))
+            else:
+                entries.append(FileChange(paths[0], "modified", None, old_sha, new_sha))
             i += 1 + len(paths)
         history[commit] = entries
     return history
 
 
-def read_and_compare(path) -> dict[str, list[RawChange]]:
+def read_and_compare(path) -> dict[str, list[FileChange]]:
     records, changes = read_history(ProjectRef("p", str(path), str(path)))
     expected = reference_history(path)
     assert [r.commit_id for r in records] == list(expected)
@@ -367,8 +393,8 @@ class TestReadHistory:
         changes = read_and_compare(path)
         assert len(side) == 2 and not set(side) & set(changes)
         merge = list(changes)[-1]
-        assert {e.new_path for e in changes[merge]} == {"pom.xml", "src/A.java"}
-        history = history_of(path, tmp_path / "work")
+        assert {e.path for e in changes[merge]} == {"pom.xml", "src/A.java"}
+        history = ingested_history(path, tmp_path / "work")
         assert [history.text(c.after_sha) for c in history.changes(merge).pom] == [
             pom("app", GSON_LIB)
         ]
@@ -388,9 +414,9 @@ class TestReadHistory:
         ):
             _git(["config", key, value], cwd=path)
         root, move = read_and_compare(path).values()
-        assert {e.new_path for e in root} == {"pom.xml", "a/Moved.java"}
-        assert [e.status[0] for e in move] == ["R"]
-        assert all(len(e.new_sha) == 40 for e in root)
+        assert {e.path for e in root} == {"pom.xml", "a/Moved.java"}
+        assert [e.kind for e in move] == ["renamed"]
+        assert all(len(e.after_sha) == 40 for e in root)
 
     def test_rename_binary_and_empty_commits(self, tmp_path):
         path = tmp_path / "mixed"
@@ -404,7 +430,10 @@ class TestReadHistory:
         )
         changes = read_and_compare(path)
         assert changes[hashes[1]] == []
-        history = history_of(path, tmp_path / "work")
-        assert [c.path for c in history.changes(hashes[0]).java] == ["old/Moved.java"]
+        history = ingested_history(path, tmp_path / "work")
+        # the binary .java file is kept, and reads as no text
+        added = history.changes(hashes[0]).java
+        assert [c.path for c in added] == ["old/Moved.java", "res/Data.java"]
+        assert history.text(added[1].after_sha) is None
         assert history.changes(hashes[1]) == CommitChanges([], [])
         assert [c.kind for c in history.changes(hashes[2]).java] == ["renamed"]

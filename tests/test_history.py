@@ -2,14 +2,15 @@
 backward search for the last commit whose sources use a library."""
 
 import hashlib
+import logging
 from datetime import datetime, timezone
 
+from conftest import ingested_history
 from corpusgen import GSON_LIB, JSON_LIB, JUNIT_LIB, SERIALIZER_GSON, build_repo, pom
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migmine import javafacts
-from migmine.gitrepo import ingest_project
 from migmine.history import CommitChanges, FactsCache, ProjectHistory
 from migmine.model import UNRESOLVED, CommitRecord, FileChange, LibraryCoordinate, ProjectRef
 
@@ -21,7 +22,7 @@ JUNIT_ID = ("junit", "junit")
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     build_repo(path, commits)
-    return ProjectHistory.ingested(*ingest_project(str(path), tmp_path / "work", name))
+    return ingested_history(path, tmp_path / "work", name)
 
 
 def test_multi_module_dependencies_union_per_commit(tmp_path):
@@ -202,8 +203,8 @@ class ScriptedHistory(ProjectHistory):
             [CommitRecord(ref.id, f"c{i}", date, "dev", "", i) for i in range(len(java_changes))],
             {},
             facts=facts,
-            texts=texts,
         )
+        self._texts.update(texts)
         self.scripted = {f"c{i}": CommitChanges([], fcs) for i, fcs in enumerate(java_changes)}
 
     def changes(self, commit_id: str) -> CommitChanges:
@@ -333,3 +334,50 @@ def test_a_rerun_answers_from_verdicts_and_facts_without_reading(json_index):
                 assert rerun.uses_for(sha, index) == expected
 
     check()
+
+
+# -- binary versions --------------------------------------------------------------
+
+
+def test_a_binary_pom_version_declares_nothing(tmp_path, caplog):
+    """A pom.xml version that holds a NUL byte reads as no text: it declares
+    nothing, and the replay logs it as a manifest it could not parse."""
+    caplog.set_level(logging.WARNING, logger="migmine")
+    history = history_for(
+        tmp_path,
+        "binpom",
+        [
+            ("init", {"pom.xml": pom("app", JSON_LIB)}),
+            ("binary", {"pom.xml": "\0" + pom("app", JSON_LIB, GSON_LIB)}),
+            ("restore", {"pom.xml": pom("app", GSON_LIB)}),
+        ],
+    )
+    assert [set(declared) for declared in history.dependency_timeline()] == [
+        {JSON_ID}, set(), {GSON_ID}
+    ]
+    [warning] = [
+        r.getMessage() for r in caplog.records if "event=manifest_parse_error" in r.getMessage()
+    ]
+    assert f"commit={history.commits[1].commit_id[:12]} path=pom.xml" in warning
+
+
+def test_a_java_file_that_turns_from_binary_to_text_depends_from_then_on(tmp_path, json_index):
+    """A .java file goes binary -> text -> text: the binary version reads as
+    no text and depends on nothing, and the dependent text version after it
+    is the last dependent commit."""
+    history = history_for(
+        tmp_path,
+        "unbinary",
+        [
+            ("binary", {"pom.xml": pom("app", JSON_LIB), "src/User.java": "\0" + JSON_USER}),
+            ("text", {"src/User.java": JSON_USER}),
+            ("plain", {"src/User.java": PLAIN}),
+        ],
+    )
+    binary, text, plain = (history.changes(c.commit_id).java for c in history.commits)
+    assert [fc.kind for fc in (*binary, *text, *plain)] == ["added", "modified", "modified"]
+    assert history.text(binary[0].after_sha) is None
+    assert history.uses_for(binary[0].after_sha, json_index) == []
+    assert history.uses_for(text[0].after_sha, json_index)
+    assert history.last_dependent_commit(json_index, 2) == 1
+    assert history.last_dependent_commit(json_index, 0) is None

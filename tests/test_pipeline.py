@@ -347,7 +347,7 @@ def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
     """A rename, a deletion, the root commit and a commit that touches
     neither a pom.xml nor a .java file read back from the store as ingest
     read them; the quiet commit has no changes, and is no unknown commit.
-    A binary .java file is not stored."""
+    A binary .java file is stored, and its version reads as no text."""
     config = single_repo_config(
         tmp_path,
         "mixed",
@@ -365,32 +365,39 @@ def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
         assert ingest.ingest() == []
         stored = Pipeline(store, config).history("mixed")
         assert_same_history(stored, ingest.history("mixed"))
-        assert [c.path for c in stored.changes(root).java] == ["old/Moved.java", "src/A.java"]
+        assert [c.path for c in stored.changes(root).java] == [
+            "old/Moved.java", "res/Data.java", "src/A.java"
+        ]
         assert stored.changes(notes) == ([], [])
         assert [(c.kind, c.old_path) for c in stored.changes(move).java] == [
             ("renamed", "old/Moved.java")
         ]
         assert [c.kind for c in stored.changes(drop).java] == ["deleted"]
         assert [c.path for c in stored.changes(drop).pom] == ["pom.xml"]
-        # neither the quiet commit nor the binary file stores a row
+        binary = stored.changes(root).java[1].after_sha
+        try:
+            assert stored.text(binary) is None
+        finally:
+            stored.close()
+        # the quiet commit stores no row
         assert set(store.file_changes()["mixed"]) == {root, move, drop}
-        assert [e.new_path for e in store.file_changes()["mixed"][root]] == [
-            "old/Moved.java", "pom.xml", "src/A.java"
+        assert [e.path for e in store.file_changes()["mixed"][root]] == [
+            "old/Moved.java", "pom.xml", "res/Data.java", "src/A.java"
         ]
-        # an unchanged path and a side without a blob are stored as NULL,
-        # and read back as git gave them
+        # each row holds its FileChange's columns: an old path only for a
+        # rename, NULL for an absent side
         assert store.db.execute(
-            "SELECT commit_id, substr(status, 1, 1), new_path, old_blob IS NULL, "
-            "new_blob IS NULL FROM file_changes ORDER BY commit_id, seq"
+            "SELECT commit_id, kind, old_path, before_sha IS NULL, after_sha IS NULL "
+            "FROM file_changes ORDER BY commit_id, seq"
         ).fetchall() == sorted([
-            *[(root, "A", None, 1, 0)] * 3,
-            (move, "R", "new/Moved.java", 0, 0),
-            (drop, "M", None, 0, 0),
-            (drop, "D", None, 0, 1),
+            *[(root, "added", None, 1, 0)] * 4,
+            (move, "renamed", "old/Moved.java", 0, 0),
+            (drop, "modified", None, 0, 0),
+            (drop, "deleted", None, 0, 1),
         ], key=lambda row: row[0])
         assert store.file_changes()["mixed"] == {
             commit_id: entries
-            for commit_id, entries in ingest.history("mixed").raw_changes.items() if entries
+            for commit_id, entries in ingest.history("mixed").file_changes.items() if entries
         }
 
 
@@ -988,6 +995,54 @@ def test_a_stage_that_raises_leaves_no_blob_reader_running(
     assert all(proc.poll() is not None for _, _, proc in readers)
 
 
+def test_a_blob_read_that_fails_mid_ingest_fails_only_its_project(
+    corpus, tmp_path, monkeypatch
+):
+    """A project whose blob reader fails after its first read is ingest's
+    one error: the other projects are stored, and the failed job's reader
+    is ended with the rest."""
+    from migmine import gitrepo
+
+    readers = spy_blob_readers(monkeypatch)
+    ask = gitrepo.BlobReader._ask
+
+    def failing_ask(self, sha):
+        # the last-commit check and one blob succeed, then the reader fails
+        if self.ref.id == "mig-json-gson" and self.objects_read == 2:
+            raise gitrepo.GitError("git cat-file --batch failed (rc=128): injected")
+        return ask(self, sha)
+
+    monkeypatch.setattr(gitrepo.BlobReader, "_ask", failing_ask)
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        [error] = Pipeline(store, config).ingest()
+        assert "mig-json-gson" in error and error.endswith("injected")
+        assert {ref.id for ref in store.projects()} == set(corpus.repos) - {"mig-json-gson"}
+        assert store.commits_for("mig-json-gson") == []
+    failed = str((corpus.root / "repos" / "mig-json-gson").resolve())
+    [asked] = [ids for workdir, ids, _ in readers if workdir == failed]
+    assert asked[0] == corpus.repos["mig-json-gson"][-1] and len(asked) == 2
+    assert len(readers) == len(corpus.repos)
+    assert all(proc.poll() is not None for _, _, proc in readers)
+
+
+def test_a_first_run_reads_its_blobs_at_ingest_only(corpus, tmp_path, caplog):
+    """Ingest reads every text its histories name, in its worker pool, and
+    logs how many objects each project read; the later stages of the same
+    run read none from git."""
+    caplog.set_level(logging.INFO, logger="migmine")
+    run = run_corpus(corpus, tmp_path)
+    run.store.close()
+    assert run.code == 0
+    messages = [r.getMessage() for r in caplog.records]
+    ingested = [m for m in messages if m.startswith("event=ingested ")]
+    assert len(ingested) == len(corpus.repos)
+    assert all(int(m.split(" blobs_read=")[1]) > 1 for m in ingested)
+    for event in ("event=segments_detected ", "event=fragments_detected "):
+        [line] = [m for m in messages if m.startswith(event)]
+        assert " blobs_read=0 " in line
+
+
 PLAIN_SOURCE = """package com.example.app;
 
 public class %s {
@@ -1392,11 +1447,30 @@ def table_rows(db, skip=()) -> dict[str, list]:
     }
 
 
+# file_changes as a schema-3 database stored git's raw entries
+SCHEMA_3_FILE_CHANGES = """
+DROP TABLE file_changes;
+CREATE TABLE file_changes (
+  project TEXT NOT NULL,
+  commit_id TEXT NOT NULL,
+  seq INTEGER NOT NULL,
+  status TEXT NOT NULL,
+  old_path TEXT NOT NULL,
+  new_path TEXT,
+  old_blob TEXT,
+  new_blob TEXT,
+  PRIMARY KEY (project, commit_id, seq),
+  FOREIGN KEY (project, commit_id) REFERENCES commits(project, commit_id) ON DELETE CASCADE
+) WITHOUT ROWID;
+"""
+
+
 # the schema version each shape was written with, and how to write it
 OLD_SCHEMAS = {
     "attached": ("1", "DROP TABLE file_changes; DROP TABLE blob_screens;"),
     "separate": ("1", PARENT_DOCS_DDL + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
     "schema-2": ("2", "DROP TABLE blob_screens;"),
+    "schema-3": ("3", SCHEMA_3_FILE_CHANGES),
 }
 
 
@@ -1406,7 +1480,8 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     before anything writes to it.  Version 1 stored no file changes, so its
     commits would read as histories without changes, whether its docs sit
     on their attachments or in a method_docs table; version 2 stored no
-    screen verdicts and wrote every file change column in full."""
+    screen verdicts and wrote every file change column in full; version 3
+    stored git's raw entries, without their binary ones."""
     version, script = OLD_SCHEMAS[shape]
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     db = sqlite3.connect(config.db_path)
@@ -1415,7 +1490,7 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     )
     db.close()
     before = Path(config.db_path).read_bytes()
-    with pytest.raises(StoreError, match=f"schema version {version} != supported 3"):
+    with pytest.raises(StoreError, match=f"schema version {version} != supported 4"):
         Store(config.db_path)
     assert Path(config.db_path).read_bytes() == before
     assert [p.name for p in tmp_path.glob("migmine.db*")] == ["migmine.db"]

@@ -1,6 +1,7 @@
 """Segment boundaries, versions and the noise/incomplete/revert edge cases."""
 
 import pytest
+from conftest import ingested_history
 from corpusgen import (
     GSON_ID,
     GSON_LIB,
@@ -15,8 +16,6 @@ from corpusgen import (
 )
 
 from migmine import javafacts
-from migmine.gitrepo import ingest_project
-from migmine.history import ProjectHistory
 from migmine.segments import find_segments
 
 
@@ -25,16 +24,14 @@ def histories(corpus, tmp_path_factory):
     work = tmp_path_factory.mktemp("seg-work")
     out = {}
     for name in corpus.repos:
-        out[name] = ProjectHistory.ingested(
-            *ingest_project(str(corpus.root / "repos" / name), work, name)
-        )
+        out[name] = ingested_history(corpus.root / "repos" / name, work, name)
     return out
 
 
 def history_for(tmp_path, name, commits):
     path = tmp_path / name
     hashes = build_repo(path, commits)
-    return ProjectHistory.ingested(*ingest_project(str(path), tmp_path / "work", name)), hashes
+    return ingested_history(path, tmp_path / "work", name), hashes
 
 
 class TestCorpusSegments:

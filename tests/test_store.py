@@ -488,33 +488,26 @@ CREATE TABLE dependency_changes (
 """
 
 
-def test_store_with_upgrade_rows_still_loads(tmp_path):
+def test_store_with_upgrade_rows_is_refused(tmp_path):
+    """Only schema version 1 wrote 'upgraded' rows, so a database that holds
+    them is refused at open; this version's table cannot hold one."""
     path = tmp_path / "legacy.db"
     db = sqlite3.connect(path)
-    db.executescript(LEGACY_DEPENDENCY_CHANGES)
+    db.executescript(
+        LEGACY_DEPENDENCY_CHANGES
+        + "CREATE TABLE run_metadata (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+        "INSERT INTO run_metadata VALUES ('schema_version', '1');"
+    )
     db.close()
-    with Store(path) as store:
+    with pytest.raises(StoreError, match="schema version 1 != supported"):
+        Store(path)
+    with Store(tmp_path / "fresh.db") as store:
         seed_project(store)
-        with store.transaction():
-            store.db.executemany(
-                "INSERT INTO dependency_changes VALUES ('demo', 'c1', ?, ?, ?, ?, ?)",
-                [
-                    ("added", *GSON_ID, "2.3.1", None),
-                    ("removed", *JSON_ID, "20080701", None),
-                    ("upgraded", "junit", "junit", "4.12", "4.11"),
-                ],
+        with pytest.raises(sqlite3.IntegrityError, match="CHECK"):
+            store.db.execute(
+                "INSERT INTO dependency_changes VALUES ('demo', 'c1', 'upgraded', 'junit', "
+                "'junit', '4.12')"
             )
-        [loaded] = store.dependency_changes()
-        assert loaded.added == {LibraryCoordinate(*GSON_ID, "2.3.1")}
-        assert loaded.removed == {LibraryCoordinate(*JSON_ID, "20080701")}
-
-        later = DependencyChange(
-            "demo", "c2",
-            added=frozenset({LibraryCoordinate(*JSON_ID, "20140107")}),
-            removed=frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
-        )
-        store.upsert(later)
-        assert store.dependency_changes()[1] == later
 
 
 def test_schema_version_mismatch_fails(tmp_path):
