@@ -7,8 +7,12 @@ pom.xml and .java changes (`changed_files` picks them), so a later stage
 runs no `git log`.  File contents come from the object store, never from
 checkouts: a `BlobReader` runs one `cat-file --batch` process, started at
 its first read and fed one object id at a time, and a history reads its
-texts through at most one per stage.  No git call, neither `run_git` nor
-that reader, waits on a credential prompt.
+texts through at most one per stage.  The reader checks that the
+repository still has the project's last commit when it starts, so a stage
+checks a repository only when it first reads a blob from it: a stage
+whose every answer about a project is stored starts no git process for
+it, and a vanished clone goes unnoticed.  No git call, neither `run_git`
+nor that reader, waits on a credential prompt.
 """
 
 from __future__ import annotations

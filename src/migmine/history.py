@@ -6,22 +6,26 @@ the store).  A file change names its two versions by blob id; a text is
 read when first asked for, through one blob reader per history that
 starts at its first read and first checks that the repository still has
 the last commit.  A blob that holds a NUL byte is binary and, like a
-missing one, reads as no text, so it has no facts and no uses, and a
-binary pom.xml declares nothing.  The pipeline closes every reader when a
-stage ends, so a stored history starts at most one reader per stage.
-Ingest reads every text (`read_texts`) in its worker pool, and its
-history keeps them for the later stages of the run.  Caches the replayed
-manifest timeline, the map of declared libraries and per-blob uses, so
-segment and fragment detection never analyze the same blob twice.
+missing one, reads as no text, so it has no uses, and a binary pom.xml
+declares nothing.  The pipeline closes every reader when a stage ends, so
+a stored history starts at most one reader per stage, and only when it
+reads a blob: a stage checks a project's repository only then, so a
+project whose every question the store answers needs no git process in
+that stage.  Ingest reads every text (`read_texts`) in its worker pool,
+and its history keeps them for the later stages of the run.  Caches the
+replayed manifest timeline, the map of declared libraries and per-blob
+uses, so segment and fragment detection never analyze the same blob
+twice.
 
 A blob whose text contains none of a library's class simple names, and
 not every segment of any of its packages (`javafacts.may_reference`),
 counts as not using that library and is not tokenized for it.  That "no"
 is a screen verdict, kept under the index's `screen_key` and stored, so a
 re-run answers it without reading the blob.  A blob whose facts are
-already known needs no screen: it cannot change what they resolve to.  So
-a re-run reads from git only the pom.xml texts it replays and the texts
-it diffs.
+already known needs no screen: it cannot change what they resolve to.  A
+binary blob, once read, is given the facts of an empty text, which are
+kept like any others.  With each pom.xml version's parse result stored (see
+below), a re-run reads from git only the texts it diffs.
 
 A blob's facts come from a `FactsCache` that every history of a pipeline
 shares: memory first, then the store's `blob_facts` table, and only then
@@ -31,7 +35,13 @@ verdicts it reached, with `FactsCache.save`.
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
-ingest stores, are computed from it when first asked for.
+ingest stores, are computed from it when first asked for.  It takes each
+pom.xml version's coordinates, or its parse error, by blob id from the
+same `FactsCache`: memory, then the store's `pom_manifests` (read in one
+query), and only then `parse_manifest` on the text read from git.  A
+stored error is logged as a fresh one would be.  A parse result is kept
+for a binary blob too, as its id fixes its bytes, but not for one the
+repository lacks, which the next history reads again.
 
 The last commit whose sources depend on a library is found by walking
 back from an upper bound `hi`: the java changes are recorded once per
@@ -44,6 +54,7 @@ commit, and versions written after `hi`, are never judged.
 
 from __future__ import annotations
 
+import json
 import logging
 from typing import NamedTuple
 
@@ -74,16 +85,17 @@ class CommitChanges(NamedTuple):
 
 
 class FactsCache:
-    """Facts and screen verdicts by blob id: in memory, then stored, then
-    computed.
+    """Facts, screen verdicts and pom.xml parse results by blob id: in
+    memory, then stored, then computed.
 
     Without a store it is a memory cache.  With one, a facts miss reads the
     store's `blob_facts` row, unless the table held no row when first
     looked at: then everything stored since came from this cache, and
     misses go straight to the tokenizer.  A verdict is a (blob id, screen
     key) pair that `javafacts.may_reference` rejected; the stored ones are
-    read in one query, at the first question.  `save` stores what was
-    tokenized or rejected since the last save, one insert per table.
+    read in one query, at the first question, and so are the stored
+    `pom_manifests`.  `save` stores what was tokenized, rejected or parsed
+    since the last save, one insert per table.
     """
 
     def __init__(self, store: Store | None = None):
@@ -93,6 +105,9 @@ class FactsCache:
         self._store_has_more: bool | None = None  # None: not looked at yet
         self._rejected: set[tuple[str, str]] | None = None  # None: not read yet
         self._unsaved_rejected: list[tuple[str, str]] = []
+        # None: the stored ones not read yet
+        self._manifests: dict[str, list[LibraryCoordinate] | str] | None = None
+        self._unsaved_manifests: dict[str, list[LibraryCoordinate] | str] = {}
         self.tokenized = 0
         self.loaded = 0
         self.screens_hit = 0
@@ -135,6 +150,23 @@ class FactsCache:
         self._rejected.add((sha, screen))
         self._unsaved_rejected.append((sha, screen))
 
+    def manifest(self, sha: str | None) -> list[LibraryCoordinate] | str | None:
+        """A pom.xml blob's coordinates, or the message of the error its
+        parse raised; None when neither memory nor the store knows it."""
+        if self._manifests is None:
+            self._manifests = {
+                blob: error if error is not None
+                else [LibraryCoordinate(*coord) for coord in json.loads(coordinates)]
+                for blob, coordinates, error in (
+                    self._store.pom_manifests() if self._store is not None else ()
+                )
+            }
+        return self._manifests.get(sha)
+
+    def keep_manifest(self, sha: str, manifest: list[LibraryCoordinate] | str) -> None:
+        """Keep a parse result that `manifest` did not know yet."""
+        self._manifests[sha] = self._unsaved_manifests[sha] = manifest
+
     def save(self) -> None:
         if self._store is not None:
             if self._unsaved:
@@ -143,19 +175,30 @@ class FactsCache:
                 )
             if self._unsaved_rejected:
                 self._store.insert_blob_screens(self._unsaved_rejected)
+            if self._unsaved_manifests:
+                self._store.insert_pom_manifests(
+                    (sha, None, manifest) if isinstance(manifest, str)
+                    else (sha, json.dumps(manifest, separators=(",", ":")), None)
+                    for sha, manifest in self._unsaved_manifests.items()
+                )
         self._unsaved.clear()
         self._unsaved_rejected.clear()
+        self._unsaved_manifests.clear()
 
     def clear(self) -> None:
-        """Empty the stored tables and forget everything: the next miss looks
-        at the store again, whether or not the clear commits."""
+        """Empty the stored facts and verdicts, and forget everything: the
+        next miss looks at the store again, whether or not the clear
+        commits.  The stored parse results stay, as a blob id fixes its
+        text."""
         if self._store is not None:
             self._store.clear_blob_facts()
         self._facts.clear()
         self._unsaved.clear()
         self._unsaved_rejected.clear()
+        self._unsaved_manifests.clear()
         self._store_has_more = None
         self._rejected = None
+        self._manifests = None
 
 
 # a blob text not read yet
@@ -179,6 +222,7 @@ class ProjectHistory:
         self.file_changes = file_changes
         self._split: dict[str, CommitChanges] | None = None
         self._texts: dict[str, str | None] = {}
+        self._binary: set[str] = set()  # blobs read that held a NUL byte
         self._reader = gitrepo.BlobReader(ref, tip=commits[-1].commit_id if commits else None)
         self._facts = facts if facts is not None else FactsCache()
         self._uses: dict[tuple, list[LibraryMethodUse]] = {}
@@ -219,9 +263,10 @@ class ProjectHistory:
         text = self._texts.get(sha, _UNREAD)
         if text is _UNREAD:
             raw = self._reader.read(sha)
-            text = self._texts[sha] = (
-                None if raw is None or b"\0" in raw else raw.decode("utf-8", "replace")
-            )
+            if raw is not None and b"\0" in raw:
+                self._binary.add(sha)
+                raw = None
+            text = self._texts[sha] = None if raw is None else raw.decode("utf-8", "replace")
         return text
 
     def read_texts(self) -> None:
@@ -256,7 +301,9 @@ class ProjectHistory:
         store; the blob's text, when it is in memory, screened and any "no"
         kept; facts already known, whose uses need no screen, by
         `javafacts.may_reference`'s contract; and only then the text, read
-        from git and screened.
+        from git and screened.  A binary blob gets the facts of no text,
+        kept so that no later run reads it; a missing one gets None and is
+        asked of git again by the next history.
         """
         screen = index.screen_key
         if self._facts.rejected(sha, screen):
@@ -268,7 +315,7 @@ class ProjectHistory:
                 return facts
             text = self.text(sha)
         if text is None:
-            return None
+            return self.facts_for(sha, "") if sha in self._binary else None
         if not javafacts.may_reference(text, index):
             self._facts.reject(sha, screen)
             return None
@@ -287,6 +334,21 @@ class ProjectHistory:
 
     # -- manifest timeline ---------------------------------------------------
 
+    def _manifest(self, sha: str | None) -> list[LibraryCoordinate] | str:
+        """The coordinates a pom.xml version declares, or the message of the
+        error its parse raised: known by blob id, or parsed from its text
+        and kept, unless the repository lacks the blob."""
+        manifest = self._facts.manifest(sha)
+        if manifest is None:
+            text = self.text(sha)
+            try:
+                manifest = parse_manifest(text or "")
+            except ManifestParseError as exc:
+                manifest = str(exc)
+            if text is not None or sha in self._binary:
+                self._facts.keep_manifest(sha, manifest)
+        return manifest
+
     def _replay_manifests(self) -> None:
         per_path: dict[str, list[LibraryCoordinate]] = {}
         timeline: list[dict[LibraryId, LibraryCoordinate]] = []
@@ -297,14 +359,14 @@ class ProjectHistory:
                     continue
                 if fc.kind == "renamed" and fc.old_path:
                     per_path.pop(fc.old_path, None)
-                try:
-                    per_path[fc.path] = parse_manifest(self.text(fc.after_sha) or "")
-                except ManifestParseError as exc:
+                manifest = self._manifest(fc.after_sha)
+                if isinstance(manifest, str):
                     log.warning(
                         "event=manifest_parse_error project=%s commit=%s path=%s error=%s",
-                        self.ref.id, commit.commit_id[:12], fc.path, exc,
+                        self.ref.id, commit.commit_id[:12], fc.path, manifest,
                     )
-                    per_path[fc.path] = []
+                    manifest = []
+                per_path[fc.path] = manifest
             declared: dict[LibraryId, LibraryCoordinate] = {}
             for path in sorted(per_path):
                 for coord in per_path[path]:

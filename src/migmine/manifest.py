@@ -9,6 +9,10 @@ from .model import UNRESOLVED, DependencyChange, LibraryCoordinate
 
 _PLACEHOLDER = re.compile(r"\$\{([^}]+)\}")
 
+# names what parse_manifest returns: a store holding the parse results of
+# another version empties them at open
+MANIFEST_VERSION = "1"
+
 
 class ManifestParseError(ValueError):
     """Malformed POM XML; carries the 1-based line/column of the defect."""

@@ -230,7 +230,9 @@ class Pipeline:
         def one(job):
             """Read one project's history and every text it names, here in
             the pool, so the later stages of this run read none; the
-            history's reader is closed when the job returns or fails."""
+            history's reader is closed when the job returns or fails.  The
+            manifests are replayed after the pool, on this stage's thread,
+            as the replay may ask the store."""
             origin, project_id = job
             history = None
             try:
@@ -239,7 +241,6 @@ class Pipeline:
                     ref, commits, gitrepo.changed_files(changes), facts=self.facts
                 )
                 history.read_texts()
-                history.dependency_changes()
                 return (project_id, history, history.blobs_read, None)
             except (gitrepo.GitError, gitrepo.UnknownCommitError, OSError) as exc:
                 return (project_id, None, 0, f"{origin}: {exc}")
@@ -257,7 +258,7 @@ class Pipeline:
             self.facts.clear()
         errors = []
         ingested = []
-        for project_id, history, blobs_read, error in sorted(results, key=lambda r: r[0]):
+        for project_id, history, blobs_read, error in sorted(results):
             if error is not None:
                 log.error("event=ingest_failed project=%s error=%s", project_id, error)
                 errors.append(error)
@@ -279,6 +280,10 @@ class Pipeline:
             for change in history.dependency_changes()
             if change.added or change.removed
         )
+        # the replay above asked the stored parse results first: keep those
+        # of the stored pom.xml versions, then add the ones it parsed
+        self.store.keep_pom_manifests()
+        self.facts.save()
         self._refs = self._stored_changes = None
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)

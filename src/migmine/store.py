@@ -57,6 +57,16 @@ ones it parsed.  Ingest leaves it alone, as the key holds no project data.
 It is never exported.  Opening a database whose `docs_version` differs
 from `docs.DOCS_VERSION` empties it.
 
+`pom_manifests` is a cache too: each pom.xml blob's `parse_manifest`
+result, keyed by blob id, as its coordinates in JSON or, when the parse
+failed, its error message.  A blob id names its content, so a row never
+goes stale; the row of a blob the repository lacks is never written.
+Ingest owns it: it keeps exactly the rows that some stored pom.xml change
+names (`keep_pom_manifests`) and adds the ones it parsed; a later stage
+adds any it had to parse.  Ingest does not empty it with `blob_facts`.
+It is never exported.  Opening a database whose `manifest_version`
+differs from `manifest.MANIFEST_VERSION` empties it.
+
 Each `doc_attachments` row carries the columns of its mapped method's doc,
 all NULL when none was found; the doc's library is the one on that side of
 the mapping, and its class and method are the attachment's own.
@@ -74,8 +84,11 @@ Open rule: a database whose `schema_version` differs from
 it; there is no migration.  Version 1 had no `file_changes`, so its
 commits would read as histories without changes; version 2 had no
 `blob_screens` and stored `file_changes` in full; version 3 stored git's
-raw entries (status, old and new path) without their binary ones.  A
-database with no `schema_version` is new and gets this one.
+raw entries (status, old and new path) without their binary ones; version
+4 changed those columns and added no table; version 5 adds
+`pom_manifests`.  A database with no `schema_version` is new and gets
+this one, unless it holds tables, which another program wrote: it is
+refused too.
 """
 
 from __future__ import annotations
@@ -91,6 +104,7 @@ from pathlib import Path
 from .docs import DOCS_VERSION
 from .fragments import render_hunk
 from .javafacts import FACTS_VERSION
+from .manifest import MANIFEST_VERSION
 from .model import (
     CommitRecord,
     DependencyChange,
@@ -106,7 +120,7 @@ from .model import (
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 class StoreError(RuntimeError):
@@ -250,6 +264,12 @@ CREATE TABLE IF NOT EXISTS archive_docs (
   key TEXT PRIMARY KEY,
   docs TEXT NOT NULL
 );
+CREATE TABLE IF NOT EXISTS pom_manifests (
+  blob_id TEXT PRIMARY KEY,
+  coordinates TEXT,
+  error TEXT,
+  CHECK ((coordinates IS NULL) != (error IS NULL))
+);
 """
 
 
@@ -344,14 +364,16 @@ class Store:
         self._in_transaction = False
         try:
             schema = self.get_meta("schema_version")
-        except sqlite3.OperationalError:  # a new database: no run_metadata table yet
+        except sqlite3.OperationalError:  # no run_metadata table
             schema = None
+        problem = None
         if schema not in (None, SCHEMA_VERSION):
+            problem = f"database schema version {schema} != supported {SCHEMA_VERSION}"
+        elif schema is None and self.db.execute("SELECT 1 FROM sqlite_master").fetchone():
+            problem = "database holds tables but no schema version"
+        if problem:
             self.db.close()
-            raise StoreError(
-                f"database schema version {schema} != supported {SCHEMA_VERSION}; "
-                "use a fresh --db path"
-            )
+            raise StoreError(f"{problem}; use a fresh --db path")
         self.db.execute("PRAGMA journal_mode = WAL")
         self.db.execute("PRAGMA foreign_keys = ON")
         self.db.executescript(_SCHEMA)
@@ -366,6 +388,10 @@ class Store:
                 # likewise docs stored by another parser version
                 self.keep_archive_docs(())
                 self.set_meta("docs_version", DOCS_VERSION)
+            if self.get_meta("manifest_version") != MANIFEST_VERSION:
+                # and manifests parsed by another parser version
+                self.db.execute("DELETE FROM pom_manifests")
+                self.set_meta("manifest_version", MANIFEST_VERSION)
 
     def close(self):
         self.db.close()
@@ -597,6 +623,24 @@ class Store:
         with self._writing("archive docs"):
             self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
 
+    def keep_pom_manifests(self) -> None:
+        """Delete every stored pom.xml parse result that no stored file
+        change names as a pom.xml version."""
+        with self.transaction():
+            self.db.execute(
+                "DELETE FROM pom_manifests WHERE blob_id NOT IN (SELECT after_sha FROM "
+                "file_changes WHERE after_sha IS NOT NULL AND (path = 'pom.xml' OR "
+                "path GLOB '*/pom.xml' OR old_path = 'pom.xml' OR old_path GLOB '*/pom.xml'))"
+            )
+
+    def insert_pom_manifests(self, rows: Iterable[tuple[str, str | None, str | None]]) -> None:
+        """Store (blob id, encoded coordinates, parse error) rows, one of the
+        last two NULL; a blob already stored is a StoreError."""
+        with self._writing("pom manifests"):
+            self.db.executemany(
+                "INSERT INTO pom_manifests (blob_id, coordinates, error) VALUES (?, ?, ?)", rows
+            )
+
     def replace_edges(self, edges: dict) -> None:
         """Fill graph_edges, which `clear_rules_and_downstream` emptied, with
         the graph's weighted (source, target) edges."""
@@ -656,6 +700,10 @@ class Store:
     def blob_screens(self) -> set[tuple[str, str]]:
         """Every stored (blob id, screen key) verdict."""
         return set(self.db.execute("SELECT blob_id, screen FROM blob_screens"))
+
+    def pom_manifests(self) -> list[tuple[str, str | None, str | None]]:
+        """Every stored (blob id, encoded coordinates, parse error) row."""
+        return self.db.execute("SELECT blob_id, coordinates, error FROM pom_manifests").fetchall()
 
     def archive_docs(self, keys: Iterable[str]) -> dict[str, str]:
         """The encoded docs stored under each of `keys` that has a row."""

@@ -24,7 +24,7 @@ from corpusgen import (
 import migmine
 from migmine import gitrepo
 from migmine.cli import main
-from migmine.store import Store
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
 
 def run_cli(*argv):
@@ -37,6 +37,12 @@ def package_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def own_text(text: str, project: str) -> str:
+    """`text` with a comment naming `project`: a blob that no other project
+    holds, so that no answer stored for another project stands in for it."""
+    return f"{text}// {project}\n"
 
 
 def common_flags(corpus, workdir, *, db=None):
@@ -312,13 +318,16 @@ class TestGitFailures:
     def test_one_deleted_clone_of_two_is_exit_2(
         self, stage, corpus, tmp_path, monkeypatch, caplog
     ):
-        """A project whose clone vanishes after ingest is logged and skipped;
-        the other project's results are stored and the stage exits 2."""
+        """A project whose clone vanishes after ingest is logged and skipped
+        where the stage must read a text of its own; the other project's
+        results are stored and the stage exits 2."""
         repo = tmp_path / "vanishing"
         serializer = "src/main/java/com/example/app/Serializer.java"
         build_repo(repo, [
-            ("init", {"pom.xml": pom("vanishing", JSON_LIB), serializer: SERIALIZER_JSON}),
-            ("migrate", {"pom.xml": pom("vanishing", GSON_LIB), serializer: SERIALIZER_GSON}),
+            ("init", {"pom.xml": pom("vanishing", JSON_LIB),
+                      serializer: own_text(SERIALIZER_JSON, "vanishing")}),
+            ("migrate", {"pom.xml": pom("vanishing", GSON_LIB),
+                         serializer: own_text(SERIALIZER_GSON, "vanishing")}),
         ])
         projects = tmp_path / "projects.txt"
         projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
@@ -348,12 +357,15 @@ class TestGitFailures:
     def test_vanished_last_commit_fails_its_project_alone(self, corpus, tmp_path, caplog):
         """A repository that lost the project's stored last commit (amended
         and pruned after ingest, its files unchanged) fails that project
-        with event=project_failed; the other project's segments are stored."""
+        with event=project_failed once the stage reads a text of its own;
+        the other project's segments are stored."""
         repo = tmp_path / "rewritten"
         serializer = "src/main/java/com/example/app/Serializer.java"
         stored_tip = build_repo(repo, [
-            ("init", {"pom.xml": pom("rewritten", JSON_LIB), serializer: SERIALIZER_JSON}),
-            ("migrate", {"pom.xml": pom("rewritten", GSON_LIB), serializer: SERIALIZER_GSON}),
+            ("init", {"pom.xml": pom("rewritten", JSON_LIB),
+                      serializer: own_text(SERIALIZER_JSON, "rewritten")}),
+            ("migrate", {"pom.xml": pom("rewritten", GSON_LIB),
+                         serializer: own_text(SERIALIZER_GSON, "rewritten")}),
         ])[-1]
         projects = tmp_path / "projects.txt"
         projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
@@ -372,3 +384,39 @@ class TestGitFailures:
         )
         with Store(tmp_path / "m.db") as store:
             assert {s.project for s in store.segments()} == {"mig-single"}
+
+    def test_vanished_clone_whose_answers_are_stored_reruns_alike(
+        self, corpus, tmp_path, monkeypatch, caplog
+    ):
+        """A stage checks a project's repository only when it reads a blob
+        from it.  A project whose clone vanished after a run, but whose
+        every answer is stored (its pom.xml parse results, its blobs' facts
+        and screen verdicts) and which has nothing to diff, re-runs every
+        stage after ingest without git, to byte-identical exports."""
+        repo = tmp_path / "codeless"
+        build_repo(repo, [
+            ("init", {"pom.xml": pom("codeless", JSON_LIB),
+                      "src/Plain.java": own_text("public class Plain {}\n", "codeless")}),
+            ("swap", {"pom.xml": pom("codeless", GSON_LIB)}),
+        ])
+        projects = tmp_path / "projects.txt"
+        projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("run", "--projects", projects, *flags) == 0
+
+        def exports():
+            with Store(tmp_path / "m.db") as store:
+                return {
+                    (fmt, selector): store.export(fmt, selector)
+                    for fmt in EXPORT_FORMATS for selector in EXPORT_SELECTORS
+                }
+
+        before = exports()
+        assert json.loads(before["json", "rules"])
+        shutil.rmtree(repo)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        caplog.set_level(logging.WARNING, logger="migmine")
+        for stage in ("detect-rules", "detect-segments", "detect-fragments", "collect-docs"):
+            assert run_cli(stage, *flags) == 0, stage
+        assert [r.getMessage() for r in caplog.records if "codeless" in r.getMessage()] == []
+        assert exports() == before

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migmine import javafacts
+from migmine.gitrepo import changed_files, ingest_project
 from migmine.history import CommitChanges, FactsCache, ProjectHistory
 from migmine.model import UNRESOLVED, CommitRecord, FileChange, LibraryCoordinate, ProjectRef
+from migmine.store import Store
 
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
@@ -148,6 +150,68 @@ def test_declared_libraries_keep_the_latest_resolved_version(tmp_path):
         for coord in change.added | change.removed
     }
     assert ever_changed == set(history.declared_libraries())
+
+
+def stored_replay(tmp_path, name, commits, caplog) -> tuple[list, list[str], list[str]]:
+    """Replay a project's manifests through a history whose facts cache
+    stores the parse results, then, as a re-run does, through a new
+    history and cache over the same store.  Returns the second history's
+    timeline, and the event=manifest_parse_error lines of each replay;
+    the second replay must read no blob."""
+    build_repo(tmp_path / name, commits)
+    ref, commits, changes = ingest_project(str(tmp_path / name), tmp_path / "work", name)
+    caplog.set_level(logging.WARNING, logger="migmine")
+    logged = []
+    with Store(tmp_path / "m.db") as store:
+        for _ in range(2):
+            caplog.clear()
+            facts = FactsCache(store)
+            history = ProjectHistory(ref, commits, changed_files(changes), facts=facts)
+            try:
+                timeline = history.dependency_timeline()
+            finally:
+                history.close()
+            facts.save()
+            logged.append([
+                r.getMessage() for r in caplog.records
+                if "event=manifest_parse_error" in r.getMessage()
+            ])
+        assert history.blobs_read == 0
+    return timeline, *logged
+
+
+def test_a_stored_parse_error_logs_as_a_fresh_parse(tmp_path, caplog):
+    """A malformed and a binary pom.xml version store their parse errors, so
+    a replay from the store logs the lines a fresh parse logged."""
+    timeline, first, again = stored_replay(tmp_path, "badpoms", [
+        ("init", {"pom.xml": pom("app", JSON_LIB)}),
+        ("corrupt", {"pom.xml": "<project><dependencies>"}),
+        ("binary", {"pom.xml": "\0" + pom("app", GSON_LIB)}),
+        ("restore", {"pom.xml": pom("app", GSON_LIB)}),
+    ], caplog)
+    assert [set(declared) for declared in timeline] == [{JSON_ID}, set(), set(), {GSON_ID}]
+    assert len(first) == 2
+    assert again == first
+
+
+def test_a_pom_blob_the_repository_lacks_is_not_stored(tmp_path):
+    """A pom.xml version whose blob git cannot find declares nothing, and
+    its parse error is not stored: the next history asks git again."""
+    build_repo(tmp_path / "lacking", [("init", {"pom.xml": pom("app", JSON_LIB)})])
+    ref, [commit], _ = ingest_project(str(tmp_path / "lacking"), tmp_path / "work")
+    gone = FileChange("pom.xml", "added", None, None, "1" * 40)
+    with Store(tmp_path / "m.db") as store:
+        for _ in range(2):
+            facts = FactsCache(store)
+            history = ProjectHistory(ref, [commit], {commit.commit_id: [gone]}, facts=facts)
+            try:
+                assert history.dependency_timeline() == [{}]
+                # the last-commit check, then the missing blob
+                assert history.blobs_read == 2
+            finally:
+                history.close()
+            facts.save()
+        assert store.pom_manifests() == []
 
 
 # -- last_dependent_commit against a forward replay ------------------------------

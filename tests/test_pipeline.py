@@ -319,14 +319,17 @@ MOVED = "class Moved {\n" + "".join(f"  int f{i};\n" for i in range(30)) + "}\n"
 
 
 def assert_same_history(stored, ingested) -> None:
-    """The stored history's changes, and the manifest texts it reads through
-    its own blob reader, are ingest's."""
+    """The stored history's changes are ingest's, and so is the manifest
+    timeline it replays from the stored parse results, reading no blob;
+    ingest replayed the texts it read from git."""
     try:
         assert stored.commits == ingested.commits
         for commit in ingested.commits:
             assert stored.changes(commit.commit_id) == ingested.changes(commit.commit_id)
         assert stored.dependency_timeline() == ingested.dependency_timeline()
         assert stored.declared_libraries() == ingested.declared_libraries()
+        assert stored.dependency_changes() == ingested.dependency_changes()
+        assert stored.blobs_read == 0
     finally:
         stored.close()
 
@@ -340,6 +343,29 @@ def test_stored_history_reads_as_ingests(corpus, tmp_path):
         assert ingest.ingest() == []
         later = Pipeline(store, config)
         for project_id in corpus.repos:
+            assert_same_history(later.history(project_id), ingest.history(project_id))
+
+
+@pytest.mark.parametrize("workload", ["long-history", "corpus-breadth", "wide-migration"])
+def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
+    workload, tmp_path, monkeypatch
+):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    spec = workloads.generate(workload, 7, tmp_path / "corpus")
+    config = RunConfig(
+        projects_file=spec["projects_file"],
+        workdir=str(tmp_path / "work"),
+        db_path=str(tmp_path / "m.db"),
+        repo_base=spec["repo_base"],
+        jobs=spec["jobs"],
+    )
+    with Store(config.db_path) as store:
+        ingest = Pipeline(store, config)
+        assert ingest.ingest() == []
+        later = Pipeline(store, config)
+        for project_id in spec["oracle"]["projects"]:
             assert_same_history(later.history(project_id), ingest.history(project_id))
 
 
@@ -921,26 +947,18 @@ def rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog):
     return by_stage, diffed, histories, logs
 
 
-def test_rerun_reads_only_pom_and_diffed_blobs(corpus_run, corpus, tmp_path, monkeypatch, caplog):
-    """A re-run over a stored run asks git only for the pom.xml texts the
-    manifest replay parses and the texts it diffs: every other blob is
-    answered by a stored screen verdict or by stored facts.  A stage starts
-    at most one reader per project, which first asks for the project's
-    last commit."""
+def test_rerun_reads_only_diffed_blobs(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A re-run over a stored run asks git only for the texts it diffs: the
+    manifest replay takes each pom.xml version's stored parse result, and
+    every other blob is answered by a stored screen verdict or by stored
+    facts.  So the segment stage starts no reader, and the fragment stage
+    starts at most one per project, which first asks for the project's last
+    commit."""
     by_stage, diffed, histories, _ = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog
     )
     tips = {str(Path(h.ref.workdir).resolve()): h.commits[-1].commit_id for h in histories}
-    poms = {
-        fc.after_sha
-        for h in histories for c in h.commits for fc in h.changes(c.commit_id).pom
-        if fc.after_sha
-    }
-    assert {name for name, started in by_stage.items() if started} == {
-        "detect_segments", "detect_fragments"
-    }
-    # every project replays its manifests; only a project with a diff reads again
-    assert sorted(workdir for workdir, _, _ in by_stage["detect_segments"]) == sorted(tips)
+    assert {name for name, started in by_stage.items() if started} == {"detect_fragments"}
     asked = set()
     for started in by_stage.values():
         workdirs = [workdir for workdir, _, _ in started]
@@ -949,25 +967,30 @@ def test_rerun_reads_only_pom_and_diffed_blobs(corpus_run, corpus, tmp_path, mon
             assert ids[0] == tips[workdir]
             assert len(ids[1:]) == len(set(ids[1:]))
             asked.update(ids[1:])
-    assert diffed and poms
-    assert asked == poms | diffed
+    assert diffed
+    assert asked == diffed
 
 
 def test_stage_logs_count_blob_reads_and_screen_hits(
     corpus_run, corpus, tmp_path, monkeypatch, caplog
 ):
     """`blobs_read` counts the objects a stage asked of git, the last-commit
-    checks included; `screens_hit` counts the stored or remembered screen
-    verdicts that answered in that stage."""
+    checks included: none in a re-run's segment stage, which the store
+    answers, and the diffed texts in its fragment stage.  `screens_hit`
+    counts the stored or remembered screen verdicts that answered in that
+    stage."""
     by_stage, _, _, logs = rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog)
 
     def logged(event, key):
         return int(logs[event].split(f" {key}=")[1].split()[0])
 
-    for event, stage_name in (("event=segments_detected", "detect_segments"),
-                              ("event=fragments_detected", "detect_fragments")):
-        read = sum(len(ids) for _, ids, _ in by_stage[stage_name])
-        assert logged(event, "blobs_read") == read > 0
+    read = {
+        event: sum(len(ids) for _, ids, _ in by_stage[stage_name])
+        for event, stage_name in (("event=segments_detected", "detect_segments"),
+                                  ("event=fragments_detected", "detect_fragments"))
+    }
+    assert {event: logged(event, "blobs_read") for event in read} == read
+    assert read["event=segments_detected"] == 0 < read["event=fragments_detected"]
     # the segment stage's rejections are all stored verdicts; fragments ask
     # only of blobs the segment stage already answered
     assert logged("event=segments_detected", "screens_hit") > 0
@@ -978,20 +1001,23 @@ def test_a_stage_that_raises_leaves_no_blob_reader_running(
     corpus_run, corpus, tmp_path, monkeypatch
 ):
     """A stage that raises after its histories opened their blob readers
-    still ends every reader's process."""
+    still ends every reader's process.  In a re-run, the fragment stage is
+    the one that reads: it diffs texts."""
     readers = spy_blob_readers(monkeypatch)
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
 
-    def full_disk(segments):
+    def full_disk(fragments):
         raise sqlite3.OperationalError("database or disk is full")
 
     with Store(config.db_path) as store:
-        monkeypatch.setattr(store, "insert_segments", full_disk)
+        monkeypatch.setattr(store, "insert_fragments", full_disk)
         pipeline = Pipeline(store, config)
         pipeline.detect_rules()
+        pipeline.detect_segments()
+        assert readers == []
         with pytest.raises(sqlite3.OperationalError):
-            pipeline.detect_segments()
-    assert len(readers) == len(corpus.repos)
+            pipeline.detect_fragments()
+    assert readers
     assert all(proc.poll() is not None for _, _, proc in readers)
 
 
@@ -1041,6 +1067,32 @@ def test_a_first_run_reads_its_blobs_at_ingest_only(corpus, tmp_path, caplog):
     for event in ("event=segments_detected ", "event=fragments_detected "):
         [line] = [m for m in messages if m.startswith(event)]
         assert " blobs_read=0 " in line
+
+
+def test_a_rerun_reads_no_binary_java_blob(tmp_path, monkeypatch):
+    """A binary .java version, once read, gets the facts of an empty text,
+    stored like any others, so a re-run's segment stage asks git for no
+    object at all, that blob included."""
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(tmp_path, "binjava", [
+        ("init", {"pom.xml": pom("binjava", JSON_LIB), serializer: PADDED_JSON,
+                  "src/Blob.java": "\0\1binary"}),
+        ("migrate", {"pom.xml": pom("binjava", GSON_LIB), serializer: PADDED_GSON}),
+    ])
+    with Store(config.db_path) as store:
+        code, summary = run_all(store, config)
+        assert code == 0 and summary["rules_confirmed"] == 1
+        [binary] = [
+            fc.after_sha
+            for changes in Pipeline(store, config).history("binjava").file_changes.values()
+            for fc in changes if fc.path == "src/Blob.java"
+        ]
+        assert store.blob_facts(binary) == "[null,[],[],[]]"
+        readers = spy_blob_readers(monkeypatch)
+        pipeline = Pipeline(store, config)
+        pipeline.detect_rules()
+        assert pipeline.detect_segments()
+        assert readers == []
 
 
 PLAIN_SOURCE = """package com.example.app;
@@ -1293,6 +1345,46 @@ def test_ingest_empties_blob_facts_and_detect_rules_keeps_them(tmp_path):
         assert pipeline.facts.loaded == 0
 
 
+def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeypatch):
+    """Ingest stores each pom.xml version's parse result, deletes every row
+    that no stored pom.xml change names (a rename away from pom.xml still
+    names its version), and inserts a row only for a version with none, so
+    a re-ingest of the same history writes no row."""
+    config = single_repo_config(tmp_path, "poms", [
+        ("init", {"pom.xml": pom("poms", JSON_LIB), "core/pom.xml": pom("core"),
+                  "web/pom.xml": pom("web", JSON_LIB)}),
+        ("swap", {"pom.xml": pom("poms", GSON_LIB), "core/pom.xml": None,
+                  "web/pom.xml": None, "web/pom.xml.orig": pom("web", JSON_LIB) + "\n"}),
+    ])
+    inserts = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(
+            lambda sql: inserts.append(sql) if sql.startswith("INSERT INTO pom_manifests") else None
+        )
+        return db
+
+    def stored(store):
+        return store.db.execute("SELECT * FROM pom_manifests ORDER BY blob_id").fetchall()
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        assert pipeline.ingest() == []
+        rows = stored(store)
+        assert len(inserts) == len(rows) == 5
+        changes = [fc for fcs in pipeline.history("poms").file_changes.values() for fc in fcs]
+        assert ("renamed", "web/pom.xml") in {(fc.kind, fc.old_path) for fc in changes}
+        assert {sha for sha, _, _ in rows} == {fc.after_sha for fc in changes if fc.after_sha}
+        store.insert_pom_manifests([("f" * 40, "[]", None)])
+        inserts.clear()
+        assert Pipeline(store, config).ingest() == []
+        assert inserts == []
+        assert stored(store) == rows
+
+
 def get_page(package, class_name, description):
     """A class page documenting one `get(Object)` method."""
     return javadoc_page(
@@ -1465,12 +1557,16 @@ CREATE TABLE file_changes (
 """
 
 
-# the schema version each shape was written with, and how to write it
+# the schema version each shape was written with, and how to write it;
+# no version before 5 had pom_manifests
+NO_POM_MANIFESTS = "DROP TABLE pom_manifests;"
 OLD_SCHEMAS = {
-    "attached": ("1", "DROP TABLE file_changes; DROP TABLE blob_screens;"),
-    "separate": ("1", PARENT_DOCS_DDL + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
-    "schema-2": ("2", "DROP TABLE blob_screens;"),
-    "schema-3": ("3", SCHEMA_3_FILE_CHANGES),
+    "attached": ("1", NO_POM_MANIFESTS + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
+    "separate": ("1", NO_POM_MANIFESTS + PARENT_DOCS_DDL
+                 + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
+    "schema-2": ("2", NO_POM_MANIFESTS + "DROP TABLE blob_screens;"),
+    "schema-3": ("3", NO_POM_MANIFESTS + SCHEMA_3_FILE_CHANGES),
+    "schema-4": ("4", NO_POM_MANIFESTS),
 }
 
 
@@ -1481,7 +1577,8 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     commits would read as histories without changes, whether its docs sit
     on their attachments or in a method_docs table; version 2 stored no
     screen verdicts and wrote every file change column in full; version 3
-    stored git's raw entries, without their binary ones."""
+    stored git's raw entries, without their binary ones; version 4 stored
+    no pom.xml parse results."""
     version, script = OLD_SCHEMAS[shape]
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     db = sqlite3.connect(config.db_path)
@@ -1490,7 +1587,7 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     )
     db.close()
     before = Path(config.db_path).read_bytes()
-    with pytest.raises(StoreError, match=f"schema version {version} != supported 4"):
+    with pytest.raises(StoreError, match=f"schema version {version} != supported 5"):
         Store(config.db_path)
     assert Path(config.db_path).read_bytes() == before
     assert [p.name for p in tmp_path.glob("migmine.db*")] == ["migmine.db"]

@@ -10,6 +10,7 @@ import pytest
 from migmine.docs import DOCS_VERSION
 from migmine.fragments import unified_diff
 from migmine.javafacts import FACTS_VERSION
+from migmine.manifest import MANIFEST_VERSION
 from migmine.model import (
     CommitRecord,
     DependencyChange,
@@ -510,6 +511,20 @@ def test_store_with_upgrade_rows_is_refused(tmp_path):
             )
 
 
+def test_foreign_tables_without_a_schema_version_are_refused(tmp_path):
+    """A database that holds tables but no schema version is not new: it
+    is refused, and left as it was, rather than stamped with this version."""
+    path = tmp_path / "legacy.db"
+    db = sqlite3.connect(path)
+    db.executescript(LEGACY_DEPENDENCY_CHANGES)
+    db.close()
+    before = path.read_bytes()
+    with pytest.raises(StoreError, match="holds tables but no schema version"):
+        Store(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["legacy.db"]
+
+
 def test_schema_version_mismatch_fails(tmp_path):
     path = tmp_path / "versioned.db"
     with Store(path) as s:
@@ -548,6 +563,34 @@ class TestBlobFacts:
         assert [blob for blob, facts in rows
                 if blob.encode() in exported or facts.encode() in exported] == []
         assert "blob_facts" not in EXPORT_SELECTORS
+
+
+class TestPomManifests:
+    def test_rows_read_back_and_a_blob_stored_twice_is_store_error(self, store):
+        rows = [("a" * 40, '[["g","a","1"]]', None), ("b" * 40, None, "malformed")]
+        store.insert_pom_manifests(rows)
+        assert sorted(store.pom_manifests()) == rows
+        with pytest.raises(StoreError):
+            store.insert_pom_manifests([("c" * 40, "[]", None), ("a" * 40, "[]", None)])
+        assert sorted(store.pom_manifests()) == rows
+
+    def test_a_row_holds_coordinates_or_an_error(self, store):
+        for row in (("a" * 40, None, None), ("b" * 40, "[]", "malformed")):
+            with pytest.raises(StoreError, match="CHECK"):
+                store.insert_pom_manifests([row])
+
+    def test_other_manifest_version_empties_the_table_at_open(self, tmp_path):
+        path = tmp_path / "poms.db"
+        with Store(path) as s:
+            s.insert_pom_manifests([("a" * 40, "[]", None)])
+            s.insert_blob_facts([("b1", "[]")])
+        with Store(path) as s:
+            assert s.pom_manifests() == [("a" * 40, "[]", None)]
+            s.set_meta("manifest_version", "0")
+        with Store(path) as s:
+            assert s.pom_manifests() == []
+            assert s.get_meta("manifest_version") == MANIFEST_VERSION
+            assert s.has_blob_facts()
 
 
 class TestArchiveDocs:
