@@ -27,21 +27,21 @@ binary blob, once read, is given the facts of an empty text, which are
 kept like any others.  With each pom.xml version's parse result stored (see
 below), a re-run reads from git only the texts it diffs.
 
-A blob's facts come from a `FactsCache` that every history of a pipeline
-shares: memory first, then the store's `blob_facts` table, and only then
-the tokenizer.  So a blob is tokenized once per database, not once per
-history or per process; a stage stores what it tokenized, and the
-verdicts it reached, with `FactsCache.save`.
+Every answer derived from one blob (its facts, a screen's verdict, a
+pom.xml version's parse result) comes from a `FactsCache` that every
+history of a pipeline shares: memory first, then the store's
+`blob_answers` table (read in one query), and only then the tokenizer,
+the screen or `parse_manifest`.  So a blob is tokenized once per
+database, not once per history or per process; a stage stores what it
+reached with `FactsCache.save`.
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
 ingest stores, are computed from it when first asked for.  It takes each
 pom.xml version's coordinates, or its parse error, by blob id from the
-same `FactsCache`: memory, then the store's `pom_manifests` (read in one
-query), and only then `parse_manifest` on the text read from git.  A
-stored error is logged as a fresh one would be.  A parse result is kept
-for a binary blob too, as its id fixes its bytes, but not for one the
-repository lacks, which the next history reads again.
+`FactsCache`.  A stored error is logged as a fresh one would be.  A parse
+result is kept for a binary blob too, as its id fixes its bytes, but not
+for one the repository lacks, which the next history reads again.
 
 The last commit whose sources depend on a library is found by walking
 back from an upper bound `hi`: the java changes are recorded once per
@@ -84,121 +84,96 @@ class CommitChanges(NamedTuple):
     java: list[FileChange]
 
 
-class FactsCache:
-    """Facts, screen verdicts and pom.xml parse results by blob id: in
-    memory, then stored, then computed.
+def _decode_manifest(encoded: str) -> list[LibraryCoordinate] | str:
+    manifest = json.loads(encoded)
+    return manifest if isinstance(manifest, str) else [LibraryCoordinate(*c) for c in manifest]
 
-    Without a store it is a memory cache.  With one, a facts miss reads the
-    store's `blob_facts` row, unless the table held no row when first
-    looked at: then everything stored since came from this cache, and
-    misses go straight to the tokenizer.  A verdict is a (blob id, screen
-    key) pair that `javafacts.may_reference` rejected; the stored ones are
-    read in one query, at the first question, and so are the stored
-    `pom_manifests`.  `save` stores what was tokenized, rejected or parsed
-    since the last save, one insert per table.
+
+# how each question's answer is stored; a screen's "no" is "" in memory too
+_ENCODERS = {
+    "facts": javafacts.encode_facts,
+    "manifest": json.JSONEncoder(separators=(",", ":")).encode,
+}
+
+
+class FactsCache:
+    """Answers about blobs by blob id (facts, screen verdicts and pom.xml
+    parse results): in memory, then stored, then computed.
+
+    Without a store it is a memory cache.  With one, every stored answer
+    is read in one query at the first question, and decoded when first
+    asked for.  A verdict is a "no" of `javafacts.may_reference`, asked
+    under the index's screen key.  `save` stores, in one insert, every
+    answer reached since the last save, encoding each only then.
     """
 
     def __init__(self, store: Store | None = None):
         self._store = store
-        self._facts: dict[str, SourceFacts] = {}
-        self._unsaved: dict[str, SourceFacts] = {}
-        self._store_has_more: bool | None = None  # None: not looked at yet
-        self._rejected: set[tuple[str, str]] | None = None  # None: not read yet
-        self._unsaved_rejected: list[tuple[str, str]] = []
-        # None: the stored ones not read yet
-        self._manifests: dict[str, list[LibraryCoordinate] | str] | None = None
-        self._unsaved_manifests: dict[str, list[LibraryCoordinate] | str] = {}
+        # (blob id, question) -> facts, parse result, or "" for a verdict
+        self._answers: dict[tuple[str, str], object] = {}
+        self._stored: dict[tuple[str, str], str] | None = None  # None: not read yet
+        self._unsaved: list[tuple[str, str]] = []
         self.tokenized = 0
         self.loaded = 0
         self.screens_hit = 0
 
+    def _answer(self, sha: str | None, question: str, decode):
+        """The answer known in memory or stored, or None."""
+        key = (sha, question)
+        answer = self._answers.get(key)
+        if answer is None:
+            if self._stored is None:
+                self._stored = self._store.blob_answers() if self._store is not None else {}
+            encoded = self._stored.pop(key, None)
+            if encoded is not None:
+                answer = self._answers[key] = decode(encoded)
+                self.loaded += question == "facts"
+        return answer
+
+    def _keep(self, sha: str, question: str, answer) -> None:
+        """Keep an answer that `_answer` did not know yet."""
+        self._answers[sha, question] = answer
+        self._unsaved.append((sha, question))
+
     def get(self, sha: str, text: str) -> SourceFacts:
         facts = self.known(sha)
         if facts is None:
-            facts = self._facts[sha] = self._unsaved[sha] = javafacts.extract_facts(text)
+            facts = javafacts.extract_facts(text)
+            self._keep(sha, "facts", facts)
             self.tokenized += 1
         return facts
 
     def known(self, sha: str) -> SourceFacts | None:
         """The blob's facts from memory or the store, or None."""
-        facts = self._facts.get(sha)
-        if facts is None:
-            stored = self._stored(sha)
-            if stored is not None:
-                facts = self._facts[sha] = javafacts.decode_facts(stored)
-                self.loaded += 1
-        return facts
-
-    def _stored(self, sha: str) -> str | None:
-        if self._store is None:
-            return None
-        if self._store_has_more is None:
-            self._store_has_more = self._store.has_blob_facts()
-        return self._store.blob_facts(sha) if self._store_has_more else None
+        return self._answer(sha, "facts", javafacts.decode_facts)
 
     def rejected(self, sha: str, screen: str) -> bool:
         """Whether the screen `screen` is known to reject the blob."""
-        if self._rejected is None:
-            self._rejected = self._store.blob_screens() if self._store is not None else set()
-        if (sha, screen) in self._rejected:
-            self.screens_hit += 1
-            return True
-        return False
+        if self._answer(sha, screen, str) is None:
+            return False
+        self.screens_hit += 1
+        return True
 
     def reject(self, sha: str, screen: str) -> None:
         """Keep a "no" that `rejected` did not know yet."""
-        self._rejected.add((sha, screen))
-        self._unsaved_rejected.append((sha, screen))
+        self._keep(sha, screen, "")
 
     def manifest(self, sha: str | None) -> list[LibraryCoordinate] | str | None:
         """A pom.xml blob's coordinates, or the message of the error its
         parse raised; None when neither memory nor the store knows it."""
-        if self._manifests is None:
-            self._manifests = {
-                blob: error if error is not None
-                else [LibraryCoordinate(*coord) for coord in json.loads(coordinates)]
-                for blob, coordinates, error in (
-                    self._store.pom_manifests() if self._store is not None else ()
-                )
-            }
-        return self._manifests.get(sha)
+        return self._answer(sha, "manifest", _decode_manifest)
 
     def keep_manifest(self, sha: str, manifest: list[LibraryCoordinate] | str) -> None:
         """Keep a parse result that `manifest` did not know yet."""
-        self._manifests[sha] = self._unsaved_manifests[sha] = manifest
+        self._keep(sha, "manifest", manifest)
 
     def save(self) -> None:
-        if self._store is not None:
-            if self._unsaved:
-                self._store.insert_blob_facts(
-                    [(sha, javafacts.encode_facts(facts)) for sha, facts in self._unsaved.items()]
-                )
-            if self._unsaved_rejected:
-                self._store.insert_blob_screens(self._unsaved_rejected)
-            if self._unsaved_manifests:
-                self._store.insert_pom_manifests(
-                    (sha, None, manifest) if isinstance(manifest, str)
-                    else (sha, json.dumps(manifest, separators=(",", ":")), None)
-                    for sha, manifest in self._unsaved_manifests.items()
-                )
+        if self._store is not None and self._unsaved:
+            self._store.insert_blob_answers(
+                (sha, question, _ENCODERS.get(question, str)(self._answers[sha, question]))
+                for sha, question in self._unsaved
+            )
         self._unsaved.clear()
-        self._unsaved_rejected.clear()
-        self._unsaved_manifests.clear()
-
-    def clear(self) -> None:
-        """Empty the stored facts and verdicts, and forget everything: the
-        next miss looks at the store again, whether or not the clear
-        commits.  The stored parse results stay, as a blob id fixes its
-        text."""
-        if self._store is not None:
-            self._store.clear_blob_facts()
-        self._facts.clear()
-        self._unsaved.clear()
-        self._unsaved_rejected.clear()
-        self._unsaved_manifests.clear()
-        self._store_has_more = None
-        self._rejected = None
-        self._manifests = None
 
 
 # a blob text not read yet

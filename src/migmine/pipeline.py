@@ -138,7 +138,7 @@ class Pipeline:
         self._histories: dict[str, ProjectHistory] = {}
         # every stored project's file changes, read at the first stored history
         self._stored_changes: dict[str, dict[str, list[FileChange]]] | None = None
-        # every history's blob facts, backed by the store's blob_facts table
+        # every history's answers about blobs, backed by the store's blob_answers table
         self.facts = FactsCache(store)
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
         # "project: error" of each project a stage after ingest skipped
@@ -251,11 +251,9 @@ class Pipeline:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(one, jobs))
 
-        # rules are mined from every project's history, so a new history voids
-        # them; stored blob facts go too, as the blobs may no longer be read
+        # rules are mined from every project's history, so a new history voids them
         if any(history is not None for _, history, _, _ in results):
             self.store.clear_rules_and_downstream()
-            self.facts.clear()
         errors = []
         ingested = []
         for project_id, history, blobs_read, error in sorted(results):
@@ -280,9 +278,9 @@ class Pipeline:
             for change in history.dependency_changes()
             if change.added or change.removed
         )
-        # the replay above asked the stored parse results first: keep those
-        # of the stored pom.xml versions, then add the ones it parsed
-        self.store.keep_pom_manifests()
+        # the replay above asked the stored answers first: keep those of the
+        # blobs a stored change names, then add the ones it reached
+        self.store.prune_blob_answers()
         self.facts.save()
         self._refs = self._stored_changes = None
         version = gitrepo.git_version()

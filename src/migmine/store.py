@@ -32,20 +32,21 @@ same statement through `execute`.  A fragment finds its segment's id in
 the same INSERT; a batch whose fragments did not all find theirs is a
 `StoreError`.
 
-`blob_facts` is a cache, not a result: each tokenized blob's
-`SourceFacts` as JSON (`javafacts.encode_facts`, never pickle, so opening a
-database runs no stored code), keyed by blob id.  Ingest owns it and clears
-it with everything downstream; `detect_segments` and `detect_fragments`
-each add the facts they tokenized.  It is never exported.  Opening a
-database whose `facts_version` differs from `javafacts.FACTS_VERSION`
-empties it.
-
-`blob_screens` is the same kind of cache and goes with `blob_facts`:
-whenever one is emptied, so is the other.  Each row is a (blob id, screen
-key) pair that `javafacts.may_reference` rejected, so a re-run need not
-read that blob to reject it again.  The screen key names what the screen
-reads of a package index (`PackageIndex.screen_key`), not its coordinate,
-so a class jar replaced under the same coordinate is screened again.
+`blob_answers` is a cache, not a result: what the pipeline derived from
+one git blob, keyed by blob id and question.  The question `facts` holds
+the blob's `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle,
+so opening a database runs no stored code); `manifest` holds a pom.xml
+blob's `parse_manifest` result, its coordinates or its error message, as
+JSON; a `PackageIndex.screen_key` holds an empty answer: that screen of
+`javafacts.may_reference` rejected the blob.  The screen key names what
+the screen reads of a package index, not its coordinate, so a class jar
+replaced under the same coordinate is screened again.  A blob id names
+its content, so an answer never goes stale; a blob the repository lacks
+gets none.  Any stage may add answers; ingest deletes those whose blob no
+stored file change names, on either side (`prune_blob_answers`), and
+keeps the rest across re-ingests.  It is never exported.  Opening a
+database whose `answers_version` differs from this one (the fact
+extractor's and the manifest parser's versions) empties it.
 
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
@@ -56,16 +57,6 @@ it: each pass keeps exactly the rows of the archives it used and adds the
 ones it parsed.  Ingest leaves it alone, as the key holds no project data.
 It is never exported.  Opening a database whose `docs_version` differs
 from `docs.DOCS_VERSION` empties it.
-
-`pom_manifests` is a cache too: each pom.xml blob's `parse_manifest`
-result, keyed by blob id, as its coordinates in JSON or, when the parse
-failed, its error message.  A blob id names its content, so a row never
-goes stale; the row of a blob the repository lacks is never written.
-Ingest owns it: it keeps exactly the rows that some stored pom.xml change
-names (`keep_pom_manifests`) and adds the ones it parsed; a later stage
-adds any it had to parse.  Ingest does not empty it with `blob_facts`.
-It is never exported.  Opening a database whose `manifest_version`
-differs from `manifest.MANIFEST_VERSION` empties it.
 
 Each `doc_attachments` row carries the columns of its mapped method's doc,
 all NULL when none was found; the doc's library is the one on that side of
@@ -85,10 +76,11 @@ it; there is no migration.  Version 1 had no `file_changes`, so its
 commits would read as histories without changes; version 2 had no
 `blob_screens` and stored `file_changes` in full; version 3 stored git's
 raw entries (status, old and new path) without their binary ones; version
-4 changed those columns and added no table; version 5 adds
-`pom_manifests`.  A database with no `schema_version` is new and gets
-this one, unless it holds tables, which another program wrote: it is
-refused too.
+4 changed those columns and added no table; version 5 added
+`pom_manifests`; version 6 folds it, `blob_facts` and `blob_screens` into
+`blob_answers`.  A database with no `schema_version` is new: its tables
+and this version commit together.  One that holds tables but no version,
+which another program wrote, is refused too.
 """
 
 from __future__ import annotations
@@ -120,7 +112,9 @@ from .model import (
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
+# the version of every stored blob answer
+_ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}"
 
 
 class StoreError(RuntimeError):
@@ -251,24 +245,15 @@ CREATE TABLE IF NOT EXISTS doc_attachments (
   since TEXT,
   PRIMARY KEY (mapping_id, side, class_name, method, arity)
 );
-CREATE TABLE IF NOT EXISTS blob_facts (
-  blob_id TEXT PRIMARY KEY,
-  facts TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS blob_screens (
+CREATE TABLE IF NOT EXISTS blob_answers (
   blob_id TEXT NOT NULL,
-  screen TEXT NOT NULL,
-  PRIMARY KEY (blob_id, screen)
+  question TEXT NOT NULL,
+  answer TEXT NOT NULL,
+  PRIMARY KEY (blob_id, question)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS archive_docs (
   key TEXT PRIMARY KEY,
   docs TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS pom_manifests (
-  blob_id TEXT PRIMARY KEY,
-  coordinates TEXT,
-  error TEXT,
-  CHECK ((coordinates IS NULL) != (error IS NULL))
 );
 """
 
@@ -363,35 +348,35 @@ class Store:
         self.db = sqlite3.connect(self.path)
         self._in_transaction = False
         try:
-            schema = self.get_meta("schema_version")
-        except sqlite3.OperationalError:  # no run_metadata table
-            schema = None
-        problem = None
-        if schema not in (None, SCHEMA_VERSION):
-            problem = f"database schema version {schema} != supported {SCHEMA_VERSION}"
-        elif schema is None and self.db.execute("SELECT 1 FROM sqlite_master").fetchone():
-            problem = "database holds tables but no schema version"
-        if problem:
+            try:
+                schema = self.get_meta("schema_version")
+            except sqlite3.OperationalError:  # no run_metadata table
+                schema = None
+            problem = None
+            if schema not in (None, SCHEMA_VERSION):
+                problem = f"database schema version {schema} != supported {SCHEMA_VERSION}"
+            elif schema is None and self.db.execute("SELECT 1 FROM sqlite_master").fetchone():
+                problem = "database holds tables but no schema version"
+            if problem:
+                raise StoreError(f"{problem}; use a fresh --db path")
+            self.db.execute("PRAGMA journal_mode = WAL")
+            self.db.execute("PRAGMA foreign_keys = ON")
+            with self.transaction():
+                # a new database's tables and their version commit together, or neither
+                self.db.executescript("BEGIN;" + _SCHEMA)
+                if schema is None:
+                    self.set_meta("schema_version", SCHEMA_VERSION)
+                if self.get_meta("answers_version") != _ANSWERS_VERSION:
+                    # answers of another extractor or parser version may differ from this one's
+                    self.db.execute("DELETE FROM blob_answers")
+                    self.set_meta("answers_version", _ANSWERS_VERSION)
+                if self.get_meta("docs_version") != DOCS_VERSION:
+                    # likewise docs stored by another parser version
+                    self.keep_archive_docs(())
+                    self.set_meta("docs_version", DOCS_VERSION)
+        except BaseException:
             self.db.close()
-            raise StoreError(f"{problem}; use a fresh --db path")
-        self.db.execute("PRAGMA journal_mode = WAL")
-        self.db.execute("PRAGMA foreign_keys = ON")
-        self.db.executescript(_SCHEMA)
-        with self.transaction():
-            if schema is None:
-                self.set_meta("schema_version", SCHEMA_VERSION)
-            if self.get_meta("facts_version") != FACTS_VERSION:
-                # facts stored by another extractor version may differ from this one's
-                self.clear_blob_facts()
-                self.set_meta("facts_version", FACTS_VERSION)
-            if self.get_meta("docs_version") != DOCS_VERSION:
-                # likewise docs stored by another parser version
-                self.keep_archive_docs(())
-                self.set_meta("docs_version", DOCS_VERSION)
-            if self.get_meta("manifest_version") != MANIFEST_VERSION:
-                # and manifests parsed by another parser version
-                self.db.execute("DELETE FROM pom_manifests")
-                self.set_meta("manifest_version", MANIFEST_VERSION)
+            raise
 
     def close(self):
         self.db.close()
@@ -594,21 +579,22 @@ class Store:
         with self.transaction():
             self.db.execute("DELETE FROM doc_attachments")
 
-    def clear_blob_facts(self) -> None:
-        """Empty `blob_facts` and, with it, `blob_screens`."""
+    def insert_blob_answers(self, rows: Iterable[tuple[str, str, str]]) -> None:
+        """Store (blob id, question, encoded answer) rows; a question already
+        answered for its blob is a StoreError."""
+        with self._writing("blob answers"):
+            self.db.executemany(
+                "INSERT INTO blob_answers (blob_id, question, answer) VALUES (?, ?, ?)", rows
+            )
+
+    def prune_blob_answers(self) -> None:
+        """Delete every answer whose blob no stored file change names."""
         with self.transaction():
-            self.db.execute("DELETE FROM blob_facts")
-            self.db.execute("DELETE FROM blob_screens")
-
-    def insert_blob_facts(self, rows: list[tuple[str, str]]) -> None:
-        """Store (blob id, encoded facts) rows; a blob already stored is a StoreError."""
-        with self._writing("blob facts"):
-            self.db.executemany("INSERT INTO blob_facts (blob_id, facts) VALUES (?, ?)", rows)
-
-    def insert_blob_screens(self, rows: list[tuple[str, str]]) -> None:
-        """Store (blob id, screen key) verdicts; one already stored is a StoreError."""
-        with self._writing("blob screens"):
-            self.db.executemany("INSERT INTO blob_screens (blob_id, screen) VALUES (?, ?)", rows)
+            self.db.execute(
+                "DELETE FROM blob_answers WHERE blob_id NOT IN (SELECT before_sha FROM "
+                "file_changes WHERE before_sha IS NOT NULL UNION SELECT after_sha FROM "
+                "file_changes WHERE after_sha IS NOT NULL)"
+            )
 
     def keep_archive_docs(self, keys: Iterable[str]) -> None:
         """Delete every stored archive's docs but those of `keys`."""
@@ -622,24 +608,6 @@ class Store:
         """Store (key, encoded docs) rows; a key already stored is a StoreError."""
         with self._writing("archive docs"):
             self.db.executemany("INSERT INTO archive_docs (key, docs) VALUES (?, ?)", rows)
-
-    def keep_pom_manifests(self) -> None:
-        """Delete every stored pom.xml parse result that no stored file
-        change names as a pom.xml version."""
-        with self.transaction():
-            self.db.execute(
-                "DELETE FROM pom_manifests WHERE blob_id NOT IN (SELECT after_sha FROM "
-                "file_changes WHERE after_sha IS NOT NULL AND (path = 'pom.xml' OR "
-                "path GLOB '*/pom.xml' OR old_path = 'pom.xml' OR old_path GLOB '*/pom.xml'))"
-            )
-
-    def insert_pom_manifests(self, rows: Iterable[tuple[str, str | None, str | None]]) -> None:
-        """Store (blob id, encoded coordinates, parse error) rows, one of the
-        last two NULL; a blob already stored is a StoreError."""
-        with self._writing("pom manifests"):
-            self.db.executemany(
-                "INSERT INTO pom_manifests (blob_id, coordinates, error) VALUES (?, ?, ?)", rows
-            )
 
     def replace_edges(self, edges: dict) -> None:
         """Fill graph_edges, which `clear_rules_and_downstream` emptied, with
@@ -687,23 +655,14 @@ class Store:
             out.setdefault(project, {}).setdefault(commit_id, []).append(FileChange(*change))
         return out
 
-    def has_blob_facts(self) -> bool:
-        return self.db.execute("SELECT 1 FROM blob_facts LIMIT 1").fetchone() is not None
-
-    def blob_facts(self, blob_id: str) -> str | None:
-        """The encoded facts stored for a blob, or None."""
-        row = self.db.execute(
-            "SELECT facts FROM blob_facts WHERE blob_id = ?", (blob_id,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def blob_screens(self) -> set[tuple[str, str]]:
-        """Every stored (blob id, screen key) verdict."""
-        return set(self.db.execute("SELECT blob_id, screen FROM blob_screens"))
-
-    def pom_manifests(self) -> list[tuple[str, str | None, str | None]]:
-        """Every stored (blob id, encoded coordinates, parse error) row."""
-        return self.db.execute("SELECT blob_id, coordinates, error FROM pom_manifests").fetchall()
+    def blob_answers(self) -> dict[tuple[str, str], str]:
+        """Every stored answer: (blob id, question) -> encoded answer."""
+        return {
+            (blob, question): answer
+            for blob, question, answer in self.db.execute(
+                "SELECT blob_id, question, answer FROM blob_answers"
+            )
+        }
 
     def archive_docs(self, keys: Iterable[str]) -> dict[str, str]:
         """The encoded docs stored under each of `keys` that has a row."""

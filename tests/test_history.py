@@ -211,7 +211,7 @@ def test_a_pom_blob_the_repository_lacks_is_not_stored(tmp_path):
             finally:
                 history.close()
             facts.save()
-        assert store.pom_manifests() == []
+        assert store.blob_answers() == {}
 
 
 # -- last_dependent_commit against a forward replay ------------------------------

@@ -704,12 +704,10 @@ class CountingConnection:
         return self._db.executemany(sql, rows)
 
 
-# statements a stage runs once per project or per stored blob: re-ingest
-# writes each project and clears its commits, a new Pipeline loads each
-# project's commits, and a re-run reads each blob's stored facts
+# statements a stage runs once per project: re-ingest writes each project
+# and clears its commits, and a new Pipeline loads each project's commits
 PER_PROJECT = ("INSERT INTO projects ", "DELETE FROM commits WHERE project = ?",
                "SELECT project, commit_id, ordinal, date, author, message FROM commits")
-PER_BLOB = ("SELECT facts FROM blob_facts WHERE blob_id = ?",)
 
 
 def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
@@ -732,16 +730,14 @@ def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
                 counts = Counter(calls)
                 repeated[label, name] = {sql for sql, n in counts.items() if n > 1}
                 for sql in repeated[label, name]:
-                    if sql.startswith(PER_PROJECT):
-                        assert counts[sql] == len(corpus.repos), (label, name, sql)
-                    else:
-                        assert sql.startswith(PER_BLOB), (label, name, sql)
+                    assert sql.startswith(PER_PROJECT), (label, name, sql)
+                    assert counts[sql] == len(corpus.repos), (label, name, sql)
         # every table a stage writes holds rows enough for a per-row call to repeat
         for table in ("commits", "dependency_changes", "rules", "segments", "fragments",
                       "method_mappings", "doc_attachments"):
             assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] >= 2, table
     assert {key: len(sqls) for key, sqls in repeated.items() if sqls} == {
-        ("run", "ingest"): 2, ("rerun", "detect_segments"): 2,
+        ("run", "ingest"): 2, ("rerun", "detect_segments"): 1,
     }
 
 
@@ -1087,7 +1083,7 @@ def test_a_rerun_reads_no_binary_java_blob(tmp_path, monkeypatch):
             for changes in Pipeline(store, config).history("binjava").file_changes.values()
             for fc in changes if fc.path == "src/Blob.java"
         ]
-        assert store.blob_facts(binary) == "[null,[],[],[]]"
+        assert store.blob_answers()[binary, "facts"] == "[null,[],[],[]]"
         readers = spy_blob_readers(monkeypatch)
         pipeline = Pipeline(store, config)
         pipeline.detect_rules()
@@ -1272,15 +1268,15 @@ def test_segments_over_a_stored_history_diff_no_dependencies(
     assert diffs == []
 
 
-INSERT_SCREENS = "INSERT INTO blob_screens (blob_id, screen) VALUES (?, ?)"
+INSERT_ANSWERS = "INSERT INTO blob_answers (blob_id, question, answer) VALUES (?, ?, ?)"
 
 
 def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     corpus, tmp_path, monkeypatch
 ):
-    """A stage stores its verdicts in one insert.  They are emptied whenever
-    `blob_facts` is: by a re-ingest, and on opening a database whose
-    facts version differs."""
+    """A stage stores its answers, verdicts, facts and parse results alike,
+    in one insert.  Opening a database whose answers version differs
+    empties the verdicts with the facts."""
     calls: list[str] = []
     connect = sqlite3.connect
     monkeypatch.setattr(
@@ -1289,9 +1285,10 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     config = corpus_config(corpus, tmp_path)
 
     def rows(store):
+        """The stored facts and verdicts."""
         return [
-            store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in ("blob_facts", "blob_screens")
+            store.db.execute(f"SELECT COUNT(*) FROM blob_answers WHERE {where}").fetchone()[0]
+            for where in ("question = 'facts'", "question NOT IN ('facts', 'manifest')")
         ]
 
     with Store(config.db_path) as store:
@@ -1300,89 +1297,80 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
         for name in STAGES:
             calls.clear()
             getattr(pipeline, name)()
-            inserts[name] = calls.count(INSERT_SCREENS)
-        assert inserts["detect_segments"] == 1
+            inserts[name] = calls.count(INSERT_ANSWERS)
+        assert inserts["ingest"] == inserts["detect_segments"] == 1
         assert max(inserts.values()) == 1
         assert all(rows(store))
-        pipeline.ingest()
-        assert rows(store) == [0, 0]
-        pipeline.detect_rules()
-        pipeline.detect_segments()
-        assert all(rows(store))
-        store.set_meta("facts_version", "0")
+        store.set_meta("answers_version", "0")
     with Store(config.db_path) as store:
         assert rows(store) == [0, 0]
 
 
-def test_ingest_empties_blob_facts_and_detect_rules_keeps_them(tmp_path):
-    path = "src/main/java/com/example/app/Serializer.java"
-    config = single_repo_config(
-        tmp_path,
-        "cached",
-        [
-            ("init", {"pom.xml": pom("cached", JSON_LIB), path: PADDED_JSON}),
-            ("migrate", {"pom.xml": pom("cached", GSON_LIB), path: PADDED_GSON}),
-        ],
-    )
-
-    def stored(store):
-        return store.db.execute("SELECT blob_id FROM blob_facts ORDER BY blob_id").fetchall()
-
+def test_a_reingest_keeps_the_blob_answers(corpus, tmp_path, caplog):
+    """Ingesting an unchanged corpus again keeps every stored answer, so
+    the stages after it tokenize nothing and export what the first run
+    exported."""
+    config = corpus_config(corpus, tmp_path)
     with Store(config.db_path) as store:
         assert run_all(store, config)[0] == 0
-        cached = stored(store)
-        assert len(cached) == 2
+        answers = store.blob_answers()
+        reports = {p.name: p.read_bytes() for p in config.report_path.iterdir()}
+        caplog.set_level(logging.INFO, logger="migmine")
         pipeline = Pipeline(store, config)
-        pipeline.detect_rules()
-        assert stored(store) == cached
-        assert pipeline.ingest() == []
-        assert stored(store) == []
-        # the same Pipeline tokenizes again and stores each blob once
-        pipeline.detect_rules()
-        pipeline.detect_segments()
-        pipeline.detect_fragments()
-        assert stored(store) == cached
-        assert pipeline.facts.loaded == 0
+        for name in STAGES:
+            getattr(pipeline, name)()
+        paths = pipeline.export_reports()
+        assert store.blob_answers() == answers
+    assert {p.name: p.read_bytes() for p in paths} == reports
+    logged = [r.getMessage() for r in caplog.records if "blobs_tokenized=" in r.getMessage()]
+    assert len(logged) == 2
+    assert all(m.endswith(" blobs_tokenized=0") for m in logged)
 
 
 def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeypatch):
-    """Ingest stores each pom.xml version's parse result, deletes every row
-    that no stored pom.xml change names (a rename away from pom.xml still
-    names its version), and inserts a row only for a version with none, so
-    a re-ingest of the same history writes no row."""
+    """Ingest stores each pom.xml version's parse result and deletes every
+    answer whose blob no stored change names.  A rename away from pom.xml
+    still names its version, and a project whose re-ingest fails keeps its
+    stored changes and so its answers.  A row is inserted only for a
+    version with none, so a re-ingest of the same histories writes no row."""
     config = single_repo_config(tmp_path, "poms", [
         ("init", {"pom.xml": pom("poms", JSON_LIB), "core/pom.xml": pom("core"),
                   "web/pom.xml": pom("web", JSON_LIB)}),
         ("swap", {"pom.xml": pom("poms", GSON_LIB), "core/pom.xml": None,
                   "web/pom.xml": None, "web/pom.xml.orig": pom("web", JSON_LIB) + "\n"}),
     ])
+    build_repo(tmp_path / "repos" / "gone", [("init", {"pom.xml": pom("gone", GSON_LIB)})])
+    with open(config.projects_file, "a") as projects:
+        projects.write(f"{tmp_path / 'repos' / 'gone'}\n")
     inserts = []
     connect = sqlite3.connect
 
     def traced_connect(*args, **kwargs):
         db = connect(*args, **kwargs)
         db.set_trace_callback(
-            lambda sql: inserts.append(sql) if sql.startswith("INSERT INTO pom_manifests") else None
+            lambda sql: inserts.append(sql) if sql.startswith("INSERT INTO blob_answers") else None
         )
         return db
-
-    def stored(store):
-        return store.db.execute("SELECT * FROM pom_manifests ORDER BY blob_id").fetchall()
 
     monkeypatch.setattr(sqlite3, "connect", traced_connect)
     with Store(config.db_path) as store:
         pipeline = Pipeline(store, config)
         assert pipeline.ingest() == []
-        rows = stored(store)
-        assert len(inserts) == len(rows) == 5
-        changes = [fc for fcs in pipeline.history("poms").file_changes.values() for fc in fcs]
+        rows = store.blob_answers()
+        assert len(inserts) == len(rows) == 6
+        assert {question for _, question in rows} == {"manifest"}
+        changes = [
+            fc for project in ("poms", "gone")
+            for fcs in pipeline.history(project).file_changes.values() for fc in fcs
+        ]
         assert ("renamed", "web/pom.xml") in {(fc.kind, fc.old_path) for fc in changes}
-        assert {sha for sha, _, _ in rows} == {fc.after_sha for fc in changes if fc.after_sha}
-        store.insert_pom_manifests([("f" * 40, "[]", None)])
+        assert {sha for sha, _ in rows} == {fc.after_sha for fc in changes if fc.after_sha}
+        store.insert_blob_answers([("f" * 40, "manifest", "[]")])
+        (tmp_path / "repos" / "gone").rename(tmp_path / "elsewhere")
         inserts.clear()
-        assert Pipeline(store, config).ingest() == []
+        assert len(Pipeline(store, config).ingest()) == 1
         assert inserts == []
-        assert stored(store) == rows
+        assert store.blob_answers() == rows
 
 
 def get_page(package, class_name, description):
@@ -1557,16 +1545,33 @@ CREATE TABLE file_changes (
 """
 
 
-# the schema version each shape was written with, and how to write it;
-# no version before 5 had pom_manifests
-NO_POM_MANIFESTS = "DROP TABLE pom_manifests;"
+# the blob caches that version 6 folded into blob_answers: blob_facts
+# since version 1, blob_screens since 3 and pom_manifests in 5
+BLOB_FACTS = """
+DROP TABLE blob_answers;
+CREATE TABLE blob_facts (blob_id TEXT PRIMARY KEY, facts TEXT NOT NULL);
+"""
+BLOB_SCREENS = """
+CREATE TABLE blob_screens (
+  blob_id TEXT NOT NULL, screen TEXT NOT NULL, PRIMARY KEY (blob_id, screen)
+) WITHOUT ROWID;
+"""
+POM_MANIFESTS = """
+CREATE TABLE pom_manifests (
+  blob_id TEXT PRIMARY KEY, coordinates TEXT, error TEXT,
+  CHECK ((coordinates IS NULL) != (error IS NULL))
+);
+"""
+
+
+# the schema version each shape was written with, and how to write it
 OLD_SCHEMAS = {
-    "attached": ("1", NO_POM_MANIFESTS + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
-    "separate": ("1", NO_POM_MANIFESTS + PARENT_DOCS_DDL
-                 + "DROP TABLE file_changes; DROP TABLE blob_screens;"),
-    "schema-2": ("2", NO_POM_MANIFESTS + "DROP TABLE blob_screens;"),
-    "schema-3": ("3", NO_POM_MANIFESTS + SCHEMA_3_FILE_CHANGES),
-    "schema-4": ("4", NO_POM_MANIFESTS),
+    "attached": ("1", BLOB_FACTS + "DROP TABLE file_changes;"),
+    "separate": ("1", BLOB_FACTS + PARENT_DOCS_DDL + "DROP TABLE file_changes;"),
+    "schema-2": ("2", BLOB_FACTS),
+    "schema-3": ("3", BLOB_FACTS + BLOB_SCREENS + SCHEMA_3_FILE_CHANGES),
+    "schema-4": ("4", BLOB_FACTS + BLOB_SCREENS),
+    "schema-5": ("5", BLOB_FACTS + BLOB_SCREENS + POM_MANIFESTS),
 }
 
 
@@ -1578,7 +1583,8 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     on their attachments or in a method_docs table; version 2 stored no
     screen verdicts and wrote every file change column in full; version 3
     stored git's raw entries, without their binary ones; version 4 stored
-    no pom.xml parse results."""
+    no pom.xml parse results; version 5 kept each blob cache in its own
+    table."""
     version, script = OLD_SCHEMAS[shape]
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     db = sqlite3.connect(config.db_path)
@@ -1587,7 +1593,7 @@ def test_schema_1_database_is_refused_and_left_as_it_was(shape, corpus_run, corp
     )
     db.close()
     before = Path(config.db_path).read_bytes()
-    with pytest.raises(StoreError, match=f"schema version {version} != supported 5"):
+    with pytest.raises(StoreError, match=f"schema version {version} != supported 6"):
         Store(config.db_path)
     assert Path(config.db_path).read_bytes() == before
     assert [p.name for p in tmp_path.glob("migmine.db*")] == ["migmine.db"]
@@ -1710,7 +1716,7 @@ def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, c
         "com/google/gson/Gson.class",
     ]))
     with Store(config.db_path) as store:
-        assert store.blob_screens()
+        assert "" in store.blob_answers().values()  # a screen's "no"
         pipeline = Pipeline(store, config)
         for name in STAGES[1:]:
             getattr(pipeline, name)()

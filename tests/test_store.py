@@ -9,6 +9,7 @@ import pytest
 
 from migmine.docs import DOCS_VERSION
 from migmine.fragments import unified_diff
+from migmine.history import FactsCache
 from migmine.javafacts import FACTS_VERSION
 from migmine.manifest import MANIFEST_VERSION
 from migmine.model import (
@@ -24,7 +25,7 @@ from migmine.model import (
     ProjectRef,
     Segment,
 )
-from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
+from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, SCHEMA_VERSION, Store, StoreError
 
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
@@ -525,6 +526,29 @@ def test_foreign_tables_without_a_schema_version_are_refused(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["legacy.db"]
 
 
+def test_a_first_open_cut_short_leaves_a_new_database(tmp_path, monkeypatch):
+    """A first open that fails before the schema version is stamped creates
+    no table and closes its connection, so the next open takes the
+    database as new."""
+    path = tmp_path / "cut.db"
+    set_meta = Store.set_meta
+
+    def cut_short(self, key, value):
+        if key == "schema_version":
+            raise RuntimeError("cut short")
+        set_meta(self, key, value)
+
+    monkeypatch.setattr(Store, "set_meta", cut_short)
+    with pytest.raises(RuntimeError, match="cut short"):
+        Store(path)
+    # the last connection's close folded and removed the write-ahead log
+    assert [p.name for p in tmp_path.iterdir()] == ["cut.db"]
+    monkeypatch.undo()
+    with Store(path) as store:
+        assert store.get_meta("schema_version") == SCHEMA_VERSION
+        assert store.blob_answers() == {}
+
+
 def test_schema_version_mismatch_fails(tmp_path):
     path = tmp_path / "versioned.db"
     with Store(path) as s:
@@ -534,27 +558,37 @@ def test_schema_version_mismatch_fails(tmp_path):
 
 
 class TestBlobFacts:
+    """The `facts` answers of `blob_answers`, and what every answer shares."""
+
     def test_same_blob_stored_twice_is_store_error(self, store):
-        store.insert_blob_facts([("b1", "[]")])
+        store.insert_blob_answers([("b1", "facts", "[]")])
         with pytest.raises(StoreError):
-            store.insert_blob_facts([("b2", "[]"), ("b1", "[]")])
+            store.insert_blob_answers([("b2", "facts", "[]"), ("b1", "facts", "[]")])
         # the failed insert stored nothing
-        assert store.blob_facts("b1") == "[]"
-        assert store.blob_facts("b2") is None
+        assert store.blob_answers() == {("b1", "facts"): "[]"}
+        # another question about the same blob is another answer
+        store.insert_blob_answers([("b1", "manifest", "[]")])
+        assert store.blob_answers() == {("b1", "facts"): "[]", ("b1", "manifest"): "[]"}
 
     def test_other_facts_version_empties_the_table_at_open(self, tmp_path):
+        """Every answer goes, parse results and verdicts too."""
         path = tmp_path / "facts.db"
         with Store(path) as s:
-            s.insert_blob_facts([("b1", "[]")])
+            s.insert_blob_answers(
+                [("b1", "facts", "[]"), ("b1", "1-0", ""), ("p1", "manifest", "[]")]
+            )
         with Store(path) as s:
-            assert s.has_blob_facts()
-            s.set_meta("facts_version", "0")
+            assert len(s.blob_answers()) == 3
+            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
+            s.set_meta("answers_version", f"0/{MANIFEST_VERSION}")
         with Store(path) as s:
-            assert not s.has_blob_facts()
-            assert s.get_meta("facts_version") == FACTS_VERSION
+            assert s.blob_answers() == {}
+            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
 
     def test_no_export_holds_blob_facts(self, corpus_run):
-        rows = corpus_run.store.db.execute("SELECT blob_id, facts FROM blob_facts").fetchall()
+        rows = corpus_run.store.db.execute(
+            "SELECT blob_id, answer FROM blob_answers WHERE question = 'facts'"
+        ).fetchall()
         assert rows
         exported = b"".join(
             corpus_run.store.export(fmt, selector)
@@ -562,35 +596,48 @@ class TestBlobFacts:
         )
         assert [blob for blob, facts in rows
                 if blob.encode() in exported or facts.encode() in exported] == []
-        assert "blob_facts" not in EXPORT_SELECTORS
+        assert "blob_answers" not in EXPORT_SELECTORS
 
 
 class TestPomManifests:
+    """The `manifest` answers of `blob_answers`, through a `FactsCache`."""
+
     def test_rows_read_back_and_a_blob_stored_twice_is_store_error(self, store):
-        rows = [("a" * 40, '[["g","a","1"]]', None), ("b" * 40, None, "malformed")]
-        store.insert_pom_manifests(rows)
-        assert sorted(store.pom_manifests()) == rows
+        coordinates = [LibraryCoordinate("g", "a", "1")]
+        facts = FactsCache(store)
+        assert facts.manifest("a" * 40) is None
+        facts.keep_manifest("a" * 40, coordinates)
+        facts.keep_manifest("b" * 40, "malformed")
+        facts.save()
+        rows = {("a" * 40, "manifest"): '[["g","a","1"]]', ("b" * 40, "manifest"): '"malformed"'}
+        assert store.blob_answers() == rows
+        again = FactsCache(store)
+        assert (again.manifest("a" * 40), again.manifest("b" * 40)) == (coordinates, "malformed")
         with pytest.raises(StoreError):
-            store.insert_pom_manifests([("c" * 40, "[]", None), ("a" * 40, "[]", None)])
-        assert sorted(store.pom_manifests()) == rows
+            store.insert_blob_answers([("c" * 40, "manifest", "[]"), ("a" * 40, "manifest", "[]")])
+        assert store.blob_answers() == rows
 
     def test_a_row_holds_coordinates_or_an_error(self, store):
-        for row in (("a" * 40, None, None), ("b" * 40, "[]", "malformed")):
-            with pytest.raises(StoreError, match="CHECK"):
-                store.insert_pom_manifests([row])
+        """An error message reads back as a message, whatever it says, and
+        a pom.xml that declares nothing as no coordinates."""
+        facts = FactsCache(store)
+        facts.keep_manifest("a" * 40, "[]")
+        facts.keep_manifest("b" * 40, [])
+        facts.save()
+        again = FactsCache(store)
+        assert (again.manifest("a" * 40), again.manifest("b" * 40)) == ("[]", [])
 
     def test_other_manifest_version_empties_the_table_at_open(self, tmp_path):
+        """The facts and verdicts go too, and are computed again."""
         path = tmp_path / "poms.db"
         with Store(path) as s:
-            s.insert_pom_manifests([("a" * 40, "[]", None)])
-            s.insert_blob_facts([("b1", "[]")])
+            s.insert_blob_answers([("a" * 40, "manifest", "[]"), ("b1", "facts", "[]")])
         with Store(path) as s:
-            assert s.pom_manifests() == [("a" * 40, "[]", None)]
-            s.set_meta("manifest_version", "0")
+            assert len(s.blob_answers()) == 2
+            s.set_meta("answers_version", f"{FACTS_VERSION}/0")
         with Store(path) as s:
-            assert s.pom_manifests() == []
-            assert s.get_meta("manifest_version") == MANIFEST_VERSION
-            assert s.has_blob_facts()
+            assert s.blob_answers() == {}
+            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
 
 
 class TestArchiveDocs:
