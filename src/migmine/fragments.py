@@ -135,10 +135,9 @@ def filter_fragments(
         if removed and added:
             fragments.append(
                 Fragment(
-                    project=segment.project,
+                    segment_id=segment.id,
                     source=segment.source,
                     target=segment.target,
-                    start_commit=segment.start_commit,
                     commit=commit,
                     hunk=hunk,
                     removed_methods=frozenset(removed),

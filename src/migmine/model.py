@@ -120,7 +120,11 @@ class MigrationRule:
 
 @dataclass(slots=True)
 class Segment:
-    """The migration period of one rule within one project."""
+    """The migration period of one rule within one project.
+
+    `id` is the segment's row id, 0 until `detect_segments` numbers the
+    segments it stores 1..n; a fragment names its segment by it.
+    """
 
     project: str
     source: LibraryId
@@ -131,6 +135,7 @@ class Segment:
     target_version: str = UNRESOLVED
     commits: list[str] = field(default_factory=list)
     weak_start: bool = False  # start only adds target uses, no source removal
+    id: int = 0
 
 
 class ImportDecl(NamedTuple):
@@ -237,12 +242,12 @@ class Hunk(NamedTuple):
 
 
 class Fragment(NamedTuple):
-    """A diff hunk witnessing at least one method mapping."""
+    """A diff hunk witnessing at least one method mapping, within the
+    segment whose id it names; source and target are that segment's."""
 
-    project: str
+    segment_id: int
     source: LibraryId
     target: LibraryId
-    start_commit: str  # with project, source and target: the segment's identity
     commit: str
     hunk: Hunk
     removed_methods: frozenset[LibraryMethodUse]

@@ -261,15 +261,15 @@ class Pipeline:
                 log.error("event=ingest_failed project=%s error=%s", project_id, error)
                 errors.append(error)
                 continue
-            self.store.upsert(history.ref)
-            # a re-ingested history may have lost or renumbered commits
-            self.store.clear_commits(project_id)
             self._histories[project_id] = history
             ingested.append(history)
             log.info(
                 "event=ingested project=%s commits=%d blobs_read=%d",
                 project_id, len(history.commits), blobs_read,
             )
+        self.store.upsert(history.ref for history in ingested)
+        # a re-ingested history may have lost or renumbered commits
+        self.store.clear_commits(history.ref.id for history in ingested)
         self.store.insert_commits(record for history in ingested for record in history.commits)
         self.store.insert_file_changes((h.ref.id, h.file_changes) for h in ingested)
         self.store.insert_dependency_changes(
@@ -325,16 +325,16 @@ class Pipeline:
             len(histories),
         )
         segments = []
-        pairs = 0
         for project_id, (rule, found) in found_by_pair:
-            pairs += 1
             for segment in found:
+                # stored in this order, so numbered 1..n as they are stored
+                segments.append(segment)
+                segment.id = len(segments)
                 log.info(
                     "event=segment project=%s rule=%s start=%s end=%s commits=%d",
                     project_id, rule, segment.start_commit[:12],
                     segment.end_commit[:12], len(segment.commits),
                 )
-            segments.extend(found)
         # segments invalidate everything downstream, including confirmations
         self.store.clear_segments_and_downstream()
         reset = [rule for rule in rules if rule.status != "candidate"]
@@ -346,8 +346,8 @@ class Pipeline:
         log.info(
             "event=segments_detected pairs=%d segments=%d blobs_read=%d screens_hit=%d "
             "blobs_loaded=%d blobs_tokenized=%d",
-            pairs, len(segments), self._blobs_read(), self.facts.screens_hit - screens_hit,
-            self.facts.loaded, self.facts.tokenized,
+            len(found_by_pair), len(segments), self._blobs_read(),
+            self.facts.screens_hit - screens_hit, self.facts.loaded, self.facts.tokenized,
         )
         return segments
 
@@ -517,12 +517,13 @@ class Pipeline:
                 )
             except DocError as exc:
                 log.warning("event=doc_archive_error library=%s error=%s", coordinate, exc)
-        per_mapping = []
+        rows = []  # (mapping id, side, attachment)
         for rule, group in by_rule.items():
             docs = [doc for c in lookups.get(rule, ()) for doc in docs_by.get(c, [])]
             results = attach_docs([mapping for _, mapping in group], docs)
             for (mapping_id, _), (_, source_docs, target_docs) in zip(group, results):
-                per_mapping.append((mapping_id, source_docs, target_docs))
+                rows += [(mapping_id, "source", attachment) for attachment in source_docs]
+                rows += [(mapping_id, "target", attachment) for attachment in target_docs]
         self.store.clear_docs()
         # the cache keeps exactly the archives this pass used
         self.store.keep_archive_docs(stored)
@@ -530,12 +531,6 @@ class Pipeline:
         self.store.insert_archive_docs(
             (key, encode_docs(parsed[c])) for key, c in {keys[c]: c for c in parsed}.items()
         )
-        rows = [
-            (mapping_id, side, attachment)
-            for mapping_id, source_docs, target_docs in per_mapping
-            for side, attachments in (("source", source_docs), ("target", target_docs))
-            for attachment in attachments
-        ]
         self.store.insert_doc_attachments(rows)
         attached = sum(attachment.found for _, _, attachment in rows)
         missing = len(rows) - attached

@@ -22,15 +22,16 @@ needs write access to the database's directory.
 Write rule: a stage deletes the rows it owns and everything downstream of
 them, then inserts.  So a stage's rows take plain INSERTs, and a row
 stored twice is a `StoreError`.  Only three tables update a stored row in
-place: `projects` (re-ingest), `rules` (status reset and confirmation) and
-`run_metadata`.  `dependency_changes` rows are additions and removals
-only: a version change of a library that stays declared is not stored.
-Each table a stage fills has one statement and one row builder: the
-stage stores all its rows of a table in one `executemany` (the
-`insert_*` methods and `upsert_rules`), and the one-row `upsert` runs the
-same statement through `execute`.  A fragment finds its segment's id in
-the same INSERT; a batch whose fragments did not all find theirs is a
-`StoreError`.
+place: `projects` (re-ingest, `upsert`), `rules` (status reset and
+confirmation, `upsert_rules`) and `run_metadata`.  `dependency_changes`
+rows are additions and removals only: a version change of a library that
+stays declared is not stored.  Each table a stage fills has one write
+path: the stage stores all its rows of that table in one `executemany`,
+and a violated constraint is a `StoreError`.  Segment ids come from
+`detect_segments`, which numbers the segments it stores 1..n, and each
+fragment stores the id of its segment; the foreign key refuses an id that
+names no stored segment.  Mapping ids are SQLite's: `collect_docs` reads
+each one with its mapping.
 
 `blob_answers` is a cache, not a result: what the pipeline derived from
 one git blob, keyed by blob id and question.  The question `facts` holds
@@ -108,7 +109,6 @@ from .model import (
     MigrationRule,
     ProjectRef,
     Segment,
-    library_key,
 )
 from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
@@ -261,42 +261,13 @@ CREATE TABLE IF NOT EXISTS archive_docs (
 # compact JSON, as stored in a row's columns
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
-# One statement per table a stage fills, and the row it binds for one
-# entity: a stage's batch runs the statement once through executemany,
-# the one-row `upsert` through execute.
-_INSERT_COMMIT = (
-    "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
-    "VALUES (?, ?, ?, ?, ?, ?)"
+# a segment `s` joined to its rule `r`, and the filter that keeps the rules
+# not discarded
+_RULE_JOIN = (
+    " JOIN rules r ON r.source_group = s.source_group AND r.source_artifact = s.source_artifact"
+    " AND r.target_group = s.target_group AND r.target_artifact = s.target_artifact"
 )
-_UPSERT_RULE = (
-    "INSERT INTO rules (source_group, source_artifact, target_group, "
-    "target_artifact, weight, normalized_weight, status) VALUES (?, ?, ?, ?, ?, ?, ?) "
-    "ON CONFLICT(source_group, source_artifact, target_group, target_artifact) "
-    "DO UPDATE SET weight = excluded.weight, "
-    "normalized_weight = excluded.normalized_weight, status = excluded.status"
-)
-_INSERT_SEGMENT = (
-    "INSERT INTO segments (project, source_group, source_artifact, target_group, "
-    "target_artifact, start_commit, end_commit, source_version, target_version, commits, "
-    "weak_start) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-)
-# a fragment finds its segment's id by the segment's identity
-_INSERT_FRAGMENT = (
-    "INSERT INTO fragments (segment_id, commit_id, file, before_start, before_len, "
-    "after_start, after_len, diff, removed_methods, added_methods) "
-    "SELECT id, ?, ?, ?, ?, ?, ?, ?, ?, ? FROM segments WHERE project = ? "
-    "AND source_group = ? AND source_artifact = ? AND target_group = ? "
-    "AND target_artifact = ? AND start_commit = ?"
-)
-_INSERT_MAPPING = (
-    "INSERT INTO method_mappings (source_group, source_artifact, target_group, "
-    "target_artifact, source_methods, target_methods, support) VALUES (?, ?, ?, ?, ?, ?, ?)"
-)
-_INSERT_DOC_ATTACHMENT = (
-    "INSERT INTO doc_attachments (mapping_id, side, class_name, method, arity, found, "
-    "ambiguous, version, class_description, signature, description, param_docs, "
-    "return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-)
+_KEPT = " WHERE r.status != 'discarded'"
 
 
 def _commit_row(record: CommitRecord) -> tuple:
@@ -309,9 +280,9 @@ def _rule_row(rule: MigrationRule) -> tuple:
 
 
 def _segment_row(segment: Segment) -> tuple:
-    return (segment.project, *segment.source, *segment.target, segment.start_commit,
-            segment.end_commit, segment.source_version, segment.target_version,
-            _compact_json(segment.commits), int(segment.weak_start))
+    return (segment.id, segment.project, *segment.source, *segment.target,
+            segment.start_commit, segment.end_commit, segment.source_version,
+            segment.target_version, _compact_json(segment.commits), int(segment.weak_start))
 
 
 def _methods_json(uses) -> str:
@@ -320,10 +291,9 @@ def _methods_json(uses) -> str:
 
 def _fragment_row(fragment: Fragment) -> tuple:
     hunk = fragment.hunk
-    return (fragment.commit, hunk.file, hunk.before_start, hunk.before_len, hunk.after_start,
-            hunk.after_len, render_hunk(hunk), _methods_json(fragment.removed_methods),
-            _methods_json(fragment.added_methods), fragment.project, *fragment.source,
-            *fragment.target, fragment.start_commit)
+    return (fragment.segment_id, fragment.commit, hunk.file, hunk.before_start,
+            hunk.before_len, hunk.after_start, hunk.after_len, render_hunk(hunk),
+            _methods_json(fragment.removed_methods), _methods_json(fragment.added_methods))
 
 
 def _mapping_row(mapping: MethodMapping) -> tuple:
@@ -431,49 +401,14 @@ class Store:
 
     # -- writes ----------------------------------------------------------------
 
-    def upsert(self, entity):
-        """Store one pipeline entity through its stage's statement; returns
-        the row id of a new segment, fragment or mapping.
-
-        Projects and rules replace the stored row of the same key; every
-        other entity is inserted, and one already stored is a StoreError.
-        """
-        write = self._UPSERTS.get(type(entity))
-        if write is None:
-            raise StoreError(f"no store handler for {type(entity).__name__}")
-        with self._writing(entity):
-            return write(self, entity)
-
-    def _upsert_project(self, ref: ProjectRef) -> None:
-        self.db.execute(
-            "INSERT INTO projects (id, origin, workdir) VALUES (?, ?, ?) ON CONFLICT(id) "
-            "DO UPDATE SET origin = excluded.origin, workdir = excluded.workdir",
-            (ref.id, ref.origin, ref.workdir),
-        )
-
-    def _upsert_fragment(self, fragment: Fragment) -> int:
-        cursor = self.db.execute(_INSERT_FRAGMENT, _fragment_row(fragment))
-        if not cursor.rowcount:
-            raise StoreError(
-                "fragment references unknown segment "
-                f"({fragment.project}, {library_key(fragment.source)} -> "
-                f"{library_key(fragment.target)}, start {fragment.start_commit})"
+    def upsert(self, refs: Iterable[ProjectRef]) -> None:
+        """Store projects, each replacing the stored project of its id."""
+        with self._writing("projects"):
+            self.db.executemany(
+                "INSERT INTO projects (id, origin, workdir) VALUES (?, ?, ?) ON CONFLICT(id) "
+                "DO UPDATE SET origin = excluded.origin, workdir = excluded.workdir",
+                refs,
             )
-        return cursor.lastrowid
-
-    _UPSERTS = {
-        ProjectRef: _upsert_project,
-        CommitRecord: lambda self, record: self.insert_commits([record]),
-        DependencyChange: lambda self, change: self.insert_dependency_changes([change]),
-        MigrationRule: lambda self, rule: self.upsert_rules([rule]),
-        Segment: lambda self, segment: (
-            self.db.execute(_INSERT_SEGMENT, _segment_row(segment)).lastrowid
-        ),
-        Fragment: _upsert_fragment,
-        MethodMapping: lambda self, mapping: (
-            self.db.execute(_INSERT_MAPPING, _mapping_row(mapping)).lastrowid
-        ),
-    }
 
     def upsert_doc_attachment(self, mapping_id: int, side: str, attachment: DocAttachment) -> None:
         """Insert one attachment with its doc; one already stored is a StoreError."""
@@ -485,7 +420,11 @@ class Store:
 
     def insert_commits(self, records: Iterable[CommitRecord]) -> None:
         with self._writing("commits"):
-            self.db.executemany(_INSERT_COMMIT, map(_commit_row, records))
+            self.db.executemany(
+                "INSERT INTO commits (project, commit_id, ordinal, date, author, message) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                map(_commit_row, records),
+            )
 
     def insert_file_changes(
         self, histories: Iterable[tuple[str, dict[str, list[FileChange]]]]
@@ -521,42 +460,64 @@ class Store:
 
     def upsert_rules(self, rules: Iterable[MigrationRule]) -> None:
         """Store rules, each replacing the stored rule of its key."""
-        with self.transaction():
-            self.db.executemany(_UPSERT_RULE, map(_rule_row, rules))
+        with self._writing("rules"):
+            self.db.executemany(
+                "INSERT INTO rules (source_group, source_artifact, target_group, "
+                "target_artifact, weight, normalized_weight, status) VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(source_group, source_artifact, target_group, target_artifact) "
+                "DO UPDATE SET weight = excluded.weight, "
+                "normalized_weight = excluded.normalized_weight, status = excluded.status",
+                map(_rule_row, rules),
+            )
 
     def insert_segments(self, segments: Iterable[Segment]) -> None:
+        """Store segments under their own ids."""
         with self._writing("segments"):
-            self.db.executemany(_INSERT_SEGMENT, map(_segment_row, segments))
+            self.db.executemany(
+                "INSERT INTO segments (id, project, source_group, source_artifact, "
+                "target_group, target_artifact, start_commit, end_commit, source_version, "
+                "target_version, commits, weak_start) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                map(_segment_row, segments),
+            )
 
-    def insert_fragments(self, fragments: list[Fragment]) -> None:
-        """Store fragments, each under its stored segment; one whose segment
-        is missing is a StoreError too."""
+    def insert_fragments(self, fragments: Iterable[Fragment]) -> None:
+        """Store fragments, each under the stored segment its id names."""
         with self._writing("fragments"):
-            stored = self.db.executemany(_INSERT_FRAGMENT, map(_fragment_row, fragments)).rowcount
-            if stored < len(fragments):
-                raise StoreError(
-                    f"{len(fragments) - stored} of {len(fragments)} fragments reference an "
-                    "unknown segment"
-                )
+            self.db.executemany(
+                "INSERT INTO fragments (segment_id, commit_id, file, before_start, before_len, "
+                "after_start, after_len, diff, removed_methods, added_methods) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                map(_fragment_row, fragments),
+            )
 
     def insert_mappings(self, mappings: Iterable[MethodMapping]) -> None:
         with self._writing("mappings"):
-            self.db.executemany(_INSERT_MAPPING, map(_mapping_row, mappings))
+            self.db.executemany(
+                "INSERT INTO method_mappings (source_group, source_artifact, target_group, "
+                "target_artifact, source_methods, target_methods, support) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                map(_mapping_row, mappings),
+            )
 
     def insert_doc_attachments(self, rows: Iterable[tuple[int, str, DocAttachment]]) -> None:
         """Store (mapping id, side, attachment) rows."""
         with self._writing("doc attachments"):
             self.db.executemany(
-                _INSERT_DOC_ATTACHMENT, itertools.starmap(_doc_attachment_row, rows)
+                "INSERT INTO doc_attachments (mapping_id, side, class_name, method, arity, "
+                "found, ambiguous, version, class_description, signature, description, "
+                "param_docs, return_doc, since) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                itertools.starmap(_doc_attachment_row, rows),
             )
 
     # -- stage lifecycle ---------------------------------------------------------
 
-    def clear_commits(self, project: str) -> None:
-        """Drop a project's stored commits and, by cascade, their file and
+    def clear_commits(self, projects: Iterable[str]) -> None:
+        """Drop the projects' stored commits and, by cascade, their file and
         dependency changes."""
         with self.transaction():
-            self.db.execute("DELETE FROM commits WHERE project = ?", (project,))
+            self.db.executemany(
+                "DELETE FROM commits WHERE project = ?", ((project,) for project in projects)
+            )
 
     # Deleting rules or mappings cascades to their doc attachments.
 
@@ -612,7 +573,7 @@ class Store:
     def replace_edges(self, edges: dict) -> None:
         """Fill graph_edges, which `clear_rules_and_downstream` emptied, with
         the graph's weighted (source, target) edges."""
-        with self.transaction():
+        with self._writing("graph edges"):
             self.db.executemany(
                 "INSERT INTO graph_edges (source_group, source_artifact, target_group, "
                 "target_artifact, weight) VALUES (?, ?, ?, ?, ?)",
@@ -718,15 +679,12 @@ class Store:
         query = (
             "SELECT s.project, s.source_group, s.source_artifact, s.target_group, "
             "s.target_artifact, s.start_commit, s.end_commit, s.source_version, "
-            "s.target_version, s.commits, s.weak_start FROM segments s "
-            "JOIN rules r ON r.source_group = s.source_group "
-            "AND r.source_artifact = s.source_artifact "
-            "AND r.target_group = s.target_group AND r.target_artifact = s.target_artifact "
+            "s.target_version, s.commits, s.weak_start, s.id FROM segments s" + _RULE_JOIN
         )
         if not include_discarded:
-            query += "WHERE r.status != 'discarded' "
+            query += _KEPT
         query += (
-            "ORDER BY s.project, s.source_group, s.source_artifact, s.target_group, "
+            " ORDER BY s.project, s.source_group, s.source_artifact, s.target_group, "
             "s.target_artifact, "
             "(SELECT ordinal FROM commits c WHERE c.project = s.project "
             " AND c.commit_id = s.start_commit)"
@@ -744,6 +702,7 @@ class Store:
                     target_version=row[8],
                     commits=json.loads(row[9]),
                     weak_start=bool(row[10]),
+                    id=row[11],
                 )
             )
         return out
@@ -777,8 +736,8 @@ class Store:
         ]
 
     def counts(self) -> dict[str, int]:
-        def one(query: str, params: tuple = ()) -> int:
-            return self.db.execute(query, params).fetchone()[0]
+        def one(query: str) -> int:
+            return self.db.execute(query).fetchone()[0]
 
         return {
             "projects": one("SELECT COUNT(*) FROM projects"),
@@ -786,13 +745,10 @@ class Store:
             "rules_candidate": one("SELECT COUNT(*) FROM rules WHERE status = 'candidate'"),
             "rules_confirmed": one("SELECT COUNT(*) FROM rules WHERE status = 'confirmed'"),
             "rules_discarded": one("SELECT COUNT(*) FROM rules WHERE status = 'discarded'"),
-            "segments": len(self.segments()),
+            "segments": one("SELECT COUNT(*) FROM segments s" + _RULE_JOIN + _KEPT),
             "fragments": one(
-                "SELECT COUNT(*) FROM fragments f JOIN segments s ON s.id = f.segment_id "
-                "JOIN rules r ON r.source_group = s.source_group "
-                "AND r.source_artifact = s.source_artifact "
-                "AND r.target_group = s.target_group AND r.target_artifact = s.target_artifact "
-                "WHERE r.status != 'discarded'"
+                "SELECT COUNT(*) FROM fragments f JOIN segments s ON s.id = f.segment_id"
+                + _RULE_JOIN + _KEPT
             ),
             "mappings": one("SELECT COUNT(*) FROM method_mappings"),
             "docs_attached": one("SELECT COUNT(*) FROM doc_attachments WHERE found = 1"),
@@ -806,12 +762,8 @@ class Store:
             "SELECT s.project, s.source_group, s.source_artifact, s.target_group, "
             "s.target_artifact, f.commit_id, f.file, f.before_start, f.before_len, "
             "f.after_start, f.after_len, f.removed_methods, f.added_methods, f.diff "
-            "FROM fragments f JOIN segments s ON s.id = f.segment_id "
-            "JOIN rules r ON r.source_group = s.source_group "
-            "AND r.source_artifact = s.source_artifact "
-            "AND r.target_group = s.target_group AND r.target_artifact = s.target_artifact "
-            "WHERE r.status != 'discarded' "
-            "ORDER BY s.project, s.source_group, s.source_artifact, s.target_group, "
+            "FROM fragments f JOIN segments s ON s.id = f.segment_id" + _RULE_JOIN + _KEPT
+            + " ORDER BY s.project, s.source_group, s.source_artifact, s.target_group, "
             "s.target_artifact, "
             "(SELECT ordinal FROM commits c WHERE c.project = s.project "
             " AND c.commit_id = f.commit_id), f.file, f.before_start"

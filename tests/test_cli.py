@@ -112,6 +112,11 @@ class TestStagedPipeline:
         with Store(staged / "m.db") as a, Store(full / "m.db") as b:
             for selector in ("rules", "segments", "fragments", "mappings"):
                 assert a.export("json", selector) == b.export("json", selector)
+            # the exports do not show which segment a fragment names: its id does
+            for table in ("segments", "fragments"):
+                query = f"SELECT * FROM {table} ORDER BY id"
+                rows = a.db.execute(query).fetchall()
+                assert rows and rows == b.db.execute(query).fetchall(), table
 
     def test_report_delegates_to_store_export(self, corpus, tmp_path, capsys):
         flags = common_flags(corpus, tmp_path)

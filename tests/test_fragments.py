@@ -26,6 +26,7 @@ def segment():
         start_commit="aaa",
         end_commit="bbb",
         commits=["bbb"],
+        id=7,
     )
 
 
@@ -160,6 +161,9 @@ class TestFilterFragments:
             self._uses(GSON_AFTER, gson_index),
         )
         assert len(fragments) == 1
+        # a fragment names its segment by id and keeps the segment's rule
+        seg = segment()
+        assert fragments[0][:4] == (seg.id, seg.source, seg.target, "bbb")
         removed = {u.method_key for u in fragments[0].removed_methods}
         added = {u.method_key for u in fragments[0].added_methods}
         assert removed == {
@@ -210,10 +214,9 @@ def make_fragment(removed_keys, added_keys, commit="c1"):
     seg = segment()
     hunks = unified_diff("a\n", "b\n", 1, path="F.java")
     return Fragment(
-        project=seg.project,
+        segment_id=seg.id,
         source=seg.source,
         target=seg.target,
-        start_commit=seg.start_commit,
         commit=commit,
         hunk=hunks[0],
         removed_methods=frozenset(

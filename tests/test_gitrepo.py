@@ -190,7 +190,7 @@ class TestChangedFiles:
         def stored_history(name: str, commits: list[CommitRecord]) -> ProjectHistory:
             config = RunConfig(workdir=str(tmp_path), db_path=str(tmp_path / f"{name}.db"))
             with Store(config.db_path) as store:
-                store.upsert(ref)
+                store.upsert([ref])
                 store.insert_commits(commits)
                 store.insert_file_changes(
                     [(ref.id, {c.commit_id: selected.get(c.commit_id, []) for c in commits})]

@@ -39,8 +39,7 @@ RECORDS = [
     USE,
     HUNK_LINE,
     HUNK,
-    Fragment("demo", ("org.json", "json"), ("g", "a"), "c1", "c2", HUNK,
-             frozenset({USE}), frozenset()),
+    Fragment(1, ("org.json", "json"), ("g", "a"), "c2", HUNK, frozenset({USE}), frozenset()),
     DOC,
     DocAttachment(("org.json.JSONObject", "<init>", 0), DOC, True),
 ]

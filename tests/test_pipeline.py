@@ -704,10 +704,9 @@ class CountingConnection:
         return self._db.executemany(sql, rows)
 
 
-# statements a stage runs once per project: re-ingest writes each project
-# and clears its commits, and a new Pipeline loads each project's commits
-PER_PROJECT = ("INSERT INTO projects ", "DELETE FROM commits WHERE project = ?",
-               "SELECT project, commit_id, ordinal, date, author, message FROM commits")
+# statements a stage runs once per project: a new Pipeline loads each
+# project's commits
+PER_PROJECT = ("SELECT project, commit_id, ordinal, date, author, message FROM commits",)
 
 
 def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
@@ -737,7 +736,7 @@ def test_no_stage_runs_a_statement_per_row(corpus, tmp_path, monkeypatch):
                       "method_mappings", "doc_attachments"):
             assert store.db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] >= 2, table
     assert {key: len(sqls) for key, sqls in repeated.items() if sqls} == {
-        ("run", "ingest"): 2, ("rerun", "detect_segments"): 1,
+        ("rerun", "detect_segments"): 1,
     }
 
 
@@ -1401,13 +1400,18 @@ def collect_docs_over(tmp_path, source, target, segments, mapping, jars) -> list
             )
             path.parent.mkdir(parents=True)
             path.write_bytes(javadoc_jar(pages))
-        store.upsert(MigrationRule(source, target, 1, 1.0, "confirmed"))
-        for project, source_version, target_version in segments:
-            store.upsert(ProjectRef(project, project, project))
-            store.upsert(CommitRecord(project, "c1", datetime(2020, 1, 1), "a", "m", 0))
-            store.upsert(Segment(project, source, target, "c1", "c1",
-                                 source_version, target_version, ["c1"]))
-        store.upsert(replace(mapping, source=source, target=target))
+        store.upsert_rules([MigrationRule(source, target, 1, 1.0, "confirmed")])
+        store.upsert(ProjectRef(project, project, project) for project, _, _ in segments)
+        store.insert_commits(
+            CommitRecord(project, "c1", datetime(2020, 1, 1), "a", "m", 0)
+            for project, _, _ in segments
+        )
+        store.insert_segments(
+            Segment(project, source, target, "c1", "c1", source_version, target_version,
+                    ["c1"], id=n)
+            for n, (project, source_version, target_version) in enumerate(segments, 1)
+        )
+        store.insert_mappings([replace(mapping, source=source, target=target)])
         pipeline.collect_docs()
         return store.db.execute(
             "SELECT side, class_name || '.' || method, version, description, found, ambiguous "

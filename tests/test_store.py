@@ -38,25 +38,25 @@ def store(tmp_path):
 
 
 def seed_project(store, project="demo"):
-    store.upsert(ProjectRef(project, f"/src/{project}", f"/work/{project}"))
-    for ordinal, commit in enumerate(["c0", "c1", "c2"]):
-        store.upsert(
-            CommitRecord(
-                project=project,
-                commit_id=commit,
-                date=datetime(2015, 3, ordinal + 1, tzinfo=timezone.utc),
-                author="Dev One",
-                message=f"step {ordinal}",
-                ordinal=ordinal,
-            )
+    store.upsert([ProjectRef(project, f"/src/{project}", f"/work/{project}")])
+    store.insert_commits(
+        CommitRecord(
+            project=project,
+            commit_id=commit,
+            date=datetime(2015, 3, ordinal + 1, tzinfo=timezone.utc),
+            author="Dev One",
+            message=f"step {ordinal}",
+            ordinal=ordinal,
         )
+        for ordinal, commit in enumerate(["c0", "c1", "c2"])
+    )
 
 
 def seed_rule(store, status="candidate"):
-    store.upsert(MigrationRule(JSON_ID, GSON_ID, 2, 1.0, status))
+    store.upsert_rules([MigrationRule(JSON_ID, GSON_ID, 2, 1.0, status)])
 
 
-def make_segment(project="demo"):
+def make_segment(project="demo", segment_id=1):
     return Segment(
         project=project,
         source=JSON_ID,
@@ -66,16 +66,26 @@ def make_segment(project="demo"):
         source_version="20080701",
         target_version="2.3.1",
         commits=["c1", "c2"],
+        id=segment_id,
     )
 
 
-def make_fragment(project="demo", start="c1"):
+def make_mapping(support=1):
+    return MethodMapping(
+        JSON_ID,
+        GSON_ID,
+        frozenset({("org.json.JSONObject", "toJSONString", 0)}),
+        frozenset({("com.google.gson.Gson", "toJson", 1)}),
+        support=support,
+    )
+
+
+def make_fragment(segment_id=1):
     hunk = unified_diff("a\nb\n", "a\nc\n", 1, path="src/A.java")[0]
     return Fragment(
-        project=project,
+        segment_id=segment_id,
         source=JSON_ID,
         target=GSON_ID,
-        start_commit=start,
         commit="c2",
         hunk=hunk,
         removed_methods=frozenset(
@@ -108,25 +118,25 @@ class TestUpserts:
         record = store.commits_for("demo")[0]
         before = store.counts()["commits"]
         with pytest.raises(StoreError):
-            store.upsert(record)
+            store.insert_commits([record])
         assert store.counts()["commits"] == before
 
     def test_fragment_with_unknown_segment_is_store_error(self, store):
         seed_project(store)
         seed_rule(store)
-        with pytest.raises(StoreError) as err:
-            store.upsert(make_fragment(start="nonexistent"))
-        assert "unknown segment" in str(err.value)
+        with pytest.raises(StoreError, match="FOREIGN KEY constraint failed"):
+            store.insert_fragments([make_fragment(segment_id=99)])
 
     def test_fragment_insert_finds_its_segment_itself(self, store):
-        """One statement per fragment: no separate segment id lookup."""
+        """One statement per fragment: it names its segment by id, so
+        nothing looks the segment up."""
         seed_project(store)
         seed_rule(store)
-        store.upsert(make_segment())
+        store.insert_segments([make_segment()])
         statements = []
         store.db.set_trace_callback(statements.append)
         try:
-            store.upsert(make_fragment())
+            store.insert_fragments([make_fragment()])
         finally:
             store.db.set_trace_callback(None)
         assert [s.split()[0] for s in statements if s.split()[0] not in ("BEGIN", "COMMIT")] == [
@@ -136,45 +146,32 @@ class TestUpserts:
     def test_segment_requires_existing_rule(self, store):
         seed_project(store)
         with pytest.raises(StoreError):
-            store.upsert(make_segment())
+            store.insert_segments([make_segment()])
 
     def test_full_chain_roundtrip(self, store):
-        """Each insert returns a new row id; storing a row again is an error."""
+        """Segments read back with the ids they were stored under, a
+        fragment under its segment's id; storing a row again is an error."""
         seed_project(store)
         seed_rule(store)
         segment = make_segment()
-        segment_id = store.upsert(segment)
-        assert isinstance(segment_id, int)
-        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"])
-        later_id = store.upsert(later)
-        assert isinstance(later_id, int) and later_id != segment_id
+        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"], id=2)
+        store.insert_segments([segment, later])
+        for again in (segment, dataclasses.replace(segment, end_commit="c1", id=3)):
+            with pytest.raises(StoreError):
+                store.insert_segments([again])
+        assert store.segments() == [segment, later]
+        store.insert_fragments([make_fragment(segment_id=2)])
         with pytest.raises(StoreError):
-            store.upsert(dataclasses.replace(segment, end_commit="c1"))
-        fragment_id = store.upsert(make_fragment())
-        assert isinstance(fragment_id, int)
-        with pytest.raises(StoreError):
-            store.upsert(make_fragment())
-        assert store.db.execute(
-            "SELECT segment_id FROM fragments WHERE id = ?", (fragment_id,)
-        ).fetchone() == (segment_id,)
-        segs = store.segments()
-        assert len(segs) == 2
-        assert segs[0].commits == ["c1", "c2"]
-        assert segs[0].end_commit == "c2"
+            store.insert_fragments([make_fragment(segment_id=2)])
+        assert store.db.execute("SELECT segment_id FROM fragments").fetchall() == [(2,)]
 
-        mapping = MethodMapping(
-            JSON_ID,
-            GSON_ID,
-            frozenset({("org.json.JSONObject", "toJSONString", 0)}),
-            frozenset({("com.google.gson.Gson", "toJson", 1)}),
-            support=1,
-        )
-        mapping_id = store.upsert(mapping)
-        other_id = store.upsert(dataclasses.replace(mapping, target_methods=frozenset()))
-        assert isinstance(other_id, int) and other_id != mapping_id
+        mapping = make_mapping()
+        store.insert_mappings([mapping, dataclasses.replace(mapping, target_methods=frozenset())])
         with pytest.raises(StoreError):
-            store.upsert(dataclasses.replace(mapping, support=5))
-        assert dict(store.mappings())[mapping_id].support == 1
+            store.insert_mappings([dataclasses.replace(mapping, support=5)])
+        stored = dict(store.mappings())
+        assert len(stored) == 2
+        assert [m.support for m in stored.values()] == [1, 1]
 
     def test_dependency_change_roundtrip(self, store):
         seed_project(store)
@@ -184,9 +181,9 @@ class TestUpserts:
             added=frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
             removed=frozenset({LibraryCoordinate(*JSON_ID, "20080701")}),
         )
-        store.upsert(change)
+        store.insert_dependency_changes([change])
         with pytest.raises(StoreError):
-            store.upsert(change)
+            store.insert_dependency_changes([change])
         loaded = store.dependency_changes()
         assert len(loaded) == 1
         assert loaded[0].added == change.added
@@ -194,15 +191,8 @@ class TestUpserts:
 
     def _mapping_id(self, store):
         seed_rule(store)
-        return store.upsert(
-            MethodMapping(
-                JSON_ID,
-                GSON_ID,
-                frozenset({("org.json.JSONObject", "toJSONString", 0)}),
-                frozenset({("com.google.gson.Gson", "toJson", 1)}),
-                support=1,
-            )
-        )
+        store.insert_mappings([make_mapping()])
+        return store.mappings()[0][0]
 
     def test_doc_attachment_carries_its_doc(self, store):
         mapping_id = self._mapping_id(store)
@@ -229,11 +219,24 @@ class TestUpserts:
 
     def test_project_and_rule_update_in_place(self, store):
         seed_project(store)
-        store.upsert(ProjectRef("demo", "/src/demo", "/elsewhere/demo"))
-        assert store.projects() == [ProjectRef("demo", "/src/demo", "/elsewhere/demo")]
+        store.upsert([ProjectRef("demo", "/src/demo", "/elsewhere/demo"),
+                      ProjectRef("other", "/src/other", "/work/other")])
+        assert store.projects() == [ProjectRef("demo", "/src/demo", "/elsewhere/demo"),
+                                    ProjectRef("other", "/src/other", "/work/other")]
         seed_rule(store)
         seed_rule(store, status="confirmed")
         assert [r.status for r in store.rules()] == ["confirmed"]
+
+    def test_rule_or_edge_that_breaks_a_constraint_is_store_error(self, store):
+        """Rules and graph edges are stored like every other table: a
+        violated constraint is a StoreError, and nothing of the batch stays."""
+        rule = MigrationRule(JSON_ID, GSON_ID, 2, 1.0)
+        with pytest.raises(StoreError, match="CHECK constraint failed"):
+            store.upsert_rules([rule, MigrationRule(GSON_ID, JSON_ID, 1, 0.5, "bogus")])
+        with pytest.raises(StoreError, match="CHECK constraint failed"):
+            store.replace_edges({(JSON_ID, GSON_ID): 2, (GSON_ID, JSON_ID): 0})
+        assert store.rules() == []
+        assert store.db.execute("SELECT COUNT(*) FROM graph_edges").fetchone() == (0,)
 
 
 class TestBatches:
@@ -244,7 +247,7 @@ class TestBatches:
         seed_project(store)
         seed_rule(store)
         segment = make_segment()
-        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"])
+        later = dataclasses.replace(segment, start_commit="c2", commits=["c2"], id=2)
         with pytest.raises(StoreError):
             store.insert_segments([segment, later, segment])
         assert store.segments() == []
@@ -257,46 +260,12 @@ class TestBatches:
     def test_fragment_with_unknown_segment_stores_none_of_the_batch(self, store):
         seed_project(store)
         seed_rule(store)
-        store.upsert(make_segment())
-        with pytest.raises(StoreError) as err:
-            store.insert_fragments([make_fragment(), make_fragment(start="nonexistent")])
-        assert "unknown segment" in str(err.value)
+        store.insert_segments([make_segment()])
+        with pytest.raises(StoreError, match="FOREIGN KEY constraint failed"):
+            store.insert_fragments([make_fragment(), make_fragment(segment_id=99)])
         assert store.db.execute("SELECT COUNT(*) FROM fragments").fetchone() == (0,)
         store.insert_fragments([make_fragment()])
         assert store.db.execute("SELECT COUNT(*) FROM fragments").fetchone() == (1,)
-
-    def test_batch_rows_match_one_row_upserts(self, tmp_path):
-        """A batch stores the same rows as one upsert per entity."""
-        tables = ("commits", "dependency_changes", "rules", "segments", "fragments",
-                  "method_mappings", "doc_attachments")
-        mapping = MethodMapping(JSON_ID, GSON_ID, frozenset({("org.json.JSONObject", "quote", 1)}),
-                                frozenset({("com.google.gson.Gson", "toJson", 1)}), support=2)
-        change = DependencyChange("demo", "c1", frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
-                                  frozenset({LibraryCoordinate(*JSON_ID, "20080701")}))
-        attachment = DocAttachment(("com.google.gson.Gson", "toJson", 1), make_doc(), True)
-        stored = []
-        for batched in (False, True):
-            with Store(tmp_path / f"{batched}.db") as s:
-                s.upsert(ProjectRef("demo", "/src/demo", "/work/demo"))
-                records = [CommitRecord("demo", f"c{i}", datetime(2015, 3, i + 1), "a", "m", i)
-                           for i in range(3)]
-                rule = MigrationRule(JSON_ID, GSON_ID, 2, 1.0, "confirmed")
-                if batched:
-                    s.insert_commits(records)
-                    s.insert_dependency_changes([change])
-                    s.upsert_rules([rule])
-                    s.insert_segments([make_segment()])
-                    s.insert_fragments([make_fragment()])
-                    s.insert_mappings([mapping])
-                    s.insert_doc_attachments([(1, "target", attachment)])
-                else:
-                    for entity in (*records, change, rule, make_segment(), make_fragment(),
-                                   mapping):
-                        s.upsert(entity)
-                    s.upsert_doc_attachment(1, "target", attachment)
-                stored.append({t: s.db.execute(f"SELECT * FROM {t}").fetchall() for t in tables})
-        assert all(stored[0].values())
-        assert stored[0] == stored[1]
 
 
 class TestJournal:
@@ -367,7 +336,7 @@ class TestTransactions:
             with store.transaction():
                 store.clear_rules_and_downstream()
                 seed_project(store)
-                store.upsert(make_segment(project="absent"))
+                store.insert_segments([make_segment(project="absent")])
         assert len(store.rules()) == 1
         assert store.projects() == []
         seed_project(store)  # the store still commits after a rollback
@@ -390,7 +359,7 @@ class TestExports:
 
     def test_rules_export_hides_discarded(self, store):
         seed_rule(store, status="confirmed")
-        store.upsert(MigrationRule(("a", "b"), ("c", "d"), 1, 1.0, "discarded"))
+        store.upsert_rules([MigrationRule(("a", "b"), ("c", "d"), 1, 1.0, "discarded")])
         rows = json.loads(store.export("json", "rules"))
         assert [row["source"] for row in rows] == ["org.json:json"]
         assert rows[0]["status"] == "confirmed"
@@ -399,20 +368,17 @@ class TestExports:
 
     def test_mappings_csv_columns(self, store):
         seed_rule(store, status="confirmed")
-        store.upsert(
-            MethodMapping(
-                JSON_ID,
-                GSON_ID,
-                frozenset({("org.json.JSONObject", "toJSONString", 0)}),
-                frozenset(
+        store.insert_mappings([
+            dataclasses.replace(
+                make_mapping(support=12),
+                target_methods=frozenset(
                     {
                         ("com.google.gson.Gson", "<init>", 0),
                         ("com.google.gson.Gson", "toJson", 1),
                     }
                 ),
-                support=12,
             )
-        )
+        ])
         lines = store.export("csv", "mappings").decode().splitlines()
         assert lines[0] == "rule,source_methods,target_methods,support"
         assert lines[1] == (
@@ -424,8 +390,8 @@ class TestExports:
     def test_fragment_export_shape(self, store):
         seed_project(store)
         seed_rule(store, status="confirmed")
-        store.upsert(make_segment())
-        store.upsert(make_fragment())
+        store.insert_segments([make_segment()])
+        store.insert_fragments([make_fragment()])
         rows = json.loads(store.export("json", "fragments"))
         assert len(rows) == 1
         row = rows[0]
@@ -439,10 +405,10 @@ class TestExports:
         multi-line diffs, text outside ASCII and empty reports too."""
         seed_project(store)
         seed_rule(store, status="confirmed")
-        store.upsert(make_segment())
+        store.insert_segments([make_segment()])
         fragment = make_fragment()
         hunk = unified_diff("a\nb \u00e9\n", "a\n\tc \u2028\n", 1, path="src/\u00c9.java")[0]
-        store.upsert(fragment._replace(hunk=hunk))
+        store.insert_fragments([fragment._replace(hunk=hunk)])
         with Store(store.path.replace("test.db", "empty.db")) as empty:
             for s in (store, corpus_run.store, empty):
                 for selector in EXPORT_SELECTORS:
@@ -457,21 +423,13 @@ class TestExports:
             with Store(tmp_path / f"{name}.db") as s:
                 seed_project(s)
                 seed_rule(s, status="confirmed")
-                s.upsert(make_segment())
-                s.upsert(make_fragment())
+                s.insert_segments([make_segment()])
+                s.insert_fragments([make_fragment()])
                 outputs.append(
                     tuple(s.export(fmt, sel) for fmt in ("json", "csv")
                           for sel in ("rules", "segments", "fragments", "mappings"))
                 )
         assert outputs[0] == outputs[1]
-
-
-def test_upsert_rejects_unknown_entity(store):
-    with pytest.raises(StoreError):
-        store.upsert(object())
-    # a method doc is stored only on its attachment
-    with pytest.raises(StoreError):
-        store.upsert(make_doc())
 
 
 # the dependency_changes DDL of schema version 1 before upgrade rows were dropped
