@@ -3,11 +3,18 @@
 A hunk survives as a fragment only when its removed lines carry at least
 one source-library method use and its added lines at least one
 target-library use; everything else is unrelated change and is dropped.
+
+A diff of two blobs never changes, so its hunks can be stored and reused:
+`encode_hunks` writes them as compact JSON, without their file, and
+`decode_hunks` gives back exactly what `unified_diff` returned.
+`DIFF_VERSION` names the hunks `unified_diff` yields and their encoding;
+bump it whenever either changes, so that stored hunks are dropped.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 from collections import defaultdict
 from collections.abc import Iterable
 
@@ -21,6 +28,11 @@ from .model import (
 )
 
 DEFAULT_CONTEXT = 3
+DIFF_VERSION = "1"
+
+# each line's tag as `render_hunk` and `encode_hunks` write it, and back
+_PREFIX = {"context": " ", "removed": "-", "added": "+"}
+_TAG = {prefix: tag for tag, prefix in _PREFIX.items()}
 
 
 def unified_diff(before: str, after: str, context: int = DEFAULT_CONTEXT, path: str = "") -> list[Hunk]:
@@ -84,6 +96,42 @@ def apply_hunks(before: str, hunks: Iterable[Hunk]) -> str:
     return "".join(out)
 
 
+def encode_hunks(hunks: Iterable[Hunk]) -> str:
+    """Compact JSON of `hunks`: per hunk, its four range numbers, then the
+    text of each line behind its `render_hunk` prefix."""
+    return json.dumps(
+        [
+            [h.before_start, h.before_len, h.after_start, h.after_len,
+             *(_PREFIX[line.tag] + line.text for line in h.lines)]
+            for h in hunks
+        ],
+        separators=(",", ":"),
+    )
+
+
+def decode_hunks(data: str, path: str) -> list[Hunk]:
+    """The hunks `encode_hunks` wrote, as hunks of the file `path`; each
+    line's numbers are counted again from its hunk's ranges."""
+    hunks = []
+    for before_start, before_len, after_start, after_len, *encoded in json.loads(data):
+        # an empty side's start is the line before the hunk
+        before_no = before_start + (before_len == 0)
+        after_no = after_start + (after_len == 0)
+        lines = []
+        for line in encoded:
+            tag = _TAG[line[0]]
+            lines.append(HunkLine(
+                tag,
+                line[1:],
+                None if tag == "added" else before_no,
+                None if tag == "removed" else after_no,
+            ))
+            before_no += tag != "added"
+            after_no += tag != "removed"
+        hunks.append(Hunk(path, before_start, before_len, after_start, after_len, tuple(lines)))
+    return hunks
+
+
 _NO_EOL = "\\ No newline at end of file\n"
 
 
@@ -93,13 +141,12 @@ def render_hunk(hunk: Hunk) -> str:
         f"@@ -{hunk.before_start},{hunk.before_len} "
         f"+{hunk.after_start},{hunk.after_len} @@\n"
     ]
-    prefix = {"context": " ", "removed": "-", "added": "+"}
     for line in hunk.lines:
         text = line.text
         if text.endswith("\n"):
-            parts.append(prefix[line.tag] + text)
+            parts.append(_PREFIX[line.tag] + text)
         else:
-            parts.append(prefix[line.tag] + text + "\n" + _NO_EOL)
+            parts.append(_PREFIX[line.tag] + text + "\n" + _NO_EOL)
     return "".join(parts)
 
 

@@ -83,6 +83,26 @@ def derive_project_id(origin: str) -> str:
     return slug or "project"
 
 
+def read_projects_file(path: str | Path) -> list[tuple[str, str]]:
+    """(origin, project id) of each project a projects file names, one
+    origin per line, # starting a comment.  An id is `derive_project_id`'s,
+    suffixed -2, -3, ... when an earlier line took it."""
+    taken: set[str] = set()
+    projects = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        origin = raw.split("#", 1)[0].strip()
+        if not origin:
+            continue
+        base = project_id = derive_project_id(origin)
+        suffix = 1
+        while project_id in taken:
+            suffix += 1
+            project_id = f"{base}-{suffix}"
+        taken.add(project_id)
+        projects.append((origin, project_id))
+    return projects
+
+
 def _is_git_workdir(path: Path) -> bool:
     return (path / ".git").exists() or (path / "HEAD").is_file()
 

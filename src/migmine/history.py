@@ -24,16 +24,20 @@ is a screen verdict, kept under the index's `screen_key` and stored, so a
 re-run answers it without reading the blob.  A blob whose facts are
 already known needs no screen: it cannot change what they resolve to.  A
 binary blob, once read, is given the facts of an empty text, which are
-kept like any others.  With each pom.xml version's parse result stored (see
-below), a re-run reads from git only the texts it diffs.
+kept like any others.  With each pom.xml version's parse result and each
+diff's hunks stored too (see below), a re-run reads no blob.
 
 Every answer derived from one blob (its facts, a screen's verdict, a
-pom.xml version's parse result) comes from a `FactsCache` that every
-history of a pipeline shares: memory first, then the store's
-`blob_answers` table (read in one query), and only then the tokenizer,
-the screen or `parse_manifest`.  So a blob is tokenized once per
-database, not once per history or per process; a stage stores what it
-reached with `FactsCache.save`.
+pom.xml version's parse result, the hunks of a diff that ends at it)
+comes from a `FactsCache` that every history of a pipeline shares: memory
+first, then the store's `blob_answers` table (the diffs in one query, the
+rest in another), and only then the tokenizer, the screen,
+`parse_manifest` or the caller's diff.  So a blob is tokenized once per database, not once per history or
+per process; a stage stores what it reached with `FactsCache.save`.  A
+diff is asked by its after blob, under a question that names the context
+and the before blob, and is held encoded (`fragments.encode_hunks`), so
+the cache keeps no `Hunk`; it is kept only when the repository has both
+blobs (`ProjectHistory.has`).
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
@@ -59,12 +63,14 @@ import logging
 from typing import NamedTuple
 
 from . import gitrepo, javafacts
+from .fragments import decode_hunks, encode_hunks
 from .manifest import ManifestParseError, diff_dependencies, parse_manifest
 from .model import (
     UNRESOLVED,
     CommitRecord,
     DependencyChange,
     FileChange,
+    Hunk,
     LibraryCoordinate,
     LibraryId,
     LibraryMethodUse,
@@ -89,6 +95,11 @@ def _decode_manifest(encoded: str) -> list[LibraryCoordinate] | str:
     return manifest if isinstance(manifest, str) else [LibraryCoordinate(*c) for c in manifest]
 
 
+def _diff_question(fc: FileChange, context: int) -> str:
+    """The question that asks a change's after blob for the change's diff."""
+    return f"diff {context} {fc.before_sha}"
+
+
 # how each question's answer is stored; a screen's "no" is "" in memory too
 _ENCODERS = {
     "facts": javafacts.encode_facts,
@@ -97,24 +108,29 @@ _ENCODERS = {
 
 
 class FactsCache:
-    """Answers about blobs by blob id (facts, screen verdicts and pom.xml
-    parse results): in memory, then stored, then computed.
+    """Answers about blobs by blob id (facts, screen verdicts, pom.xml
+    parse results and diffs): in memory, then stored, then computed.
 
-    Without a store it is a memory cache.  With one, every stored answer
-    is read in one query at the first question, and decoded when first
-    asked for.  A verdict is a "no" of `javafacts.may_reference`, asked
-    under the index's screen key.  `save` stores, in one insert, every
-    answer reached since the last save, encoding each only then.
+    Without a store it is a memory cache.  With one, the stored diffs are
+    read in one query at the first diff question and every other stored
+    answer in one query at the first other question, so a stage that asks
+    no diff holds none; each is decoded when first asked for.  A verdict is a "no" of `javafacts.may_reference`, asked
+    under the index's screen key.  A diff is kept encoded and decoded at
+    each question.  `save` stores, in one insert, every answer reached
+    since the last save, encoding each only then.
     """
 
     def __init__(self, store: Store | None = None):
         self._store = store
         # (blob id, question) -> facts, parse result, or "" for a verdict
         self._answers: dict[tuple[str, str], object] = {}
-        self._stored: dict[tuple[str, str], str] | None = None  # None: not read yet
+        # stored answers not asked for yet, read at the first question of
+        # their kind: is_diff -> (blob id, question) -> encoded answer
+        self._stored: dict[bool, dict[tuple[str, str], str]] = {}
         self._unsaved: list[tuple[str, str]] = []
         self.tokenized = 0
         self.loaded = 0
+        self.diffs_loaded = 0
         self.screens_hit = 0
 
     def _answer(self, sha: str | None, question: str, decode):
@@ -122,12 +138,17 @@ class FactsCache:
         key = (sha, question)
         answer = self._answers.get(key)
         if answer is None:
-            if self._stored is None:
-                self._stored = self._store.blob_answers() if self._store is not None else {}
-            encoded = self._stored.pop(key, None)
+            diff = question.startswith("diff ")
+            stored = self._stored.get(diff)
+            if stored is None:
+                stored = self._stored[diff] = (
+                    self._store.blob_answers(diffs=diff) if self._store is not None else {}
+                )
+            encoded = stored.pop(key, None)
             if encoded is not None:
                 answer = self._answers[key] = decode(encoded)
                 self.loaded += question == "facts"
+                self.diffs_loaded += diff
         return answer
 
     def _keep(self, sha: str, question: str, answer) -> None:
@@ -166,6 +187,16 @@ class FactsCache:
     def keep_manifest(self, sha: str, manifest: list[LibraryCoordinate] | str) -> None:
         """Keep a parse result that `manifest` did not know yet."""
         self._keep(sha, "manifest", manifest)
+
+    def hunks(self, fc: FileChange, context: int) -> list[Hunk] | None:
+        """The change's diff at `context` lines, as hunks of its path; None
+        when neither memory nor the store knows it."""
+        encoded = self._answer(fc.after_sha, _diff_question(fc, context), str)
+        return None if encoded is None else decode_hunks(encoded, fc.path)
+
+    def keep_hunks(self, fc: FileChange, context: int, hunks: list[Hunk]) -> None:
+        """Keep, encoded, a diff that `hunks` did not know yet."""
+        self._keep(fc.after_sha, _diff_question(fc, context), encode_hunks(hunks))
 
     def save(self) -> None:
         if self._store is not None and self._unsaved:
@@ -244,6 +275,10 @@ class ProjectHistory:
             text = self._texts[sha] = None if raw is None else raw.decode("utf-8", "replace")
         return text
 
+    def has(self, sha: str | None) -> bool:
+        """Whether the repository holds the blob, binary or not."""
+        return self.text(sha) is not None or sha in self._binary
+
     def read_texts(self) -> None:
         """Read the text of every version the changes name, as ingest does,
         so that no later stage of the run reads one."""
@@ -320,7 +355,7 @@ class ProjectHistory:
                 manifest = parse_manifest(text or "")
             except ManifestParseError as exc:
                 manifest = str(exc)
-            if text is not None or sha in self._binary:
+            if self.has(sha):
                 self._facts.keep_manifest(sha, manifest)
         return manifest
 

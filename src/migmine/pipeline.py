@@ -114,16 +114,6 @@ class RunConfig:
         return Path(self.workdir) / "reports"
 
 
-def read_projects_file(path: str) -> list[str]:
-    """Project origins, one per line; # starts a comment."""
-    origins = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            origins.append(line)
-    return origins
-
-
 class Pipeline:
     def __init__(self, store: Store, config: RunConfig):
         self.store = store
@@ -140,6 +130,7 @@ class Pipeline:
         self._stored_changes: dict[str, dict[str, list[FileChange]]] | None = None
         # every history's answers about blobs, backed by the store's blob_answers table
         self.facts = FactsCache(store)
+        self.diffs = 0  # diffs computed so far: `facts` knew none of them
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
         # "project: error" of each project a stage after ingest skipped
         self.project_errors: list[str] = []
@@ -204,26 +195,18 @@ class Pipeline:
 
         Returns per-project error strings; one project's failure never aborts
         the run, but a run that leaves no project stored is a StageDataError.
+        When every project of the projects file ingested, the stored
+        projects that it no longer names are deleted, with all their rows.
         """
         cfg = self.config
-        origins = []
+        jobs = []
         if cfg.projects_file:
             try:
-                origins = read_projects_file(cfg.projects_file)
+                jobs = gitrepo.read_projects_file(cfg.projects_file)
             except OSError as exc:
                 raise StageDataError(f"cannot read projects file: {exc}") from exc
-        if not origins:
+        if not jobs:
             raise StageDataError("no project origins (empty or missing projects file)")
-        taken: set[str] = set()
-        jobs = []
-        for origin in origins:
-            base = project_id = gitrepo.derive_project_id(origin)
-            suffix = 1
-            while project_id in taken:
-                suffix += 1
-                project_id = f"{base}-{suffix}"
-            taken.add(project_id)
-            jobs.append((origin, project_id))
 
         clones_dir = Path(cfg.workdir) / "repos"
 
@@ -278,6 +261,9 @@ class Pipeline:
             for change in history.dependency_changes()
             if change.added or change.removed
         )
+        if not errors:
+            for project_id in self.store.keep_projects(project_id for _, project_id in jobs):
+                log.info("event=project_dropped project=%s", project_id)
         # the replay above asked the stored answers first: keep those of the
         # blobs a stored change names, then add the ones it reached
         self.store.prune_blob_answers()
@@ -355,6 +341,10 @@ class Pipeline:
     def detect_fragments(self) -> tuple[list[Fragment], list[MethodMapping]]:
         """Diff segment commits into fragments, then confirm or discard rules.
 
+        A diff is asked of `facts` first, by its two blob ids and the
+        context; one computed here is stored with the stage, unless the
+        repository lacks either blob, so a re-run at the same context
+        reads no text.
         A project whose history cannot be read is logged and skipped; when
         every project with a segment fails, the first failure is raised.
         """
@@ -378,10 +368,11 @@ class Pipeline:
         self.store.upsert_rules(confirmed)
         self.facts.save()
         log.info(
-            "event=fragments_detected fragments=%d mappings=%d confirmed=%d "
-            "blobs_read=%d screens_hit=%d blobs_loaded=%d blobs_tokenized=%d",
+            "event=fragments_detected fragments=%d mappings=%d confirmed=%d diffs=%d "
+            "diffs_loaded=%d blobs_read=%d screens_hit=%d blobs_loaded=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
+            self.diffs, self.facts.diffs_loaded,
             self._blobs_read(), self.facts.screens_hit - screens_hit,
             self.facts.loaded, self.facts.tokenized,
         )
@@ -413,11 +404,13 @@ class Pipeline:
         declared = history.declared_libraries()
         source_index = self.package_index(declared[segment.source])
         target_index = self.package_index(declared[segment.target])
+        context = self.config.context_lines
         fragments: list[Fragment] = []
         for commit_id in segment.commits:
             for fc in history.changes(commit_id).java:
                 # a fragment needs a source use before and a target use
-                # after, so ask for those (cached) before diffing
+                # after, so ask for those (cached) before the diff, which
+                # reads no text when it is known
                 if fc.before_sha == fc.after_sha:
                     continue
                 uses_before = history.uses_for(fc.before_sha, source_index)
@@ -426,12 +419,17 @@ class Pipeline:
                 uses_after = history.uses_for(fc.after_sha, target_index)
                 if not uses_after:
                     continue
-                hunks = unified_diff(
-                    history.text(fc.before_sha) or "",
-                    history.text(fc.after_sha) or "",
-                    self.config.context_lines,
-                    path=fc.path,
-                )
+                hunks = self.facts.hunks(fc, context)
+                if hunks is None:
+                    self.diffs += 1
+                    hunks = unified_diff(
+                        history.text(fc.before_sha) or "",
+                        history.text(fc.after_sha) or "",
+                        context,
+                        path=fc.path,
+                    )
+                    if history.has(fc.before_sha) and history.has(fc.after_sha):
+                        self.facts.keep_hunks(fc, context, hunks)
                 fragments.extend(filter_fragments(hunks, segment, commit_id, uses_before, uses_after))
         return fragments
 

@@ -31,7 +31,10 @@ and a violated constraint is a `StoreError`.  Segment ids come from
 `detect_segments`, which numbers the segments it stores 1..n, and each
 fragment stores the id of its segment; the foreign key refuses an id that
 names no stored segment.  Mapping ids are SQLite's: `collect_docs` reads
-each one with its mapping.
+each one with its mapping.  An ingest in which every project succeeded
+deletes the stored projects it did not read (`keep_projects`): one
+DELETE, which cascades to their commits, file and dependency changes and
+segments.
 
 `blob_answers` is a cache, not a result: what the pipeline derived from
 one git blob, keyed by blob id and question.  The question `facts` holds
@@ -39,15 +42,22 @@ the blob's `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle,
 so opening a database runs no stored code); `manifest` holds a pom.xml
 blob's `parse_manifest` result, its coordinates or its error message, as
 JSON; a `PackageIndex.screen_key` holds an empty answer: that screen of
-`javafacts.may_reference` rejected the blob.  The screen key names what
-the screen reads of a package index, not its coordinate, so a class jar
-replaced under the same coordinate is screened again.  A blob id names
-its content, so an answer never goes stale; a blob the repository lacks
-gets none.  Any stage may add answers; ingest deletes those whose blob no
+`javafacts.may_reference` rejected the blob; `diff <context> <before blob
+id>`, asked of a change's after blob, holds the hunks `unified_diff`
+found between the two blobs at that many context lines
+(`fragments.encode_hunks`: compact JSON of each hunk's four range numbers,
+then its lines, each behind its ` `, `-` or `+` prefix; the line numbers
+are counted again on decode, and the path is the asking change's).  The
+screen key names what the screen reads of a package index, not its
+coordinate, so a class jar replaced under the same coordinate is screened
+again.  A blob id names its content, so an answer never goes stale; a
+blob the repository lacks gets none, and neither does a diff with such a
+side.  Any stage may add answers; ingest deletes those whose blob no
 stored file change names, on either side (`prune_blob_answers`), and
 keeps the rest across re-ingests.  It is never exported.  Opening a
 database whose `answers_version` differs from this one (the fact
-extractor's and the manifest parser's versions) empties it.
+extractor's, the manifest parser's and the diff's versions:
+`FACTS_VERSION`, `MANIFEST_VERSION`, `fragments.DIFF_VERSION`) empties it.
 
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
@@ -95,7 +105,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .docs import DOCS_VERSION
-from .fragments import render_hunk
+from .fragments import DIFF_VERSION, render_hunk
 from .javafacts import FACTS_VERSION
 from .manifest import MANIFEST_VERSION
 from .model import (
@@ -114,7 +124,7 @@ from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
 SCHEMA_VERSION = "6"
 # the version of every stored blob answer
-_ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}"
+_ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}"
 
 
 class StoreError(RuntimeError):
@@ -511,6 +521,18 @@ class Store:
 
     # -- stage lifecycle ---------------------------------------------------------
 
+    def keep_projects(self, ids: Iterable[str]) -> list[str]:
+        """Delete every stored project but those of `ids` with one DELETE,
+        which takes their commits, file and dependency changes and segments
+        by cascade; returns the deleted ids, sorted."""
+        ids = list(ids)
+        others = f"FROM projects WHERE id NOT IN ({','.join('?' * len(ids))})"
+        with self.transaction():
+            dropped = [id_ for id_, in self.db.execute(f"SELECT id {others} ORDER BY id", ids)]
+            if dropped:
+                self.db.execute(f"DELETE {others}", ids)
+        return dropped
+
     def clear_commits(self, projects: Iterable[str]) -> None:
         """Drop the projects' stored commits and, by cascade, their file and
         dependency changes."""
@@ -616,12 +638,15 @@ class Store:
             out.setdefault(project, {}).setdefault(commit_id, []).append(FileChange(*change))
         return out
 
-    def blob_answers(self) -> dict[tuple[str, str], str]:
-        """Every stored answer: (blob id, question) -> encoded answer."""
+    def blob_answers(self, diffs: bool | None = None) -> dict[tuple[str, str], str]:
+        """The stored answers, (blob id, question) -> encoded answer: every
+        one, or only the `diff …` ones (`diffs=True`), or all but those."""
+        where = {None: "", True: " WHERE question GLOB 'diff *'",
+                 False: " WHERE question NOT GLOB 'diff *'"}[diffs]
         return {
             (blob, question): answer
             for blob, question, answer in self.db.execute(
-                "SELECT blob_id, question, answer FROM blob_answers"
+                "SELECT blob_id, question, answer FROM blob_answers" + where
             )
         }
 

@@ -404,6 +404,34 @@ class TestGitFailures:
                       "src/Plain.java": own_text("public class Plain {}\n", "codeless")}),
             ("swap", {"pom.xml": pom("codeless", GSON_LIB)}),
         ])
+        before = self.rerun_without(repo, corpus, tmp_path, monkeypatch, caplog)
+        assert json.loads(before["json", "rules"])
+
+    def test_vanished_clone_with_a_real_migration_reruns_alike(
+        self, corpus, tmp_path, monkeypatch, caplog
+    ):
+        """A run stores each diff it made, so a project whose clone vanished
+        after the run, though it has fragments, re-runs `detect-fragments`,
+        and every other stage after ingest, without git, to byte-identical
+        exports.  `test_one_deleted_clone_of_two_is_exit_2` is the same
+        project with no stored diff."""
+        repo = tmp_path / "vanishing"
+        serializer = "src/main/java/com/example/app/Serializer.java"
+        build_repo(repo, [
+            ("init", {"pom.xml": pom("vanishing", JSON_LIB),
+                      serializer: own_text(SERIALIZER_JSON, "vanishing")}),
+            ("migrate", {"pom.xml": pom("vanishing", GSON_LIB),
+                         serializer: own_text(SERIALIZER_GSON, "vanishing")}),
+        ])
+        before = self.rerun_without(repo, corpus, tmp_path, monkeypatch, caplog)
+        fragments = json.loads(before["json", "fragments"])
+        assert {f["project"] for f in fragments} == {"mig-single", "vanishing"}
+
+    @staticmethod
+    def rerun_without(repo, corpus, tmp_path, monkeypatch, caplog) -> dict:
+        """Run mig-single and `repo`, delete `repo`, re-run every stage after
+        ingest, and check that each exits 0, logs nothing about `repo` and
+        leaves the exports as the run wrote them; returns them."""
         projects = tmp_path / "projects.txt"
         projects.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{repo}\n")
         flags = common_flags(corpus, tmp_path)
@@ -417,11 +445,11 @@ class TestGitFailures:
                 }
 
         before = exports()
-        assert json.loads(before["json", "rules"])
         shutil.rmtree(repo)
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
         caplog.set_level(logging.WARNING, logger="migmine")
         for stage in ("detect-rules", "detect-segments", "detect-fragments", "collect-docs"):
             assert run_cli(stage, *flags) == 0, stage
-        assert [r.getMessage() for r in caplog.records if "codeless" in r.getMessage()] == []
+        assert [r.getMessage() for r in caplog.records if repo.name in r.getMessage()] == []
         assert exports() == before
+        return before

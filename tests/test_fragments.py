@@ -4,11 +4,13 @@ import random
 import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migmine.fragments import (
     apply_hunks,
+    decode_hunks,
+    encode_hunks,
     extract_mappings,
     filter_fragments,
     render_hunk,
@@ -117,6 +119,39 @@ def test_round_trip_on_seeded_random_pairs():
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(before, after):
     assert apply_hunks(before, unified_diff(before, after)) == after
+
+
+# texts of few distinct lines, so that diffs keep context: every line break
+# `str.splitlines` knows, a final line without one, and non-ASCII text
+DIFF_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["", "a", "b", "é", "ü x", "\u2028", "日本"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2029"]),
+    ).map("".join),
+    max_size=20,
+)
+DIFF_TEXTS = st.tuples(DIFF_LINES, st.sampled_from(["", "tail", "\u00a0é"])).map(
+    lambda parts: "".join(parts[0]) + parts[1]
+)
+
+
+@given(DIFF_TEXTS, DIFF_TEXTS, st.integers(0, 4))
+@example("", "a\nb", 1)
+@example("a\r\nb\r", "", 1)
+@example("x\x0by\x0cz", "x\x0bY\x0cz\n", 0)
+@example("α\nβ\n", "α\nγ\n", 3)
+@settings(max_examples=300, deadline=None)
+def test_stored_hunks_decode_to_the_diffs_hunks(before, after, context):
+    """`decode_hunks` gives back exactly what `unified_diff` returned, line
+    numbers and path included, whatever the line breaks, a missing final
+    one or an empty side; so each hunk renders to the same bytes."""
+    hunks = unified_diff(before, after, context, path="src/É.java")
+    encoded = encode_hunks(hunks)
+    decoded = decode_hunks(encoded, "src/É.java")
+    assert decoded == hunks
+    assert [render_hunk(h).encode() for h in decoded] == [render_hunk(h).encode() for h in hunks]
+    # only the range numbers and the prefixed lines are stored
+    assert "src/" not in encoded
 
 
 JSON_BEFORE = """package com.example;

@@ -350,6 +350,9 @@ def test_stored_history_reads_as_ingests(corpus, tmp_path):
 def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
     workload, tmp_path, monkeypatch
 ):
+    """On each benchmark corpus, a stored history is ingest's, and a re-run
+    of the stages after ingest reads no blob, not even in
+    `detect_fragments`, and exports the bytes the run exported."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -367,6 +370,17 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
         later = Pipeline(store, config)
         for project_id in spec["oracle"]["projects"]:
             assert_same_history(later.history(project_id), ingest.history(project_id))
+        for name in STAGES[1:]:
+            getattr(ingest, name)()
+        run = {p.name: p.read_bytes() for p in ingest.export_reports()}
+        assert ingest.diffs > 0
+        readers = spy_blob_readers(monkeypatch)
+        rerun = Pipeline(store, config)
+        for name in STAGES[1:]:
+            getattr(rerun, name)()
+        assert {p.name: p.read_bytes() for p in rerun.export_reports()} == run
+    assert readers == []
+    assert (rerun.diffs, rerun.facts.diffs_loaded) == (0, ingest.diffs)
 
 
 def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
@@ -472,6 +486,60 @@ def test_failed_reingest_keeps_the_mined_rows(tmp_path):
         (tmp_path / "repos" / "moved").rename(tmp_path / "elsewhere")
         assert len(Pipeline(store, config).ingest()) == 1
         assert (exports(store), store.counts()) == before
+
+
+def test_a_reingest_of_a_shorter_projects_file_exports_as_a_fresh_run(
+    corpus, tmp_path, caplog
+):
+    """An ingest in which every named project succeeded deletes the stored
+    projects the projects file no longer names, with their rows, and logs
+    each one; the stages after it export what a fresh run on that file
+    exports."""
+    kept = ["mig-json-gson", "mig-noise"]
+    shorter = tmp_path / "shorter.txt"
+    shorter.write_text(
+        "".join(f"{corpus.root / 'repos' / name}\n" for name in kept), encoding="utf-8"
+    )
+    config = corpus_config(corpus, tmp_path / "grown")
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        named = {blob for blob, _ in store.blob_answers()}
+        caplog.set_level(logging.INFO, logger="migmine.pipeline")
+        assert run_all(store, replace(config, projects_file=str(shorter)))[0] == 0
+        reingested = exports(store)
+        assert [ref.id for ref in store.projects()] == kept
+        assert store.db.execute(
+            "SELECT DISTINCT project FROM file_changes ORDER BY project"
+        ).fetchall() == [(name,) for name in kept]
+        assert {blob for blob, _ in store.blob_answers()} < named
+    dropped = [r.getMessage() for r in caplog.records if "event=project_dropped" in r.getMessage()]
+    assert dropped == [
+        f"event=project_dropped project={name}" for name in sorted(set(corpus.repos) - set(kept))
+    ]
+    fresh = replace(corpus_config(corpus, tmp_path / "fresh"), projects_file=str(shorter))
+    with Store(fresh.db_path) as store:
+        assert run_all(store, fresh)[0] == 0
+        assert exports(store) == reingested
+        answers = store.blob_answers()
+    with Store(config.db_path) as store:
+        assert store.blob_answers().keys() == answers.keys()
+
+
+def test_an_ingest_with_a_failed_project_drops_no_project(corpus, tmp_path, caplog):
+    """When a named project fails to ingest, every stored project keeps
+    its rows, the ones the projects file no longer names too."""
+    shorter = tmp_path / "shorter.txt"
+    shorter.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{tmp_path / 'gone'}\n")
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        commits = store.commit_count()
+        caplog.set_level(logging.INFO, logger="migmine.pipeline")
+        [error] = Pipeline(store, replace(config, projects_file=str(shorter))).ingest()
+        assert "gone" in error
+        assert sorted(ref.id for ref in store.projects()) == sorted(corpus.repos)
+        assert store.commit_count() == commits
+    assert [r for r in caplog.records if "event=project_dropped" in r.getMessage()] == []
 
 
 def test_repeated_project_ids_take_the_next_free_suffix(tmp_path):
@@ -907,22 +975,23 @@ def git_blob_id(text: str) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+def rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog, **overrides):
     """Re-run a copy of the acceptance corpus run from detect-rules to the
-    exports.  Returns the blob readers each stage started, the ids of the
-    texts it diffed, its histories and the stage logs."""
+    exports, with the config's `overrides`.  Returns the blob readers each
+    stage started, the (before, after) ids of the texts it diffed, its
+    histories, the paths it exported and the stage logs."""
     import migmine.pipeline as pipeline_module
 
     readers = spy_blob_readers(monkeypatch)
-    diffed = set()
+    diffed = []
     diff = pipeline_module.unified_diff
 
     def spy_diff(before, after, *args, **kwargs):
-        diffed.update(map(git_blob_id, (before, after)))
+        diffed.append((git_blob_id(before), git_blob_id(after)))
         return diff(before, after, *args, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "unified_diff", spy_diff)
-    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), **overrides)
     caplog.set_level(logging.INFO, logger="migmine")
     by_stage = {}
     with Store(config.db_path) as store:
@@ -934,36 +1003,67 @@ def rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog):
             # no reader outlives its stage
             assert all(proc.poll() is not None for _, _, proc in readers), name
         histories = [pipeline.history(project_id) for project_id in corpus.repos]
-    assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
     logs = {
         r.getMessage().split()[0]: r.getMessage() for r in caplog.records
         if "blobs_read=" in r.getMessage()
     }
-    return by_stage, diffed, histories, logs
+    return by_stage, diffed, histories, paths, logs
 
 
-def test_rerun_reads_only_diffed_blobs(corpus_run, corpus, tmp_path, monkeypatch, caplog):
-    """A re-run over a stored run asks git only for the texts it diffs: the
-    manifest replay takes each pom.xml version's stored parse result, and
-    every other blob is answered by a stored screen verdict or by stored
-    facts.  So the segment stage starts no reader, and the fragment stage
-    starts at most one per project, which first asks for the project's last
-    commit."""
-    by_stage, diffed, histories, _ = rerun_reading(
+def logged(logs, event, key) -> int:
+    return int(logs[event].split(f" {key}=")[1].split()[0])
+
+
+def test_a_rerun_reads_no_blob(corpus_run, corpus, tmp_path, monkeypatch, caplog):
+    """A re-run over a stored run asks git for no object in any stage: the
+    manifest replay takes each pom.xml version's stored parse result, every
+    other blob is answered by a stored screen verdict or by stored facts,
+    and each diff by its stored hunks.  So no stage starts a blob reader,
+    and the exports still match the golden files."""
+    by_stage, diffed, _, paths, logs = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog
+    )
+    assert {name: started for name, started in by_stage.items() if started} == {}
+    assert diffed == []
+    assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
+    assert logged(logs, "event=fragments_detected", "diffs") == 0
+    # each fragment's diff, and the diffs that gave no fragment
+    assert logged(logs, "event=fragments_detected", "diffs_loaded") >= len(corpus.fragments)
+
+
+def test_a_changed_context_diffs_afresh_like_a_fresh_run(
+    corpus_run, corpus, tmp_path, monkeypatch, caplog
+):
+    """A stored diff answers only at its own context.  A re-run at another
+    `context_lines` asks git only for the texts it diffs, through at most
+    one reader per project, which first asks for the project's last
+    commit; it stores those diffs beside the others, and exports what a
+    fresh run at that context exports."""
+    by_stage, diffed, histories, paths, logs = rerun_reading(
+        corpus_run, corpus, tmp_path, monkeypatch, caplog, context_lines=1
     )
     tips = {str(Path(h.ref.workdir).resolve()): h.commits[-1].commit_id for h in histories}
     assert {name for name, started in by_stage.items() if started} == {"detect_fragments"}
+    workdirs = [workdir for workdir, _, _ in by_stage["detect_fragments"]]
+    assert len(workdirs) == len(set(workdirs))
     asked = set()
-    for started in by_stage.values():
-        workdirs = [workdir for workdir, _, _ in started]
-        assert len(workdirs) == len(set(workdirs))
-        for workdir, ids, _ in started:
-            assert ids[0] == tips[workdir]
-            assert len(ids[1:]) == len(set(ids[1:]))
-            asked.update(ids[1:])
+    for workdir, ids, _ in by_stage["detect_fragments"]:
+        assert ids[0] == tips[workdir]
+        assert len(ids[1:]) == len(set(ids[1:]))
+        asked.update(ids[1:])
     assert diffed
-    assert asked == diffed
+    assert asked == {sha for pair in diffed for sha in pair}
+    assert logged(logs, "event=fragments_detected", "diffs") == len(diffed)
+    assert logged(logs, "event=fragments_detected", "diffs_loaded") == 0
+    with Store(tmp_path / "migmine.db") as store:
+        stored = Counter(question.split()[1] for _, question in store.blob_answers()
+                         if question.startswith("diff "))
+    assert stored == {"3": len(diffed), "1": len(diffed)}
+    fresh = run_corpus(corpus, tmp_path / "fresh", context_lines=1)
+    fresh.store.close()
+    rerun = {p.name: p.read_bytes() for p in paths}
+    assert rerun == {p.name: p.read_bytes() for p in fresh.config.report_path.iterdir()}
+    assert rerun != {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
 
 
 def test_stage_logs_count_blob_reads_and_screen_hits(
@@ -971,35 +1071,34 @@ def test_stage_logs_count_blob_reads_and_screen_hits(
 ):
     """`blobs_read` counts the objects a stage asked of git, the last-commit
     checks included: none in a re-run's segment stage, which the store
-    answers, and the diffed texts in its fragment stage.  `screens_hit`
-    counts the stored or remembered screen verdicts that answered in that
-    stage."""
-    by_stage, _, _, logs = rerun_reading(corpus_run, corpus, tmp_path, monkeypatch, caplog)
-
-    def logged(event, key):
-        return int(logs[event].split(f" {key}=")[1].split()[0])
-
+    answers, and the diffed texts in a fragment stage at a context the
+    store holds no diff for.  `screens_hit` counts the stored or
+    remembered screen verdicts that answered in that stage."""
+    by_stage, _, _, _, logs = rerun_reading(
+        corpus_run, corpus, tmp_path, monkeypatch, caplog, context_lines=2
+    )
     read = {
         event: sum(len(ids) for _, ids, _ in by_stage[stage_name])
         for event, stage_name in (("event=segments_detected", "detect_segments"),
                                   ("event=fragments_detected", "detect_fragments"))
     }
-    assert {event: logged(event, "blobs_read") for event in read} == read
+    assert {event: logged(logs, event, "blobs_read") for event in read} == read
     assert read["event=segments_detected"] == 0 < read["event=fragments_detected"]
     # the segment stage's rejections are all stored verdicts; fragments ask
     # only of blobs the segment stage already answered
-    assert logged("event=segments_detected", "screens_hit") > 0
-    assert logged("event=fragments_detected", "screens_hit") == 0
+    assert logged(logs, "event=segments_detected", "screens_hit") > 0
+    assert logged(logs, "event=fragments_detected", "screens_hit") == 0
 
 
 def test_a_stage_that_raises_leaves_no_blob_reader_running(
     corpus_run, corpus, tmp_path, monkeypatch
 ):
     """A stage that raises after its histories opened their blob readers
-    still ends every reader's process.  In a re-run, the fragment stage is
-    the one that reads: it diffs texts."""
+    still ends every reader's process.  In a re-run at a context the store
+    holds no diff for, the fragment stage is the one that reads: it diffs
+    texts."""
     readers = spy_blob_readers(monkeypatch)
-    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), context_lines=2)
 
     def full_disk(fragments):
         raise sqlite3.OperationalError("database or disk is full")
@@ -1014,6 +1113,44 @@ def test_a_stage_that_raises_leaves_no_blob_reader_running(
             pipeline.detect_fragments()
     assert readers
     assert all(proc.poll() is not None for _, _, proc in readers)
+
+
+def test_a_diff_whose_blob_the_repository_lacks_is_not_stored(tmp_path):
+    """A diff with a side git cannot read is computed against no text and
+    used, but not stored, so the next stage diffs it again, and stores it
+    once the repository has both blobs."""
+    path = "src/main/java/com/example/app/Serializer.java"
+    config = single_repo_config(
+        tmp_path,
+        "lossy",
+        [
+            ("init", {"pom.xml": pom("lossy", JSON_LIB), path: PADDED_JSON}),
+            ("migrate", {"pom.xml": pom("lossy", GSON_LIB), path: PADDED_GSON}),
+        ],
+    )
+    after = git_blob_id(PADDED_GSON)
+    loose = tmp_path / "repos" / "lossy" / ".git" / "objects" / after[:2] / after[2:]
+    data = loose.read_bytes()
+
+    def diffs(store) -> list[str]:
+        return sorted(q for _, q in store.blob_answers() if q.startswith("diff "))
+
+    with Store(config.db_path) as store:
+        assert run_all(store, config)[0] == 0
+        assert [blob for blob, q in store.blob_answers() if q.startswith("diff ")] == [after]
+        stored = diffs(store)
+        other = replace(config, context_lines=1)
+        loose.unlink()
+        try:
+            # the after blob's facts are stored, so only the diff reads it
+            lacking = Pipeline(store, other)
+            lacking.detect_fragments()
+            assert lacking.diffs == 1
+            assert diffs(store) == stored
+        finally:
+            loose.write_bytes(data)
+        Pipeline(store, other).detect_fragments()
+        assert diffs(store) == sorted([*stored, stored[0].replace("diff 3 ", "diff 1 ")])
 
 
 def test_a_blob_read_that_fails_mid_ingest_fails_only_its_project(
@@ -1287,7 +1424,8 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
         """The stored facts and verdicts."""
         return [
             store.db.execute(f"SELECT COUNT(*) FROM blob_answers WHERE {where}").fetchone()[0]
-            for where in ("question = 'facts'", "question NOT IN ('facts', 'manifest')")
+            for where in ("question = 'facts'",
+                          "question NOT IN ('facts', 'manifest') AND question NOT LIKE 'diff %'")
         ]
 
     with Store(config.db_path) as store:

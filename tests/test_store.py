@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import pytest
 
 from migmine.docs import DOCS_VERSION
-from migmine.fragments import unified_diff
+from migmine.fragments import DIFF_VERSION, unified_diff
 from migmine.history import FactsCache
 from migmine.javafacts import FACTS_VERSION
 from migmine.manifest import MANIFEST_VERSION
@@ -16,6 +16,7 @@ from migmine.model import (
     CommitRecord,
     DependencyChange,
     DocAttachment,
+    FileChange,
     Fragment,
     LibraryCoordinate,
     LibraryMethodUse,
@@ -27,6 +28,7 @@ from migmine.model import (
 )
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, SCHEMA_VERSION, Store, StoreError
 
+ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}"
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
 
@@ -226,6 +228,37 @@ class TestUpserts:
         seed_rule(store)
         seed_rule(store, status="confirmed")
         assert [r.status for r in store.rules()] == ["confirmed"]
+
+    def test_keep_projects_deletes_every_other_project_with_its_rows(self, store):
+        """Each other project goes with its commits, file and dependency
+        changes, segments and fragments, by cascade."""
+        for project in ("demo", "gone", "kept"):
+            seed_project(store, project)
+        seed_rule(store)
+        store.insert_file_changes(
+            (project, {"c1": [FileChange("A.java", "modified", None, "b1", "b2")]})
+            for project in ("demo", "gone", "kept")
+        )
+        store.insert_dependency_changes(
+            DependencyChange(project, "c1", frozenset({LibraryCoordinate(*GSON_ID, "2.3.1")}),
+                             frozenset())
+            for project in ("demo", "gone", "kept")
+        )
+        store.insert_segments([make_segment("demo", 1), make_segment("gone", 2)])
+        store.insert_fragments([make_fragment(1), make_fragment(2)])
+        statements = []
+        store.db.set_trace_callback(statements.append)
+        assert store.keep_projects(["kept", "demo", "unknown"]) == ["gone"]
+        store.db.set_trace_callback(None)
+        # no RETURNING: the store needs only SQLite 3.24
+        assert not [sql for sql in statements if "RETURNING" in sql.upper()]
+        assert [ref.id for ref in store.projects()] == ["demo", "kept"]
+        for table in ("commits", "file_changes", "dependency_changes", "segments"):
+            assert store.db.execute(
+                f"SELECT DISTINCT project FROM {table} ORDER BY project"
+            ).fetchall() == [("demo",), ("kept",)][: 1 if table == "segments" else 2], table
+        assert store.db.execute("SELECT segment_id FROM fragments").fetchall() == [(1,)]
+        assert store.keep_projects(["demo", "kept"]) == []
 
     def test_rule_or_edge_that_breaks_a_constraint_is_store_error(self, store):
         """Rules and graph edges are stored like every other table: a
@@ -537,11 +570,11 @@ class TestBlobFacts:
             )
         with Store(path) as s:
             assert len(s.blob_answers()) == 3
-            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
-            s.set_meta("answers_version", f"0/{MANIFEST_VERSION}")
+            assert s.get_meta("answers_version") == ANSWERS_VERSION
+            s.set_meta("answers_version", f"0/{MANIFEST_VERSION}/{DIFF_VERSION}")
         with Store(path) as s:
             assert s.blob_answers() == {}
-            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
+            assert s.get_meta("answers_version") == ANSWERS_VERSION
 
     def test_no_export_holds_blob_facts(self, corpus_run):
         rows = corpus_run.store.db.execute(
@@ -592,10 +625,80 @@ class TestPomManifests:
             s.insert_blob_answers([("a" * 40, "manifest", "[]"), ("b1", "facts", "[]")])
         with Store(path) as s:
             assert len(s.blob_answers()) == 2
-            s.set_meta("answers_version", f"{FACTS_VERSION}/0")
+            s.set_meta("answers_version", f"{FACTS_VERSION}/0/{DIFF_VERSION}")
         with Store(path) as s:
             assert s.blob_answers() == {}
-            assert s.get_meta("answers_version") == f"{FACTS_VERSION}/{MANIFEST_VERSION}"
+            assert s.get_meta("answers_version") == ANSWERS_VERSION
+
+
+class TestStoredDiffs:
+    """The `diff <context> <before blob id>` answers of `blob_answers`,
+    through a `FactsCache`."""
+
+    BEFORE = "int a;\nint b;\nint c;\n"
+    AFTER = "int a;\nlong b;\nint c;\n"
+
+    def change(self, path="src/A.java", before="b" * 40, after="a" * 40):
+        return FileChange(path, "modified", None, before, after)
+
+    def test_hunks_read_back_under_the_asking_changes_path(self, store):
+        hunks = unified_diff(self.BEFORE, self.AFTER, 1, path="src/A.java")
+        facts = FactsCache(store)
+        assert facts.hunks(self.change(), 1) is None
+        facts.keep_hunks(self.change(), 1, hunks)
+        facts.save()
+        assert store.blob_answers() == {
+            ("a" * 40, f"diff 1 {'b' * 40}"): '[[1,3,1,3," int a;\\n","-int b;\\n",'
+            '"+long b;\\n"," int c;\\n"]]',
+        }
+        again = FactsCache(store)
+        # another context, or another before blob, is another question
+        assert again.hunks(self.change(), 0) is None
+        assert again.hunks(self.change(before="c" * 40), 1) is None
+        assert again.diffs_loaded == 0
+        assert again.hunks(self.change(), 1) == hunks
+        assert again.hunks(self.change(path="src/B.java"), 1) == [
+            hunk._replace(file="src/B.java") for hunk in hunks
+        ]
+        assert (again.diffs_loaded, again.loaded) == (1, 0)
+
+    def test_a_cache_asked_no_diff_reads_no_stored_diff(self, store, monkeypatch):
+        """The stored diffs are read at the first diff question, the other
+        answers at the first other one, so a stage that asks only facts
+        holds no diff's text."""
+        facts = FactsCache(store)
+        facts.keep_hunks(self.change(), 1, unified_diff(self.BEFORE, self.AFTER, 1))
+        store.insert_blob_answers([("b1", "facts", "[null,[],[],[]]")])
+        facts.save()
+        asked = []
+        read = Store.blob_answers
+        monkeypatch.setattr(Store, "blob_answers",
+                            lambda self, diffs=None: asked.append(diffs) or read(self, diffs))
+        again = FactsCache(store)
+        assert again.known("b1") is not None and again.known("b2") is None
+        assert again.manifest("b1") is None
+        assert asked == [False]
+        assert again.hunks(self.change(), 1) is not None
+        assert again.hunks(self.change(), 3) is None
+        assert asked == [False, True]
+        assert (again.loaded, again.diffs_loaded) == (1, 1)
+
+    @pytest.mark.parametrize("old", ["3/1", f"{FACTS_VERSION}/{MANIFEST_VERSION}/0"])
+    def test_other_answers_version_empties_the_stored_diffs_at_open(self, tmp_path, old):
+        """A database written before diffs were stored, or by another diff
+        or encoding, drops every stored diff, facts and all."""
+        path = tmp_path / "diffs.db"
+        with Store(path) as s:
+            facts = FactsCache(s)
+            facts.keep_hunks(self.change(), 3, unified_diff(self.BEFORE, self.AFTER))
+            facts.save()
+            s.insert_blob_answers([("b1", "facts", "[]")])
+            assert len(s.blob_answers()) == 2
+            s.set_meta("answers_version", old)
+        with Store(path) as s:
+            assert s.blob_answers() == {}
+            assert FactsCache(s).hunks(self.change(), 3) is None
+            assert s.get_meta("answers_version") == ANSWERS_VERSION
 
 
 class TestArchiveDocs:
