@@ -205,24 +205,37 @@ def _has_no_commits(workdir: str) -> bool:
     return False
 
 
-def touches_pom(fc: FileChange) -> bool:
-    """Whether the change's path, or a rename's old path, names a pom.xml."""
-    return any(p and p.rsplit("/", 1)[-1] == "pom.xml" for p in (fc.path, fc.old_path))
+def is_pom(path: str) -> bool:
+    """Whether the path names a pom.xml."""
+    return path.rsplit("/", 1)[-1] == "pom.xml"
 
 
-def touches_java(fc: FileChange) -> bool:
-    """Whether the change's path, or a rename's old path, names a .java file."""
-    return any(p and p.endswith(".java") for p in (fc.path, fc.old_path))
+def is_java(path: str) -> bool:
+    """Whether the path names a .java file."""
+    return path.endswith(".java")
 
 
 def changed_files(changes: dict[str, list[FileChange]]) -> dict[str, list[FileChange]]:
     """Each commit's changes that touch a pom.xml or a .java file, in git's
-    order: the changes a history reads and ingest stores.  A binary
-    version is kept; it reads as no text (`ProjectHistory.text`)."""
-    return {
-        commit_id: [fc for fc in entries if touches_pom(fc) or touches_java(fc)]
-        for commit_id, entries in changes.items()
-    }
+    order: the changes a history reads and ingest stores.  A rename whose
+    two paths are not both pom.xml or both .java files is taken as the
+    deletion of its old path and the addition of its new one, and each is
+    kept only when its path is one: a pom.xml renamed to pom.xml.bak
+    declares nothing from then on.  A binary version is kept; it reads as
+    no text (`ProjectHistory.text`)."""
+    selected = {}
+    for commit_id, entries in changes.items():
+        kept = selected[commit_id] = []
+        for fc in entries:
+            parts = [fc]
+            if fc.kind == "renamed" and not (
+                is_pom(fc.path) and is_pom(fc.old_path)
+                or is_java(fc.path) and is_java(fc.old_path)
+            ):
+                parts = [FileChange(fc.old_path, "deleted", None, fc.before_sha, None),
+                         FileChange(fc.path, "added", None, None, fc.after_sha)]
+            kept += [part for part in parts if is_pom(part.path) or is_java(part.path)]
+    return selected
 
 
 class BlobReader:

@@ -7,12 +7,13 @@ read when first asked for, through one blob reader per history that
 starts at its first read and first checks that the repository still has
 the last commit.  A blob that holds a NUL byte is binary and, like a
 missing one, reads as no text, so it has no uses, and a binary pom.xml
-declares nothing.  The pipeline closes every reader when a stage ends, so
-a stored history starts at most one reader per stage, and only when it
-reads a blob: a stage checks a project's repository only then, so a
-project whose every question the store answers needs no git process in
-that stage.  Ingest reads every text (`read_texts`) in its worker pool,
-and its history keeps them for the later stages of the run.  Caches the
+declares nothing.  The pipeline closes a history's reader when the stage
+is done with that project, so a stored history starts at most one reader
+per stage, and only when it reads a blob: a stage checks a project's
+repository only then, so a project whose every question the store
+answers needs no git process in that stage.  Ingest reads every text
+(`read_texts`) in its worker pool, and its history keeps them for the
+later stages of the run.  Caches the
 replayed manifest timeline, the map of declared libraries and per-blob
 uses, so segment and fragment detection never analyze the same blob
 twice.
@@ -84,7 +85,7 @@ log = logging.getLogger(__name__)
 
 
 class CommitChanges(NamedTuple):
-    """A commit's manifest and source file changes; renames count by either path."""
+    """A commit's manifest and source file changes, by their path."""
 
     pom: list[FileChange]
     java: list[FileChange]
@@ -246,8 +247,8 @@ class ProjectHistory:
         if self._split is None:
             self._split = {
                 cid: CommitChanges(
-                    [fc for fc in files if gitrepo.touches_pom(fc)],
-                    [fc for fc in files if gitrepo.touches_java(fc)],
+                    [fc for fc in files if gitrepo.is_pom(fc.path)],
+                    [fc for fc in files if gitrepo.is_java(fc.path)],
                 )
                 for cid, files in self.file_changes.items()
             }

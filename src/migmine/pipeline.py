@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -61,19 +61,17 @@ def stage(method):
     sqlite3 begins the transaction at the stage's first write, and each stage
     computes what it stores before it clears and writes: git reads, archive
     downloads, parsing and diffing run outside the transaction and hold no
-    database lock.  When the stage ends or raises, every history's blob
-    reader is closed, so no `cat-file` process outlives a stage.
+    database lock.  A stage reads blobs one project at a time
+    (`Pipeline._per_project`), which closes each history's blob reader when
+    the stage is done with that project, so no `cat-file` process outlives
+    a stage.
     """
 
     @functools.wraps(method)
     def run(self, *args, **kwargs):
         start = time.perf_counter()
-        try:
-            with self.store.transaction():
-                result = method(self, *args, **kwargs)
-        finally:
-            for history in self._histories.values():
-                history.close()
+        with self.store.transaction():
+            result = method(self, *args, **kwargs)
         log.info(
             "event=stage_done stage=%s seconds=%.3f",
             method.__name__, time.perf_counter() - start,
@@ -294,7 +292,8 @@ class Pipeline:
 
     @stage
     def detect_segments(self) -> list[Segment]:
-        """Scan each project whose manifests declare both libraries of a rule.
+        """Scan each project for each rule whose two libraries its manifests
+        declare, and number the segments 1..n in project-then-rule order.
 
         A project whose history cannot be read is logged and skipped; when
         every project fails, the first failure is raised.
@@ -303,22 +302,19 @@ class Pipeline:
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
         screens_hit = self.facts.screens_hit
-        histories = [self.history(project_id) for project_id in self._projects()]
-        found_by_pair = self._per_project(
-            "detect_segments",
-            ((history.ref.id, functools.partial(self._rule_segments, history, rule))
-             for rule in rules for history in histories),
-            len(histories),
+        found_by_pair, blobs_read = self._per_project(
+            "detect_segments", list(self._projects()),
+            lambda history: self._rule_segments(history, rules),
         )
         segments = []
-        for project_id, (rule, found) in found_by_pair:
+        for rule, found in found_by_pair:
             for segment in found:
                 # stored in this order, so numbered 1..n as they are stored
                 segments.append(segment)
                 segment.id = len(segments)
                 log.info(
                     "event=segment project=%s rule=%s start=%s end=%s commits=%d",
-                    project_id, rule, segment.start_commit[:12],
+                    segment.project, rule, segment.start_commit[:12],
                     segment.end_commit[:12], len(segment.commits),
                 )
         # segments invalidate everything downstream, including confirmations
@@ -332,7 +328,7 @@ class Pipeline:
         log.info(
             "event=segments_detected pairs=%d segments=%d blobs_read=%d screens_hit=%d "
             "blobs_loaded=%d blobs_tokenized=%d",
-            len(found_by_pair), len(segments), self._blobs_read(),
+            len(found_by_pair), len(segments), blobs_read,
             self.facts.screens_hit - screens_hit, self.facts.loaded, self.facts.tokenized,
         )
         return segments
@@ -348,18 +344,21 @@ class Pipeline:
         A project whose history cannot be read is logged and skipped; when
         every project with a segment fails, the first failure is raised.
         """
-        segments = self.store.segments(include_discarded=True)
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
+        by_project: dict[str, list[Segment]] = {}
+        for segment in self.store.segments(include_discarded=True):
+            by_project.setdefault(segment.project, []).append(segment)
         screens_hit = self.facts.screens_hit
-        found_by_segment = self._per_project(
-            "detect_fragments",
-            ((segment.project, functools.partial(self._segment_fragments, segment))
-             for segment in segments),
-            len({segment.project for segment in segments}),
+        all_fragments, blobs_read = self._per_project(
+            "detect_fragments", list(by_project),
+            lambda history: [
+                fragment
+                for segment in by_project[history.ref.id]
+                for fragment in self._segment_fragments(history, segment)
+            ],
         )
-        all_fragments = [fragment for _, found in found_by_segment for fragment in found]
         mappings = extract_mappings(all_fragments)
         self.store.clear_fragments_and_mappings()
         self.store.insert_fragments(all_fragments)
@@ -373,34 +372,62 @@ class Pipeline:
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
             self.diffs, self.facts.diffs_loaded,
-            self._blobs_read(), self.facts.screens_hit - screens_hit,
+            blobs_read, self.facts.screens_hit - screens_hit,
             self.facts.loaded, self.facts.tokenized,
         )
         return all_fragments, mappings
 
-    def _blobs_read(self) -> int:
-        """The objects this stage has read from git so far."""
-        return sum(history.blobs_read for history in self._histories.values())
+    def _per_project(
+        self, stage_name: str, project_ids: list[str], work: Callable[[ProjectHistory], list]
+    ) -> tuple[list, int]:
+        """Run `work` on each project's history in turn; return the lists it
+        returned, joined, and the objects they read from git.
+
+        Each history's blob reader is closed when its project's work returns
+        or raises, so at most one `cat-file` process runs at a time.  A
+        project whose history cannot be read is left out, logged and kept in
+        `project_errors`; when every project failed, the first failure is
+        raised.
+        """
+        results: list = []
+        blobs_read = 0
+        failed: dict[str, Exception] = {}
+        for project_id in project_ids:
+            history = self.history(project_id)
+            try:
+                results += work(history)
+            except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
+                failed[project_id] = exc
+            finally:
+                blobs_read += history.blobs_read
+                history.close()
+        if failed and len(failed) == len(project_ids):
+            raise next(iter(failed.values()))
+        for project_id, exc in failed.items():
+            log.error("event=project_failed stage=%s project=%s error=%s", stage_name, project_id, exc)
+            self.project_errors.append(f"{project_id}: {exc}")
+        return results, blobs_read
 
     def _rule_segments(
-        self, history: ProjectHistory, rule: MigrationRule
-    ) -> tuple[MigrationRule, list[Segment]] | None:
-        """The rule's segments in the project, or None when its manifests
-        never declare both of the rule's libraries."""
+        self, history: ProjectHistory, rules: list[MigrationRule]
+    ) -> list[tuple[MigrationRule, list[Segment]]]:
+        """Each rule whose two libraries the project's manifests declare,
+        with its segments in the project."""
         declared = history.declared_libraries()
-        if rule.source not in declared or rule.target not in declared:
-            return None
-        return rule, find_segments(
-            history,
-            rule.source,
-            rule.target,
-            self.package_index(declared[rule.source]),
-            self.package_index(declared[rule.target]),
-            self.config.imports_count_as_use,
-        )
+        return [
+            (rule, find_segments(
+                history,
+                rule.source,
+                rule.target,
+                self.package_index(declared[rule.source]),
+                self.package_index(declared[rule.target]),
+                self.config.imports_count_as_use,
+            ))
+            for rule in rules
+            if rule.source in declared and rule.target in declared
+        ]
 
-    def _segment_fragments(self, segment: Segment) -> list[Fragment]:
-        history = self.history(segment.project)
+    def _segment_fragments(self, history: ProjectHistory, segment: Segment) -> list[Fragment]:
         declared = history.declared_libraries()
         source_index = self.package_index(declared[segment.source])
         target_index = self.package_index(declared[segment.target])
@@ -432,36 +459,6 @@ class Pipeline:
                         self.facts.keep_hunks(fc, context, hunks)
                 fragments.extend(filter_fragments(hunks, segment, commit_id, uses_before, uses_after))
         return fragments
-
-    def _per_project(
-        self, stage_name: str, jobs: Iterable[tuple[str, Callable[[], object]]], tried: int
-    ) -> list:
-        """Run each (project id, job) in order and return (project id, result)
-        for each job whose result is not None, leaving out the projects whose
-        history could not be read.
-
-        A project's first git failure skips its later jobs; each failed
-        project is logged and kept in `project_errors`, and when all `tried`
-        projects failed, the first failure is raised.
-        """
-        failed: dict[str, Exception] = {}
-        results = []
-        for project_id, job in jobs:
-            if project_id in failed:
-                continue
-            try:
-                result = job()
-            except (gitrepo.GitError, gitrepo.UnknownCommitError) as exc:
-                failed[project_id] = exc
-                continue
-            if result is not None:
-                results.append((project_id, result))
-        if failed and len(failed) == tried:
-            raise next(iter(failed.values()))
-        for project_id, exc in failed.items():
-            log.error("event=project_failed stage=%s project=%s error=%s", stage_name, project_id, exc)
-            self.project_errors.append(f"{project_id}: {exc}")
-        return [(project_id, result) for project_id, result in results if project_id not in failed]
 
     @stage
     def collect_docs(self) -> tuple[int, int]:

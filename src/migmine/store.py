@@ -28,13 +28,13 @@ rows are additions and removals only: a version change of a library that
 stays declared is not stored.  Each table a stage fills has one write
 path: the stage stores all its rows of that table in one `executemany`,
 and a violated constraint is a `StoreError`.  Segment ids come from
-`detect_segments`, which numbers the segments it stores 1..n, and each
-fragment stores the id of its segment; the foreign key refuses an id that
-names no stored segment.  Mapping ids are SQLite's: `collect_docs` reads
-each one with its mapping.  An ingest in which every project succeeded
-deletes the stored projects it did not read (`keep_projects`): one
-DELETE, which cascades to their commits, file and dependency changes and
-segments.
+`detect_segments`, which numbers the segments it stores 1..n in
+project-then-rule order, and each fragment stores the id of its segment;
+the foreign key refuses an id that names no stored segment.  Mapping
+ids are SQLite's: `collect_docs` reads each one with its mapping.  An
+ingest in which every project succeeded deletes the stored projects it
+did not read (`keep_projects`): one DELETE, which cascades to their
+commits, file and dependency changes and segments.
 
 `blob_answers` is a cache, not a result: what the pipeline derived from
 one git blob, keyed by blob id and question.  The question `facts` holds

@@ -167,8 +167,44 @@ class TestChangedFiles:
         added = history.changes(hashes[0])
         assert [c.path for c in added.pom] == ["module/sub/pom.xml"]
         assert [c.path for c in added.java] == ["old/Moved.java", "src/A.java"]
+        # a rename away from .java is the deletion of its .java path
         renamed = history.changes(hashes[1])
-        assert [(c.old_path, c.path) for c in renamed.java] == [("old/Moved.java", "old/Moved.txt")]
+        assert [(c.kind, c.path) for c in renamed.java] == [("deleted", "old/Moved.java")]
+
+    def test_a_rename_across_kinds_is_a_deletion_and_an_addition(self, tmp_path):
+        """git's rename of a pom.xml or .java file to a path of another kind
+        is kept as the deletion of the old path and the addition of the new
+        one, each only when its path is a pom.xml or .java file; a rename
+        within one kind stays a rename."""
+        path = tmp_path / "across"
+        manifest, notes = pom("app", JSON_LIB), MOVED.replace("f", "g")
+        hashes = build_repo(
+            path,
+            [
+                ("add", {"pom.xml": manifest, "a/Moved.java": MOVED, "notes/Moved.txt": notes}),
+                ("rename across kinds", {
+                    "pom.xml": None, "pom.xml.bak": manifest,
+                    "a/Moved.java": None, "a/Moved.java.orig": MOVED,
+                    "notes/Moved.txt": None, "b/Moved.java": notes,
+                }),
+                ("rename back and within kinds", {
+                    "pom.xml.bak": None, "core/pom.xml": manifest,
+                    "b/Moved.java": None, "c/Moved.java": notes,
+                }),
+            ],
+        )
+        _, _, raw = ingest_project(str(path), tmp_path / "work")
+        assert [fc.kind for fc in raw[hashes[1]]] == ["renamed"] * 3
+        blob = {fc.path: fc.after_sha for fc in raw[hashes[0]]}
+        selected = changed_files(raw)
+        assert sorted(selected[hashes[1]]) == [
+            FileChange("a/Moved.java", "deleted", None, blob["a/Moved.java"], None),
+            FileChange("b/Moved.java", "added", None, None, blob["notes/Moved.txt"]),
+            FileChange("pom.xml", "deleted", None, blob["pom.xml"], None),
+        ]
+        assert sorted((fc.kind, fc.old_path, fc.path) for fc in selected[hashes[2]]) == [
+            ("added", None, "core/pom.xml"), ("renamed", "b/Moved.java", "c/Moved.java"),
+        ]
 
     def test_root_commit_adds_have_no_before(self, small_repo):
         path, hashes = small_repo

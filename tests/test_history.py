@@ -6,7 +6,15 @@ import logging
 from datetime import datetime, timezone
 
 from conftest import ingested_history
-from corpusgen import GSON_LIB, JSON_LIB, JUNIT_LIB, SERIALIZER_GSON, build_repo, pom
+from corpusgen import (
+    GSON_LIB,
+    JSON_LIB,
+    JUNIT_LIB,
+    SERIALIZER_GSON,
+    build_repo,
+    pom,
+    simple_json_user,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +96,48 @@ def test_deleting_a_module_pom_removes_its_dependencies(tmp_path):
     change = history.dependency_changes()[1]
     assert {c.identity for c in change.removed} == {JSON_ID}
     assert JSON_ID not in history.dependency_timeline()[1]
+
+
+def test_a_pom_renamed_away_stops_declaring(tmp_path):
+    """A module pom.xml that git reports renamed to pom.xml.bak is no
+    manifest any more: its dependencies leave the timeline in that commit,
+    and the commit's dependency change removes them."""
+    history = history_for(
+        tmp_path,
+        "shelved",
+        [
+            ("init", {"pom.xml": pom("app", JUNIT_LIB), "old/pom.xml": pom("old", JSON_LIB)}),
+            ("shelve old module", {"old/pom.xml": None, "old/pom.xml.bak": pom("old", JSON_LIB)}),
+        ],
+    )
+    assert [fc.kind for fc in history.changes(history.commits[1].commit_id).pom] == ["deleted"]
+    assert [set(declared) for declared in history.dependency_timeline()] == [
+        {JSON_ID, JUNIT_ID}, {JUNIT_ID}
+    ]
+    change = history.dependency_changes()[1]
+    assert {c.identity for c in change.removed} == {JSON_ID} and not change.added
+
+
+def test_a_java_file_renamed_away_stops_counting_as_a_source(tmp_path, json_index):
+    """A .java file that git reports renamed to Foo.java.orig is no source
+    any more, so the commit that renames the last org.json user away is the
+    first with no dependent file."""
+    users = {
+        f"src/main/java/com/example/app/{name}.java": simple_json_user("com.example.app", name)
+        for name in ("Reader", "Writer")
+    }
+    reader, writer = users
+    history = history_for(
+        tmp_path,
+        "orig",
+        [
+            ("init", {"pom.xml": pom("app", JSON_LIB), **users}),
+            ("drop the reader", {reader: None}),
+            ("set the writer aside", {writer: None, writer + ".orig": users[writer]}),
+        ],
+    )
+    assert [fc.kind for fc in history.changes(history.commits[2].commit_id).java] == ["deleted"]
+    assert history.last_dependent_commit(json_index, 2) == 1
 
 
 def test_malformed_manifest_degrades_to_empty_not_crash(tmp_path, caplog):

@@ -17,6 +17,8 @@ from corpusgen import (
     GSON_APP,
     GSON_LIB,
     JSON_LIB,
+    LANG3_LIB,
+    LANG_LIB,
     SERIALIZER_GSON,
     SERIALIZER_JSON,
     _git,
@@ -26,6 +28,7 @@ from corpusgen import (
     javadoc_jar,
     javadoc_page,
     pom,
+    simple_json_user,
 )
 
 from migmine.model import (
@@ -106,6 +109,33 @@ def test_fragment_detected_across_file_rename(tmp_path):
         assert {f["file"] for f in fragments} == {new}
         removed = {m["method"] for f in fragments for m in f["removed_methods"]}
         assert "toJSONString" in removed
+    finally:
+        store.close()
+
+
+def test_a_migration_that_renames_a_source_away_gets_its_segment(tmp_path):
+    """The migrating commit renames the last other org.json user to
+    Legacy.java.orig, which is no source: the segment ends at that commit,
+    and the migration is mined as if the file had been deleted."""
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    legacy = "src/main/java/com/example/app/Legacy.java"
+    store, code, summary = run_single_repo(
+        tmp_path,
+        "set-aside",
+        [
+            ("init", {"pom.xml": pom("set-aside", JSON_LIB), serializer: PADDED_JSON,
+                      legacy: simple_json_user("com.example.app", "Legacy")}),
+            ("migrate and set the legacy user aside", {
+                "pom.xml": pom("set-aside", GSON_LIB), serializer: PADDED_GSON,
+                legacy: None, legacy + ".orig": simple_json_user("com.example.app", "Legacy"),
+            }),
+        ],
+    )
+    try:
+        assert code == 0
+        [segment] = store.segments()
+        assert segment.end_commit == store.commits_for("set-aside")[-1].commit_id
+        assert summary["rules_confirmed"] == 1
     finally:
         store.close()
 
@@ -1115,6 +1145,71 @@ def test_a_stage_that_raises_leaves_no_blob_reader_running(
     assert all(proc.poll() is not None for _, _, proc in readers)
 
 
+def test_a_stage_runs_one_blob_reader_at_a_time(corpus_run, corpus, tmp_path, monkeypatch):
+    """A stage reads one project at a time and ends the project's blob
+    reader before the next project starts: each `cat-file` process starts
+    only after every earlier one has exited.  With the stored blob answers
+    gone, both the segment and the fragment stage read blobs of several
+    projects."""
+    from migmine import gitrepo
+
+    readers = spy_blob_readers(monkeypatch)
+    spy = gitrepo.subprocess.Popen
+    running_at_start = []
+
+    def checked(cmd, **kwargs):
+        if "cat-file" in cmd:
+            running_at_start.append([w for w, _, proc in readers if proc.poll() is None])
+        return spy(cmd, **kwargs)
+
+    monkeypatch.setattr(gitrepo.subprocess, "Popen", checked)
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    with Store(config.db_path) as store:
+        with store.db:
+            store.db.execute("DELETE FROM blob_answers")
+        Pipeline(store, config).detect_rules()
+        for name in ("detect_segments", "detect_fragments"):
+            started = len(readers)
+            # a new pipeline holds no text that the stage before read
+            getattr(Pipeline(store, config), name)()
+            assert len({workdir for workdir, _, _ in readers[started:]}) >= 2, name
+    assert running_at_start and all(running == [] for running in running_at_start)
+    assert all(proc.poll() is not None for _, _, proc in readers)
+
+
+def test_segment_ids_run_in_project_then_rule_order(tmp_path):
+    """Segments are numbered 1..n project by project, and within a project
+    in the stored rules' order (heaviest first)."""
+    serializer = "src/main/java/com/example/app/Serializer.java"
+    repos = tmp_path / "repos"
+    build_repo(repos / "alpha", [
+        ("init", {"pom.xml": pom("alpha", JSON_LIB, LANG_LIB), serializer: SERIALIZER_JSON}),
+        ("to gson", {"pom.xml": pom("alpha", GSON_LIB, LANG_LIB), serializer: SERIALIZER_GSON}),
+        ("to lang3", {"pom.xml": pom("alpha", GSON_LIB, LANG3_LIB)}),
+    ])
+    build_repo(repos / "beta", [
+        ("init", {"pom.xml": pom("beta", JSON_LIB), serializer: SERIALIZER_JSON}),
+        ("to gson", {"pom.xml": pom("beta", GSON_LIB), serializer: SERIALIZER_GSON}),
+    ])
+    projects = tmp_path / "projects.txt"
+    projects.write_text(f"{repos / 'beta'}\n{repos / 'alpha'}\n")
+    config = RunConfig(
+        projects_file=str(projects),
+        workdir=str(tmp_path / "work"),
+        db_path=str(tmp_path / "m.db"),
+        repo_base=build_fake_maven_repo(tmp_path / "mavenrepo"),
+    )
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        rules = [(rule.source, rule.target) for rule in pipeline.detect_rules()]
+        assert rules[:2] == [(JSON_LIB[:2], GSON_LIB[:2]), (LANG_LIB[:2], LANG3_LIB[:2])]
+        numbered = sorted(pipeline.detect_segments(), key=lambda s: s.id)
+    assert [(s.id, s.project, (s.source, s.target)) for s in numbered] == [
+        (1, "alpha", rules[0]), (2, "alpha", rules[1]), (3, "beta", rules[0]),
+    ]
+
+
 def test_a_diff_whose_blob_the_repository_lacks_is_not_stored(tmp_path):
     """A diff with a side git cannot read is computed against no text and
     used, but not stored, so the next stage diffs it again, and stores it
@@ -1467,9 +1562,10 @@ def test_a_reingest_keeps_the_blob_answers(corpus, tmp_path, caplog):
 def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeypatch):
     """Ingest stores each pom.xml version's parse result and deletes every
     answer whose blob no stored change names.  A rename away from pom.xml
-    still names its version, and a project whose re-ingest fails keeps its
-    stored changes and so its answers.  A row is inserted only for a
-    version with none, so a re-ingest of the same histories writes no row."""
+    is the deletion of its old path and names no new version, and a
+    project whose re-ingest fails keeps its stored changes and so its
+    answers.  A row is inserted only for a version with none, so a
+    re-ingest of the same histories writes no row."""
     config = single_repo_config(tmp_path, "poms", [
         ("init", {"pom.xml": pom("poms", JSON_LIB), "core/pom.xml": pom("core"),
                   "web/pom.xml": pom("web", JSON_LIB)}),
@@ -1494,13 +1590,13 @@ def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeyp
         pipeline = Pipeline(store, config)
         assert pipeline.ingest() == []
         rows = store.blob_answers()
-        assert len(inserts) == len(rows) == 6
+        assert len(inserts) == len(rows) == 5
         assert {question for _, question in rows} == {"manifest"}
         changes = [
             fc for project in ("poms", "gone")
             for fcs in pipeline.history(project).file_changes.values() for fc in fcs
         ]
-        assert ("renamed", "web/pom.xml") in {(fc.kind, fc.old_path) for fc in changes}
+        assert ("deleted", "web/pom.xml") in {(fc.kind, fc.path) for fc in changes}
         assert {sha for sha, _ in rows} == {fc.after_sha for fc in changes if fc.after_sha}
         store.insert_blob_answers([("f" * 40, "manifest", "[]")])
         (tmp_path / "repos" / "gone").rename(tmp_path / "elsewhere")
