@@ -11,34 +11,39 @@ declares nothing.  The pipeline closes a history's reader when the stage
 is done with that project, so a stored history starts at most one reader
 per stage, and only when it reads a blob: a stage checks a project's
 repository only then, so a project whose every question the store
-answers needs no git process in that stage.  Ingest reads every text
-(`read_texts`) in its worker pool, and its history keeps them for the
-later stages of the run.  Caches the
-replayed manifest timeline, the map of declared libraries and per-blob
-uses, so segment and fragment detection never analyze the same blob
-twice.
+answers needs no git process in that stage.  Ingest reads, in its worker
+pool, every text of a blob the store holds no answer for (`read_texts`),
+and its history keeps them for the later stages of the run.  Caches
+the replayed manifest timeline and the map of declared libraries, so
+segment and fragment detection never replay them twice.
 
-A blob whose text contains none of a library's class simple names, and
-not every segment of any of its packages (`javafacts.may_reference`),
-counts as not using that library and is not tokenized for it.  That "no"
-is a screen verdict, kept under the index's `screen_key` and stored, so a
-re-run answers it without reading the blob.  A blob whose facts are
-already known needs no screen: it cannot change what they resolve to.  A
-binary blob, once read, is given the facts of an empty text, which are
-kept like any others.  With each pom.xml version's parse result and each
-diff's hunks stored too (see below), a re-run reads no blob.
+The segment and fragment stages ask two things of a blob for a library:
+its method uses, and whether it depends on the library.  Both follow
+from one library answer (`model.LibraryAnswer`: the uses, and whether an
+import names the library), kept under the index's `answer_key` and
+stored, so a re-run decodes no facts and resolves nothing.  A blob
+holding nothing of the library answers "".  On a miss, a text already in
+memory is screened first: one whose text contains none of the library's
+class simple names, and not every segment of any of its packages
+(`javafacts.may_reference`), holds nothing of it and is not tokenized
+for it.  Facts already known need no screen: it cannot change what they
+resolve to.  Only then is the text read from git and screened, and
+facts that pass are resolved once.  A binary blob, once read, is given
+the facts of an empty text, which are kept like any others.  With each
+pom.xml version's parse result and each diff's hunks stored too (see
+below), a re-run reads no blob.
 
-Every answer derived from one blob (its facts, a screen's verdict, a
+Every answer derived from one blob (its facts, a library answer, a
 pom.xml version's parse result, the hunks of a diff that ends at it)
 comes from a `FactsCache` that every history of a pipeline shares: memory
-first, then the store's `blob_answers` table (the diffs in one query, the
-rest in another), and only then the tokenizer, the screen,
-`parse_manifest` or the caller's diff.  So a blob is tokenized once per database, not once per history or
-per process; a stage stores what it reached with `FactsCache.save`.  A
-diff is asked by its after blob, under a question that names the context
-and the before blob, and is held encoded (`fragments.encode_hunks`), so
-the cache keeps no `Hunk`; it is kept only when the repository has both
-blobs (`ProjectHistory.has`).
+first, then the store's `blob_answers` table (each kind of question in
+one query of its own), and only then the tokenizer, the resolver,
+`parse_manifest` or the caller's diff.  So a blob is tokenized once per
+database, not once per history or per process; a stage stores what it
+reached with `FactsCache.save`.  A diff is asked by its after blob, under
+a question that names the context and the before blob, and is held
+encoded (`fragments.encode_hunks`), so the cache keeps no `Hunk`; it is
+kept only when the repository has both blobs (`ProjectHistory.has`).
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
@@ -61,6 +66,8 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
+from collections.abc import Callable, Container
 from typing import NamedTuple
 
 from . import gitrepo, javafacts
@@ -72,6 +79,7 @@ from .model import (
     DependencyChange,
     FileChange,
     Hunk,
+    LibraryAnswer,
     LibraryCoordinate,
     LibraryId,
     LibraryMethodUse,
@@ -101,67 +109,59 @@ def _diff_question(fc: FileChange, context: int) -> str:
     return f"diff {context} {fc.before_sha}"
 
 
-# how each question's answer is stored; a screen's "no" is "" in memory too
-_ENCODERS = {
-    "facts": javafacts.encode_facts,
-    "manifest": json.JSONEncoder(separators=(",", ":")).encode,
-}
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FactsCache:
-    """Answers about blobs by blob id (facts, screen verdicts, pom.xml
+    """Answers about blobs by blob id (facts, library answers, pom.xml
     parse results and diffs): in memory, then stored, then computed.
 
-    Without a store it is a memory cache.  With one, the stored diffs are
-    read in one query at the first diff question and every other stored
-    answer in one query at the first other question, so a stage that asks
-    no diff holds none; each is decoded when first asked for.  A verdict is a "no" of `javafacts.may_reference`, asked
-    under the index's screen key.  A diff is kept encoded and decoded at
-    each question.  `save` stores, in one insert, every answer reached
-    since the last save, encoding each only then.
+    Without a store it is a memory cache.  With one, the stored answers of
+    each kind (a question's first word: `facts`, `uses`, `manifest`,
+    `diff`) are read in one query at the first question of that kind, so
+    a stage holds only the kinds it asks; each is decoded when first asked
+    for, a diff at each question, as it is kept encoded.  `loaded` counts
+    the answers read from the store, by kind.  `save` stores, in one
+    insert, every answer reached since the last save, encoding each only
+    then.
     """
 
     def __init__(self, store: Store | None = None):
         self._store = store
-        # (blob id, question) -> facts, parse result, or "" for a verdict
+        # (blob id, question) -> facts, library answer, parse result or encoded diff
         self._answers: dict[tuple[str, str], object] = {}
-        # stored answers not asked for yet, read at the first question of
-        # their kind: is_diff -> (blob id, question) -> encoded answer
-        self._stored: dict[bool, dict[tuple[str, str], str]] = {}
-        self._unsaved: list[tuple[str, str]] = []
+        # stored answers not asked for yet: kind -> (blob id, question) -> encoded answer
+        self._stored: dict[str, dict[tuple[str, str], str]] = {}
+        # (blob id, question, encoder) of each answer kept since the last save
+        self._unsaved: list[tuple[str, str, Callable[[object], str]]] = []
         self.tokenized = 0
-        self.loaded = 0
-        self.diffs_loaded = 0
-        self.screens_hit = 0
+        self.loaded: Counter[str] = Counter()
 
     def _answer(self, sha: str | None, question: str, decode):
         """The answer known in memory or stored, or None."""
         key = (sha, question)
         answer = self._answers.get(key)
-        if answer is None:
-            diff = question.startswith("diff ")
-            stored = self._stored.get(diff)
+        if answer is None and self._store is not None:
+            kind = question.partition(" ")[0]
+            stored = self._stored.get(kind)
             if stored is None:
-                stored = self._stored[diff] = (
-                    self._store.blob_answers(diffs=diff) if self._store is not None else {}
-                )
+                stored = self._stored[kind] = self._store.blob_answers(kind)
             encoded = stored.pop(key, None)
             if encoded is not None:
                 answer = self._answers[key] = decode(encoded)
-                self.loaded += question == "facts"
-                self.diffs_loaded += diff
+                self.loaded[kind] += 1
         return answer
 
-    def _keep(self, sha: str, question: str, answer) -> None:
+    def _keep(self, sha: str, question: str, answer, encode: Callable[[object], str]) -> None:
         """Keep an answer that `_answer` did not know yet."""
         self._answers[sha, question] = answer
-        self._unsaved.append((sha, question))
+        self._unsaved.append((sha, question, encode))
 
     def get(self, sha: str, text: str) -> SourceFacts:
         facts = self.known(sha)
         if facts is None:
             facts = javafacts.extract_facts(text)
-            self._keep(sha, "facts", facts)
+            self._keep(sha, "facts", facts, javafacts.encode_facts)
             self.tokenized += 1
         return facts
 
@@ -169,16 +169,14 @@ class FactsCache:
         """The blob's facts from memory or the store, or None."""
         return self._answer(sha, "facts", javafacts.decode_facts)
 
-    def rejected(self, sha: str, screen: str) -> bool:
-        """Whether the screen `screen` is known to reject the blob."""
-        if self._answer(sha, screen, str) is None:
-            return False
-        self.screens_hit += 1
-        return True
+    def library_answer(self, sha: str, key: str) -> LibraryAnswer | None:
+        """What the blob holds of the library whose index has the answer
+        key `key`; None when neither memory nor the store knows it."""
+        return self._answer(sha, key, javafacts.decode_answer)
 
-    def reject(self, sha: str, screen: str) -> None:
-        """Keep a "no" that `rejected` did not know yet."""
-        self._keep(sha, screen, "")
+    def keep_library_answer(self, sha: str, key: str, answer: LibraryAnswer) -> None:
+        """Keep a library answer that `library_answer` did not know yet."""
+        self._keep(sha, key, answer, javafacts.encode_answer)
 
     def manifest(self, sha: str | None) -> list[LibraryCoordinate] | str | None:
         """A pom.xml blob's coordinates, or the message of the error its
@@ -187,7 +185,7 @@ class FactsCache:
 
     def keep_manifest(self, sha: str, manifest: list[LibraryCoordinate] | str) -> None:
         """Keep a parse result that `manifest` did not know yet."""
-        self._keep(sha, "manifest", manifest)
+        self._keep(sha, "manifest", manifest, _encode_json)
 
     def hunks(self, fc: FileChange, context: int) -> list[Hunk] | None:
         """The change's diff at `context` lines, as hunks of its path; None
@@ -197,13 +195,13 @@ class FactsCache:
 
     def keep_hunks(self, fc: FileChange, context: int, hunks: list[Hunk]) -> None:
         """Keep, encoded, a diff that `hunks` did not know yet."""
-        self._keep(fc.after_sha, _diff_question(fc, context), encode_hunks(hunks))
+        self._keep(fc.after_sha, _diff_question(fc, context), encode_hunks(hunks), str)
 
     def save(self) -> None:
         if self._store is not None and self._unsaved:
             self._store.insert_blob_answers(
-                (sha, question, _ENCODERS.get(question, str)(self._answers[sha, question]))
-                for sha, question in self._unsaved
+                (sha, question, encode(self._answers[sha, question]))
+                for sha, question, encode in self._unsaved
             )
         self._unsaved.clear()
 
@@ -232,7 +230,6 @@ class ProjectHistory:
         self._binary: set[str] = set()  # blobs read that held a NUL byte
         self._reader = gitrepo.BlobReader(ref, tip=commits[-1].commit_id if commits else None)
         self._facts = facts if facts is not None else FactsCache()
-        self._uses: dict[tuple, list[LibraryMethodUse]] = {}
         self._timeline: list[dict[LibraryId, LibraryCoordinate]] | None = None
         self._changes: list[DependencyChange] | None = None
         self._declared: dict[LibraryId, LibraryCoordinate] | None = None
@@ -240,7 +237,6 @@ class ProjectHistory:
         # version the path held before the commit (None: absent)
         self._replaced: list[dict[str, FileChange | None]] | None = None
         self._tip_files: dict[str, FileChange] = {}
-        self._depends: dict[tuple, bool] = {}
 
     def changes(self, commit_id: str) -> CommitChanges:
         """The commit's pom.xml and .java changes against its first parent."""
@@ -280,13 +276,15 @@ class ProjectHistory:
         """Whether the repository holds the blob, binary or not."""
         return self.text(sha) is not None or sha in self._binary
 
-    def read_texts(self) -> None:
-        """Read the text of every version the changes name, as ingest does,
-        so that no later stage of the run reads one."""
+    def read_texts(self, skip: Container[str] = frozenset()) -> None:
+        """Read the text of every version the changes name but the blobs of
+        `skip`, as ingest does, so that no later stage of the run reads
+        one."""
         for files in self.file_changes.values():
             for fc in files:
-                self.text(fc.before_sha)
-                self.text(fc.after_sha)
+                for sha in (fc.before_sha, fc.after_sha):
+                    if sha not in skip:
+                        self.text(sha)
 
     @property
     def blobs_read(self) -> int:
@@ -300,48 +298,49 @@ class ProjectHistory:
     def facts_for(self, sha: str, text: str) -> SourceFacts:
         return self._facts.get(sha, text)
 
-    @staticmethod
-    def _index_key(index: PackageIndex):
-        return (index.library.identity, index.prefix_mode)
+    def _library_answer(self, sha: str, index: PackageIndex) -> LibraryAnswer:
+        """What the blob holds of the index's library.
 
-    def _screened_facts(self, sha: str, index: PackageIndex) -> SourceFacts | None:
-        """The blob's facts, or None when none of them can reference the
-        library.
-
-        Asks, in turn: a verdict of the index's screen, from memory or the
-        store; the blob's text, when it is in memory, screened and any "no"
-        kept; facts already known, whose uses need no screen, by
-        `javafacts.may_reference`'s contract; and only then the text, read
-        from git and screened.  A binary blob gets the facts of no text,
-        kept so that no later run reads it; a missing one gets None and is
-        asked of git again by the next history.
+        Asks, in turn: the answer under the index's `answer_key`, from
+        memory or the store; and on a miss, the blob's text when it is in
+        memory, screened, so that a "no" needs no facts; facts already
+        known, which need no screen, by `javafacts.may_reference`'s
+        contract; and only then the text, read from git and screened.
+        Facts are resolved once, and the answer kept.  A binary blob gets
+        the facts of no text, kept so that no later run reads it; a missing
+        one gets an answer that holds nothing, not kept, so the next
+        history asks git again.
         """
-        screen = index.screen_key
-        if self._facts.rejected(sha, screen):
-            return None
+        key = index.answer_key
+        answer = self._facts.library_answer(sha, key)
+        if answer is not None:
+            return answer
+        facts = None
         text = self._texts.get(sha, _UNREAD)
         if text is _UNREAD:
             facts = self._facts.known(sha)
-            if facts is not None:
-                return facts
-            text = self.text(sha)
-        if text is None:
-            return self.facts_for(sha, "") if sha in self._binary else None
-        if not javafacts.may_reference(text, index):
-            self._facts.reject(sha, screen)
-            return None
-        return self.facts_for(sha, text)
+            if facts is None:
+                text = self.text(sha)
+        if facts is None:
+            if text is None:
+                if sha not in self._binary:
+                    return LibraryAnswer([], False)
+                facts = self.facts_for(sha, "")
+            elif javafacts.may_reference(text, index):
+                facts = self.facts_for(sha, text)
+        if facts is None:
+            answer = LibraryAnswer([], False)
+        else:
+            answer = LibraryAnswer(
+                javafacts.resolve_usages(facts, index), javafacts.imports_name(facts, index)
+            )
+        self._facts.keep_library_answer(sha, key, answer)
+        return answer
 
     def uses_for(self, sha: str | None, index: PackageIndex) -> list[LibraryMethodUse]:
         """The library's method uses in one blob; none in an absent version
         (`sha` None) or a missing blob."""
-        if sha is None:
-            return []
-        key = (sha, self._index_key(index))
-        if key not in self._uses:
-            facts = self._screened_facts(sha, index)
-            self._uses[key] = [] if facts is None else javafacts.resolve_usages(facts, index)
-        return self._uses[key]
+        return [] if sha is None else self._library_answer(sha, index).uses
 
     # -- manifest timeline ---------------------------------------------------
 
@@ -450,17 +449,12 @@ class ProjectHistory:
     def _depends_on(
         self, fc: FileChange | None, index: PackageIndex, imports_count_as_use: bool
     ) -> bool:
-        """Whether the version `fc` leaves at its path depends on the library;
-        judged once per blob id."""
+        """Whether the version `fc` leaves at its path depends on the library,
+        as `javafacts.facts_depend_on` judges its facts."""
         if fc is None or fc.after_sha is None:
             return False
-        key = (fc.after_sha, self._index_key(index), imports_count_as_use)
-        if key not in self._depends:
-            facts = self._screened_facts(fc.after_sha, index)
-            self._depends[key] = facts is not None and javafacts.facts_depend_on(
-                facts, index, imports_count_as_use
-            )
-        return self._depends[key]
+        uses, imports = self._library_answer(fc.after_sha, index)
+        return bool(uses) or (imports_count_as_use and imports)
 
     def last_dependent_commit(
         self, index: PackageIndex, hi: int, imports_count_as_use: bool = True

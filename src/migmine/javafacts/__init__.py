@@ -28,6 +28,15 @@ and reused: `encode_facts` writes them as compact JSON, and
 `decode_facts` gives back exactly what `extract_facts` returned.
 `FACTS_VERSION` names the extractor's output; bump it whenever that output
 changes, so that facts stored by an older extractor are dropped.
+
+What a blob holds of one library is a pure function of its facts and of
+what the resolver reads of the index (`PackageIndex.answer_key`), so it can
+be stored too: a `LibraryAnswer`, the uses `resolve_usages` finds and
+whether an import names the library (`imports_name`), from which
+`facts_depend_on` follows for either value of its flag.  `encode_answer`
+writes it as compact JSON, or as "" when it holds nothing, and
+`decode_answer` reads it back.  `RESOLVER_VERSION` names the resolver's
+output; bump it whenever that changes.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import zipfile
 from ..model import (
     ImportDecl,
     Invocation,
+    LibraryAnswer,
     LibraryCoordinate,
     LibraryMethodUse,
     PackageIndex,
@@ -56,7 +66,11 @@ __all__ = [
     "decode_facts",
     "may_reference",
     "resolve_usages",
+    "imports_name",
     "facts_depend_on",
+    "RESOLVER_VERSION",
+    "encode_answer",
+    "decode_answer",
 ]
 
 _KEYWORDS = frozenset(
@@ -664,8 +678,12 @@ def facts_depend_on(
     """
     if resolve_usages(facts, index):
         return True
-    if not imports_count_as_use:
-        return False
+    return imports_count_as_use and imports_name(facts, index)
+
+
+def imports_name(facts: SourceFacts, index: PackageIndex) -> bool:
+    """True when an import of the file names a class or package of the
+    indexed library."""
     for imp in facts.imports:
         if imp.is_wildcard:
             if imp.is_static:
@@ -680,3 +698,24 @@ def facts_depend_on(
             if qualified and _lookup_class(index, qualified):
                 return True
     return False
+
+
+RESOLVER_VERSION = "1"
+
+
+def encode_answer(answer: LibraryAnswer) -> str:
+    """An empty string for an answer that holds nothing; else compact JSON
+    of its uses, each [class, method, arity, line], and 1 or 0 for its
+    import flag."""
+    if not answer.uses and not answer.imports:
+        return ""
+    return json.dumps([[list(use) for use in answer.uses], int(answer.imports)],
+                      separators=(",", ":"))
+
+
+def decode_answer(data: str) -> LibraryAnswer:
+    """The answer `encode_answer` wrote; plain JSON, so decoding runs no code."""
+    if not data:
+        return LibraryAnswer([], False)
+    uses, imports = json.loads(data)
+    return LibraryAnswer([LibraryMethodUse(*use) for use in uses], bool(imports))

@@ -177,14 +177,16 @@ class PackageIndex:
     # what javafacts.may_reference looks for in a source text: the class
     # simple names and package last segments, one of which any text that
     # references the library holds; then each package's segments, and a
-    # pattern that finds any class simple name (None without classes).  The
-    # screen key names all three: the length and CRC-32 of the sorted
-    # packages and class simple names, so two indexes that share it get
-    # the same answer from may_reference for every text
+    # pattern that finds any class simple name (None without classes)
     reference_words: tuple[str, ...] = field(init=False, repr=False, compare=False)
     package_segments: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     class_pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
-    screen_key: str = field(init=False, repr=False, compare=False)
+    # the question a blob's library answer is asked under: "uses " and the
+    # length and CRC-32 of the mode, the sorted packages and the sorted
+    # fully qualified classes, everything the screen and the resolver read
+    # of the index, and not its coordinate; so two indexes that share it
+    # get the same answer for every blob
+    answer_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # package segments first: a source that uses the library usually imports
@@ -199,8 +201,11 @@ class PackageIndex:
         object.__setattr__(self, "package_segments", tuple(segments))
         pattern = re.compile("|".join(map(re.escape, classes))) if classes else None
         object.__setattr__(self, "class_pattern", pattern)
-        named = "\n".join([*sorted(self.packages), "", *classes]).encode("utf-8")
-        object.__setattr__(self, "screen_key", f"{len(named)}-{zlib.crc32(named):08x}")
+        named = "\n".join(
+            ["prefix" if self.prefix_mode else "classes", *sorted(self.packages), "",
+             *sorted(self.classes)]
+        ).encode("utf-8")
+        object.__setattr__(self, "answer_key", f"uses {len(named)}-{zlib.crc32(named):08x}")
 
     def contains_class(self, fqcn: str) -> bool:
         if not self.prefix_mode:
@@ -223,6 +228,14 @@ class LibraryMethodUse(NamedTuple):
     @property
     def method_key(self) -> MethodKey:
         return (self.class_name, self.method, self.arity)
+
+
+class LibraryAnswer(NamedTuple):
+    """What a blob's source holds of one library: the method uses its facts
+    resolve to, and whether an import names the library."""
+
+    uses: list[LibraryMethodUse]
+    imports: bool
 
 
 class HunkLine(NamedTuple):

@@ -207,13 +207,17 @@ class Pipeline:
             raise StageDataError("no project origins (empty or missing projects file)")
 
         clones_dir = Path(cfg.workdir) / "repos"
+        # read here, as a sqlite connection must not cross threads
+        answered = self.store.answered_blobs()
 
         def one(job):
             """Read one project's history and every text it names, here in
-            the pool, so the later stages of this run read none; the
-            history's reader is closed when the job returns or fails.  The
-            manifests are replayed after the pool, on this stage's thread,
-            as the replay may ask the store."""
+            the pool, so the later stages of this run read none; but not
+            the texts of the blobs the store answers, which a stage reads
+            only if it asks one something new.  The history's reader is
+            closed when the job returns or fails.  The manifests are
+            replayed after the pool, on this stage's thread, as the replay
+            may ask the store."""
             origin, project_id = job
             history = None
             try:
@@ -221,7 +225,7 @@ class Pipeline:
                 history = ProjectHistory(
                     ref, commits, gitrepo.changed_files(changes), facts=self.facts
                 )
-                history.read_texts()
+                history.read_texts(skip=answered)
                 return (project_id, history, history.blobs_read, None)
             except (gitrepo.GitError, gitrepo.UnknownCommitError, OSError) as exc:
                 return (project_id, None, 0, f"{origin}: {exc}")
@@ -244,6 +248,13 @@ class Pipeline:
                 continue
             self._histories[project_id] = history
             ingested.append(history)
+            # the replay reads any manifest text the pool skipped: count those
+            # reads, and end the reader they started
+            try:
+                history.dependency_changes()
+                blobs_read += history.blobs_read
+            finally:
+                history.close()
             log.info(
                 "event=ingested project=%s commits=%d blobs_read=%d",
                 project_id, len(history.commits), blobs_read,
@@ -301,7 +312,6 @@ class Pipeline:
         rules = self.store.rules()
         if not rules:
             raise StageDataError("no rules in store; run detect-rules first")
-        screens_hit = self.facts.screens_hit
         found_by_pair, blobs_read = self._per_project(
             "detect_segments", list(self._projects()),
             lambda history: self._rule_segments(history, rules),
@@ -326,10 +336,10 @@ class Pipeline:
         self.store.insert_segments(segments)
         self.facts.save()
         log.info(
-            "event=segments_detected pairs=%d segments=%d blobs_read=%d screens_hit=%d "
+            "event=segments_detected pairs=%d segments=%d blobs_read=%d answers_loaded=%d "
             "blobs_loaded=%d blobs_tokenized=%d",
             len(found_by_pair), len(segments), blobs_read,
-            self.facts.screens_hit - screens_hit, self.facts.loaded, self.facts.tokenized,
+            self.facts.loaded["uses"], self.facts.loaded["facts"], self.facts.tokenized,
         )
         return segments
 
@@ -350,7 +360,6 @@ class Pipeline:
         by_project: dict[str, list[Segment]] = {}
         for segment in self.store.segments(include_discarded=True):
             by_project.setdefault(segment.project, []).append(segment)
-        screens_hit = self.facts.screens_hit
         all_fragments, blobs_read = self._per_project(
             "detect_fragments", list(by_project),
             lambda history: [
@@ -368,12 +377,11 @@ class Pipeline:
         self.facts.save()
         log.info(
             "event=fragments_detected fragments=%d mappings=%d confirmed=%d diffs=%d "
-            "diffs_loaded=%d blobs_read=%d screens_hit=%d blobs_loaded=%d blobs_tokenized=%d",
+            "diffs_loaded=%d blobs_read=%d answers_loaded=%d blobs_loaded=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
-            self.diffs, self.facts.diffs_loaded,
-            blobs_read, self.facts.screens_hit - screens_hit,
-            self.facts.loaded, self.facts.tokenized,
+            self.diffs, self.facts.loaded["diff"], blobs_read,
+            self.facts.loaded["uses"], self.facts.loaded["facts"], self.facts.tokenized,
         )
         return all_fragments, mappings
 

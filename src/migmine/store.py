@@ -41,23 +41,29 @@ one git blob, keyed by blob id and question.  The question `facts` holds
 the blob's `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle,
 so opening a database runs no stored code); `manifest` holds a pom.xml
 blob's `parse_manifest` result, its coordinates or its error message, as
-JSON; a `PackageIndex.screen_key` holds an empty answer: that screen of
-`javafacts.may_reference` rejected the blob; `diff <context> <before blob
-id>`, asked of a change's after blob, holds the hunks `unified_diff`
-found between the two blobs at that many context lines
-(`fragments.encode_hunks`: compact JSON of each hunk's four range numbers,
-then its lines, each behind its ` `, `-` or `+` prefix; the line numbers
-are counted again on decode, and the path is the asking change's).  The
-screen key names what the screen reads of a package index, not its
-coordinate, so a class jar replaced under the same coordinate is screened
-again.  A blob id names its content, so an answer never goes stale; a
-blob the repository lacks gets none, and neither does a diff with such a
-side.  Any stage may add answers; ingest deletes those whose blob no
-stored file change names, on either side (`prune_blob_answers`), and
-keeps the rest across re-ingests.  It is never exported.  Opening a
-database whose `answers_version` differs from this one (the fact
-extractor's, the manifest parser's and the diff's versions:
-`FACTS_VERSION`, `MANIFEST_VERSION`, `fragments.DIFF_VERSION`) empties it.
+JSON; a `PackageIndex.answer_key` (`uses <length>-<CRC-32>`) holds what
+the blob holds of that index's library (`javafacts.encode_answer`): ""
+when it holds nothing, whether the screen of `javafacts.may_reference`
+rejected it or its facts resolve to no use and no import, else compact
+JSON of its uses, each [class, method, arity, line], and a 0/1 flag for
+an import that names the library; `diff <context> <before blob id>`,
+asked of a change's after blob, holds the hunks `unified_diff` found
+between the two blobs at that many context lines (`fragments.encode_hunks`:
+compact JSON of each hunk's four range numbers, then its lines, each
+behind its ` `, `-` or `+` prefix; the line numbers are counted again on
+decode, and the path is the asking change's).  The answer key names
+everything the screen and the resolver read of a package index (prefix
+mode, packages and fully qualified classes), not its coordinate, so a
+class jar replaced under the same coordinate is judged again.  A blob id
+names its content, so an answer never goes stale; a blob the repository
+lacks gets none, and neither does a diff with such a side.  Any stage may
+add answers; ingest deletes those whose blob no stored file change names,
+on either side (`prune_blob_answers`), and keeps the rest across
+re-ingests.  It is never exported.  Opening a database whose
+`answers_version` differs from this one (the fact extractor's, the
+manifest parser's, the diff's and the resolver's versions:
+`FACTS_VERSION`, `MANIFEST_VERSION`, `fragments.DIFF_VERSION`,
+`javafacts.RESOLVER_VERSION`) empties it.
 
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
@@ -106,7 +112,7 @@ from pathlib import Path
 
 from .docs import DOCS_VERSION
 from .fragments import DIFF_VERSION, render_hunk
-from .javafacts import FACTS_VERSION
+from .javafacts import FACTS_VERSION, RESOLVER_VERSION
 from .manifest import MANIFEST_VERSION
 from .model import (
     CommitRecord,
@@ -124,7 +130,15 @@ from .reports import EXPORT_FORMATS, EXPORT_SELECTORS, render_report
 
 SCHEMA_VERSION = "6"
 # the version of every stored blob answer
-_ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}"
+_ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}/{RESOLVER_VERSION}"
+
+# the questions of each kind of blob answer, by the question's first word
+_ANSWER_KINDS = {
+    "facts": "question = 'facts'",
+    "manifest": "question = 'manifest'",
+    "uses": "question GLOB 'uses *'",
+    "diff": "question GLOB 'diff *'",
+}
 
 
 class StoreError(RuntimeError):
@@ -638,17 +652,20 @@ class Store:
             out.setdefault(project, {}).setdefault(commit_id, []).append(FileChange(*change))
         return out
 
-    def blob_answers(self, diffs: bool | None = None) -> dict[tuple[str, str], str]:
+    def blob_answers(self, kind: str | None = None) -> dict[tuple[str, str], str]:
         """The stored answers, (blob id, question) -> encoded answer: every
-        one, or only the `diff …` ones (`diffs=True`), or all but those."""
-        where = {None: "", True: " WHERE question GLOB 'diff *'",
-                 False: " WHERE question NOT GLOB 'diff *'"}[diffs]
+        one, or only those whose question's first word is `kind`."""
+        where = "" if kind is None else " WHERE " + _ANSWER_KINDS[kind]
         return {
             (blob, question): answer
             for blob, question, answer in self.db.execute(
                 "SELECT blob_id, question, answer FROM blob_answers" + where
             )
         }
+
+    def answered_blobs(self) -> set[str]:
+        """The ids of the blobs that have at least one stored answer."""
+        return {blob for (blob,) in self.db.execute("SELECT DISTINCT blob_id FROM blob_answers")}
 
     def archive_docs(self, keys: Iterable[str]) -> dict[str, str]:
         """The encoded docs stored under each of `keys` that has a row."""

@@ -192,8 +192,9 @@ class TestStagedPipeline:
                 assert store.export("json", sel) == payload
 
     def test_separate_detect_fragments_process_tokenizes_nothing(self, corpus, tmp_path):
-        """detect-fragments in a process of its own reads the facts that
-        detect-segments stored instead of tokenizing the blobs again."""
+        """detect-fragments in a process of its own reads the library
+        answers that detect-segments stored instead of decoding facts or
+        tokenizing the blobs again."""
         flags = common_flags(corpus, tmp_path)
         assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
         assert run_cli("detect-rules", *flags) == 0
@@ -205,8 +206,8 @@ class TestStagedPipeline:
         assert done.returncode == 0, done.stderr
         [line] = [x for x in done.stderr.splitlines() if "event=fragments_detected" in x]
         fields = dict(f.split("=", 1) for f in line.split()[1:])
-        assert fields["blobs_tokenized"] == "0"
-        assert int(fields["blobs_loaded"]) > 0
+        assert (fields["blobs_tokenized"], fields["blobs_loaded"]) == ("0", "0")
+        assert int(fields["answers_loaded"]) > 0
 
     def test_local_run_loads_no_network_modules(self, corpus, tmp_path):
         """Importing the CLI loads no HTTP or TLS module, and neither does a
@@ -396,7 +397,7 @@ class TestGitFailures:
         """A stage checks a project's repository only when it reads a blob
         from it.  A project whose clone vanished after a run, but whose
         every answer is stored (its pom.xml parse results, its blobs' facts
-        and screen verdicts) and which has nothing to diff, re-runs every
+        and library answers) and which has nothing to diff, re-runs every
         stage after ingest without git, to byte-identical exports."""
         repo = tmp_path / "codeless"
         build_repo(repo, [

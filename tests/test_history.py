@@ -425,9 +425,9 @@ def test_last_dependent_commit_matches_a_forward_replay(json_index):
 
 def test_a_rerun_answers_from_verdicts_and_facts_without_reading(json_index):
     """A history that shares a first history's facts cache but holds none of
-    its texts answers every question alike and reads no blob: a screen's
-    "no" or the blob's known facts answer each one.  Only a blob the first
-    history could not find is read again."""
+    its texts answers every question alike and reads no blob: the blob's
+    kept library answer answers each one.  Only a blob the first history
+    could not find is read again."""
     indexes = [json_index, javafacts.fallback_package_index(LibraryCoordinate(*JSON_LIB))]
 
     @given(st.data())

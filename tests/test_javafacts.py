@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from test_resolver_precision import load_ground_truth
 
 from migmine.javafacts import (
+    decode_answer,
+    encode_answer,
     FACTS_VERSION,
     IndexBuildError,
     build_package_index,
@@ -24,7 +26,7 @@ from migmine.javafacts import (
     may_reference,
     resolve_usages,
 )
-from migmine.model import LibraryCoordinate, PackageIndex
+from migmine.model import LibraryAnswer, LibraryCoordinate, LibraryMethodUse, PackageIndex
 
 JSON_SOURCE = """package com.example;
 
@@ -322,24 +324,33 @@ class TestMayReference:
         }
         assert JSON_FALLBACK.reference_words == ("json",)
 
-    def test_screen_key_names_packages_and_class_simple_names(self):
-        """Indexes with the same packages and class simple names share a
-        screen key, whatever their coordinate or mode and whichever package
-        holds which class; one more class or package changes the key."""
+    def test_answer_key_names_mode_packages_and_classes(self):
+        """Indexes with the same mode, packages and fully qualified classes
+        share an answer key, whatever their coordinate; which package holds
+        a simple name, the mode, and one more class or package each change
+        the key."""
 
-        def index(classes, version="1", prefix_mode=False):
+        def index(classes, version="1", prefix_mode=False, packages=None):
             return PackageIndex(
                 LibraryCoordinate("g", "a", version),
                 frozenset(classes),
-                frozenset(c.rpartition(".")[0] for c in classes),
+                frozenset(c.rpartition(".")[0] for c in classes) if packages is None
+                else frozenset(packages),
                 prefix_mode,
             )
 
-        key = index(["a.b.X", "a.c.Y"]).screen_key
-        assert index(["a.b.Y", "a.c.X"], version="2").screen_key == key
-        assert index(["a.c.Y", "a.b.X"], prefix_mode=True).screen_key == key
-        assert index(["a.b.X", "a.c.Y", "a.c.Z"]).screen_key != key
-        assert index(["a.b.X", "a.c.Y", "a.d.Y"]).screen_key != key
+        key = index(["a.b.X", "a.c.Y"]).answer_key
+        assert key.startswith("uses ")
+        assert index(["a.c.Y", "a.b.X"], version="2").answer_key == key
+        others = [
+            index(["a.b.Y", "a.c.X"]),
+            index(["a.b.X", "a.c.Y"], prefix_mode=True),
+            index(["a.b.X", "a.c.Y", "a.c.Z"]),
+            index(["a.b.X", "a.c.Y", "a.d.Y"]),
+            index(["a.b.X", "a.c.Y"], packages=["a.b", "a.c", "a.d"]),
+        ]
+        keys = [other.answer_key for other in others]
+        assert key not in keys and len(set(keys)) == len(keys)
 
 
 class TestStoredFacts:
@@ -358,6 +369,36 @@ class TestStoredFacts:
             )
 
         check()
+
+    def test_decoding_an_encoded_answer_gives_the_answer(self):
+        """A library answer reads back as it was kept: non-ASCII names,
+        constructors, arity 0 and an import without uses included; one
+        that holds nothing is stored as an empty string."""
+        names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+        uses = st.lists(st.builds(
+            LibraryMethodUse,
+            st.sampled_from(["org.json.JSONObject", "org.jsön.Objekt", "a.b.Größe$Inner"]) | names,
+            st.sampled_from(["<init>", "put", "größe"]) | names,
+            st.integers(0, 255),
+            st.integers(1, 10**6),
+        ), max_size=6)
+        seen = set()
+
+        @given(uses, st.booleans())
+        @settings(max_examples=300, deadline=None)
+        def check(uses, imports):
+            answer = LibraryAnswer(uses, imports)
+            encoded = encode_answer(answer)
+            assert (encoded == "") == (not uses and not imports)
+            decoded = decode_answer(encoded)
+            assert decoded == answer
+            # equality alone lets 1 stand for True
+            assert type(decoded.imports) is bool and type(decoded.uses) is list
+            seen.add((bool(uses), imports))
+
+        check()
+        assert decode_answer("") == LibraryAnswer([], False)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 FACTS_GOLDEN = Path(__file__).parent / "golden" / "facts" / "resolver.json"

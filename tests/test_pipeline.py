@@ -31,6 +31,10 @@ from corpusgen import (
     simple_json_user,
 )
 
+from migmine import javafacts
+from migmine.fragments import DIFF_VERSION
+from migmine.javafacts import FACTS_VERSION
+from migmine.manifest import MANIFEST_VERSION
 from migmine.model import (
     CommitRecord,
     LibraryCoordinate,
@@ -376,13 +380,76 @@ def test_stored_history_reads_as_ingests(corpus, tmp_path):
             assert_same_history(later.history(project_id), ingest.history(project_id))
 
 
+def spy_javafacts(monkeypatch) -> Counter:
+    """The calls made from now on to each `javafacts` function that reads a
+    blob's facts: tokenizing, decoding and resolving them."""
+    calls: Counter = Counter()
+    for name in ("extract_facts", "decode_facts", "resolve_usages"):
+        function = getattr(javafacts, name)
+
+        def spy(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(javafacts, name, spy)
+    return calls
+
+
+def assert_answers_match_facts(store, pipeline) -> None:
+    """Each library answer the pipeline stored is what its blob's facts give
+    against the index it was asked under: `resolve_usages`' uses,
+    `imports_name`'s flag, and so `facts_depend_on`'s verdict for both
+    values of its flag.  The facts are the stored ones, or those of the
+    text for a blob whose screen said "no"; both sources occur, and so do
+    answers holding uses and an import and answers holding nothing."""
+    histories = list(pipeline._histories.values())
+    indexes = {
+        index.answer_key: index
+        for history in histories
+        for index in map(pipeline.package_index, history.declared_libraries().values())
+    }
+    owner = {
+        sha: history
+        for history in histories
+        for changes in history.file_changes.values()
+        for fc in changes
+        for sha in (fc.before_sha, fc.after_sha)
+        if sha
+    }
+    answers = store.blob_answers()
+    kinds = set()
+    try:
+        for (sha, question), encoded in answers.items():
+            if not question.startswith("uses "):
+                continue
+            index = indexes[question]
+            stored = answers.get((sha, "facts"))
+            facts = (javafacts.extract_facts(owner[sha].text(sha) or "") if stored is None
+                     else javafacts.decode_facts(stored))
+            uses, imports = javafacts.decode_answer(encoded)
+            assert uses == javafacts.resolve_usages(facts, index), (sha, question)
+            assert imports == javafacts.imports_name(facts, index), (sha, question)
+            for flag in (True, False):
+                assert (bool(uses) or (flag and imports)) == javafacts.facts_depend_on(
+                    facts, index, flag
+                ), (sha, question, flag)
+            kinds.add((bool(uses), imports, stored is not None))
+    finally:
+        for history in histories:
+            history.close()
+    assert {(uses, imports) for uses, imports, _ in kinds} >= {(True, True), (False, False)}
+    assert {stored for _, _, stored in kinds} == {True, False}
+
+
 @pytest.mark.parametrize("workload", ["long-history", "corpus-breadth", "wide-migration"])
 def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
     workload, tmp_path, monkeypatch
 ):
-    """On each benchmark corpus, a stored history is ingest's, and a re-run
-    of the stages after ingest reads no blob, not even in
-    `detect_fragments`, and exports the bytes the run exported."""
+    """On each benchmark corpus, a stored history is ingest's, each stored
+    library answer is what its blob's facts give, and a re-run of the
+    stages after ingest reads no blob, not even in `detect_fragments`,
+    tokenizes, decodes and resolves no facts, and exports the bytes the run
+    exported."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -404,13 +471,16 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
             getattr(ingest, name)()
         run = {p.name: p.read_bytes() for p in ingest.export_reports()}
         assert ingest.diffs > 0
+        assert_answers_match_facts(store, ingest)
         readers = spy_blob_readers(monkeypatch)
+        calls = spy_javafacts(monkeypatch)
         rerun = Pipeline(store, config)
         for name in STAGES[1:]:
             getattr(rerun, name)()
         assert {p.name: p.read_bytes() for p in rerun.export_reports()} == run
     assert readers == []
-    assert (rerun.diffs, rerun.facts.diffs_loaded) == (0, ingest.diffs)
+    assert calls == {}
+    assert (rerun.diffs, rerun.facts.loaded["diff"]) == (0, ingest.diffs)
 
 
 def test_stored_history_keeps_renames_deletions_and_quiet_commits(tmp_path):
@@ -1047,18 +1117,51 @@ def logged(logs, event, key) -> int:
 def test_a_rerun_reads_no_blob(corpus_run, corpus, tmp_path, monkeypatch, caplog):
     """A re-run over a stored run asks git for no object in any stage: the
     manifest replay takes each pom.xml version's stored parse result, every
-    other blob is answered by a stored screen verdict or by stored facts,
-    and each diff by its stored hunks.  So no stage starts a blob reader,
-    and the exports still match the golden files."""
+    other blob is answered by its stored library answers, and each diff by
+    its stored hunks.  So no stage starts a blob reader or tokenizes,
+    decodes or resolves facts, and the exports still match the golden
+    files."""
+    calls = spy_javafacts(monkeypatch)
     by_stage, diffed, _, paths, logs = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog
     )
+    assert calls == {}
     assert {name: started for name, started in by_stage.items() if started} == {}
     assert diffed == []
     assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
     assert logged(logs, "event=fragments_detected", "diffs") == 0
     # each fragment's diff, and the diffs that gave no fragment
     assert logged(logs, "event=fragments_detected", "diffs_loaded") >= len(corpus.fragments)
+
+
+def test_each_stored_library_answer_is_what_its_facts_give(corpus, tmp_path):
+    """On the acceptance corpus too, each stored library answer is what its
+    blob's facts give against its index."""
+    config = corpus_config(corpus, tmp_path)
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        for name in STAGES:
+            getattr(pipeline, name)()
+        assert_answers_match_facts(store, pipeline)
+
+
+def test_a_rerun_reads_no_stored_facts(corpus_run, corpus, tmp_path):
+    """The stored facts are read in a query of their own, at the first
+    question about facts; a re-run's stages ask none, so they run that
+    query never, and the library answers' query once."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    selects = []
+    with Store(config.db_path) as store:
+        store.db.set_trace_callback(
+            lambda sql: selects.append(sql) if "FROM blob_answers" in sql else None
+        )
+        pipeline = Pipeline(store, config)
+        for name in STAGES[1:]:
+            getattr(pipeline, name)()
+        store.db.set_trace_callback(None)
+    assert sorted(sql.split(" WHERE ")[1] for sql in selects) == [
+        "question = 'manifest'", "question GLOB 'diff *'", "question GLOB 'uses *'"
+    ]
 
 
 def test_a_changed_context_diffs_afresh_like_a_fresh_run(
@@ -1096,14 +1199,15 @@ def test_a_changed_context_diffs_afresh_like_a_fresh_run(
     assert rerun != {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
 
 
-def test_stage_logs_count_blob_reads_and_screen_hits(
+def test_stage_logs_count_blob_reads_and_loaded_answers(
     corpus_run, corpus, tmp_path, monkeypatch, caplog
 ):
     """`blobs_read` counts the objects a stage asked of git, the last-commit
     checks included: none in a re-run's segment stage, which the store
     answers, and the diffed texts in a fragment stage at a context the
-    store holds no diff for.  `screens_hit` counts the stored or
-    remembered screen verdicts that answered in that stage."""
+    store holds no diff for.  `answers_loaded` counts the library answers
+    read from the database so far, and `blobs_loaded` the facts: a re-run
+    reads answers and decodes no facts."""
     by_stage, _, _, _, logs = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog, context_lines=2
     )
@@ -1114,10 +1218,11 @@ def test_stage_logs_count_blob_reads_and_screen_hits(
     }
     assert {event: logged(logs, event, "blobs_read") for event in read} == read
     assert read["event=segments_detected"] == 0 < read["event=fragments_detected"]
-    # the segment stage's rejections are all stored verdicts; fragments ask
-    # only of blobs the segment stage already answered
-    assert logged(logs, "event=segments_detected", "screens_hit") > 0
-    assert logged(logs, "event=fragments_detected", "screens_hit") == 0
+    # fragments ask only of blobs the segment stage already answered
+    loaded = logged(logs, "event=segments_detected", "answers_loaded")
+    assert loaded > 0
+    assert logged(logs, "event=fragments_detected", "answers_loaded") == loaded
+    assert {event: logged(logs, event, "blobs_loaded") for event in read} == dict.fromkeys(read, 0)
 
 
 def test_a_stage_that_raises_leaves_no_blob_reader_running(
@@ -1448,8 +1553,9 @@ def stored_corpus_copy(corpus_run, corpus, tmp_path) -> RunConfig:
 
 
 def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkeypatch, caplog):
-    """A new Pipeline over a stored run reads every blob's facts from the
-    store, and its exports still match the golden files."""
+    """A new Pipeline over a stored run reads every blob's library answers
+    from the store, so it neither tokenizes nor decodes facts, and its
+    exports still match the golden files."""
     from migmine import javafacts
 
     tokenized = []
@@ -1470,10 +1576,11 @@ def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkey
         pipeline.collect_docs()
         paths = pipeline.export_reports()
     assert tokenized == []
-    assert pipeline.facts.loaded > 0
+    assert pipeline.facts.loaded["uses"] > 0
+    assert pipeline.facts.loaded["facts"] == 0
     logged = [r.getMessage() for r in caplog.records if "blobs_tokenized=" in r.getMessage()]
     assert len(logged) == 2
-    assert all(m.endswith("blobs_tokenized=0") and "blobs_loaded=0" not in m for m in logged)
+    assert all(m.endswith(" blobs_loaded=0 blobs_tokenized=0") for m in logged)
     assert sorted(p.name for p in paths) == sorted(p.name for p in GOLDEN.iterdir())
     assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
 
@@ -1505,9 +1612,9 @@ INSERT_ANSWERS = "INSERT INTO blob_answers (blob_id, question, answer) VALUES (?
 def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     corpus, tmp_path, monkeypatch
 ):
-    """A stage stores its answers, verdicts, facts and parse results alike,
+    """A stage stores its library answers, facts and parse results alike,
     in one insert.  Opening a database whose answers version differs
-    empties the verdicts with the facts."""
+    empties the library answers with the facts."""
     calls: list[str] = []
     connect = sqlite3.connect
     monkeypatch.setattr(
@@ -1516,7 +1623,7 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     config = corpus_config(corpus, tmp_path)
 
     def rows(store):
-        """The stored facts and verdicts."""
+        """The stored facts and library answers."""
         return [
             store.db.execute(f"SELECT COUNT(*) FROM blob_answers WHERE {where}").fetchone()[0]
             for where in ("question = 'facts'",
@@ -1538,25 +1645,85 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
         assert rows(store) == [0, 0]
 
 
-def test_a_reingest_keeps_the_blob_answers(corpus, tmp_path, caplog):
-    """Ingesting an unchanged corpus again keeps every stored answer, so
-    the stages after it tokenize nothing and export what the first run
-    exported."""
+def changed_blobs(store) -> set[str]:
+    """The ids of the blobs the stored file changes name, on either side."""
+    return {
+        sha
+        for commits in store.file_changes().values()
+        for changes in commits.values()
+        for fc in changes
+        for sha in (fc.before_sha, fc.after_sha)
+        if sha is not None
+    }
+
+
+def test_a_reingest_keeps_the_blob_answers(corpus, tmp_path, monkeypatch, caplog):
+    """Ingesting an unchanged corpus again keeps every stored answer and
+    reads only the texts of the blobs the store does not answer: here
+    churn-upgrades' App.java, as no rule names two of that project's
+    libraries, so no stage asked it anything.  The stages after it read and
+    tokenize nothing, no reader outlives the ingest, and the run exports
+    what the first run exported."""
     config = corpus_config(corpus, tmp_path)
     with Store(config.db_path) as store:
         assert run_all(store, config)[0] == 0
         answers = store.blob_answers()
+        unanswered = changed_blobs(store) - {blob for blob, _ in answers}
+        assert unanswered == {git_blob_id(GSON_APP)}
         reports = {p.name: p.read_bytes() for p in config.report_path.iterdir()}
         caplog.set_level(logging.INFO, logger="migmine")
+        readers = spy_blob_readers(monkeypatch)
         pipeline = Pipeline(store, config)
-        for name in STAGES:
+        pipeline.ingest()
+        assert all(proc.poll() is not None for _, _, proc in readers)
+        # each reader asks its project's tip commit first
+        assert len(readers) == 1
+        assert set(readers[0][1][1:]) == unanswered
+        for name in STAGES[1:]:
             getattr(pipeline, name)()
         paths = pipeline.export_reports()
         assert store.blob_answers() == answers
     assert {p.name: p.read_bytes() for p in paths} == reports
+    ingested = [r.getMessage() for r in caplog.records if "event=ingested " in r.getMessage()]
+    assert sorted(ingested) == [
+        f"event=ingested project={name} commits={len(commits)} "
+        f"blobs_read={2 if name == 'churn-upgrades' else 0}"
+        for name, commits in sorted(corpus.repos.items())
+    ]
     logged = [r.getMessage() for r in caplog.records if "blobs_tokenized=" in r.getMessage()]
     assert len(logged) == 2
-    assert all(m.endswith(" blobs_tokenized=0") for m in logged)
+    assert all(" blobs_read=0 " in m and m.endswith(" blobs_tokenized=0") for m in logged)
+
+
+def test_a_reingest_after_the_answers_were_dropped_reads_in_the_pool(
+    corpus_run, corpus, tmp_path, monkeypatch, caplog
+):
+    """A database written under another answers version drops its stored
+    answers at open but keeps its file changes.  Its re-ingest reads every
+    text in the pool again, one reader per project, manifests included,
+    so the replay after the pool reads none; no reader outlives the
+    ingest, and the run exports what a fresh run exported."""
+    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    with Store(config.db_path) as store:
+        store.set_meta("answers_version", f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}")
+    caplog.set_level(logging.INFO, logger="migmine")
+    readers = spy_blob_readers(monkeypatch)
+    with Store(config.db_path) as store:
+        assert store.blob_answers() == {}
+        stored = changed_blobs(store)
+        pipeline = Pipeline(store, config)
+        pipeline.ingest()
+        assert all(proc.poll() is not None for _, _, proc in readers)
+        assert len(readers) == len(corpus.repos)
+        assert {sha for _, ids, _ in readers for sha in ids[1:]} == stored
+        for name in STAGES[1:]:
+            getattr(pipeline, name)()
+        assert all(proc.poll() is not None for _, _, proc in readers)
+        assert exports(store) == exports(corpus_run.store)
+        assert store.blob_answers() == corpus_run.store.blob_answers()
+    ingested = [r.getMessage() for r in caplog.records if "event=ingested " in r.getMessage()]
+    assert len(ingested) == len(corpus.repos)
+    assert all(int(m.split(" blobs_read=")[1]) > 1 for m in ingested)
 
 
 def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeypatch):
@@ -1940,9 +2107,10 @@ def test_jar_replaced_under_its_coordinate_is_parsed_again(
 
 
 def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, corpus, tmp_path):
-    """A screen verdict names what the screen reads of an index, not the
-    index's coordinate: after a class jar is replaced in the cache, a
-    re-run over the stored run exports what a fresh run exports."""
+    """A library answer's key names what the screen and the resolver read
+    of an index, not the index's coordinate: after a class jar is replaced
+    in the cache, a re-run over the stored run exports what a fresh run
+    exports."""
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "classes")
     path.parent.mkdir(parents=True)
@@ -1954,7 +2122,7 @@ def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, c
         "com/google/gson/Gson.class",
     ]))
     with Store(config.db_path) as store:
-        assert "" in store.blob_answers().values()  # a screen's "no"
+        assert "" in store.blob_answers().values()  # a blob holding nothing of a library
         pipeline = Pipeline(store, config)
         for name in STAGES[1:]:
             getattr(pipeline, name)()

@@ -10,7 +10,7 @@ import pytest
 from migmine.docs import DOCS_VERSION
 from migmine.fragments import DIFF_VERSION, unified_diff
 from migmine.history import FactsCache
-from migmine.javafacts import FACTS_VERSION
+from migmine.javafacts import FACTS_VERSION, RESOLVER_VERSION
 from migmine.manifest import MANIFEST_VERSION
 from migmine.model import (
     CommitRecord,
@@ -18,6 +18,7 @@ from migmine.model import (
     DocAttachment,
     FileChange,
     Fragment,
+    LibraryAnswer,
     LibraryCoordinate,
     LibraryMethodUse,
     MethodDoc,
@@ -28,7 +29,7 @@ from migmine.model import (
 )
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, SCHEMA_VERSION, Store, StoreError
 
-ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}"
+ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}/{RESOLVER_VERSION}"
 JSON_ID = ("org.json", "json")
 GSON_ID = ("com.google.code.gson", "gson")
 
@@ -562,7 +563,7 @@ class TestBlobFacts:
         assert store.blob_answers() == {("b1", "facts"): "[]", ("b1", "manifest"): "[]"}
 
     def test_other_facts_version_empties_the_table_at_open(self, tmp_path):
-        """Every answer goes, parse results and verdicts too."""
+        """Every answer goes, parse results and library answers too."""
         path = tmp_path / "facts.db"
         with Store(path) as s:
             s.insert_blob_answers(
@@ -571,7 +572,7 @@ class TestBlobFacts:
         with Store(path) as s:
             assert len(s.blob_answers()) == 3
             assert s.get_meta("answers_version") == ANSWERS_VERSION
-            s.set_meta("answers_version", f"0/{MANIFEST_VERSION}/{DIFF_VERSION}")
+            s.set_meta("answers_version", f"0/{MANIFEST_VERSION}/{DIFF_VERSION}/{RESOLVER_VERSION}")
         with Store(path) as s:
             assert s.blob_answers() == {}
             assert s.get_meta("answers_version") == ANSWERS_VERSION
@@ -619,16 +620,59 @@ class TestPomManifests:
         assert (again.manifest("a" * 40), again.manifest("b" * 40)) == ("[]", [])
 
     def test_other_manifest_version_empties_the_table_at_open(self, tmp_path):
-        """The facts and verdicts go too, and are computed again."""
+        """The facts and library answers go too, and are computed again."""
         path = tmp_path / "poms.db"
         with Store(path) as s:
             s.insert_blob_answers([("a" * 40, "manifest", "[]"), ("b1", "facts", "[]")])
         with Store(path) as s:
             assert len(s.blob_answers()) == 2
-            s.set_meta("answers_version", f"{FACTS_VERSION}/0/{DIFF_VERSION}")
+            s.set_meta("answers_version", f"{FACTS_VERSION}/0/{DIFF_VERSION}/{RESOLVER_VERSION}")
         with Store(path) as s:
             assert s.blob_answers() == {}
             assert s.get_meta("answers_version") == ANSWERS_VERSION
+
+
+class TestLibraryAnswers:
+    """The answers of `blob_answers` asked under a `PackageIndex.answer_key`,
+    through a `FactsCache`."""
+
+    KEY = "uses 24-0123abcd"
+
+    def test_answers_read_back_and_one_holding_nothing_is_empty(self, store):
+        use = LibraryMethodUse("org.json.JSONObject", "<init>", 1, 7)
+        facts = FactsCache(store)
+        assert facts.library_answer("a" * 40, self.KEY) is None
+        facts.keep_library_answer("a" * 40, self.KEY, LibraryAnswer([use], True))
+        facts.keep_library_answer("b" * 40, self.KEY, LibraryAnswer([], False))
+        facts.save()
+        assert store.blob_answers() == {
+            ("a" * 40, self.KEY): '[[["org.json.JSONObject","<init>",1,7]],1]',
+            ("b" * 40, self.KEY): "",
+        }
+        again = FactsCache(store)
+        assert again.library_answer("a" * 40, "uses 24-00000000") is None
+        assert again.library_answer("a" * 40, self.KEY) == LibraryAnswer([use], True)
+        assert again.library_answer("b" * 40, self.KEY) == LibraryAnswer([], False)
+        assert again.loaded == {"uses": 2}
+
+    # "3/1/1": the answers version before the resolver's version joined it
+    @pytest.mark.parametrize(
+        "old", ["3/1/1", f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}/0"]
+    )
+    def test_another_resolver_version_empties_the_answers_once_at_open(self, tmp_path, old):
+        """A database written before library answers were stored, or under
+        another `RESOLVER_VERSION`, drops every stored answer when it is
+        opened, and keeps the ones stored after that."""
+        path = tmp_path / "answers.db"
+        with Store(path) as s:
+            s.insert_blob_answers([("a" * 40, self.KEY, ""), ("b1", "facts", "[]")])
+            s.set_meta("answers_version", old)
+        with Store(path) as s:
+            assert s.blob_answers() == {}
+            assert s.get_meta("answers_version") == ANSWERS_VERSION
+            s.insert_blob_answers([("a" * 40, self.KEY, "")])
+        with Store(path) as s:
+            assert s.blob_answers() == {("a" * 40, self.KEY): ""}
 
 
 class TestStoredDiffs:
@@ -655,17 +699,17 @@ class TestStoredDiffs:
         # another context, or another before blob, is another question
         assert again.hunks(self.change(), 0) is None
         assert again.hunks(self.change(before="c" * 40), 1) is None
-        assert again.diffs_loaded == 0
+        assert again.loaded == {}
         assert again.hunks(self.change(), 1) == hunks
         assert again.hunks(self.change(path="src/B.java"), 1) == [
             hunk._replace(file="src/B.java") for hunk in hunks
         ]
-        assert (again.diffs_loaded, again.loaded) == (1, 0)
+        assert again.loaded == {"diff": 1}
 
     def test_a_cache_asked_no_diff_reads_no_stored_diff(self, store, monkeypatch):
-        """The stored diffs are read at the first diff question, the other
-        answers at the first other one, so a stage that asks only facts
-        holds no diff's text."""
+        """The stored diffs are read at the first diff question, and the
+        answers of each other kind at the first question of that kind, so
+        a stage that asks only facts holds no diff's text."""
         facts = FactsCache(store)
         facts.keep_hunks(self.change(), 1, unified_diff(self.BEFORE, self.AFTER, 1))
         store.insert_blob_answers([("b1", "facts", "[null,[],[],[]]")])
@@ -673,15 +717,15 @@ class TestStoredDiffs:
         asked = []
         read = Store.blob_answers
         monkeypatch.setattr(Store, "blob_answers",
-                            lambda self, diffs=None: asked.append(diffs) or read(self, diffs))
+                            lambda self, kind=None: asked.append(kind) or read(self, kind))
         again = FactsCache(store)
         assert again.known("b1") is not None and again.known("b2") is None
+        assert asked == ["facts"]
         assert again.manifest("b1") is None
-        assert asked == [False]
         assert again.hunks(self.change(), 1) is not None
         assert again.hunks(self.change(), 3) is None
-        assert asked == [False, True]
-        assert (again.loaded, again.diffs_loaded) == (1, 1)
+        assert asked == ["facts", "manifest", "diff"]
+        assert again.loaded == {"facts": 1, "diff": 1}
 
     @pytest.mark.parametrize("old", ["3/1", f"{FACTS_VERSION}/{MANIFEST_VERSION}/0"])
     def test_other_answers_version_empties_the_stored_diffs_at_open(self, tmp_path, old):
