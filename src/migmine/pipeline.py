@@ -551,13 +551,22 @@ class Pipeline:
         return attached, missing
 
     def export_reports(self) -> list[Path]:
+        """Write every selector's report in each format; logs their count,
+        total size and wall time."""
+        start = time.perf_counter()
         outdir = self.config.report_path
         outdir.mkdir(parents=True, exist_ok=True)
-        return [
+        paths = [
             path
             for selector in EXPORT_SELECTORS
             for path in write_reports(self.store, selector, outdir)
         ]
+        log.info(
+            "event=reports_written reports=%d bytes=%d seconds=%.3f",
+            len(paths), sum(path.stat().st_size for path in paths),
+            time.perf_counter() - start,
+        )
+        return paths
 
 
 def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:

@@ -5,6 +5,8 @@ Reports are deterministic: identical stores give byte-identical reports
 (no timestamps, stable ordering everywhere), and discarded rules never
 leave the store.  `Store.export` checks the selector and the format;
 `write_reports` reads a selector's rows once and writes both formats.
+A JSON report is `json.dumps(rows, indent=2, ensure_ascii=False)` and a
+newline, rendered one row at a time by the C encoder (`_json_text`).
 """
 
 from __future__ import annotations
@@ -54,21 +56,65 @@ def _write(out, fmt: str, selector: str, rows: list[dict]) -> None:
 
 def _json_text(rows: list[dict]) -> Iterator[str]:
     """The text of `json.dumps(rows, indent=2, ensure_ascii=False)` and a
-    newline, encoded 16 rows at a time.  The encoder holds every chunk of
-    what it encodes until it joins them, about five times the text; a whole
-    report's chunks were the peak of a run's memory."""
+    newline, one row at a time.
+
+    `indent` sends json to its pure-Python encoder, so each row is rendered
+    from the report row shape instead, with the C encoder doing the work: a
+    row is a flat object whose values are scalars, lists of scalars or lists
+    of flat objects (method entries).  A string is one `encode_basestring`
+    call; any other scalar, or a list of scalars, is one call of an encoder
+    whose item separator carries the newline and indent of its depth; a
+    list of objects is one call at the next depth, whose boundaries between
+    objects one `str.replace` re-indents.  That is exact because an encoded
+    string holds no raw newline, so each `,\\n` is a separator.  Holding
+    one row's text at a time keeps the memory of a large report small.
+    """
     if not rows:
         yield "[]\n"
         return
-    yield "["
-    for start in range(0, len(rows), 16):
-        yield ",\n" if start else "\n"
-        # a group encodes as "[\n", its rows indented as in the whole list, "\n]"
-        yield _JSON.encode(rows[start:start + 16])[2:-2]
+    separator = "[\n  "
+    for row in rows:
+        yield separator + _json_row(row)
+        separator = ",\n  "
     yield "\n]\n"
 
 
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+def _json_row(row: dict) -> str:
+    if not row:
+        return "{}"
+    return "{\n    " + ",\n    ".join(
+        _STRING(key) + ": " + _json_value(value) for key, value in row.items()
+    ) + "\n  }"
+
+
+def _json_value(value) -> str:
+    if type(value) is str:
+        return _STRING(value)
+    if type(value) is not list or not value:
+        return _SCALARS(value)
+    if type(value[0]) is not dict:
+        return "[\n      " + _SCALARS(value)[1:-1] + "\n    ]"
+    # "[{", the objects with their keys at depth 4, "}]"
+    text = "[\n      {\n        " + _OBJECTS(value)[2:-2].replace(
+        "},\n        {", "\n      },\n      {\n        "
+    ) + "\n      }\n    ]"
+    if not all(value):
+        # an empty object now reads as an open and a close line
+        text = text.replace("{\n        \n      }", "{}")
+    return text
+
+
+def _encoder(indent: int):
+    """The C encoder's `encode`, whose items and keys each open a new line
+    at `indent` spaces."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + " " * indent, ": ")).encode
+
+
+_STRING = json.encoder.encode_basestring
+# a row's keys sit at depth 2, the items of its lists at depth 3, the keys
+# of a method entry at depth 4
+_SCALARS = _encoder(6)
+_OBJECTS = _encoder(8)
 
 
 def _rules(store) -> list[dict]:

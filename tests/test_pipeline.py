@@ -449,7 +449,8 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
     library answer is what its blob's facts give, and a re-run of the
     stages after ingest reads no blob, not even in `detect_fragments`,
     tokenizes, decodes and resolves no facts, and exports the bytes the run
-    exported."""
+    exported.  Each JSON export is the standard encoding of its rows, and
+    `Store.export` gives each written report's bytes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -470,6 +471,13 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
         for name in STAGES[1:]:
             getattr(ingest, name)()
         run = {p.name: p.read_bytes() for p in ingest.export_reports()}
+        assert len(run) == 2 * len(EXPORT_SELECTORS)
+        for selector in EXPORT_SELECTORS:
+            written = run[f"{selector}.json"]
+            standard = json.dumps(json.loads(written), indent=2, ensure_ascii=False) + "\n"
+            assert written == standard.encode("utf-8")
+            for fmt in EXPORT_FORMATS:
+                assert store.export(fmt, selector) == run[f"{selector}.{fmt}"]
         assert ingest.diffs > 0
         assert_answers_match_facts(store, ingest)
         readers = spy_blob_readers(monkeypatch)
@@ -743,6 +751,24 @@ def test_docs_collected_logs_parse_work(corpus, tmp_path, caplog):
         "event=docs_collected archives=2 pages=2 methods_parsed=6 attached=9 missing=1 ambiguous=2 "
         "archives_loaded=0"
     ]
+
+
+def test_reports_written_logs_each_export_once(corpus, tmp_path, caplog):
+    """A run logs one `reports_written` line for its export, and a second
+    export one more; each counts the 8 reports and their bytes on disk."""
+    caplog.set_level(logging.INFO, logger="migmine.pipeline")
+    run = run_corpus(corpus, tmp_path)
+    try:
+        paths = Pipeline(run.store, run.config).export_reports()
+    finally:
+        run.store.close()
+    written = [r.getMessage() for r in caplog.records if "event=reports_written" in r.getMessage()]
+    assert len(paths) == 2 * len(EXPORT_SELECTORS) == 8
+    size = sum(path.stat().st_size for path in paths)
+    assert [m.rsplit(" ", 1)[0] for m in written] == [
+        f"event=reports_written reports=8 bytes={size}"
+    ] * 2
+    assert all(float(m.split("seconds=")[1]) >= 0 for m in written)
 
 
 def fail_on_second_row(monkeypatch, store, builder: str, table: str) -> tuple[list, list]:
