@@ -629,8 +629,8 @@ def attach_docs(
     return [
         (
             mapping,
-            [attach(mapping.source, m) for m in sorted(mapping.source_methods)],
-            [attach(mapping.target, m) for m in sorted(mapping.target_methods)],
+            [attach(mapping.source, m) for m in mapping.source_methods],
+            [attach(mapping.target, m) for m in mapping.target_methods],
         )
         for mapping in mappings
     ]

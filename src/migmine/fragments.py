@@ -201,8 +201,8 @@ def extract_mappings(fragments: Iterable[Fragment]) -> list[MethodMapping]:
         key = (
             fragment.source,
             fragment.target,
-            frozenset(u.method_key for u in fragment.removed_methods),
-            frozenset(u.method_key for u in fragment.added_methods),
+            tuple(sorted({u.method_key for u in fragment.removed_methods})),
+            tuple(sorted({u.method_key for u in fragment.added_methods})),
         )
         counts[key] = counts.get(key, 0) + 1
     mappings = [
@@ -210,12 +210,6 @@ def extract_mappings(fragments: Iterable[Fragment]) -> list[MethodMapping]:
         for (source, target, src_methods, dst_methods), support in counts.items()
     ]
     mappings.sort(
-        key=lambda m: (
-            -m.support,
-            m.source,
-            m.target,
-            sorted(m.source_methods),
-            sorted(m.target_methods),
-        )
+        key=lambda m: (-m.support, m.source, m.target, m.source_methods, m.target_methods)
     )
     return mappings

@@ -21,29 +21,30 @@ The segment and fragment stages ask two things of a blob for a library:
 its method uses, and whether it depends on the library.  Both follow
 from one library answer (`model.LibraryAnswer`: the uses, and whether an
 import names the library), kept under the index's `answer_key` and
-stored, so a re-run decodes no facts and resolves nothing.  A blob
-holding nothing of the library answers "".  On a miss, a text already in
-memory is screened first: one whose text contains none of the library's
-class simple names, and not every segment of any of its packages
+stored, so a re-run tokenizes and resolves nothing.  A blob holding
+nothing of the library answers "".  On a miss, a text already in memory
+is screened first: one whose text contains none of the library's class
+simple names, and not every segment of any of its packages
 (`javafacts.may_reference`), holds nothing of it and is not tokenized
-for it.  Facts already known need no screen: it cannot change what they
-resolve to.  Only then is the text read from git and screened, and
-facts that pass are resolved once.  A binary blob, once read, is given
-the facts of an empty text, which are kept like any others.  With each
-pom.xml version's parse result and each diff's hunks stored too (see
-below), a re-run reads no blob.
+for it.  Facts this pipeline already tokenized need no screen: it cannot
+change what they resolve to.  Only then is the text read from git and
+screened, and facts that pass are resolved once.  A binary blob, once
+read, holds nothing of any library, and that answer is kept like any
+other.  With each pom.xml version's parse result and each diff's hunks
+stored too (see below), a re-run reads no blob.
 
-Every answer derived from one blob (its facts, a library answer, a
-pom.xml version's parse result, the hunks of a diff that ends at it)
-comes from a `FactsCache` that every history of a pipeline shares: memory
-first, then the store's `blob_answers` table (each kind of question in
-one query of its own), and only then the tokenizer, the resolver,
-`parse_manifest` or the caller's diff.  So a blob is tokenized once per
-database, not once per history or per process; a stage stores what it
-reached with `FactsCache.save`.  A diff is asked by its after blob, under
-a question that names the context and the before blob, and is held
-encoded (`fragments.encode_hunks`), so the cache keeps no `Hunk`; it is
-kept only when the repository has both blobs (`ProjectHistory.has`).
+Every answer derived from one blob (a library answer, a pom.xml
+version's parse result, the hunks of a diff that ends at it) comes from
+a `FactsCache` that every history of a pipeline shares: memory first,
+then the store's `blob_answers` table (each kind of question in one query
+of its own), and only then the resolver, `parse_manifest` or the
+caller's diff; a stage stores what it reached with `FactsCache.save`.  A
+blob's facts, which only a new question needs, are kept in that memory
+and never stored, so a blob is tokenized at most once per pipeline, not
+once per history or per library.  A diff is asked by its after blob,
+under a question that names the context and the before blob, and is
+held encoded (`fragments.encode_hunks`), so the cache keeps no `Hunk`; it
+is kept only when the repository has both blobs (`ProjectHistory.has`).
 
 The manifest replay builds only the timeline of declared dependencies;
 the per-commit added and removed sets (`dependency_changes`), which only
@@ -113,27 +114,28 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FactsCache:
-    """Answers about blobs by blob id (facts, library answers, pom.xml
-    parse results and diffs): in memory, then stored, then computed.
+    """Answers about blobs by blob id (library answers, pom.xml parse
+    results and diffs): in memory, then stored, then computed; and each
+    blob's facts, in memory only.
 
     Without a store it is a memory cache.  With one, the stored answers of
-    each kind (a question's first word: `facts`, `uses`, `manifest`,
-    `diff`) are read in one query at the first question of that kind, so
-    a stage holds only the kinds it asks; each is decoded when first asked
-    for, a diff at each question, as it is kept encoded.  `loaded` counts
-    the answers read from the store, by kind.  `save` stores, in one
-    insert, every answer reached since the last save, encoding each only
-    then.
+    each kind (a question's first word: `uses`, `manifest`, `diff`) are
+    read in one query at the first question of that kind, so a stage
+    holds only the kinds it asks; each is decoded when first asked for, a
+    diff at each question, as it is kept encoded.  `loaded` counts the
+    answers read from the store, by kind.  `save` stores, in one insert,
+    every answer reached since the last save, encoding each only then.
     """
 
     def __init__(self, store: Store | None = None):
         self._store = store
-        # (blob id, question) -> facts, library answer, parse result or encoded diff
+        # (blob id, question) -> library answer, parse result or encoded diff
         self._answers: dict[tuple[str, str], object] = {}
         # stored answers not asked for yet: kind -> (blob id, question) -> encoded answer
         self._stored: dict[str, dict[tuple[str, str], str]] = {}
         # (blob id, question, encoder) of each answer kept since the last save
         self._unsaved: list[tuple[str, str, Callable[[object], str]]] = []
+        self._facts: dict[str, SourceFacts] = {}
         self.tokenized = 0
         self.loaded: Counter[str] = Counter()
 
@@ -158,16 +160,15 @@ class FactsCache:
         self._unsaved.append((sha, question, encode))
 
     def get(self, sha: str, text: str) -> SourceFacts:
-        facts = self.known(sha)
+        facts = self._facts.get(sha)
         if facts is None:
-            facts = javafacts.extract_facts(text)
-            self._keep(sha, "facts", facts, javafacts.encode_facts)
+            facts = self._facts[sha] = javafacts.extract_facts(text)
             self.tokenized += 1
         return facts
 
     def known(self, sha: str) -> SourceFacts | None:
-        """The blob's facts from memory or the store, or None."""
-        return self._answer(sha, "facts", javafacts.decode_facts)
+        """The blob's facts if this cache tokenized it, or None."""
+        return self._facts.get(sha)
 
     def library_answer(self, sha: str, key: str) -> LibraryAnswer | None:
         """What the blob holds of the library whose index has the answer
@@ -304,12 +305,12 @@ class ProjectHistory:
         Asks, in turn: the answer under the index's `answer_key`, from
         memory or the store; and on a miss, the blob's text when it is in
         memory, screened, so that a "no" needs no facts; facts already
-        known, which need no screen, by `javafacts.may_reference`'s
+        tokenized, which need no screen, by `javafacts.may_reference`'s
         contract; and only then the text, read from git and screened.
-        Facts are resolved once, and the answer kept.  A binary blob gets
-        the facts of no text, kept so that no later run reads it; a missing
-        one gets an answer that holds nothing, not kept, so the next
-        history asks git again.
+        Facts are resolved once, and the answer kept.  A binary blob holds
+        nothing, kept so that no later run reads it; a missing one gets an
+        answer that holds nothing, not kept, so the next history asks git
+        again.
         """
         key = index.answer_key
         answer = self._facts.library_answer(sha, key)
@@ -321,13 +322,10 @@ class ProjectHistory:
             facts = self._facts.known(sha)
             if facts is None:
                 text = self.text(sha)
-        if facts is None:
-            if text is None:
-                if sha not in self._binary:
-                    return LibraryAnswer([], False)
-                facts = self.facts_for(sha, "")
-            elif javafacts.may_reference(text, index):
-                facts = self.facts_for(sha, text)
+        if text is None and sha not in self._binary:
+            return LibraryAnswer([], False)
+        if facts is None and text is not None and javafacts.may_reference(text, index):
+            facts = self.facts_for(sha, text)
         if facts is None:
             answer = LibraryAnswer([], False)
         else:

@@ -23,19 +23,17 @@ text contains none of a library's class simple names, and not every
 segment of any of its packages, cannot use or depend on the library, so it
 need not be tokenized for it.
 
-Facts are a pure function of the text, so a blob's facts can be stored
-and reused: `encode_facts` writes them as compact JSON, and
-`decode_facts` gives back exactly what `extract_facts` returned.
-`FACTS_VERSION` names the extractor's output; bump it whenever that output
-changes, so that facts stored by an older extractor are dropped.
+Facts are a pure function of the text.  `FACTS_VERSION` names the
+extractor's output; bump it whenever that output changes, so that answers
+derived from an older extractor's facts are dropped.
 
 What a blob holds of one library is a pure function of its facts and of
-what the resolver reads of the index (`PackageIndex.answer_key`), so it can
-be stored too: a `LibraryAnswer`, the uses `resolve_usages` finds and
-whether an import names the library (`imports_name`), from which
-`facts_depend_on` follows for either value of its flag.  `encode_answer`
-writes it as compact JSON, or as "" when it holds nothing, and
-`decode_answer` reads it back.  `RESOLVER_VERSION` names the resolver's
+what the resolver reads of the index (`PackageIndex.answer_key`), so it,
+and not the facts, is what a store keeps: a `LibraryAnswer`, the uses
+`resolve_usages` finds and whether an import names the library
+(`imports_name`), from which `facts_depend_on` follows for either value
+of its flag.  `encode_answer` writes it as compact JSON, or as "" when it
+holds nothing, and `decode_answer` reads it back.  `RESOLVER_VERSION` names the resolver's
 output; bump it whenever that changes.
 """
 
@@ -62,8 +60,6 @@ __all__ = [
     "fallback_package_index",
     "extract_facts",
     "FACTS_VERSION",
-    "encode_facts",
-    "decode_facts",
     "may_reference",
     "resolve_usages",
     "imports_name",
@@ -521,31 +517,6 @@ def extract_facts(source: str) -> SourceFacts:
 
 
 FACTS_VERSION = "3"
-
-
-def encode_facts(facts: SourceFacts) -> str:
-    """Compact JSON of `facts`: [package, imports, invocations, local types],
-    each import and invocation a list of its fields in declaration order."""
-    return json.dumps(
-        [
-            facts.package,
-            [[i.qualified, i.is_static, i.is_wildcard] for i in facts.imports],
-            [[v.line, v.kind, v.method, v.arity, v.receiver] for v in facts.invocations],
-            sorted(facts.local_types),
-        ],
-        separators=(",", ":"),
-    )
-
-
-def decode_facts(data: str) -> SourceFacts:
-    """The facts `encode_facts` wrote; plain JSON, so decoding runs no code."""
-    package, imports, invocations, local_types = json.loads(data)
-    return SourceFacts(
-        package=package,
-        imports=tuple(ImportDecl(*fields) for fields in imports),
-        invocations=tuple(Invocation(*fields) for fields in invocations),
-        local_types=frozenset(local_types),
-    )
 
 
 def may_reference(text: str, index: PackageIndex) -> bool:

@@ -271,8 +271,8 @@ class Fragment(NamedTuple):
 class MethodMapping:
     source: LibraryId
     target: LibraryId
-    source_methods: frozenset[MethodKey]
-    target_methods: frozenset[MethodKey]
+    source_methods: tuple[MethodKey, ...]  # sorted, each once
+    target_methods: tuple[MethodKey, ...]  # sorted, each once
     support: int
 
 

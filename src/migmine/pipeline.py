@@ -337,9 +337,9 @@ class Pipeline:
         self.facts.save()
         log.info(
             "event=segments_detected pairs=%d segments=%d blobs_read=%d answers_loaded=%d "
-            "blobs_loaded=%d blobs_tokenized=%d",
+            "blobs_tokenized=%d",
             len(found_by_pair), len(segments), blobs_read,
-            self.facts.loaded["uses"], self.facts.loaded["facts"], self.facts.tokenized,
+            self.facts.loaded["uses"], self.facts.tokenized,
         )
         return segments
 
@@ -377,11 +377,11 @@ class Pipeline:
         self.facts.save()
         log.info(
             "event=fragments_detected fragments=%d mappings=%d confirmed=%d diffs=%d "
-            "diffs_loaded=%d blobs_read=%d answers_loaded=%d blobs_loaded=%d blobs_tokenized=%d",
+            "diffs_loaded=%d blobs_read=%d answers_loaded=%d blobs_tokenized=%d",
             len(all_fragments), len(mappings),
             sum(1 for r in confirmed if r.status == "confirmed"),
             self.diffs, self.facts.loaded["diff"], blobs_read,
-            self.facts.loaded["uses"], self.facts.loaded["facts"], self.facts.tokenized,
+            self.facts.loaded["uses"], self.facts.tokenized,
         )
         return all_fragments, mappings
 

@@ -177,11 +177,11 @@ def _mappings(store) -> list[dict]:
             "rule": f"{library_key(m.source)}->{library_key(m.target)}",
             "source_methods": [
                 {"class": c, "method": mm, "arity": a}
-                for c, mm, a in sorted(m.source_methods)
+                for c, mm, a in m.source_methods
             ],
             "target_methods": [
                 {"class": c, "method": mm, "arity": a}
-                for c, mm, a in sorted(m.target_methods)
+                for c, mm, a in m.target_methods
             ],
             "support": m.support,
         }

@@ -37,11 +37,11 @@ did not read (`keep_projects`): one DELETE, which cascades to their
 commits, file and dependency changes and segments.
 
 `blob_answers` is a cache, not a result: what the pipeline derived from
-one git blob, keyed by blob id and question.  The question `facts` holds
-the blob's `SourceFacts` as JSON (`javafacts.encode_facts`, never pickle,
-so opening a database runs no stored code); `manifest` holds a pom.xml
-blob's `parse_manifest` result, its coordinates or its error message, as
-JSON; a `PackageIndex.answer_key` (`uses <length>-<CRC-32>`) holds what
+one git blob, keyed by blob id and question, each as JSON, never pickle,
+so opening a database runs no stored code.  Only the questions a stage
+asks are stored, not the blob's facts.  The question `manifest` holds a
+pom.xml blob's `parse_manifest` result, its coordinates or its error
+message; a `PackageIndex.answer_key` (`uses <length>-<CRC-32>`) holds what
 the blob holds of that index's library (`javafacts.encode_answer`): ""
 when it holds nothing, whether the screen of `javafacts.may_reference`
 rejected it or its facts resolve to no use and no import, else compact
@@ -58,12 +58,13 @@ class jar replaced under the same coordinate is judged again.  A blob id
 names its content, so an answer never goes stale; a blob the repository
 lacks gets none, and neither does a diff with such a side.  Any stage may
 add answers; ingest deletes those whose blob no stored file change names,
-on either side (`prune_blob_answers`), and keeps the rest across
-re-ingests.  It is never exported.  Opening a database whose
-`answers_version` differs from this one (the fact extractor's, the
-manifest parser's, the diff's and the resolver's versions:
-`FACTS_VERSION`, `MANIFEST_VERSION`, `fragments.DIFF_VERSION`,
-`javafacts.RESOLVER_VERSION`) empties it.
+on either side, and those whose question is of no kind a stage asks, as
+an older version's `facts` (`prune_blob_answers`), and keeps the rest
+across re-ingests.  It is never exported.  Opening a database whose
+`answers_version` differs from this one (the fact extractor's, from which
+library answers derive, the manifest parser's, the diff's and the
+resolver's versions: `FACTS_VERSION`, `MANIFEST_VERSION`,
+`fragments.DIFF_VERSION`, `javafacts.RESOLVER_VERSION`) empties it.
 
 `archive_docs` is a cache too: the docs `docs.parse_doc_archive` parsed
 from a -javadoc jar, as JSON (`docs.encode_docs`, never pickle), without
@@ -134,7 +135,6 @@ _ANSWERS_VERSION = f"{FACTS_VERSION}/{MANIFEST_VERSION}/{DIFF_VERSION}/{RESOLVER
 
 # the questions of each kind of blob answer, by the question's first word
 _ANSWER_KINDS = {
-    "facts": "question = 'facts'",
     "manifest": "question = 'manifest'",
     "uses": "question GLOB 'uses *'",
     "diff": "question GLOB 'diff *'",
@@ -321,8 +321,8 @@ def _fragment_row(fragment: Fragment) -> tuple:
 
 
 def _mapping_row(mapping: MethodMapping) -> tuple:
-    return (*mapping.source, *mapping.target, _compact_json(sorted(mapping.source_methods)),
-            _compact_json(sorted(mapping.target_methods)), mapping.support)
+    return (*mapping.source, *mapping.target, _compact_json(mapping.source_methods),
+            _compact_json(mapping.target_methods), mapping.support)
 
 
 def _doc_attachment_row(mapping_id: int, side: str, attachment: DocAttachment) -> tuple:
@@ -585,12 +585,14 @@ class Store:
             )
 
     def prune_blob_answers(self) -> None:
-        """Delete every answer whose blob no stored file change names."""
+        """Delete every answer whose blob no stored file change names, or
+        whose question is of no kind of `_ANSWER_KINDS`."""
         with self.transaction():
             self.db.execute(
                 "DELETE FROM blob_answers WHERE blob_id NOT IN (SELECT before_sha FROM "
                 "file_changes WHERE before_sha IS NOT NULL UNION SELECT after_sha FROM "
-                "file_changes WHERE after_sha IS NOT NULL)"
+                "file_changes WHERE after_sha IS NOT NULL) OR NOT ("
+                + " OR ".join(_ANSWER_KINDS.values()) + ")"
             )
 
     def keep_archive_docs(self, keys: Iterable[str]) -> None:
@@ -769,8 +771,8 @@ class Store:
                 row_id,
                 MethodMapping(
                     (sg, sa), (tg, ta),
-                    frozenset(tuple(m) for m in json.loads(src)),
-                    frozenset(tuple(m) for m in json.loads(dst)),
+                    tuple(tuple(m) for m in json.loads(src)),
+                    tuple(tuple(m) for m in json.loads(dst)),
                     support,
                 ),
             )

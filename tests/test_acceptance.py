@@ -322,12 +322,24 @@ def test_corpus_exports_match_golden_files(corpus_run):
         for p in run.config.report_path.iterdir():
             shutil.copyfile(p, Path('tests/golden/acceptance') / p.name)"
     """
+    assert_golden_exports(corpus_run.config.report_path)
+
+
+def test_corpus_exports_match_golden_files_with_two_jobs(corpus, tmp_path):
+    """Ingest's pool of two workers reads the corpus into the same 8 exports."""
+    run = run_corpus(corpus, tmp_path, jobs=2)
+    run.store.close()
+    assert run.code == 0
+    assert_golden_exports(run.config.report_path)
+
+
+def assert_golden_exports(report_path: Path) -> None:
     expected = sorted(f"{s}.{f}" for s in EXPORT_SELECTORS for f in EXPORT_FORMATS)
     assert sorted(p.name for p in GOLDEN.iterdir()) == expected
     diffs = []
     for name in expected:
         want = (GOLDEN / name).read_bytes()
-        got = (corpus_run.config.report_path / name).read_bytes()
+        got = (report_path / name).read_bytes()
         if got != want:
             diffs.extend(difflib.unified_diff(
                 want.decode().splitlines(keepends=True),

@@ -193,8 +193,8 @@ class TestStagedPipeline:
 
     def test_separate_detect_fragments_process_tokenizes_nothing(self, corpus, tmp_path):
         """detect-fragments in a process of its own reads the library
-        answers that detect-segments stored instead of decoding facts or
-        tokenizing the blobs again."""
+        answers that detect-segments stored instead of tokenizing the blobs
+        again."""
         flags = common_flags(corpus, tmp_path)
         assert run_cli("ingest", "--projects", corpus.projects_file, *flags) == 0
         assert run_cli("detect-rules", *flags) == 0
@@ -206,7 +206,7 @@ class TestStagedPipeline:
         assert done.returncode == 0, done.stderr
         [line] = [x for x in done.stderr.splitlines() if "event=fragments_detected" in x]
         fields = dict(f.split("=", 1) for f in line.split()[1:])
-        assert (fields["blobs_tokenized"], fields["blobs_loaded"]) == ("0", "0")
+        assert fields["blobs_tokenized"] == "0"
         assert int(fields["answers_loaded"]) > 0
 
     def test_local_run_loads_no_network_modules(self, corpus, tmp_path):

@@ -118,8 +118,8 @@ def test_generic_class_page_docs_attach():
     mapping = MethodMapping(
         source=("org.json", "json"),
         target=("com.google.code.gson", "gson"),
-        source_methods=frozenset({("org.json.JSONObject", "get", 1)}),
-        target_methods=frozenset({("com.google.gson.TypeAdapter", "read", 1)}),
+        source_methods=(("org.json.JSONObject", "get", 1),),
+        target_methods=(("com.google.gson.TypeAdapter", "read", 1),),
         support=1,
     )
     (_, _, target) = attach_docs([mapping], parse_class_page(page, GSON_222))[0]
@@ -354,8 +354,8 @@ class TestAttachDocs:
         return MethodMapping(
             source=("org.json", "json"),
             target=("com.google.code.gson", "gson"),
-            source_methods=frozenset({("org.json.JSONObject", "toJSONString", 0)}),
-            target_methods=frozenset(target_methods),
+            source_methods=(("org.json.JSONObject", "toJSONString", 0),),
+            target_methods=tuple(sorted(target_methods)),
             support=3,
         )
 
@@ -411,8 +411,8 @@ def test_same_simple_name_in_two_libraries_attaches_each_sides_own_doc():
     mapping = MethodMapping(
         source=JSON_LIB.identity,
         target=simple.identity,
-        source_methods=frozenset({("org.json.JSONObject", "get", 1)}),
-        target_methods=frozenset({("org.json.simple.JSONObject", "get", 1)}),
+        source_methods=(("org.json.JSONObject", "get", 1),),
+        target_methods=(("org.json.simple.JSONObject", "get", 1),),
         support=1,
     )
     (_, [source], [target]) = attach_docs([mapping], docs)[0]

@@ -277,8 +277,15 @@ class TestExtractMappings:
         mappings = extract_mappings(fragments)
         assert len(mappings) == 1
         assert mappings[0].support == 12
-        assert mappings[0].source_methods == frozenset(self.REMOVED)
-        assert mappings[0].target_methods == frozenset(self.ADDED)
+        assert mappings[0].source_methods == tuple(sorted(self.REMOVED))
+        assert mappings[0].target_methods == tuple(sorted(self.ADDED))
+
+    def test_method_lists_are_sorted(self):
+        """Each side's methods come sorted, whatever a set's order; the
+        exports and the doc attachments write them in this order."""
+        added = {("com.google.gson.Gson", name, arity) for name in "fedcba" for arity in (2, 1)}
+        [mapping] = extract_mappings([make_fragment(added, added)])
+        assert mapping.source_methods == mapping.target_methods == tuple(sorted(added))
 
     def test_single_fragment_support_one(self):
         mappings = extract_mappings([make_fragment(self.REMOVED, self.ADDED)])

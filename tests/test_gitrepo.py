@@ -21,7 +21,13 @@ from migmine.gitrepo import (
 )
 from migmine.history import CommitChanges, FactsCache, ProjectHistory
 from migmine.javafacts import fallback_package_index
-from migmine.model import CommitRecord, FileChange, LibraryCoordinate, ProjectRef, SourceFacts
+from migmine.model import (
+    CommitRecord,
+    FileChange,
+    LibraryAnswer,
+    LibraryCoordinate,
+    ProjectRef,
+)
 from migmine.pipeline import Pipeline, RunConfig
 from migmine.store import Store
 
@@ -300,8 +306,9 @@ class TestChangedFiles:
 
     def test_binary_blobs_are_stored_and_read_as_no_text(self, tmp_path):
         """A binary version is kept with its change and reads as no text, so
-        it yields no uses and no dependence.  Its facts are those of an empty
-        text, kept so that a later run need not read it again."""
+        it yields no uses and no dependence.  It is not tokenized, and its
+        answer, which holds nothing, is kept so that a later run need not
+        read it again."""
         path = tmp_path / "binrepo"
         path.mkdir()
         subprocess.run(["git", "init", "-q", "-b", "main", str(path)], check=True)
@@ -325,8 +332,9 @@ class TestChangedFiles:
             assert history.last_dependent_commit(index, 0) is None
         finally:
             history.close()
-        assert facts.known(java.after_sha) == SourceFacts(None, (), ())
-        assert facts.tokenized == 1
+        assert facts.known(java.after_sha) is None
+        assert facts.tokenized == 0
+        assert facts.library_answer(java.after_sha, index.answer_key) == LibraryAnswer([], False)
 
     def test_dead_reader_is_git_error_not_empty_changes(self, tmp_path, monkeypatch):
         path = tmp_path / "vanishing"

@@ -450,6 +450,24 @@ def test_a_rerun_answers_from_verdicts_and_facts_without_reading(json_index):
     check()
 
 
+def test_a_shared_cache_tokenizes_a_blob_once(json_index):
+    """Histories that share a facts cache tokenize a blob at most once: a
+    history that holds no text of the blob answers a library that no
+    history asked yet from the facts another history tokenized, and reads
+    nothing."""
+    fallback = javafacts.fallback_package_index(LibraryCoordinate(*JSON_LIB))
+    assert fallback.answer_key != json_index.answer_key
+    sha = "a" * 40
+    facts = FactsCache()
+    first = ScriptedHistory([], {sha: JSON_USER}, facts)
+    assert first.uses_for(sha, json_index)
+    expected = ScriptedHistory([], {sha: JSON_USER}).uses_for(sha, fallback)
+    # no repository: reading the blob would fail
+    other = ScriptedHistory([], {}, facts)
+    assert expected and other.uses_for(sha, fallback) == expected
+    assert (facts.tokenized, other.blobs_read) == (1, 0)
+
+
 # -- binary versions --------------------------------------------------------------
 
 

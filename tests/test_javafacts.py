@@ -18,15 +18,19 @@ from migmine.javafacts import (
     FACTS_VERSION,
     IndexBuildError,
     build_package_index,
-    decode_facts,
-    encode_facts,
     extract_facts,
     facts_depend_on,
     fallback_package_index,
     may_reference,
     resolve_usages,
 )
-from migmine.model import LibraryAnswer, LibraryCoordinate, LibraryMethodUse, PackageIndex
+from migmine.model import (
+    LibraryAnswer,
+    LibraryCoordinate,
+    LibraryMethodUse,
+    PackageIndex,
+    SourceFacts,
+)
 
 JSON_SOURCE = """package com.example;
 
@@ -354,22 +358,6 @@ class TestMayReference:
 
 
 class TestStoredFacts:
-    def test_decoding_the_encoded_facts_gives_the_extracted_facts(self, json_index):
-        @given(st.data())
-        @settings(max_examples=300, deadline=None)
-        def check(data):
-            words = json_index.reference_words
-            text = data.draw(fixture_mutations(words) | identifier_soup(words))
-            facts = extract_facts(text)
-            decoded = decode_facts(encode_facts(facts))
-            assert decoded == facts
-            # equality alone lets 1 stand for True
-            assert repr((decoded.package, decoded.imports, decoded.invocations)) == repr(
-                (facts.package, facts.imports, facts.invocations)
-            )
-
-        check()
-
     def test_decoding_an_encoded_answer_gives_the_answer(self):
         """A library answer reads back as it was kept: non-ASCII names,
         constructors, arity 0 and an import without uses included; one
@@ -401,20 +389,36 @@ class TestStoredFacts:
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def encode_facts(facts: SourceFacts) -> str:
+    """The golden files' form of `facts`, as compact JSON: [package,
+    imports, invocations, local types], each import and invocation a list
+    of its fields in declaration order."""
+    return json.dumps(
+        [
+            facts.package,
+            [[i.qualified, i.is_static, i.is_wildcard] for i in facts.imports],
+            [[v.line, v.kind, v.method, v.arity, v.receiver] for v in facts.invocations],
+            sorted(facts.local_types),
+        ],
+        separators=(",", ":"),
+    )
+
+
 FACTS_GOLDEN = Path(__file__).parent / "golden" / "facts" / "resolver.json"
 
 
 def test_stored_facts_format_is_pinned():
     """The encoded facts of every resolver fixture match tests/golden/facts.
 
-    A database keeps facts across extractor versions unless FACTS_VERSION
-    changes.  When the extractor's output changes on purpose, bump
-    FACTS_VERSION in migmine/javafacts and regenerate the file from the
-    repository root:
+    A database keeps the library answers derived from facts across
+    extractor versions unless FACTS_VERSION changes.  When the extractor's
+    output changes on purpose, bump FACTS_VERSION in migmine/javafacts and
+    regenerate the file from the repository root:
 
-        PYTHONPATH=src python -c "
+        PYTHONPATH=src:tests python -c "
         import json; from pathlib import Path
-        from migmine.javafacts import FACTS_VERSION, encode_facts, extract_facts
+        from migmine.javafacts import FACTS_VERSION, extract_facts
+        from test_javafacts import encode_facts
         files = sorted(Path('tests/fixtures/resolver').glob('*.java'))
         golden = {'facts_version': FACTS_VERSION,
                   'facts': {p.name: encode_facts(extract_facts(p.read_text())) for p in files}}
@@ -523,9 +527,9 @@ def test_facts_beyond_the_fixtures_are_pinned():
 
         PYTHONPATH=src:tests python -c "
         import json; import test_javafacts as t
-        from migmine.javafacts import FACTS_VERSION, encode_facts, extract_facts
+        from migmine.javafacts import FACTS_VERSION, extract_facts
         golden = {'facts_version': FACTS_VERSION, **{
-            section: {name: encode_facts(extract_facts(text)) for name, text in texts.items()}
+            section: {name: t.encode_facts(extract_facts(text)) for name, text in texts.items()}
             for section, texts in t.extended_texts().items()}}
         t.EXTENDED_GOLDEN.write_text(json.dumps(golden, indent=1) + '\\n')"
     """

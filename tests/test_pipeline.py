@@ -382,9 +382,9 @@ def test_stored_history_reads_as_ingests(corpus, tmp_path):
 
 def spy_javafacts(monkeypatch) -> Counter:
     """The calls made from now on to each `javafacts` function that reads a
-    blob's facts: tokenizing, decoding and resolving them."""
+    blob's facts: tokenizing and resolving them."""
     calls: Counter = Counter()
-    for name in ("extract_facts", "decode_facts", "resolve_usages"):
+    for name in ("extract_facts", "resolve_usages"):
         function = getattr(javafacts, name)
 
         def spy(*args, _name=name, _function=function, **kwargs):
@@ -399,9 +399,8 @@ def assert_answers_match_facts(store, pipeline) -> None:
     """Each library answer the pipeline stored is what its blob's facts give
     against the index it was asked under: `resolve_usages`' uses,
     `imports_name`'s flag, and so `facts_depend_on`'s verdict for both
-    values of its flag.  The facts are the stored ones, or those of the
-    text for a blob whose screen said "no"; both sources occur, and so do
-    answers holding uses and an import and answers holding nothing."""
+    values of its flag.  The facts are those of the blob's text; answers
+    holding uses and an import and answers holding nothing both occur."""
     histories = list(pipeline._histories.values())
     indexes = {
         index.answer_key: index
@@ -423,9 +422,7 @@ def assert_answers_match_facts(store, pipeline) -> None:
             if not question.startswith("uses "):
                 continue
             index = indexes[question]
-            stored = answers.get((sha, "facts"))
-            facts = (javafacts.extract_facts(owner[sha].text(sha) or "") if stored is None
-                     else javafacts.decode_facts(stored))
+            facts = javafacts.extract_facts(owner[sha].text(sha) or "")
             uses, imports = javafacts.decode_answer(encoded)
             assert uses == javafacts.resolve_usages(facts, index), (sha, question)
             assert imports == javafacts.imports_name(facts, index), (sha, question)
@@ -433,12 +430,11 @@ def assert_answers_match_facts(store, pipeline) -> None:
                 assert (bool(uses) or (flag and imports)) == javafacts.facts_depend_on(
                     facts, index, flag
                 ), (sha, question, flag)
-            kinds.add((bool(uses), imports, stored is not None))
+            kinds.add((bool(uses), imports))
     finally:
         for history in histories:
             history.close()
-    assert {(uses, imports) for uses, imports, _ in kinds} >= {(True, True), (False, False)}
-    assert {stored for _, _, stored in kinds} == {True, False}
+    assert kinds >= {(True, True), (False, False)}
 
 
 @pytest.mark.parametrize("workload", ["long-history", "corpus-breadth", "wide-migration"])
@@ -446,11 +442,11 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
     workload, tmp_path, monkeypatch
 ):
     """On each benchmark corpus, a stored history is ingest's, each stored
-    library answer is what its blob's facts give, and a re-run of the
-    stages after ingest reads no blob, not even in `detect_fragments`,
-    tokenizes, decodes and resolves no facts, and exports the bytes the run
-    exported.  Each JSON export is the standard encoding of its rows, and
-    `Store.export` gives each written report's bytes."""
+    library answer is what its blob's facts give, no blob's facts are
+    stored, and a re-run of the stages after ingest reads no blob, not even
+    in `detect_fragments`, tokenizes and resolves no facts, and exports the
+    bytes the run exported.  Each JSON export is the standard encoding of
+    its rows, and `Store.export` gives each written report's bytes."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
@@ -479,6 +475,7 @@ def test_stored_history_reads_as_ingests_on_each_benchmark_workload(
             for fmt in EXPORT_FORMATS:
                 assert store.export(fmt, selector) == run[f"{selector}.{fmt}"]
         assert ingest.diffs > 0
+        assert "facts" not in {question for _, question in store.blob_answers()}
         assert_answers_match_facts(store, ingest)
         readers = spy_blob_readers(monkeypatch)
         calls = spy_javafacts(monkeypatch)
@@ -1144,9 +1141,8 @@ def test_a_rerun_reads_no_blob(corpus_run, corpus, tmp_path, monkeypatch, caplog
     """A re-run over a stored run asks git for no object in any stage: the
     manifest replay takes each pom.xml version's stored parse result, every
     other blob is answered by its stored library answers, and each diff by
-    its stored hunks.  So no stage starts a blob reader or tokenizes,
-    decodes or resolves facts, and the exports still match the golden
-    files."""
+    its stored hunks.  So no stage starts a blob reader or tokenizes or
+    resolves facts, and the exports still match the golden files."""
     calls = spy_javafacts(monkeypatch)
     by_stage, diffed, _, paths, logs = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog
@@ -1172,9 +1168,9 @@ def test_each_stored_library_answer_is_what_its_facts_give(corpus, tmp_path):
 
 
 def test_a_rerun_reads_no_stored_facts(corpus_run, corpus, tmp_path):
-    """The stored facts are read in a query of their own, at the first
-    question about facts; a re-run's stages ask none, so they run that
-    query never, and the library answers' query once."""
+    """A re-run's stages read each kind of stored answer in a query of its
+    own, once: the parse results, the library answers and the diffs.  No
+    query reads a blob's facts, which are not stored."""
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     selects = []
     with Store(config.db_path) as store:
@@ -1232,8 +1228,8 @@ def test_stage_logs_count_blob_reads_and_loaded_answers(
     checks included: none in a re-run's segment stage, which the store
     answers, and the diffed texts in a fragment stage at a context the
     store holds no diff for.  `answers_loaded` counts the library answers
-    read from the database so far, and `blobs_loaded` the facts: a re-run
-    reads answers and decodes no facts."""
+    read from the database so far: a re-run reads answers and tokenizes
+    nothing."""
     by_stage, _, _, _, logs = rerun_reading(
         corpus_run, corpus, tmp_path, monkeypatch, caplog, context_lines=2
     )
@@ -1248,7 +1244,9 @@ def test_stage_logs_count_blob_reads_and_loaded_answers(
     loaded = logged(logs, "event=segments_detected", "answers_loaded")
     assert loaded > 0
     assert logged(logs, "event=fragments_detected", "answers_loaded") == loaded
-    assert {event: logged(logs, event, "blobs_loaded") for event in read} == dict.fromkeys(read, 0)
+    assert {event: logged(logs, event, "blobs_tokenized") for event in read} == dict.fromkeys(
+        read, 0
+    )
 
 
 def test_a_stage_that_raises_leaves_no_blob_reader_running(
@@ -1428,9 +1426,9 @@ def test_a_first_run_reads_its_blobs_at_ingest_only(corpus, tmp_path, caplog):
 
 
 def test_a_rerun_reads_no_binary_java_blob(tmp_path, monkeypatch):
-    """A binary .java version, once read, gets the facts of an empty text,
-    stored like any others, so a re-run's segment stage asks git for no
-    object at all, that blob included."""
+    """A binary .java version, once read, holds nothing of any library, and
+    that answer is stored like any other, so a re-run's segment stage asks
+    git for no object at all, that blob included."""
     serializer = "src/main/java/com/example/app/Serializer.java"
     config = single_repo_config(tmp_path, "binjava", [
         ("init", {"pom.xml": pom("binjava", JSON_LIB), serializer: PADDED_JSON,
@@ -1445,7 +1443,8 @@ def test_a_rerun_reads_no_binary_java_blob(tmp_path, monkeypatch):
             for changes in Pipeline(store, config).history("binjava").file_changes.values()
             for fc in changes if fc.path == "src/Blob.java"
         ]
-        assert store.blob_answers()[binary, "facts"] == "[null,[],[],[]]"
+        stored = {q: a for (blob, q), a in store.blob_answers().items() if blob == binary}
+        assert stored and all(q.startswith("uses ") and a == "" for q, a in stored.items())
         readers = spy_blob_readers(monkeypatch)
         pipeline = Pipeline(store, config)
         pipeline.detect_rules()
@@ -1580,8 +1579,8 @@ def stored_corpus_copy(corpus_run, corpus, tmp_path) -> RunConfig:
 
 def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkeypatch, caplog):
     """A new Pipeline over a stored run reads every blob's library answers
-    from the store, so it neither tokenizes nor decodes facts, and its
-    exports still match the golden files."""
+    from the store, so it tokenizes nothing, and its exports still match
+    the golden files."""
     from migmine import javafacts
 
     tokenized = []
@@ -1603,10 +1602,9 @@ def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkey
         paths = pipeline.export_reports()
     assert tokenized == []
     assert pipeline.facts.loaded["uses"] > 0
-    assert pipeline.facts.loaded["facts"] == 0
     logged = [r.getMessage() for r in caplog.records if "blobs_tokenized=" in r.getMessage()]
     assert len(logged) == 2
-    assert all(m.endswith(" blobs_loaded=0 blobs_tokenized=0") for m in logged)
+    assert all(m.endswith(" blobs_tokenized=0") for m in logged)
     assert sorted(p.name for p in paths) == sorted(p.name for p in GOLDEN.iterdir())
     assert [p.name for p in paths if p.read_bytes() != (GOLDEN / p.name).read_bytes()] == []
 
@@ -1638,9 +1636,9 @@ INSERT_ANSWERS = "INSERT INTO blob_answers (blob_id, question, answer) VALUES (?
 def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     corpus, tmp_path, monkeypatch
 ):
-    """A stage stores its library answers, facts and parse results alike,
-    in one insert.  Opening a database whose answers version differs
-    empties the library answers with the facts."""
+    """A stage stores its library answers and parse results alike, in one
+    insert.  Opening a database whose answers version, which names the
+    fact extractor's, differs empties both."""
     calls: list[str] = []
     connect = sqlite3.connect
     monkeypatch.setattr(
@@ -1649,11 +1647,10 @@ def test_screen_verdicts_are_stored_in_one_batch_and_go_with_blob_facts(
     config = corpus_config(corpus, tmp_path)
 
     def rows(store):
-        """The stored facts and library answers."""
+        """The stored parse results and library answers."""
         return [
             store.db.execute(f"SELECT COUNT(*) FROM blob_answers WHERE {where}").fetchone()[0]
-            for where in ("question = 'facts'",
-                          "question NOT IN ('facts', 'manifest') AND question NOT LIKE 'diff %'")
+            for where in ("question = 'manifest'", "question GLOB 'uses *'")
         ]
 
     with Store(config.db_path) as store:
@@ -1754,11 +1751,12 @@ def test_a_reingest_after_the_answers_were_dropped_reads_in_the_pool(
 
 def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeypatch):
     """Ingest stores each pom.xml version's parse result and deletes every
-    answer whose blob no stored change names.  A rename away from pom.xml
-    is the deletion of its old path and names no new version, and a
-    project whose re-ingest fails keeps its stored changes and so its
-    answers.  A row is inserted only for a version with none, so a
-    re-ingest of the same histories writes no row."""
+    answer whose blob no stored change names, and every answer to a
+    question of no kind a stage asks, as an older version's `facts`.  A
+    rename away from pom.xml is the deletion of its old path and names no
+    new version, and a project whose re-ingest fails keeps its stored
+    changes and so its answers.  A row is inserted only for a version with
+    none, so a re-ingest of the same histories writes no row."""
     config = single_repo_config(tmp_path, "poms", [
         ("init", {"pom.xml": pom("poms", JSON_LIB), "core/pom.xml": pom("core"),
                   "web/pom.xml": pom("web", JSON_LIB)}),
@@ -1791,7 +1789,8 @@ def test_ingest_keeps_the_parse_results_of_stored_pom_versions(tmp_path, monkeyp
         ]
         assert ("deleted", "web/pom.xml") in {(fc.kind, fc.path) for fc in changes}
         assert {sha for sha, _ in rows} == {fc.after_sha for fc in changes if fc.after_sha}
-        store.insert_blob_answers([("f" * 40, "manifest", "[]")])
+        named = next(iter(rows))[0]
+        store.insert_blob_answers([("f" * 40, "manifest", "[]"), (named, "facts", "[]")])
         (tmp_path / "repos" / "gone").rename(tmp_path / "elsewhere")
         inserts.clear()
         assert len(Pipeline(store, config).ingest()) == 1
@@ -1850,7 +1849,7 @@ def test_same_class_in_two_libraries_gets_each_sides_own_doc(tmp_path):
     """org.json:json and android-json both ship org.json.JSONObject; each
     side of a migration between them is documented by its own library."""
     android = ("com.vaadin.external.google", "android-json")
-    get = frozenset({("org.json.JSONObject", "get", 1)})
+    get = (("org.json.JSONObject", "get", 1),)
     rows = collect_docs_over(
         tmp_path, JSON_LIB[:2], android, [("p", "20140107", "0.0.20131108.vaadin1")],
         MethodMapping(JSON_LIB[:2], android, get, get, 1),
@@ -1875,8 +1874,8 @@ def test_doc_comes_from_the_first_version_in_segment_order(tmp_path):
     gson = GSON_LIB[:2]
     rows = collect_docs_over(
         tmp_path, JSON_LIB[:2], gson, [("a", "20140107", "1.9"), ("b", "20140107", "1.10")],
-        MethodMapping(JSON_LIB[:2], gson, frozenset({("org.json.JSONObject", "get", 1)}),
-                      frozenset({("com.google.gson.JsonObject", "get", 1)}), 1),
+        MethodMapping(JSON_LIB[:2], gson, (("org.json.JSONObject", "get", 1),),
+                      (("com.google.gson.JsonObject", "get", 1),), 1),
         {
             (*gson, version): {
                 "com/google/gson/JsonObject.html":
@@ -1898,8 +1897,8 @@ def test_later_version_documents_what_the_first_lacks(tmp_path):
     rows = collect_docs_over(
         tmp_path, JSON_LIB[:2], gson,
         [("a", "20140107", "1.8"), ("b", "20140107", "1.9"), ("c", "20140107", "1.10")],
-        MethodMapping(JSON_LIB[:2], gson, frozenset({("org.json.JSONObject", "get", 1)}),
-                      frozenset({("com.google.gson.JsonObject", "get", 1)}), 1),
+        MethodMapping(JSON_LIB[:2], gson, (("org.json.JSONObject", "get", 1),),
+                      (("com.google.gson.JsonObject", "get", 1),), 1),
         {
             (*gson, "1.8"): {},
             (*gson, "1.9"): {"com/google/gson/JsonObject.html": javadoc_page(
@@ -2132,10 +2131,13 @@ def test_jar_replaced_under_its_coordinate_is_parsed_again(
         ).fetchall() == [("<init>", "Replaced constructor.", 1), ("toJson", None, 0)]
 
 
-def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, corpus, tmp_path):
+def test_class_jar_replaced_under_its_coordinate_is_screened_again(
+    corpus_run, corpus, tmp_path, caplog
+):
     """A library answer's key names what the screen and the resolver read
     of an index, not the index's coordinate: after a class jar is replaced
-    in the cache, a re-run over the stored run exports what a fresh run
+    in the cache, a re-run over the stored run reads the texts it asks
+    from git, as no blob's facts are stored, and exports what a fresh run
     exports."""
     config = stored_corpus_copy(corpus_run, corpus, tmp_path)
     path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "classes")
@@ -2149,10 +2151,14 @@ def test_class_jar_replaced_under_its_coordinate_is_screened_again(corpus_run, c
     ]))
     with Store(config.db_path) as store:
         assert "" in store.blob_answers().values()  # a blob holding nothing of a library
+        caplog.set_level(logging.INFO, logger="migmine")
         pipeline = Pipeline(store, config)
         for name in STAGES[1:]:
             getattr(pipeline, name)()
         rerun = exports(store)
+    [segments] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("event=segments_detected ")]
+    assert int(segments.split(" blobs_read=")[1].split()[0]) > 0
     fresh = replace(config, db_path=str(tmp_path / "fresh.db"))
     with Store(fresh.db_path) as store:
         run_all(store, fresh)

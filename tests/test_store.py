@@ -77,8 +77,8 @@ def make_mapping(support=1):
     return MethodMapping(
         JSON_ID,
         GSON_ID,
-        frozenset({("org.json.JSONObject", "toJSONString", 0)}),
-        frozenset({("com.google.gson.Gson", "toJson", 1)}),
+        (("org.json.JSONObject", "toJSONString", 0),),
+        (("com.google.gson.Gson", "toJson", 1),),
         support=support,
     )
 
@@ -169,7 +169,7 @@ class TestUpserts:
         assert store.db.execute("SELECT segment_id FROM fragments").fetchall() == [(2,)]
 
         mapping = make_mapping()
-        store.insert_mappings([mapping, dataclasses.replace(mapping, target_methods=frozenset())])
+        store.insert_mappings([mapping, dataclasses.replace(mapping, target_methods=())])
         with pytest.raises(StoreError):
             store.insert_mappings([dataclasses.replace(mapping, support=5)])
         stored = dict(store.mappings())
@@ -405,11 +405,9 @@ class TestExports:
         store.insert_mappings([
             dataclasses.replace(
                 make_mapping(support=12),
-                target_methods=frozenset(
-                    {
-                        ("com.google.gson.Gson", "<init>", 0),
-                        ("com.google.gson.Gson", "toJson", 1),
-                    }
+                target_methods=(
+                    ("com.google.gson.Gson", "<init>", 0),
+                    ("com.google.gson.Gson", "toJson", 1),
                 ),
             )
         ])
@@ -550,24 +548,25 @@ def test_schema_version_mismatch_fails(tmp_path):
 
 
 class TestBlobFacts:
-    """The `facts` answers of `blob_answers`, and what every answer shares."""
+    """What every answer of `blob_answers` shares."""
 
     def test_same_blob_stored_twice_is_store_error(self, store):
-        store.insert_blob_answers([("b1", "facts", "[]")])
+        store.insert_blob_answers([("b1", "uses 1-0", "")])
         with pytest.raises(StoreError):
-            store.insert_blob_answers([("b2", "facts", "[]"), ("b1", "facts", "[]")])
+            store.insert_blob_answers([("b2", "uses 1-0", ""), ("b1", "uses 1-0", "")])
         # the failed insert stored nothing
-        assert store.blob_answers() == {("b1", "facts"): "[]"}
+        assert store.blob_answers() == {("b1", "uses 1-0"): ""}
         # another question about the same blob is another answer
         store.insert_blob_answers([("b1", "manifest", "[]")])
-        assert store.blob_answers() == {("b1", "facts"): "[]", ("b1", "manifest"): "[]"}
+        assert store.blob_answers() == {("b1", "uses 1-0"): "", ("b1", "manifest"): "[]"}
 
     def test_other_facts_version_empties_the_table_at_open(self, tmp_path):
-        """Every answer goes, parse results and library answers too."""
+        """Library answers derive from the extractor's facts: every answer
+        goes, parse results and diffs too."""
         path = tmp_path / "facts.db"
         with Store(path) as s:
             s.insert_blob_answers(
-                [("b1", "facts", "[]"), ("b1", "1-0", ""), ("p1", "manifest", "[]")]
+                [("b1", "diff 3 b0", "[]"), ("b1", "uses 1-0", ""), ("p1", "manifest", "[]")]
             )
         with Store(path) as s:
             assert len(s.blob_answers()) == 3
@@ -578,16 +577,17 @@ class TestBlobFacts:
             assert s.get_meta("answers_version") == ANSWERS_VERSION
 
     def test_no_export_holds_blob_facts(self, corpus_run):
+        """Nor a blob's id or a library answer that holds something."""
         rows = corpus_run.store.db.execute(
-            "SELECT blob_id, answer FROM blob_answers WHERE question = 'facts'"
+            "SELECT blob_id, answer FROM blob_answers WHERE question GLOB 'uses *' AND answer != ''"
         ).fetchall()
         assert rows
         exported = b"".join(
             corpus_run.store.export(fmt, selector)
             for fmt in EXPORT_FORMATS for selector in EXPORT_SELECTORS
         )
-        assert [blob for blob, facts in rows
-                if blob.encode() in exported or facts.encode() in exported] == []
+        assert [blob for blob, answer in rows
+                if blob.encode() in exported or answer.encode() in exported] == []
         assert "blob_answers" not in EXPORT_SELECTORS
 
 
@@ -620,10 +620,10 @@ class TestPomManifests:
         assert (again.manifest("a" * 40), again.manifest("b" * 40)) == ("[]", [])
 
     def test_other_manifest_version_empties_the_table_at_open(self, tmp_path):
-        """The facts and library answers go too, and are computed again."""
+        """The library answers go too, and are computed again."""
         path = tmp_path / "poms.db"
         with Store(path) as s:
-            s.insert_blob_answers([("a" * 40, "manifest", "[]"), ("b1", "facts", "[]")])
+            s.insert_blob_answers([("a" * 40, "manifest", "[]"), ("b1", "uses 1-0", "")])
         with Store(path) as s:
             assert len(s.blob_answers()) == 2
             s.set_meta("answers_version", f"{FACTS_VERSION}/0/{DIFF_VERSION}/{RESOLVER_VERSION}")
@@ -665,7 +665,7 @@ class TestLibraryAnswers:
         opened, and keeps the ones stored after that."""
         path = tmp_path / "answers.db"
         with Store(path) as s:
-            s.insert_blob_answers([("a" * 40, self.KEY, ""), ("b1", "facts", "[]")])
+            s.insert_blob_answers([("a" * 40, self.KEY, ""), ("b1", "manifest", "[]")])
             s.set_meta("answers_version", old)
         with Store(path) as s:
             assert s.blob_answers() == {}
@@ -709,9 +709,13 @@ class TestStoredDiffs:
     def test_a_cache_asked_no_diff_reads_no_stored_diff(self, store, monkeypatch):
         """The stored diffs are read at the first diff question, and the
         answers of each other kind at the first question of that kind, so
-        a stage that asks only facts holds no diff's text."""
+        a stage that asks only library answers holds no diff's text.  A
+        blob's facts are never read from the store, not even a `facts` row
+        an older version stored."""
+        key = TestLibraryAnswers.KEY
         facts = FactsCache(store)
         facts.keep_hunks(self.change(), 1, unified_diff(self.BEFORE, self.AFTER, 1))
+        facts.keep_library_answer("b1", key, LibraryAnswer([], False))
         store.insert_blob_answers([("b1", "facts", "[null,[],[],[]]")])
         facts.save()
         asked = []
@@ -719,24 +723,26 @@ class TestStoredDiffs:
         monkeypatch.setattr(Store, "blob_answers",
                             lambda self, kind=None: asked.append(kind) or read(self, kind))
         again = FactsCache(store)
-        assert again.known("b1") is not None and again.known("b2") is None
-        assert asked == ["facts"]
+        assert again.known("b1") is None and asked == []
+        assert again.library_answer("b1", key) is not None
+        assert again.library_answer("b2", key) is None
+        assert asked == ["uses"]
         assert again.manifest("b1") is None
         assert again.hunks(self.change(), 1) is not None
         assert again.hunks(self.change(), 3) is None
-        assert asked == ["facts", "manifest", "diff"]
-        assert again.loaded == {"facts": 1, "diff": 1}
+        assert asked == ["uses", "manifest", "diff"]
+        assert again.loaded == {"uses": 1, "diff": 1}
 
     @pytest.mark.parametrize("old", ["3/1", f"{FACTS_VERSION}/{MANIFEST_VERSION}/0"])
     def test_other_answers_version_empties_the_stored_diffs_at_open(self, tmp_path, old):
         """A database written before diffs were stored, or by another diff
-        or encoding, drops every stored diff, facts and all."""
+        or encoding, drops every stored diff, library answers and all."""
         path = tmp_path / "diffs.db"
         with Store(path) as s:
             facts = FactsCache(s)
             facts.keep_hunks(self.change(), 3, unified_diff(self.BEFORE, self.AFTER))
             facts.save()
-            s.insert_blob_answers([("b1", "facts", "[]")])
+            s.insert_blob_answers([("b1", "uses 1-0", "")])
             assert len(s.blob_answers()) == 2
             s.set_meta("answers_version", old)
         with Store(path) as s:
