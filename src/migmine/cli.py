@@ -8,7 +8,7 @@ import sys
 
 from . import __version__, gitrepo
 from .docs import DEFAULT_REPO_BASE
-from .pipeline import Pipeline, RunConfig, StageDataError, run_all
+from .pipeline import STAGES, Pipeline, RunConfig, StageDataError, run_all
 from .store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
 
 log = logging.getLogger("migmine")
@@ -54,24 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"migmine {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="full pipeline over a project list")
+    run = sub.add_parser("run", help="Every stage over a project list, then the reports.")
     run.add_argument("--projects", dest="projects_file", required=True, help="file with one origin per line, # comments")
     _add_common(run)
 
-    ingest = sub.add_parser("ingest", help="clone projects, record commits and manifest changes")
-    ingest.add_argument("--projects", dest="projects_file", required=True)
-    _add_common(ingest)
-
-    for name, help_text in (
-        ("detect-rules", "build the migration graph and filter rules by t_rel"),
-        ("detect-segments", "locate migration periods for every candidate rule"),
-        ("detect-fragments", "extract witnessing diff hunks and confirm rules"),
-        ("collect-docs", "download and parse javadoc for mapped methods"),
-    ):
-        stage = sub.add_parser(name, help=help_text)
+    # one command per stage, its help the first paragraph of the stage's
+    # docstring (none under python -OO)
+    for name in STAGES:
+        summary = (getattr(Pipeline, name).__doc__ or "").split("\n\n")[0]
+        stage = sub.add_parser(name.replace("_", "-"), help=" ".join(summary.split()))
+        if name == "ingest":
+            stage.add_argument("--projects", dest="projects_file", required=True)
         _add_common(stage)
 
-    report = sub.add_parser("report", help="export stored results")
+    report = sub.add_parser("report", help="Export stored results.")
     report.add_argument("--format", choices=EXPORT_FORMATS, default="json")
     report.add_argument("--select", choices=EXPORT_SELECTORS, required=True)
     report.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -112,26 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with Store(config.db_path) as store:
             if args.command == "run":
-                code, summary = run_all(store, config)
-                for key, value in sorted(summary.items()):
-                    log.info("event=count %s=%d", key, value)
-                return code
-            pipeline = Pipeline(store, config)
-            if args.command == "ingest":
-                errors = pipeline.ingest()
-                return EXIT_PARTIAL if errors else EXIT_OK
-            if args.command == "detect-rules":
-                pipeline.detect_rules()
-                return EXIT_OK
-            if args.command == "detect-segments":
-                pipeline.detect_segments()
-                return EXIT_PARTIAL if pipeline.project_errors else EXIT_OK
-            if args.command == "detect-fragments":
-                pipeline.detect_fragments()
-                return EXIT_PARTIAL if pipeline.project_errors else EXIT_OK
-            if args.command == "collect-docs":
-                pipeline.collect_docs()
-                return EXIT_OK
+                return run_all(store, config)[0]
             if args.command == "report":
                 payload = store.export(args.format, args.select)
                 if args.out and not args.stdout:
@@ -141,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     sys.stdout.buffer.write(payload)
                 return EXIT_OK
-            raise AssertionError(f"unhandled command {args.command}")
+            pipeline = Pipeline(store, config)
+            getattr(pipeline, args.command.replace("-", "_"))()
+            return EXIT_PARTIAL if pipeline.project_errors else EXIT_OK
     except StageDataError as exc:
         log.error("event=missing_stage_data detail=%r", str(exc))
         return EXIT_FATAL

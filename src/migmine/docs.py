@@ -99,8 +99,12 @@ class ArchiveFetcher:
     local `~/.m2/repository`, say) is read in place, its URL path
     percent-decoded as urllib does on POSIX; any read error is a miss,
     never retried.  Only other schemes load urllib, at the first download,
-    and back off on transient failures.
+    and back off on transient failures: up to `RETRIES` more tries, the
+    first after `BACKOFF` seconds, each wait twice the last.
     """
+
+    RETRIES = 3
+    BACKOFF = 0.5
 
     def __init__(
         self,
@@ -108,15 +112,11 @@ class ArchiveFetcher:
         base: str = DEFAULT_REPO_BASE,
         offline: bool = False,
         max_workers: int = 4,
-        retries: int = 3,
-        backoff: float = 0.5,
     ):
         self.cache_dir = Path(cache_dir)
         self.base = base
         self.offline = offline
         self.max_workers = max(1, min(max_workers, 4))
-        self.retries = retries
-        self.backoff = backoff
 
     def cache_path(self, coordinate: LibraryCoordinate, kind: str) -> Path:
         return self.cache_dir / archive_path(coordinate, kind)
@@ -172,21 +172,21 @@ class ArchiveFetcher:
         import urllib.error
         import urllib.request
 
-        delay = self.backoff
-        for attempt in range(self.retries + 1):
+        delay = self.BACKOFF
+        for attempt in range(self.RETRIES + 1):
             try:
                 with urllib.request.urlopen(url, timeout=60) as resp:
                     return resp.read()
             except urllib.error.HTTPError as exc:
                 if exc.code in (429,) or 500 <= exc.code < 600:
-                    if attempt < self.retries:
+                    if attempt < self.RETRIES:
                         time.sleep(delay)
                         delay *= 2
                         continue
                 log.warning("event=fetch_failed url=%s status=%s", url, exc.code)
                 return None
             except (urllib.error.URLError, OSError) as exc:
-                if attempt < self.retries:
+                if attempt < self.RETRIES:
                     time.sleep(delay)
                     delay *= 2
                     continue

@@ -123,20 +123,13 @@ def build_package_index(coordinate: LibraryCoordinate, archive: bytes) -> Packag
     if not classes:
         raise IndexBuildError(f"archive for {coordinate} contains no classes")
     packages = {c.rpartition(".")[0] for c in classes if "." in c}
-    return PackageIndex(
-        library=coordinate,
-        classes=frozenset(classes),
-        packages=frozenset(packages),
-    )
+    return PackageIndex(classes=frozenset(classes), packages=frozenset(packages))
 
 
 def fallback_package_index(coordinate: LibraryCoordinate) -> PackageIndex:
     """Low-confidence index guessing the group id as the package prefix."""
     return PackageIndex(
-        library=coordinate,
-        classes=frozenset(),
-        packages=frozenset({coordinate.group}),
-        prefix_mode=True,
+        classes=frozenset(), packages=frozenset({coordinate.group}), prefix_mode=True
     )
 
 

@@ -170,7 +170,6 @@ class PackageIndex:
     index matches any class whose package sits under one of `packages`.
     """
 
-    library: LibraryCoordinate
     classes: frozenset[str]
     packages: frozenset[str]
     prefix_mode: bool = False
@@ -184,8 +183,8 @@ class PackageIndex:
     # the question a blob's library answer is asked under: "uses " and the
     # length and CRC-32 of the mode, the sorted packages and the sorted
     # fully qualified classes, everything the screen and the resolver read
-    # of the index, and not its coordinate; so two indexes that share it
-    # get the same answer for every blob
+    # of the index; so two indexes that share it get the same answer for
+    # every blob
     answer_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

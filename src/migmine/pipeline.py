@@ -1,9 +1,11 @@
 """Stage orchestration: ingest, rules, segments, fragments, docs, reports.
 
 Each stage reads its input from the store and can be rerun in isolation;
-a full run is exactly the stage sequence.  A stage's writes commit together
-when it returns, or not at all when it raises.  One failing project never
-aborts a corpus run: errors are logged and reflected in the exit status.
+a full run is exactly the stage sequence, `STAGES`.  A stage's writes, and
+the blob answers it computed, commit together when it returns, or not at
+all when it raises.  One failing project never aborts a corpus run: it is
+logged as `event=project_failed`, kept in `Pipeline.project_errors` and
+reflected in the exit status.
 """
 
 from __future__ import annotations
@@ -55,8 +57,13 @@ class StageDataError(RuntimeError):
     """A stage's prerequisite data is missing from the store."""
 
 
+# the stage methods of `Pipeline`, in run order
+STAGES = ["ingest", "detect_rules", "detect_segments", "detect_fragments", "collect_docs"]
+
+
 def stage(method):
-    """Run a pipeline stage as one store transaction and log its wall time.
+    """Run a pipeline stage as one store transaction, with the blob answers
+    it computed, and log its wall time.
 
     sqlite3 begins the transaction at the stage's first write, and each stage
     computes what it stores before it clears and writes: git reads, archive
@@ -72,6 +79,7 @@ def stage(method):
         start = time.perf_counter()
         with self.store.transaction():
             result = method(self, *args, **kwargs)
+            self.facts.save()
         log.info(
             "event=stage_done stage=%s seconds=%.3f",
             method.__name__, time.perf_counter() - start,
@@ -130,7 +138,7 @@ class Pipeline:
         self.facts = FactsCache(store)
         self.diffs = 0  # diffs computed so far: `facts` knew none of them
         self._indices: dict[LibraryCoordinate, PackageIndex] = {}
-        # "project: error" of each project a stage after ingest skipped
+        # "project: error" of each project a stage skipped
         self.project_errors: list[str] = []
 
     # -- shared state ---------------------------------------------------------
@@ -191,7 +199,8 @@ class Pipeline:
         """Clone projects and record commits plus their file and dependency
         changes.
 
-        Returns per-project error strings; one project's failure never aborts
+        Returns the "project: error" strings of the projects that failed,
+        which `project_errors` holds too; one project's failure never aborts
         the run, but a run that leaves no project stored is a StageDataError.
         When every project of the projects file ingested, the stored
         projects that it no longer names are deleted, with all their rows.
@@ -228,7 +237,7 @@ class Pipeline:
                 history.read_texts(skip=answered)
                 return (project_id, history, history.blobs_read, None)
             except (gitrepo.GitError, gitrepo.UnknownCommitError, OSError) as exc:
-                return (project_id, None, 0, f"{origin}: {exc}")
+                return (project_id, None, 0, exc)
             finally:
                 if history is not None:
                     history.close()
@@ -239,12 +248,11 @@ class Pipeline:
         # rules are mined from every project's history, so a new history voids them
         if any(history is not None for _, history, _, _ in results):
             self.store.clear_rules_and_downstream()
-        errors = []
+        failed: dict[str, Exception] = {}
         ingested = []
         for project_id, history, blobs_read, error in sorted(results):
             if error is not None:
-                log.error("event=ingest_failed project=%s error=%s", project_id, error)
-                errors.append(error)
+                failed[project_id] = error
                 continue
             self._histories[project_id] = history
             ingested.append(history)
@@ -270,13 +278,13 @@ class Pipeline:
             for change in history.dependency_changes()
             if change.added or change.removed
         )
+        errors = self._record_failures("ingest", failed)
         if not errors:
             for project_id in self.store.keep_projects(project_id for _, project_id in jobs):
                 log.info("event=project_dropped project=%s", project_id)
         # the replay above asked the stored answers first: keep those of the
         # blobs a stored change names, then add the ones it reached
         self.store.prune_blob_answers()
-        self.facts.save()
         self._refs = self._stored_changes = None
         version = gitrepo.git_version()
         self.store.set_meta("git_version", version)
@@ -334,7 +342,6 @@ class Pipeline:
             rule.status = "candidate"
         self.store.upsert_rules(reset)
         self.store.insert_segments(segments)
-        self.facts.save()
         log.info(
             "event=segments_detected pairs=%d segments=%d blobs_read=%d answers_loaded=%d "
             "blobs_tokenized=%d",
@@ -374,7 +381,6 @@ class Pipeline:
         self.store.insert_mappings(mappings)
         confirmed = confirm_rules(rules, self.store.fragment_counts())
         self.store.upsert_rules(confirmed)
-        self.facts.save()
         log.info(
             "event=fragments_detected fragments=%d mappings=%d confirmed=%d diffs=%d "
             "diffs_loaded=%d blobs_read=%d answers_loaded=%d blobs_tokenized=%d",
@@ -411,10 +417,18 @@ class Pipeline:
                 history.close()
         if failed and len(failed) == len(project_ids):
             raise next(iter(failed.values()))
+        self._record_failures(stage_name, failed)
+        return results, blobs_read
+
+    def _record_failures(self, stage_name: str, failed: dict[str, Exception]) -> list[str]:
+        """Log each project a stage skipped and keep it in `project_errors`;
+        return the "project: error" strings kept."""
+        errors = []
         for project_id, exc in failed.items():
             log.error("event=project_failed stage=%s project=%s error=%s", stage_name, project_id, exc)
-            self.project_errors.append(f"{project_id}: {exc}")
-        return results, blobs_read
+            errors.append(f"{project_id}: {exc}")
+        self.project_errors += errors
+        return errors
 
     def _rule_segments(
         self, history: ProjectHistory, rules: list[MigrationRule]
@@ -478,9 +492,15 @@ class Pipeline:
         archive's docs are parsed once per database: they are stored by
         the archive's digest and the classes asked of it, and read back
         on a later pass.
+
+        detect_fragments confirms or discards every rule and detect_segments
+        makes each a candidate again, so a stored rule that is not a
+        candidate shows that the fragments are current.
         """
-        if not self.store.rules():
-            raise StageDataError("no rules in store; run the pipeline through detect-fragments first")
+        if all(rule.status == "candidate" for rule in self.store.rules()):
+            raise StageDataError(
+                "no confirmed or discarded rules; run the pipeline through detect-fragments first"
+            )
         by_rule: dict[tuple[LibraryId, LibraryId], list[tuple[int, MethodMapping]]] = {}
         for mapping_id, mapping in self.store.mappings():
             by_rule.setdefault((mapping.source, mapping.target), []).append((mapping_id, mapping))
@@ -574,11 +594,8 @@ def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:
     store.set_meta("tool_version", __version__)
     store.set_meta("run_started_at", datetime.now(timezone.utc).isoformat())
     pipeline = Pipeline(store, config)
-    errors = pipeline.ingest()
-    pipeline.detect_rules()
-    pipeline.detect_segments()
-    pipeline.detect_fragments()
-    pipeline.collect_docs()
+    for name in STAGES:
+        getattr(pipeline, name)()
     pipeline.export_reports()
     store.set_meta("run_finished_at", datetime.now(timezone.utc).isoformat())
     summary = store.counts()
@@ -586,4 +603,4 @@ def run_all(store: Store, config: RunConfig) -> tuple[int, dict[str, int]]:
         "event=summary %s",
         " ".join(f"{key}={value}" for key, value in sorted(summary.items())),
     )
-    return (2 if errors or pipeline.project_errors else 0), summary
+    return (2 if pipeline.project_errors else 0), summary

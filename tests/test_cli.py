@@ -24,6 +24,7 @@ from corpusgen import (
 import migmine
 from migmine import gitrepo
 from migmine.cli import main
+from migmine.pipeline import STAGES
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store
 
 
@@ -83,6 +84,37 @@ class TestUsageErrors:
                        *common_flags(corpus, tmp_path)) == 0
         assert run_cli("detect-segments", *common_flags(corpus, tmp_path)) == 1
 
+    @pytest.mark.parametrize("before", [["ingest", "detect-rules"], ["detect-segments"]])
+    def test_docs_before_fragments_is_exit_1(self, corpus, tmp_path, caplog, before):
+        """collect-docs after a stage that left every rule a candidate, so
+        no fragment is current, stores nothing: the parsed docs a run
+        cached stay."""
+        flags = common_flags(corpus, tmp_path)
+        assert run_cli("run", "--projects", corpus.projects_file, *flags) == 0
+
+        def cached():
+            with Store(tmp_path / "m.db") as store:
+                return store.db.execute("SELECT * FROM archive_docs ORDER BY key").fetchall()
+
+        rows = cached()
+        assert len(rows) == 2
+        for command in before:
+            extra = ["--projects", corpus.projects_file] if command == "ingest" else []
+            assert run_cli(command, *extra, *flags) == 0
+        caplog.clear()
+        caplog.set_level(logging.ERROR, logger="migmine")
+        assert run_cli("collect-docs", *flags) == 1
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("event=missing_stage_data ")
+        assert cached() == rows
+
+    def test_every_stage_is_a_command(self, capsys):
+        for name in STAGES:
+            with pytest.raises(SystemExit) as err:
+                run_cli(name.replace("_", "-"), "--help")
+            assert err.value.code == 0, name
+            assert capsys.readouterr().out.startswith(f"usage: migmine {name.replace('_', '-')} ")
+
     @pytest.mark.parametrize("command", ["run", "ingest"])
     def test_all_projects_failing_is_exit_1(self, tmp_path, caplog, command):
         projects = tmp_path / "projects.txt"
@@ -103,8 +135,8 @@ class TestStagedPipeline:
 
         assert run_cli("ingest", "--projects", corpus.projects_file,
                        *common_flags(corpus, staged)) == 0
-        for stage in ("detect-rules", "detect-segments", "detect-fragments", "collect-docs"):
-            assert run_cli(stage, *common_flags(corpus, staged)) == 0
+        for stage in STAGES[1:]:
+            assert run_cli(stage.replace("_", "-"), *common_flags(corpus, staged)) == 0
 
         assert run_cli("run", "--projects", corpus.projects_file,
                        *common_flags(corpus, full)) == 0
@@ -148,20 +180,26 @@ class TestStagedPipeline:
             assert store.has_commits()
         assert strict <= relaxed
 
-    def test_partial_failure_is_exit_2(self, corpus, tmp_path):
+    def test_partial_failure_is_exit_2(self, corpus, tmp_path, caplog):
         mixed = tmp_path / "projects.txt"
         good = corpus.root / "repos" / "mig-single"
         mixed.write_text(f"{good}\n{tmp_path / 'no-such-repo'}\n")
+        caplog.set_level(logging.ERROR, logger="migmine")
         code = run_cli("run", "--projects", mixed, *common_flags(corpus, tmp_path))
         assert code == 2
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("event=project_failed stage=ingest project=no-such-repo error=")
         with Store(tmp_path / "m.db") as store:
             assert [p.id for p in store.projects()] == ["mig-single"]
 
-    def test_ingest_partial_failure_is_exit_2(self, corpus, tmp_path):
+    def test_ingest_partial_failure_is_exit_2(self, corpus, tmp_path, caplog):
         mixed = tmp_path / "projects.txt"
         good = corpus.root / "repos" / "mig-single"
         mixed.write_text(f"{good}\n{tmp_path / 'gone'}\n")
+        caplog.set_level(logging.ERROR, logger="migmine")
         assert run_cli("ingest", "--projects", mixed, *common_flags(corpus, tmp_path)) == 2
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith("event=project_failed stage=ingest project=gone error=")
 
     def test_offline_cold_cache_completes(self, corpus, tmp_path):
         code = run_cli(
@@ -449,8 +487,8 @@ class TestGitFailures:
         shutil.rmtree(repo)
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
         caplog.set_level(logging.WARNING, logger="migmine")
-        for stage in ("detect-rules", "detect-segments", "detect-fragments", "collect-docs"):
-            assert run_cli(stage, *flags) == 0, stage
+        for stage in STAGES[1:]:
+            assert run_cli(stage.replace("_", "-"), *flags) == 0, stage
         assert [r.getMessage() for r in caplog.records if repo.name in r.getMessage()] == []
         assert exports() == before
         return before

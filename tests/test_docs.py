@@ -452,7 +452,7 @@ class TestFetcher:
 
     def test_missing_artifact_returns_none(self, tmp_path):
         base = build_fake_maven_repo(tmp_path / "repo")
-        fetcher = ArchiveFetcher(tmp_path / "cache", base=base, retries=1, backoff=0.01)
+        fetcher = ArchiveFetcher(tmp_path / "cache", base=base)
         assert fetcher.fetch(LibraryCoordinate("no.such", "thing", "1"), "classes") is None
         # a directory where the jar should be
         coordinate = LibraryCoordinate("no.such", "thing", "2")
@@ -508,8 +508,11 @@ class TestFetcher:
         assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, stale.name])
         assert stale.read_bytes() == b"stale"
 
-    def test_http_backoff_then_success(self, tmp_path):
+    def test_http_backoff_then_success(self, tmp_path, monkeypatch):
+        """Two 503 answers, each waited out with a doubled sleep, then the jar."""
         attempts = []
+        sleeps = []
+        monkeypatch.setattr(docs_module, "time", SimpleNamespace(sleep=sleeps.append))
 
         class Flaky(BaseHTTPRequestHandler):
             def do_GET(self):
@@ -532,10 +535,11 @@ class TestFetcher:
         thread.start()
         try:
             base = f"http://127.0.0.1:{server.server_port}/maven2"
-            fetcher = ArchiveFetcher(tmp_path / "cache", base=base, backoff=0.01)
+            fetcher = ArchiveFetcher(tmp_path / "cache", base=base)
             data = fetcher.fetch(LibraryCoordinate("g", "a", "1"), "classes")
             assert data is not None
             assert len(attempts) == 3
+            assert sleeps == [ArchiveFetcher.BACKOFF, 2 * ArchiveFetcher.BACKOFF]
         finally:
             server.shutdown()
             server.server_close()

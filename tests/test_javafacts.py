@@ -233,15 +233,15 @@ def small_indexes(draw) -> PackageIndex:
     packages = draw(
         st.lists(st.lists(segments, min_size=1, max_size=3).map(".".join), min_size=1, max_size=3)
     )
-    coordinate = LibraryCoordinate("g", "a", "1")
     if draw(st.booleans()):
-        return PackageIndex(coordinate, frozenset(), frozenset(packages), prefix_mode=True)
+        return PackageIndex(frozenset(), frozenset(packages), prefix_mode=True)
     names = st.sampled_from(["JSONObject", "JSONArray", "Gson", "Builder", "A"])
     classes = draw(
         st.sets(st.tuples(st.sampled_from(packages), names).map(".".join), min_size=1, max_size=4)
     )
     return build_package_index(
-        coordinate, class_jar([c.replace(".", "/") + ".class" for c in classes])
+        LibraryCoordinate("g", "a", "1"),
+        class_jar([c.replace(".", "/") + ".class" for c in classes]),
     )
 
 
@@ -330,13 +330,11 @@ class TestMayReference:
 
     def test_answer_key_names_mode_packages_and_classes(self):
         """Indexes with the same mode, packages and fully qualified classes
-        share an answer key, whatever their coordinate; which package holds
-        a simple name, the mode, and one more class or package each change
-        the key."""
+        share an answer key; which package holds a simple name, the mode,
+        and one more class or package each change the key."""
 
-        def index(classes, version="1", prefix_mode=False, packages=None):
+        def index(classes, prefix_mode=False, packages=None):
             return PackageIndex(
-                LibraryCoordinate("g", "a", version),
                 frozenset(classes),
                 frozenset(c.rpartition(".")[0] for c in classes) if packages is None
                 else frozenset(packages),
@@ -345,7 +343,7 @@ class TestMayReference:
 
         key = index(["a.b.X", "a.c.Y"]).answer_key
         assert key.startswith("uses ")
-        assert index(["a.c.Y", "a.b.X"], version="2").answer_key == key
+        assert index(["a.c.Y", "a.b.X"]).answer_key == key
         others = [
             index(["a.b.Y", "a.c.X"]),
             index(["a.b.X", "a.c.Y"], prefix_mode=True),

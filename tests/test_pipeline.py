@@ -43,7 +43,7 @@ from migmine.model import (
     ProjectRef,
     Segment,
 )
-from migmine.pipeline import Pipeline, RunConfig, StageDataError, run_all
+from migmine.pipeline import STAGES, Pipeline, RunConfig, StageDataError, run_all
 from migmine.store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
 
 
@@ -647,6 +647,25 @@ def test_an_ingest_with_a_failed_project_drops_no_project(corpus, tmp_path, capl
     assert [r for r in caplog.records if "event=project_dropped" in r.getMessage()] == []
 
 
+def test_a_project_that_fails_to_ingest_is_a_project_error(corpus, tmp_path, caplog):
+    """A project that fails to ingest is logged and kept in `project_errors`
+    as a later stage's failed project is; ingest returns it too."""
+    mixed = tmp_path / "projects.txt"
+    mixed.write_text(f"{corpus.root / 'repos' / 'mig-single'}\n{tmp_path / 'gone'}\n")
+    config = replace(corpus_config(corpus, tmp_path), projects_file=str(mixed))
+    caplog.set_level(logging.ERROR, logger="migmine")
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        [error] = pipeline.ingest()
+        assert pipeline.project_errors == [error]
+        assert [ref.id for ref in store.projects()] == ["mig-single"]
+    project, _, detail = error.partition(": ")
+    assert project == "gone" and detail
+    assert [r.getMessage() for r in caplog.records] == [
+        f"event=project_failed stage=ingest project=gone error={detail}"
+    ]
+
+
 def test_repeated_project_ids_take_the_next_free_suffix(tmp_path):
     """b/foo is suffixed to foo-2, so c/foo-2 must not take that id too."""
     origins = [tmp_path / "a" / "foo", tmp_path / "b" / "foo", tmp_path / "c" / "foo-2"]
@@ -848,7 +867,11 @@ def test_failing_docs_write_keeps_the_previous_attachments(
         store.close()
 
 
-STAGES = ["ingest", "detect_rules", "detect_segments", "detect_fragments", "collect_docs"]
+def test_stages_are_the_five_stage_methods_in_run_order():
+    assert STAGES == [
+        "ingest", "detect_rules", "detect_segments", "detect_fragments", "collect_docs"
+    ]
+    assert all(callable(getattr(Pipeline, name)) for name in STAGES)
 
 
 def test_each_stage_commits_once(corpus, tmp_path, monkeypatch, caplog):
