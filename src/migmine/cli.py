@@ -31,10 +31,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--db", dest="db_path", default=None, help="database file (default: WORKDIR/migmine.db)")
     parser.add_argument("--t-rel", type=float, default=1.0, help="relevance threshold in [0,1] (default 1.0)")
     parser.add_argument("--context-lines", type=int, default=3, help="unified diff context lines (default 3)")
-    parser.add_argument("--offline", action="store_true", help="no network: use only cached archives")
+    parser.add_argument(
+        "--offline",
+        action="store_true",
+        help="no network downloads: use only cached archives (a file: --repo-base is still read)",
+    )
     parser.add_argument("--jobs", type=int, default=1, help="parallel projects/downloads (default 1)")
     parser.add_argument("--repo-base", default=DEFAULT_REPO_BASE, help="Maven-layout repository base URL")
-    parser.add_argument("--cache-dir", default=None, help="archive cache directory (default: WORKDIR/cache)")
+    parser.add_argument("--cache-dir", default=None, help="download cache of a network --repo-base (default: WORKDIR/cache)")
     parser.add_argument(
         "--no-imports-count-as-use",
         dest="imports_count_as_use",

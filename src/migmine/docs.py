@@ -1,11 +1,12 @@
 """Library archive fetching and API documentation harvesting.
 
-Downloads class and -javadoc jars from a Maven-repository-layout server
-into a local cache, parses the doclet-generated HTML (JDK 7/8 era method
-detail structure) and attaches per-method documentation to method
-mappings.  Only the pages of the mapped classes are parsed, each found by
-its fully qualified name, and a mapped method is matched only against the
-docs of its own library and class, never by class simple name.
+Reads class and -javadoc jars from a Maven-layout repository, in place
+for a `file:` one and through a local download cache otherwise, parses
+the doclet-generated HTML (JDK 7/8 era method detail structure) and
+attaches per-method documentation to method mappings.  Only the pages
+of the mapped classes are parsed, each found by its fully qualified
+name, and a mapped method is matched only against the docs of its own
+library and class, never by class simple name.
 
 A class page is read by one compiled regex that stops only at the start
 and end tags of a, div, h1, h2, h4, pre, dt and dd, the only tags the
@@ -88,19 +89,23 @@ def archive_url(coordinate: LibraryCoordinate, kind: str, base: str = DEFAULT_RE
 
 
 class ArchiveFetcher:
-    """Cached archive downloads with bounded concurrency and backoff.
-
-    The cache directory mirrors the repository path layout, so re-runs
-    perform zero network calls for cached coordinates.  A cached file that
-    is not a zip archive (one cut short, say) is deleted and counts as a
-    miss.  In offline mode only the cache is consulted.
+    """Archive reads with bounded concurrency, a download cache and backoff.
 
     The base URL's scheme picks the transport.  A `file:` repository (a
-    local `~/.m2/repository`, say) is read in place, its URL path
-    percent-decoded as urllib does on POSIX; any read error is a miss,
-    never retried.  Only other schemes load urllib, at the first download,
-    and back off on transient failures: up to `RETRIES` more tries, the
-    first after `BACKOFF` seconds, each wait twice the last.
+    local `~/.m2/repository`, say) is its own cache: its URL path,
+    percent-decoded as urllib does on POSIX, names a directory read in
+    place, online or offline, so a jar replaced there is read as
+    replaced.  Any read error is a miss, never retried, and nothing there
+    is ever written or deleted.
+
+    Other bases are downloaded into the cache directory, which mirrors the
+    repository path layout, so re-runs perform zero network calls for
+    cached coordinates.  A cached file that is not a zip archive (one cut
+    short, say) is deleted and counts as a miss; a download the cache
+    cannot keep is still returned.  In offline mode only the cache is
+    consulted.  Only these bases load urllib, at the first download, and
+    back off on transient failures: up to `RETRIES` more tries, the first
+    after `BACKOFF` seconds, each wait twice the last.
     """
 
     RETRIES = 3
@@ -126,6 +131,13 @@ class ArchiveFetcher:
         if coordinate.version == UNRESOLVED:
             log.warning("event=fetch_skipped reason=unresolved_version library=%s", coordinate)
             return None
+        base = urlsplit(self.base)
+        if base.scheme == "file":
+            try:
+                return (Path(unquote(base.path)) / archive_path(coordinate, kind)).read_bytes()
+            except OSError:  # not transient: no retry
+                log.warning("event=fetch_missing library=%s kind=%s", coordinate, kind)
+                return None
         path = self.cache_path(coordinate, kind)
         if path.is_file():
             data = path.read_bytes()
@@ -138,17 +150,22 @@ class ArchiveFetcher:
             return None
         data = self._download(archive_url(coordinate, kind, self.base))
         if data is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # a temporary file of its own, so that processes sharing the
-            # cache never write or move one another's
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as out:
-                    out.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                Path(tmp).unlink(missing_ok=True)
-                raise
+                path.parent.mkdir(parents=True, exist_ok=True)
+                # a temporary file of its own, so that processes sharing the
+                # cache never write or move one another's
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "wb") as out:
+                        out.write(data)
+                    os.replace(tmp, path)
+                except BaseException:
+                    Path(tmp).unlink(missing_ok=True)
+                    raise
+            except OSError as exc:  # whatever is in the way stays
+                log.warning(
+                    "event=fetch_cache_write_failed library=%s kind=%s error=%s", coordinate, kind, exc
+                )
         return data
 
     def fetch_many(
@@ -160,13 +177,6 @@ class ArchiveFetcher:
         return dict(zip(wants, results))
 
     def _download(self, url: str) -> bytes | None:
-        parts = urlsplit(url)
-        if parts.scheme == "file":
-            try:
-                return Path(unquote(parts.path)).read_bytes()
-            except OSError:  # not transient: no retry
-                log.warning("event=fetch_missing url=%s", url)
-                return None
         # imported here: urllib.request loads http.client, email and ssl,
         # which a run over a local repository never needs
         import urllib.error
@@ -178,7 +188,7 @@ class ArchiveFetcher:
                 with urllib.request.urlopen(url, timeout=60) as resp:
                     return resp.read()
             except urllib.error.HTTPError as exc:
-                if exc.code in (429,) or 500 <= exc.code < 600:
+                if exc.code == 429 or 500 <= exc.code < 600:
                     if attempt < self.RETRIES:
                         time.sleep(delay)
                         delay *= 2
@@ -566,7 +576,7 @@ def parse_doc_archive(
 def docs_key(archive: bytes, classes: Iterable[str]) -> str:
     """The stored docs' key: the archive's length and CRC-32, then the
     sorted class names, NUL-separated.  It names the content, not the
-    coordinate, so a jar replaced in the cache is parsed again.
+    coordinate, so a jar replaced under its coordinate is parsed again.
 
     The key only has to tell apart the jars one database sees under the
     same class set; a hostile jar could carry hostile docs anyway.  CRC-32

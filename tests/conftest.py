@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from corpusgen import build_corpus, class_jar  # noqa: E402
 
+from migmine.docs import ArchiveFetcher  # noqa: E402
 from migmine.gitrepo import changed_files, ingest_project  # noqa: E402
 from migmine.history import ProjectHistory  # noqa: E402
 from migmine.javafacts import build_package_index  # noqa: E402
@@ -16,6 +17,27 @@ from migmine.pipeline import RunConfig, run_all  # noqa: E402
 from migmine.store import Store  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# a network repository base; `serve_downloads` answers its downloads
+NETWORK_BASE = "https://maven.example/maven2"
+
+
+def serve_downloads(monkeypatch, repo: Path) -> list[str]:
+    """Every ArchiveFetcher downloads a NETWORK_BASE URL from its path under
+    the Maven directory `repo`, and a file that cannot be read there is a
+    failed download.  Returns the URLs downloaded, in call order."""
+    urls = []
+
+    def download(self, url):
+        urls.append(url)
+        try:
+            return (repo / url.removeprefix(f"{NETWORK_BASE}/")).read_bytes()
+        except OSError:
+            return None
+
+    monkeypatch.setattr(ArchiveFetcher, "_download", download)
+    return urls
+
 
 JSON_CLASSES = [
     "org/json/JSONObject.class",

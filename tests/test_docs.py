@@ -1,5 +1,6 @@
 """Archive URLs, cached fetching, javadoc parsing and doc attachment."""
 
+import io
 import logging
 import threading
 import time
@@ -9,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, NETWORK_BASE, serve_downloads
 from corpusgen import build_fake_maven_repo, javadoc_jar, javadoc_page
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -433,22 +434,34 @@ def test_unterminated_tags_scan_in_linear_time():
 
 
 class TestFetcher:
-    def test_file_base_fetch_and_cache(self, tmp_path):
+    def test_file_base_is_read_in_place(self, tmp_path):
+        """A file: base is its own cache: a jar is read where it lies,
+        online and offline, and no cache directory is made."""
+        coordinate = LibraryCoordinate("org.json", "json", "20080701")
         # as_uri() percent-encodes the space and the "%" of the second name
         for repo_dir in ("repo", "maven repo 100%"):
             base = build_fake_maven_repo(tmp_path / repo_dir)
-            cache = tmp_path / "cache" / repo_dir  # a cold cache for each base
-            fetcher = ArchiveFetcher(cache, base=base)
-            json_coord = LibraryCoordinate("org.json", "json", "20080701")
-            data = fetcher.fetch(json_coord, "classes")
-            assert data is not None
-            assert zipfile.ZipFile(__import__("io").BytesIO(data)).namelist()
-            cached = fetcher.cache_path(json_coord, "classes")
-            assert cached == cache / "org/json/json/20080701/json-20080701.jar"
-            assert cached.is_file()
-            # offline re-reads from cache
-            offline = ArchiveFetcher(cache, base="file:///nowhere", offline=True)
-            assert offline.fetch(json_coord, "classes") == data
+            jar = (tmp_path / repo_dir / archive_path(coordinate, "classes")).read_bytes()
+            assert zipfile.ZipFile(io.BytesIO(jar)).namelist()
+            for offline in (False, True):
+                fetcher = ArchiveFetcher(tmp_path / "cache", base=base, offline=offline)
+                assert fetcher.fetch(coordinate, "classes") == jar
+        assert not (tmp_path / "cache").exists()
+
+    def test_network_download_is_cached_then_read_offline(self, tmp_path, monkeypatch):
+        """A network base's jar is downloaded once into the cache, which
+        mirrors the repository layout, and read from there offline."""
+        build_fake_maven_repo(tmp_path / "repo")
+        urls = serve_downloads(monkeypatch, tmp_path / "repo")
+        coordinate = LibraryCoordinate("org.json", "json", "20080701")
+        jar = (tmp_path / "repo" / archive_path(coordinate, "classes")).read_bytes()
+        for offline in (False, True, False):
+            fetcher = ArchiveFetcher(tmp_path / "cache", base=NETWORK_BASE, offline=offline)
+            assert fetcher.fetch(coordinate, "classes") == jar
+        assert urls == [archive_url(coordinate, "classes", NETWORK_BASE)]
+        cached = fetcher.cache_path(coordinate, "classes")
+        assert cached == tmp_path / "cache/org/json/json/20080701/json-20080701.jar"
+        assert cached.read_bytes() == jar
 
     def test_missing_artifact_returns_none(self, tmp_path):
         base = build_fake_maven_repo(tmp_path / "repo")
@@ -458,7 +471,7 @@ class TestFetcher:
         coordinate = LibraryCoordinate("no.such", "thing", "2")
         (tmp_path / "repo" / archive_path(coordinate, "classes")).mkdir(parents=True)
         assert fetcher.fetch(coordinate, "classes") is None
-        assert not fetcher.cache_path(coordinate, "classes").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_local_read_error_is_a_miss_without_backoff(self, tmp_path, monkeypatch, caplog):
         """A file: base with a file where a directory should be fails every
@@ -480,14 +493,15 @@ class TestFetcher:
         fetcher = ArchiveFetcher(tmp_path / "cache", offline=True)
         assert fetcher.fetch(LibraryCoordinate("g", "a"), "classes") is None
 
-    def test_each_download_writes_its_own_temporary_file(self, tmp_path):
+    def test_each_download_writes_its_own_temporary_file(self, tmp_path, monkeypatch):
         """Two fetchers sharing a cache, one downloading while the other
         fetches the same jar, both give its bytes; a stale temporary file
         of the old fixed name is neither read nor moved."""
-        base = build_fake_maven_repo(tmp_path / "repo")
+        build_fake_maven_repo(tmp_path / "repo")
+        serve_downloads(monkeypatch, tmp_path / "repo")
         coordinate = LibraryCoordinate("org.json", "json", "20080701")
-        first = ArchiveFetcher(tmp_path / "cache", base=base)
-        second = ArchiveFetcher(tmp_path / "cache", base=base)
+        first = ArchiveFetcher(tmp_path / "cache", base=NETWORK_BASE)
+        second = ArchiveFetcher(tmp_path / "cache", base=NETWORK_BASE)
         path = first.cache_path(coordinate, "documentation")
         path.parent.mkdir(parents=True)
         stale = path.with_suffix(".tmp")
@@ -501,12 +515,47 @@ class TestFetcher:
             return data
 
         first._download = racing
-        jar = (tmp_path / "repo" / archive_url(coordinate, "documentation", "")[1:]).read_bytes()
+        jar = (tmp_path / "repo" / archive_path(coordinate, "documentation")).read_bytes()
         assert first.fetch(coordinate, "documentation") == jar
         assert during == [jar]
         assert path.read_bytes() == jar
         assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, stale.name])
         assert stale.read_bytes() == b"stale"
+
+    @pytest.mark.parametrize("in_the_way", ["directory_at_jar", "file_at_directory"])
+    def test_download_the_cache_cannot_keep_is_returned(
+        self, tmp_path, monkeypatch, caplog, in_the_way
+    ):
+        """A directory where the cached jar goes, or a file where its
+        directory goes: the download is still returned and the failed write
+        logged, and what is in the way stays as it was, with no temporary
+        file left beside it."""
+        build_fake_maven_repo(tmp_path / "repo")
+        serve_downloads(monkeypatch, tmp_path / "repo")
+        coordinate = LibraryCoordinate("org.json", "json", "20080701")
+        fetcher = ArchiveFetcher(tmp_path / "cache", base=NETWORK_BASE)
+        path = fetcher.cache_path(coordinate, "classes")
+        if in_the_way == "directory_at_jar":
+            path.mkdir(parents=True)
+            (path / "kept").write_bytes(b"kept")
+        else:
+            path.parent.parent.mkdir(parents=True)
+            path.parent.write_bytes(b"kept")
+
+        def cache_tree():
+            return {
+                str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
+                for p in (tmp_path / "cache").rglob("*")
+            }
+
+        before = cache_tree()
+        jar = (tmp_path / "repo" / archive_path(coordinate, "classes")).read_bytes()
+        with caplog.at_level(logging.WARNING, logger="migmine.docs"):
+            assert fetcher.fetch(coordinate, "classes") == jar
+        assert [r.getMessage().split()[0] for r in caplog.records] == [
+            "event=fetch_cache_write_failed"
+        ]
+        assert cache_tree() == before
 
     def test_http_backoff_then_success(self, tmp_path, monkeypatch):
         """Two 503 answers, each waited out with a doubled sleep, then the jar."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import shutil
 import sqlite3
 import subprocess
 import zipfile
@@ -12,7 +13,7 @@ from datetime import datetime
 from pathlib import Path
 
 import pytest
-from conftest import corpus_config, run_corpus
+from conftest import NETWORK_BASE, corpus_config, run_corpus, serve_downloads
 from corpusgen import (
     GSON_APP,
     GSON_LIB,
@@ -32,6 +33,7 @@ from corpusgen import (
 )
 
 from migmine import javafacts
+from migmine.docs import archive_path
 from migmine.fragments import DIFF_VERSION
 from migmine.javafacts import FACTS_VERSION
 from migmine.manifest import MANIFEST_VERSION
@@ -1600,6 +1602,12 @@ def stored_corpus_copy(corpus_run, corpus, tmp_path) -> RunConfig:
     return config
 
 
+def maven_repo_copy(corpus, tmp_path) -> Path:
+    """A copy of the acceptance corpus's file: Maven repository, for a test
+    to change."""
+    return Path(shutil.copytree(corpus.root / "mavenrepo", tmp_path / "mavenrepo"))
+
+
 def test_rerun_from_rules_tokenizes_nothing(corpus_run, corpus, tmp_path, monkeypatch, caplog):
     """A new Pipeline over a stored run reads every blob's library answers
     from the store, so it tokenizes nothing, and its exports still match
@@ -2130,28 +2138,45 @@ def test_changed_class_set_is_parsed_again(corpus_run, corpus, tmp_path, monkeyp
     assert ("org.json.JSONArray", "length") in {(row[2], row[3]) for row in attachments}
 
 
+# a gson javadoc jar documenting only Gson's constructor, and the attachments
+# it gives the target side: (method, description, found)
+REPLACED_GSON_JAVADOC = javadoc_jar({"com/google/gson/Gson.html": javadoc_page(
+    "com.google.gson", "Gson", "Replaced.",
+    [{"name": "Gson", "sig": [], "description": "Replaced constructor."}], [],
+)})
+REPLACED_TARGET_DOCS = [("<init>", "Replaced constructor.", 1), ("toJson", None, 0)]
+# a json class jar that also holds gson's main class, a name that texts the
+# old jar's screen rejected hold
+REPLACED_JSON_CLASSES = class_jar([
+    "org/json/JSONObject.class", "org/json/JSONArray.class",
+    "org/json/JSONException.class", "org/json/JSONTokener.class",
+    "com/google/gson/Gson.class",
+])
+
+
+def target_docs(store) -> list[tuple]:
+    return store.db.execute(
+        "SELECT DISTINCT method, description, found FROM doc_attachments "
+        "WHERE side = 'target' ORDER BY method"
+    ).fetchall()
+
+
 def test_jar_replaced_under_its_coordinate_is_parsed_again(
     corpus_run, corpus, tmp_path, monkeypatch, caplog
 ):
-    """The fetcher's cache never revalidates a jar; a jar whose bytes
-    changed still gives its own docs, not the ones stored for the old jar."""
-    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
-    path = Pipeline(corpus_run.store, config).fetcher.cache_path(GSON_COORD, "documentation")
-    path.parent.mkdir(parents=True)
-    path.write_bytes(javadoc_jar({"com/google/gson/Gson.html": javadoc_page(
-        "com.google.gson", "Gson", "Replaced.",
-        [{"name": "Gson", "sig": [], "description": "Replaced constructor."}], [],
-    )}))
+    """Stored docs are keyed by a jar's content, not its coordinate; a jar
+    whose bytes changed still gives its own docs, not the ones stored for
+    the old jar."""
+    repo = maven_repo_copy(corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), repo_base=repo.as_uri())
+    (repo / archive_path(GSON_COORD, "documentation")).write_bytes(REPLACED_GSON_JAVADOC)
     parsed = spy_parses(monkeypatch)
     logged, attachments, keys = collect_docs_again(config, caplog)
     assert parsed == [GSON_COORD]
     assert logged[-1].endswith(" archives_loaded=1")
     assert len(keys) == 2
     with Store(config.db_path) as store:
-        assert store.db.execute(
-            "SELECT DISTINCT method, description, found FROM doc_attachments "
-            "WHERE side = 'target' ORDER BY method"
-        ).fetchall() == [("<init>", "Replaced constructor.", 1), ("toJson", None, 0)]
+        assert target_docs(store) == REPLACED_TARGET_DOCS
 
 
 def test_class_jar_replaced_under_its_coordinate_is_screened_again(
@@ -2159,19 +2184,12 @@ def test_class_jar_replaced_under_its_coordinate_is_screened_again(
 ):
     """A library answer's key names what the screen and the resolver read
     of an index, not the index's coordinate: after a class jar is replaced
-    in the cache, a re-run over the stored run reads the texts it asks
-    from git, as no blob's facts are stored, and exports what a fresh run
-    exports."""
-    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
-    path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "classes")
-    path.parent.mkdir(parents=True)
-    # texts the old jar's screen rejected name gson's main class, which the
-    # replaced jar holds too
-    path.write_bytes(class_jar([
-        "org/json/JSONObject.class", "org/json/JSONArray.class",
-        "org/json/JSONException.class", "org/json/JSONTokener.class",
-        "com/google/gson/Gson.class",
-    ]))
+    in the repository, a re-run over the stored run reads the texts it
+    asks from git, as no blob's facts are stored, and exports what a fresh
+    run exports."""
+    repo = maven_repo_copy(corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), repo_base=repo.as_uri())
+    (repo / archive_path(JSON_COORD, "classes")).write_bytes(REPLACED_JSON_CLASSES)
     with Store(config.db_path) as store:
         assert "" in store.blob_answers().values()  # a blob holding nothing of a library
         caplog.set_level(logging.INFO, logger="migmine")
@@ -2190,10 +2208,11 @@ def test_class_jar_replaced_under_its_coordinate_is_screened_again(
 
 
 def test_corrupt_javadoc_jar_is_never_cached(corpus_run, corpus, tmp_path, monkeypatch, caplog):
-    """A cached jar that is not a zip archive is deleted: online the jar is
-    fetched again and its stored docs attach; offline it is a miss on every
-    pass."""
-    config = stored_corpus_copy(corpus_run, corpus, tmp_path)
+    """A network base's cached jar that is not a zip archive is deleted:
+    online the jar is fetched again and its stored docs attach; offline it
+    is a miss on every pass."""
+    serve_downloads(monkeypatch, corpus.root / "mavenrepo")
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), repo_base=NETWORK_BASE)
     path = Pipeline(corpus_run.store, config).fetcher.cache_path(JSON_COORD, "documentation")
     path.parent.mkdir(parents=True)
     parsed = spy_parses(monkeypatch)
@@ -2218,6 +2237,68 @@ def test_corrupt_javadoc_jar_is_never_cached(corpus_run, corpus, tmp_path, monke
                 ]
                 assert attachments == ACCEPTANCE_ATTACHMENTS
                 assert keys == cached_keys(corpus_run.store)
+
+
+def test_run_over_a_file_base_copies_no_jar(corpus_run):
+    """A file: repository is read in place: the acceptance run leaves no
+    file under the archive cache and writes the golden exports."""
+    assert [p for p in corpus_run.config.cache_path.rglob("*") if p.is_file()] == []
+    reports = corpus_run.config.report_path
+    assert sorted(p.name for p in reports.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+    assert [p.name for p in GOLDEN.iterdir() if (reports / p.name).read_bytes() != p.read_bytes()] == []
+
+
+def test_jar_replaced_in_a_file_repository_between_passes_is_read_as_replaced(
+    corpus_run, corpus, tmp_path
+):
+    """A file: repository is read on every pass, so jars rebuilt there
+    between two passes over one workdir are read as rebuilt: the docs and
+    the library answers follow their new bytes, as in a fresh run."""
+    repo = maven_repo_copy(corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), repo_base=repo.as_uri())
+
+    def rerun():
+        with Store(config.db_path) as store:
+            pipeline = Pipeline(store, config)
+            for name in STAGES[1:]:
+                getattr(pipeline, name)()
+            return exports(store), target_docs(store)
+
+    stored = exports(corpus_run.store)
+    assert rerun() == (stored, target_docs(corpus_run.store))
+    (repo / archive_path(GSON_COORD, "documentation")).write_bytes(REPLACED_GSON_JAVADOC)
+    assert rerun() == (stored, REPLACED_TARGET_DOCS)
+    (repo / archive_path(JSON_COORD, "classes")).write_bytes(REPLACED_JSON_CLASSES)
+    replaced, _ = rerun()
+    assert replaced != stored
+    fresh = replace(config, db_path=str(tmp_path / "fresh.db"))
+    with Store(fresh.db_path) as store:
+        run_all(store, fresh)
+        assert exports(store) == replaced
+
+
+def test_non_zip_jar_in_a_file_repository_is_a_miss_and_is_kept(
+    corpus_run, corpus, tmp_path, caplog
+):
+    """A jar in a file: repository that is not a zip archive gives no class
+    index and no docs, and stays in the repository as it was."""
+    repo = maven_repo_copy(corpus, tmp_path)
+    config = replace(stored_corpus_copy(corpus_run, corpus, tmp_path), repo_base=repo.as_uri())
+    jars = [repo / archive_path(JSON_COORD, kind) for kind in ("classes", "documentation")]
+    for jar in jars:
+        jar.write_bytes(b"not a zip")
+    caplog.set_level(logging.WARNING, logger="migmine")
+    with Store(config.db_path) as store:
+        pipeline = Pipeline(store, config)
+        assert pipeline.package_index(JSON_COORD) == javafacts.fallback_package_index(JSON_COORD)
+        pipeline.collect_docs()
+        attachments = stored_attachments(store)
+    assert [r.getMessage().split()[0] for r in caplog.records] == [
+        "event=index_error", "event=index_fallback", "event=doc_archive_error"
+    ]
+    assert {row[6] for row in attachments if row[1] == "source"} == {0}
+    assert [jar.read_bytes() for jar in jars] == [b"not a zip"] * 2
+    assert not config.cache_path.exists()
 
 
 def test_database_without_archive_docs_opens_and_fills_it(
