@@ -7,7 +7,6 @@ import logging
 import sys
 
 from . import __version__, gitrepo
-from .docs import DEFAULT_REPO_BASE
 from .pipeline import STAGES, Pipeline, RunConfig, StageDataError, run_all
 from .store import EXPORT_FORMATS, EXPORT_SELECTORS, Store, StoreError
 
@@ -27,18 +26,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workdir", default="migmine-work", help="working directory for clones, cache and reports")
-    parser.add_argument("--db", dest="db_path", default=None, help="database file (default: WORKDIR/migmine.db)")
-    parser.add_argument("--t-rel", type=float, default=1.0, help="relevance threshold in [0,1] (default 1.0)")
-    parser.add_argument("--context-lines", type=int, default=3, help="unified diff context lines (default 3)")
+    parser.add_argument("--workdir", default=RunConfig.workdir, help="working directory for clones, cache and reports (default %(default)s)")
+    parser.add_argument("--db", dest="db_path", default=RunConfig.db_path, help="database file (default: WORKDIR/migmine.db)")
+    parser.add_argument("--t-rel", type=float, default=RunConfig.t_rel, help="relevance threshold in [0,1] (default %(default)s)")
+    parser.add_argument("--context-lines", type=int, default=RunConfig.context_lines, help="unified diff context lines (default %(default)s)")
     parser.add_argument(
         "--offline",
         action="store_true",
         help="no network downloads: use only cached archives (a file: --repo-base is still read)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel projects/downloads (default 1)")
-    parser.add_argument("--repo-base", default=DEFAULT_REPO_BASE, help="Maven-layout repository base URL")
-    parser.add_argument("--cache-dir", default=None, help="download cache of a network --repo-base (default: WORKDIR/cache)")
+    parser.add_argument("--jobs", type=int, default=RunConfig.jobs, help="parallel projects/downloads (default %(default)s)")
+    parser.add_argument("--repo-base", default=RunConfig.repo_base, help="Maven-layout repository base URL (default %(default)s)")
+    parser.add_argument("--cache-dir", default=RunConfig.cache_dir, help="download cache of a network --repo-base (default: WORKDIR/cache)")
     parser.add_argument(
         "--no-imports-count-as-use",
         dest="imports_count_as_use",
@@ -82,11 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    db_path = args.db_path or f"{args.workdir}/migmine.db"
     return RunConfig(
         projects_file=getattr(args, "projects_file", None),
         workdir=args.workdir,
-        db_path=db_path,
+        db_path=args.db_path,
         t_rel=args.t_rel,
         context_lines=args.context_lines,
         offline=args.offline,

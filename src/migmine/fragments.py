@@ -1,8 +1,13 @@
 """Unified-diff hunks and their filtering into migration fragments.
 
-A hunk survives as a fragment only when its removed lines carry at least
-one source-library method use and its added lines at least one
-target-library use; everything else is unrelated change and is dropped.
+A hunk holds its lines as unified diff writes them: a " ", "-" or "+"
+prefix, then the line's text with its `\\n`.  A line ends at `\\n` only,
+as the fact walker counts lines, so a use's line number and a hunk line's
+number agree whatever else a text holds.  `filter_fragments` numbers the
+lines from the hunk's start; a hunk survives as a fragment only when its
+removed lines carry at least one source-library method use and its added
+lines at least one target-library use; everything else is unrelated
+change and is dropped.
 
 A diff of two blobs never changes, so its hunks can be stored and reused:
 `encode_hunks` writes them as compact JSON, without their file, and
@@ -21,18 +26,22 @@ from collections.abc import Iterable
 from .model import (
     Fragment,
     Hunk,
-    HunkLine,
     LibraryMethodUse,
     MethodMapping,
     Segment,
 )
 
 DEFAULT_CONTEXT = 3
-DIFF_VERSION = "1"
+DIFF_VERSION = "2"
 
-# each line's tag as `render_hunk` and `encode_hunks` write it, and back
-_PREFIX = {"context": " ", "removed": "-", "added": "+"}
-_TAG = {prefix: tag for tag, prefix in _PREFIX.items()}
+
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, each with its `\\n`, the last without one when
+    the text does not end in one.  Lines end at `\\n` only, as the fact
+    walker counts them: a form feed, a lone `\\r` or a `\\u2028` is text."""
+    lines = text.split("\n")
+    last = lines.pop()
+    return [line + "\n" for line in lines] + ([last] if last else [])
 
 
 def unified_diff(before: str, after: str, context: int = DEFAULT_CONTEXT, path: str = "") -> list[Hunk]:
@@ -43,8 +52,8 @@ def unified_diff(before: str, after: str, context: int = DEFAULT_CONTEXT, path: 
     """
     if context < 0:
         raise ValueError("context must be >= 0")
-    a = before.splitlines(keepends=True)
-    b = after.splitlines(keepends=True)
+    a = _lines(before)
+    b = _lines(after)
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     hunks = []
     for group in matcher.get_grouped_opcodes(context):
@@ -53,15 +62,10 @@ def unified_diff(before: str, after: str, context: int = DEFAULT_CONTEXT, path: 
         lines = []
         for tag, ai1, ai2, bj1, bj2 in group:
             if tag == "equal":
-                for k in range(ai1, ai2):
-                    lines.append(HunkLine("context", a[k], k + 1, bj1 + (k - ai1) + 1))
-                continue
-            if tag in ("replace", "delete"):
-                for k in range(ai1, ai2):
-                    lines.append(HunkLine("removed", a[k], k + 1, None))
-            if tag in ("replace", "insert"):
-                for k in range(bj1, bj2):
-                    lines.append(HunkLine("added", b[k], None, k + 1))
+                lines += [" " + line for line in a[ai1:ai2]]
+            else:
+                lines += ["-" + line for line in a[ai1:ai2]]
+                lines += ["+" + line for line in b[bj1:bj2]]
         hunks.append(
             Hunk(
                 file=path,
@@ -77,7 +81,7 @@ def unified_diff(before: str, after: str, context: int = DEFAULT_CONTEXT, path: 
 
 def apply_hunks(before: str, hunks: Iterable[Hunk]) -> str:
     """Reconstruct the after-text from the before-text plus hunks."""
-    a = before.splitlines(keepends=True)
+    a = _lines(before)
     out: list[str] = []
     pos = 0
     for hunk in hunks:
@@ -85,51 +89,26 @@ def apply_hunks(before: str, hunks: Iterable[Hunk]) -> str:
         out.extend(a[pos:start])
         pos = start
         for line in hunk.lines:
-            if line.tag == "context":
-                out.append(a[pos])
+            if line[0] != "-":
+                out.append(line[1:])
+            if line[0] != "+":
                 pos += 1
-            elif line.tag == "removed":
-                pos += 1
-            else:
-                out.append(line.text)
     out.extend(a[pos:])
     return "".join(out)
 
 
 def encode_hunks(hunks: Iterable[Hunk]) -> str:
-    """Compact JSON of `hunks`: per hunk, its four range numbers, then the
-    text of each line behind its `render_hunk` prefix."""
+    """Compact JSON of `hunks`: per hunk, its four range numbers, then its
+    lines as they are."""
     return json.dumps(
-        [
-            [h.before_start, h.before_len, h.after_start, h.after_len,
-             *(_PREFIX[line.tag] + line.text for line in h.lines)]
-            for h in hunks
-        ],
+        [[h.before_start, h.before_len, h.after_start, h.after_len, *h.lines] for h in hunks],
         separators=(",", ":"),
     )
 
 
 def decode_hunks(data: str, path: str) -> list[Hunk]:
-    """The hunks `encode_hunks` wrote, as hunks of the file `path`; each
-    line's numbers are counted again from its hunk's ranges."""
-    hunks = []
-    for before_start, before_len, after_start, after_len, *encoded in json.loads(data):
-        # an empty side's start is the line before the hunk
-        before_no = before_start + (before_len == 0)
-        after_no = after_start + (after_len == 0)
-        lines = []
-        for line in encoded:
-            tag = _TAG[line[0]]
-            lines.append(HunkLine(
-                tag,
-                line[1:],
-                None if tag == "added" else before_no,
-                None if tag == "removed" else after_no,
-            ))
-            before_no += tag != "added"
-            after_no += tag != "removed"
-        hunks.append(Hunk(path, before_start, before_len, after_start, after_len, tuple(lines)))
-    return hunks
+    """The hunks `encode_hunks` wrote, as hunks of the file `path`."""
+    return [Hunk(path, *h[:4], tuple(h[4:])) for h in json.loads(data)]
 
 
 _NO_EOL = "\\ No newline at end of file\n"
@@ -142,11 +121,9 @@ def render_hunk(hunk: Hunk) -> str:
         f"+{hunk.after_start},{hunk.after_len} @@\n"
     ]
     for line in hunk.lines:
-        text = line.text
-        if text.endswith("\n"):
-            parts.append(_PREFIX[line.tag] + text)
-        else:
-            parts.append(_PREFIX[line.tag] + text + "\n" + _NO_EOL)
+        parts.append(line)
+        if not line.endswith("\n"):
+            parts.append("\n" + _NO_EOL)
     return "".join(parts)
 
 
@@ -160,8 +137,9 @@ def filter_fragments(
     """Keep hunks witnessing the migration.
 
     uses_before are the source-library uses resolved on the full before
-    file, uses_after the target-library uses on the full after file; line
-    numbers are matched against the hunk's removed/added lines.
+    file, uses_after the target-library uses on the full after file; their
+    line numbers are matched against the hunk's removed/added lines,
+    numbered on from the hunk's before and after starts.
     """
     by_before_line: dict[int, list[LibraryMethodUse]] = defaultdict(list)
     for use in uses_before:
@@ -174,11 +152,14 @@ def filter_fragments(
     for hunk in hunks:
         removed: set[LibraryMethodUse] = set()
         added: set[LibraryMethodUse] = set()
+        before_no, after_no = hunk.before_start, hunk.after_start
         for line in hunk.lines:
-            if line.tag == "removed" and line.before_no in by_before_line:
-                removed.update(by_before_line[line.before_no])
-            elif line.tag == "added" and line.after_no in by_after_line:
-                added.update(by_after_line[line.after_no])
+            if line[0] == "-":
+                removed.update(by_before_line.get(before_no, ()))
+            elif line[0] == "+":
+                added.update(by_after_line.get(after_no, ()))
+            before_no += line[0] != "+"
+            after_no += line[0] != "-"
         if removed and added:
             fragments.append(
                 Fragment(

@@ -237,20 +237,15 @@ class LibraryAnswer(NamedTuple):
     imports: bool
 
 
-class HunkLine(NamedTuple):
-    tag: str  # context | removed | added
-    text: str  # includes the line terminator when present
-    before_no: int | None = None  # 1-based line in the before file
-    after_no: int | None = None
-
-
 class Hunk(NamedTuple):
     file: str
     before_start: int
     before_len: int
     after_start: int
     after_len: int
-    lines: tuple[HunkLine, ...]
+    # each line as unified diff writes it: " ", "-" or "+", then its text
+    # with its "\n" (a last line may lack one)
+    lines: tuple[str, ...]
 
 
 class Fragment(NamedTuple):

@@ -30,7 +30,7 @@ from .docs import (
     encode_docs,
     parse_doc_archive,
 )
-from .fragments import extract_mappings, filter_fragments, unified_diff
+from .fragments import DEFAULT_CONTEXT, extract_mappings, filter_fragments, unified_diff
 from .history import FactsCache, ProjectHistory
 from .model import (
     UNRESOLVED,
@@ -93,9 +93,9 @@ def stage(method):
 class RunConfig:
     projects_file: str | None = None
     workdir: str = "migmine-work"
-    db_path: str = "migmine.db"
+    db_path: str | None = None  # None: WORKDIR/migmine.db
     t_rel: float = 1.0
-    context_lines: int = 3
+    context_lines: int = DEFAULT_CONTEXT
     offline: bool = False
     imports_count_as_use: bool = True
     fallback_index: bool = True
@@ -104,6 +104,8 @@ class RunConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        if not self.db_path:
+            self.db_path = str(Path(self.workdir) / "migmine.db")
         if not 0.0 <= self.t_rel <= 1.0:
             raise ValueError(f"t_rel must be in [0, 1], got {self.t_rel}")
         if self.context_lines < 0:

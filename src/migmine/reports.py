@@ -152,7 +152,7 @@ def _fragments(store) -> list[dict]:
         out.append(
             {
                 "project": row[0],
-                "rule": f"{row[1]}:{row[2]}->{row[3]}:{row[4]}",
+                "rule": f"{library_key(row[1:3])}->{library_key(row[3:5])}",
                 "commit": row[5],
                 "file": row[6],
                 "before_range": [row[7], row[8]],

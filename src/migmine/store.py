@@ -50,11 +50,12 @@ JSON of its uses, each [class, method, arity, line], and a 0/1 flag for
 an import that names the library; `diff <context> <before blob id>`,
 asked of a change's after blob, holds the hunks `unified_diff` found
 between the two blobs at that many context lines (`fragments.encode_hunks`:
-compact JSON of each hunk's four range numbers, then its lines, each
-behind its ` `, `-` or `+` prefix; the line numbers are counted again on
-decode, and the path is the asking change's).  The answer key names
-everything the screen and the resolver read of a package index (prefix
-mode, packages and fully qualified classes), not its coordinate, so a
+compact JSON of each hunk's four range numbers, then its lines as unified
+diff writes them, each behind its ` `, `-` or `+` prefix; a hunk holds
+them as written, `fragments.filter_fragments` numbers them, and the path
+is the asking change's).  The answer key names everything the screen and
+the resolver read of a package index (prefix mode, packages and fully
+qualified classes), not its coordinate, so a
 class jar replaced under the same coordinate is judged again.  A blob id
 names its content, so an answer never goes stale; a blob the repository
 lacks gets none, and neither does a diff with such a side.  Any stage may
@@ -698,20 +699,12 @@ class Store:
             "ORDER BY d.project, c.ordinal, d.direction, d.grp, d.artifact"
         ).fetchall()
         grouped: dict[tuple[str, str], dict[str, set]] = {}
-        order: list[tuple[str, str]] = []
         for project, commit_id, direction, grp, artifact, version in rows:
-            key = (project, commit_id)
-            if key not in grouped:
-                grouped[key] = {"added": set(), "removed": set()}
-                order.append(key)
-            grouped[key][direction].add(LibraryCoordinate(grp, artifact, version))
+            sides = grouped.setdefault((project, commit_id), {"added": set(), "removed": set()})
+            sides[direction].add(LibraryCoordinate(grp, artifact, version))
         return [
-            DependencyChange(
-                project, commit_id,
-                frozenset(grouped[(project, commit_id)]["added"]),
-                frozenset(grouped[(project, commit_id)]["removed"]),
-            )
-            for project, commit_id in order
+            DependencyChange(project, commit_id, frozenset(sides["added"]), frozenset(sides["removed"]))
+            for (project, commit_id), sides in grouped.items()
         ]
 
     def rules(self, statuses: tuple[str, ...] | None = None) -> list[MigrationRule]:

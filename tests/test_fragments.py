@@ -42,10 +42,11 @@ class TestUnifiedDiff:
         after = before.replace("line5\n", "LINE5\n")
         hunks = unified_diff(before, after, 3)
         assert len(hunks) == 1
-        tags = [line.tag for line in hunks[0].lines]
-        assert tags.count("removed") == 1
-        assert tags.count("added") == 1
-        assert tags.count("context") <= 6
+        prefixes = [line[0] for line in hunks[0].lines]
+        assert prefixes.count("-") == 1
+        assert prefixes.count("+") == 1
+        assert prefixes.count(" ") <= 6
+        assert set(prefixes) == {" ", "-", "+"}
 
     def test_distant_edits_make_two_hunks(self):
         before = "".join(f"line{i}\n" for i in range(24))
@@ -64,9 +65,10 @@ class TestUnifiedDiff:
         before = "".join(f"v{i}\n" for i in range(12))
         after = before.replace("v3\n", "x\ny\n").replace("v9\n", "")
         for hunk in unified_diff(before, after, 2):
-            tags = [line.tag for line in hunk.lines]
-            assert tags.count("context") + tags.count("removed") == hunk.before_len
-            assert tags.count("context") + tags.count("added") == hunk.after_len
+            prefixes = [line[0] for line in hunk.lines]
+            assert set(prefixes) <= {" ", "-", "+"}
+            assert prefixes.count(" ") + prefixes.count("-") == hunk.before_len
+            assert prefixes.count(" ") + prefixes.count("+") == hunk.after_len
 
     def test_negative_context_rejected(self):
         with pytest.raises(ValueError):
@@ -237,12 +239,75 @@ class TestFilterFragments:
             self._uses(JSON_BEFORE, json_index), self._uses(GSON_AFTER, gson_index),
         ):
             assert fragment.removed_methods and fragment.added_methods
-            removed_lines = {
-                l.before_no for l in fragment.hunk.lines if l.tag == "removed"
-            }
-            added_lines = {l.after_no for l in fragment.hunk.lines if l.tag == "added"}
+            # number each side's lines from the hunk's start
+            removed_lines, added_lines = set(), set()
+            before_no, after_no = fragment.hunk.before_start, fragment.hunk.after_start
+            for line in fragment.hunk.lines:
+                if line.startswith("-"):
+                    removed_lines.add(before_no)
+                    before_no += 1
+                elif line.startswith("+"):
+                    added_lines.add(after_no)
+                    after_no += 1
+                else:
+                    before_no += 1
+                    after_no += 1
+            assert removed_lines and added_lines
             assert all(u.line in removed_lines for u in fragment.removed_methods)
             assert all(u.line in added_lines for u in fragment.added_methods)
+
+
+# every character `str.splitlines` takes for a line break that the fact
+# walker does not: it counts lines at "\n" only
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+ONE_LINE_RULE = """import org.json.JSONObject;
+import com.google.gson.Gson;
+// a note{}that stays on line 3
+class A {{
+    void f(JSONObject o, Gson g) {{
+        o.put(1, 2);
+        o.get("k"); g.hashCode();
+    }}
+}}
+"""
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+class TestOneLineRule:
+    """A hunk numbers its lines as the walker numbers a use's line, so a
+    character that only `str.splitlines` breaks at shifts neither."""
+
+    def _fragments(self, char, replacement, json_index, gson_index):
+        before = ONE_LINE_RULE.format(char)
+        after = before.replace("o.put(1, 2);", replacement)
+        return filter_fragments(
+            unified_diff(before, after, 3, path="A.java"), segment(), "bbb",
+            resolve_usages(extract_facts(before), json_index),
+            resolve_usages(extract_facts(after), gson_index),
+        )
+
+    def test_the_migrated_line_is_the_fragment(self, char, json_index, gson_index):
+        [fragment] = self._fragments(char, "g.toJson(o);", json_index, gson_index)
+        assert {(u.class_name, u.method, u.line) for u in fragment.removed_methods} == {
+            ("org.json.JSONObject", "put", 6)
+        }
+        assert ("com.google.gson.Gson", "toJson", 6) in {
+            (u.class_name, u.method, u.line) for u in fragment.added_methods
+        }
+
+    def test_a_line_without_a_target_use_makes_no_fragment(self, char, json_index, gson_index):
+        assert self._fragments(char, "int x = 0;", json_index, gson_index) == []
+
+
+def test_round_trip_keeps_every_character_inside_its_line():
+    before = "".join(f"line{i}{char}tail\n" for i, char in enumerate(NOT_LINE_BREAKS))
+    after = before.replace("line3", "LINE3").replace("\x85", "\r\n") + "end" + "".join(NOT_LINE_BREAKS)
+    hunks = unified_diff(before, after, 1)
+    assert apply_hunks(before, hunks) == after
+    assert apply_hunks(after, unified_diff(after, before, 0)) == before
+    # lines end at "\n" only
+    assert sum(h.before_len for h in unified_diff(before, "", 0)) == len(NOT_LINE_BREAKS)
 
 
 def make_fragment(removed_keys, added_keys, commit="c1"):

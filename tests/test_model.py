@@ -11,7 +11,6 @@ from migmine.model import (
     FileChange,
     Fragment,
     Hunk,
-    HunkLine,
     ImportDecl,
     Invocation,
     LibraryCoordinate,
@@ -22,8 +21,7 @@ from migmine.model import (
 )
 
 COORDINATE = LibraryCoordinate("org.json", "json", "20140107")
-HUNK_LINE = HunkLine("removed", "a();\n", before_no=1)
-HUNK = Hunk("A.java", 1, 1, 1, 0, (HUNK_LINE,))
+HUNK = Hunk("A.java", 1, 1, 1, 0, ("-a();\n",))
 USE = LibraryMethodUse("org.json.JSONObject", "<init>", 0, 1)
 DOC = MethodDoc(COORDINATE, "org.json", "JSONObject", "", "<init>", (), "", ())
 
@@ -37,7 +35,6 @@ RECORDS = [
     Invocation(1, "constructor", "JSONObject", 0, "JSONObject"),
     SourceFacts(None, (), ()),
     USE,
-    HUNK_LINE,
     HUNK,
     Fragment(1, ("org.json", "json"), ("g", "a"), "c2", HUNK, frozenset({USE}), frozenset()),
     DOC,

@@ -876,6 +876,13 @@ def test_stages_are_the_five_stage_methods_in_run_order():
     assert all(callable(getattr(Pipeline, name)) for name in STAGES)
 
 
+def test_the_database_defaults_to_the_workdir(tmp_path):
+    """The database, like the cache and the reports, lives in the workdir
+    unless a path is given, whether the CLI or a caller builds the config."""
+    assert Path(RunConfig(workdir=str(tmp_path)).db_path) == tmp_path / "migmine.db"
+    assert RunConfig(workdir=str(tmp_path), db_path="m.db").db_path == "m.db"
+
+
 def test_each_stage_commits_once(corpus, tmp_path, monkeypatch, caplog):
     """COMMITs stay bounded by the stage count however many rows are stored."""
     statements = []
